@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bits import bits_to_hex, hex_to_bits, xor_bits
 from .budget import (
-    BudgetParams,
     CoverageReport,
     coverage_report,
     max_safe_uses,
@@ -66,7 +65,6 @@ from .stego import (
 
 __all__ = [
     "Arrangement",
-    "BudgetParams",
     "Capacity",
     "CoverEntry",
     "CoverLibrary",

@@ -16,11 +16,12 @@ from typing import Iterable
 import numpy as np
 
 from ..divergence import EmpiricalDistribution, js
+from ..errors import InvalidConfig
 from ..library import CoverId
 from ..permcodec import Arrangement, arrangement_to_bits
 from ..bits import xor_bits
 from ..stego import StegoSequence
-from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO
+from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_bits
 
 
 class RandomGuesser:
@@ -37,7 +38,7 @@ class RandomGuesser:
 
     def recover(self, sequence: StegoSequence, state) -> str:
         knowledge: Knowledge = state
-        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=knowledge.payload_bits))
+        return _random_bits(knowledge.rng, knowledge.payload_bits)
 
 
 class KCAMembership:
@@ -66,7 +67,7 @@ class KCAMembership:
 
     def recover(self, sequence: StegoSequence, state) -> str:
         knowledge: Knowledge = state["knowledge"]
-        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=knowledge.payload_bits))
+        return _random_bits(knowledge.rng, knowledge.payload_bits)
 
 
 def _byte_counts(blob: bytes) -> np.ndarray:
@@ -136,7 +137,7 @@ class SCOAHistogram:
 
     def recover(self, sequence: StegoSequence, state) -> str:
         knowledge: Knowledge = state["knowledge"]
-        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=knowledge.payload_bits))
+        return _random_bits(knowledge.rng, knowledge.payload_bits)
 
 
 class CCAReplay:
@@ -165,11 +166,7 @@ class CCAReplay:
         if oracle is not None:
             budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
             for _ in range(budget):
-                bits = "".join(
-                    "1" if b else "0"
-                    for b in knowledge.rng.integers(0, 2, size=knowledge.payload_bits)
-                )
-                seq = oracle(bits)
+                seq = oracle(_random_bits(knowledge.rng, knowledge.payload_bits))
                 known.update(seq.ids)
                 outputs.add(seq.ids)
         return {"known": known, "outputs": outputs, "knowledge": knowledge}
@@ -184,7 +181,7 @@ class CCAReplay:
 
     def recover(self, sequence: StegoSequence, state) -> str:
         knowledge: Knowledge = state["knowledge"]
-        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=knowledge.payload_bits))
+        return _random_bits(knowledge.rng, knowledge.payload_bits)
 
 
 class KeyedRecovery:
@@ -228,6 +225,6 @@ def make_adversary(name: str):
     try:
         return ADVERSARIES[name]()
     except KeyError:
-        raise KeyError(
+        raise InvalidConfig(
             f"unknown adversary {name!r}; choose from {sorted(ADVERSARIES)}"
         ) from None

@@ -5,25 +5,23 @@ handles) and a challenge phase (fair coin: fresh stego sequence or natural
 draw from the world pool).  The ">50% success" criterion is judged with a
 one-sided exact binomial test, never a raw rate comparison.
 
-Every random draw flows from a generator keyed by sha256 over
-(seed, labelled path), so results are byte-identical across runs, platforms,
-and worker counts.
+All three games run on one serial trial engine.  Every random draw flows
+from a generator keyed by sha256 over (seed, labelled path), so results are
+byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.stats import binomtest
 
 from ..bits import validate_bits
 from ..errors import InvalidConfig, OracleBudgetExceeded
-from ..library import CoverId, default_workers
+from ..library import CoverId
 from ..permcodec import capacity
 from ..stego import Message, SeededEntropy, StegoKey, StegoSequence, embed, extract, keygen
 from .scenario import Scenario
@@ -36,8 +34,6 @@ VERDICT_BROKEN = "broken"
 
 LABEL_STEGO = "stego"
 LABEL_NATURAL = "natural"
-
-_TRIAL_BLOCK = 64
 
 
 class AttackLevel(IntEnum):
@@ -232,50 +228,127 @@ def _natural_ids(scenario: Scenario, gen: np.random.Generator) -> tuple[CoverId,
     return tuple(world[i] for i in picks)
 
 
-def _detection_trial(
-    scenario: Scenario,
-    adversary: Adversary,
-    level: AttackLevel,
-    session_key: StegoKey,
-    leaked: tuple[CoverId, ...],
-    seed: int,
-    trial: int,
-) -> tuple[bool, bool]:
-    """One learning phase plus one fair-coin challenge.
-
-    Returns (success, label_was_stego).  Any adversary exception, budget
-    overrun included, scores as a wrong answer for this trial.
-    """
-    harness = _generator(seed, "trial", trial, "harness")
-    adv_gen = _generator(seed, "trial", trial, "adversary")
-    l = capacity(scenario.library.T, scenario.N).l
-    try:
-        knowledge = _knowledge(scenario, level, session_key, leaked, harness, adv_gen)
-        state = adversary.learn(knowledge)
-    except Exception:
-        state = None
-        knowledge = None
-    is_stego = bool(harness.integers(0, 2))
+def _challenge(
+    scenario: Scenario, session_key: StegoKey, gen: np.random.Generator
+) -> tuple[bool, Challenge]:
+    """Fair coin, then a fresh stego sequence or a natural draw."""
+    is_stego = bool(gen.integers(0, 2))
     if is_stego:
-        m = Message(_random_bits(harness, l))
-        challenge = Challenge(ids=embed(m, session_key, scenario.library, scenario.N).ids)
-    else:
-        challenge = Challenge(ids=_natural_ids(scenario, harness))
-    if knowledge is None:
-        return False, is_stego
+        m = Message(_random_bits(gen, capacity(scenario.library.T, scenario.N).l))
+        return True, Challenge(ids=embed(m, session_key, scenario.library, scenario.N).ids)
+    return False, Challenge(ids=_natural_ids(scenario, gen))
+
+
+# The state a trial scores with when its learning phase raised.
+_UNLEARNED = object()
+
+# score(scenario, session_key, adversary, harness, state) -> (points, stego)
+_Scorer = Callable[[Scenario, StegoKey, Adversary, np.random.Generator, object], tuple[int, bool]]
+
+
+def _score_detection(scenario, session_key, adversary, harness, state) -> tuple[int, bool]:
+    """One point for the right label.  The challenge is drawn even after a
+    failed learn, so it still counts towards the stego challenges."""
+    is_stego, challenge = _challenge(scenario, session_key, harness)
+    if state is _UNLEARNED:
+        return 0, is_stego
     try:
         answer = adversary.guess(challenge, state)
     except Exception:
-        answer = None
-    expected = LABEL_STEGO if is_stego else LABEL_NATURAL
-    return answer == expected, is_stego
+        return 0, is_stego
+    return int(answer == (LABEL_STEGO if is_stego else LABEL_NATURAL)), is_stego
 
 
-def _binomial_verdict(successes: int, trials: int, alpha: float) -> tuple[float, float, str]:
+def _score_recovery(scenario, session_key, adversary, harness, state) -> tuple[int, bool]:
+    """One point per payload bit guessed right; a malformed guess scores 0."""
+    if state is _UNLEARNED:
+        return 0, False
+    l = capacity(scenario.library.T, scenario.N).l
+    m = Message(_random_bits(harness, l))
+    seq = embed(m, session_key, scenario.library, scenario.N)
+    try:
+        guess_bits = validate_bits(adversary.recover(seq, state))
+    except Exception:
+        return 0, True
+    if len(guess_bits) != l:
+        return 0, True
+    return sum(a == b for a, b in zip(guess_bits, m.bits)), True
+
+
+def _play(
+    scenario: Scenario,
+    adversary: Adversary,
+    level: AttackLevel,
+    seed: int,
+    trials: int,
+    score: _Scorer,
+    round_index: int | None = None,
+    state: object | None = None,
+) -> tuple[int, int, object | None]:
+    """The trial engine: a block of trials against one session key and one leak.
+
+    Without ``round_index`` each trial learns afresh from its own
+    ("trial", t, "harness"|"adversary") streams, and the harness stream then
+    draws the challenge.  With it, one learning phase on the
+    ("round", r, "observe"|"adversary") streams serves the whole block and
+    each trial draws from ("round", r, "trial", t); ``state`` carries the
+    adversary state in and out, and a failed learn keeps the old state but
+    scores the block's trials as unlearned.  Any adversary exception, budget
+    overrun included, scores as a miss.
+
+    Returns (points, stego challenges, adversary state).
+    """
+    path = ("game",) if round_index is None else ("round", round_index)
+    session_key = _session_key(scenario, seed, *path)
+    leaked = _leak_ids(scenario, seed, level, round_index or 0)
+
+    def learn(observe_gen, adversary_gen, prior):
+        try:
+            knowledge = _knowledge(scenario, level, session_key, leaked, observe_gen, adversary_gen)
+            return adversary.learn(knowledge, prior)
+        except Exception:
+            return _UNLEARNED
+
+    if round_index is not None:
+        learned = learn(
+            _generator(seed, *path, "observe"), _generator(seed, *path, "adversary"), state
+        )
+        if learned is not _UNLEARNED:
+            state = learned
+    points = stego = 0
+    for t in range(trials):
+        if round_index is None:
+            harness = _generator(seed, "trial", t, "harness")
+            learned = learn(harness, _generator(seed, "trial", t, "adversary"), None)
+        else:
+            harness = _generator(seed, *path, "trial", t)
+        p, is_stego = score(scenario, session_key, adversary, harness, learned)
+        points += p
+        stego += is_stego
+    return points, stego, state
+
+
+def _result(
+    level: AttackLevel, kind: str, successes: int, trials: int, alpha: float, seed: int, **extra
+) -> GameResult:
+    """GameResult with a one-sided exact binomial verdict against p = 0.5."""
+    from scipy.stats import binomtest  # deferred: importing scipy.stats costs ~0.7 s
+
     rate = successes / trials
     p_value = float(binomtest(successes, trials, 0.5, alternative="greater").pvalue)
     broken = p_value < alpha and rate > 0.5
-    return rate, p_value, VERDICT_BROKEN if broken else VERDICT_RESISTS
+    return GameResult(
+        level=level.name,
+        kind=kind,
+        trials=trials,
+        successes=successes,
+        success_rate=rate,
+        p_value=p_value,
+        alpha=alpha,
+        verdict=VERDICT_BROKEN if broken else VERDICT_RESISTS,
+        seed=seed,
+        **extra,
+    )
 
 
 def run_game(
@@ -290,41 +363,12 @@ def run_game(
     """Detection game: can the adversary tell stego sequences from natural
     traffic better than a fair coin?
 
-    Per-trial seeding is counter-based, so the aggregate result does not
-    depend on how trials are partitioned across workers.
+    Trials run serially; ``max_workers`` is accepted for compatibility and
+    has no effect.
     """
     _validate(scenario, trials, seed)
-    session_key = _session_key(scenario, seed, "game")
-    leaked = _leak_ids(scenario, seed, level, round_index=0)
-
-    def block(indices: range) -> list[tuple[bool, bool]]:
-        return [
-            _detection_trial(scenario, adversary, level, session_key, leaked, seed, t)
-            for t in indices
-        ]
-
-    blocks = [range(i, min(i + _TRIAL_BLOCK, trials)) for i in range(0, trials, _TRIAL_BLOCK)]
-    workers = max_workers if max_workers is not None else default_workers()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [r for chunk in pool.map(block, blocks) for r in chunk]
-    else:
-        outcomes = [r for chunk in map(block, blocks) for r in chunk]
-    successes = sum(1 for ok, _ in outcomes if ok)
-    stego_count = sum(1 for _, is_stego in outcomes if is_stego)
-    rate, p_value, verdict = _binomial_verdict(successes, trials, alpha)
-    return GameResult(
-        level=level.name,
-        kind="detection",
-        trials=trials,
-        successes=successes,
-        success_rate=rate,
-        p_value=p_value,
-        alpha=alpha,
-        verdict=verdict,
-        seed=seed,
-        stego_challenges=stego_count,
-    )
+    successes, stego, _ = _play(scenario, adversary, level, seed, trials, _score_detection)
+    return _result(level, "detection", successes, trials, alpha, seed, stego_challenges=stego)
 
 
 def message_recovery_game(
@@ -338,42 +382,9 @@ def message_recovery_game(
     """Recovery game: the adversary sees fresh stego sequences and guesses
     the hidden bits; judged on per-bit agreement over all sequences."""
     _validate(scenario, trials, seed)
-    session_key = _session_key(scenario, seed, "game")
-    leaked = _leak_ids(scenario, seed, level, round_index=0)
-    l = capacity(scenario.library.T, scenario.N).l
-    agreed = 0
-    for trial in range(trials):
-        harness = _generator(seed, "trial", trial, "harness")
-        adv_gen = _generator(seed, "trial", trial, "adversary")
-        try:
-            knowledge = _knowledge(scenario, level, session_key, leaked, harness, adv_gen)
-            state = adversary.learn(knowledge)
-        except Exception:
-            continue
-        m = Message(_random_bits(harness, l))
-        seq = embed(m, session_key, scenario.library, scenario.N)
-        try:
-            guess_bits = adversary.recover(seq, state)
-            validate_bits(guess_bits)
-        except Exception:
-            continue
-        if len(guess_bits) != l:
-            continue
-        agreed += sum(1 for a, b in zip(guess_bits, m.bits) if a == b)
-    total_bits = trials * l
-    rate, p_value, verdict = _binomial_verdict(agreed, total_bits, alpha)
-    return GameResult(
-        level=level.name,
-        kind="recovery",
-        trials=total_bits,
-        successes=agreed,
-        success_rate=rate,
-        p_value=p_value,
-        alpha=alpha,
-        verdict=verdict,
-        seed=seed,
-        sequences=trials,
-    )
+    agreed, _, _ = _play(scenario, adversary, level, seed, trials, _score_recovery)
+    total_bits = trials * capacity(scenario.library.T, scenario.N).l
+    return _result(level, "recovery", agreed, total_bits, alpha, seed, sequences=trials)
 
 
 def acca_loop(
@@ -395,57 +406,19 @@ def acca_loop(
     n_rounds = rounds if rounds is not None else scenario.rounds
     if n_rounds < 1:
         raise InvalidConfig(f"rounds must be >= 1, got {n_rounds}")
-    l = capacity(scenario.library.T, scenario.N).l
     results: list[GameResult] = []
     state: object | None = None
     for r in range(n_rounds):
-        session_key = _session_key(scenario, seed, "round", r)
-        leaked = _leak_ids(scenario, seed, AttackLevel.ACCA, round_index=r)
-        observe_gen = _generator(seed, "round", r, "observe")
-        adv_gen = _generator(seed, "round", r, "adversary")
-        learn_failed = False
-        try:
-            knowledge = _knowledge(
-                scenario, AttackLevel.ACCA, session_key, leaked, observe_gen, adv_gen
-            )
-            state = adversary.learn(knowledge, state)
-        except Exception:
-            learn_failed = True
-        successes = 0
-        stego_count = 0
-        for trial in range(trials_per_round):
-            harness = _generator(seed, "round", r, "trial", trial)
-            is_stego = bool(harness.integers(0, 2))
-            if is_stego:
-                m = Message(_random_bits(harness, l))
-                challenge = Challenge(ids=embed(m, session_key, scenario.library, scenario.N).ids)
-                stego_count += 1
-            else:
-                challenge = Challenge(ids=_natural_ids(scenario, harness))
-            if learn_failed:
-                continue
-            try:
-                answer = adversary.guess(challenge, state)
-            except Exception:
-                answer = None
-            if answer == (LABEL_STEGO if is_stego else LABEL_NATURAL):
-                successes += 1
-        rate, p_value, verdict = _binomial_verdict(successes, trials_per_round, alpha)
+        successes, stego, state = _play(
+            scenario, adversary, AttackLevel.ACCA, seed, trials_per_round, _score_detection,
+            round_index=r, state=state,
+        )
         results.append(
-            GameResult(
-                level=AttackLevel.ACCA.name,
-                kind="detection",
-                trials=trials_per_round,
-                successes=successes,
-                success_rate=rate,
-                p_value=p_value,
-                alpha=alpha,
-                verdict=verdict,
-                seed=seed,
-                stego_challenges=stego_count,
-                round_index=r,
+            _result(
+                AttackLevel.ACCA, "detection", successes, trials_per_round, alpha, seed,
+                stego_challenges=stego, round_index=r,
             )
         )
-        if verdict == VERDICT_BROKEN:
+        if results[-1].verdict == VERDICT_BROKEN:
             break
     return results

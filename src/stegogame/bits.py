@@ -10,6 +10,7 @@ from __future__ import annotations
 from .errors import InvalidParams, WrongPayloadLength
 
 _BITSET = frozenset("01")
+HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def validate_bits(bits: str) -> str:
@@ -51,18 +52,18 @@ def bits_to_hex(bits: str) -> str:
 
 
 def hex_to_bits(hexstr: str, length: int) -> str:
-    """Decode ceil(length/4) hex digits into exactly ``length`` bits."""
+    """Decode ceil(length/4) lowercase hex digits into exactly ``length`` bits."""
     expected = hex_digits_for(length)
     if len(hexstr) != expected:
         raise WrongPayloadLength(
             f"expected {expected} hex digits for {length} bits, got {len(hexstr)}"
         )
+    # int(s, 16) alone would also take "0x1", "+01", " 1 " and "f_f"
+    if not HEX_DIGITS.issuperset(hexstr):
+        raise InvalidParams(f"not a hex string: {hexstr!r}")
     if length == 0:
         return ""
-    try:
-        value = int(hexstr, 16)
-    except ValueError:
-        raise InvalidParams(f"not a hex string: {hexstr!r}") from None
+    value = int(hexstr, 16)
     if value >> length:
         raise WrongPayloadLength(f"hex value {hexstr} does not fit in {length} bits")
     return int_to_bits(value, length)

@@ -32,27 +32,6 @@ _MC_BLOCK = 4096
 _SEED_LIMIT = 1 << 128
 
 
-@dataclass(frozen=True)
-class BudgetParams:
-    """Validated parameter bundle for the coverage questions."""
-
-    T: int
-    N: int
-    x: int = 0
-    y: int = 0
-    zeta: float | None = None
-
-    def __post_init__(self):
-        if self.N < 1 or self.T < self.N:
-            raise InvalidParams(f"need 1 <= N <= T, got N={self.N}, T={self.T}")
-        if self.x < 0:
-            raise InvalidParams(f"x must be >= 0, got {self.x}")
-        if self.y < 0 or self.y > self.T - self.N:
-            raise InvalidParams(f"need 0 <= y <= T-N, got y={self.y}")
-        if self.zeta is not None and not (0.0 < self.zeta < 1.0):
-            raise InvalidParams(f"zeta must lie strictly in (0,1), got {self.zeta}")
-
-
 def _check_txn(x: int, N: int, T: int) -> None:
     if not (isinstance(T, int) and isinstance(N, int) and isinstance(x, int)):
         raise InvalidParams("T, N, x must be integers")

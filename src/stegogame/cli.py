@@ -330,10 +330,6 @@ def dispatch(argv: list[str]) -> int:
     except StegogameError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True, separators=(",", ":")))
         return 1
-    except KeyError as exc:
-        # unknown adversary and similar registry misses
-        print(json.dumps({"error": "InvalidConfig", "detail": str(exc)}, sort_keys=True, separators=(",", ":")))
-        return 1
 
 
 def main() -> None:

@@ -103,7 +103,8 @@ def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     qm = q.masses + 1.0 / (2.0 * q.n_samples)
     pm = pm / pm.sum()
     qm = qm / qm.sum()
-    return float(np.sum(pm * np.log(pm / qm)))
+    # nonnegative in exact arithmetic; rounding can leave about -1e-18
+    return max(0.0, float(np.sum(pm * np.log(pm / qm))))
 
 
 def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> float:
@@ -115,7 +116,8 @@ def js(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Jensen-Shannon divergence, natural log, bounded by ln 2."""
     _require_same_bins(p, q)
     mid = (p.masses + q.masses) / 2.0
-    return 0.5 * _rel_entropy_to_mid(p.masses, mid) + 0.5 * _rel_entropy_to_mid(q.masses, mid)
+    value = 0.5 * _rel_entropy_to_mid(p.masses, mid) + 0.5 * _rel_entropy_to_mid(q.masses, mid)
+    return max(0.0, value)  # as for kl, rounding can dip just below zero
 
 
 def tv(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:

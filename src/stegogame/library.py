@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError,
     DuplicateCover,
@@ -33,6 +34,16 @@ MANIFEST_VERSION = 1
 _CHUNK = 1 << 20
 
 THREADS_ENV = "STEGOGAME_THREADS"
+
+
+def check_cover_id(cover_id: object) -> None:
+    """Raise MalformedFile unless ``cover_id`` is 64 lowercase hex digits."""
+    if (
+        not isinstance(cover_id, str)
+        or len(cover_id) != DIGEST_HEX_LEN
+        or not HEX_DIGITS.issuperset(cover_id)
+    ):
+        raise MalformedFile(f"bad cover id {cover_id!r}")
 
 
 def hash_bytes(data: bytes) -> CoverId:
@@ -167,8 +178,7 @@ def library_from_manifest(doc: dict) -> CoverLibrary:
     except (KeyError, TypeError) as exc:
         raise MalformedFile(f"manifest missing field: {exc}") from exc
     for c in covers:
-        if len(c.id) != DIGEST_HEX_LEN or any(ch not in "0123456789abcdef" for ch in c.id):
-            raise MalformedFile(f"bad cover id {c.id!r}")
+        check_cover_id(c.id)
     lib = CoverLibrary(covers=covers)
     if lib.T != declared_t:
         raise MalformedFile(f"manifest T={declared_t} but {lib.T} covers listed")

@@ -21,8 +21,9 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     MalformedFile,
+    StegogameError,
 )
-from .library import DIGEST_HEX_LEN, CoverId, CoverLibrary
+from .library import CoverId, CoverLibrary, check_cover_id
 from .permcodec import Arrangement, arrangement_to_bits, bits_to_arrangement, capacity
 
 import json
@@ -168,7 +169,7 @@ def load_key(path: str | os.PathLike) -> StegoKey:
     l = int(m.group(1))
     try:
         bits = hex_to_bits(lines[1].strip().lower(), l)
-    except Exception as exc:
+    except StegogameError as exc:
         raise MalformedFile(f"key file {path}: {exc}") from exc
     return StegoKey(bits=bits)
 
@@ -188,8 +189,7 @@ def sequence_from_json(doc: dict) -> StegoSequence:
     if declared_n != len(ids):
         raise MalformedFile(f"sequence declares N={declared_n} but lists {len(ids)} ids")
     for cid in ids:
-        if not isinstance(cid, str) or len(cid) != DIGEST_HEX_LEN:
-            raise MalformedFile(f"bad cover id {cid!r}")
+        check_cover_id(cid)
     return StegoSequence(ids=ids)
 
 

@@ -44,6 +44,37 @@ class FailingAdversary:
         raise RuntimeError("boom")
 
 
+class FlakyAdversary:
+    """Learn fails on about half its phases; recover answers with the wrong
+    length, with non-bits, or with a real guess, by turns of its rng."""
+
+    name = "flaky"
+
+    def learn(self, knowledge, state=None):
+        if knowledge.rng.integers(0, 2):
+            raise RuntimeError("learn failed")
+        if knowledge.embed_oracle is not None:
+            bits = "1" * knowledge.payload_bits
+            assert knowledge.extract_oracle(knowledge.embed_oracle(bits)) == bits
+        count = state["count"] + 1 if state else 1
+        return {"knowledge": knowledge, "count": count}
+
+    def guess(self, challenge, state):
+        # the learn count makes the answers depend on state kept across rounds
+        flip = state["knowledge"].rng.integers(0, 2) + state["count"]
+        return "stego" if flip % 2 else "natural"
+
+    def recover(self, sequence, state):
+        knowledge = state["knowledge"]
+        l = knowledge.payload_bits
+        kind = knowledge.rng.integers(0, 3)
+        if kind == 0:
+            return "0" * (l + 1)
+        if kind == 1:
+            return "2" * l
+        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=l))
+
+
 class TestScenario:
     def test_synthetic_shapes(self):
         sc = synthetic_scenario(T=8, N=3, world_size=24, seed=1)
@@ -277,7 +308,7 @@ class TestRegistry:
             assert make_adversary(name).name == name
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidConfig):
             make_adversary("oracle-of-delphi")
 
     def test_level_parse(self):
@@ -295,3 +326,157 @@ class TestSCOAHistogram:
         se = math.sqrt(0.25 / res.trials)
         assert abs(res.success_rate - 0.5) <= 4 * se
         assert res.verdict == VERDICT_RESISTS
+
+
+GOLDEN_FIELDS = (
+    "level", "kind", "trials", "successes", "success_rate", "p_value", "alpha",
+    "verdict", "seed", "stego_challenges", "sequences", "round_index",
+)
+
+# asdict(GameResult) of every case below, as rows of GOLDEN_FIELDS values.
+# Any change to seed paths, draw order or scoring shows up here.
+GOLDEN = {
+    'detection/random-scoa': [
+        ('SCOA', 'detection', 100, 61, 0.61, 0.017600100108852428, 0.01, 'resists', 7, 51, None, None),
+    ],
+    'detection/membership-kca': [
+        ('KCA', 'detection', 100, 53, 0.53, 0.3086497067946262, 0.01, 'resists', 7, 51, None, None),
+    ],
+    'detection/membership-acca-level': [
+        ('ACCA', 'detection', 100, 41, 0.41, 0.9715560331795096, 0.01, 'resists', 8, 60, None, None),
+    ],
+    'detection/histogram-scoa': [
+        ('SCOA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 9, 51, None, None),
+    ],
+    'detection/replay-cca': [
+        ('CCA', 'detection', 100, 99, 0.99, 7.967495142732219e-29, 0.01, 'broken', 4, 49, None, None),
+    ],
+    'detection/keyed-kca': [
+        ('KCA', 'detection', 100, 99, 0.99, 7.967495142732219e-29, 0.01, 'broken', 5, 61, None, None),
+    ],
+    'detection/flaky-cca': [
+        ('CCA', 'detection', 100, 22, 0.22, 0.9999999978313167, 0.01, 'resists', 6, 55, None, None),
+    ],
+    'detection/failing-scoa': [
+        ('SCOA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 56, None, None),
+    ],
+    'recovery/random-scoa': [
+        ('SCOA', 'recovery', 800, 390, 0.4875, 0.7710857501621271, 0.01, 'resists', 7, None, 100, None),
+    ],
+    'recovery/membership-kca': [
+        ('KCA', 'recovery', 800, 390, 0.4875, 0.7710857501621271, 0.01, 'resists', 7, None, 100, None),
+    ],
+    'recovery/histogram-scoa': [
+        ('SCOA', 'recovery', 800, 403, 0.50375, 0.4298489168642772, 0.01, 'resists', 9, None, 100, None),
+    ],
+    'recovery/replay-cca': [
+        ('CCA', 'recovery', 1200, 598, 0.49833333333333335, 0.5573791631549593, 0.01, 'resists', 4, None, 100, None),
+    ],
+    'recovery/keyed-full': [
+        ('KCA', 'recovery', 800, 800, 1.0, 1.499696813895631e-241, 0.01, 'broken', 7, None, 100, None),
+    ],
+    'recovery/keyed-flip1': [
+        ('KCA', 'recovery', 800, 700, 0.875, 5.964990537578589e-112, 0.01, 'broken', 7, None, 100, None),
+    ],
+    'recovery/keyed-no-key': [
+        ('KCA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
+    ],
+    'recovery/flaky-cca': [
+        ('CCA', 'recovery', 1200, 83, 0.06916666666666667, 1.0, 0.01, 'resists', 6, None, 100, None),
+    ],
+    'recovery/failing-scoa': [
+        ('SCOA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
+    ],
+    'acca/membership-growing': [
+        ('ACCA', 'detection', 100, 54, 0.54, 0.24205920680364573, 0.01, 'resists', 2, 46, None, 0),
+        ('ACCA', 'detection', 100, 55, 0.55, 0.18410080866334808, 0.01, 'resists', 2, 45, None, 1),
+        ('ACCA', 'detection', 100, 59, 0.59, 0.04431304005703379, 0.01, 'resists', 2, 41, None, 2),
+        ('ACCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 2, 52, None, 3),
+    ],
+    'acca/replay': [
+        ('ACCA', 'detection', 100, 81, 0.81, 1.3513812610243942e-10, 0.01, 'broken', 3, 47, None, 0),
+    ],
+    'acca/flaky': [
+        ('ACCA', 'detection', 100, 38, 0.38, 0.9939835121373183, 0.01, 'resists', 18, 45, None, 0),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 18, 53, None, 1),
+        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986663, 0.01, 'resists', 18, 56, None, 2),
+        ('ACCA', 'detection', 100, 50, 0.5, 0.5397946186935889, 0.01, 'resists', 18, 58, None, 3),
+    ],
+    'acca/flaky-first-round': [
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 57, None, 0),
+        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 13, 49, None, 1),
+        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963932, 0.01, 'resists', 13, 51, None, 2),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 37, None, 3),
+    ],
+    'acca/random': [
+        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 2, 46, None, 0),
+        ('ACCA', 'detection', 100, 57, 0.57, 0.09667395224782122, 0.01, 'resists', 2, 45, None, 1),
+        ('ACCA', 'detection', 100, 47, 0.47, 0.7579407931963542, 0.01, 'resists', 2, 41, None, 2),
+    ],
+    'acca/failing': [
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 47, None, 0),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 47, None, 1),
+    ],
+}
+
+
+def _golden_cases():
+    small = synthetic_scenario(T=8, N=3, world_size=16, seed=4, leak_fraction=0.5, observations=2)
+    disjoint = synthetic_scenario(
+        T=10, N=4, world_size=30, disjoint_world=True, seed=2, leak_fraction=0.3,
+        observations=4, oracle_embed_budget=6, oracle_extract_budget=2,
+    )
+    keyed = synthetic_scenario(T=6, N=4, world_size=18, seed=1, leak_fraction=1.0, key_leak="full")
+    flip = synthetic_scenario(T=6, N=4, world_size=18, seed=1, leak_fraction=1.0, key_leak="flip1")
+    growing = synthetic_scenario(
+        T=16, N=4, world_size=48, disjoint_world=True, seed=5,
+        leak_fraction=0.0, leak_growth=0.34, rounds=6,
+    )
+    rounds = synthetic_scenario(T=8, N=3, world_size=16, seed=5, rounds=4, observations=2)
+    hist = lambda: SCOAHistogram(model_sample=8, null_draws=8)  # noqa: E731
+    S, K, C, A = AttackLevel.SCOA, AttackLevel.KCA, AttackLevel.CCA, AttackLevel.ACCA
+    detection = [
+        ("random-scoa", small, RandomGuesser(), S, 7),
+        ("membership-kca", small, KCAMembership(), K, 7),
+        ("membership-acca-level", small, KCAMembership(), A, 8),
+        ("histogram-scoa", small, hist(), S, 9),
+        ("replay-cca", disjoint, CCAReplay(oracle_calls=3), C, 4),
+        ("keyed-kca", keyed, KeyedRecovery(), K, 5),
+        ("flaky-cca", disjoint, FlakyAdversary(), C, 6),
+        ("failing-scoa", small, FailingAdversary(), S, 1),
+    ]
+    for name, sc, adv, level, seed in detection:
+        yield "detection/" + name, [run_game(sc, adv, level, trials=100, seed=seed)]
+    recovery = [
+        ("random-scoa", small, RandomGuesser(), S, 7),
+        ("membership-kca", small, KCAMembership(), K, 7),
+        ("histogram-scoa", small, hist(), S, 9),
+        ("replay-cca", disjoint, CCAReplay(oracle_calls=3), C, 4),
+        ("keyed-full", keyed, KeyedRecovery(), K, 7),
+        ("keyed-flip1", flip, KeyedRecovery(), K, 7),
+        ("keyed-no-key", small, KeyedRecovery(), K, 3),
+        ("flaky-cca", disjoint, FlakyAdversary(), C, 6),
+        ("failing-scoa", small, FailingAdversary(), S, 3),
+    ]
+    for name, sc, adv, level, seed in recovery:
+        yield "recovery/" + name, [message_recovery_game(sc, adv, level, trials=100, seed=seed)]
+    adaptive = [
+        ("membership-growing", growing, KCAMembership(), None, 2),
+        ("replay", rounds, CCAReplay(oracle_calls=2), 2, 3),
+        ("flaky", rounds, FlakyAdversary(), None, 18),
+        ("flaky-first-round", rounds, FlakyAdversary(), None, 13),
+        ("random", rounds, RandomGuesser(), 3, 2),
+        ("failing", rounds, FailingAdversary(), 2, 1),
+    ]
+    for name, sc, adv, n_rounds, seed in adaptive:
+        yield "acca/" + name, acca_loop(sc, adv, trials_per_round=100, seed=seed, rounds=n_rounds)
+
+
+def test_golden_game_results():
+    """Seeded results of all three games are pinned field for field: every
+    reference adversary, every level, failed learns (including a failed ACCA
+    round that keeps the previous state) and failed guesses and recovers."""
+    got = {name: [asdict(r) for r in results] for name, results in _golden_cases()}
+    assert list(got) == list(GOLDEN)
+    for name, rows in GOLDEN.items():
+        assert got[name] == [dict(zip(GOLDEN_FIELDS, row)) for row in rows], name

@@ -85,3 +85,7 @@ def test_hex_to_bits_rejects_overflow_value():
 def test_hex_to_bits_rejects_non_hex():
     with pytest.raises(InvalidParams):
         hex_to_bits("zz", 8)
+    # int(s, 16) accepts all of these; a payload must be bare hex digits
+    for text in ("0x1", "+01", " 1 ", "f_f"):
+        with pytest.raises(InvalidParams):
+            hex_to_bits(text, 12)

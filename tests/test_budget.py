@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import coverage_enumeration
 from stegogame.budget import (
-    BudgetParams,
     coverage_exact_fraction,
     coverage_report,
     max_safe_uses,
@@ -160,18 +159,6 @@ class TestMonteCarlo:
 
 
 class TestParamsAndReport:
-    def test_params_validation(self):
-        BudgetParams(T=5, N=2, x=1, y=3, zeta=0.5)
-        for kwargs in [
-            dict(T=2, N=3),
-            dict(T=3, N=1, x=-1),
-            dict(T=3, N=2, y=2),
-            dict(T=3, N=2, zeta=0.0),
-            dict(T=3, N=2, zeta=1.0),
-        ]:
-            with pytest.raises(InvalidParams):
-                BudgetParams(**kwargs)
-
     def test_report_flags_published_flaw(self):
         rep = coverage_report(2, 2, 4)
         assert rep.p_published == pytest.approx(-1 / 6)

@@ -202,6 +202,7 @@ class TestSequenceFile:
             '{"version":2,"N":3,"ids":%s}' % __import__("json").dumps(good_ids),
             '{"version":1,"N":2,"ids":%s}' % __import__("json").dumps(good_ids),
             '{"version":1,"N":1,"ids":["short"]}',
+            '{"version":1,"N":1,"ids":["%s"]}' % ("g" * 64),
             '{"version":1,"ids":[]}',
         ]
         for text in cases:
