@@ -11,8 +11,11 @@ probability live here side by side:
   a true probability, cross-checked against exhaustive enumeration in tests.
 * ``pr_coverage_mc`` - Monte-Carlo referee between the two.
 
-All closed-form work uses exact rationals; floats appear only at the API
-boundary.  Binomial ratios raised to the x-th power shed precision fast.
+The closed forms are computed in integers: over the common denominator
+``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
+``C(T,y) * C(T-y,N)**x``.  Exact values are one ``Fraction(numerator, D)``,
+converted to float only at the API boundary; binomial ratios raised to the
+x-th power shed precision fast, so no float enters a decision.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -32,8 +36,12 @@ _MC_BLOCK = 4096
 _SEED_LIMIT = 1 << 128
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_txn(x: int, N: int, T: int) -> None:
-    if not (isinstance(T, int) and isinstance(N, int) and isinstance(x, int)):
+    if not (_is_int(T) and _is_int(N) and _is_int(x)):
         raise InvalidParams("T, N, x must be integers")
     if N < 1 or T < N:
         raise InvalidParams(f"need 1 <= N <= T, got N={N}, T={T}")
@@ -41,12 +49,12 @@ def _check_txn(x: int, N: int, T: int) -> None:
         raise InvalidParams(f"x must be >= 0, got {x}")
 
 
-def _remaining_term(y: int, x: int, N: int, T: int) -> Fraction:
-    # C(T,y) * (C(T-y,N)/C(T,N))**x; zero when y covers cannot stay unseen
+def _term(y: int, x: int, N: int, T: int) -> int:
+    # numerator of C(T,y) * (C(T-y,N)/C(T,N))**x over C(T,N)**x; zero when
+    # y covers cannot stay unseen
     if y > T - N:
-        return Fraction(0)
-    ratio = Fraction(comb(T - y, N), comb(T, N))
-    return comb(T, y) * ratio**x
+        return 0
+    return comb(T, y) * comb(T - y, N) ** x
 
 
 def pr_remaining_published(y: int, x: int, N: int, T: int) -> float:
@@ -56,13 +64,14 @@ def pr_remaining_published(y: int, x: int, N: int, T: int) -> float:
     exposed verbatim rather than reinterpreted.
     """
     _check_txn(x, N, T)
-    if not isinstance(y, int) or y < 0:
+    if not _is_int(y) or y < 0:
         raise InvalidParams(f"y must be an integer >= 0, got {y}")
-    return float(_remaining_term(y, x, N, T))
+    return float(Fraction(_term(y, x, N, T), comb(T, N) ** x))
 
 
 def _coverage_published_fraction(x: int, N: int, T: int) -> Fraction:
-    return 1 - sum((_remaining_term(y, x, N, T) for y in range(1, T - N + 1)), Fraction(0))
+    D = comb(T, N) ** x
+    return Fraction(D - sum(_term(y, x, N, T) for y in range(1, T - N + 1)), D)
 
 
 def _coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
@@ -71,11 +80,30 @@ def _coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
         # (it relies on q_y**x vanishing beyond that point); with no
         # observations the coverage event is simply impossible.
         return Fraction(0)
-    total = Fraction(0)
-    for y in range(0, T - N + 1):
-        term = _remaining_term(y, x, N, T)
-        total += term if y % 2 == 0 else -term
-    return total
+    total = sum(-_term(y, x, N, T) if y % 2 else _term(y, x, N, T) for y in range(T - N + 1))
+    return Fraction(total, comb(T, N) ** x)
+
+
+def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
+    """Exactly whether coverage(x) < zn/zd, for x >= 1.
+
+    By the Bonferroni inequalities the partial inclusion-exclusion sum that
+    ends at an even y bounds coverage from above, and one that ends at an odd
+    y bounds it from below; at y = T-N it is exact.  So the first partial
+    sum on the decisive side of zeta settles the comparison.
+    """
+    target = zn * comb(T, N) ** x
+    partial = 0
+    for y in range(T - N + 1):
+        if y % 2:
+            partial -= _term(y, x, N, T)
+            if partial * zd >= target:
+                return False
+        else:
+            partial += _term(y, x, N, T)
+            if partial * zd < target:
+                return True
+    return partial * zd < target
 
 
 def pr_coverage_published(x: int, N: int, T: int) -> float:
@@ -100,23 +128,28 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     """Largest x with pr_coverage_exact(x, N, T) < zeta; 0 if none.
 
     Coverage probability is 0 at x=0 and increases to 1, so the answer is
-    the last x before the monotone sequence crosses zeta.  Comparison uses
-    exact rationals against the exact binary value of zeta.
+    the last x before the monotone sequence crosses zeta, found by an
+    exponential then a binary search over x.  Each probe compares integer
+    numerators over C(T,N)**x against the exact binary value of zeta and
+    stops at the first Bonferroni partial sum that lies on the decisive
+    side of it, so the answer is exact.
     """
     _check_txn(0, N, T)
+    if isinstance(zeta, bool) or not isinstance(zeta, Real):
+        raise InvalidParams(f"zeta must be a real number, got {zeta!r}")
     if not (0.0 < zeta < 1.0):
         raise InvalidParams(f"zeta must lie strictly in (0,1), got {zeta}")
-    bound = Fraction(zeta)
+    zn, zd = Fraction(zeta).as_integer_ratio()
     if N == T:
         return 0
     # exponential then binary search for the first x at or past the threshold
     hi = 1
-    while _coverage_exact_fraction(hi, N, T) < bound:
+    while _coverage_below(hi, N, T, zn, zd):
         hi *= 2
-    lo = hi // 2  # coverage(lo) < bound or lo == 0
+    lo = hi // 2  # coverage(lo) < zeta or lo == 0
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _coverage_exact_fraction(mid, N, T) < bound:
+        if _coverage_below(mid, N, T, zn, zd):
             lo = mid
         else:
             hi = mid
@@ -152,8 +185,8 @@ def pr_coverage_mc(
     count or block partitioning, given the same (trials, seed).
     """
     _check_txn(x, N, T)
-    if trials < 1:
-        raise InvalidParams(f"trials must be >= 1, got {trials}")
+    if not _is_int(trials) or trials < 1:
+        raise InvalidParams(f"trials must be an integer >= 1, got {trials!r}")
     if not isinstance(seed, int) or not (0 <= seed < _SEED_LIMIT):
         raise InvalidParams("seed must be an integer in [0, 2**128)")
     blocks = [

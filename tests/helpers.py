@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the package's own algorithms: rank
 order comes from itertools enumeration, coverage probabilities from
-exhaustive counting with exact rationals.
+exhaustive counting with exact rationals, and safe-use counts from a search
+whose every probe sums the whole inclusion-exclusion series in rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
 
@@ -30,6 +32,35 @@ def coverage_enumeration(x: int, N: int, T: int) -> Fraction:
             hits += 1
     total = len(subsets) ** x
     return Fraction(hits, total)
+
+
+def coverage_inclusion_exclusion(x: int, N: int, T: int) -> Fraction:
+    """Coverage for x >= 1 as the full inclusion-exclusion sum, added term
+    by term in rationals."""
+    total = Fraction(0)
+    for y in range(T - N + 1):
+        term = comb(T, y) * Fraction(comb(T - y, N), comb(T, N)) ** x
+        total += -term if y % 2 else term
+    return total
+
+
+def max_safe_uses_reference(N: int, T: int, zeta: float) -> int:
+    """Largest x with coverage below zeta, by exponential then binary search
+    over complete rational sums compared with the exact value of zeta."""
+    bound = Fraction(zeta)
+    if N == T:
+        return 0
+    hi = 1
+    while coverage_inclusion_exclusion(hi, N, T) < bound:
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if coverage_inclusion_exclusion(mid, N, T) < bound:
+            lo = mid
+        else:
+            hi = mid
+    return hi - 1
 
 
 def mem_library(T: int, tag: str = "lib") -> CoverLibrary:

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coverage_enumeration
+from helpers import coverage_enumeration, max_safe_uses_reference
+from stegogame import budget
 from stegogame.budget import (
     coverage_exact_fraction,
     coverage_report,
@@ -102,10 +104,32 @@ class TestExactCoverage:
                 values = [coverage_exact_fraction(x, N, T) for T in range(N, 10)]
                 assert values == sorted(values, reverse=True)
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_bonferroni_partial_sums_bracket(self, data):
+        # the probe in max_safe_uses stops early on these bounds
+        T = data.draw(st.integers(1, 10))
+        N = data.draw(st.integers(1, T))
+        x_cap = 1
+        while x_cap < 8 and comb(T, N) ** (x_cap + 1) <= 4096:
+            x_cap += 1
+        x = data.draw(st.integers(1, x_cap))
+        exact = coverage_enumeration(x, N, T)
+        D = comb(T, N) ** x
+        partial = 0
+        for y in range(T - N + 1):
+            partial += (-1) ** y * budget._term(y, x, N, T)
+            bound = Fraction(partial, D)
+            assert bound <= exact if y % 2 else bound >= exact, (T, N, x, y)
+        assert bound == exact
+
     def test_rejects_bad_params(self):
-        for args in [(1, 0, 3), (1, 4, 3), (-1, 2, 3)]:
+        for args in [(1, 0, 3), (1, 4, 3), (-1, 2, 3), (True, 2, 3), (1, True, 3), (1, 1, True)]:
             with pytest.raises(InvalidParams):
                 pr_coverage_exact(*args)
+        for args in [(True, 4, 0.4), (2, True, 0.4)]:
+            with pytest.raises(InvalidParams):
+                max_safe_uses(*args)
 
 
 class TestMaxSafeUses:
@@ -127,8 +151,24 @@ class TestMaxSafeUses:
             answers = [max_safe_uses(N, T, z) for z in (0.05, 0.1, 0.25, 0.5, 0.9, 0.99)]
             assert answers == sorted(answers)
 
+    def test_matches_reference_search(self):
+        for T in range(1, 41):
+            for N in range(1, T + 1):
+                for zeta in (1e-12, 0.01, 0.4, 0.9, 0.999999):
+                    assert max_safe_uses(N, T, zeta) == max_safe_uses_reference(N, T, zeta), (
+                        T,
+                        N,
+                        zeta,
+                    )
+
+    @pytest.mark.parametrize("T, N, x_max", [(256, 16, 87), (512, 24, 131), (1024, 32, 221)])
+    def test_large_libraries(self, T, N, x_max):
+        assert max_safe_uses(N, T, 0.4) == x_max
+        below = coverage_exact_fraction(x_max, N, T)
+        assert below < Fraction(0.4) <= coverage_exact_fraction(x_max + 1, N, T)
+
     def test_rejects_degenerate_zeta(self):
-        for zeta in (0.0, 1.0, -0.1, 1.5):
+        for zeta in (0.0, 1.0, -0.1, 1.5, float("nan"), "0.4", None, True, 0.5j):
             with pytest.raises(InvalidParams):
                 max_safe_uses(2, 4, zeta)
 
@@ -154,8 +194,9 @@ class TestMonteCarlo:
             assert abs(est - pr_coverage_exact(x, N, T)) <= 4 * se
 
     def test_rejects_bad_trials(self):
-        with pytest.raises(InvalidParams):
-            pr_coverage_mc(1, 2, 3, trials=0, seed=0)
+        for trials in (0, 10.5, True, "5"):
+            with pytest.raises(InvalidParams):
+                pr_coverage_mc(1, 2, 3, trials=trials, seed=0)
 
 
 class TestParamsAndReport:
