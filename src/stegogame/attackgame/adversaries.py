@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..divergence import EmpiricalDistribution, js
+from ..divergence import EmpiricalDistribution, byte_counts, js, normalize_byte_counts
 from ..errors import InvalidConfig
 from ..library import CoverId
 from ..permcodec import Arrangement, arrangement_to_bits
@@ -70,18 +70,6 @@ class KCAMembership:
         return _random_bits(knowledge.rng, knowledge.payload_bits)
 
 
-def _byte_counts(blob: bytes) -> np.ndarray:
-    return np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256)
-
-
-_BYTE_EDGES = np.arange(257, dtype=float) - 0.5
-
-
-def _dist_from_counts(counts: np.ndarray) -> EmpiricalDistribution:
-    total = int(counts.sum())
-    return EmpiricalDistribution(edges=_BYTE_EDGES, masses=counts / total, n_samples=total)
-
-
 class SCOAHistogram:
     """Channel-statistics detector: byte-histogram distance to a world model.
 
@@ -98,19 +86,18 @@ class SCOAHistogram:
         self.model_sample = model_sample
         self.null_draws = null_draws
         self.percentile = percentile
-        self._count_cache: dict[CoverId, np.ndarray] = {}
+        self._covers: dict[CoverId, tuple[np.ndarray, EmpiricalDistribution]] = {}
 
-    def _counts(self, cid: CoverId, knowledge: Knowledge) -> np.ndarray:
-        cached = self._count_cache.get(cid)
+    def _cover(self, cid: CoverId, knowledge: Knowledge) -> tuple[np.ndarray, EmpiricalDistribution]:
+        """Byte counts and histogram of a cover, read and validated once."""
+        cached = self._covers.get(cid)
         if cached is None:
-            cached = _byte_counts(knowledge.content(cid))
-            self._count_cache[cid] = cached
+            counts = byte_counts(knowledge.content(cid))
+            cached = self._covers[cid] = (counts, normalize_byte_counts(counts))
         return cached
 
     def _sequence_score(self, ids: Iterable[CoverId], model: EmpiricalDistribution, knowledge: Knowledge) -> float:
-        scores = [
-            js(_dist_from_counts(self._counts(cid, knowledge)), model) for cid in ids
-        ]
+        scores = [js(self._cover(cid, knowledge)[1], model) for cid in ids]
         return float(np.mean(scores))
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
@@ -118,8 +105,8 @@ class SCOAHistogram:
         world = knowledge.world_ids
         k = min(self.model_sample, len(world))
         sample = [world[i] for i in rng.choice(len(world), size=k, replace=False)]
-        model = _dist_from_counts(
-            np.sum([self._counts(cid, knowledge) for cid in sample], axis=0)
+        model = normalize_byte_counts(
+            np.sum([self._cover(cid, knowledge)[0] for cid in sample], axis=0)
         )
         null_scores = []
         for _ in range(self.null_draws):

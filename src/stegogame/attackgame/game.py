@@ -294,7 +294,7 @@ def _play(
     each trial draws from ("round", r, "trial", t); ``state`` carries the
     adversary state in and out, and a failed learn keeps the old state but
     scores the block's trials as unlearned.  Any adversary exception, budget
-    overrun included, scores as a miss.
+    overrun included, scores as a miss; a fault of the harness itself raises.
 
     Returns (points, stego challenges, adversary state).
     """
@@ -303,8 +303,8 @@ def _play(
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
 
     def learn(observe_gen, adversary_gen, prior):
+        knowledge = _knowledge(scenario, level, session_key, leaked, observe_gen, adversary_gen)
         try:
-            knowledge = _knowledge(scenario, level, session_key, leaked, observe_gen, adversary_gen)
             return adversary.learn(knowledge, prior)
         except Exception:
             return _UNLEARNED

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
@@ -63,7 +64,8 @@ def _cmd_build_library(args) -> int:
 
 def _cmd_capacity(args) -> int:
     cap = capacity(args.T, args.N)
-    _emit("capacity", {"T": args.T, "N": args.N}, {"r": str(cap.r), "l": cap.l})
+    # via Decimal: str(int) refuses more than sys.get_int_max_str_digits() digits
+    _emit("capacity", {"T": args.T, "N": args.N}, {"r": str(Decimal(cap.r)), "l": cap.l})
     return 0
 
 

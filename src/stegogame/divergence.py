@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +36,11 @@ class EmpiricalDistribution:
         object.__setattr__(self, "masses", masses)
         if edges.ndim != 1 or masses.ndim != 1 or edges.size != masses.size + 1:
             raise InvalidParams("edges must be 1-D with one more entry than masses")
-        if not np.all(np.diff(edges) > 0):
-            raise InvalidParams("bin edges must be strictly increasing")
-        if np.any(masses < 0) or abs(float(masses.sum()) - 1.0) > MASS_TOLERANCE:
-            raise InvalidParams("masses must be non-negative and sum to 1")
+        if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+            raise InvalidParams("bin edges must be finite and strictly increasing")
+        # `not >= 0` rather than `< 0`, so that a NaN mass is refused too
+        if not np.all(masses >= 0) or abs(float(masses.sum()) - 1.0) > MASS_TOLERANCE:
+            raise InvalidParams("masses must be finite, non-negative and sum to 1")
         if self.n_samples < 1:
             raise InvalidParams("n_samples must be >= 1")
 
@@ -74,21 +75,27 @@ def estimate_distribution(
     return EmpiricalDistribution(edges=edges, masses=counts / total, n_samples=total)
 
 
-def byte_distribution(blobs: Iterable[bytes]) -> EmpiricalDistribution:
-    """Byte-value histogram (256 categories), the default observable for
-    opaque cover content."""
-    counts = np.zeros(256, dtype=np.int64)
-    for blob in blobs:
-        counts += np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256)
+_BYTE_EDGES = np.arange(257, dtype=float) - 0.5
+_BYTE_EDGES.flags.writeable = False  # shared by every byte histogram
+
+
+def byte_counts(blob: bytes) -> np.ndarray:
+    """Byte-value counts (256 categories), the default observable for opaque
+    cover content before normalizing; sums of counts pool several blobs."""
+    return np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256)
+
+
+def normalize_byte_counts(counts: np.ndarray) -> EmpiricalDistribution:
+    """Byte-value histogram of (possibly pooled) byte counts."""
     total = int(counts.sum())
     if total == 0:
         raise EmptySamples("no bytes supplied")
-    edges = np.arange(257, dtype=float) - 0.5
-    return EmpiricalDistribution(edges=edges, masses=counts / total, n_samples=total)
+    return EmpiricalDistribution(edges=_BYTE_EDGES, masses=counts / total, n_samples=total)
 
 
 def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> None:
-    if p.bins != q.bins or not np.array_equal(p.edges, q.edges):
+    shared = p.edges is q.edges  # byte histograms all share one edges array
+    if not shared and (p.bins != q.bins or not np.array_equal(p.edges, q.edges)):
         raise BinMismatch("distributions use different bins")
 
 
@@ -157,9 +164,17 @@ class DistanceReport:
     n_b: int
 
 
-def _pooled_support(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float]):
+    """Both sample sets as arrays, then pooled, and the range their shared
+    bins span: (a, b, pooled, (low, high))."""
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    if a.size == 0 or b.size == 0:
+        raise EmptySamples("both sample sets must be non-empty")
     pooled = np.concatenate([a, b])
-    return float(pooled.min()), float(pooled.max())
+    if not np.all(np.isfinite(pooled)):
+        raise InvalidParams("samples must be finite numbers, not nan or inf")
+    return a, b, pooled, (float(pooled.min()), float(pooled.max()))
 
 
 def distinguishability_test(
@@ -179,12 +194,8 @@ def distinguishability_test(
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     if not math.isfinite(epsilon):
         raise InvalidParams("epsilon must be finite")
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise EmptySamples("both sample sets must be non-empty")
     start = time.perf_counter()
-    support = _pooled_support(a, b)
+    a, b, _, support = _pooled_support(samples_a, samples_b)
     dist_a = estimate_distribution(a, bins, support=support)
     dist_b = estimate_distribution(b, bins, support=support)
     value = METRICS[metric](dist_a, dist_b)
@@ -217,12 +228,7 @@ def calibrate_epsilon(
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     if runs < 1:
         raise InvalidParams(f"runs must be >= 1, got {runs}")
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise EmptySamples("both sample sets must be non-empty")
-    pooled = np.concatenate([a, b])
-    support = float(pooled.min()), float(pooled.max())
+    a, _, pooled, support = _pooled_support(samples_a, samples_b)
     values = np.empty(runs)
     for run in range(runs):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=run << 128))

@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import stegogame
 from stegogame.library import build_library
+
+
+@pytest.fixture(autouse=True, scope="session")
+def children_import_package_under_test():
+    """`python -m stegogame.cli` children inherit a PYTHONPATH that starts at
+    the directory holding the imported package, so they run the code under
+    test also when only pytest's `pythonpath` setting put `src/` on the path."""
+    root = str(Path(stegogame.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

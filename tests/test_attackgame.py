@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -20,7 +21,10 @@ from stegogame.attackgame import (
     run_game,
     synthetic_scenario,
 )
+from stegogame.attackgame import game
 from stegogame.attackgame.game import _BudgetedOracle
+from stegogame.attackgame.scenario import Scenario
+from stegogame.divergence import EmpiricalDistribution
 from stegogame.errors import (
     InvalidConfig,
     MalformedFile,
@@ -302,6 +306,28 @@ class TestAccaLoop:
         assert [asdict(r) for r in a] == [asdict(r) for r in b]
 
 
+@pytest.mark.parametrize(
+    "play",
+    [
+        lambda sc: run_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=100, seed=1),
+        lambda sc: message_recovery_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=100, seed=1),
+        lambda sc: acca_loop(sc, RandomGuesser(), trials_per_round=100, seed=1),
+    ],
+    ids=["detection", "recovery", "acca"],
+)
+def test_harness_fault_raises(monkeypatch, play):
+    """A fault while the harness builds the knowledge is not the adversary's
+    miss: it propagates instead of scoring as a failed learn."""
+
+    def fault(*args):
+        raise RuntimeError("harness fault")
+
+    monkeypatch.setattr(game, "_leaked_key", fault)
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
+    with pytest.raises(RuntimeError, match="harness fault"):
+        play(sc)
+
+
 class TestRegistry:
     def test_known_names(self):
         for name in ("random", "kca-membership", "scoa-histogram", "cca-replay", "keyed-recovery"):
@@ -326,6 +352,30 @@ class TestSCOAHistogram:
         se = math.sqrt(0.25 / res.trials)
         assert abs(res.success_rate - 0.5) <= 4 * se
         assert res.verdict == VERDICT_RESISTS
+
+    def test_each_cover_read_and_normalized_once(self, monkeypatch):
+        """Over 100 trials one instance reads each cover once and validates
+        one histogram per distinct cover, plus one pooled model per learn."""
+        reads: Counter = Counter()
+        built = 0
+        read, check = Scenario.content_for, EmpiricalDistribution.__post_init__
+
+        def counting_read(self, cid):
+            reads[cid] += 1
+            return read(self, cid)
+
+        def counting_check(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        monkeypatch.setattr(Scenario, "content_for", counting_read)
+        monkeypatch.setattr(EmpiricalDistribution, "__post_init__", counting_check)
+        sc = synthetic_scenario(T=16, N=4, seed=3)
+        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=5)
+        assert res.successes > 0  # every learn got as far as scoring
+        assert max(reads.values()) == 1
+        assert 100 <= built <= len(reads) + 100
 
 
 GOLDEN_FIELDS = (

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -31,6 +32,18 @@ class TestCapacity:
         doc = parse(out)
         assert code == 0
         assert int(doc["r"]) > 2**63
+
+    def test_r_past_the_int_digit_limit_printed_exactly(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "capacity", "-T", "3000", "-N", "2000")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        digits = parse(out)["r"]
+        assert len(digits) > limit
+        value = 0
+        for d in digits:  # int(digits) would hit the same limit
+            value = value * 10 + int(d)
+        assert value == math.perm(3000, 2000)
 
     def test_domain_error_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "-T", "3", "-N", "9")
@@ -188,6 +201,19 @@ class TestDivergenceCommand:
         )
         assert code == 1
         assert parse(out)["error"] == "MalformedFile"
+
+    @pytest.mark.parametrize("epsilon", ["0.1", "auto"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_samples(self, sample_files, tmp_path, capsys, epsilon, bad):
+        a, _ = sample_files
+        b = tmp_path / "bad.txt"
+        b.write_text(f"1.0\n{bad}\n2.0\n")
+        code, out, err = run_cli(
+            capsys, "divergence", "-a", str(a), "-b", str(b), "--epsilon", epsilon,
+        )
+        assert code == 1
+        assert parse(out)["error"] == "InvalidParams"
+        assert "finite" in parse(out)["detail"] and "Traceback" not in err
 
     def test_bad_epsilon_string(self, sample_files, capsys):
         a, b = sample_files

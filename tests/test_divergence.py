@@ -8,12 +8,13 @@ from stegogame.divergence import (
     EmpiricalDistribution,
     VERDICT_DISTINGUISHABLE,
     VERDICT_INDISTINGUISHABLE,
-    byte_distribution,
+    byte_counts,
     calibrate_epsilon,
     distinguishability_test,
     estimate_distribution,
     js,
     kl,
+    normalize_byte_counts,
     tv,
     w1,
 )
@@ -77,15 +78,28 @@ class TestEstimator:
                 masses=np.array([0.5, 0.5]),
                 n_samples=1,
             )
+        for bad in ([math.nan, math.nan], [math.inf, 0.0], [0.5, math.nan]):
+            with pytest.raises(InvalidParams):
+                EmpiricalDistribution(edges=[0, 1, 2], masses=bad, n_samples=3)
+        with pytest.raises(InvalidParams):  # w1 would read nan on these
+            EmpiricalDistribution(edges=[-math.inf, 0, math.inf], masses=[0.5, 0.5], n_samples=2)
 
     def test_byte_distribution(self):
-        d = byte_distribution([bytes([0, 0, 255, 1])])
+        d = normalize_byte_counts(byte_counts(bytes([0, 0, 255, 1])))
         assert d.masses[0] == 0.5
         assert d.masses[1] == 0.25
         assert d.masses[255] == 0.25
         assert d.n_samples == 4
         with pytest.raises(EmptySamples):
-            byte_distribution([b""])
+            normalize_byte_counts(byte_counts(b""))
+
+    def test_byte_counts_pool_before_normalizing(self):
+        a, b = bytes([0, 0, 255]), bytes([1, 255, 255, 255])
+        counts = byte_counts(a) + byte_counts(b)
+        assert np.array_equal(counts, byte_counts(a + b))
+        pooled = normalize_byte_counts(counts)
+        assert pooled.n_samples == 7 and pooled.masses[255] == 4 / 7
+        assert pooled.edges is normalize_byte_counts(byte_counts(a)).edges
 
 
 class TestMetricIdentities:
@@ -180,6 +194,13 @@ class TestDistinguishability:
     def test_unknown_metric(self):
         with pytest.raises(InvalidParams):
             distinguishability_test([1.0], [2.0], epsilon=0.1, metric="hellinger")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        with pytest.raises(InvalidParams, match="finite"):
+            distinguishability_test([1.0, bad], [2.0], epsilon=0.1)
+        with pytest.raises(InvalidParams, match="finite"):
+            calibrate_epsilon([1.0, 2.0], [bad], runs=4)
 
 
 class TestPermutationNull:
