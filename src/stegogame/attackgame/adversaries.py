@@ -96,9 +96,17 @@ class SCOAHistogram:
             cached = self._covers[cid] = (counts, normalize_byte_counts(counts))
         return cached
 
-    def _sequence_score(self, ids: Iterable[CoverId], model: EmpiricalDistribution, knowledge: Knowledge) -> float:
-        scores = [js(self._cover(cid, knowledge)[1], model) for cid in ids]
-        return float(np.mean(scores))
+    def _sequence_score(self, ids: Iterable[CoverId], model: EmpiricalDistribution,
+                        scores: dict[CoverId, float], knowledge: Knowledge) -> float:
+        """Mean distance of the covers to the model; ``scores`` holds each
+        cover's distance to this model, computed on its first use."""
+        per_cover = []
+        for cid in ids:
+            score = scores.get(cid)
+            if score is None:
+                score = scores[cid] = js(self._cover(cid, knowledge)[1], model)
+            per_cover.append(score)
+        return float(np.mean(per_cover))
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
         rng = knowledge.rng
@@ -108,18 +116,21 @@ class SCOAHistogram:
         model = normalize_byte_counts(
             np.sum([self._cover(cid, knowledge)[0] for cid in sample], axis=0)
         )
+        scores: dict[CoverId, float] = {}
         null_scores = []
         for _ in range(self.null_draws):
             picks = rng.choice(len(world), size=knowledge.N, replace=False)
             null_scores.append(
-                self._sequence_score((world[i] for i in picks), model, knowledge)
+                self._sequence_score((world[i] for i in picks), model, scores, knowledge)
             )
         threshold = float(np.percentile(null_scores, self.percentile))
-        return {"model": model, "threshold": threshold, "knowledge": knowledge}
+        return {
+            "model": model, "scores": scores, "threshold": threshold, "knowledge": knowledge,
+        }
 
     def guess(self, challenge: Challenge, state) -> str:
         knowledge: Knowledge = state["knowledge"]
-        score = self._sequence_score(challenge.ids, state["model"], knowledge)
+        score = self._sequence_score(challenge.ids, state["model"], state["scores"], knowledge)
         return LABEL_STEGO if score > state["threshold"] else LABEL_NATURAL
 
     def recover(self, sequence: StegoSequence, state) -> str:

@@ -90,8 +90,12 @@ def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
     By the Bonferroni inequalities the partial inclusion-exclusion sum that
     ends at an even y bounds coverage from above, and one that ends at an odd
     y bounds it from below; at y = T-N it is exact.  So the first partial
-    sum on the decisive side of zeta settles the comparison.
+    sum on the decisive side of zeta settles the comparison.  With x*N < T
+    some cover is never seen, so coverage is exactly 0 and below any zeta
+    that max_safe_uses accepts.
     """
+    if x * N < T:
+        return True
     target = zn * comb(T, N) ** x
     partial = 0
     for y in range(T - N + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +20,13 @@ import numpy as np
 from .errors import BinMismatch, EmptySamples, InvalidParams
 
 MASS_TOLERANCE = 1e-12
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidParams(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +74,7 @@ def estimate_distribution(
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise EmptySamples("need at least one sample")
-    if bins < 1:
-        raise InvalidParams(f"bins must be >= 1, got {bins}")
+    _check_count("bins", bins)
     counts, edges = np.histogram(arr, bins=bins, range=support)
     total = int(counts.sum())
     if total == 0:
@@ -223,17 +230,31 @@ def calibrate_epsilon(
     seed: int = 0,
 ) -> float:
     """Permutation-null threshold: pool the samples, resplit at random many
-    times, and return the given percentile of the null distances."""
+    times, and return the given percentile of the null distances.
+
+    Every pooled sample is binned once: the resplits permute bin indices,
+    so each run only counts both sides into the shared bins.
+    """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    if runs < 1:
-        raise InvalidParams(f"runs must be >= 1, got {runs}")
+    _check_count("bins", bins)
+    _check_count("runs", runs)
+    real = isinstance(percentile, Real) and not isinstance(percentile, bool)
+    if not (real and 0 <= percentile <= 100):
+        raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
     a, _, pooled, support = _pooled_support(samples_a, samples_b)
+    edges = np.histogram_bin_edges(pooled, bins, range=support)
+    # the bin np.histogram gives each sample: edges[i] <= v < edges[i+1],
+    # with the top edge in the last bin
+    index = np.minimum(np.searchsorted(edges, pooled, side="right") - 1, bins - 1)
+
+    def side(part: np.ndarray) -> EmpiricalDistribution:
+        masses = np.bincount(part, minlength=bins) / part.size
+        return EmpiricalDistribution(edges=edges, masses=masses, n_samples=part.size)
+
     values = np.empty(runs)
     for run in range(runs):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=run << 128))
-        shuffled = gen.permutation(pooled)
-        left = estimate_distribution(shuffled[: a.size], bins, support=support)
-        right = estimate_distribution(shuffled[a.size :], bins, support=support)
-        values[run] = METRICS[metric](left, right)
+        shuffled = gen.permutation(index)
+        values[run] = METRICS[metric](side(shuffled[: a.size]), side(shuffled[a.size :]))
     return float(np.percentile(values, percentile))

@@ -62,7 +62,9 @@ class Capacity:
 
 def capacity(T: int, N: int) -> Capacity:
     """Exact number of N-arrangements of T items and the payload width."""
-    if not (isinstance(T, int) and isinstance(N, int)) or N < 1 or N > T:
+    # exact ints: a bool is an int subclass, and this check runs on every
+    # embed and extract
+    if type(T) is not int or type(N) is not int or N < 1 or N > T:
         raise InvalidParams(f"need 1 <= N <= T, got T={T}, N={N}")
     r = 1
     for i in range(T, T - N, -1):

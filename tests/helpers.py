@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the package's own algorithms: rank
 order comes from itertools enumeration, coverage probabilities from
-exhaustive counting with exact rationals, and safe-use counts from a search
-whose every probe sums the whole inclusion-exclusion series in rationals.
+exhaustive counting with exact rationals, safe-use counts from a search
+whose every probe sums the whole inclusion-exclusion series in rationals,
+and permutation-null thresholds from a fresh ``np.histogram`` of every
+resplit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
+from stegogame.divergence import METRICS, EmpiricalDistribution
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
 
 
@@ -61,6 +66,27 @@ def max_safe_uses_reference(N: int, T: int, zeta: float) -> int:
         else:
             hi = mid
     return hi - 1
+
+
+def calibrate_epsilon_reference(
+    samples_a, samples_b, metric, bins, runs, percentile, seed
+) -> float:
+    """Permutation-null threshold that permutes the pooled samples of every
+    run and histograms both halves afresh with ``np.histogram``."""
+    a = np.asarray(samples_a, dtype=float)
+    pooled = np.concatenate([a, np.asarray(samples_b, dtype=float)])
+    support = (float(pooled.min()), float(pooled.max()))
+    values = np.empty(runs)
+    for run in range(runs):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=run << 128))
+        shuffled = gen.permutation(pooled)
+        sides = []
+        for part in (shuffled[: a.size], shuffled[a.size :]):
+            counts, edges = np.histogram(part, bins=bins, range=support)
+            total = int(counts.sum())
+            sides.append(EmpiricalDistribution(edges=edges, masses=counts / total, n_samples=total))
+        values[run] = METRICS[metric](*sides)
+    return float(np.percentile(values, percentile))
 
 
 def mem_library(T: int, tag: str = "lib") -> CoverLibrary:

@@ -21,7 +21,7 @@ from stegogame.attackgame import (
     run_game,
     synthetic_scenario,
 )
-from stegogame.attackgame import game
+from stegogame.attackgame import adversaries, game
 from stegogame.attackgame.game import _BudgetedOracle
 from stegogame.attackgame.scenario import Scenario
 from stegogame.divergence import EmpiricalDistribution
@@ -376,6 +376,28 @@ class TestSCOAHistogram:
         assert res.successes > 0  # every learn got as far as scoring
         assert max(reads.values()) == 1
         assert 100 <= built <= len(reads) + 100
+
+    def test_each_cover_scored_once_per_model(self, monkeypatch):
+        """Within one learned state every cover's distance to the model is
+        computed once, over the null draws and the challenge alike."""
+        per_learn = []
+        js, learn = adversaries.js, SCOAHistogram.learn
+
+        def counting_js(p, q):
+            per_learn[-1] += 1
+            return js(p, q)
+
+        def counting_learn(self, knowledge, state=None):
+            per_learn.append(0)
+            return learn(self, knowledge, state)
+
+        monkeypatch.setattr(adversaries, "js", counting_js)
+        monkeypatch.setattr(SCOAHistogram, "learn", counting_learn)
+        sc = synthetic_scenario(T=16, N=4, seed=3)
+        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=5)
+        assert res.successes > 0
+        assert len(per_learn) == 100
+        assert all(0 < calls <= sc.world.T + sc.N for calls in per_learn)
 
 
 GOLDEN_FIELDS = (

@@ -104,6 +104,15 @@ class TestExactCoverage:
                 values = [coverage_exact_fraction(x, N, T) for T in range(N, 10)]
                 assert values == sorted(values, reverse=True)
 
+    def test_probe_below_full_coverage_does_not_sum(self, monkeypatch):
+        # fewer than T covers seen in x draws: coverage is exactly 0
+        def no_term(*args):
+            raise AssertionError("summed a probe whose coverage is 0")
+
+        monkeypatch.setattr(budget, "_term", no_term)
+        for x, N, T in [(1, 1, 2), (7, 4, 29), (31, 32, 1024), (42, 48, 2048)]:
+            assert budget._coverage_below(x, N, T, 1, 2**60)
+
     @given(st.data())
     @settings(max_examples=60)
     def test_bonferroni_partial_sums_bracket(self, data):

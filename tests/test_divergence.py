@@ -20,6 +20,8 @@ from stegogame.divergence import (
 )
 from stegogame.errors import BinMismatch, EmptySamples, InvalidParams
 
+from helpers import calibrate_epsilon_reference
+
 LN2 = math.log(2)
 
 
@@ -66,8 +68,9 @@ class TestEstimator:
             estimate_distribution([5.0, 6.0], bins=4, support=(0.0, 1.0))
 
     def test_bad_bins(self):
-        with pytest.raises(InvalidParams):
-            estimate_distribution([1.0], bins=0)
+        for bins in (0, -1, True, 2.5, "4", None):
+            with pytest.raises(InvalidParams):
+                estimate_distribution([1.0], bins=bins)
 
     def test_distribution_validation(self):
         with pytest.raises(InvalidParams):
@@ -204,6 +207,36 @@ class TestDistinguishability:
 
 
 class TestPermutationNull:
+    @pytest.mark.parametrize("metric", ["kl", "js", "tv", "w1"])
+    @pytest.mark.parametrize("bins", [1, 7, 64])
+    def test_matches_per_run_histograms(self, metric, bins):
+        gen = np.random.Generator(np.random.Philox(key=12))
+        cases = [
+            (gen.normal(size=90), gen.normal(0.4, size=35)),  # unequal sizes
+            (np.linspace(0.0, 7.0, 15), np.linspace(0.0, 7.0, 64)),  # on bin edges
+            (gen.integers(0, 4, size=40).astype(float), gen.integers(0, 6, size=23).astype(float)),
+            ([2.5] * 9, [2.5] * 4),  # one value: np.histogram widens the range by 0.5
+            ([0.1, 0.2, 0.3], [0.7]),
+        ]
+        for seed, (a, b) in enumerate(cases):
+            for percentile in (99.0, 50, 100):
+                args = (a, b, metric, bins, 30, percentile, seed)
+                assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args), (seed, percentile)
+
+    @pytest.mark.parametrize("bad", [0, -3, True, False, 2.5, "8", None])
+    def test_bad_bins_and_runs_refused(self, bad):
+        with pytest.raises(InvalidParams, match="bins"):
+            calibrate_epsilon([1.0, 2.0], [3.0], bins=bad)
+        with pytest.raises(InvalidParams, match="runs"):
+            calibrate_epsilon([1.0, 2.0], [3.0], runs=bad)
+        with pytest.raises(InvalidParams, match="bins"):
+            distinguishability_test([1.0, 2.0], [3.0], epsilon=0.1, bins=bad)
+
+    @pytest.mark.parametrize("bad", [-0.5, 100.5, 150, math.nan, math.inf, True, "99", None, 1j])
+    def test_bad_percentile_refused(self, bad):
+        with pytest.raises(InvalidParams, match="percentile"):
+            calibrate_epsilon([1.0, 2.0], [3.0], runs=4, percentile=bad)
+
     def test_deterministic(self):
         gen = np.random.Generator(np.random.Philox(key=3))
         a, b = gen.normal(size=500), gen.normal(size=500)

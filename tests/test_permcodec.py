@@ -38,7 +38,7 @@ class TestCapacity:
                 assert 2**cap.l <= cap.r < 2 ** (cap.l + 1)
 
     def test_rejects_bad_params(self):
-        for T, N in [(0, 0), (3, 0), (2, 3), (-1, 1)]:
+        for T, N in [(0, 0), (3, 0), (2, 3), (-1, 1), (True, True), (3, True), (True, 1), (4.0, 2)]:
             with pytest.raises(InvalidParams):
                 capacity(T, N)
 
