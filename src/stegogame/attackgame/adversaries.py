@@ -15,12 +15,14 @@ from typing import Iterable
 
 import numpy as np
 
+# xor_bits and arrangement_to_bits are not called here; perfbench/tracer.py
+# looks them up in this module by name.
+from ..bits import xor_bits  # noqa: F401
 from ..divergence import EmpiricalDistribution, byte_counts, js, normalize_byte_counts
 from ..errors import InvalidConfig
 from ..library import CoverId
-from ..permcodec import Arrangement, arrangement_to_bits
-from ..bits import xor_bits
-from ..stego import StegoSequence
+from ..permcodec import Arrangement, arrangement_to_bits  # noqa: F401
+from ..stego import StegoKey, StegoSequence, decode
 from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_bits
 
 
@@ -191,12 +193,11 @@ class KeyedRecovery:
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
         order = tuple(sorted(knowledge.leaked_ids))
+        key = knowledge.leaked_key
         return {
             "index": {cid: i for i, cid in enumerate(order)},
             "T": len(order),
-            "key": knowledge.leaked_key,
-            "l": knowledge.payload_bits,
-            "knowledge": knowledge,
+            "key": None if key is None else StegoKey(key),
         }
 
     def guess(self, challenge: Challenge, state) -> str:
@@ -209,8 +210,7 @@ class KeyedRecovery:
         if state["key"] is None or not state["index"]:
             raise ValueError("no leaked key or library to decode with")
         indices = tuple(state["index"][cid] for cid in sequence.ids)
-        payload = arrangement_to_bits(Arrangement(indices=indices, T=state["T"]))
-        return xor_bits(payload, state["key"])
+        return decode(Arrangement(indices=indices, T=state["T"]), state["key"]).bits
 
 
 ADVERSARIES = {

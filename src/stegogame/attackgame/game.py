@@ -123,7 +123,7 @@ def _generator(seed: int, *path: object) -> np.random.Generator:
 
 
 def _random_bits(gen: np.random.Generator, n: int) -> str:
-    return "".join("1" if b else "0" for b in gen.integers(0, 2, size=n))
+    return (gen.integers(0, 2, size=n) + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
 class _BudgetedOracle:
@@ -175,11 +175,6 @@ def _leaked_key(scenario: Scenario, session_key: StegoKey) -> str | None:
     return flipped
 
 
-def _session_key(scenario: Scenario, seed: int, *path: object) -> StegoKey:
-    l = capacity(scenario.library.T, scenario.N).l
-    return keygen(l, SeededEntropy(_derive_key(seed, *path, "session-key")))
-
-
 def _knowledge(
     scenario: Scenario,
     level: AttackLevel,
@@ -188,8 +183,7 @@ def _knowledge(
     observe_gen: np.random.Generator,
     adversary_gen: np.random.Generator,
 ) -> Knowledge:
-    lib, n = scenario.library, scenario.N
-    l = capacity(lib.T, n).l
+    lib, n, l = scenario.library, scenario.N, session_key.l
     observed = tuple(
         embed(Message(_random_bits(observe_gen, l)), session_key, lib, n)
         for _ in range(scenario.observations)
@@ -234,7 +228,7 @@ def _challenge(
     """Fair coin, then a fresh stego sequence or a natural draw."""
     is_stego = bool(gen.integers(0, 2))
     if is_stego:
-        m = Message(_random_bits(gen, capacity(scenario.library.T, scenario.N).l))
+        m = Message(_random_bits(gen, session_key.l))
         return True, Challenge(ids=embed(m, session_key, scenario.library, scenario.N).ids)
     return False, Challenge(ids=_natural_ids(scenario, gen))
 
@@ -263,14 +257,13 @@ def _score_recovery(scenario, session_key, adversary, harness, state) -> tuple[i
     """One point per payload bit guessed right; a malformed guess scores 0."""
     if state is _UNLEARNED:
         return 0, False
-    l = capacity(scenario.library.T, scenario.N).l
-    m = Message(_random_bits(harness, l))
+    m = Message(_random_bits(harness, session_key.l))
     seq = embed(m, session_key, scenario.library, scenario.N)
     try:
         guess_bits = validate_bits(adversary.recover(seq, state))
     except Exception:
         return 0, True
-    if len(guess_bits) != l:
+    if len(guess_bits) != m.l:
         return 0, True
     return sum(a == b for a, b in zip(guess_bits, m.bits)), True
 
@@ -299,7 +292,8 @@ def _play(
     Returns (points, stego challenges, adversary state).
     """
     path = ("game",) if round_index is None else ("round", round_index)
-    session_key = _session_key(scenario, seed, *path)
+    l = capacity(scenario.library.T, scenario.N).l
+    session_key = keygen(l, SeededEntropy(_derive_key(seed, *path, "session-key")))
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
 
     def learn(observe_gen, adversary_gen, prior):

@@ -33,11 +33,10 @@ def int_to_bits(value: int, length: int) -> str:
 
 
 def xor_bits(a: str, b: str) -> str:
-    validate_bits(a)
-    validate_bits(b)
+    value = bits_to_int(a) ^ bits_to_int(b)
     if len(a) != len(b):
         raise WrongPayloadLength(f"cannot XOR bitstrings of lengths {len(a)} and {len(b)}")
-    return int_to_bits(bits_to_int(a) ^ bits_to_int(b), len(a))
+    return int_to_bits(value, len(a))
 
 
 def hex_digits_for(length: int) -> int:
@@ -45,10 +44,8 @@ def hex_digits_for(length: int) -> int:
 
 
 def bits_to_hex(bits: str) -> str:
-    validate_bits(bits)
-    if not bits:
-        return ""
-    return format(bits_to_int(bits), f"0{hex_digits_for(len(bits))}x")
+    value = bits_to_int(bits)
+    return format(value, f"0{hex_digits_for(len(bits))}x") if bits else ""
 
 
 def hex_to_bits(hexstr: str, length: int) -> str:

@@ -1,4 +1,4 @@
-"""Exact rank/unrank coding between bitstrings and arrangements.
+"""Exact rank/unrank coding between payloads and arrangements.
 
 An arrangement is an ordered selection of N distinct indices out of
 ``range(T)``.  There are r = T*(T-1)*...*(T-N+1) of them, numbered
@@ -9,15 +9,20 @@ representable and the coding is injective.  Arrangements of rank >= 2**l
 exist but lie outside the codec image, and decoding one is an error
 rather than a silent truncation.
 
-Ranks are plain Python integers, so capacities beyond 64 bits are exact.
+Ranks and payloads are plain Python integers, so capacities beyond 64 bits
+are exact.  :func:`capacity` computes r and l once per (T, N).  ``_unrank``
+and :func:`rank` are the int core, used by ``stego``; ``'0'/'1'`` strings
+are validated where they enter, here only in :func:`bits_to_arrangement`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from math import perm
 
-from .bits import bits_to_int, int_to_bits, validate_bits
+from .bits import bits_to_int, int_to_bits
 from .errors import (
     InvalidArrangement,
     InvalidParams,
@@ -37,11 +42,11 @@ class Arrangement:
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
         n = len(self.indices)
-        if not 1 <= n <= self.T:
+        if type(self.T) is not int or not 1 <= n <= self.T:
             raise InvalidArrangement(f"length {n} not in [1, T={self.T}]")
         seen = set()
         for idx in self.indices:
-            if not isinstance(idx, int) or not 0 <= idx < self.T:
+            if type(idx) is not int or not 0 <= idx < self.T:
                 raise InvalidArrangement(f"index {idx!r} out of range [0, {self.T})")
             if idx in seen:
                 raise InvalidArrangement(f"duplicate index {idx}")
@@ -62,44 +67,48 @@ class Capacity:
 
 def capacity(T: int, N: int) -> Capacity:
     """Exact number of N-arrangements of T items and the payload width."""
-    # exact ints: a bool is an int subclass, and this check runs on every
-    # embed and extract
+    # exact ints: a bool is an int subclass
     if type(T) is not int or type(N) is not int or N < 1 or N > T:
         raise InvalidParams(f"need 1 <= N <= T, got T={T}, N={N}")
-    r = 1
-    for i in range(T, T - N, -1):
-        r *= i
+    return _capacity(T, N)
+
+
+@lru_cache(maxsize=256)
+def _capacity(T: int, N: int) -> Capacity:
+    r = perm(T, N)
     return Capacity(r=r, l=r.bit_length() - 1)
 
 
-def unrank(rank: int, T: int, N: int) -> Arrangement:
-    """The rank-th arrangement in lexicographic order of index tuples.
-
+def _unrank(value: int, T: int, N: int) -> tuple[int, ...]:
+    """Index tuple of rank ``value``, for valid (T, N) and 0 <= value < r.
     Mixed-radix decoding: at step j there are T-j unused indices and
-    A(T-1-j, N-1-j) arrangements per choice, so the digit rank // block
+    A(T-1-j, N-1-j) arrangements per choice, so the digit value // block
     picks the digit-th smallest unused index.
     """
-    cap = capacity(T, N)
-    if not isinstance(rank, int) or rank < 0 or rank >= cap.r:
-        raise RankOutOfRange(f"rank {rank} not in [0, {cap.r})")
     available = list(range(T))
-    block = cap.r // T
+    block = _capacity(T, N).r // T
     indices = []
-    remainder = rank
     for j in range(N):
-        digit, remainder = divmod(remainder, block)
+        digit, value = divmod(value, block)
         indices.append(available.pop(digit))
         if j < N - 1:
             block //= T - 1 - j
-    return Arrangement(indices=tuple(indices), T=T)
+    return tuple(indices)
+
+
+def unrank(rank: int, T: int, N: int) -> Arrangement:
+    """The rank-th arrangement in lexicographic order of index tuples."""
+    cap = capacity(T, N)
+    if type(rank) is not int or not 0 <= rank < cap.r:
+        raise RankOutOfRange(f"rank {rank} not in [0, {cap.r})")
+    return Arrangement(indices=_unrank(rank, T, N), T=T)
 
 
 def rank(arr: Arrangement) -> int:
     """Lexicographic rank of an arrangement; inverse of :func:`unrank`."""
     T, N = arr.T, arr.N
-    cap = capacity(T, N)
     available = list(range(T))
-    block = cap.r // T
+    block = _capacity(T, N).r // T
     value = 0
     for j, idx in enumerate(arr.indices):
         pos = bisect_left(available, idx)
@@ -110,28 +119,26 @@ def rank(arr: Arrangement) -> int:
     return value
 
 
+def payload_value(arr: Arrangement) -> tuple[int, int]:
+    """(value, l) of the payload ``arr`` carries; UnreachableArrangement if its rank >= 2**l."""
+    l = _capacity(arr.T, arr.N).l
+    value = rank(arr)
+    if value >> l:
+        raise UnreachableArrangement(f"rank {value} >= 2**{l}; arrangement outside the codec image")
+    return value, l
+
+
 def bits_to_arrangement(payload: str, T: int, N: int) -> Arrangement:
     """Map an l-bit payload (big-endian) to its arrangement."""
-    validate_bits(payload)
+    value = bits_to_int(payload)
     cap = capacity(T, N)
     if len(payload) != cap.l:
         raise WrongPayloadLength(
             f"payload has {len(payload)} bits, capacity(T={T}, N={N}) needs {cap.l}"
         )
-    return unrank(bits_to_int(payload), T, N)
+    return Arrangement(indices=_unrank(value, T, N), T=T)
 
 
 def arrangement_to_bits(arr: Arrangement) -> str:
-    """Inverse of :func:`bits_to_arrangement`.
-
-    Raises UnreachableArrangement when the arrangement's rank is >= 2**l,
-    i.e. no payload can produce it; such a sequence cannot have come from
-    this codec.
-    """
-    cap = capacity(arr.T, arr.N)
-    value = rank(arr)
-    if value >> cap.l:
-        raise UnreachableArrangement(
-            f"rank {value} >= 2**{cap.l}; arrangement outside the codec image"
-        )
-    return int_to_bits(value, cap.l)
+    """Inverse of :func:`bits_to_arrangement`; see :func:`payload_value`."""
+    return int_to_bits(*payload_value(arr))

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits
+# xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
+# perfbench/tracer.py looks them up in this module by name.
+from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
 from .errors import (
     EntropyUnavailable,
     InvalidParams,
@@ -24,7 +26,8 @@ from .errors import (
     StegogameError,
 )
 from .library import CoverId, CoverLibrary, check_cover_id
-from .permcodec import Arrangement, arrangement_to_bits, bits_to_arrangement, capacity
+from .permcodec import Arrangement, _unrank, capacity, payload_value
+from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
 
 import json
 
@@ -32,8 +35,8 @@ SEQUENCE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class StegoKey:
-    """Uniformly random l-bit key; the key space has size 2**l."""
+class _Block:
+    """An l-bit string, validated on construction."""
 
     bits: str
 
@@ -43,20 +46,21 @@ class StegoKey:
     @property
     def l(self) -> int:
         return len(self.bits)
+
+    @property
+    def value(self) -> int:
+        """The bits as a big-endian integer; 0 when l = 0."""
+        return int(self.bits, 2) if self.bits else 0
 
 
 @dataclass(frozen=True)
-class Message:
+class StegoKey(_Block):
+    """Uniformly random l-bit key; the key space has size 2**l."""
+
+
+@dataclass(frozen=True)
+class Message(_Block):
     """One l-bit payload block; exactly one block is carried per sequence."""
-
-    bits: str
-
-    def __post_init__(self):
-        validate_bits(self.bits)
-
-    @property
-    def l(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,13 @@ class SeededEntropy:
 
 def keygen(l: int, entropy: EntropySource | None = None) -> StegoKey:
     """Sample an l-bit key from the given source (OS entropy by default)."""
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise InvalidParams(f"key length must be >= 1, got {l}")
     source = entropy if entropy is not None else SystemEntropy()
-    drawn = source.bits(l)
-    validate_bits(drawn)
-    if len(drawn) != l:
-        raise EntropyUnavailable(f"entropy source returned {len(drawn)} bits, wanted {l}")
-    return StegoKey(bits=drawn)
+    key = StegoKey(bits=source.bits(l))
+    if key.l != l:
+        raise EntropyUnavailable(f"entropy source returned {key.l} bits, wanted {l}")
+    return key
 
 
 def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
@@ -122,9 +125,7 @@ def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
         raise LengthMismatch(
             f"message has {m.l} bits, key {k.l}; capacity(T={lib.T}, N={N}) needs {cap.l}"
         )
-    payload = xor_bits(m.bits, k.bits)
-    arr = bits_to_arrangement(payload, lib.T, N)
-    return StegoSequence(ids=tuple(lib.id_at(i) for i in arr.indices))
+    return StegoSequence(ids=tuple(map(lib.id_at, _unrank(m.value ^ k.value, lib.T, N))))
 
 
 def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
@@ -134,14 +135,15 @@ def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
     NotInLibrary: the sequence cannot have come from this library, which
     is itself a detection signal for the receiver.
     """
-    indices = tuple(lib.lookup(cid) for cid in seq.ids)
-    arr = Arrangement(indices=indices, T=lib.T)
-    payload = arrangement_to_bits(arr)
-    if k.l != len(payload):
-        raise LengthMismatch(
-            f"key has {k.l} bits, sequence decodes to {len(payload)}"
-        )
-    return Message(bits=xor_bits(payload, k.bits))
+    return decode(Arrangement(indices=tuple(map(lib.lookup, seq.ids)), T=lib.T), k)
+
+
+def decode(arr: Arrangement, k: StegoKey) -> Message:
+    """The message an arrangement carries under key k: its rank XOR k."""
+    value, l = payload_value(arr)
+    if k.l != l:
+        raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {l}")
+    return Message(bits=int_to_bits(value ^ k.value, l))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ order comes from itertools enumeration, coverage probabilities from
 exhaustive counting with exact rationals, safe-use counts from a search
 whose every probe sums the whole inclusion-exclusion series in rationals,
 and permutation-null thresholds from a fresh ``np.histogram`` of every
-resplit.
+resplit.  The embed/extract oracle is the earlier string path, composed
+from the public bitstring functions: ``xor_bits``, then
+``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,12 @@ from math import comb
 
 import numpy as np
 
+from stegogame.bits import xor_bits
 from stegogame.divergence import METRICS, EmpiricalDistribution
+from stegogame.errors import LengthMismatch, NotInLibrary
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
+from stegogame.permcodec import Arrangement, arrangement_to_bits, bits_to_arrangement, capacity
+from stegogame.stego import Message, StegoSequence
 
 
 def lex_arrangements(T: int, N: int) -> list[tuple[int, ...]]:
@@ -101,3 +107,37 @@ def mem_library(T: int, tag: str = "lib") -> CoverLibrary:
 
 def bits_of(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
+
+
+class OneCoverLibrary:
+    """The library interface embed and extract use, at T = 1, where the
+    payload is 0 bits wide.  CoverLibrary itself needs two covers."""
+
+    T = 1
+    cid = hash_bytes(b"the only cover")
+
+    def id_at(self, index: int) -> str:
+        return (self.cid,)[index]
+
+    def lookup(self, cover_id: str) -> int:
+        if cover_id != self.cid:
+            raise NotInLibrary(cover_id)
+        return 0
+
+
+def embed_reference(m, k, lib, N: int) -> StegoSequence:
+    """Embed along the string path: XOR the bitstrings, then decode them."""
+    cap = capacity(lib.T, N)
+    if m.l != cap.l or k.l != cap.l:
+        raise LengthMismatch(f"message has {m.l} bits, key {k.l}; needs {cap.l}")
+    arr = bits_to_arrangement(xor_bits(m.bits, k.bits), lib.T, N)
+    return StegoSequence(ids=tuple(lib.id_at(i) for i in arr.indices))
+
+
+def extract_reference(seq, k, lib) -> Message:
+    """Extract along the string path: encode the bitstring, then XOR it."""
+    arr = Arrangement(indices=tuple(lib.lookup(cid) for cid in seq.ids), T=lib.T)
+    payload = arrangement_to_bits(arr)
+    if k.l != len(payload):
+        raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {len(payload)}")
+    return Message(bits=xor_bits(payload, k.bits))

@@ -3,8 +3,10 @@ import math
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from stegogame import permcodec
 from stegogame.attackgame import (
     AttackLevel,
     CCAReplay,
@@ -278,6 +280,35 @@ class TestRecoveryGame:
         sc = synthetic_scenario(T=6, N=4, world_size=18, seed=1)
         res = message_recovery_game(sc, FailingAdversary(), AttackLevel.SCOA, trials=120, seed=3)
         assert res.successes == 0
+
+    def test_capacity_product_once_per_shape(self, monkeypatch):
+        """Over a 1600-sequence game (27,200 embeds) the falling factorial
+        behind capacity runs at most once per distinct (T, N)."""
+        products: Counter = Counter()
+        perm = permcodec.perm
+
+        def counting_perm(T, N):
+            products[(T, N)] += 1
+            return perm(T, N)
+
+        permcodec._capacity.cache_clear()
+        monkeypatch.setattr(permcodec, "perm", counting_perm)
+        sc = synthetic_scenario(T=16, N=4, seed=3)
+        res = message_recovery_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=1600, seed=7)
+        assert res.sequences == 1600
+        assert products == {(16, 4): 1}
+
+
+@pytest.mark.parametrize("key", [0, 7, 2**127 + 12345])
+@pytest.mark.parametrize("n", [0, 1, 15, 64])
+def test_random_bits_matches_per_bit_join(key, n):
+    """One vectorised conversion gives the string and leaves the generator
+    where the earlier join over numpy scalars did."""
+    fast, slow = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+    expected = "".join("1" if b else "0" for b in slow.integers(0, 2, size=n))
+    assert game._random_bits(fast, n) == expected
+    assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
+    assert fast.integers(0, 2**62, size=3).tolist() == slow.integers(0, 2**62, size=3).tolist()
 
 
 class TestAccaLoop:

@@ -13,6 +13,7 @@ from stegogame.errors import (
 )
 from stegogame.permcodec import (
     Arrangement,
+    Capacity,
     arrangement_to_bits,
     bits_to_arrangement,
     capacity,
@@ -42,6 +43,14 @@ class TestCapacity:
             with pytest.raises(InvalidParams):
                 capacity(T, N)
 
+    def test_bools_refused_after_the_int_is_cached(self):
+        # True == 1 and hashes alike, so a cache keyed on (T, N) alone would
+        # answer capacity(True, 1) from the (1, 1) entry
+        assert capacity(1, 1) == Capacity(r=1, l=0)
+        for T, N in [(True, 1), (1, True), (True, True)]:
+            with pytest.raises(InvalidParams):
+                capacity(T, N)
+
 
 class TestRankUnrank:
     def test_known_unranks(self):
@@ -64,6 +73,11 @@ class TestRankUnrank:
             unrank(24, T=4, N=3)
         with pytest.raises(RankOutOfRange):
             unrank(-1, T=4, N=3)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_non_int_rank_refused(self, bad):
+        with pytest.raises(RankOutOfRange):
+            unrank(bad, 4, 2)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -90,6 +104,13 @@ class TestArrangement:
         with pytest.raises(InvalidArrangement):
             Arrangement(indices=(0, 1, 2, 3), T=3)
 
+    @pytest.mark.parametrize("indices, T", [
+        ((True, 0), 2), ((0, False), 2), ((1.0, 0), 2), (("0",), 2), ((0,), True), ((0,), 2.0),
+    ])
+    def test_rejects_non_int_indices_and_size(self, indices, T):
+        with pytest.raises(InvalidArrangement):
+            Arrangement(indices=indices, T=T)
+
 
 class TestBitsCodec:
     def test_zero_bits_is_identity_arrangement(self):
@@ -103,6 +124,18 @@ class TestBitsCodec:
     def test_wrong_payload_length(self):
         with pytest.raises(WrongPayloadLength):
             bits_to_arrangement("000", T=4, N=3)
+
+    def test_zero_width_payload(self):
+        # T = N = 1: one arrangement, so l = 0 and the payload is ""
+        assert bits_to_arrangement("", 1, 1).indices == (0,)
+        assert arrangement_to_bits(Arrangement(indices=(0,), T=1)) == ""
+        with pytest.raises(WrongPayloadLength):
+            bits_to_arrangement("0", 1, 1)
+
+    def test_non_bits_refused(self):
+        for bad in ["0120", "01 0", 6, None]:
+            with pytest.raises(InvalidParams):
+                bits_to_arrangement(bad, T=4, N=3)
 
     def test_unreachable_arrangement(self):
         # T=3, N=2 has 6 arrangements but a 2-bit payload: ranks 4, 5 can

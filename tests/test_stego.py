@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bits_of, lex_arrangements, mem_library
+from helpers import (
+    OneCoverLibrary,
+    bits_of,
+    embed_reference,
+    extract_reference,
+    lex_arrangements,
+    mem_library,
+)
 from stegogame.errors import (
     EntropyUnavailable,
     InvalidArrangement,
@@ -56,6 +63,11 @@ class TestKeygen:
     def test_short_entropy_source_rejected(self):
         with pytest.raises(EntropyUnavailable):
             keygen(8, FixedEntropy("101"))
+
+    @pytest.mark.parametrize("l", [True, False, 4.0, "4", None])
+    def test_non_int_length_rejected(self, l):
+        with pytest.raises(InvalidParams):
+            keygen(l, FixedEntropy("1010"))
 
 
 class TestEmbed:
@@ -163,6 +175,99 @@ class TestExtract:
         m = Message(bits_of(data.draw(st.integers(0, 2**l - 1)), l))
         k = StegoKey(bits_of(data.draw(st.integers(0, 2**l - 1)), l))
         assert extract(embed(m, k, lib, N), k, lib) == m
+
+
+class TestZeroWidthPayload:
+    """At T = N = 1 there is one arrangement, so l = 0 and the payload is
+    the empty string."""
+
+    def test_round_trip(self):
+        lib = OneCoverLibrary()
+        seq = embed(Message(""), StegoKey(""), lib, 1)
+        assert seq.ids == (lib.cid,)
+        assert extract(seq, StegoKey(""), lib) == Message("")
+
+    def test_lengths_still_checked(self):
+        lib = OneCoverLibrary()
+        with pytest.raises(LengthMismatch):
+            embed(Message("0"), StegoKey(""), lib, 1)
+        with pytest.raises(LengthMismatch):
+            extract(StegoSequence(ids=(lib.cid,)), StegoKey("1"), lib)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raised", type(exc)
+
+
+_LIBRARIES = {}
+
+
+def _library(T):
+    if T not in _LIBRARIES:
+        _LIBRARIES[T] = OneCoverLibrary() if T == 1 else mem_library(T, tag=f"oracle{T}")
+    return _LIBRARIES[T]
+
+
+def _bits(data, length):
+    return "".join(data.draw(st.lists(st.sampled_from("01"), min_size=length, max_size=length)))
+
+
+class TestMatchesStringPath:
+    """embed and extract agree with the earlier string path, which XORs and
+    codes '0'/'1' strings, on outputs and on the type of every error."""
+
+    def _check(self, data, T, N, l_message, l_key):
+        lib = _library(T)
+        m, k = Message(_bits(data, l_message)), StegoKey(_bits(data, l_key))
+        got = _outcome(embed, m, k, lib, N)
+        assert got == _outcome(embed_reference, m, k, lib, N)
+        if got[0] == "returned":
+            assert _outcome(extract, got[1], k, lib) == _outcome(extract_reference, got[1], k, lib)
+            assert extract(got[1], k, lib) == m
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_shape_up_to_twelve(self, data):
+        T = data.draw(st.integers(1, 12))
+        N = data.draw(st.integers(1, T))
+        l = capacity(T, N).l
+        self._check(data, T, N, l, l)
+
+    @pytest.mark.parametrize("T, N", [(1024, 16), (10000, 64)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_large_libraries(self, T, N, data):
+        l = capacity(T, N).l
+        self._check(data, T, N, l, l)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_length_and_shape_errors(self, data):
+        T = data.draw(st.integers(1, 8))
+        N = data.draw(st.integers(0, T + 1))
+        l = capacity(T, N).l if 1 <= N <= T else 3
+        self._check(
+            data, T, N, max(0, l + data.draw(st.integers(-1, 1))), max(0, l + data.draw(st.integers(-1, 1)))
+        )
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_forged_sequences(self, data):
+        """Foreign ids, repeated ids, ranks outside the codec image and keys
+        of the wrong length, in any combination."""
+        T = data.draw(st.integers(1, 8))
+        lib = _library(T)
+        pool = [lib.id_at(i) for i in range(T)] + ["f" * 64]
+        ids = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=T + 1))
+        n = len(ids)
+        l = capacity(T, n).l if 1 <= n <= T else 2
+        k = StegoKey(_bits(data, max(0, l + data.draw(st.integers(-1, 1)))))
+        seq = StegoSequence(ids=tuple(ids))
+        assert _outcome(extract, seq, k, lib) == _outcome(extract_reference, seq, k, lib)
 
 
 class TestKeyFile:
