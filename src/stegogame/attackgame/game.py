@@ -7,14 +7,17 @@ one-sided exact binomial test, never a raw rate comparison.
 
 All three games run on one serial trial engine.  Every random draw flows
 from a generator keyed by sha256 over (seed, labelled path), so results are
-byte-identical across runs and platforms.
+byte-identical across runs and platforms.  A learning phase draws its
+observation payloads eagerly, keeping every later draw in place, but embeds
+them only when the adversary first reads ``Knowledge.observed``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
@@ -57,13 +60,13 @@ class AttackLevel(IntEnum):
 @dataclass(frozen=True, eq=False)
 class Knowledge:
     """What one learning phase hands the adversary.  Level-scoped: fields
-    above the adversary's level are empty/None, never absent."""
+    above the adversary's level are empty/None, never absent.  ``observed``
+    (past stego traffic) is drawn eagerly but embedded on first read."""
 
     level: AttackLevel
     N: int
     payload_bits: int
     world_ids: tuple[CoverId, ...]
-    observed: tuple[StegoSequence, ...]
     leaked_ids: tuple[CoverId, ...]
     leaked_key: str | None
     embed_oracle: Callable[[str], StegoSequence] | None
@@ -71,6 +74,11 @@ class Knowledge:
     rounds: int
     rng: np.random.Generator
     content: Callable[[CoverId], bytes]
+    _observe: Callable[[], tuple[StegoSequence, ...]] = field(repr=False)
+
+    @cached_property
+    def observed(self) -> tuple[StegoSequence, ...]:
+        return self._observe()
 
 
 @dataclass(frozen=True)
@@ -182,12 +190,22 @@ def _knowledge(
     leaked: tuple[CoverId, ...],
     observe_gen: np.random.Generator,
     adversary_gen: np.random.Generator,
+    faults: list[Exception],
 ) -> Knowledge:
     lib, n, l = scenario.library, scenario.N, session_key.l
-    observed = tuple(
-        embed(Message(_random_bits(observe_gen, l)), session_key, lib, n)
-        for _ in range(scenario.observations)
-    )
+    # one draw for all payloads: the same bits and stream state as one draw each
+    payloads = _random_bits(observe_gen, scenario.observations * l)
+
+    def observe() -> tuple[StegoSequence, ...]:
+        try:
+            return tuple(
+                embed(Message(payloads[i * l : (i + 1) * l]), session_key, lib, n)
+                for i in range(scenario.observations)
+            )
+        except Exception as exc:  # a harness fault, even where the adversary swallows it
+            faults.append(exc)
+            raise
+
     embed_oracle = extract_oracle = None
     if level >= AttackLevel.CCA:
         embed_oracle = _BudgetedOracle(
@@ -205,7 +223,6 @@ def _knowledge(
         N=n,
         payload_bits=l,
         world_ids=scenario.world.ids(),
-        observed=observed,
         leaked_ids=leaked,
         leaked_key=_leaked_key(scenario, session_key),
         embed_oracle=embed_oracle,
@@ -213,6 +230,7 @@ def _knowledge(
         rounds=scenario.rounds if level >= AttackLevel.ACCA else 1,
         rng=adversary_gen,
         content=scenario.content_for,
+        _observe=observe,
     )
 
 
@@ -265,7 +283,7 @@ def _score_recovery(scenario, session_key, adversary, harness, state) -> tuple[i
         return 0, True
     if len(guess_bits) != m.l:
         return 0, True
-    return sum(a == b for a, b in zip(guess_bits, m.bits)), True
+    return m.l - (int(guess_bits or "0", 2) ^ m.value).bit_count(), True
 
 
 def _play(
@@ -287,7 +305,8 @@ def _play(
     each trial draws from ("round", r, "trial", t); ``state`` carries the
     adversary state in and out, and a failed learn keeps the old state but
     scores the block's trials as unlearned.  Any adversary exception, budget
-    overrun included, scores as a miss; a fault of the harness itself raises.
+    overrun included, scores as a miss; a fault of the harness itself raises,
+    by the end of its trial even when it happens inside an adversary call.
 
     Returns (points, stego challenges, adversary state).
     """
@@ -295,9 +314,12 @@ def _play(
     l = capacity(scenario.library.T, scenario.N).l
     session_key = keygen(l, SeededEntropy(_derive_key(seed, *path, "session-key")))
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
+    faults: list[Exception] = []  # harness faults raised inside adversary calls
 
     def learn(observe_gen, adversary_gen, prior):
-        knowledge = _knowledge(scenario, level, session_key, leaked, observe_gen, adversary_gen)
+        knowledge = _knowledge(
+            scenario, level, session_key, leaked, observe_gen, adversary_gen, faults
+        )
         try:
             return adversary.learn(knowledge, prior)
         except Exception:
@@ -317,6 +339,8 @@ def _play(
         else:
             harness = _generator(seed, *path, "trial", t)
         p, is_stego = score(scenario, session_key, adversary, harness, learned)
+        if faults:
+            raise faults[0]
         points += p
         stego += is_stego
     return points, stego, state

@@ -81,7 +81,7 @@ class CoverLibrary:
     covers: tuple[CoverEntry, ...]
 
     def __post_init__(self):
-        ids = [c.id for c in self.covers]
+        ids = self.ids()
         if len(ids) < 2:
             raise LibraryTooSmall(f"need at least 2 covers, got {len(ids)}")
         for a, b in zip(ids, ids[1:]):
@@ -113,8 +113,12 @@ class CoverLibrary:
     def id_at(self, index: int) -> CoverId:
         return self.covers[index].id
 
-    def ids(self) -> tuple[CoverId, ...]:
+    @cached_property
+    def _ids(self) -> tuple[CoverId, ...]:
         return tuple(c.id for c in self.covers)
+
+    def ids(self) -> tuple[CoverId, ...]:
+        return self._ids
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoverLibrary) and self.covers == other.covers

@@ -8,6 +8,7 @@ and permutation-null thresholds from a fresh ``np.histogram`` of every
 resplit.  The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
+Game observations come from one bit draw per payload, embedded at once.
 """
 
 from __future__ import annotations
@@ -141,3 +142,18 @@ def extract_reference(seq, k, lib) -> Message:
     if k.l != len(payload):
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {len(payload)}")
     return Message(bits=xor_bits(payload, k.bits))
+
+
+def observations_reference(scenario, session_key, gen) -> tuple[StegoSequence, ...]:
+    """A learning phase's observed traffic, built eagerly: each payload is
+    drawn bit by bit on ``gen`` and embedded along the string path."""
+    l = session_key.l
+    return tuple(
+        embed_reference(
+            Message("".join("1" if b else "0" for b in gen.integers(0, 2, size=l))),
+            session_key,
+            scenario.library,
+            scenario.N,
+        )
+        for _ in range(scenario.observations)
+    )

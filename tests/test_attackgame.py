@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import traceback
 from collections import Counter
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import OneCoverLibrary, observations_reference
 from stegogame import permcodec
 from stegogame.attackgame import (
     AttackLevel,
@@ -35,6 +39,7 @@ from stegogame.errors import (
 )
 from stegogame.library import save_manifest
 from stegogame.permcodec import capacity
+from stegogame.stego import SeededEntropy, StegoKey, StegoSequence, keygen
 
 
 class FailingAdversary:
@@ -79,6 +84,40 @@ class FlakyAdversary:
         if kind == 1:
             return "2" * l
         return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=l))
+
+
+class LateReader:
+    """Reads the observations only when guessing or recovering, and carries
+    on whatever the read raises."""
+
+    name = "late-reader"
+
+    def learn(self, knowledge, state=None):
+        return knowledge
+
+    def _read(self, knowledge):
+        try:
+            return len(knowledge.observed)
+        except Exception:
+            return 0
+
+    def guess(self, challenge, state):
+        return "stego" if self._read(state) else "natural"
+
+    def recover(self, sequence, state):
+        return "0" * state.payload_bits if self._read(state) else "1" * state.payload_bits
+
+
+class ScriptedRecovery:
+    """Answers every recovery with one fixed guess."""
+
+    name = "scripted"
+
+    def __init__(self, guess: str):
+        self.guess = guess
+
+    def recover(self, sequence, state):
+        return self.guess
 
 
 class TestScenario:
@@ -282,8 +321,9 @@ class TestRecoveryGame:
         assert res.successes == 0
 
     def test_capacity_product_once_per_shape(self, monkeypatch):
-        """Over a 1600-sequence game (27,200 embeds) the falling factorial
-        behind capacity runs at most once per distinct (T, N)."""
+        """Over a 1600-sequence game (1,600 embeds, one per challenge) the
+        falling factorial behind capacity runs at most once per distinct
+        (T, N)."""
         products: Counter = Counter()
         perm = permcodec.perm
 
@@ -298,6 +338,59 @@ class TestRecoveryGame:
         assert res.sequences == 1600
         assert products == {(16, 4): 1}
 
+    @pytest.mark.parametrize(
+        "adversary, embeds",
+        [(RandomGuesser(), 1600), (CCAReplay(), 1600 * 17)],
+        ids=["random", "cca-replay"],
+    )
+    def test_observations_embedded_only_when_read(self, monkeypatch, adversary, embeds):
+        """Each sequence costs one challenge embed; the 16 observations of
+        its learning phase are embedded only for an adversary that reads
+        them.  Built eagerly, both games made 27,200 embeds."""
+        calls = Counter()
+        real_embed = game.embed
+
+        def counting_embed(*args):
+            calls["embed"] += 1
+            return real_embed(*args)
+
+        monkeypatch.setattr(game, "embed", counting_embed)
+        sc = synthetic_scenario(T=16, N=4, seed=3)
+        assert sc.observations == 16
+        res = message_recovery_game(sc, adversary, AttackLevel.SCOA, trials=1600, seed=7)
+        assert res.sequences == 1600
+        assert calls["embed"] == embeds
+
+    @pytest.mark.parametrize("T, N", [(16, 4), (2, 1), (1, 1)])
+    def test_score_counts_agreeing_bits(self, T, N):
+        """The XOR popcount score equals a per-character count of agreeing
+        bits, for random, equal, complementary and constant guesses, and at
+        l = 0, where the payload is the empty string."""
+        sc = (
+            SimpleNamespace(library=OneCoverLibrary(), N=1)
+            if T == 1
+            else synthetic_scenario(T=T, N=N, world_size=16, seed=2)
+        )
+        l = capacity(T, N).l
+        rng = np.random.default_rng(4)
+        session_key = StegoKey(game._random_bits(rng, l))
+        guesses = [
+            lambda truth: truth,
+            lambda truth: truth.translate(str.maketrans("01", "10")),
+            lambda truth: "0" * l,
+            lambda truth: "1" * l,
+            lambda truth: game._random_bits(rng, l),
+        ]
+        for draw, guess_of in itertools.product(range(8), guesses):
+            harness, twin = (np.random.Generator(np.random.Philox(key=draw)) for _ in range(2))
+            truth = game._random_bits(twin, l)
+            guess = guess_of(truth)
+            points, stego = game._score_recovery(
+                sc, session_key, ScriptedRecovery(guess), harness, None
+            )
+            assert stego
+            assert points == sum(a == b for a, b in zip(guess, truth))
+
 
 @pytest.mark.parametrize("key", [0, 7, 2**127 + 12345])
 @pytest.mark.parametrize("n", [0, 1, 15, 64])
@@ -309,6 +402,43 @@ def test_random_bits_matches_per_bit_join(key, n):
     assert game._random_bits(fast, n) == expected
     assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
     assert fast.integers(0, 2**62, size=3).tolist() == slow.integers(0, 2**62, size=3).tolist()
+
+
+@pytest.mark.parametrize("observations", [0, 1, 16])
+@pytest.mark.parametrize("l", [0, 1, 15, 64])
+def test_observation_draw_matches_per_payload_draws(monkeypatch, l, observations):
+    """One draw of every observation payload gives the rows of, and leaves
+    the stream where, one _random_bits call per payload does, also after an
+    odd-length earlier draw; reading the observations draws nothing more."""
+    monkeypatch.setattr(game, "embed", lambda m, k, lib, n: StegoSequence(ids=(m.bits,)))
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0, observations=observations)
+    batched, single = (np.random.Generator(np.random.Philox(key=99)) for _ in range(2))
+    batched.integers(0, 2, size=7)
+    single.integers(0, 2, size=7)
+    knowledge = game._knowledge(
+        sc, AttackLevel.SCOA, StegoKey("0" * l), (), batched, np.random.default_rng(0), []
+    )
+    expected = [game._random_bits(single, l) for _ in range(observations)]
+    assert [seq.ids[0] for seq in knowledge.observed] == expected
+    assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
+    assert batched.integers(0, 2**62, size=3).tolist() == single.integers(0, 2**62, size=3).tolist()
+
+
+def test_observed_matches_eager_oracle():
+    """Observations embedded on first read are the tuple an eager build
+    gives, in the same order, and later reads return the cached tuple."""
+    sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, observations=5)
+    session_key = keygen(capacity(8, 3).l, SeededEntropy(11))
+    lazy, eager = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
+    knowledge = game._knowledge(
+        sc, AttackLevel.CCA, session_key, (), lazy, np.random.default_rng(0), []
+    )
+    expected = observations_reference(sc, session_key, eager)
+    assert repr(lazy.bit_generator.state) == repr(eager.bit_generator.state)
+    observed = knowledge.observed
+    assert type(observed) is tuple and len(observed) == 5
+    assert observed == expected
+    assert knowledge.observed is observed
 
 
 class TestAccaLoop:
@@ -357,6 +487,33 @@ def test_harness_fault_raises(monkeypatch, play):
     sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
     with pytest.raises(RuntimeError, match="harness fault"):
         play(sc)
+
+
+@pytest.mark.parametrize("adversary", [CCAReplay, LateReader], ids=["cca-replay", "late-reader"])
+@pytest.mark.parametrize(
+    "play",
+    [
+        lambda sc, adv: run_game(sc, adv, AttackLevel.SCOA, trials=100, seed=1),
+        lambda sc, adv: message_recovery_game(sc, adv, AttackLevel.SCOA, trials=100, seed=1),
+        lambda sc, adv: acca_loop(sc, adv, trials_per_round=100, seed=1),
+    ],
+    ids=["detection", "recovery", "acca"],
+)
+def test_observation_fault_raises(monkeypatch, play, adversary):
+    """A fault while the observations are embedded on first read is the
+    harness's: it propagates out of the game instead of scoring as a failed
+    learn or guess, also when the adversary catches it."""
+    real_embed = game.embed
+
+    def embed(*args):
+        if any(frame.name == "observe" for frame in traceback.extract_stack()):
+            raise RuntimeError("observation fault")
+        return real_embed(*args)
+
+    monkeypatch.setattr(game, "embed", embed)
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
+    with pytest.raises(RuntimeError, match="observation fault"):
+        play(sc, adversary())
 
 
 class TestRegistry:
