@@ -25,6 +25,24 @@ from ..permcodec import Arrangement, arrangement_to_bits  # noqa: F401
 from ..stego import StegoKey, StegoSequence, decode
 from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_bits
 
+# The rules several adversaries share are plain functions assigned as class
+# attributes, never inherited: perfbench/tracer.py wraps learn, guess and
+# recover in each class's own __dict__.
+
+
+def _keyless_recover(self, sequence: StegoSequence, state) -> str:
+    """Uniform bits: without the key the sequence says nothing of them."""
+    knowledge: Knowledge = state["knowledge"]
+    return _random_bits(knowledge.rng, knowledge.payload_bits)
+
+
+def _membership_guess(self, challenge: Challenge, state) -> str:
+    """Stego when every id of the challenge is a known library id."""
+    known = state["known"]
+    if known and all(cid in known for cid in challenge.ids):
+        return LABEL_STEGO
+    return LABEL_NATURAL
+
 
 class RandomGuesser:
     """Fair coin on detection, uniform bits on recovery; the floor."""
@@ -32,19 +50,16 @@ class RandomGuesser:
     name = "random"
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
-        return knowledge
+        return {"knowledge": knowledge}
 
     def guess(self, challenge: Challenge, state) -> str:
-        knowledge: Knowledge = state
-        return LABEL_STEGO if knowledge.rng.integers(0, 2) else LABEL_NATURAL
+        return LABEL_STEGO if state["knowledge"].rng.integers(0, 2) else LABEL_NATURAL
 
-    def recover(self, sequence: StegoSequence, state) -> str:
-        knowledge: Knowledge = state
-        return _random_bits(knowledge.rng, knowledge.payload_bits)
+    recover = _keyless_recover
 
 
 class KCAMembership:
-    """Flags a challenge as stego when enough of its ids sit in the leak.
+    """Flags a challenge as stego when all of its ids sit in the leak.
 
     With the full library leaked and a world pool disjoint from it, the
     id-set test is exact: true-positive 1, false-positive 0.
@@ -52,24 +67,13 @@ class KCAMembership:
 
     name = "kca-membership"
 
-    def __init__(self, threshold: float = 1.0):
-        self.threshold = threshold
-
     def learn(self, knowledge: Knowledge, state: object | None = None):
         known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
         known.update(knowledge.leaked_ids)
         return {"known": known, "knowledge": knowledge}
 
-    def guess(self, challenge: Challenge, state) -> str:
-        known = state["known"]
-        if not challenge.ids:
-            return LABEL_NATURAL
-        inside = sum(1 for cid in challenge.ids if cid in known)
-        return LABEL_STEGO if inside / len(challenge.ids) >= self.threshold else LABEL_NATURAL
-
-    def recover(self, sequence: StegoSequence, state) -> str:
-        knowledge: Knowledge = state["knowledge"]
-        return _random_bits(knowledge.rng, knowledge.payload_bits)
+    guess = _membership_guess
+    recover = _keyless_recover
 
 
 class SCOAHistogram:
@@ -135,17 +139,17 @@ class SCOAHistogram:
         score = self._sequence_score(challenge.ids, state["model"], state["scores"], knowledge)
         return LABEL_STEGO if score > state["threshold"] else LABEL_NATURAL
 
-    def recover(self, sequence: StegoSequence, state) -> str:
-        knowledge: Knowledge = state["knowledge"]
-        return _random_bits(knowledge.rng, knowledge.payload_bits)
+    recover = _keyless_recover
 
 
 class CCAReplay:
     """Maps the library through the embed oracle, then tests membership.
 
-    Every oracle output exposes N library ids, so a modest call budget
-    recovers most of the secret library; this strictly subsumes what the
-    leak alone provides.
+    Every observed sequence and oracle output exposes N library ids, which
+    join the leaked ones; a challenge is stego when all of its ids are
+    known, so a replayed output always is.  A modest call budget recovers
+    most of the secret library; this strictly subsumes what the leak alone
+    provides.
     """
 
     name = "cca-replay"
@@ -155,33 +159,18 @@ class CCAReplay:
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
         known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
-        outputs: set[tuple[CoverId, ...]] = (
-            set(state["outputs"]) if isinstance(state, dict) else set()
-        )
         known.update(knowledge.leaked_ids)
         for seq in knowledge.observed:
             known.update(seq.ids)
-            outputs.add(seq.ids)
         oracle = knowledge.embed_oracle
         if oracle is not None:
             budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
             for _ in range(budget):
-                seq = oracle(_random_bits(knowledge.rng, knowledge.payload_bits))
-                known.update(seq.ids)
-                outputs.add(seq.ids)
-        return {"known": known, "outputs": outputs, "knowledge": knowledge}
+                known.update(oracle(_random_bits(knowledge.rng, knowledge.payload_bits)).ids)
+        return {"known": known, "knowledge": knowledge}
 
-    def guess(self, challenge: Challenge, state) -> str:
-        known, outputs = state["known"], state["outputs"]
-        if challenge.ids in outputs:
-            return LABEL_STEGO
-        if known and all(cid in known for cid in challenge.ids):
-            return LABEL_STEGO
-        return LABEL_NATURAL
-
-    def recover(self, sequence: StegoSequence, state) -> str:
-        knowledge: Knowledge = state["knowledge"]
-        return _random_bits(knowledge.rng, knowledge.payload_bits)
+    guess = _membership_guess
+    recover = _keyless_recover
 
 
 class KeyedRecovery:
@@ -192,25 +181,20 @@ class KeyedRecovery:
     name = "keyed-recovery"
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
-        order = tuple(sorted(knowledge.leaked_ids))
         key = knowledge.leaked_key
         return {
-            "index": {cid: i for i, cid in enumerate(order)},
-            "T": len(order),
+            "known": {cid: i for i, cid in enumerate(sorted(knowledge.leaked_ids))},
             "key": None if key is None else StegoKey(key),
         }
 
-    def guess(self, challenge: Challenge, state) -> str:
-        index = state["index"]
-        if index and all(cid in index for cid in challenge.ids):
-            return LABEL_STEGO
-        return LABEL_NATURAL
+    guess = _membership_guess
 
     def recover(self, sequence: StegoSequence, state) -> str:
-        if state["key"] is None or not state["index"]:
+        known = state["known"]
+        if state["key"] is None or not known:
             raise ValueError("no leaked key or library to decode with")
-        indices = tuple(state["index"][cid] for cid in sequence.ids)
-        return decode(Arrangement(indices=indices, T=state["T"]), state["key"]).bits
+        indices = tuple(known[cid] for cid in sequence.ids)
+        return decode(Arrangement(indices=indices, T=len(known)), state["key"]).bits
 
 
 ADVERSARIES = {

@@ -18,6 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from numbers import Real
 from typing import Callable, Protocol
 
 import numpy as np
@@ -152,11 +153,13 @@ class _BudgetedOracle:
 # ---------------------------------------------------------------------------
 # game plumbing
 
-def _validate(scenario: Scenario, trials: int, seed: int) -> None:
+def _validate(trials: int, seed: int, alpha: float) -> None:
     if trials < MIN_TRIALS:
         raise InvalidConfig(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if not isinstance(seed, int) or seed < 0:
         raise InvalidConfig("seed must be a non-negative integer")
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < 1:
+        raise InvalidConfig(f"alpha must be a real number in (0, 1), got {alpha!r}")
 
 
 def _leak_ids(scenario: Scenario, seed: int, level: AttackLevel, round_index: int) -> tuple[CoverId, ...]:
@@ -384,7 +387,7 @@ def run_game(
     Trials run serially; ``max_workers`` is accepted for compatibility and
     has no effect.
     """
-    _validate(scenario, trials, seed)
+    _validate(trials, seed, alpha)
     successes, stego, _ = _play(scenario, adversary, level, seed, trials, _score_detection)
     return _result(level, "detection", successes, trials, alpha, seed, stego_challenges=stego)
 
@@ -399,7 +402,7 @@ def message_recovery_game(
 ) -> GameResult:
     """Recovery game: the adversary sees fresh stego sequences and guesses
     the hidden bits; judged on per-bit agreement over all sequences."""
-    _validate(scenario, trials, seed)
+    _validate(trials, seed, alpha)
     agreed, _, _ = _play(scenario, adversary, level, seed, trials, _score_recovery)
     total_bits = trials * capacity(scenario.library.T, scenario.N).l
     return _result(level, "recovery", agreed, total_bits, alpha, seed, sequences=trials)
@@ -420,7 +423,7 @@ def acca_loop(
     schedule.  Stops early once a round's verdict is broken.  Rounds run
     sequentially; adversary state makes them order-dependent by design.
     """
-    _validate(scenario, trials_per_round, seed)
+    _validate(trials_per_round, seed, alpha)
     n_rounds = rounds if rounds is not None else scenario.rounds
     if n_rounds < 1:
         raise InvalidConfig(f"rounds must be >= 1, got {n_rounds}")

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Mapping
 
@@ -22,6 +24,8 @@ from ..errors import CoverReadError, InvalidConfig, MalformedFile, NotInLibrary
 from ..library import CoverEntry, CoverId, CoverLibrary, load_manifest
 
 KEY_LEAK_MODES = (None, "full", "flip1")
+_INT_FIELDS = ("N", "oracle_embed_budget", "oracle_extract_budget", "rounds", "observations")
+_REAL_FIELDS = ("leak_fraction", "leak_growth")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +45,15 @@ class Scenario:
     content_map: Mapping[CoverId, bytes] | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            if not (real and -math.inf < value < math.inf):
+                raise InvalidConfig(f"{name} must be a finite real number, got {value!r}")
         if not (1 <= self.N <= self.library.T):
             raise InvalidConfig(f"need 1 <= N <= T={self.library.T}, got N={self.N}")
         if self.world.T < self.N:
@@ -62,7 +75,9 @@ class Scenario:
 
     def leak_size(self, round_index: int = 0) -> int:
         """Leaked-subset size for a given round; grows linearly, capped at T."""
-        fraction = self.leak_fraction + round_index * self.leak_growth
+        # a growth past 1 leaks everything in one round; capping it keeps the
+        # product finite
+        fraction = self.leak_fraction + round_index * min(self.leak_growth, 1.0)
         return min(self.library.T, int(fraction * self.library.T + 1e-9))
 
     def content_for(self, cover_id: CoverId) -> bytes:
@@ -93,16 +108,18 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise MalformedFile(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path}: scenario must be a JSON object")
     try:
-        lib_path = path.parent / doc["library"]
-        world_path = path.parent / doc["world_pool"]
+        manifests = [doc["library"], doc["world_pool"]]
         n = doc["N"]
     except KeyError as exc:
         raise MalformedFile(f"{path}: scenario missing field {exc}") from exc
+    if not all(isinstance(m, str) for m in manifests):
+        raise MalformedFile(f"{path}: library and world_pool must be manifest paths")
+    library, world = (load_manifest(path.parent / m) for m in manifests)
     optional = {
         key: doc[key]
         for key in (
@@ -116,12 +133,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
         )
         if key in doc
     }
-    return Scenario(
-        library=load_manifest(lib_path),
-        world=load_manifest(world_path),
-        N=n,
-        **optional,
-    )
+    return Scenario(library=library, world=world, N=n, **optional)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +174,15 @@ def synthetic_scenario(
     covers from the same corpus: a superset of the library by default
     (overlapping traffic), or fully disjoint when ``disjoint_world`` is set.
     """
-    if disjoint_world:
-        corpus = synthetic_corpus(T + world_size, size=cover_size, seed=seed)
-        ids = list(corpus)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 128))
-        order = gen.permutation(len(ids))
-        lib_ids = [ids[i] for i in order[:T]]
-        world_ids = [ids[i] for i in order[T : T + world_size]]
-    else:
-        if world_size < T:
-            raise InvalidConfig("overlapping world pool must be at least as large as T")
-        corpus = synthetic_corpus(world_size, size=cover_size, seed=seed)
-        ids = list(corpus)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=1 << 128))
-        order = gen.permutation(len(ids))
-        lib_ids = [ids[i] for i in order[:T]]
-        world_ids = ids
+    if not disjoint_world and world_size < T:
+        raise InvalidConfig("overlapping world pool must be at least as large as T")
+    corpus = synthetic_corpus(world_size + (T if disjoint_world else 0), size=cover_size, seed=seed)
+    ids = list(corpus)
+    order = np.random.Generator(np.random.Philox(key=seed, counter=1 << 128)).permutation(len(ids))
+    world = order[T:] if disjoint_world else order
     return Scenario(
-        library=_library_of(lib_ids, corpus),
-        world=_library_of(world_ids, corpus),
+        library=_library_of([ids[i] for i in order[:T]], corpus),
+        world=_library_of([ids[i] for i in world], corpus),
         N=N,
         content_map=corpus,
         **kwargs,

@@ -36,8 +36,13 @@ from .stego import (
 )
 
 
-def _emit(subcommand: str, params: dict, result: dict, seed: int | None = None) -> None:
-    report: dict = {"subcommand": subcommand, "tool_version": __version__, "params": params}
+# parsed arguments that are not echoed in "params"; --seed is reported beside it
+_UNECHOED = ("subcommand", "handler", "seed", "timing", "rounds")
+
+
+def _emit(args, result: dict, seed: int | None = None) -> None:
+    params = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+    report: dict = {"subcommand": args.subcommand, "tool_version": __version__, "params": params}
     if seed is not None:
         report["seed"] = seed
     report.update(result)
@@ -48,24 +53,25 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _fields(report) -> dict:
+    """A dataclass report as a dict, without its unset fields."""
+    return {k: v for k, v in asdict(report).items() if v is not None}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_build_library(args) -> int:
     lib = build_library(args.paths)
     save_manifest(lib, args.output)
-    _emit(
-        "build-library",
-        {"paths": args.paths, "output": args.output},
-        {"T": lib.T, "manifest": args.output},
-    )
+    _emit(args, {"T": lib.T, "manifest": args.output})
     return 0
 
 
 def _cmd_capacity(args) -> int:
     cap = capacity(args.T, args.N)
     # via Decimal: str(int) refuses more than sys.get_int_max_str_digits() digits
-    _emit("capacity", {"T": args.T, "N": args.N}, {"r": str(Decimal(cap.r)), "l": cap.l})
+    _emit(args, {"r": str(Decimal(cap.r)), "l": cap.l})
     return 0
 
 
@@ -79,12 +85,7 @@ def _cmd_keygen(args) -> int:
     entropy = SeededEntropy(args.seed) if args.seed is not None else None
     key = keygen(l, entropy=entropy)
     save_key(key, args.output)
-    _emit(
-        "keygen",
-        {"T": args.T, "N": args.N, "bits": args.bits, "output": args.output},
-        {"l": key.l, "key_file": args.output},
-        seed=args.seed,
-    )
+    _emit(args, {"l": key.l, "key_file": args.output}, seed=args.seed)
     return 0
 
 
@@ -116,17 +117,7 @@ def _cmd_embed(args) -> int:
         out = _block_path(args.output, i, len(blocks))
         save_sequence(seq, out)
         paths.append(str(out))
-    _emit(
-        "embed",
-        {
-            "message": args.message,
-            "key": args.key,
-            "library": args.library,
-            "N": args.N,
-            "output": args.output,
-        },
-        {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l},
-    )
+    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l})
     return 0
 
 
@@ -138,11 +129,7 @@ def _cmd_extract(args) -> int:
         seq = load_sequence(path)
         m = extract(seq, key, lib)
         hex_parts.append(bits_to_hex(m.bits))
-    _emit(
-        "extract",
-        {"sequence": args.sequence, "key": args.key, "library": args.library},
-        {"message": "".join(hex_parts), "blocks": len(args.sequence), "l": key.l},
-    )
+    _emit(args, {"message": "".join(hex_parts), "blocks": len(args.sequence), "l": key.l})
     return 0
 
 
@@ -155,14 +142,9 @@ def _cmd_budget(args) -> int:
             f"closed-form coverage value {report.p_published} lies outside [0,1]; "
             "trust p_exact"
         )
-    result = {k: v for k, v in asdict(report).items() if v is not None}
+    result = _fields(report)
     result.update({"zeta": args.zeta, "x_max": x_max})
-    _emit(
-        "budget",
-        {"T": args.T, "N": args.N, "zeta": args.zeta, "x": args.x, "mc_trials": args.mc_trials},
-        result,
-        seed=args.seed if args.mc_trials is not None else None,
-    )
+    _emit(args, result, seed=args.seed if args.mc_trials is not None else None)
     return 0
 
 
@@ -201,12 +183,7 @@ def _cmd_divergence(args) -> int:
         # wall-clock noise would break byte-identical reruns
         del result["elapsed"]
     result["epsilon_mode"] = mode
-    _emit(
-        "divergence",
-        {"a": args.a, "b": args.b, "metric": args.metric, "epsilon": args.epsilon, "bins": args.bins},
-        result,
-        seed=args.seed if mode == "auto" else None,
-    )
+    _emit(args, result, seed=args.seed if mode == "auto" else None)
     return 0
 
 
@@ -214,33 +191,21 @@ def _cmd_attack(args) -> int:
     scenario = load_scenario(args.scenario)
     adversary = make_adversary(args.adversary)
     level = AttackLevel.parse(args.level)
-    params = {
-        "scheme": args.scheme,
-        "level": args.level,
-        "adversary": args.adversary,
-        "trials": args.trials,
-        "scenario": args.scenario,
-        "game": args.game,
-        "alpha": args.alpha,
-    }
     if level is AttackLevel.ACCA and args.game == "detection":
         results = acca_loop(
             scenario, adversary, trials_per_round=args.trials, seed=args.seed,
             rounds=args.rounds, alpha=args.alpha,
         )
-        rounds = [{k: v for k, v in asdict(r).items() if v is not None} for r in results]
+        rounds = [_fields(r) for r in results]
         result = {
             "rounds": rounds,
             "rounds_run": len(rounds),
             "broken": any(r["verdict"] == "broken" for r in rounds),
         }
-    elif args.game == "recovery":
-        r = message_recovery_game(scenario, adversary, level, args.trials, args.seed, alpha=args.alpha)
-        result = {k: v for k, v in asdict(r).items() if v is not None}
     else:
-        r = run_game(scenario, adversary, level, args.trials, args.seed, alpha=args.alpha)
-        result = {k: v for k, v in asdict(r).items() if v is not None}
-    _emit("attack", params, result, seed=args.seed)
+        game = message_recovery_game if args.game == "recovery" else run_game
+        result = _fields(game(scenario, adversary, level, args.trials, args.seed, alpha=args.alpha))
+    _emit(args, result, seed=args.seed)
     return 0
 
 

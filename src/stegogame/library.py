@@ -104,9 +104,6 @@ class CoverLibrary:
         except KeyError:
             raise NotInLibrary(cover_id) from None
 
-    def __contains__(self, cover_id: CoverId) -> bool:
-        return cover_id in self._index
-
     def lookup_entry(self, cover_id: CoverId) -> CoverEntry:
         return self.covers[self.lookup(cover_id)]
 
@@ -198,8 +195,8 @@ def save_manifest(lib: CoverLibrary, path: str | os.PathLike) -> None:
 def load_manifest(path: str | os.PathLike) -> CoverLibrary:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CoverReadError(str(path), reason=str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise CoverReadError(str(path), reason=str(exc)) from exc
     return library_from_manifest(doc)

@@ -157,3 +157,22 @@ def observations_reference(scenario, session_key, gen) -> tuple[StegoSequence, .
         )
         for _ in range(scenario.observations)
     )
+
+
+def kca_membership_reference(challenge_ids, known) -> str:
+    """The earlier leak-membership rule: stego when the share of challenge
+    ids found in ``known`` reaches 1.0; natural on an empty challenge."""
+    if not challenge_ids:
+        return "natural"
+    inside = sum(1 for cid in challenge_ids if cid in known)
+    return "stego" if inside / len(challenge_ids) >= 1.0 else "natural"
+
+
+def cca_replay_reference(challenge_ids, known, outputs) -> str:
+    """The earlier oracle-replay rule: stego when the challenge repeats an
+    oracle output or observed sequence, or when all of its ids are known."""
+    if challenge_ids in outputs:
+        return "stego"
+    if known and all(cid in known for cid in challenge_ids):
+        return "stego"
+    return "natural"

@@ -8,10 +8,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import OneCoverLibrary, observations_reference
+from helpers import (
+    OneCoverLibrary,
+    cca_replay_reference,
+    kca_membership_reference,
+    observations_reference,
+)
 from stegogame import permcodec
 from stegogame.attackgame import (
+    ADVERSARIES,
     AttackLevel,
     CCAReplay,
     KCAMembership,
@@ -28,7 +35,7 @@ from stegogame.attackgame import (
     synthetic_scenario,
 )
 from stegogame.attackgame import adversaries, game
-from stegogame.attackgame.game import _BudgetedOracle
+from stegogame.attackgame.game import Challenge, _BudgetedOracle
 from stegogame.attackgame.scenario import Scenario
 from stegogame.divergence import EmpiricalDistribution
 from stegogame.errors import (
@@ -36,8 +43,9 @@ from stegogame.errors import (
     MalformedFile,
     NotInLibrary,
     OracleBudgetExceeded,
+    StegogameError,
 )
-from stegogame.library import save_manifest
+from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import capacity
 from stegogame.stego import SeededEntropy, StegoKey, StegoSequence, keygen
 
@@ -187,6 +195,105 @@ class TestScenario:
         (tmp_path / "scen.json").write_text(json.dumps({"library": "x.json"}))
         with pytest.raises(MalformedFile):
             load_scenario(tmp_path / "scen.json")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("N", "2"), ("N", True), ("N", 2.0), ("rounds", None), ("rounds", 2.5),
+            ("rounds", True), ("oracle_embed_budget", "5"), ("oracle_extract_budget", 1.0),
+            ("observations", 1.5), ("observations", True), ("leak_fraction", True),
+            ("leak_fraction", "0.5"), ("leak_fraction", math.nan), ("leak_growth", math.inf),
+            ("leak_growth", math.nan), ("leak_growth", None), ("leak_growth", False),
+        ],
+    )
+    def test_wrong_field_types_refused(self, field, value):
+        kwargs = {"T": 4, "N": 2, "world_size": 8, "seed": 0, field: value}
+        with pytest.raises(InvalidConfig, match=field):
+            synthetic_scenario(**kwargs)
+
+    def test_int_and_float_reals_accepted(self):
+        sc = synthetic_scenario(T=4, N=2, world_size=8, seed=0, leak_fraction=1, leak_growth=0)
+        assert sc.leak_size(0) == 4 and sc.leak_size(3) == 4
+
+    @pytest.mark.parametrize("growth", [1.5, 1e308, 10**400])
+    def test_large_leak_growth_leaks_everything(self, growth):
+        sc = synthetic_scenario(T=10, N=2, world_size=20, seed=3, leak_fraction=0.2,
+                                leak_growth=growth)
+        assert [sc.leak_size(r) for r in range(3)] == [2, 10, 10]
+
+    @pytest.mark.parametrize("field", ["library", "world_pool"])
+    @pytest.mark.parametrize("value", [5, None, ["lib.json"], {"path": "lib.json"}])
+    def test_non_string_manifest_path_refused(self, tmp_path, make_covers, field, value):
+        save_manifest(build_library(make_covers(4)), tmp_path / "lib.json")
+        doc = {"library": "lib.json", "world_pool": "lib.json", "N": 2, field: value}
+        (tmp_path / "scen.json").write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile, match="manifest paths"):
+            load_scenario(tmp_path / "scen.json")
+
+    @pytest.mark.parametrize("field", ["library", "world_pool"])
+    def test_unreadable_manifest_refused(self, tmp_path, make_covers, field):
+        save_manifest(build_library(make_covers(4)), tmp_path / "lib.json")
+        (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe{")
+        for bad in ("bytes.bin", "nul\x00.json", ""):
+            doc = {"library": "lib.json", "world_pool": "lib.json", "N": 2, field: bad}
+            (tmp_path / "scen.json").write_text(json.dumps(doc))
+            with pytest.raises(StegogameError):
+                load_scenario(tmp_path / "scen.json")
+
+    def test_undecodable_scenario_refused(self, tmp_path):
+        (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(MalformedFile, match="not valid JSON"):
+            load_scenario(tmp_path / "scen.json")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+_manifest_field = st.sampled_from(["lib.json", "world.json"]) | _json_values
+_scenario_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "library": _manifest_field,
+        "world_pool": _manifest_field,
+        "N": st.integers(1, 4) | _json_values,
+        "leak_fraction": st.floats(0, 1) | _json_values,
+        "leak_growth": st.floats(0, 2) | _json_values,
+        "oracle_embed_budget": st.integers(0, 8) | _json_values,
+        "oracle_extract_budget": st.integers(0, 8) | _json_values,
+        "rounds": st.integers(1, 4) | _json_values,
+        "observations": st.integers(0, 4) | _json_values,
+        "key_leak": st.sampled_from([None, "full", "flip1"]) | _json_values,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scenario-fuzz")
+    covers = []
+    for i in range(12):
+        covers.append(root / f"c{i}.bin")
+        covers[-1].write_bytes(f"fuzz cover {i}".encode())
+    save_manifest(build_library(covers[:4]), root / "lib.json")
+    save_manifest(build_library(covers[4:]), root / "world.json")
+    return root
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_scenario_docs)
+def test_scenario_parser_fuzz(manifest_dir, doc):
+    """Whatever JSON values the fields hold, the parser either returns a
+    scenario whose leak schedule stays in [0, T] or raises a domain error."""
+    path = manifest_dir / "scen.json"
+    path.write_text(json.dumps(doc))
+    try:
+        sc = load_scenario(path)
+    except StegogameError:
+        return
+    assert all(0 <= sc.leak_size(r) <= sc.library.T for r in range(3))
 
 
 class TestBudgetedOracle:
@@ -517,6 +624,13 @@ def test_observation_fault_raises(monkeypatch, play, adversary):
 
 
 class TestRegistry:
+    def test_methods_in_own_dict(self):
+        """perfbench/tracer.py wraps each class's own learn, guess and recover."""
+        for cls in ADVERSARIES.values():
+            assert cls.__bases__ == (object,)
+            for method in ("learn", "guess", "recover"):
+                assert method in cls.__dict__, (cls.name, method)
+
     def test_known_names(self):
         for name in ("random", "kca-membership", "scoa-histogram", "cca-replay", "keyed-recovery"):
             assert make_adversary(name).name == name
@@ -740,3 +854,42 @@ def test_golden_game_results():
     assert list(got) == list(GOLDEN)
     for name, rows in GOLDEN.items():
         assert got[name] == [dict(zip(GOLDEN_FIELDS, row)) for row in rows], name
+
+
+_ids = st.sampled_from([format(i, "064x") for i in range(10)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_membership_guess_matches_earlier_rules(data):
+    """The shared membership test gives the earlier KCA rule and the earlier
+    CCA outputs-or-all rule, for known sets that hold every output's ids."""
+    outputs = data.draw(st.sets(st.lists(_ids, min_size=1, max_size=4, unique=True).map(tuple),
+                                max_size=4))
+    known = data.draw(st.sets(_ids)) | {cid for ids in outputs for cid in ids}
+    drawn = st.lists(_ids, min_size=1, max_size=4, unique=True).map(tuple)
+    ids = data.draw(st.sampled_from(sorted(outputs)) | drawn if outputs else drawn)
+    expected = kca_membership_reference(ids, known)
+    assert cca_replay_reference(ids, known, outputs) == expected
+    for cls in (KCAMembership, CCAReplay, KeyedRecovery):
+        # KeyedRecovery's known ids map to their library indices
+        state = {"known": dict.fromkeys(known, 0) if cls is KeyedRecovery else known}
+        assert cls().guess(Challenge(ids=ids), state) == expected
+
+
+@pytest.mark.parametrize(
+    "play",
+    [
+        lambda sc, alpha: run_game(sc, RandomGuesser(), AttackLevel.SCOA, 100, 1, alpha=alpha),
+        lambda sc, alpha: message_recovery_game(
+            sc, RandomGuesser(), AttackLevel.SCOA, 100, 1, alpha=alpha
+        ),
+        lambda sc, alpha: acca_loop(sc, RandomGuesser(), 100, 1, alpha=alpha),
+    ],
+    ids=["detection", "recovery", "acca"],
+)
+@pytest.mark.parametrize("alpha", [0, 1, 2, -0.5, math.nan, math.inf, True, "0.01", None])
+def test_alpha_outside_unit_interval_refused(play, alpha):
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=1)
+    with pytest.raises(InvalidConfig, match="alpha"):
+        play(sc, alpha)

@@ -293,6 +293,45 @@ class TestAttackCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("N", "2", "InvalidConfig"),
+            ("rounds", None, "InvalidConfig"),
+            ("rounds", 2.5, "InvalidConfig"),
+            ("oracle_embed_budget", "5", "InvalidConfig"),
+            ("observations", 1.5, "InvalidConfig"),
+            ("observations", True, "InvalidConfig"),
+            ("leak_fraction", True, "InvalidConfig"),
+            ("leak_growth", math.inf, "InvalidConfig"),
+            ("library", 5, "MalformedFile"),
+            ("world_pool", None, "MalformedFile"),
+        ],
+    )
+    def test_wrong_field_type_refused(self, scenario_file, capsys, field, value, error):
+        doc = json.loads(scenario_file.read_text())
+        doc[field] = value
+        scenario_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "attack", "--level", "acca", "--adversary", "random",
+            "--trials", "100", "--seed", "4", "--scenario", str(scenario_file),
+        )
+        assert code == 1
+        assert parse(out)["error"] == error and field in parse(out)["detail"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.1", "nan", "inf"])
+    @pytest.mark.parametrize("level, game", [("kca", "detection"), ("kca", "recovery"),
+                                             ("acca", "detection")])
+    def test_alpha_outside_unit_interval_refused(self, scenario_file, capsys, alpha, level, game):
+        code, out, err = run_cli(
+            capsys, "attack", "--level", level, "--adversary", "random", "--trials", "100",
+            "--seed", "4", "--scenario", str(scenario_file), "--game", game, "--alpha", alpha,
+        )
+        assert code == 1
+        assert parse(out)["error"] == "InvalidConfig" and "alpha" in parse(out)["detail"]
+        assert "Traceback" not in err
+
 
 class TestEntryPoint:
     def test_console_script_version(self):
@@ -318,3 +357,50 @@ class TestEntryPoint:
         proc = env_run("extract", "-s", str(seq), "-k", str(key), "-x", str(lib_path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["message"] == "9"
+
+
+class TestParams:
+    """`params` echoes each subcommand's parsed flags; --seed is reported
+    beside it, and --timing and --rounds not at all."""
+
+    def test_every_subcommand(self, tmp_path, make_covers, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        covers = [p.name for p in make_covers(18, tag="p")]
+        save_manifest(build_library(covers[6:]), "world.json")
+        (tmp_path / "scen.json").write_text(json.dumps(
+            {"library": "lib.json", "world_pool": "world.json", "N": 3, "leak_fraction": 1.0}
+        ))
+        (tmp_path / "a.txt").write_text("1.0\n2.0\n3.0\n")
+        calls = [
+            ["build-library", *covers[:6], "-o", "lib.json"],
+            ["capacity", "-T", "6", "-N", "3"],
+            ["keygen", "-T", "6", "-N", "3", "--seed", "42", "-o", "key.txt"],
+            ["embed", "-m", "2f", "-k", "key.txt", "-x", "lib.json", "-N", "3", "-o", "seq.json"],
+            ["extract", "-s", "seq.json", "-k", "key.txt", "-x", "lib.json"],
+            ["budget", "-T", "4", "-N", "2", "--zeta", "0.2", "--x", "2", "--seed", "3"],
+            ["divergence", "-a", "a.txt", "-b", "a.txt", "--epsilon", "auto", "--seed", "1",
+             "--timing"],
+            ["attack", "--level", "acca", "--adversary", "random", "--trials", "100",
+             "--seed", "4", "--scenario", "scen.json", "--rounds", "1"],
+        ]
+        params = {}
+        for argv in calls:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, out
+            params[argv[0]] = parse(out)["params"]
+        assert params == {
+            "build-library": {"paths": covers[:6], "output": "lib.json"},
+            "capacity": {"T": 6, "N": 3},
+            "keygen": {"T": 6, "N": 3, "bits": None, "output": "key.txt"},
+            "embed": {"message": "2f", "key": "key.txt", "library": "lib.json", "N": 3,
+                      "output": "seq.json"},
+            "extract": {"sequence": ["seq.json"], "key": "key.txt", "library": "lib.json"},
+            "budget": {"T": 4, "N": 2, "zeta": 0.2, "x": 2, "mc_trials": None},
+            "divergence": {"a": "a.txt", "b": "a.txt", "metric": "js", "epsilon": "auto",
+                           "bins": 64},
+            "attack": {"scheme": "coverless", "level": "acca", "adversary": "random",
+                       "trials": 100, "scenario": "scen.json", "game": "detection",
+                       "alpha": 0.01},
+        }
+        for doc in params.values():
+            assert not {"seed", "timing", "rounds"} & set(doc)

@@ -52,10 +52,8 @@ class TestBuildLibrary:
         for i in range(file_library.T):
             assert file_library.lookup(file_library.id_at(i)) == i
 
-    def test_contains_and_entry(self, file_library):
+    def test_lookup_entry(self, file_library):
         cid = file_library.id_at(0)
-        assert cid in file_library
-        assert "f" * 64 not in file_library
         assert file_library.lookup_entry(cid).id == cid
 
     def test_lookup_foreign_raises(self, file_library):
