@@ -84,6 +84,13 @@ class SCOAHistogram:
     challenge whose mean per-cover distance exceeds the null's upper
     percentile.  Against selection-based hiding the challenge covers are
     themselves natural, so this stays at chance level by design.
+
+    Each cover's distance to a model is memoised by the model's content (its
+    pooled byte counts), across learns: trials whose model samples cover the
+    same bytes, as every trial does once the world pool has no more than
+    ``model_sample`` covers, score each cover once between them.  Only the
+    last model's scores are kept, so memory stays bounded when the model
+    changes from trial to trial.
     """
 
     name = "scoa-histogram"
@@ -93,6 +100,8 @@ class SCOAHistogram:
         self.null_draws = null_draws
         self.percentile = percentile
         self._covers: dict[CoverId, tuple[np.ndarray, EmpiricalDistribution]] = {}
+        self._model_key: bytes | None = None  # the last model's byte counts
+        self._scores: dict[CoverId, float] = {}  # each cover's distance to it
 
     def _cover(self, cid: CoverId, knowledge: Knowledge) -> tuple[np.ndarray, EmpiricalDistribution]:
         """Byte counts and histogram of a cover, read and validated once."""
@@ -102,41 +111,42 @@ class SCOAHistogram:
             cached = self._covers[cid] = (counts, normalize_byte_counts(counts))
         return cached
 
-    def _sequence_score(self, ids: Iterable[CoverId], model: EmpiricalDistribution,
-                        scores: dict[CoverId, float], knowledge: Knowledge) -> float:
-        """Mean distance of the covers to the model; ``scores`` holds each
-        cover's distance to this model, computed on its first use."""
+    def _cover_scores(self, ids: Iterable[CoverId], state) -> list[float]:
+        """Each cover's distance to the learned model, computed on first use."""
+        scores, model, knowledge = state["scores"], state["model"], state["knowledge"]
         per_cover = []
         for cid in ids:
             score = scores.get(cid)
             if score is None:
                 score = scores[cid] = js(self._cover(cid, knowledge)[1], model)
             per_cover.append(score)
-        return float(np.mean(per_cover))
+        return per_cover
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
         rng = knowledge.rng
         world = knowledge.world_ids
         k = min(self.model_sample, len(world))
         sample = [world[i] for i in rng.choice(len(world), size=k, replace=False)]
-        model = normalize_byte_counts(
-            np.sum([self._cover(cid, knowledge)[0] for cid in sample], axis=0)
-        )
-        scores: dict[CoverId, float] = {}
-        null_scores = []
-        for _ in range(self.null_draws):
-            picks = rng.choice(len(world), size=knowledge.N, replace=False)
-            null_scores.append(
-                self._sequence_score((world[i] for i in picks), model, scores, knowledge)
-            )
-        threshold = float(np.percentile(null_scores, self.percentile))
-        return {
-            "model": model, "scores": scores, "threshold": threshold, "knowledge": knowledge,
+        model_counts = np.sum([self._cover(cid, knowledge)[0] for cid in sample], axis=0)
+        key = model_counts.tobytes()
+        if key != self._model_key:
+            self._model_key, self._scores = key, {}
+        learned = {
+            "model": normalize_byte_counts(model_counts),
+            "scores": self._scores,
+            "knowledge": knowledge,
         }
+        null_picks = [
+            rng.choice(len(world), size=knowledge.N, replace=False) for _ in range(self.null_draws)
+        ]
+        null_scores = np.array(
+            [self._cover_scores((world[i] for i in picks), learned) for picks in null_picks]
+        ).mean(axis=1)
+        learned["threshold"] = float(np.percentile(null_scores, self.percentile))
+        return learned
 
     def guess(self, challenge: Challenge, state) -> str:
-        knowledge: Knowledge = state["knowledge"]
-        score = self._sequence_score(challenge.ids, state["model"], state["scores"], knowledge)
+        score = float(np.mean(self._cover_scores(challenge.ids, state)))
         return LABEL_STEGO if score > state["threshold"] else LABEL_NATURAL
 
     recover = _keyless_recover

@@ -1,9 +1,10 @@
 """Detection and recovery games against a pluggable adversary.
 
 Each trial runs a learning phase (level-scoped knowledge, budgeted oracle
-handles) and a challenge phase (fair coin: fresh stego sequence or natural
-draw from the world pool).  The ">50% success" criterion is judged with a
-one-sided exact binomial test, never a raw rate comparison.
+handles that close when it ends) and a challenge phase (fair coin: fresh
+stego sequence or natural draw from the world pool).  The ">50% success"
+criterion is judged with a one-sided exact binomial test, never a raw rate
+comparison.
 
 All three games run on one serial trial engine.  Every random draw flows
 from a generator keyed by sha256 over (seed, labelled path), so results are
@@ -136,14 +137,21 @@ def _random_bits(gen: np.random.Generator, n: int) -> str:
 
 
 class _BudgetedOracle:
-    """Counts calls; raising once the per-learning-phase budget is spent."""
+    """Counts calls; raising once the per-learning-phase budget is spent, and
+    on every call after :meth:`close`, when the learning phase is over."""
 
     def __init__(self, fn: Callable, budget: int, name: str):
         self._fn = fn
         self.remaining = budget
         self.name = name
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
 
     def __call__(self, *args):
+        if self.closed:
+            raise OracleBudgetExceeded(f"{self.name} oracle closed after learning")
         if self.remaining <= 0:
             raise OracleBudgetExceeded(f"{self.name} oracle budget exhausted")
         self.remaining -= 1
@@ -307,9 +315,11 @@ def _play(
     ("round", r, "observe"|"adversary") streams serves the whole block and
     each trial draws from ("round", r, "trial", t); ``state`` carries the
     adversary state in and out, and a failed learn keeps the old state but
-    scores the block's trials as unlearned.  Any adversary exception, budget
-    overrun included, scores as a miss; a fault of the harness itself raises,
-    by the end of its trial even when it happens inside an adversary call.
+    scores the block's trials as unlearned.  The oracle handles close once
+    ``learn`` returns.  Any adversary exception, a budget overrun or a call
+    to a closed oracle included, scores as a miss; a fault of the harness
+    itself raises, by the end of its trial even when it happens inside an
+    adversary call.
 
     Returns (points, stego challenges, adversary state).
     """
@@ -327,6 +337,10 @@ def _play(
             return adversary.learn(knowledge, prior)
         except Exception:
             return _UNLEARNED
+        finally:  # the oracles answer the learning phase only, never a challenge
+            for oracle in (knowledge.embed_oracle, knowledge.extract_oracle):
+                if oracle is not None:
+                    oracle.close()
 
     if round_index is not None:
         learned = learn(

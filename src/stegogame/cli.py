@@ -153,6 +153,8 @@ def _read_samples(path: str) -> list[float]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedFile(f"cannot read samples {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"samples file {path} is not UTF-8 text ({exc})") from exc
     samples = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -106,6 +107,41 @@ def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> No
         raise BinMismatch("distributions use different bins")
 
 
+# Masses-level kernels: the arithmetic of each metric on two mass vectors
+# over bins already known to be shared.  The public metrics check the bins
+# and call these; calibrate_epsilon calls them on bins it checked once.
+
+
+def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> float:
+    pm = pm + 1.0 / (2.0 * n_p)
+    qm = qm + 1.0 / (2.0 * n_q)
+    pm = pm / pm.sum()
+    qm = qm / qm.sum()
+    # nonnegative in exact arithmetic; rounding can leave about -1e-18
+    return max(0.0, float((pm * np.log(pm / qm)).sum()))
+
+
+def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> float:
+    mask = a > 0  # where a > 0, mid > 0 too
+    a = a[mask]
+    return float((a * np.log(a / mid[mask])).sum())
+
+
+def _js(pm: np.ndarray, qm: np.ndarray) -> float:
+    mid = (pm + qm) / 2.0
+    value = 0.5 * _rel_entropy_to_mid(pm, mid) + 0.5 * _rel_entropy_to_mid(qm, mid)
+    return max(0.0, value)  # as for kl, rounding can dip just below zero
+
+
+def _tv(pm: np.ndarray, qm: np.ndarray) -> float:
+    return float(0.5 * np.abs(pm - qm).sum())
+
+
+def _w1(pm: np.ndarray, qm: np.ndarray, center_gaps: np.ndarray) -> float:
+    cdf_gap = np.cumsum(pm - qm)[:-1]
+    return float((np.abs(cdf_gap) * center_gaps).sum())
+
+
 def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """KL divergence (natural log) with additive smoothing.
 
@@ -113,39 +149,25 @@ def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     renormalized; empirical zeros would otherwise make the value infinite.
     """
     _require_same_bins(p, q)
-    pm = p.masses + 1.0 / (2.0 * p.n_samples)
-    qm = q.masses + 1.0 / (2.0 * q.n_samples)
-    pm = pm / pm.sum()
-    qm = qm / qm.sum()
-    # nonnegative in exact arithmetic; rounding can leave about -1e-18
-    return max(0.0, float(np.sum(pm * np.log(pm / qm))))
-
-
-def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> float:
-    mask = a > 0  # where a > 0, mid > 0 too
-    return float(np.sum(a[mask] * np.log(a[mask] / mid[mask])))
+    return _kl(p.masses, q.masses, p.n_samples, q.n_samples)
 
 
 def js(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Jensen-Shannon divergence, natural log, bounded by ln 2."""
     _require_same_bins(p, q)
-    mid = (p.masses + q.masses) / 2.0
-    value = 0.5 * _rel_entropy_to_mid(p.masses, mid) + 0.5 * _rel_entropy_to_mid(q.masses, mid)
-    return max(0.0, value)  # as for kl, rounding can dip just below zero
+    return _js(p.masses, q.masses)
 
 
 def tv(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Total variation distance, in [0, 1]."""
     _require_same_bins(p, q)
-    return float(0.5 * np.abs(p.masses - q.masses).sum())
+    return _tv(p.masses, q.masses)
 
 
 def w1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """1-Wasserstein distance over the bin-center metric."""
     _require_same_bins(p, q)
-    centers = p.centers
-    cdf_gap = np.cumsum(p.masses - q.masses)[:-1]
-    return float(np.sum(np.abs(cdf_gap) * np.diff(centers)))
+    return _w1(p.masses, q.masses, np.diff(p.centers))
 
 
 METRICS: dict[str, Callable[[EmpiricalDistribution, EmpiricalDistribution], float]] = {
@@ -232,8 +254,10 @@ def calibrate_epsilon(
     """Permutation-null threshold: pool the samples, resplit at random many
     times, and return the given percentile of the null distances.
 
-    Every pooled sample is binned once: the resplits permute bin indices,
-    so each run only counts both sides into the shared bins.
+    Every pooled sample is binned once, and the bins are checked once: each
+    run permutes the bin indices, counts the first side, takes the second
+    side's counts as the pooled counts minus the first side's, and hands
+    both mass vectors to the metric's kernel.
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
@@ -247,14 +271,29 @@ def calibrate_epsilon(
     # the bin np.histogram gives each sample: edges[i] <= v < edges[i+1],
     # with the top edge in the last bin
     index = np.minimum(np.searchsorted(edges, pooled, side="right") - 1, bins - 1)
+    pooled_counts = np.bincount(index, minlength=bins)
+    # the one validation of these edges (and of the pooled masses) per call
+    pooled_dist = EmpiricalDistribution(
+        edges=edges, masses=pooled_counts / pooled.size, n_samples=pooled.size
+    )
+    n_a, n_b = a.size, pooled.size - a.size
+    kernel = {
+        "kl": partial(_kl, n_p=n_a, n_q=n_b),
+        "js": _js,
+        "tv": _tv,
+        "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers)),
+    }[metric]
 
-    def side(part: np.ndarray) -> EmpiricalDistribution:
-        masses = np.bincount(part, minlength=bins) / part.size
-        return EmpiricalDistribution(edges=edges, masses=masses, n_samples=part.size)
-
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
     values = np.empty(runs)
     for run in range(runs):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=run << 128))
-        shuffled = gen.permutation(index)
-        values[run] = METRICS[metric](side(shuffled[: a.size]), side(shuffled[a.size :]))
+        # the stream of Philox(key=seed, counter=run << 128), set in place
+        # (word 2 of the 256-bit counter): a new generator per run would
+        # cost more than the run's counting
+        fresh["state"]["counter"][2] = run
+        bitgen.state = fresh
+        counts_a = np.bincount(gen.permutation(index)[:n_a], minlength=bins)
+        values[run] = kernel(counts_a / n_a, (pooled_counts - counts_a) / n_b)
     return float(np.percentile(values, percentile))

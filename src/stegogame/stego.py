@@ -162,6 +162,8 @@ def load_key(path: str | os.PathLike) -> StegoKey:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedFile(f"cannot read key file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"key file {path} is not UTF-8 text ({exc})") from exc
     lines = text.splitlines()
     if len(lines) < 2:
         raise MalformedFile(f"key file {path} needs two lines, got {len(lines)}")
@@ -206,6 +208,6 @@ def load_sequence(path: str | os.PathLike) -> StegoSequence:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise MalformedFile(f"cannot read sequence file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
     return sequence_from_json(doc)

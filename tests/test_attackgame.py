@@ -44,6 +44,7 @@ from stegogame.errors import (
     NotInLibrary,
     OracleBudgetExceeded,
     StegogameError,
+    UnreachableArrangement,
 )
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import capacity
@@ -304,8 +305,47 @@ class TestBudgetedOracle:
             oracle(3)
         assert oracle.remaining == 0
 
+    def test_closed_refuses_within_budget(self):
+        oracle = _BudgetedOracle(lambda v: v, budget=2, name="extract")
+        oracle.close()
+        with pytest.raises(OracleBudgetExceeded, match="closed after learning"):
+            oracle(1)
+        assert oracle.remaining == 2
+
+
+class ChallengeDecrypter:
+    """Keeps the extract oracle from learning and decodes the challenge with
+    it, which the CCA game forbids: a stego challenge decodes, a natural
+    draw from outside the library does not."""
+
+    name = "challenge-decrypter"
+
+    def learn(self, knowledge, state=None):
+        return {"extract": knowledge.extract_oracle}
+
+    def guess(self, challenge, state):
+        try:
+            state["extract"](StegoSequence(ids=challenge.ids))
+        except (NotInLibrary, UnreachableArrangement):
+            return "natural"
+        return "stego"
+
+    def recover(self, sequence, state):
+        return state["extract"](sequence)
+
 
 class TestDetectionGame:
+    def test_oracles_closed_after_learning(self):
+        """A call to an oracle from ``guess`` or ``recover`` raises and
+        scores as a miss, so decoding the challenge buys nothing."""
+        sc = synthetic_scenario(16, 4, seed=5)
+        res = run_game(sc, ChallengeDecrypter(), AttackLevel.CCA, trials=200, seed=1)
+        assert (res.successes, res.verdict) == (0, VERDICT_RESISTS)
+        res = message_recovery_game(sc, ChallengeDecrypter(), AttackLevel.CCA, trials=100, seed=1)
+        assert (res.successes, res.verdict) == (0, VERDICT_RESISTS)
+        (res,) = acca_loop(sc, ChallengeDecrypter(), trials_per_round=100, seed=1, rounds=1)
+        assert (res.successes, res.verdict) == (0, VERDICT_RESISTS)
+
     def test_reproducible_byte_for_byte(self):
         sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, leak_fraction=0.5)
         a = run_game(sc, KCAMembership(), AttackLevel.KCA, trials=120, seed=5)
@@ -680,26 +720,41 @@ class TestSCOAHistogram:
         assert 100 <= built <= len(reads) + 100
 
     def test_each_cover_scored_once_per_model(self, monkeypatch):
-        """Within one learned state every cover's distance to the model is
-        computed once, over the null draws and the challenge alike."""
-        per_learn = []
-        js, learn = adversaries.js, SCOAHistogram.learn
+        """No cover's distance to one model is computed twice in a game, over
+        the null draws and the challenges of every trial.  On a world pool no
+        larger than ``model_sample`` every trial learns the same model, so
+        the game computes at most one distance per world and library cover."""
+        pairs: Counter = Counter()
+        js = adversaries.js
 
         def counting_js(p, q):
-            per_learn[-1] += 1
+            pairs[id(p), q.masses.tobytes()] += 1  # cover histograms are cached per id
             return js(p, q)
 
-        def counting_learn(self, knowledge, state=None):
-            per_learn.append(0)
-            return learn(self, knowledge, state)
-
         monkeypatch.setattr(adversaries, "js", counting_js)
-        monkeypatch.setattr(SCOAHistogram, "learn", counting_learn)
         sc = synthetic_scenario(T=16, N=4, seed=3)
-        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=5)
+        adversary = SCOAHistogram()
+        assert sc.world.T <= adversary.model_sample
+        res = run_game(sc, adversary, AttackLevel.SCOA, trials=100, seed=5)
         assert res.successes > 0
-        assert len(per_learn) == 100
-        assert all(0 < calls <= sc.world.T + sc.N for calls in per_learn)
+        assert max(pairs.values()) == 1
+        assert 0 < sum(pairs.values()) <= sc.world.T + sc.library.T
+
+    @pytest.mark.parametrize("world_size", [48, 200])
+    def test_memo_never_changes_an_answer(self, world_size):
+        """One instance reused across scenarios and seeds answers as fresh
+        instances do, whether every trial shares its model (a world pool no
+        larger than ``model_sample``) or the model changes every trial."""
+        scenarios = [
+            synthetic_scenario(T=8, N=3, world_size=world_size, seed=21),
+            synthetic_scenario(T=12, N=4, world_size=world_size, seed=22),
+        ]
+        shared = SCOAHistogram()
+        for sc in scenarios:
+            for seed in (1, 2):
+                reused = run_game(sc, shared, AttackLevel.SCOA, trials=100, seed=seed)
+                fresh = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=seed)
+                assert asdict(reused) == asdict(fresh)
 
 
 GOLDEN_FIELDS = (

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -116,6 +117,32 @@ class TestFileRoundTrip:
         )
         # l=6 needs two hex digits per block
         assert code == 1
+
+    @pytest.mark.parametrize("reader", ["embed -k", "extract -s", "divergence -a"])
+    def test_non_utf8_file_refused(self, workspace, capsys, reader):
+        tmp_path, lib_path, key_path = workspace
+        seq, samples, bad = tmp_path / "seq.json", tmp_path / "a.txt", tmp_path / "noise.bin"
+        code, _, _ = run_cli(
+            capsys, "embed", "-m", "2f", "-k", str(key_path),
+            "-x", str(lib_path), "-N", "3", "-o", str(seq),
+        )
+        assert code == 0
+        samples.write_text("1.0\n2.0\n")
+        blob = random.Random(11).randbytes(512)
+        with pytest.raises(UnicodeDecodeError):
+            blob.decode("utf-8")
+        bad.write_bytes(blob)
+        argv = {
+            "embed -k": ["embed", "-m", "2f", "-k", bad, "-x", lib_path, "-N", "3",
+                         "-o", tmp_path / "out.json"],
+            "extract -s": ["extract", "-s", bad, "-k", key_path, "-x", lib_path],
+            "divergence -a": ["divergence", "-a", bad, "-b", samples, "--epsilon", "0.5"],
+        }[reader]
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 1
+        assert parse(out)["error"] == "MalformedFile"
+        assert "UTF-8" in parse(out)["detail"] or "JSON" in parse(out)["detail"]
+        assert "Traceback" not in err
 
     def test_keygen_seed_reproducible(self, tmp_path, capsys):
         p1, p2 = tmp_path / "k1.txt", tmp_path / "k2.txt"

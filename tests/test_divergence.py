@@ -222,6 +222,12 @@ class TestPermutationNull:
             for percentile in (99.0, 50, 100):
                 args = (a, b, metric, bins, 30, percentile, seed)
                 assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args), (seed, percentile)
+        # the benchmark's shape (at 64 bins): 2 x 500 normals, the null's
+        # maximum over a few hundred runs, where each run's second side is
+        # the pooled counts minus the first side's
+        pooled = gen.normal(size=1000)
+        args = (pooled[:500], pooled[500:], metric, bins, 300, 100, 7)
+        assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args)
 
     @pytest.mark.parametrize("bad", [0, -3, True, False, 2.5, "8", None])
     def test_bad_bins_and_runs_refused(self, bad):
