@@ -363,14 +363,30 @@ def _play(
     return points, stego, state
 
 
+def p_value_greater(k: int, n: int) -> float:
+    """One-sided exact binomial p-value P(X >= k) for X ~ Binomial(n, 1/2).
+
+    The same float that ``scipy.stats.binomtest(k, n, 0.5,
+    alternative="greater").pvalue`` returns: binomtest evaluates
+    ``binom.sf(k - 1, n, 0.5)``, which is 1 below the support and otherwise
+    the ``_binom_sf`` ufunc clipped to [0, 1].  Calling the ufunc directly
+    imports ``scipy.special`` only, not ``scipy.stats``, which takes several
+    times as long to import.  The public ``special.bdtrc`` and an exact
+    integer tail round differently in the last bits.
+    """
+    if k == 0:
+        return 1.0
+    from scipy.special._ufuncs import _binom_sf  # deferred: only the verdict needs scipy
+
+    return min(max(float(_binom_sf(k - 1, n, 0.5)), 0.0), 1.0)
+
+
 def _result(
     level: AttackLevel, kind: str, successes: int, trials: int, alpha: float, seed: int, **extra
 ) -> GameResult:
     """GameResult with a one-sided exact binomial verdict against p = 0.5."""
-    from scipy.stats import binomtest  # deferred: importing scipy.stats costs ~0.7 s
-
     rate = successes / trials
-    p_value = float(binomtest(successes, trials, 0.5, alternative="greater").pvalue)
+    p_value = p_value_greater(successes, trials)
     broken = p_value < alpha and rate > 0.5
     return GameResult(
         level=level.name,

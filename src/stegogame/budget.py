@@ -20,14 +20,10 @@ x-th power shed precision fast, so no float enters a decision.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
 from numbers import Real
-
-import numpy as np
 
 from .errors import InvalidParams
 from .library import default_workers
@@ -163,15 +159,35 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
+def _mark_smallest(u, N: int, out) -> None:
+    """Set ``out`` to the cells holding the N smallest values of each row of ``u``.
+
+    The cells are those ``np.argpartition(u, N - 1, axis=1)[:, :N]`` names.
+    A row whose N-th smallest value is tied marks more than N cells by
+    comparison, so only those rows are taken from ``argpartition``.
+    """
+    import numpy as np
+
+    np.less_equal(u, np.partition(u, N - 1, axis=1)[:, N - 1 : N], out=out)
+    if np.count_nonzero(out) > out.shape[0] * N:
+        tied = np.flatnonzero(np.count_nonzero(out, axis=1) > N)
+        rows = np.zeros((tied.size, u.shape[1]), dtype=bool)
+        np.put_along_axis(rows, np.argpartition(u[tied], N - 1, axis=1)[:, :N], True, axis=1)
+        out[tied] = rows
+
+
 def _mc_block(x: int, N: int, T: int, seed: int, block_index: int, size: int) -> int:
     """Successes within one block; depends only on (seed, block_index)."""
-    bg = np.random.Philox(key=seed, counter=block_index << 128)
-    gen = np.random.Generator(bg)
+    import numpy as np  # deferred: only the Monte-Carlo route computes with numpy
+
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
     covered = np.zeros((size, T), dtype=bool)
+    chosen = np.empty((size, T), dtype=bool)
+    u = np.empty((size, T))
     for _ in range(x):
-        u = gen.random((size, T))
-        chosen = np.argpartition(u, N - 1, axis=1)[:, :N]
-        np.put_along_axis(covered, chosen, True, axis=1)
+        gen.random(out=u)
+        _mark_smallest(u, N, chosen)
+        covered |= chosen
     return int(covered.all(axis=1).sum())
 
 
@@ -199,6 +215,8 @@ def pr_coverage_mc(
     ]
     workers = max_workers if max_workers is not None else default_workers()
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(lambda b: _mc_block(x, N, T, seed, *b), blocks))
     else:

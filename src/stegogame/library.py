@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -146,6 +145,8 @@ def build_library(paths: list[str | os.PathLike], max_workers: int | None = None
         raise LibraryTooSmall(f"need at least 2 cover files, got {len(paths)}")
     workers = max_workers or default_workers()
     if workers > 1 and len(paths) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hashed = list(pool.map(hash_file, paths))
     else:

@@ -9,6 +9,8 @@ resplit.  The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
 Game observations come from one bit draw per payload, embedded at once.
+Monte-Carlo blocks mark each draw's N smallest cells through
+``argpartition`` and ``put_along_axis``, one fresh array per draw.
 """
 
 from __future__ import annotations
@@ -73,6 +75,22 @@ def max_safe_uses_reference(N: int, T: int, zeta: float) -> int:
         else:
             hi = mid
     return hi - 1
+
+
+def smallest_mask_reference(u: np.ndarray, N: int) -> np.ndarray:
+    """The cells ``argpartition`` names as each row's N smallest values."""
+    mask = np.zeros(u.shape, dtype=bool)
+    np.put_along_axis(mask, np.argpartition(u, N - 1, axis=1)[:, :N], True, axis=1)
+    return mask
+
+
+def mc_block_reference(x: int, N: int, T: int, seed: int, block_index: int, size: int) -> int:
+    """Successes within one Monte-Carlo block, one fresh draw per use."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
+    covered = np.zeros((size, T), dtype=bool)
+    for _ in range(x):
+        covered |= smallest_mask_reference(gen.random((size, T)), N)
+    return int(covered.all(axis=1).sum())
 
 
 def calibrate_epsilon_reference(

@@ -911,6 +911,17 @@ def test_golden_game_results():
         assert got[name] == [dict(zip(GOLDEN_FIELDS, row)) for row in rows], name
 
 
+@pytest.mark.parametrize("n", [100, 150, 800, 1200, 24000])
+def test_p_value_equals_binomtest(n):
+    """The verdict's p-value is binomtest's float: for every k at the golden
+    cases' sizes, and for a stride of k at the size of a 1,600-sequence,
+    15-bit recovery game."""
+    from scipy.stats import binomtest
+
+    for k in [*range(0, n, 1 if n <= 1200 else 41), n]:
+        assert game.p_value_greater(k, n) == binomtest(k, n, 0.5, alternative="greater").pvalue, k
+
+
 _ids = st.sampled_from([format(i, "064x") for i in range(10)])
 
 

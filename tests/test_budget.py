@@ -1,10 +1,16 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coverage_enumeration, max_safe_uses_reference
+from helpers import (
+    coverage_enumeration,
+    max_safe_uses_reference,
+    mc_block_reference,
+    smallest_mask_reference,
+)
 from stegogame import budget
 from stegogame.budget import (
     coverage_exact_fraction,
@@ -201,6 +207,27 @@ class TestMonteCarlo:
         for T, N, x in [(3, 2, 2), (4, 2, 3), (5, 3, 2)]:
             est, se = pr_coverage_mc(x, N, T, trials=40000, seed=11)
             assert abs(est - pr_coverage_exact(x, N, T)) <= 4 * se
+
+    @pytest.mark.parametrize("levels", [2, 3, 8])
+    @pytest.mark.parametrize("N", [1, 2, 4, 7, 8])
+    def test_selection_matches_argpartition_on_ties(self, N, levels):
+        """Rows tied at their N-th smallest value take argpartition's cells;
+        the rest mark every value up to it, which are the same cells."""
+        u = np.random.default_rng(N * 10 + levels).integers(0, levels, size=(300, 8)) / levels
+        out = np.empty(u.shape, dtype=bool)
+        budget._mark_smallest(u, N, out)
+        assert np.array_equal(out, smallest_mask_reference(u, N))
+        assert (out.sum(axis=1) == N).all()
+
+    @pytest.mark.parametrize(
+        "x, N, T, seed, block_index, size",
+        [(14, 4, 20, 5, 0, 4096), (40, 8, 64, 7, 1, 512), (3, 1, 5, 1, 2, 1000),
+         (10, 5, 5, 1, 1, 100), (5, 19, 20, 2**127, 0, 600), (8, 2, 16, 9, 9, 777)],
+    )
+    def test_block_counts_match_reference(self, x, N, T, seed, block_index, size):
+        assert budget._mc_block(x, N, T, seed, block_index, size) == mc_block_reference(
+            x, N, T, seed, block_index, size
+        )
 
     def test_rejects_bad_trials(self):
         for trials in (0, 10.5, True, "5"):

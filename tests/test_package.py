@@ -1,0 +1,95 @@
+"""What importing the package and starting each subcommand loads, and the
+package's public names.
+
+The import checks run in child interpreters, since this one has numpy and
+scipy loaded already.  Each child runs the CLI as ``python -m stegogame.cli``
+does and then reports which of numpy, scipy.special and scipy.stats are in
+``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import stegogame
+from stegogame import budget, cli, divergence
+
+HEAVY = ("numpy", "scipy", "scipy.special", "scipy.stats")
+
+_REPORT = f"""
+import json, sys
+print(json.dumps(sorted(set({HEAVY!r}) & set(sys.modules))), file=sys.stderr)
+"""
+
+_RUN_CLI = """
+import runpy, sys
+sys.argv = ["stegogame", *sys.argv[1:]]
+try:
+    runpy.run_module("stegogame.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+""" + _REPORT
+
+
+def _loaded(code: str, *argv: str, cwd=None) -> set[str]:
+    env = dict(os.environ, STEGOGAME_THREADS="2")  # the pool branches run too
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+def test_importing_the_package_and_cli_loads_no_numpy_or_scipy():
+    assert _loaded("import stegogame, stegogame.cli" + _REPORT) == set()
+
+
+def test_subcommands_load_only_what_they_compute_with(tmp_path, make_covers):
+    covers = [str(p) for p in make_covers(14, tag="imp")]
+    (tmp_path / "scen.json").write_text(json.dumps(
+        {"library": "lib.json", "world_pool": "world.json", "N": 3, "leak_fraction": 1.0}
+    ))
+    numpy_free = [
+        ["build-library", *covers[:6], "-o", "lib.json"],
+        ["build-library", *covers[6:], "-o", "world.json"],
+        ["capacity", "-T", "6", "-N", "3"],
+        ["keygen", "-T", "6", "-N", "3", "--seed", "4", "-o", "key.txt"],
+        ["embed", "-m", "2f", "-k", "key.txt", "-x", "lib.json", "-N", "3", "-o", "seq.json"],
+        ["extract", "-s", "seq.json", "-k", "key.txt", "-x", "lib.json"],
+        ["budget", "-T", "6", "-N", "3", "--zeta", "0.2"],
+    ]
+    for argv in numpy_free:
+        assert _loaded(_RUN_CLI, *argv, cwd=tmp_path) == set(), argv[0]
+    mc = ["budget", "-T", "6", "-N", "3", "--zeta", "0.2", "--mc-trials", "9000"]
+    assert _loaded(_RUN_CLI, *mc, cwd=tmp_path) == {"numpy"}
+    attack = ["attack", "--level", "kca", "--adversary", "kca-membership", "--trials", "100",
+              "--seed", "1", "--scenario", "scen.json"]
+    assert _loaded(_RUN_CLI, *attack, cwd=tmp_path) == {"numpy", "scipy", "scipy.special"}
+
+
+def test_metric_choices_are_the_metrics():
+    parser = cli._build_parser()
+    (subparsers,) = parser._subparsers._group_actions
+    metric = subparsers.choices["divergence"]._option_string_actions["--metric"]
+    assert metric.choices == sorted(divergence.METRICS)
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    for name in stegogame.__all__:
+        obj = getattr(stegogame, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(stegogame.__all__) <= set(dir(stegogame))
+    with pytest.raises(AttributeError):
+        stegogame.no_such_name
+
+
+def test_lazy_names_import():
+    from stegogame import js, max_safe_uses
+
+    assert js is divergence.js and max_safe_uses is budget.max_safe_uses
+    assert stegogame.budget is budget and stegogame.divergence is divergence
