@@ -16,12 +16,7 @@ import sys
 
 sys.path.insert(0, "src")  # allow running from a fresh checkout
 
-from stegogame.budget import (
-    max_safe_uses,
-    pr_coverage_exact,
-    pr_coverage_mc,
-    pr_coverage_published,
-)
+from stegogame.budget import coverage_report, max_safe_uses
 
 
 def main() -> int:
@@ -44,17 +39,11 @@ def main() -> int:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
         for x in range(args.x_max + 1):
-            row = {
-                "x": x,
-                "p_published": repr(pr_coverage_published(x, args.N, args.T)),
-                "p_exact": repr(pr_coverage_exact(x, args.N, args.T)),
-            }
+            rep = coverage_report(x, args.N, args.T, args.mc_trials or None, args.seed)
+            row = {"x": x, "p_published": repr(rep.p_published), "p_exact": repr(rep.p_exact)}
             if args.mc_trials:
-                est, se = pr_coverage_mc(
-                    x, args.N, args.T, trials=args.mc_trials, seed=args.seed
-                )
-                row["p_mc"] = repr(est)
-                row["mc_se"] = repr(se)
+                row["p_mc"] = repr(rep.p_mc)
+                row["mc_se"] = repr(rep.mc_se)
             writer.writerow(row)
     finally:
         if out is not sys.stdout:

@@ -59,7 +59,6 @@ _LAZY = {
             "pr_coverage_exact",
             "pr_coverage_mc",
             "pr_coverage_published",
-            "pr_remaining_published",
         ),
         "budget",
     ),
@@ -133,7 +132,6 @@ __all__ = [
     "pr_coverage_exact",
     "pr_coverage_mc",
     "pr_coverage_published",
-    "pr_remaining_published",
     "rank",
     "save_key",
     "save_manifest",

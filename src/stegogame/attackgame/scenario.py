@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
 from typing import Mapping
@@ -96,12 +96,16 @@ class Scenario:
         raise NotInLibrary(cover_id)
 
 
+# the file names the world pool "world_pool"; content is read from the manifests
+_FILE_FIELDS = ({f.name for f in fields(Scenario)} - {"world", "content_map"}) | {"world_pool"}
+
+
 def load_scenario(path: str | os.PathLike) -> Scenario:
     """Read a scenario description from JSON.
 
     Fields: library, world_pool (manifest paths, relative to the scenario
-    file), N, and optionally leak_fraction, leak_growth, oracle budgets,
-    rounds, observations, key_leak.
+    file), N, and optionally any other Scenario field but content_map.  An
+    unknown field is refused rather than dropped.
     """
     path = Path(path)
     try:
@@ -112,6 +116,9 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path}: scenario must be a JSON object")
+    unknown = sorted(doc.keys() - _FILE_FIELDS)
+    if unknown:
+        raise MalformedFile(f"{path}: unknown scenario field {', '.join(map(repr, unknown))}")
     try:
         manifests = [doc["library"], doc["world_pool"]]
         n = doc["N"]
@@ -120,19 +127,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     if not all(isinstance(m, str) for m in manifests):
         raise MalformedFile(f"{path}: library and world_pool must be manifest paths")
     library, world = (load_manifest(path.parent / m) for m in manifests)
-    optional = {
-        key: doc[key]
-        for key in (
-            "leak_fraction",
-            "leak_growth",
-            "oracle_embed_budget",
-            "oracle_extract_budget",
-            "rounds",
-            "observations",
-            "key_leak",
-        )
-        if key in doc
-    }
+    optional = {k: v for k, v in doc.items() if k not in ("library", "world_pool", "N")}
     return Scenario(library=library, world=world, N=n, **optional)
 
 

@@ -13,13 +13,15 @@ probability live here side by side:
 
 The closed forms are computed in integers: over the common denominator
 ``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
-``C(T,y) * C(T-y,N)**x``.  Exact values are one ``Fraction(numerator, D)``,
-converted to float only at the API boundary; binomial ratios raised to the
-x-th power shed precision fast, so no float enters a decision.
+``C(T,y) * C(T-y,N)**x``, and one walk over those terms yields both closed
+forms.  Floats appear only at the API boundary, as ``numerator / D``, which
+rounds correctly; binomial ratios raised to the x-th power shed precision
+fast, so no float enters a decision.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
@@ -45,43 +47,36 @@ def _check_txn(x: int, N: int, T: int) -> None:
         raise InvalidParams(f"x must be >= 0, got {x}")
 
 
-def _term(y: int, x: int, N: int, T: int) -> int:
-    # numerator of C(T,y) * (C(T-y,N)/C(T,N))**x over C(T,N)**x; zero when
-    # y covers cannot stay unseen
-    if y > T - N:
-        return 0
-    return comb(T, y) * comb(T - y, N) ** x
+def _terms(x: int, N: int, T: int) -> Iterator[int]:
+    """Numerators C(T,y) * C(T-y,N)**x for y = 0 .. T-N; the first is D.
 
-
-def pr_remaining_published(y: int, x: int, N: int, T: int) -> float:
-    """Published per-y term: C(T,y) * (C(T-y,N)/C(T,N))**x.
-
-    This is the y-th union-bound term, not P(exactly y unseen); it is
-    exposed verbatim rather than reinterpreted.
+    Beyond y = T-N they vanish for x >= 1: that many covers cannot all stay
+    unseen.
     """
-    _check_txn(x, N, T)
-    if not _is_int(y) or y < 0:
-        raise InvalidParams(f"y must be an integer >= 0, got {y}")
-    return float(Fraction(_term(y, x, N, T), comb(T, N) ** x))
+    for y in range(T - N + 1):
+        yield comb(T, y) * comb(T - y, N) ** x
 
 
-def _coverage_published_fraction(x: int, N: int, T: int) -> Fraction:
-    D = comb(T, N) ** x
-    return Fraction(D - sum(_term(y, x, N, T) for y in range(1, T - N + 1)), D)
+def _coverage_numerators(x: int, N: int, T: int) -> tuple[int, int, int]:
+    """Published and exact coverage numerators over D, then D, from one walk.
 
-
-def _coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
-    if x == 0:
-        # Truncating the alternating sum at y = T-N is only valid for x >= 1
-        # (it relies on q_y**x vanishing beyond that point); with no
-        # observations the coverage event is simply impossible.
-        return Fraction(0)
-    total = sum(-_term(y, x, N, T) if y % 2 else _term(y, x, N, T) for y in range(T - N + 1))
-    return Fraction(total, comb(T, N) ** x)
+    The published form subtracts every term after the first; the exact one
+    alternates signs.  Truncating at y = T-N is only valid for x >= 1; with
+    no observations the coverage event is simply impossible.
+    """
+    terms = _terms(x, N, T)
+    D = next(terms)
+    odd = even = 0
+    for y, term in enumerate(terms, 1):
+        if y % 2:
+            odd += term
+        else:
+            even += term
+    return D - odd - even, (D - odd + even) if x else 0, D
 
 
 def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
-    """Exactly whether coverage(x) < zn/zd, for x >= 1.
+    """Exactly whether coverage(x) < zn/zd, for x >= 1 and zn < zd.
 
     By the Bonferroni inequalities the partial inclusion-exclusion sum that
     ends at an even y bounds coverage from above, and one that ends at an odd
@@ -92,15 +87,16 @@ def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
     """
     if x * N < T:
         return True
-    target = zn * comb(T, N) ** x
-    partial = 0
-    for y in range(T - N + 1):
+    terms = _terms(x, N, T)
+    partial = next(terms)  # the y = 0 sum, D, lies above any zeta < 1
+    target = zn * partial
+    for y, term in enumerate(terms, 1):
         if y % 2:
-            partial -= _term(y, x, N, T)
+            partial -= term
             if partial * zd >= target:
                 return False
         else:
-            partial += _term(y, x, N, T)
+            partial += term
             if partial * zd < target:
                 return True
     return partial * zd < target
@@ -109,19 +105,22 @@ def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
 def pr_coverage_published(x: int, N: int, T: int) -> float:
     """Literal closed form 1 - sum of union-bound terms; may leave [0,1]."""
     _check_txn(x, N, T)
-    return float(_coverage_published_fraction(x, N, T))
+    published, _, D = _coverage_numerators(x, N, T)
+    return published / D
 
 
 def pr_coverage_exact(x: int, N: int, T: int) -> float:
     """P(all T covers appear in x independent uniform N-subsets)."""
     _check_txn(x, N, T)
-    return float(_coverage_exact_fraction(x, N, T))
+    _, exact, D = _coverage_numerators(x, N, T)
+    return exact / D
 
 
 def coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
     """Exact-rational variant of :func:`pr_coverage_exact`."""
     _check_txn(x, N, T)
-    return _coverage_exact_fraction(x, N, T)
+    _, exact, D = _coverage_numerators(x, N, T)
+    return Fraction(exact, D)
 
 
 def max_safe_uses(N: int, T: int, zeta: float) -> int:
@@ -257,20 +256,19 @@ def coverage_report(
     max_workers: int | None = None,
 ) -> CoverageReport:
     _check_txn(x, N, T)
-    published = _coverage_published_fraction(x, N, T)
-    exact = _coverage_exact_fraction(x, N, T)
+    published, exact, D = _coverage_numerators(x, N, T)
+    p_exact = exact / D
     p_mc = mc_se = within = None
     if mc_trials is not None:
-        est, se = pr_coverage_mc(x, N, T, mc_trials, seed, max_workers=max_workers)
-        p_mc, mc_se = est, se
-        within = abs(est - float(exact)) <= 4.0 * se if se > 0 else est == float(exact)
+        p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed, max_workers=max_workers)
+        within = abs(p_mc - p_exact) <= 4.0 * mc_se if mc_se > 0 else p_mc == p_exact
     return CoverageReport(
         T=T,
         N=N,
         x=x,
-        p_published=float(published),
-        p_exact=float(exact),
-        published_in_range=0 <= published <= 1,
+        p_published=published / D,
+        p_exact=p_exact,
+        published_in_range=0 <= published <= D,
         published_matches_exact=published == exact,
         p_mc=p_mc,
         mc_se=mc_se,

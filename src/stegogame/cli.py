@@ -37,7 +37,7 @@ from .stego import (
 
 
 # parsed arguments that are not echoed in "params"; --seed is reported beside it
-_UNECHOED = ("subcommand", "handler", "seed", "timing", "rounds")
+_UNECHOED = ("subcommand", "handler", "seed", "timing")
 
 
 def _emit(args, result: dict, seed: int | None = None) -> None:

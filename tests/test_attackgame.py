@@ -197,6 +197,16 @@ class TestScenario:
         with pytest.raises(MalformedFile):
             load_scenario(tmp_path / "scen.json")
 
+    @pytest.mark.parametrize("key", ["leak_fracton", "content_map", "world"])
+    def test_unknown_field_refused(self, tmp_path, make_covers, key):
+        paths = make_covers(6)
+        save_manifest(build_library(paths[:3]), tmp_path / "lib.json")
+        save_manifest(build_library(paths), tmp_path / "world.json")
+        doc = {"library": "lib.json", "world_pool": "world.json", "N": 2, key: 1.0}
+        (tmp_path / "scen.json").write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile, match=f"unknown scenario field '{key}'"):
+            load_scenario(tmp_path / "scen.json")
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -19,25 +19,8 @@ from stegogame.budget import (
     pr_coverage_exact,
     pr_coverage_mc,
     pr_coverage_published,
-    pr_remaining_published,
 )
 from stegogame.errors import InvalidParams
-
-
-class TestRemainingTerm:
-    def test_y_zero_is_one(self):
-        for x in (0, 1, 5):
-            assert pr_remaining_published(0, x, 2, 5) == 1.0
-
-    def test_single_term_example(self):
-        assert pr_remaining_published(1, 2, 2, 3) == pytest.approx(1 / 3)
-
-    def test_beyond_range_is_zero(self):
-        assert pr_remaining_published(3, 2, 2, 4) == 0.0
-
-    def test_rejects_negative_y(self):
-        with pytest.raises(InvalidParams):
-            pr_remaining_published(-1, 1, 2, 4)
 
 
 class TestPublishedFormula:
@@ -51,13 +34,15 @@ class TestPublishedFormula:
         assert pr_coverage_published(0, 2, 4) <= 0.0
 
     def test_matches_exact_when_one_term(self):
-        # a single subtraction term cannot overshoot
-        for T in range(2, 9):
-            N = T - 1
-            for x in range(0, 5):
-                if x == 0:
-                    continue
-                assert pr_coverage_published(x, N, T) == pr_coverage_exact(x, N, T)
+        # a single subtraction term cannot overshoot; past one term the two
+        # sums differ by twice the even terms from y = 2, all positive
+        for T in range(1, 13):
+            for N in range(1, T + 1):
+                for x in range(8):
+                    one_term = x >= 1 and T - N <= 1
+                    assert coverage_report(x, N, T).published_matches_exact == one_term, (T, N, x)
+                    if one_term:
+                        assert pr_coverage_published(x, N, T) == pr_coverage_exact(x, N, T)
 
 
 class TestExactCoverage:
@@ -112,10 +97,10 @@ class TestExactCoverage:
 
     def test_probe_below_full_coverage_does_not_sum(self, monkeypatch):
         # fewer than T covers seen in x draws: coverage is exactly 0
-        def no_term(*args):
+        def no_terms(*args):
             raise AssertionError("summed a probe whose coverage is 0")
 
-        monkeypatch.setattr(budget, "_term", no_term)
+        monkeypatch.setattr(budget, "_terms", no_terms)
         for x, N, T in [(1, 1, 2), (7, 4, 29), (31, 32, 1024), (42, 48, 2048)]:
             assert budget._coverage_below(x, N, T, 1, 2**60)
 
@@ -132,8 +117,8 @@ class TestExactCoverage:
         exact = coverage_enumeration(x, N, T)
         D = comb(T, N) ** x
         partial = 0
-        for y in range(T - N + 1):
-            partial += (-1) ** y * budget._term(y, x, N, T)
+        for y, term in enumerate(budget._terms(x, N, T)):
+            partial += (-1) ** y * term
             bound = Fraction(partial, D)
             assert bound <= exact if y % 2 else bound >= exact, (T, N, x, y)
         assert bound == exact
@@ -242,6 +227,19 @@ class TestParamsAndReport:
         assert rep.p_exact == pytest.approx(1 / 6)
         assert not rep.published_in_range
         assert not rep.published_matches_exact
+
+    def test_report_walks_the_terms_once(self, monkeypatch):
+        walks = []
+        terms = budget._terms
+
+        def counted(x, N, T):
+            walks.append((x, N, T))
+            return terms(x, N, T)
+
+        monkeypatch.setattr(budget, "_terms", counted)
+        rep = coverage_report(3, 2, 5, mc_trials=1000, seed=1)
+        assert walks == [(3, 2, 5)]
+        assert rep.p_exact == pr_coverage_exact(3, 2, 5)
 
     def test_report_flags_agreement(self):
         rep = coverage_report(2, 2, 3, mc_trials=20000, seed=5)

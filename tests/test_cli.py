@@ -333,6 +333,7 @@ class TestAttackCommand:
             ("leak_growth", math.inf, "InvalidConfig"),
             ("library", 5, "MalformedFile"),
             ("world_pool", None, "MalformedFile"),
+            ("leak_fracton", 1.0, "MalformedFile"),
         ],
     )
     def test_wrong_field_type_refused(self, scenario_file, capsys, field, value, error):
@@ -388,7 +389,7 @@ class TestEntryPoint:
 
 class TestParams:
     """`params` echoes each subcommand's parsed flags; --seed is reported
-    beside it, and --timing and --rounds not at all."""
+    beside it, and --timing not at all."""
 
     def test_every_subcommand(self, tmp_path, make_covers, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -427,7 +428,7 @@ class TestParams:
                            "bins": 64},
             "attack": {"scheme": "coverless", "level": "acca", "adversary": "random",
                        "trials": 100, "scenario": "scen.json", "game": "detection",
-                       "alpha": 0.01},
+                       "alpha": 0.01, "rounds": 1},
         }
         for doc in params.values():
-            assert not {"seed", "timing", "rounds"} & set(doc)
+            assert not {"seed", "timing"} & set(doc)
