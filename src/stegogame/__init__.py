@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .bits import bits_to_hex, hex_to_bits, xor_bits
+from .bits import bits_to_hex, hex_to_bits
 from .errors import StegogameError
 from .library import (
     CoverEntry,
@@ -28,8 +28,6 @@ from .library import (
 from .permcodec import (
     Arrangement,
     Capacity,
-    arrangement_to_bits,
-    bits_to_arrangement,
     capacity,
     rank,
     unrank,
@@ -108,8 +106,6 @@ __all__ = [
     "StegoSequence",
     "StegogameError",
     "SystemEntropy",
-    "arrangement_to_bits",
-    "bits_to_arrangement",
     "bits_to_hex",
     "build_library",
     "calibrate_epsilon",
@@ -139,5 +135,4 @@ __all__ = [
     "tv",
     "unrank",
     "w1",
-    "xor_bits",
 ]

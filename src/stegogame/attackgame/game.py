@@ -25,7 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from ..bits import validate_bits
-from ..errors import InvalidConfig, OracleBudgetExceeded
+from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded
 from ..library import CoverId
 from ..permcodec import capacity
 from ..stego import Message, SeededEntropy, StegoKey, StegoSequence, embed, extract, keygen
@@ -194,6 +194,21 @@ def _leaked_key(scenario: Scenario, session_key: StegoKey) -> str | None:
     return flipped
 
 
+def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
+    """``fn``, recording its faults as the harness's even where the adversary
+    swallows them; an id outside the scenario is the adversary's own error."""
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            if not isinstance(exc, NotInLibrary):
+                faults.append(exc)
+            raise
+
+    return call
+
+
 def _knowledge(
     scenario: Scenario,
     level: AttackLevel,
@@ -208,14 +223,10 @@ def _knowledge(
     payloads = _random_bits(observe_gen, scenario.observations * l)
 
     def observe() -> tuple[StegoSequence, ...]:
-        try:
-            return tuple(
-                embed(Message(payloads[i * l : (i + 1) * l]), session_key, lib, n)
-                for i in range(scenario.observations)
-            )
-        except Exception as exc:  # a harness fault, even where the adversary swallows it
-            faults.append(exc)
-            raise
+        return tuple(
+            embed(Message(payloads[i * l : (i + 1) * l]), session_key, lib, n)
+            for i in range(scenario.observations)
+        )
 
     embed_oracle = extract_oracle = None
     if level >= AttackLevel.CCA:
@@ -240,8 +251,8 @@ def _knowledge(
         extract_oracle=extract_oracle,
         rounds=scenario.rounds if level >= AttackLevel.ACCA else 1,
         rng=adversary_gen,
-        content=scenario.content_for,
-        _observe=observe,
+        content=_harness_call(scenario.content_for, faults),
+        _observe=_harness_call(observe, faults),
     )
 
 

@@ -10,7 +10,6 @@ fully in memory while CLI runs read real files.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -21,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import CoverReadError, InvalidConfig, MalformedFile, NotInLibrary
-from ..library import CoverEntry, CoverId, CoverLibrary, load_manifest
+from ..library import CoverEntry, CoverId, CoverLibrary, load_manifest, read_bytes, read_json
 
 KEY_LEAK_MODES = (None, "full", "flip1")
 _INT_FIELDS = ("N", "oracle_embed_budget", "oracle_extract_budget", "rounds", "observations")
@@ -84,16 +83,11 @@ class Scenario:
         """Bytes of a cover, from the in-memory map or the backing file."""
         if self.content_map is not None and cover_id in self.content_map:
             return self.content_map[cover_id]
-        for lib in (self.library, self.world):
-            try:
-                entry = lib.lookup_entry(cover_id)
-            except NotInLibrary:
-                continue
-            try:
-                return Path(entry.path).read_bytes()
-            except OSError as exc:
-                raise CoverReadError(entry.path, str(exc)) from exc
-        raise NotInLibrary(cover_id)
+        try:
+            entry = self.library.lookup_entry(cover_id)
+        except NotInLibrary:
+            entry = self.world.lookup_entry(cover_id)  # NotInLibrary when in neither
+        return read_bytes(entry.path, "cover file", unreadable=CoverReadError)
 
 
 # the file names the world pool "world_pool"; content is read from the manifests
@@ -108,12 +102,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     unknown field is refused rather than dropped.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedFile(f"cannot read scenario {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path, "scenario")
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path}: scenario must be a JSON object")
     unknown = sorted(doc.keys() - _FILE_FIELDS)

@@ -21,6 +21,7 @@ fast, so no float enters a decision.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,25 @@ from math import comb, sqrt
 from numbers import Real
 
 from .errors import InvalidParams
-from .library import default_workers
 
 _MC_BLOCK = 4096
 _SEED_LIMIT = 1 << 128
+
+THREADS_ENV = "STEGOGAME_THREADS"
+
+
+def default_workers() -> int:
+    """Threads for the Monte-Carlo blocks: ``STEGOGAME_THREADS``, else up to 8."""
+    try:
+        return max(1, int(os.environ[THREADS_ENV]))
+    except (KeyError, ValueError):
+        return min(8, os.cpu_count() or 1)
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidParams unless ``seed`` can key a Philox generator."""
+    if not isinstance(seed, int) or not (0 <= seed < _SEED_LIMIT):
+        raise InvalidParams("seed must be an integer in [0, 2**128)")
 
 
 def _is_int(value) -> bool:
@@ -102,11 +118,18 @@ def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
     return partial * zd < target
 
 
+def _published_float(published: int, D: int) -> float:
+    try:
+        return published / D
+    except OverflowError:  # e.g. about -2**1100 at T=1100, N=1, x=1
+        raise InvalidParams("the published closed form lies outside the float range") from None
+
+
 def pr_coverage_published(x: int, N: int, T: int) -> float:
     """Literal closed form 1 - sum of union-bound terms; may leave [0,1]."""
     _check_txn(x, N, T)
     published, _, D = _coverage_numerators(x, N, T)
-    return published / D
+    return _published_float(published, D)
 
 
 def pr_coverage_exact(x: int, N: int, T: int) -> float:
@@ -206,8 +229,7 @@ def pr_coverage_mc(
     _check_txn(x, N, T)
     if not _is_int(trials) or trials < 1:
         raise InvalidParams(f"trials must be an integer >= 1, got {trials!r}")
-    if not isinstance(seed, int) or not (0 <= seed < _SEED_LIMIT):
-        raise InvalidParams("seed must be an integer in [0, 2**128)")
+    check_seed(seed)
     blocks = [
         (i, min(_MC_BLOCK, trials - i * _MC_BLOCK))
         for i in range((trials + _MC_BLOCK - 1) // _MC_BLOCK)
@@ -257,7 +279,7 @@ def coverage_report(
 ) -> CoverageReport:
     _check_txn(x, N, T)
     published, exact, D = _coverage_numerators(x, N, T)
-    p_exact = exact / D
+    p_published, p_exact = _published_float(published, D), exact / D
     p_mc = mc_se = within = None
     if mc_trials is not None:
         p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed, max_workers=max_workers)
@@ -266,7 +288,7 @@ def coverage_report(
         T=T,
         N=N,
         x=x,
-        p_published=published / D,
+        p_published=p_published,
         p_exact=p_exact,
         published_in_range=0 <= published <= D,
         published_matches_exact=published == exact,

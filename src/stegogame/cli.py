@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .bits import bits_to_hex, hex_digits_for, hex_to_bits
 from .errors import InvalidParams, MalformedFile, StegogameError
-from .library import build_library, load_manifest, save_manifest
+from .library import build_library, load_manifest, read_text, save_manifest
 from .permcodec import capacity
 from .stego import (
     Message,
@@ -124,12 +124,8 @@ def _cmd_embed(args) -> int:
 def _cmd_extract(args) -> int:
     lib = load_manifest(args.library)
     key = load_key(args.key)
-    hex_parts = []
-    for path in args.sequence:
-        seq = load_sequence(path)
-        m = extract(seq, key, lib)
-        hex_parts.append(bits_to_hex(m.bits))
-    _emit(args, {"message": "".join(hex_parts), "blocks": len(args.sequence), "l": key.l})
+    message = "".join(bits_to_hex(extract(load_sequence(p), key, lib).bits) for p in args.sequence)
+    _emit(args, {"message": message, "blocks": len(args.sequence), "l": key.l})
     return 0
 
 
@@ -151,14 +147,8 @@ def _cmd_budget(args) -> int:
 
 
 def _read_samples(path: str) -> list[float]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedFile(f"cannot read samples {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"samples file {path} is not UTF-8 text ({exc})") from exc
     samples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "samples file").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

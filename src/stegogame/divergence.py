@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .budget import check_seed
 from .errors import BinMismatch, EmptySamples, InvalidParams
 
 MASS_TOLERANCE = 1e-12
@@ -266,6 +267,7 @@ def calibrate_epsilon(
     real = isinstance(percentile, Real) and not isinstance(percentile, bool)
     if not (real and 0 <= percentile <= 100):
         raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
+    check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b)
     edges = np.histogram_bin_edges(pooled, bins, range=support)
     # the bin np.histogram gives each sample: edges[i] <= v < edges[i+1],

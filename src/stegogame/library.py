@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .bits import HEX_DIGITS
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     LibraryTooSmall,
     MalformedFile,
     NotInLibrary,
+    StegogameError,
 )
 
 # CoverId is the lowercase-hex SHA-256 of the cover's bytes (32 bytes, 64 hex chars).
@@ -30,9 +32,6 @@ CoverId = str
 
 DIGEST_HEX_LEN = 64
 MANIFEST_VERSION = 1
-_CHUNK = 1 << 20
-
-THREADS_ENV = "STEGOGAME_THREADS"
 
 
 def check_cover_id(cover_id: object) -> None:
@@ -50,20 +49,12 @@ def hash_bytes(data: bytes) -> CoverId:
 
 
 def hash_file(path: str | os.PathLike) -> tuple[CoverId, int]:
-    """SHA-256 digest and byte length of a file, read in chunks."""
-    digest = hashlib.sha256()
-    total = 0
+    """SHA-256 digest and byte length of a file."""
     try:
         with open(path, "rb") as fh:
-            while True:
-                chunk = fh.read(_CHUNK)
-                if not chunk:
-                    break
-                digest.update(chunk)
-                total += len(chunk)
-    except OSError as exc:
+            return hashlib.file_digest(fh, "sha256").hexdigest(), fh.tell()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CoverReadError(str(path), reason=str(exc)) from exc
-    return digest.hexdigest(), total
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,7 @@ class CoverEntry:
     nbytes: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoverLibrary:
     """Immutable, canonically ordered cover set; index i is the library index."""
 
@@ -116,43 +107,20 @@ class CoverLibrary:
     def ids(self) -> tuple[CoverId, ...]:
         return self._ids
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoverLibrary) and self.covers == other.covers
 
-    def __hash__(self) -> int:
-        return hash(self.covers)
-
-
-def default_workers() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-def build_library(paths: list[str | os.PathLike], max_workers: int | None = None) -> CoverLibrary:
+def build_library(paths: list[str | os.PathLike]) -> CoverLibrary:
     """Hash the given files and assemble a library in canonical order.
 
     Pure in the multiset of file contents: the same bytes yield the same
-    library whatever order the paths come in.  Hashing runs on a thread
-    pool; the subsequent sort makes the result order-independent.
+    library whatever order the paths come in.  Hashing runs serially: for
+    covers of a few KiB a thread pool costs more to start than it saves.
     """
     paths = list(paths)
     if len(paths) < 2:
         raise LibraryTooSmall(f"need at least 2 cover files, got {len(paths)}")
-    workers = max_workers or default_workers()
-    if workers > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hashed = list(pool.map(hash_file, paths))
-    else:
-        hashed = [hash_file(p) for p in paths]
+    hashed = ((str(path), *hash_file(path)) for path in paths)
     entries = sorted(
-        (CoverEntry(id=digest, path=str(path), nbytes=size) for path, (digest, size) in zip(paths, hashed)),
+        (CoverEntry(id=digest, path=path, nbytes=size) for path, digest, size in hashed),
         key=lambda e: e.id,
     )
     for a, b in zip(entries, entries[1:]):
@@ -181,6 +149,10 @@ def library_from_manifest(doc: dict) -> CoverLibrary:
         raise MalformedFile(f"manifest missing field: {exc}") from exc
     for c in covers:
         check_cover_id(c.id)
+        if not isinstance(c.path, str) or "\x00" in c.path:
+            raise MalformedFile(f"bad cover path {c.path!r}")
+        if type(c.nbytes) is not int or c.nbytes < 0:
+            raise MalformedFile(f"bad cover size {c.nbytes!r}")
     lib = CoverLibrary(covers=covers)
     if lib.T != declared_t:
         raise MalformedFile(f"manifest T={declared_t} but {lib.T} covers listed")
@@ -188,16 +160,50 @@ def library_from_manifest(doc: dict) -> CoverLibrary:
 
 
 def save_manifest(lib: CoverLibrary, path: str | os.PathLike) -> None:
-    Path(path).write_text(
-        json.dumps(library_to_manifest(lib), separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_json(library_to_manifest(lib), path)
 
 
 def load_manifest(path: str | os.PathLike) -> CoverLibrary:
+    return library_from_manifest(read_json(path, "manifest", unreadable=CoverReadError))
+
+
+# ---------------------------------------------------------------------------
+# input and output files
+
+_Unreadable = Callable[[str, str], StegogameError]  # (path, reason) -> error
+
+
+def read_bytes(path: str | os.PathLike, what: str, unreadable: _Unreadable | None = None) -> bytes:
+    """The bytes of the ``what`` file at ``path``.  One that cannot be read, a
+    NUL byte in its path included, raises ``unreadable`` or MalformedFile."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+        return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise CoverReadError(str(path), reason=str(exc)) from exc
-    return library_from_manifest(doc)
+        if unreadable is not None:
+            raise unreadable(str(path), str(exc)) from exc
+        raise MalformedFile(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_text(path: str | os.PathLike, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; MalformedFile when it
+    cannot be read or is not UTF-8."""
+    data = read_bytes(path, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{what} {path} is not UTF-8 text ({exc})") from exc
+
+
+def read_json(path: str | os.PathLike, what: str, unreadable: _Unreadable | None = None):
+    """The JSON document in the ``what`` file at ``path``; unreadable as in
+    :func:`read_bytes`, and MalformedFile when it is not UTF-8 JSON."""
+    data = read_bytes(path, what, unreadable)
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_json(doc, path: str | os.PathLike) -> None:
+    """Write ``doc`` as one line of compact JSON."""
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")

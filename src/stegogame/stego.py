@@ -25,11 +25,9 @@ from .errors import (
     MalformedFile,
     StegogameError,
 )
-from .library import CoverId, CoverLibrary, check_cover_id
+from .library import CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json
 from .permcodec import Arrangement, _unrank, capacity, payload_value
 from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
-
-import json
 
 SEQUENCE_VERSION = 1
 
@@ -158,13 +156,7 @@ def save_key(key: StegoKey, path: str | os.PathLike) -> None:
 
 
 def load_key(path: str | os.PathLike) -> StegoKey:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedFile(f"cannot read key file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"key file {path} is not UTF-8 text ({exc})") from exc
-    lines = text.splitlines()
+    lines = read_text(path, "key file").splitlines()
     if len(lines) < 2:
         raise MalformedFile(f"key file {path} needs two lines, got {len(lines)}")
     m = _KEY_LINE1.match(lines[0].strip())
@@ -198,16 +190,8 @@ def sequence_from_json(doc: dict) -> StegoSequence:
 
 
 def save_sequence(seq: StegoSequence, path: str | os.PathLike) -> None:
-    Path(path).write_text(
-        json.dumps(sequence_to_json(seq), separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_json(sequence_to_json(seq), path)
 
 
 def load_sequence(path: str | os.PathLike) -> StegoSequence:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MalformedFile(f"cannot read sequence file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
-    return sequence_from_json(doc)
+    return sequence_from_json(read_json(path, "sequence file"))

@@ -39,6 +39,7 @@ from stegogame.attackgame.game import Challenge, _BudgetedOracle
 from stegogame.attackgame.scenario import Scenario
 from stegogame.divergence import EmpiricalDistribution
 from stegogame.errors import (
+    CoverReadError,
     InvalidConfig,
     MalformedFile,
     NotInLibrary,
@@ -671,6 +672,43 @@ def test_observation_fault_raises(monkeypatch, play, adversary):
     sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
     with pytest.raises(RuntimeError, match="observation fault"):
         play(sc, adversary())
+
+
+def _file_scenario(tmp_path, paths) -> Scenario:
+    save_manifest(build_library(paths[:4]), tmp_path / "lib.json")
+    save_manifest(build_library(paths[4:]), tmp_path / "world.json")
+    doc = {"library": "lib.json", "world_pool": "world.json", "N": 2}
+    (tmp_path / "scen.json").write_text(json.dumps(doc))
+    return load_scenario(tmp_path / "scen.json")
+
+
+def test_unreadable_cover_raises(tmp_path, make_covers):
+    """A cover file that cannot be read while the adversary learns is the
+    harness's fault, not the adversary's miss."""
+    paths = make_covers(12)
+    sc = _file_scenario(tmp_path, paths)
+    for p in paths[4:]:
+        p.unlink()
+    with pytest.raises(CoverReadError):
+        run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=1)
+
+
+class ForeignContentReader:
+    """Asks for the content of a cover outside the scenario."""
+
+    name = "foreign-content"
+
+    def learn(self, knowledge, state=None):
+        return knowledge.content("0" * 64)
+
+    def guess(self, challenge, state):
+        return "stego"
+
+
+def test_foreign_cover_content_is_the_adversarys_error(tmp_path, make_covers):
+    sc = _file_scenario(tmp_path, make_covers(12))
+    result = run_game(sc, ForeignContentReader(), AttackLevel.SCOA, trials=100, seed=1)
+    assert result.successes == 0 and result.verdict == VERDICT_RESISTS
 
 
 class TestRegistry:

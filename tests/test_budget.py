@@ -33,6 +33,12 @@ class TestPublishedFormula:
     def test_x_zero_nonpositive(self):
         assert pr_coverage_published(0, 2, 4) <= 0.0
 
+    def test_past_the_float_range_refused(self):
+        # the published numerator is about -2**1100 times the denominator
+        for route in (pr_coverage_published, coverage_report):
+            with pytest.raises(InvalidParams, match="outside the float range"):
+                route(1, 1, 1100)
+
     def test_matches_exact_when_one_term(self):
         # a single subtraction term cannot overshoot; past one term the two
         # sums differ by twice the even terms from y = 2, all positive

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,18 @@ class TestBudgetCommand:
         assert parse(out1)["mc_within_4se"] is True
 
 
+    def test_published_form_past_float_range_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "budget", "-T", "1100", "-N", "1", "--zeta", "0.4", "--x", "1"
+        )
+        assert code == 1
+        assert parse(out) == {
+            "error": "InvalidParams",
+            "detail": "the published closed form lies outside the float range",
+        }
+        assert "Traceback" not in err
+
+
 class TestDivergenceCommand:
     @pytest.fixture
     def sample_files(self, tmp_path):
@@ -242,6 +255,19 @@ class TestDivergenceCommand:
         assert parse(out)["error"] == "InvalidParams"
         assert "finite" in parse(out)["detail"] and "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_auto_epsilon_seed_out_of_range(self, sample_files, capsys, seed):
+        a, b = sample_files
+        code, out, err = run_cli(
+            capsys, "divergence", "-a", str(a), "-b", str(b), "--epsilon", "auto",
+            "--seed", str(seed),
+        )
+        assert code == 1
+        assert parse(out) == {
+            "error": "InvalidParams", "detail": "seed must be an integer in [0, 2**128)"
+        }
+        assert "Traceback" not in err
+
     def test_bad_epsilon_string(self, sample_files, capsys):
         a, b = sample_files
         code, out, _ = run_cli(
@@ -283,6 +309,34 @@ class TestAttackCommand:
         assert code == 0
         assert doc["verdict"] == "broken"
         assert doc["level"] == "KCA"
+
+    def test_missing_cover_is_an_io_error(self, scenario_file, capsys):
+        world = json.loads((scenario_file.parent / "world.json").read_text())
+        for cover in world["covers"]:
+            Path(cover["path"]).unlink()
+        code, out, err = run_cli(
+            capsys, "attack", "--level", "scoa", "--adversary", "scoa-histogram",
+            "--trials", "100", "--seed", "1", "--scenario", str(scenario_file),
+        )
+        assert code == 1
+        assert parse(out)["error"] == "IoError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("path", 5), ("bytes", -3), ("path", "w0\x00.bin")]
+    )
+    def test_bad_manifest_entry_refused(self, scenario_file, capsys, field, value):
+        manifest = scenario_file.parent / "world.json"
+        doc = json.loads(manifest.read_text())
+        doc["covers"][0][field] = value
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "attack", "--level", "scoa", "--adversary", "scoa-histogram",
+            "--trials", "100", "--seed", "1", "--scenario", str(scenario_file),
+        )
+        assert code == 1
+        assert parse(out)["error"] == "MalformedFile"
+        assert "Traceback" not in err
 
     def test_recovery_game(self, scenario_file, capsys):
         code, out, _ = run_cli(

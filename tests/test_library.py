@@ -3,12 +3,15 @@ import json
 
 import pytest
 
+from stegogame.attackgame.scenario import load_scenario
+from stegogame.cli import _read_samples
 from stegogame.errors import (
     CoverReadError,
     DuplicateCover,
     LibraryTooSmall,
     MalformedFile,
     NotInLibrary,
+    StegogameError,
 )
 from stegogame.library import (
     CoverLibrary,
@@ -20,6 +23,7 @@ from stegogame.library import (
     load_manifest,
     save_manifest,
 )
+from stegogame.stego import load_key, load_sequence
 
 
 def test_hash_bytes_matches_stdlib():
@@ -39,6 +43,11 @@ def test_hash_file_missing(tmp_path):
     with pytest.raises(CoverReadError) as exc:
         hash_file(tmp_path / "nope.bin")
     assert exc.value.code == "IoError"
+
+
+def test_hash_file_nul_in_path(tmp_path):
+    with pytest.raises(CoverReadError):
+        hash_file(tmp_path / "nul\x00.bin")
 
 
 class TestBuildLibrary:
@@ -63,10 +72,6 @@ class TestBuildLibrary:
     def test_order_independent_of_input_order(self, make_covers):
         paths = make_covers(6)
         assert build_library(paths) == build_library(list(reversed(paths)))
-
-    def test_worker_count_invariance(self, make_covers):
-        paths = make_covers(9)
-        assert build_library(paths, max_workers=1) == build_library(paths, max_workers=4)
 
     def test_duplicate_content_rejected(self, tmp_path):
         a = tmp_path / "a.bin"
@@ -116,6 +121,17 @@ class TestManifest:
         with pytest.raises(MalformedFile):
             library_from_manifest(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("path", 5), ("path", None), ("path", "a\x00b"), ("bytes", -3), ("bytes", True),
+         ("bytes", 2.0), ("bytes", "7")],
+    )
+    def test_rejects_bad_entry(self, file_library, field, value):
+        doc = library_to_manifest(file_library)
+        doc["covers"][1][field] = value
+        with pytest.raises(MalformedFile, match="bad cover"):
+            library_from_manifest(doc)
+
     def test_rejects_garbage_file(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{not json")
@@ -124,3 +140,26 @@ class TestManifest:
         p.write_text(json.dumps({"version": 1}))
         with pytest.raises(MalformedFile):
             load_manifest(p)
+
+
+# every reader of an input file (``_read_samples`` reads ``divergence -a`` and
+# ``-b``), and the error it raises for a file it cannot open; one that is not
+# UTF-8 is MalformedFile for all of them
+READERS = {
+    "load_key": (load_key, MalformedFile),
+    "load_sequence": (load_sequence, MalformedFile),
+    "load_manifest": (load_manifest, CoverReadError),
+    "load_scenario": (load_scenario, MalformedFile),
+    "divergence -a": (_read_samples, MalformedFile),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "nul"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reader_raises_its_typed_error(tmp_path, reader, case):
+    load, unreadable = READERS[reader]
+    (tmp_path / "noise.bin").write_bytes(b"\xff\xfe\x80{}")
+    name = {"missing": "ghost.json", "directory": "", "non-utf8": "noise.bin", "nul": "a\x00b"}
+    with pytest.raises(StegogameError) as exc:
+        load(str(tmp_path / name[case]))
+    assert type(exc.value) is (MalformedFile if case == "non-utf8" else unreadable)

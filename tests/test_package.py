@@ -36,7 +36,7 @@ except SystemExit as exc:
 
 
 def _loaded(code: str, *argv: str, cwd=None) -> set[str]:
-    env = dict(os.environ, STEGOGAME_THREADS="2")  # the pool branches run too
+    env = dict(os.environ, STEGOGAME_THREADS="2")  # the Monte-Carlo pool branch runs too
     done = subprocess.run(
         [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=120,
