@@ -175,8 +175,11 @@ class CCAReplay:
         oracle = knowledge.embed_oracle
         if oracle is not None:
             budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
-            for _ in range(budget):
-                known.update(oracle(_random_bits(knowledge.rng, knowledge.payload_bits)).ids)
+            l = knowledge.payload_bits
+            # one draw for all payloads: the same bits and stream state as one draw each
+            payloads = _random_bits(knowledge.rng, budget * l)
+            for i in range(budget):
+                known.update(oracle(payloads[i * l : (i + 1) * l]).ids)
         return {"known": known, "knowledge": knowledge}
 
     guess = _membership_guess

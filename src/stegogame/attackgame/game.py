@@ -63,7 +63,11 @@ class AttackLevel(IntEnum):
 class Knowledge:
     """What one learning phase hands the adversary.  Level-scoped: fields
     above the adversary's level are empty/None, never absent.  ``observed``
-    (past stego traffic) is drawn eagerly but embedded on first read."""
+    (past stego traffic) is drawn eagerly but embedded on first read.
+
+    ``rng`` is this trial's adversary stream (this round's, in an ACCA
+    round).  The harness rekeys it in place when the next trial starts, so
+    an adversary must not keep drawing from it past its trial."""
 
     level: AttackLevel
     N: int
@@ -107,6 +111,12 @@ class GameResult:
 
 
 class Adversary(Protocol):
+    """Learns from a :class:`Knowledge`, then labels challenges or recovers
+    payloads from the state it returned.  Its only randomness is
+    ``Knowledge.rng``, that trial's stream, which is rekeyed when the next
+    trial starts: state kept past the trial must not draw from it.  None of
+    the reference adversaries does."""
+
     name: str
 
     def learn(self, knowledge: Knowledge, state: object | None = None) -> object: ...
@@ -128,8 +138,28 @@ def _derive_key(seed: int, *path: object) -> int:
     return int.from_bytes(h.digest()[:16], "big")
 
 
+def _rekey(gen: np.random.Generator, seed: int, *path: object) -> np.random.Generator:
+    """``gen`` set in place to the stream of ``Philox(key=_derive_key(seed,
+    *path))``: that bit generator's initial state, written into ``gen``'s.
+    A new ``Philox`` costs several times more, since it pulls OS entropy
+    before it takes the key."""
+    key = _derive_key(seed, *path)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & ((1 << 64) - 1), key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def _generator(seed: int, *path: object) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_derive_key(seed, *path)))
+    return _rekey(np.random.Generator(np.random.Philox(key=0)), seed, *path)
 
 
 def _random_bits(gen: np.random.Generator, n: int) -> str:
@@ -324,7 +354,10 @@ def _play(
     ("trial", t, "harness"|"adversary") streams, and the harness stream then
     draws the challenge.  With it, one learning phase on the
     ("round", r, "observe"|"adversary") streams serves the whole block and
-    each trial draws from ("round", r, "trial", t); ``state`` carries the
+    each trial draws from ("round", r, "trial", t).  A trial's streams are
+    two generators that the next trial rekeys in place, so the adversary's
+    ``Knowledge.rng`` is valid for its own trial only; the round streams
+    are generators of their own.  ``state`` carries the
     adversary state in and out, and a failed learn keeps the old state but
     scores the block's trials as unlearned.  The oracle handles close once
     ``learn`` returns.  Any adversary exception, a budget overrun or a call
@@ -359,13 +392,15 @@ def _play(
         )
         if learned is not _UNLEARNED:
             state = learned
+    # one generator per role, rekeyed as each trial starts
+    harness, adversary_gen = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
     points = stego = 0
     for t in range(trials):
         if round_index is None:
-            harness = _generator(seed, "trial", t, "harness")
-            learned = learn(harness, _generator(seed, "trial", t, "adversary"), None)
+            _rekey(harness, seed, "trial", t, "harness")
+            learned = learn(harness, _rekey(adversary_gen, seed, "trial", t, "adversary"), None)
         else:
-            harness = _generator(seed, *path, "trial", t)
+            _rekey(harness, seed, *path, "trial", t)
         p, is_stego = score(scenario, session_key, adversary, harness, learned)
         if faults:
             raise faults[0]

@@ -22,6 +22,8 @@ from .budget import check_seed
 from .errors import BinMismatch, EmptySamples, InvalidParams
 
 MASS_TOLERANCE = 1e-12
+# calibrate_epsilon scores its resplits in chunks of about this many count cells
+CHUNK_CELLS = 4096
 
 
 def _check_count(name: str, value) -> None:
@@ -108,39 +110,60 @@ def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> No
         raise BinMismatch("distributions use different bins")
 
 
-# Masses-level kernels: the arithmetic of each metric on two mass vectors
-# over bins already known to be shared.  The public metrics check the bins
-# and call these; calibrate_epsilon calls them on bins it checked once.
+# Row-batched kernels: the arithmetic of each metric on two (rows, bins)
+# mass matrices over bins already known to be shared, one value per row.
+# The public metrics check the bins and score one row; calibrate_epsilon
+# scores a chunk of resplits per call on bins it checked once.  Each row
+# reduces along axis 1 exactly as a lone 1-D vector would (row sums, cumsums
+# and logs round as the 1-D calls do), so batching never moves a value.
 
 
-def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> float:
+def _at_least_zero(values: np.ndarray) -> np.ndarray:
+    """``max(0.0, v)`` per value: nonnegative in exact arithmetic, rounding
+    can leave about -1e-18."""
+    return np.where(values > 0.0, values, 0.0)
+
+
+def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
     pm = pm + 1.0 / (2.0 * n_p)
     qm = qm + 1.0 / (2.0 * n_q)
-    pm = pm / pm.sum()
-    qm = qm / qm.sum()
-    # nonnegative in exact arithmetic; rounding can leave about -1e-18
-    return max(0.0, float((pm * np.log(pm / qm)).sum()))
+    pm = pm / pm.sum(axis=1, keepdims=True)
+    qm = qm / qm.sum(axis=1, keepdims=True)
+    return _at_least_zero((pm * np.log(pm / qm)).sum(axis=1))
 
 
-def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> float:
-    mask = a > 0  # where a > 0, mid > 0 too
-    a = a[mask]
-    return float((a * np.log(a / mid[mask])).sum())
+def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Row sums of ``a * log(a / mid)`` over the cells where a > 0 (there
+    mid > 0 too).  The kept cells of every row are compressed into one array
+    and each row sums its own slice: a masked or zero-padded row sum would
+    add different terms in a different order, and round differently."""
+    mask = a > 0
+    kept = a[mask]
+    terms = kept * np.log(kept / mid[mask])
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return np.array([terms[i:j].sum() for i, j in zip([0, *ends], ends)])
 
 
-def _js(pm: np.ndarray, qm: np.ndarray) -> float:
+def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     mid = (pm + qm) / 2.0
-    value = 0.5 * _rel_entropy_to_mid(pm, mid) + 0.5 * _rel_entropy_to_mid(qm, mid)
-    return max(0.0, value)  # as for kl, rounding can dip just below zero
+    return _at_least_zero(0.5 * _rel_entropy_to_mid(pm, mid) + 0.5 * _rel_entropy_to_mid(qm, mid))
 
 
-def _tv(pm: np.ndarray, qm: np.ndarray) -> float:
-    return float(0.5 * np.abs(pm - qm).sum())
+def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    return 0.5 * np.abs(pm - qm).sum(axis=1)
 
 
-def _w1(pm: np.ndarray, qm: np.ndarray, center_gaps: np.ndarray) -> float:
-    cdf_gap = np.cumsum(pm - qm)[:-1]
-    return float((np.abs(cdf_gap) * center_gaps).sum())
+def _w1(pm: np.ndarray, qm: np.ndarray, center_gaps: np.ndarray) -> np.ndarray:
+    cdf_gap = np.cumsum(pm - qm, axis=1)[:, :-1]
+    return (np.abs(cdf_gap) * center_gaps).sum(axis=1)
+
+
+def _one_row(
+    kernel: Callable[..., np.ndarray], p: EmpiricalDistribution, q: EmpiricalDistribution, *args
+) -> float:
+    """``kernel`` on the masses of two distributions over the same bins."""
+    _require_same_bins(p, q)
+    return float(kernel(p.masses[None], q.masses[None], *args)[0])
 
 
 def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
@@ -149,26 +172,22 @@ def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     Each side gets 1/(2 * its own sample count) pseudo-mass per bin, then is
     renormalized; empirical zeros would otherwise make the value infinite.
     """
-    _require_same_bins(p, q)
-    return _kl(p.masses, q.masses, p.n_samples, q.n_samples)
+    return _one_row(_kl, p, q, p.n_samples, q.n_samples)
 
 
 def js(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Jensen-Shannon divergence, natural log, bounded by ln 2."""
-    _require_same_bins(p, q)
-    return _js(p.masses, q.masses)
+    return _one_row(_js, p, q)
 
 
 def tv(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Total variation distance, in [0, 1]."""
-    _require_same_bins(p, q)
-    return _tv(p.masses, q.masses)
+    return _one_row(_tv, p, q)
 
 
 def w1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """1-Wasserstein distance over the bin-center metric."""
-    _require_same_bins(p, q)
-    return _w1(p.masses, q.masses, np.diff(p.centers))
+    return _one_row(_w1, p, q, np.diff(p.centers))
 
 
 METRICS: dict[str, Callable[[EmpiricalDistribution, EmpiricalDistribution], float]] = {
@@ -256,9 +275,10 @@ def calibrate_epsilon(
     times, and return the given percentile of the null distances.
 
     Every pooled sample is binned once, and the bins are checked once: each
-    run permutes the bin indices, counts the first side, takes the second
-    side's counts as the pooled counts minus the first side's, and hands
-    both mass vectors to the metric's kernel.
+    run permutes the bin indices, counts the first side and takes the second
+    side's counts as the pooled counts minus the first side's.  Runs are
+    scored in chunks of about ``CHUNK_CELLS`` count cells, one kernel call
+    per chunk, with the values each run would get on its own.
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
@@ -289,13 +309,18 @@ def calibrate_epsilon(
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    chunk = np.empty((min(runs, max(1, CHUNK_CELLS // bins)), bins), dtype=pooled_counts.dtype)
     values = np.empty(runs)
-    for run in range(runs):
-        # the stream of Philox(key=seed, counter=run << 128), set in place
-        # (word 2 of the 256-bit counter): a new generator per run would
-        # cost more than the run's counting
-        fresh["state"]["counter"][2] = run
-        bitgen.state = fresh
-        counts_a = np.bincount(gen.permutation(index)[:n_a], minlength=bins)
-        values[run] = kernel(counts_a / n_a, (pooled_counts - counts_a) / n_b)
+    for start in range(0, runs, len(chunk)):
+        counts_a = chunk[: min(len(chunk), runs - start)]
+        for row, run in enumerate(range(start, start + len(counts_a))):
+            # the stream of Philox(key=seed, counter=run << 128), set in place
+            # (word 2 of the 256-bit counter): a new generator per run would
+            # cost more than the run's counting
+            fresh["state"]["counter"][2] = run
+            bitgen.state = fresh
+            counts_a[row] = np.bincount(gen.permutation(index)[:n_a], minlength=bins)
+        values[start : start + len(counts_a)] = kernel(
+            counts_a / n_a, (pooled_counts - counts_a) / n_b
+        )
     return float(np.percentile(values, percentile))

@@ -41,6 +41,16 @@ class CoverReadError(StegogameError):
         super().__init__(f"cannot read cover file {path!r}" + (f": {reason}" if reason else ""))
 
 
+class FileWriteError(StegogameError):
+    """An output file could not be written."""
+
+    code = "IoError"
+
+    def __init__(self, path: str, what: str, reason: str = ""):
+        self.path = path
+        super().__init__(f"cannot write {what} {path!r}" + (f": {reason}" if reason else ""))
+
+
 class NotInLibrary(StegogameError):
     code = "NotInLibrary"
 

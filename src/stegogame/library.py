@@ -21,6 +21,7 @@ from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError,
     DuplicateCover,
+    FileWriteError,
     LibraryTooSmall,
     MalformedFile,
     NotInLibrary,
@@ -160,7 +161,7 @@ def library_from_manifest(doc: dict) -> CoverLibrary:
 
 
 def save_manifest(lib: CoverLibrary, path: str | os.PathLike) -> None:
-    write_json(library_to_manifest(lib), path)
+    write_json(library_to_manifest(lib), path, "manifest")
 
 
 def load_manifest(path: str | os.PathLike) -> CoverLibrary:
@@ -204,6 +205,15 @@ def read_json(path: str | os.PathLike, what: str, unreadable: _Unreadable | None
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
 
 
-def write_json(doc, path: str | os.PathLike) -> None:
-    """Write ``doc`` as one line of compact JSON."""
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+def write_text(text: str, path: str | os.PathLike, what: str) -> None:
+    """Write ``text`` as the UTF-8 ``what`` file at ``path``.  One that cannot
+    be written, a NUL byte in its path included, raises FileWriteError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise FileWriteError(str(path), what, str(exc)) from exc
+
+
+def write_json(doc, path: str | os.PathLike, what: str) -> None:
+    """Write ``doc`` as the ``what`` file at ``path``: one line of compact JSON."""
+    write_text(json.dumps(doc, separators=(",", ":")) + "\n", path, what)

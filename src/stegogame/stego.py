@@ -12,7 +12,6 @@ import os
 import re
 import secrets
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 # xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
@@ -25,7 +24,15 @@ from .errors import (
     MalformedFile,
     StegogameError,
 )
-from .library import CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json
+from .library import (
+    CoverId,
+    CoverLibrary,
+    check_cover_id,
+    read_json,
+    read_text,
+    write_json,
+    write_text,
+)
 from .permcodec import Arrangement, _unrank, capacity, payload_value
 from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
 
@@ -152,7 +159,7 @@ _KEY_LINE1 = re.compile(r"^l=(\d+)$")
 
 def save_key(key: StegoKey, path: str | os.PathLike) -> None:
     """Key file: line 1 ``l=<int>``, line 2 the bits as MSB-first hex."""
-    Path(path).write_text(f"l={key.l}\n{bits_to_hex(key.bits)}\n", encoding="utf-8")
+    write_text(f"l={key.l}\n{bits_to_hex(key.bits)}\n", path, "key file")
 
 
 def load_key(path: str | os.PathLike) -> StegoKey:
@@ -190,7 +197,7 @@ def sequence_from_json(doc: dict) -> StegoSequence:
 
 
 def save_sequence(seq: StegoSequence, path: str | os.PathLike) -> None:
-    write_json(sequence_to_json(seq), path)
+    write_json(sequence_to_json(seq), path, "sequence file")
 
 
 def load_sequence(path: str | os.PathLike) -> StegoSequence:

@@ -5,7 +5,7 @@ order comes from itertools enumeration, coverage probabilities from
 exhaustive counting with exact rationals, safe-use counts from a search
 whose every probe sums the whole inclusion-exclusion series in rationals,
 and permutation-null thresholds from a fresh ``np.histogram`` of every
-resplit.  The embed/extract oracle is the earlier string path, composed
+resplit, or from the metrics' earlier 1-D kernels called once per resplit.  The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
 Game observations come from one bit draw per payload, embedded at once.
@@ -93,7 +93,7 @@ def mc_block_reference(x: int, N: int, T: int, seed: int, block_index: int, size
     return int(covered.all(axis=1).sum())
 
 
-def calibrate_epsilon_reference(
+def calibrate_epsilon_histogram_reference(
     samples_a, samples_b, metric, bins, runs, percentile, seed
 ) -> float:
     """Permutation-null threshold that permutes the pooled samples of every
@@ -111,6 +111,85 @@ def calibrate_epsilon_reference(
             total = int(counts.sum())
             sides.append(EmpiricalDistribution(edges=edges, masses=counts / total, n_samples=total))
         values[run] = METRICS[metric](*sides)
+    return float(np.percentile(values, percentile))
+
+
+# The metrics' earlier kernels, one pair of 1-D mass vectors per call.
+
+
+def kl_1d(pm, qm, n_p, n_q) -> float:
+    pm = pm + 1.0 / (2.0 * n_p)
+    qm = qm + 1.0 / (2.0 * n_q)
+    pm = pm / pm.sum()
+    qm = qm / qm.sum()
+    return max(0.0, float((pm * np.log(pm / qm)).sum()))
+
+
+def _rel_entropy_to_mid_1d(a, mid) -> float:
+    mask = a > 0
+    a = a[mask]
+    return float((a * np.log(a / mid[mask])).sum())
+
+
+def js_1d(pm, qm) -> float:
+    mid = (pm + qm) / 2.0
+    return max(0.0, 0.5 * _rel_entropy_to_mid_1d(pm, mid) + 0.5 * _rel_entropy_to_mid_1d(qm, mid))
+
+
+def tv_1d(pm, qm) -> float:
+    return float(0.5 * np.abs(pm - qm).sum())
+
+
+def w1_1d(pm, qm, center_gaps) -> float:
+    cdf_gap = np.cumsum(pm - qm)[:-1]
+    return float((np.abs(cdf_gap) * center_gaps).sum())
+
+
+def metric_1d(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
+    """``METRICS[metric](p, q)`` through the 1-D kernels."""
+    return {
+        "kl": lambda: kl_1d(p.masses, q.masses, p.n_samples, q.n_samples),
+        "js": lambda: js_1d(p.masses, q.masses),
+        "tv": lambda: tv_1d(p.masses, q.masses),
+        "w1": lambda: w1_1d(p.masses, q.masses, np.diff(p.centers)),
+    }[metric]()
+
+
+def null_values_reference(samples_a, samples_b, metric, bins, runs, seed) -> np.ndarray:
+    """The permutation null's distances, scored one run at a time: bin the
+    pooled samples once, and in every run count the first side of a
+    permutation of the bin indices, subtract it from the pooled counts and
+    score both mass vectors with a 1-D kernel."""
+    a = np.asarray(samples_a, dtype=float)
+    pooled = np.concatenate([a, np.asarray(samples_b, dtype=float)])
+    edges = np.histogram_bin_edges(pooled, bins, range=(float(pooled.min()), float(pooled.max())))
+    index = np.minimum(np.searchsorted(edges, pooled, side="right") - 1, bins - 1)
+    pooled_counts = np.bincount(index, minlength=bins)
+    n_a, n_b = a.size, pooled.size - a.size
+    center_gaps = np.diff((edges[:-1] + edges[1:]) / 2.0)
+    kernel = {
+        "kl": lambda pm, qm: kl_1d(pm, qm, n_a, n_b),
+        "js": js_1d,
+        "tv": tv_1d,
+        "w1": lambda pm, qm: w1_1d(pm, qm, center_gaps),
+    }[metric]
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    values = np.empty(runs)
+    for run in range(runs):
+        fresh["state"]["counter"][2] = run  # Philox(key=seed, counter=run << 128)
+        bitgen.state = fresh
+        counts_a = np.bincount(gen.permutation(index)[:n_a], minlength=bins)
+        values[run] = kernel(counts_a / n_a, (pooled_counts - counts_a) / n_b)
+    return values
+
+
+def calibrate_epsilon_reference(
+    samples_a, samples_b, metric, bins, runs, percentile, seed
+) -> float:
+    """Permutation-null threshold from :func:`null_values_reference`."""
+    values = null_values_reference(samples_a, samples_b, metric, bins, runs, seed)
     return float(np.percentile(values, percentile))
 
 

@@ -3,7 +3,7 @@ import json
 import math
 import traceback
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,7 +49,7 @@ from stegogame.errors import (
 )
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import capacity
-from stegogame.stego import SeededEntropy, StegoKey, StegoSequence, keygen
+from stegogame.stego import Message, SeededEntropy, StegoKey, StegoSequence, keygen
 
 
 class FailingAdversary:
@@ -597,6 +597,58 @@ def test_observed_matches_eager_oracle():
     assert type(observed) is tuple and len(observed) == 5
     assert observed == expected
     assert knowledge.observed is observed
+
+
+@pytest.mark.parametrize("path", [("leak",), ("trial", 0, "harness"), ("round", 3, "trial", 17)])
+def test_rekey_gives_a_fresh_philox(path):
+    """A generator rekeyed after arbitrary draws, with half of a 64-bit word
+    left in its 32-bit buffer, is in the state a new Philox with the derived
+    key starts in, and draws the same next 1,000 values."""
+    gen = np.random.Generator(np.random.Philox(key=5))
+    gen.integers(0, 2, size=7)
+    gen.random(3)
+    gen.choice(11, size=4, replace=False)
+    gen.integers(0, 2, size=1)
+    state = gen.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    fresh = np.random.Generator(np.random.Philox(key=game._derive_key(9, *path)))
+    assert game._rekey(gen, 9, *path) is gen
+    assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+    assert repr(game._generator(9, *path).bit_generator.state) == repr(fresh.bit_generator.state)
+    for draw in (
+        lambda g: g.integers(0, 2, size=333),
+        lambda g: g.random(333),
+        lambda g: g.choice(50, size=334),
+    ):
+        assert draw(gen).tolist() == draw(fresh).tolist()
+
+
+def test_cca_replay_one_draw_matches_a_draw_per_oracle_call():
+    """CCAReplay's payloads, drawn in one call and sliced, are the ones a
+    draw per oracle call gives at an odd payload width, also after an
+    odd-length earlier draw, and leave the stream where those draws do."""
+    sc = synthetic_scenario(T=16, N=4, world_size=32, seed=3, observations=0)
+    l = capacity(16, 4).l
+    assert l == 15
+    session_key = keygen(l, SeededEntropy(4))
+    batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
+    batched.integers(0, 2, size=5)
+    single.integers(0, 2, size=5)
+    knowledge = game._knowledge(
+        sc, AttackLevel.CCA, session_key, (), np.random.default_rng(0), batched, []
+    )
+    asked = []
+
+    def oracle(bits):
+        asked.append(bits)
+        return knowledge.embed_oracle(bits)
+
+    learned = CCAReplay(oracle_calls=32).learn(replace(knowledge, embed_oracle=oracle))
+    assert asked == [game._random_bits(single, l) for _ in range(32)]
+    assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
+    assert learned["known"] == {
+        cid for bits in asked for cid in game.embed(Message(bits), session_key, sc.library, 4).ids
+    }
 
 
 class TestAccaLoop:

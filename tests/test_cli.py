@@ -145,6 +145,23 @@ class TestFileRoundTrip:
         assert "UTF-8" in parse(out)["detail"] or "JSON" in parse(out)["detail"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("writer", ["build-library", "keygen", "embed"])
+    def test_unwritable_output_is_an_io_error(self, workspace, capsys, writer):
+        tmp_path, lib_path, key_path = workspace
+        out_path = tmp_path / "missing" / "out.json"
+        argv = {
+            "build-library": ["build-library", *sorted(tmp_path.glob("cover*.bin")), "-o", out_path],
+            "keygen": ["keygen", "--bits", "8", "--seed", "1", "-o", out_path],
+            "embed": ["embed", "-m", "2f", "-k", key_path, "-x", lib_path, "-N", "3",
+                      "-o", out_path],
+        }[writer]
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 1
+        assert parse(out)["error"] == "IoError"
+        assert "cannot write" in parse(out)["detail"]
+        assert "Traceback" not in err
+        assert not out_path.parent.exists()
+
     def test_keygen_seed_reproducible(self, tmp_path, capsys):
         p1, p2 = tmp_path / "k1.txt", tmp_path / "k2.txt"
         run_cli(capsys, "keygen", "--bits", "16", "--seed", "3", "-o", str(p1))

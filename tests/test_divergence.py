@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stegogame.divergence import (
+    CHUNK_CELLS,
+    METRICS,
     EmpiricalDistribution,
     VERDICT_DISTINGUISHABLE,
     VERDICT_INDISTINGUISHABLE,
@@ -20,7 +22,12 @@ from stegogame.divergence import (
 )
 from stegogame.errors import BinMismatch, EmptySamples, InvalidParams
 
-from helpers import calibrate_epsilon_reference
+from helpers import (
+    calibrate_epsilon_histogram_reference,
+    calibrate_epsilon_reference,
+    metric_1d,
+    null_values_reference,
+)
 
 LN2 = math.log(2)
 
@@ -206,7 +213,38 @@ class TestDistinguishability:
             calibrate_epsilon([1.0, 2.0], [bad], runs=4)
 
 
+class TestRowBatchedKernels:
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("bins", [1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, 5000])
+    def test_public_metrics_equal_1d_kernels(self, metric, bins):
+        gen = np.random.Generator(np.random.Philox(key=bins))
+        edges = np.cumsum(gen.random(bins + 1) + 0.01)
+        for case in range(6):
+            pair = []
+            for _ in range(2):
+                raw = gen.random(bins) * (gen.random(bins) < 0.3 * case)  # empty bins
+                raw[gen.integers(bins)] += 1.0
+                pair.append(EmpiricalDistribution(edges, raw / raw.sum(), int(gen.integers(1, 900))))
+            assert METRICS[metric](*pair) == metric_1d(metric, *pair), case
+
+
 class TestPermutationNull:
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("bins", [1, 2, 63, 64, 65, 300, 5000])
+    def test_chunked_null_equals_per_run_kernels(self, metric, bins):
+        """Every chunk boundary: one run, a chunk short of one run, a whole
+        chunk, one run past it, and many chunks; unequal sides, with empty
+        bins between two clusters."""
+        gen = np.random.Generator(np.random.Philox(key=bins))
+        a = np.concatenate([gen.normal(0.0, 0.1, 20), gen.normal(5.0, 0.1, 17)])
+        b = np.concatenate([gen.normal(0.0, 0.1, 9), gen.normal(5.0, 0.1, 14)])
+        chunk = max(1, CHUNK_CELLS // bins)
+        for runs in sorted({1, chunk - 1, chunk, chunk + 1, 777} - {0}):
+            values = null_values_reference(a, b, metric, bins, runs, 5)
+            for percentile in (0, 50, 99, 100):
+                got = calibrate_epsilon(a, b, metric, bins, runs, percentile, seed=5)
+                assert got == float(np.percentile(values, percentile)), (runs, percentile)
+
     @pytest.mark.parametrize("metric", ["kl", "js", "tv", "w1"])
     @pytest.mark.parametrize("bins", [1, 7, 64])
     def test_matches_per_run_histograms(self, metric, bins):
@@ -221,12 +259,14 @@ class TestPermutationNull:
         for seed, (a, b) in enumerate(cases):
             for percentile in (99.0, 50, 100):
                 args = (a, b, metric, bins, 30, percentile, seed)
-                assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args), (seed, percentile)
+                reference = calibrate_epsilon_histogram_reference(*args)
+                assert calibrate_epsilon(*args) == reference, (seed, percentile)
         # the benchmark's shape (at 64 bins): 2 x 500 normals, the null's
         # maximum over a few hundred runs, where each run's second side is
         # the pooled counts minus the first side's
         pooled = gen.normal(size=1000)
         args = (pooled[:500], pooled[500:], metric, bins, 300, 100, 7)
+        assert calibrate_epsilon(*args) == calibrate_epsilon_histogram_reference(*args)
         assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args)
 
     @pytest.mark.parametrize("bad", [0, -3, True, False, 2.5, "8", None])

@@ -8,6 +8,7 @@ from stegogame.cli import _read_samples
 from stegogame.errors import (
     CoverReadError,
     DuplicateCover,
+    FileWriteError,
     LibraryTooSmall,
     MalformedFile,
     NotInLibrary,
@@ -23,7 +24,9 @@ from stegogame.library import (
     load_manifest,
     save_manifest,
 )
-from stegogame.stego import load_key, load_sequence
+from stegogame.stego import StegoKey, StegoSequence, load_key, load_sequence, save_key, save_sequence
+
+from helpers import mem_library
 
 
 def test_hash_bytes_matches_stdlib():
@@ -163,3 +166,22 @@ def test_reader_raises_its_typed_error(tmp_path, reader, case):
     with pytest.raises(StegogameError) as exc:
         load(str(tmp_path / name[case]))
     assert type(exc.value) is (MalformedFile if case == "non-utf8" else unreadable)
+
+
+
+# every writer of an output file, each handed something it can write
+WRITERS = {
+    "save_manifest": lambda path: save_manifest(mem_library(2), path),
+    "save_key": lambda path: save_key(StegoKey("0110"), path),
+    "save_sequence": lambda path: save_sequence(StegoSequence(ids=("a" * 64,)), path),
+}
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory", "nul"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writer_raises_file_write_error(tmp_path, writer, case):
+    name = {"missing directory": "ghost/out.json", "directory": "", "nul": "a\x00b"}[case]
+    with pytest.raises(FileWriteError) as exc:
+        WRITERS[writer](str(tmp_path / name))
+    assert exc.value.code == "IoError"
+    assert str(exc.value).startswith("cannot write ")
