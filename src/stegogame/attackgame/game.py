@@ -16,7 +16,7 @@ them only when the adversary first reads ``Knowledge.observed``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
 from numbers import Real
@@ -498,6 +498,9 @@ def acca_loop(
     oracle budget, a fresh session key, and a leak grown per the scenario
     schedule.  Stops early once a round's verdict is broken.  Rounds run
     sequentially; adversary state makes them order-dependent by design.
+
+    ``alpha`` is the family-wise level over all rounds: each round is tested
+    at ``alpha / rounds`` (Bonferroni) and reports the family ``alpha``.
     """
     _validate(trials_per_round, seed, alpha)
     n_rounds = rounds if rounds is not None else scenario.rounds
@@ -510,12 +513,11 @@ def acca_loop(
             scenario, adversary, AttackLevel.ACCA, seed, trials_per_round, _score_detection,
             round_index=r, state=state,
         )
-        results.append(
-            _result(
-                AttackLevel.ACCA, "detection", successes, trials_per_round, alpha, seed,
-                stego_challenges=stego, round_index=r,
-            )
+        result = _result(
+            AttackLevel.ACCA, "detection", successes, trials_per_round, alpha / n_rounds, seed,
+            stego_challenges=stego, round_index=r,
         )
+        results.append(replace(result, alpha=alpha))
         if results[-1].verdict == VERDICT_BROKEN:
             break
     return results

@@ -9,7 +9,6 @@ fully in memory while CLI runs read real files.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
@@ -20,7 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import CoverReadError, InvalidConfig, MalformedFile, NotInLibrary
-from ..library import CoverEntry, CoverId, CoverLibrary, load_manifest, read_bytes, read_json
+from ..library import (
+    CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
+)
 
 KEY_LEAK_MODES = (None, "full", "flip1")
 _INT_FIELDS = ("N", "oracle_embed_budget", "oracle_extract_budget", "rounds", "observations")
@@ -131,7 +132,7 @@ def synthetic_corpus(count: int, size: int = 2048, seed: int = 0) -> dict[CoverI
     corpus: dict[CoverId, bytes] = {}
     while len(corpus) < count:
         blob = gen.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        corpus[hashlib.sha256(blob).hexdigest()] = blob
+        corpus[hash_bytes(blob)] = blob
     return corpus
 
 

@@ -1,15 +1,16 @@
 """Usage-budget math: how many sequences until the whole library is exposed.
 
 Each transmitted sequence shows the warden N of the T library covers.  After
-x sequences the warden may have seen everything.  Three routes to that
-probability live here side by side:
+x sequences the warden may have seen everything.  ``coverage_report`` gives
+three routes to that probability side by side:
 
-* ``pr_coverage_published`` - a known closed form that subtracts union-bound
-  terms without alternating signs.  It can leave [0,1] and is kept verbatim
-  so the discrepancy stays visible.
-* ``pr_coverage_exact`` - inclusion-exclusion over the uncovered sets, always
-  a true probability, cross-checked against exhaustive enumeration in tests.
-* ``pr_coverage_mc`` - Monte-Carlo referee between the two.
+* ``p_published`` - a known closed form that subtracts union-bound terms
+  without alternating signs.  It can leave [0,1] and is kept verbatim so
+  the discrepancy stays visible.
+* ``p_exact`` - inclusion-exclusion over the uncovered sets, always a true
+  probability, cross-checked against exhaustive enumeration in tests;
+  ``coverage_exact_fraction`` gives it as an exact rational.
+* ``p_mc`` - Monte-Carlo referee between the two (``pr_coverage_mc``).
 
 The closed forms are computed in integers: over the common denominator
 ``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
@@ -118,36 +119,15 @@ def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
     return partial * zd < target
 
 
-def _published_float(published: int, D: int) -> float:
-    try:
-        return published / D
-    except OverflowError:  # e.g. about -2**1100 at T=1100, N=1, x=1
-        raise InvalidParams("the published closed form lies outside the float range") from None
-
-
-def pr_coverage_published(x: int, N: int, T: int) -> float:
-    """Literal closed form 1 - sum of union-bound terms; may leave [0,1]."""
-    _check_txn(x, N, T)
-    published, _, D = _coverage_numerators(x, N, T)
-    return _published_float(published, D)
-
-
-def pr_coverage_exact(x: int, N: int, T: int) -> float:
-    """P(all T covers appear in x independent uniform N-subsets)."""
-    _check_txn(x, N, T)
-    _, exact, D = _coverage_numerators(x, N, T)
-    return exact / D
-
-
 def coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
-    """Exact-rational variant of :func:`pr_coverage_exact`."""
+    """P(all T covers appear in x independent uniform N-subsets), exactly."""
     _check_txn(x, N, T)
     _, exact, D = _coverage_numerators(x, N, T)
     return Fraction(exact, D)
 
 
 def max_safe_uses(N: int, T: int, zeta: float) -> int:
-    """Largest x with pr_coverage_exact(x, N, T) < zeta; 0 if none.
+    """Largest x with coverage_exact_fraction(x, N, T) < zeta; 0 if none.
 
     Coverage probability is 0 at x=0 and increases to 1, so the answer is
     the last x before the monotone sequence crosses zeta, found by an
@@ -279,7 +259,11 @@ def coverage_report(
 ) -> CoverageReport:
     _check_txn(x, N, T)
     published, exact, D = _coverage_numerators(x, N, T)
-    p_published, p_exact = _published_float(published, D), exact / D
+    try:
+        p_published = published / D
+    except OverflowError:  # e.g. about -2**1100 at T=1100, N=1, x=1
+        raise InvalidParams("the published closed form lies outside the float range") from None
+    p_exact = exact / D
     p_mc = mc_se = within = None
     if mc_trials is not None:
         p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed, max_workers=max_workers)

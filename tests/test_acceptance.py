@@ -32,10 +32,9 @@ from stegogame.attackgame import (
 )
 from stegogame.budget import (
     coverage_exact_fraction,
+    coverage_report,
     max_safe_uses,
-    pr_coverage_exact,
     pr_coverage_mc,
-    pr_coverage_published,
 )
 from stegogame.divergence import (
     VERDICT_INDISTINGUISHABLE,
@@ -133,9 +132,10 @@ def test_criterion_3_budget_correctness(capfd):
     for T in range(2, 9):
         N = T - 1
         for x in range(1, 5):
-            if pr_coverage_published(x, N, T) != pr_coverage_exact(x, N, T):
+            rep = coverage_report(x, N, T)
+            if rep.p_published != rep.p_exact:
                 mismatches.append(("one-term", T, N, x))
-    flaw = pr_coverage_published(2, 2, 4)
+    flaw = coverage_report(2, 2, 4).p_published
     flaw_ok = flaw == pytest.approx(-1 / 6) and not (0 <= flaw <= 1)
     ok = not mismatches and not mc_out and flaw_ok
     _report(

@@ -4,6 +4,7 @@ import math
 import traceback
 from collections import Counter
 from dataclasses import asdict, replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -675,6 +676,29 @@ class TestAccaLoop:
         a = acca_loop(sc, KCAMembership(), trials_per_round=120, seed=2)
         b = acca_loop(sc, KCAMembership(), trials_per_round=120, seed=2)
         assert [asdict(r) for r in a] == [asdict(r) for r in b]
+
+    @pytest.mark.parametrize("n, rounds", [(100, 20), (100, 5), (150, 4)])
+    def test_false_break_rate_at_most_family_alpha(self, monkeypatch, n, rounds):
+        """A coin-flipper's per-round successes are exactly Binomial(n, 1/2).
+        With k the fewest successes that read broken, it breaks some round
+        with probability 1 - (1 - P(X >= k))**rounds, which must not exceed
+        the family alpha."""
+        alpha = 0.01
+        sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
+
+        def verdicts(k):
+            monkeypatch.setattr(game, "_play", lambda *args, **kwargs: (k, 0, None))
+            results = acca_loop(
+                sc, RandomGuesser(), trials_per_round=n, seed=0, rounds=rounds, alpha=alpha
+            )
+            assert {r.alpha for r in results} == {alpha}
+            return [r.verdict for r in results]
+
+        k = next(k for k in range(n + 1) if VERDICT_BROKEN in verdicts(k))
+        assert verdicts(k) == [VERDICT_BROKEN]
+        assert verdicts(k - 1) == [VERDICT_RESISTS] * rounds
+        tail = Fraction(sum(math.comb(n, j) for j in range(k, n + 1)), 2**n)
+        assert 1 - (1 - tail) ** rounds <= alpha
 
 
 @pytest.mark.parametrize(

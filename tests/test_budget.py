@@ -16,28 +16,25 @@ from stegogame.budget import (
     coverage_exact_fraction,
     coverage_report,
     max_safe_uses,
-    pr_coverage_exact,
     pr_coverage_mc,
-    pr_coverage_published,
 )
 from stegogame.errors import InvalidParams
 
 
 class TestPublishedFormula:
     def test_single_term_case_is_exact(self):
-        assert pr_coverage_published(2, 2, 3) == pytest.approx(2 / 3)
+        assert coverage_report(2, 2, 3).p_published == pytest.approx(2 / 3)
 
     def test_leaves_unit_interval(self):
-        assert pr_coverage_published(2, 2, 4) == pytest.approx(-1 / 6)
+        assert coverage_report(2, 2, 4).p_published == pytest.approx(-1 / 6)
 
     def test_x_zero_nonpositive(self):
-        assert pr_coverage_published(0, 2, 4) <= 0.0
+        assert coverage_report(0, 2, 4).p_published <= 0.0
 
     def test_past_the_float_range_refused(self):
         # the published numerator is about -2**1100 times the denominator
-        for route in (pr_coverage_published, coverage_report):
-            with pytest.raises(InvalidParams, match="outside the float range"):
-                route(1, 1, 1100)
+        with pytest.raises(InvalidParams, match="outside the float range"):
+            coverage_report(1, 1, 1100)
 
     def test_matches_exact_when_one_term(self):
         # a single subtraction term cannot overshoot; past one term the two
@@ -46,9 +43,10 @@ class TestPublishedFormula:
             for N in range(1, T + 1):
                 for x in range(8):
                     one_term = x >= 1 and T - N <= 1
-                    assert coverage_report(x, N, T).published_matches_exact == one_term, (T, N, x)
+                    rep = coverage_report(x, N, T)
+                    assert rep.published_matches_exact == one_term, (T, N, x)
                     if one_term:
-                        assert pr_coverage_published(x, N, T) == pr_coverage_exact(x, N, T)
+                        assert rep.p_published == rep.p_exact
 
 
 class TestExactCoverage:
@@ -59,14 +57,14 @@ class TestExactCoverage:
 
     def test_full_draw_covers_instantly(self):
         for x in (1, 2, 7):
-            assert pr_coverage_exact(x, 3, 3) == 1.0
+            assert coverage_report(x, 3, 3).p_exact == 1.0
 
     def test_no_observations_no_coverage(self):
-        assert pr_coverage_exact(0, 2, 4) == 0.0
-        assert pr_coverage_exact(0, 3, 3) == 0.0
+        assert coverage_report(0, 2, 4).p_exact == 0.0
+        assert coverage_report(0, 3, 3).p_exact == 0.0
 
     def test_single_use_below_full_is_zero(self):
-        assert pr_coverage_exact(1, 2, 5) == 0.0
+        assert coverage_report(1, 2, 5).p_exact == 0.0
 
     def test_matches_enumeration_oracle(self):
         for T in range(1, 6):
@@ -77,6 +75,15 @@ class TestExactCoverage:
                         N,
                         x,
                     )
+
+    def test_report_float_is_the_rounded_fraction(self):
+        # both are correctly rounded int / int divisions of the same numerator
+        for T in (*range(1, 13), 40, 256):
+            for N in {1, 2, T // 3, T - 1, T} & set(range(1, T + 1)):
+                for x in (0, 1, 2, 3, 5, 8, 13, 40):
+                    assert coverage_report(x, N, T).p_exact == float(
+                        coverage_exact_fraction(x, N, T)
+                    ), (T, N, x)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -131,8 +138,9 @@ class TestExactCoverage:
 
     def test_rejects_bad_params(self):
         for args in [(1, 0, 3), (1, 4, 3), (-1, 2, 3), (True, 2, 3), (1, True, 3), (1, 1, True)]:
-            with pytest.raises(InvalidParams):
-                pr_coverage_exact(*args)
+            for route in (coverage_report, coverage_exact_fraction):
+                with pytest.raises(InvalidParams):
+                    route(*args)
         for args in [(True, 4, 0.4), (2, True, 0.4)]:
             with pytest.raises(InvalidParams):
                 max_safe_uses(*args)
@@ -149,8 +157,8 @@ class TestMaxSafeUses:
     def test_answer_brackets_threshold(self):
         for T, N, zeta in [(5, 2, 0.3), (6, 3, 0.1), (8, 2, 0.9)]:
             x = max_safe_uses(N, T, zeta)
-            assert pr_coverage_exact(x, N, T) < zeta
-            assert pr_coverage_exact(x + 1, N, T) >= zeta
+            assert coverage_report(x, N, T).p_exact < zeta
+            assert coverage_report(x + 1, N, T).p_exact >= zeta
 
     def test_monotone_in_zeta(self):
         for T, N in [(4, 2), (6, 3), (9, 4)]:
@@ -197,7 +205,7 @@ class TestMonteCarlo:
     def test_matches_exact_within_error(self):
         for T, N, x in [(3, 2, 2), (4, 2, 3), (5, 3, 2)]:
             est, se = pr_coverage_mc(x, N, T, trials=40000, seed=11)
-            assert abs(est - pr_coverage_exact(x, N, T)) <= 4 * se
+            assert abs(est - coverage_report(x, N, T).p_exact) <= 4 * se
 
     @pytest.mark.parametrize("levels", [2, 3, 8])
     @pytest.mark.parametrize("N", [1, 2, 4, 7, 8])
@@ -245,7 +253,7 @@ class TestParamsAndReport:
         monkeypatch.setattr(budget, "_terms", counted)
         rep = coverage_report(3, 2, 5, mc_trials=1000, seed=1)
         assert walks == [(3, 2, 5)]
-        assert rep.p_exact == pr_coverage_exact(3, 2, 5)
+        assert rep.p_exact == float(coverage_exact_fraction(3, 2, 5))
 
     def test_report_flags_agreement(self):
         rep = coverage_report(2, 2, 3, mc_trials=20000, seed=5)

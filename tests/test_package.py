@@ -93,3 +93,22 @@ def test_lazy_names_import():
 
     assert js is divergence.js and max_safe_uses is budget.max_safe_uses
     assert stegogame.budget is budget and stegogame.divergence is divergence
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import json, sys, stegogame; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+    assert {m for m in _loaded(code) if m.startswith("stegogame.")} == set()
+
+
+def test_public_names_are_listed_once_and_sorted():
+    assert stegogame.__all__ == sorted(set(stegogame.__all__))
+    assert stegogame.__all__ == [
+        "Arrangement", "Capacity", "CoverEntry", "CoverLibrary", "CoverageReport",
+        "DistanceReport", "EmpiricalDistribution", "Message", "SeededEntropy", "StegoKey",
+        "StegoSequence", "StegogameError", "SystemEntropy", "bits_to_hex", "build_library",
+        "calibrate_epsilon", "capacity", "coverage_report", "distinguishability_test", "embed",
+        "estimate_distribution", "extract", "hash_bytes", "hash_file", "hex_to_bits", "js",
+        "keygen", "kl", "load_key", "load_manifest", "load_sequence", "max_safe_uses",
+        "pr_coverage_mc", "rank", "save_key", "save_manifest", "save_sequence", "tv", "unrank",
+        "w1",
+    ]
