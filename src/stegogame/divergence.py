@@ -3,8 +3,8 @@
 Two sample sets are reduced to equal-width histograms over a shared support,
 then compared under KL, Jensen-Shannon, total variation, or 1-Wasserstein.
 A pair is called distinguishable at threshold epsilon when the chosen
-distance exceeds epsilon; a permutation-null helper picks a defensible
-epsilon when the caller has none.
+distance exceeds epsilon; a permutation-null helper, drawing resplit counts
+from their hypergeometric law, picks epsilon when the caller has none.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .budget import check_seed
 from .errors import BinMismatch, EmptySamples, InvalidParams
 
 MASS_TOLERANCE = 1e-12
-# calibrate_epsilon scores its resplits in chunks of about this many count cells
+# calibrate_epsilon draws and scores its resplits in blocks of about this many count cells
 CHUNK_CELLS = 4096
 
 
@@ -31,6 +31,13 @@ def _check_count(name: str, value) -> None:
         raise InvalidParams(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidParams(f"{name} must be >= 1, got {value}")
+
+
+def _finite_samples(samples) -> np.ndarray:
+    arr = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParams("samples must be finite numbers, not nan or inf")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +82,12 @@ def estimate_distribution(
     ``support`` fixes the range so that two sample sets can share bins;
     out-of-range samples are dropped and the rest renormalized.
     """
-    arr = np.asarray(samples, dtype=float)
+    arr = _finite_samples(samples)
     if arr.size == 0:
         raise EmptySamples("need at least one sample")
     _check_count("bins", bins)
+    if support is not None and not (-math.inf < support[0] <= support[1] < math.inf):
+        raise InvalidParams(f"support must be finite with low <= high, got {support!r}")
     counts, edges = np.histogram(arr, bins=bins, range=support)
     total = int(counts.sum())
     if total == 0:
@@ -113,7 +122,7 @@ def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> No
 # Row-batched kernels: the arithmetic of each metric on two (rows, bins)
 # mass matrices over bins already known to be shared, one value per row.
 # The public metrics check the bins and score one row; calibrate_epsilon
-# scores a chunk of resplits per call on bins it checked once.  Each row
+# scores a block of resplits per call on bins it checked once.  Each row
 # reduces along axis 1 exactly as a lone 1-D vector would (row sums, cumsums
 # and logs round as the 1-D calls do), so batching never moves a value.
 
@@ -220,9 +229,7 @@ def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float]):
     b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise EmptySamples("both sample sets must be non-empty")
-    pooled = np.concatenate([a, b])
-    if not np.all(np.isfinite(pooled)):
-        raise InvalidParams("samples must be finite numbers, not nan or inf")
+    pooled = _finite_samples(np.concatenate([a, b]))
     return a, b, pooled, (float(pooled.min()), float(pooled.max()))
 
 
@@ -241,6 +248,8 @@ def distinguishability_test(
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real):
+        raise InvalidParams(f"epsilon must be a real number, got {epsilon!r}")
     if not math.isfinite(epsilon):
         raise InvalidParams("epsilon must be finite")
     start = time.perf_counter()
@@ -274,11 +283,12 @@ def calibrate_epsilon(
     """Permutation-null threshold: pool the samples, resplit at random many
     times, and return the given percentile of the null distances.
 
-    Every pooled sample is binned once, and the bins are checked once: each
-    run permutes the bin indices, counts the first side and takes the second
-    side's counts as the pooled counts minus the first side's.  Runs are
-    scored in chunks of about ``CHUNK_CELLS`` count cells, one kernel call
-    per chunk, with the values each run would get on its own.
+    A resplit's only output is the first side's count per pooled bin, which
+    is multivariate hypergeometric: the pooled counts are the colours, the
+    first side's size the sample size.  Each block of about ``CHUNK_CELLS``
+    count cells draws its rows in one call and scores them in one kernel
+    call; ``marginals`` draws row after row, so no value depends on the
+    block size.
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
@@ -289,11 +299,7 @@ def calibrate_epsilon(
         raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
     check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b)
-    edges = np.histogram_bin_edges(pooled, bins, range=support)
-    # the bin np.histogram gives each sample: edges[i] <= v < edges[i+1],
-    # with the top edge in the last bin
-    index = np.minimum(np.searchsorted(edges, pooled, side="right") - 1, bins - 1)
-    pooled_counts = np.bincount(index, minlength=bins)
+    pooled_counts, edges = np.histogram(pooled, bins, range=support)
     # the one validation of these edges (and of the pooled masses) per call
     pooled_dist = EmpiricalDistribution(
         edges=edges, masses=pooled_counts / pooled.size, n_samples=pooled.size
@@ -306,20 +312,13 @@ def calibrate_epsilon(
         "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers)),
     }[metric]
 
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    chunk = np.empty((min(runs, max(1, CHUNK_CELLS // bins)), bins), dtype=pooled_counts.dtype)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    block = max(1, CHUNK_CELLS // bins)
     values = np.empty(runs)
-    for start in range(0, runs, len(chunk)):
-        counts_a = chunk[: min(len(chunk), runs - start)]
-        for row, run in enumerate(range(start, start + len(counts_a))):
-            # the stream of Philox(key=seed, counter=run << 128), set in place
-            # (word 2 of the 256-bit counter): a new generator per run would
-            # cost more than the run's counting
-            fresh["state"]["counter"][2] = run
-            bitgen.state = fresh
-            counts_a[row] = np.bincount(gen.permutation(index)[:n_a], minlength=bins)
+    for start in range(0, runs, block):
+        counts_a = gen.multivariate_hypergeometric(
+            pooled_counts, n_a, size=min(block, runs - start), method="marginals"
+        )
         values[start : start + len(counts_a)] = kernel(
             counts_a / n_a, (pooled_counts - counts_a) / n_b
         )

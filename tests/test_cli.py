@@ -295,6 +295,56 @@ class TestDivergenceCommand:
         assert parse(out)["error"] == "InvalidParams"
 
 
+# divergence's stdout on samples from Philox(key=2018): 300 normals in a.txt,
+# 200 normals shifted by 0.1 in b.txt.  The auto thresholds come from the
+# hypergeometric null's stream; the fixed-epsilon run predates it.
+GOLDEN_DIVERGENCE = {
+    ("--metric", "js", "--epsilon", "auto", "--seed", "11"): (
+        '{"bins":64,"epsilon":0.09613445664359267,"epsilon_mode":"auto","metric":"js",'
+        '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
+        '"metric":"js"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
+        '"value":0.05736797916196189,"verdict":"indistinguishable-at-epsilon"}\n'
+    ),
+    ("--metric", "kl", "--epsilon", "auto", "--seed", "11"): (
+        '{"bins":64,"epsilon":0.299910302227738,"epsilon_mode":"auto","metric":"kl",'
+        '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
+        '"metric":"kl"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
+        '"value":0.15774813093162576,"verdict":"indistinguishable-at-epsilon"}\n'
+    ),
+    ("--metric", "tv", "--epsilon", "auto", "--seed", "11"): (
+        '{"bins":64,"epsilon":0.32499999999999996,"epsilon_mode":"auto","metric":"tv",'
+        '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
+        '"metric":"tv"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
+        '"value":0.2333333333333333,"verdict":"indistinguishable-at-epsilon"}\n'
+    ),
+    ("--metric", "w1", "--epsilon", "auto", "--seed", "11"): (
+        '{"bins":64,"epsilon":0.2476239709901827,"epsilon_mode":"auto","metric":"w1",'
+        '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
+        '"metric":"w1"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
+        '"value":0.07317018015127302,"verdict":"indistinguishable-at-epsilon"}\n'
+    ),
+    ("--metric", "js", "--epsilon", "0.05", "--bins", "32"): (
+        '{"bins":32,"epsilon":0.05,"epsilon_mode":"fixed","metric":"js",'
+        '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":32,"epsilon":"0.05",'
+        '"metric":"js"},"subcommand":"divergence","tool_version":"0.1.0",'
+        '"value":0.02708777880872491,"verdict":"indistinguishable-at-epsilon"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIVERGENCE))
+def test_golden_divergence_bytes(tmp_path, monkeypatch, capsys, argv):
+    import numpy as np
+
+    monkeypatch.chdir(tmp_path)
+    gen = np.random.Generator(np.random.Philox(key=2018))
+    Path("a.txt").write_text("\n".join(str(v) for v in gen.normal(size=300)))
+    Path("b.txt").write_text("\n".join(str(v) for v in gen.normal(0.1, 1.0, size=200)))
+    code, out, err = run_cli(capsys, "divergence", "-a", "a.txt", "-b", "b.txt", *argv)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_DIVERGENCE[argv]
+
+
 class TestAttackCommand:
     @pytest.fixture
     def scenario_file(self, tmp_path, make_covers):

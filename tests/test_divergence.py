@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import ks_2samp
 
+from stegogame import divergence
 from stegogame.divergence import (
     CHUNK_CELLS,
     METRICS,
@@ -23,10 +25,10 @@ from stegogame.divergence import (
 from stegogame.errors import BinMismatch, EmptySamples, InvalidParams
 
 from helpers import (
-    calibrate_epsilon_histogram_reference,
     calibrate_epsilon_reference,
     metric_1d,
     null_values_reference,
+    permutation_null_reference,
 )
 
 LN2 = math.log(2)
@@ -78,6 +80,28 @@ class TestEstimator:
         for bins in (0, -1, True, 2.5, "4", None):
             with pytest.raises(InvalidParams):
                 estimate_distribution([1.0], bins=bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        for support in (None, (0.0, 2.0)):
+            with pytest.raises(InvalidParams, match="finite"):
+                estimate_distribution([1.0, bad], bins=2, support=support)
+
+    def test_reversed_support_refused(self):
+        with pytest.raises(InvalidParams, match="support"):
+            estimate_distribution([1.0, 1.5], bins=2, support=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "support", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_non_finite_support_refused(self, support):
+        with pytest.raises(InvalidParams, match="support"):
+            estimate_distribution([0.5], bins=2, support=support)
+
+    def test_equal_support_bounds_widen(self):
+        d = estimate_distribution([1.0, 1.0, 3.0], bins=2, support=(1.0, 1.0))
+        assert d.edges.tolist() == [0.5, 1.0, 1.5]
+        assert d.masses.tolist() == [0.0, 1.0] and d.n_samples == 2
 
     def test_distribution_validation(self):
         with pytest.raises(InvalidParams):
@@ -192,6 +216,16 @@ class TestDistinguishability:
         with pytest.raises(InvalidParams):
             distinguishability_test([1.0], [2.0], epsilon=math.inf)
 
+    @pytest.mark.parametrize("bad", ["0.1", None, True, False, 1j, [0.1]])
+    def test_epsilon_must_be_a_real_number(self, bad):
+        with pytest.raises(InvalidParams, match="epsilon"):
+            distinguishability_test([1.0], [2.0], epsilon=bad)
+
+    @pytest.mark.parametrize("epsilon", [1, np.float32(0.25), np.int64(2)])
+    def test_real_epsilon_types_accepted(self, epsilon):
+        report = distinguishability_test([1.0, 2.0], [1.5, 2.5], epsilon=epsilon)
+        assert report.epsilon == epsilon
+
     def test_empty_samples(self):
         with pytest.raises(EmptySamples):
             distinguishability_test([], [1.0], epsilon=0.1)
@@ -228,13 +262,42 @@ class TestRowBatchedKernels:
             assert METRICS[metric](*pair) == metric_1d(metric, *pair), case
 
 
+def recorded_null(monkeypatch, metric, a, b, bins, runs, seed):
+    """What calibrate_epsilon hands its kernel: the first side's counts of
+    every run (its masses times the side's size) and the null distances."""
+    counts, values = [], []
+    kernel = getattr(divergence, f"_{metric}")
+
+    def recording(pm, qm, *args, **kwargs):
+        counts.append(np.rint(pm * len(a)).astype(np.int64))
+        values.append(kernel(pm, qm, *args, **kwargs))
+        return values[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(divergence, f"_{metric}", recording)
+        calibrate_epsilon(a, b, metric, bins, runs, 50, seed)
+    return np.concatenate(counts), np.concatenate(values)
+
+
+def two_clusters(gen, n_a, n_b):
+    """Samples around 0 and 5, so the bins between the clusters stay empty."""
+    a = np.concatenate([gen.normal(0.0, 0.1, n_a // 2), gen.normal(5.0, 0.1, n_a - n_a // 2)])
+    b = np.concatenate([gen.normal(0.0, 0.1, n_b // 3), gen.normal(5.0, 0.1, n_b - n_b // 3)])
+    return a, b
+
+
+def sample_pair(key, n_a, n_b, clustered):
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return two_clusters(gen, n_a, n_b) if clustered else (gen.normal(size=n_a), gen.normal(size=n_b))
+
+
 class TestPermutationNull:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [1, 2, 63, 64, 65, 300, 5000])
     def test_chunked_null_equals_per_run_kernels(self, metric, bins):
-        """Every chunk boundary: one run, a chunk short of one run, a whole
-        chunk, one run past it, and many chunks; unequal sides, with empty
-        bins between two clusters."""
+        """Every block boundary: one run, a block short of one run, a whole
+        block, one run past it, and many blocks; unequal sides, with empty
+        bins between two clusters.  The reference draws one row per call."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         a = np.concatenate([gen.normal(0.0, 0.1, 20), gen.normal(5.0, 0.1, 17)])
         b = np.concatenate([gen.normal(0.0, 0.1, 9), gen.normal(5.0, 0.1, 14)])
@@ -248,6 +311,9 @@ class TestPermutationNull:
     @pytest.mark.parametrize("metric", ["kl", "js", "tv", "w1"])
     @pytest.mark.parametrize("bins", [1, 7, 64])
     def test_matches_per_run_histograms(self, metric, bins):
+        """np.histogram's pooled counts are the ones the reference's own
+        binning gives, on bin edges and where numpy widens the range, so the
+        thresholds equal the reference's run by run."""
         gen = np.random.Generator(np.random.Philox(key=12))
         cases = [
             (gen.normal(size=90), gen.normal(0.4, size=35)),  # unequal sizes
@@ -259,15 +325,23 @@ class TestPermutationNull:
         for seed, (a, b) in enumerate(cases):
             for percentile in (99.0, 50, 100):
                 args = (a, b, metric, bins, 30, percentile, seed)
-                reference = calibrate_epsilon_histogram_reference(*args)
-                assert calibrate_epsilon(*args) == reference, (seed, percentile)
+                assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args), (seed, percentile)
         # the benchmark's shape (at 64 bins): 2 x 500 normals, the null's
-        # maximum over a few hundred runs, where each run's second side is
-        # the pooled counts minus the first side's
+        # maximum over a few hundred runs
         pooled = gen.normal(size=1000)
         args = (pooled[:500], pooled[500:], metric, bins, 300, 100, 7)
-        assert calibrate_epsilon(*args) == calibrate_epsilon_histogram_reference(*args)
         assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args)
+
+    @pytest.mark.parametrize("bins", [1, 5, 64, 300])
+    def test_block_size_does_not_matter(self, monkeypatch, bins):
+        gen = np.random.Generator(np.random.Philox(key=40 + bins))
+        a, b = two_clusters(gen, 31, 18)
+        for metric in sorted(METRICS):
+            got = set()
+            for cells in (1, 64, CHUNK_CELLS):
+                monkeypatch.setattr(divergence, "CHUNK_CELLS", cells)
+                got.add(calibrate_epsilon(a, b, metric, bins, 500, 99, seed=3))
+            assert len(got) == 1, metric
 
     @pytest.mark.parametrize("bad", [0, -3, True, False, 2.5, "8", None])
     def test_bad_bins_and_runs_refused(self, bad):
@@ -310,3 +384,48 @@ class TestPermutationNull:
         eps = calibrate_epsilon(a, b, runs=100, seed=0)
         report = distinguishability_test(a, b, eps)
         assert report.verdict == VERDICT_DISTINGUISHABLE
+
+
+class TestNullLaw:
+    """The drawn counts follow the permutation null's law: multivariate
+    hypergeometric, the pooled counts as colours and side A's size as the
+    sample size."""
+
+    RUNS = 20_000
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, bins, clustered",
+        [(20, 300, 16, False), (300, 20, 16, False), (37, 23, 64, True), (9, 4, 1, False), (3, 1, 8, True)],
+    )
+    def test_per_bin_moments(self, monkeypatch, n_a, n_b, bins, clustered):
+        a, b = sample_pair(n_a * 1000 + bins, n_a, n_b, clustered)
+        counts, _ = recorded_null(monkeypatch, "tv", a, b, bins, self.RUNS, seed=bins)
+        pooled = np.concatenate([a, b])
+        colours = np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]
+        total = pooled.size
+        assert counts.shape == (self.RUNS, bins)
+        assert np.all(counts.sum(axis=1) == n_a)
+        assert np.all((counts >= 0) & (counts <= colours))
+        p = colours / total
+        mean = n_a * p
+        var = n_a * p * (1 - p) * (total - n_a) / (total - 1)
+        got_mean = counts.mean(axis=0)
+        got_var = counts.var(axis=0, ddof=1)
+        fourth = ((counts - got_mean) ** 4).mean(axis=0)
+        # a fixed bin (empty, or bins=1) never varies; elsewhere allow six
+        # standard errors of the sample mean and of the sample variance
+        assert np.all(np.abs(got_mean - mean) <= 6 * np.sqrt(var / self.RUNS) + 1e-12)
+        assert np.all(np.abs(got_var - var) <= 6 * np.sqrt(np.abs(fourth - got_var**2) / self.RUNS) + 1e-12)
+        assert np.all(got_var[var == 0] == 0)
+
+    # each comparison has its own seeds, and so its own permutation sample
+    @pytest.mark.parametrize(
+        "metric, n_a, n_b, bins, clustered, seed",
+        [("js", 20, 300, 16, False, 1), ("kl", 20, 300, 16, False, 2), ("tv", 20, 300, 16, False, 3),
+         ("w1", 20, 300, 16, False, 4), ("js", 37, 23, 64, True, 5)],
+    )
+    def test_ks_against_permutation_null(self, monkeypatch, metric, n_a, n_b, bins, clustered, seed):
+        a, b = sample_pair(100 + seed, n_a, n_b, clustered)
+        _, drawn = recorded_null(monkeypatch, metric, a, b, bins, self.RUNS, seed=seed)
+        permuted = permutation_null_reference(a, b, metric, bins, self.RUNS, seed=1000 + seed)
+        assert ks_2samp(drawn, permuted).pvalue > 0.01
