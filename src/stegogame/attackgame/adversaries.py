@@ -19,7 +19,7 @@ import numpy as np
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
 from ..divergence import EmpiricalDistribution, byte_counts, js, normalize_byte_counts
-from ..errors import InvalidConfig
+from ..errors import InvalidConfig, check_int, check_real
 from ..library import CoverId
 from ..permcodec import Arrangement, arrangement_to_bits  # noqa: F401
 from ..stego import StegoKey, StegoSequence, decode
@@ -96,6 +96,11 @@ class SCOAHistogram:
     name = "scoa-histogram"
 
     def __init__(self, model_sample: int = 64, null_draws: int = 64, percentile: float = 99.0):
+        check_int("model_sample", model_sample, 1, InvalidConfig)
+        check_int("null_draws", null_draws, 1, InvalidConfig)
+        check_real("percentile", percentile, InvalidConfig)
+        if not 0 <= percentile <= 100:
+            raise InvalidConfig(f"percentile must be a real number in [0, 100], got {percentile!r}")
         self.model_sample = model_sample
         self.null_draws = null_draws
         self.percentile = percentile
@@ -165,6 +170,7 @@ class CCAReplay:
     name = "cca-replay"
 
     def __init__(self, oracle_calls: int = 32):
+        check_int("oracle_calls", oracle_calls, 0, InvalidConfig)
         self.oracle_calls = oracle_calls
 
     def learn(self, knowledge: Knowledge, state: object | None = None):

@@ -19,13 +19,12 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
-from numbers import Real
 from typing import Callable, Protocol
 
 import numpy as np
 
 from ..bits import validate_bits
-from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded
+from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real
 from ..library import CoverId
 from ..permcodec import capacity
 from ..stego import Message, SeededEntropy, StegoKey, StegoSequence, embed, extract, keygen
@@ -191,12 +190,13 @@ class _BudgetedOracle:
 # ---------------------------------------------------------------------------
 # game plumbing
 
-def _validate(trials: int, seed: int, alpha: float) -> None:
-    if trials < MIN_TRIALS:
-        raise InvalidConfig(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if not isinstance(seed, int) or seed < 0:
-        raise InvalidConfig("seed must be a non-negative integer")
-    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha < 1:
+def _validate(level: AttackLevel, trials: int, seed: int, alpha: float) -> None:
+    if not isinstance(level, AttackLevel):
+        raise InvalidConfig(f"level must be an AttackLevel, got {level!r}")
+    check_int("trials", trials, MIN_TRIALS, InvalidConfig)
+    check_int("seed", seed, 0, InvalidConfig)
+    check_real("alpha", alpha, InvalidConfig)
+    if not 0 < alpha < 1:
         raise InvalidConfig(f"alpha must be a real number in (0, 1), got {alpha!r}")
 
 
@@ -463,7 +463,7 @@ def run_game(
     Trials run serially; ``max_workers`` is accepted for compatibility and
     has no effect.
     """
-    _validate(trials, seed, alpha)
+    _validate(level, trials, seed, alpha)
     successes, stego, _ = _play(scenario, adversary, level, seed, trials, _score_detection)
     return _result(level, "detection", successes, trials, alpha, seed, stego_challenges=stego)
 
@@ -478,7 +478,7 @@ def message_recovery_game(
 ) -> GameResult:
     """Recovery game: the adversary sees fresh stego sequences and guesses
     the hidden bits; judged on per-bit agreement over all sequences."""
-    _validate(trials, seed, alpha)
+    _validate(level, trials, seed, alpha)
     agreed, _, _ = _play(scenario, adversary, level, seed, trials, _score_recovery)
     total_bits = trials * capacity(scenario.library.T, scenario.N).l
     return _result(level, "recovery", agreed, total_bits, alpha, seed, sequences=trials)
@@ -502,10 +502,9 @@ def acca_loop(
     ``alpha`` is the family-wise level over all rounds: each round is tested
     at ``alpha / rounds`` (Bonferroni) and reports the family ``alpha``.
     """
-    _validate(trials_per_round, seed, alpha)
+    _validate(AttackLevel.ACCA, trials_per_round, seed, alpha)
     n_rounds = rounds if rounds is not None else scenario.rounds
-    if n_rounds < 1:
-        raise InvalidConfig(f"rounds must be >= 1, got {n_rounds}")
+    check_int("rounds", n_rounds, 1, InvalidConfig)
     results: list[GameResult] = []
     state: object | None = None
     for r in range(n_rounds):

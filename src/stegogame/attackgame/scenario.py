@@ -9,23 +9,21 @@ fully in memory while CLI runs read real files.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
-from numbers import Real
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ..errors import CoverReadError, InvalidConfig, MalformedFile, NotInLibrary
+from ..errors import (
+    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_int, check_real,
+)
 from ..library import (
     CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
 )
 
 KEY_LEAK_MODES = (None, "full", "flip1")
-_INT_FIELDS = ("N", "oracle_embed_budget", "oracle_extract_budget", "rounds", "observations")
-_REAL_FIELDS = ("leak_fraction", "leak_growth")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,15 +43,14 @@ class Scenario:
     content_map: Mapping[CoverId, bytes] | None = None
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            real = isinstance(value, Real) and not isinstance(value, bool)
-            if not (real and -math.inf < value < math.inf):
-                raise InvalidConfig(f"{name} must be a finite real number, got {value!r}")
+        # N's range depends on the library, so it is checked below
+        for name, low in (
+            ("N", None), ("oracle_embed_budget", 0), ("oracle_extract_budget", 0),
+            ("rounds", 1), ("observations", 0),
+        ):
+            check_int(name, getattr(self, name), low, InvalidConfig)
+        check_real("leak_fraction", self.leak_fraction, InvalidConfig)
+        check_real("leak_growth", self.leak_growth, InvalidConfig)
         if not (1 <= self.N <= self.library.T):
             raise InvalidConfig(f"need 1 <= N <= T={self.library.T}, got N={self.N}")
         if self.world.T < self.N:
@@ -64,12 +61,6 @@ class Scenario:
             raise InvalidConfig(f"leak_fraction must be in [0,1], got {self.leak_fraction}")
         if self.leak_growth < 0.0:
             raise InvalidConfig(f"leak_growth must be >= 0, got {self.leak_growth}")
-        if self.oracle_embed_budget < 0 or self.oracle_extract_budget < 0:
-            raise InvalidConfig("oracle budgets must be >= 0")
-        if self.rounds < 1:
-            raise InvalidConfig(f"rounds must be >= 1, got {self.rounds}")
-        if self.observations < 0:
-            raise InvalidConfig(f"observations must be >= 0, got {self.observations}")
         if self.key_leak not in KEY_LEAK_MODES:
             raise InvalidConfig(f"key_leak must be one of {KEY_LEAK_MODES}")
 

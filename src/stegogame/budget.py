@@ -27,12 +27,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from numbers import Real
 
-from .errors import InvalidParams
+from .errors import InvalidParams, check_int, check_real, check_seed
 
 _MC_BLOCK = 4096
-_SEED_LIMIT = 1 << 128
 
 THREADS_ENV = "STEGOGAME_THREADS"
 
@@ -45,23 +43,12 @@ def default_workers() -> int:
         return min(8, os.cpu_count() or 1)
 
 
-def check_seed(seed) -> None:
-    """Raise InvalidParams unless ``seed`` can key a Philox generator."""
-    if not isinstance(seed, int) or not (0 <= seed < _SEED_LIMIT):
-        raise InvalidParams("seed must be an integer in [0, 2**128)")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_txn(x: int, N: int, T: int) -> None:
-    if not (_is_int(T) and _is_int(N) and _is_int(x)):
-        raise InvalidParams("T, N, x must be integers")
+    check_int("T", T)
+    check_int("N", N)
     if N < 1 or T < N:
         raise InvalidParams(f"need 1 <= N <= T, got N={N}, T={T}")
-    if x < 0:
-        raise InvalidParams(f"x must be >= 0, got {x}")
+    check_int("x", x, low=0)
 
 
 def _terms(x: int, N: int, T: int) -> Iterator[int]:
@@ -137,8 +124,7 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     side of it, so the answer is exact.
     """
     _check_txn(0, N, T)
-    if isinstance(zeta, bool) or not isinstance(zeta, Real):
-        raise InvalidParams(f"zeta must be a real number, got {zeta!r}")
+    check_real("zeta", zeta)
     if not (0.0 < zeta < 1.0):
         raise InvalidParams(f"zeta must lie strictly in (0,1), got {zeta}")
     zn, zd = Fraction(zeta).as_integer_ratio()
@@ -207,8 +193,7 @@ def pr_coverage_mc(
     count or block partitioning, given the same (trials, seed).
     """
     _check_txn(x, N, T)
-    if not _is_int(trials) or trials < 1:
-        raise InvalidParams(f"trials must be an integer >= 1, got {trials!r}")
+    check_int("trials", trials, low=1)
     check_seed(seed)
     blocks = [
         (i, min(_MC_BLOCK, trials - i * _MC_BLOCK))

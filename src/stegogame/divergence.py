@@ -13,24 +13,15 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import check_seed
-from .errors import BinMismatch, EmptySamples, InvalidParams
+from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_real, check_seed
 
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon draws and scores its resplits in blocks of about this many count cells
 CHUNK_CELLS = 4096
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidParams(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidParams(f"{name} must be >= 1, got {value}")
 
 
 def _finite_samples(samples) -> np.ndarray:
@@ -60,8 +51,7 @@ class EmpiricalDistribution:
         # `not >= 0` rather than `< 0`, so that a NaN mass is refused too
         if not np.all(masses >= 0) or abs(float(masses.sum()) - 1.0) > MASS_TOLERANCE:
             raise InvalidParams("masses must be finite, non-negative and sum to 1")
-        if self.n_samples < 1:
-            raise InvalidParams("n_samples must be >= 1")
+        check_int("n_samples", self.n_samples, low=1)
 
     @property
     def bins(self) -> int:
@@ -85,7 +75,7 @@ def estimate_distribution(
     arr = _finite_samples(samples)
     if arr.size == 0:
         raise EmptySamples("need at least one sample")
-    _check_count("bins", bins)
+    check_int("bins", bins, low=1)
     if support is not None and not (-math.inf < support[0] <= support[1] < math.inf):
         raise InvalidParams(f"support must be finite with low <= high, got {support!r}")
     counts, edges = np.histogram(arr, bins=bins, range=support)
@@ -248,10 +238,7 @@ def distinguishability_test(
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    if isinstance(epsilon, bool) or not isinstance(epsilon, Real):
-        raise InvalidParams(f"epsilon must be a real number, got {epsilon!r}")
-    if not math.isfinite(epsilon):
-        raise InvalidParams("epsilon must be finite")
+    check_real("epsilon", epsilon)
     start = time.perf_counter()
     a, b, _, support = _pooled_support(samples_a, samples_b)
     dist_a = estimate_distribution(a, bins, support=support)
@@ -292,10 +279,10 @@ def calibrate_epsilon(
     """
     if metric not in METRICS:
         raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    _check_count("bins", bins)
-    _check_count("runs", runs)
-    real = isinstance(percentile, Real) and not isinstance(percentile, bool)
-    if not (real and 0 <= percentile <= 100):
+    check_int("bins", bins, low=1)
+    check_int("runs", runs, low=1)
+    check_real("percentile", percentile)
+    if not 0 <= percentile <= 100:
         raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
     check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b)

@@ -1,10 +1,18 @@
-"""Domain error hierarchy.
+"""Domain error hierarchy, and the one rule per argument kind.
 
 Every error carries a short machine-readable ``code`` that the CLI uses for
 its JSON error objects, e.g. ``{"error": "NotInLibrary", ...}``.
+
+Integer, real and seed arguments are checked by :func:`check_int`,
+:func:`check_real` and :func:`check_seed`, each raising the caller's error
+class.  An integer is exactly an ``int``: a bool or a numpy int, which would
+wrap around in the exact integer math, is refused.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Real
 
 
 class StegogameError(Exception):
@@ -32,13 +40,13 @@ class DuplicateCover(StegogameError):
 
 
 class CoverReadError(StegogameError):
-    """A cover file could not be read."""
+    """A cover file, or the manifest that lists covers, could not be read."""
 
     code = "IoError"
 
-    def __init__(self, path: str, reason: str = ""):
+    def __init__(self, path: str, reason: str = "", what: str = "cover file"):
         self.path = path
-        super().__init__(f"cannot read cover file {path!r}" + (f": {reason}" if reason else ""))
+        super().__init__(f"cannot read {what} {path!r}" + (f": {reason}" if reason else ""))
 
 
 class FileWriteError(StegogameError):
@@ -105,3 +113,25 @@ class OracleBudgetExceeded(StegogameError):
 
 class InvalidConfig(StegogameError):
     code = "InvalidConfig"
+
+
+def check_int(name: str, value, low: int | None = None, error=InvalidParams) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` (not a bool, not a numpy
+    int) and, given ``low``, at least ``low``."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def check_real(name: str, value, error=InvalidParams) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number, not a bool.
+    Tested by comparison: ``math.isfinite`` cannot convert an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not -math.inf < value < math.inf:
+        raise error(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidParams unless ``seed`` can key a Philox generator."""
+    if type(seed) is not int or not 0 <= seed < 1 << 128:
+        raise InvalidParams("seed must be an integer in [0, 2**128)")

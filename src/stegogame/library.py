@@ -171,7 +171,7 @@ def load_manifest(path: str | os.PathLike) -> CoverLibrary:
 # ---------------------------------------------------------------------------
 # input and output files
 
-_Unreadable = Callable[[str, str], StegogameError]  # (path, reason) -> error
+_Unreadable = Callable[[str, str, str], StegogameError]  # (path, reason, what) -> error
 
 
 def read_bytes(path: str | os.PathLike, what: str, unreadable: _Unreadable | None = None) -> bytes:
@@ -181,7 +181,7 @@ def read_bytes(path: str | os.PathLike, what: str, unreadable: _Unreadable | Non
         return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         if unreadable is not None:
-            raise unreadable(str(path), str(exc)) from exc
+            raise unreadable(str(path), str(exc), what) from exc
         raise MalformedFile(f"cannot read {what} {path}: {exc}") from exc
 
 

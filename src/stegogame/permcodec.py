@@ -67,7 +67,7 @@ class Capacity:
 
 def capacity(T: int, N: int) -> Capacity:
     """Exact number of N-arrangements of T items and the payload width."""
-    # exact ints: a bool is an int subclass
+    # errors.check_int's rule (exactly int), inline: a game makes thousands of calls
     if type(T) is not int or type(N) is not int or N < 1 or N > T:
         raise InvalidParams(f"need 1 <= N <= T, got T={T}, N={N}")
     return _capacity(T, N)

@@ -19,10 +19,10 @@ from typing import Protocol
 from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
 from .errors import (
     EntropyUnavailable,
-    InvalidParams,
     LengthMismatch,
     MalformedFile,
     StegogameError,
+    check_int,
 )
 from .library import (
     CoverId,
@@ -110,8 +110,7 @@ class SeededEntropy:
 
 def keygen(l: int, entropy: EntropySource | None = None) -> StegoKey:
     """Sample an l-bit key from the given source (OS entropy by default)."""
-    if type(l) is not int or l < 1:
-        raise InvalidParams(f"key length must be >= 1, got {l}")
+    check_int("key length", l, low=1)
     source = entropy if entropy is not None else SystemEntropy()
     key = StegoKey(bits=source.bits(l))
     if key.l != l:

@@ -1,0 +1,90 @@
+"""One rule per argument kind, across the public API.
+
+An integer argument is exactly an ``int``: a float, a bool, a string, None
+or a numpy int is refused.  A real argument is a finite ``numbers.Real``
+other than a bool.  Every refusal is a StegogameError, never a TypeError,
+ValueError or AttributeError escaping from deeper in the code.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stegogame.attackgame import (
+    AttackLevel, RandomGuesser, acca_loop, message_recovery_game, run_game, synthetic_scenario,
+)
+from stegogame.budget import coverage_report, max_safe_uses, pr_coverage_mc
+from stegogame.divergence import calibrate_epsilon, distinguishability_test, estimate_distribution
+from stegogame.errors import StegogameError
+from stegogame.permcodec import capacity
+from stegogame.stego import keygen
+
+NOT_INTS = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+NOT_REALS = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+)
+# each kind's strategy, and values it must always include
+KINDS = {
+    "int": (NOT_INTS, (2.0, True, "2", None, np.int64(2), math.nan)),
+    # None asks for a default: a scenario's rounds, no Monte Carlo
+    "int or None": (NOT_INTS.filter(lambda v: v is not None), (2.0, True, "2", np.int64(2))),
+    "real": (NOT_REALS, (True, "0.5", None, math.nan, math.inf)),
+    "level": (NOT_INTS | st.integers(), (2, "kca", None, True, np.int64(2))),
+}
+
+SCENARIO = synthetic_scenario(T=4, N=2, world_size=8, seed=0)
+GAME = dict(scenario=SCENARIO, adversary=RandomGuesser(), level=AttackLevel.SCOA, trials=100,
+            seed=1, alpha=0.01)
+SAMPLES = dict(samples_a=[1.0, 2.0], samples_b=[3.0])
+
+# (name, call, valid keyword arguments, {argument: kind})
+CALLS = [
+    ("capacity", capacity, dict(T=8, N=3), {"T": "int", "N": "int"}),
+    ("keygen", keygen, dict(l=8), {"l": "int"}),
+    ("max_safe_uses", max_safe_uses, dict(N=2, T=4, zeta=0.4),
+     {"N": "int", "T": "int", "zeta": "real"}),
+    ("coverage_report", coverage_report, dict(x=2, N=2, T=4, mc_trials=10, seed=0),
+     {"x": "int", "N": "int", "T": "int", "mc_trials": "int or None", "seed": "int"}),
+    ("pr_coverage_mc", pr_coverage_mc, dict(x=2, N=2, T=4, trials=10, seed=0),
+     {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int"}),
+    ("estimate_distribution", estimate_distribution, dict(samples=[1.0, 2.0], bins=4),
+     {"bins": "int"}),
+    ("calibrate_epsilon", calibrate_epsilon,
+     dict(SAMPLES, bins=4, runs=4, percentile=99.0, seed=0),
+     {"bins": "int", "runs": "int", "percentile": "real", "seed": "int"}),
+    ("distinguishability_test", distinguishability_test, dict(SAMPLES, epsilon=0.1, bins=4),
+     {"epsilon": "real", "bins": "int"}),
+    *((game.__name__, game, GAME,
+       {"level": "level", "trials": "int", "seed": "int", "alpha": "real"})
+      for game in (run_game, message_recovery_game)),
+    ("acca_loop", acca_loop,
+     dict(scenario=SCENARIO, adversary=RandomGuesser(), trials_per_round=100, seed=1, rounds=1,
+          alpha=0.01),
+     {"trials_per_round": "int", "seed": "int", "rounds": "int or None", "alpha": "real"}),
+    ("Scenario", lambda **kw: replace(SCENARIO, **kw), {},
+     {**dict.fromkeys(("N", "oracle_embed_budget", "oracle_extract_budget", "rounds",
+                       "observations"), "int"),
+      "leak_fraction": "real", "leak_growth": "real"}),
+]
+ARGUMENTS = [
+    pytest.param(call, valid, arg, kind, id=f"{name}-{arg}")
+    for name, call, valid, kinds in CALLS
+    for arg, kind in kinds.items()
+]
+
+
+@pytest.mark.parametrize("call, valid, arg, kind", ARGUMENTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_argument_refuses_the_wrong_kind_with_a_typed_error(call, valid, arg, kind, data):
+    strategy, always = KINDS[kind]
+    for bad in (*always, data.draw(strategy, label=arg)):
+        with pytest.raises(StegogameError):
+            call(**{**valid, arg: bad})

@@ -1083,3 +1083,59 @@ def test_alpha_outside_unit_interval_refused(play, alpha):
     sc = synthetic_scenario(T=6, N=2, world_size=12, seed=1)
     with pytest.raises(InvalidConfig, match="alpha"):
         play(sc, alpha)
+
+
+def _play_game(kind: str, sc, trials=100, seed=1, level=AttackLevel.SCOA, rounds=None):
+    """One of the three games with RandomGuesser, each argument replaceable."""
+    if kind == "acca":
+        return acca_loop(sc, RandomGuesser(), trials, seed, rounds=rounds)
+    play = run_game if kind == "detection" else message_recovery_game
+    return play(sc, RandomGuesser(), level, trials, seed)
+
+
+@pytest.mark.parametrize("kind", ["detection", "recovery", "acca"])
+@pytest.mark.parametrize(
+    "arg, value",
+    [("trials", 100.5), ("trials", "100"), ("trials", np.int64(100)), ("seed", True)],
+)
+def test_games_refuse_non_int_trials_and_seed(kind, arg, value):
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=1)
+    with pytest.raises(InvalidConfig, match=arg):
+        _play_game(kind, sc, **{arg: value})
+
+
+@pytest.mark.parametrize("rounds", [2.5, True, 0])
+def test_acca_refuses_bad_rounds(rounds):
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=1)
+    with pytest.raises(InvalidConfig, match="rounds"):
+        _play_game("acca", sc, rounds=rounds)
+
+
+@pytest.mark.parametrize("kind", ["detection", "recovery"])
+@pytest.mark.parametrize("level", [2, "kca", None])
+def test_games_refuse_a_level_that_is_not_an_attack_level(kind, level):
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=1)
+    with pytest.raises(InvalidConfig, match="level"):
+        _play_game(kind, sc, level=level)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SCOAHistogram(null_draws=0),
+        lambda: SCOAHistogram(model_sample=0),
+        lambda: SCOAHistogram(percentile=150),
+        lambda: SCOAHistogram(percentile=math.nan),
+        lambda: SCOAHistogram(null_draws=np.int64(8)),
+        lambda: CCAReplay(oracle_calls=-3),
+        lambda: CCAReplay(oracle_calls=2.5),
+        lambda: CCAReplay(oracle_calls=True),
+    ],
+    ids=["null_draws=0", "model_sample=0", "percentile=150", "percentile=nan",
+         "null_draws=int64", "oracle_calls=-3", "oracle_calls=2.5", "oracle_calls=True"],
+)
+def test_reference_adversaries_refuse_bad_arguments(make):
+    """A bad argument is refused at construction, where it used to fail every
+    trial's learn and score as a miss, so that the game reported resists."""
+    with pytest.raises(InvalidConfig):
+        make()

@@ -434,6 +434,22 @@ class TestAttackCommand:
         assert code == 1
         assert parse(out)["error"] == "InvalidConfig"
 
+    @pytest.mark.parametrize("field", ["library", "world_pool"])
+    def test_missing_manifest_names_itself(self, scenario_file, capsys, field):
+        doc = json.loads(scenario_file.read_text())
+        doc[field] = "nolib.json"
+        scenario_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "attack", "--level", "kca", "--adversary", "random",
+            "--trials", "100", "--seed", "4", "--scenario", str(scenario_file),
+        )
+        assert code == 1
+        assert parse(out)["error"] == "IoError"
+        assert parse(out)["detail"].startswith(
+            f"cannot read manifest {str(scenario_file.parent / 'nolib.json')!r}"
+        )
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, scenario_file, capsys):
         args = ("attack", "--level", "kca", "--adversary", "kca-membership",
                 "--trials", "120", "--seed", "6", "--scenario", str(scenario_file))

@@ -100,6 +100,14 @@ def test_importing_the_package_loads_no_submodule():
     assert {m for m in _loaded(code) if m.startswith("stegogame.")} == set()
 
 
+def test_divergence_loads_no_budget():
+    code = (
+        "import json, sys, stegogame.divergence; "
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+    )
+    assert "stegogame.budget" not in _loaded(code)
+
+
 def test_public_names_are_listed_once_and_sorted():
     assert stegogame.__all__ == sorted(set(stegogame.__all__))
     assert stegogame.__all__ == [
