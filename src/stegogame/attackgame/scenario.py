@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import (
-    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_int, check_real,
+    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_int, check_real, check_seed,
 )
 from ..library import (
     CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
@@ -117,8 +117,9 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
 
 def synthetic_corpus(count: int, size: int = 2048, seed: int = 0) -> dict[CoverId, bytes]:
     """Deterministic corpus of random-byte covers, keyed by content digest."""
-    if count < 1 or size < 1:
-        raise InvalidConfig("count and size must be >= 1")
+    check_int("count", count, low=1, error=InvalidConfig)
+    check_int("size", size, low=1, error=InvalidConfig)
+    check_seed(seed, error=InvalidConfig)
     gen = np.random.Generator(np.random.Philox(key=seed))
     corpus: dict[CoverId, bytes] = {}
     while len(corpus) < count:
@@ -150,6 +151,9 @@ def synthetic_scenario(
     covers from the same corpus: a superset of the library by default
     (overlapping traffic), or fully disjoint when ``disjoint_world`` is set.
     """
+    check_int("T", T, low=0, error=InvalidConfig)
+    check_int("world_size", world_size, low=0, error=InvalidConfig)
+    check_int("cover_size", cover_size, low=1, error=InvalidConfig)
     if not disjoint_world and world_size < T:
         raise InvalidConfig("overlapping world pool must be at least as large as T")
     corpus = synthetic_corpus(world_size + (T if disjoint_world else 0), size=cover_size, seed=seed)

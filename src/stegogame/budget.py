@@ -10,7 +10,8 @@ three routes to that probability side by side:
 * ``p_exact`` - inclusion-exclusion over the uncovered sets, always a true
   probability, cross-checked against exhaustive enumeration in tests;
   ``coverage_exact_fraction`` gives it as an exact rational.
-* ``p_mc`` - Monte-Carlo referee between the two (``pr_coverage_mc``).
+* ``p_mc`` - Monte-Carlo referee between the two (``pr_coverage_mc``): each
+  trial steps Stadje's (1990, Adv. Appl. Prob. 22(4)) collector chain.
 
 The closed forms are computed in integers: over the common denominator
 ``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
@@ -147,36 +148,26 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _mark_smallest(u, N: int, out) -> None:
-    """Set ``out`` to the cells holding the N smallest values of each row of ``u``.
-
-    The cells are those ``np.argpartition(u, N - 1, axis=1)[:, :N]`` names.
-    A row whose N-th smallest value is tied marks more than N cells by
-    comparison, so only those rows are taken from ``argpartition``.
-    """
-    import numpy as np
-
-    np.less_equal(u, np.partition(u, N - 1, axis=1)[:, N - 1 : N], out=out)
-    if np.count_nonzero(out) > out.shape[0] * N:
-        tied = np.flatnonzero(np.count_nonzero(out, axis=1) > N)
-        rows = np.zeros((tied.size, u.shape[1]), dtype=bool)
-        np.put_along_axis(rows, np.argpartition(u[tied], N - 1, axis=1)[:, :N], True, axis=1)
-        out[tied] = rows
-
-
-def _mc_block(x: int, N: int, T: int, seed: int, block_index: int, size: int) -> int:
-    """Successes within one block; depends only on (seed, block_index)."""
+def _mc_block(x: int, N: int, T: int, seed: int, block_index: int, size: int):
+    """Covers still unseen after x uses, per trial; depends only on (seed,
+    block_index).  How many unseen covers a uniform N-subset hits is
+    hypergeometric, so this is exactly the law of x uniform N-subsets."""
     import numpy as np  # deferred: only the Monte-Carlo route computes with numpy
 
     gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
-    covered = np.zeros((size, T), dtype=bool)
-    chosen = np.empty((size, T), dtype=bool)
-    u = np.empty((size, T))
+    unseen = np.full(size, T, dtype=np.int64)
     for _ in range(x):
-        gen.random(out=u)
-        _mark_smallest(u, N, chosen)
-        covered |= chosen
-    return int(covered.all(axis=1).sum())
+        unseen -= gen.hypergeometric(unseen, T - unseen, N)
+    return unseen
+
+
+def _check_mc(T: int, trials: int, seed: int, max_workers: int | None) -> None:
+    check_int("trials", trials, low=1)
+    check_seed(seed)
+    if max_workers is not None:
+        check_int("max_workers", max_workers, low=1)
+    if T >= 10**9:  # numpy's hypergeometric refuses that many good or bad items
+        raise InvalidParams(f"the Monte-Carlo route needs T < 10**9, got T={T}")
 
 
 def pr_coverage_mc(
@@ -193,21 +184,23 @@ def pr_coverage_mc(
     count or block partitioning, given the same (trials, seed).
     """
     _check_txn(x, N, T)
-    check_int("trials", trials, low=1)
-    check_seed(seed)
+    _check_mc(T, trials, seed, max_workers)
     blocks = [
         (i, min(_MC_BLOCK, trials - i * _MC_BLOCK))
         for i in range((trials + _MC_BLOCK - 1) // _MC_BLOCK)
     ]
     workers = max_workers if max_workers is not None else default_workers()
+
+    def covered(block: tuple[int, int]) -> int:
+        return int((_mc_block(x, N, T, seed, *block) == 0).sum())
+
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda b: _mc_block(x, N, T, seed, *b), blocks))
+            successes = sum(pool.map(covered, blocks))
     else:
-        counts = [_mc_block(x, N, T, seed, i, size) for i, size in blocks]
-    successes = sum(counts)
+        successes = sum(map(covered, blocks))
     p_hat = successes / trials
     se = sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, se
@@ -243,6 +236,8 @@ def coverage_report(
     max_workers: int | None = None,
 ) -> CoverageReport:
     _check_txn(x, N, T)
+    if mc_trials is not None:  # before the exact walk, which is O(T)
+        _check_mc(T, mc_trials, seed, max_workers)
     published, exact, D = _coverage_numerators(x, N, T)
     try:
         p_published = published / D

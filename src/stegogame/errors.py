@@ -131,7 +131,7 @@ def check_real(name: str, value, error=InvalidParams) -> None:
         raise error(f"{name} must be a finite real number, got {value!r}")
 
 
-def check_seed(seed) -> None:
-    """Raise InvalidParams unless ``seed`` can key a Philox generator."""
+def check_seed(seed, error=InvalidParams) -> None:
+    """Raise ``error`` unless ``seed`` can key a Philox generator."""
     if type(seed) is not int or not 0 <= seed < 1 << 128:
-        raise InvalidParams("seed must be an integer in [0, 2**128)")
+        raise error("seed must be an integer in [0, 2**128)")

@@ -12,7 +12,8 @@ from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
 Game observations come from one bit draw per payload, embedded at once.
 Monte-Carlo blocks mark each draw's N smallest cells through
-``argpartition`` and ``put_along_axis``, one fresh array per draw.
+``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
+law of the covers still unseen comes from stepping its chain in rationals.
 """
 
 from __future__ import annotations
@@ -86,13 +87,29 @@ def smallest_mask_reference(u: np.ndarray, N: int) -> np.ndarray:
     return mask
 
 
-def mc_block_reference(x: int, N: int, T: int, seed: int, block_index: int, size: int) -> int:
-    """Successes within one Monte-Carlo block, one fresh draw per use."""
+def mc_block_reference(x: int, N: int, T: int, seed: int, block_index: int, size: int):
+    """Covers still unseen after x uses, per trial of one Monte-Carlo block:
+    each use marks a literal N-subset, one fresh draw of T floats per trial."""
     gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
     covered = np.zeros((size, T), dtype=bool)
     for _ in range(x):
         covered |= smallest_mask_reference(gen.random((size, T)), N)
-    return int(covered.all(axis=1).sum())
+    return T - covered.sum(axis=1)
+
+
+def unseen_law_reference(x: int, N: int, T: int) -> dict[int, Fraction]:
+    """Exact law of the number of covers still unseen after x uses: a use
+    sees k of u unseen covers with probability C(u,k) C(T-u,N-k) / C(T,N)."""
+    law = {T: Fraction(1)}
+    for _ in range(x):
+        step: dict[int, Fraction] = {}
+        for u, p in law.items():
+            for k in range(max(0, N - (T - u)), min(u, N) + 1):
+                step[u - k] = step.get(u - k, 0) + p * Fraction(
+                    comb(u, k) * comb(T - u, N - k), comb(T, N)
+                )
+        law = step
+    return law
 
 
 # The metrics' earlier kernels, one pair of 1-D mass vectors per call.

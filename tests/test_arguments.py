@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stegogame.attackgame import (
-    AttackLevel, RandomGuesser, acca_loop, message_recovery_game, run_game, synthetic_scenario,
+    AttackLevel, RandomGuesser, acca_loop, message_recovery_game, run_game, synthetic_corpus,
+    synthetic_scenario,
 )
 from stegogame.budget import coverage_report, max_safe_uses, pr_coverage_mc
 from stegogame.divergence import calibrate_epsilon, distinguishability_test, estimate_distribution
@@ -51,9 +52,11 @@ CALLS = [
     ("max_safe_uses", max_safe_uses, dict(N=2, T=4, zeta=0.4),
      {"N": "int", "T": "int", "zeta": "real"}),
     ("coverage_report", coverage_report, dict(x=2, N=2, T=4, mc_trials=10, seed=0),
-     {"x": "int", "N": "int", "T": "int", "mc_trials": "int or None", "seed": "int"}),
+     {"x": "int", "N": "int", "T": "int", "mc_trials": "int or None", "seed": "int",
+      "max_workers": "int or None"}),
     ("pr_coverage_mc", pr_coverage_mc, dict(x=2, N=2, T=4, trials=10, seed=0),
-     {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int"}),
+     {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int",
+      "max_workers": "int or None"}),
     ("estimate_distribution", estimate_distribution, dict(samples=[1.0, 2.0], bins=4),
      {"bins": "int"}),
     ("calibrate_epsilon", calibrate_epsilon,
@@ -68,6 +71,10 @@ CALLS = [
      dict(scenario=SCENARIO, adversary=RandomGuesser(), trials_per_round=100, seed=1, rounds=1,
           alpha=0.01),
      {"trials_per_round": "int", "seed": "int", "rounds": "int or None", "alpha": "real"}),
+    ("synthetic_corpus", synthetic_corpus, dict(count=2, size=8, seed=0),
+     {"count": "int", "size": "int", "seed": "int"}),
+    ("synthetic_scenario", synthetic_scenario, dict(T=4, N=2, world_size=8, cover_size=8, seed=0),
+     {"T": "int", "world_size": "int", "cover_size": "int", "seed": "int"}),
     ("Scenario", lambda **kw: replace(SCENARIO, **kw), {},
      {**dict.fromkeys(("N", "oracle_embed_budget", "oracle_extract_budget", "rounds",
                        "observations"), "int"),

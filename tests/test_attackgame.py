@@ -166,6 +166,10 @@ class TestScenario:
             synthetic_scenario(T=4, N=2, world_size=8, seed=0, key_leak="partial")
         with pytest.raises(InvalidConfig):
             synthetic_scenario(T=4, N=2, world_size=8, seed=0, rounds=0)
+        for bad in (dict(T=-1), dict(world_size=-1, disjoint_world=True), dict(cover_size=0),
+                    dict(seed=-1), dict(seed=2**128)):
+            with pytest.raises(InvalidConfig, match=next(iter(bad))):
+                synthetic_scenario(**{"T": 4, "N": 2, "world_size": 8, **bad})
 
     def test_load_scenario_file(self, tmp_path, make_covers):
         from stegogame.library import build_library

@@ -10,6 +10,7 @@ from helpers import (
     max_safe_uses_reference,
     mc_block_reference,
     smallest_mask_reference,
+    unseen_law_reference,
 )
 from stegogame import budget
 from stegogame.budget import (
@@ -195,8 +196,8 @@ class TestMonteCarlo:
 
     def test_partition_invariant(self):
         a = pr_coverage_mc(3, 2, 5, trials=30000, seed=3, max_workers=1)
-        b = pr_coverage_mc(3, 2, 5, trials=30000, seed=3, max_workers=4)
-        assert a == b
+        for workers in (2, 4):
+            assert pr_coverage_mc(3, 2, 5, trials=30000, seed=3, max_workers=workers) == a
 
     def test_single_use_partial_draw_is_zero(self):
         est, se = pr_coverage_mc(1, 2, 4, trials=5000, seed=0)
@@ -207,31 +208,79 @@ class TestMonteCarlo:
             est, se = pr_coverage_mc(x, N, T, trials=40000, seed=11)
             assert abs(est - coverage_report(x, N, T).p_exact) <= 4 * se
 
+    def test_unseen_chain_ends_at_exact_coverage(self):
+        # the unseen-count chain _mc_block samples, against inclusion-exclusion
+        for T in range(1, 9):
+            for N in range(1, T + 1):
+                for x in range(6):
+                    law = unseen_law_reference(x, N, T)
+                    assert sum(law.values()) == 1
+                    assert law.get(0, 0) == coverage_exact_fraction(x, N, T), (T, N, x)
+
+    @pytest.mark.parametrize("block", [budget._mc_block, mc_block_reference],
+                             ids=["chain", "subsets"])
+    @pytest.mark.parametrize("x, N, T", [(3, 2, 5), (6, 3, 10), (14, 4, 20), (2, 5, 8)])
+    def test_unseen_law_chi_square(self, block, x, N, T):
+        from scipy.stats import chisquare
+
+        unseen = np.asarray(block(x, N, T, 2024, 0, 20000))
+        law = unseen_law_reference(x, N, T)
+        assert set(np.unique(unseen)) <= set(law)
+        observed, expected, o, e = [], [], 0, 0.0
+        for u in sorted(law):  # pool neighbouring cells until each expects >= 5
+            o += int((unseen == u).sum())
+            e += float(law[u]) * unseen.size
+            if e >= 5:
+                observed.append(o)
+                expected.append(e)
+                o, e = 0, 0.0
+        observed[-1] += o
+        expected[-1] += e
+        assert len(observed) >= 2
+        assert chisquare(observed, expected).pvalue > 1e-3
+
+    # (successes, covers left unseen in all) per block, on the unseen-count stream
+    PINNED_BLOCKS = {
+        (14, 4, 20, 5, 0, 4096): (1572, 3578), (40, 8, 64, 7, 1, 512): (370, 159),
+        (3, 1, 5, 1, 2, 1000): (0, 2533), (10, 5, 5, 1, 1, 100): (100, 0),
+        (5, 19, 20, 2**127, 0, 600): (600, 0), (8, 2, 16, 9, 9, 777): (0, 4273),
+    }
+
+    @pytest.mark.parametrize("x, N, T, seed, block_index, size", list(PINNED_BLOCKS))
+    def test_block_counts_pinned(self, x, N, T, seed, block_index, size):
+        unseen = budget._mc_block(x, N, T, seed, block_index, size)
+        assert (int((unseen == 0).sum()), int(unseen.sum())) == self.PINNED_BLOCKS[
+            x, N, T, seed, block_index, size
+        ]
+
     @pytest.mark.parametrize("levels", [2, 3, 8])
     @pytest.mark.parametrize("N", [1, 2, 4, 7, 8])
-    def test_selection_matches_argpartition_on_ties(self, N, levels):
-        """Rows tied at their N-th smallest value take argpartition's cells;
-        the rest mark every value up to it, which are the same cells."""
+    def test_reference_selection_on_ties(self, N, levels):
+        """The literal-subset oracle marks N cells per row, none of them
+        above an unmarked one, also where the N-th smallest value is tied."""
         u = np.random.default_rng(N * 10 + levels).integers(0, levels, size=(300, 8)) / levels
-        out = np.empty(u.shape, dtype=bool)
-        budget._mark_smallest(u, N, out)
-        assert np.array_equal(out, smallest_mask_reference(u, N))
-        assert (out.sum(axis=1) == N).all()
+        mask = smallest_mask_reference(u, N)
+        assert (mask.sum(axis=1) == N).all()
+        marked_max = np.where(mask, u, -np.inf).max(axis=1)
+        assert (marked_max <= np.where(mask, np.inf, u).min(axis=1)).all()
 
-    @pytest.mark.parametrize(
-        "x, N, T, seed, block_index, size",
-        [(14, 4, 20, 5, 0, 4096), (40, 8, 64, 7, 1, 512), (3, 1, 5, 1, 2, 1000),
-         (10, 5, 5, 1, 1, 100), (5, 19, 20, 2**127, 0, 600), (8, 2, 16, 9, 9, 777)],
-    )
-    def test_block_counts_match_reference(self, x, N, T, seed, block_index, size):
-        assert budget._mc_block(x, N, T, seed, block_index, size) == mc_block_reference(
-            x, N, T, seed, block_index, size
-        )
+    def test_refuses_t_past_the_hypergeometric_limit(self):
+        assert pr_coverage_mc(1, 10**9 - 1, 10**9 - 1, trials=3, seed=0) == (1.0, 0.0)
+        for route in (pr_coverage_mc, coverage_report):  # before any O(T) work
+            with pytest.raises(InvalidParams, match=r"T < 10\*\*9"):
+                route(1, 1, 10**9, 3, 0)
 
     def test_rejects_bad_trials(self):
         for trials in (0, 10.5, True, "5"):
             with pytest.raises(InvalidParams):
                 pr_coverage_mc(1, 2, 3, trials=trials, seed=0)
+
+    def test_rejects_bad_workers_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(budget, "_mc_block", None)
+        for workers in (0, -1, 2.0, "2"):
+            for route in (pr_coverage_mc, coverage_report):
+                with pytest.raises(InvalidParams, match="max_workers"):
+                    route(3, 2, 4, 9000, 1, max_workers=workers)
 
 
 class TestParamsAndReport:

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,18 @@ class TestBudgetCommand:
         assert out1 == out2
         assert parse(out1)["mc_within_4se"] is True
 
+    def test_mc_memory_does_not_grow_with_t(self, capsys):
+        # a trials x T coverage mask would ask for 6.1 GiB here
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "budget", "-T", "200000", "-N", "199990", "--zeta",
+                                     "0.4", "--x", "2", "--mc-trials", "4096")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert parse(out)["mc_within_4se"] is True
+        assert peak < 32 * 2**20
 
     def test_published_form_past_float_range_refused(self, capsys):
         code, out, err = run_cli(
