@@ -11,15 +11,13 @@ caches that never change an answer.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 # xor_bits and arrangement_to_bits are not called here; perfbench/tracer.py
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
-from ..divergence import EmpiricalDistribution, byte_counts, js, normalize_byte_counts
-from ..errors import InvalidConfig, check_int, check_real
+from ..divergence import _js, byte_counts, js, normalize_byte_counts
+from ..errors import EmptySamples, InvalidConfig, check_int, check_real
 from ..library import CoverId
 from ..permcodec import Arrangement, arrangement_to_bits  # noqa: F401
 from ..stego import StegoKey, StegoSequence, decode
@@ -79,24 +77,25 @@ class KCAMembership:
 class SCOAHistogram:
     """Channel-statistics detector: byte-histogram distance to a world model.
 
-    Learns a pooled byte distribution from a world-pool sample, calibrates a
-    null of sequence scores on self-drawn natural sequences, and flags a
-    challenge whose mean per-cover distance exceeds the null's upper
-    percentile.  Against selection-based hiding the challenge covers are
-    themselves natural, so this stays at chance level by design.
+    Pools the byte counts of up to ``model_sample`` world covers into a
+    model, calibrates a null of sequence scores on self-drawn natural
+    sequences, and flags a challenge whose mean per-cover distance exceeds
+    the null's upper percentile.  Every cover is scored out of sample: a
+    sampled one against the model less its own counts (leave-one-out), any
+    other against the whole model; scored in sample, the null's covers sat
+    closer to the model than a stego challenge's library covers.  Against
+    selection-based hiding the challenge covers are themselves natural, so
+    this stays at chance level by design.
 
-    Each cover's distance to a model is memoised by the model's content (its
-    pooled byte counts), across learns: trials whose model samples cover the
-    same bytes, as every trial does once the world pool has no more than
-    ``model_sample`` covers, score each cover once between them.  Only the
-    last model's scores are kept, so memory stays bounded when the model
-    changes from trial to trial.
+    World covers are read once into a W x 256 count matrix.  Distances are
+    memoised by the last sample's membership and computed in one batched
+    kernel call that rounds as ``js`` does: the memo never changes an answer.
     """
 
     name = "scoa-histogram"
 
     def __init__(self, model_sample: int = 64, null_draws: int = 64, percentile: float = 99.0):
-        check_int("model_sample", model_sample, 1, InvalidConfig)
+        check_int("model_sample", model_sample, 2, InvalidConfig)  # leave-one-out needs two
         check_int("null_draws", null_draws, 1, InvalidConfig)
         check_real("percentile", percentile, InvalidConfig)
         if not 0 <= percentile <= 100:
@@ -104,55 +103,81 @@ class SCOAHistogram:
         self.model_sample = model_sample
         self.null_draws = null_draws
         self.percentile = percentile
-        self._covers: dict[CoverId, tuple[np.ndarray, EmpiricalDistribution]] = {}
-        self._model_key: bytes | None = None  # the last model's byte counts
-        self._scores: dict[CoverId, float] = {}  # each cover's distance to it
+        self._counts: dict[CoverId, np.ndarray] = {}  # each cover's byte counts, read once
+        self._world: dict = {}  # the last world pool's ids, row of each id, counts and totals
+        self._memo: dict = {}  # that pool, the last model on it and distances to that model
 
-    def _cover(self, cid: CoverId, knowledge: Knowledge) -> tuple[np.ndarray, EmpiricalDistribution]:
-        """Byte counts and histogram of a cover, read and validated once."""
-        cached = self._covers.get(cid)
-        if cached is None:
-            counts = byte_counts(knowledge.content(cid))
-            cached = self._covers[cid] = (counts, normalize_byte_counts(counts))
-        return cached
+    def _byte_counts(self, cid: CoverId, knowledge: Knowledge) -> np.ndarray:
+        if cid not in self._counts:
+            self._counts[cid] = byte_counts(knowledge.content(cid))
+        return self._counts[cid]
 
-    def _cover_scores(self, ids: Iterable[CoverId], state) -> list[float]:
-        """Each cover's distance to the learned model, computed on first use."""
-        scores, model, knowledge = state["scores"], state["model"], state["knowledge"]
-        per_cover = []
-        for cid in ids:
-            score = scores.get(cid)
-            if score is None:
-                score = scores[cid] = js(self._cover(cid, knowledge)[1], model)
-            per_cover.append(score)
-        return per_cover
+    def _world_matrix(self, knowledge: Knowledge) -> dict:
+        ids = knowledge.world_ids
+        if self._world.get("ids") != ids:
+            counts = np.array([self._byte_counts(cid, knowledge) for cid in ids])
+            totals = counts.sum(axis=1)
+            if not totals.all():
+                raise EmptySamples("a world-pool cover holds no bytes")
+            self._counts.update(zip(ids, counts))  # rows of the matrix, not copies of them
+            row_of = {cid: i for i, cid in enumerate(ids)}
+            self._world = {"ids": ids, "row_of": row_of, "counts": counts, "totals": totals}
+        return self._world
+
+    @staticmethod
+    def _null_picks(rng: np.random.Generator, W: int, N: int, draws: int) -> np.ndarray:
+        """``draws`` uniform N-subsets of range(W), one per row, by Floyd's
+        algorithm (Bentley & Floyd, 1987), each step drawn for every row."""
+        picks = np.empty((draws, N), dtype=np.intp)
+        for c, j in enumerate(range(W - N, W)):
+            t = rng.integers(0, j + 1, size=draws)
+            picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), j, t)
+        return picks
+
+    @staticmethod
+    def _world_scores(rows, memo: dict) -> np.ndarray:
+        """The memo's distances, with ``rows`` filled in by one kernel call."""
+        scores, counts = memo["scores"], memo["counts"]
+        todo = np.asarray(rows, dtype=np.intp)
+        todo = todo[np.isnan(scores[todo])]
+        if todo.size:
+            model = memo["model_counts"] - counts[todo] * memo["member"][todo, None]
+            model = model / model.sum(axis=1, keepdims=True)  # drops the int rows before the kernel
+            scores[todo] = _js(counts[todo] / memo["totals"][todo, None], model)
+        return scores
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
-        rng = knowledge.rng
-        world = knowledge.world_ids
-        k = min(self.model_sample, len(world))
-        sample = [world[i] for i in rng.choice(len(world), size=k, replace=False)]
-        model_counts = np.sum([self._cover(cid, knowledge)[0] for cid in sample], axis=0)
-        key = model_counts.tobytes()
-        if key != self._model_key:
-            self._model_key, self._scores = key, {}
-        learned = {
-            "model": normalize_byte_counts(model_counts),
-            "scores": self._scores,
-            "knowledge": knowledge,
-        }
-        null_picks = [
-            rng.choice(len(world), size=knowledge.N, replace=False) for _ in range(self.null_draws)
-        ]
-        null_scores = np.array(
-            [self._cover_scores((world[i] for i in picks), learned) for picks in null_picks]
-        ).mean(axis=1)
-        learned["threshold"] = float(np.percentile(null_scores, self.percentile))
-        return learned
+        rng, world = knowledge.rng, self._world_matrix(knowledge)
+        W = len(world["ids"])
+        member = np.zeros(W, dtype=bool)
+        member[rng.choice(W, size=min(self.model_sample, W), replace=False)] = True
+        key = (world["ids"], member.tobytes())
+        if self._memo.get("key") != key:
+            model_counts = world["counts"][member].sum(axis=0)
+            self._memo = {
+                **world, "key": key, "member": member, "model_counts": model_counts,
+                "model": normalize_byte_counts(model_counts),
+                "scores": np.full(W, np.nan),  # each world cover's distance, once computed
+                "outside": {},  # distances of covers outside the world pool
+            }
+        picks = self._null_picks(rng, W, knowledge.N, self.null_draws)
+        null_scores = self._world_scores(np.unique(picks), self._memo)[picks].mean(axis=1)
+        threshold = float(np.percentile(null_scores, self.percentile))
+        return {"memo": self._memo, "threshold": threshold, "knowledge": knowledge}
+
+    def _outside_score(self, cid: CoverId, state) -> float:
+        """Distance of a cover outside the world pool to the whole model."""
+        outside = state["memo"]["outside"]
+        if cid not in outside:
+            hist = normalize_byte_counts(self._byte_counts(cid, state["knowledge"]))
+            outside[cid] = js(hist, state["memo"]["model"])
+        return outside[cid]
 
     def guess(self, challenge: Challenge, state) -> str:
-        score = float(np.mean(self._cover_scores(challenge.ids, state)))
-        return LABEL_STEGO if score > state["threshold"] else LABEL_NATURAL
+        ids, row_of = challenge.ids, state["memo"]["row_of"]
+        scores = self._world_scores([row_of[c] for c in ids if c in row_of], state["memo"])
+        per_cover = [scores[row_of[c]] if c in row_of else self._outside_score(c, state) for c in ids]
+        return LABEL_STEGO if float(np.mean(per_cover)) > state["threshold"] else LABEL_NATURAL
 
     recover = _keyless_recover
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import traceback
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -773,6 +774,19 @@ def test_unreadable_cover_raises(tmp_path, make_covers):
         run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=1)
 
 
+def test_empty_world_cover_fails_the_histogram_learn(tmp_path, make_covers):
+    """A zero-byte world cover has no byte histogram: every learn raises
+    ``EmptySamples`` and scores as a miss, where a nan distance would have
+    compared false with every threshold and played on."""
+    paths = make_covers(12)
+    paths[-1].write_bytes(b"")
+    sc = _file_scenario(tmp_path, paths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=1)
+    assert res.successes == 0 and res.verdict == VERDICT_RESISTS
+
+
 class ForeignContentReader:
     """Asks for the content of a cover outside the scenario."""
 
@@ -824,8 +838,10 @@ class TestSCOAHistogram:
         assert res.verdict == VERDICT_RESISTS
 
     def test_each_cover_read_and_normalized_once(self, monkeypatch):
-        """Over 100 trials one instance reads each cover once and validates
-        one histogram per distinct cover, plus one pooled model per learn."""
+        """Over 100 trials one instance reads each cover once.  It builds a
+        histogram only for a cover outside the world pool, once, and for at
+        most one pooled model per learn; world covers are scored in batches
+        straight from their byte counts."""
         reads: Counter = Counter()
         built = 0
         read, check = Scenario.content_for, EmpiricalDistribution.__post_init__
@@ -841,32 +857,46 @@ class TestSCOAHistogram:
 
         monkeypatch.setattr(Scenario, "content_for", counting_read)
         monkeypatch.setattr(EmpiricalDistribution, "__post_init__", counting_check)
-        sc = synthetic_scenario(T=16, N=4, seed=3)
-        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=5)
-        assert res.successes > 0  # every learn got as far as scoring
-        assert max(reads.values()) == 1
-        assert 100 <= built <= len(reads) + 100
+        for disjoint in (False, True):
+            reads.clear()
+            built = 0
+            sc = synthetic_scenario(T=16, N=4, seed=3, disjoint_world=disjoint)
+            res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=5)
+            assert res.successes > 0  # every learn got as far as scoring
+            assert max(reads.values()) == 1
+            assert set(sc.world.ids()) <= set(reads)
+            assert built <= len(set(reads) - set(sc.world.ids())) + 100
 
     def test_each_cover_scored_once_per_model(self, monkeypatch):
         """No cover's distance to one model is computed twice in a game, over
-        the null draws and the challenges of every trial.  On a world pool no
-        larger than ``model_sample`` every trial learns the same model, so
-        the game computes at most one distance per world and library cover."""
+        the null draws and the challenges of every trial, counted per kernel
+        row for world covers and per ``js`` call for the others.  On a world
+        pool no larger than ``model_sample`` every trial samples the whole
+        pool, so the game computes at most one distance per world and
+        library cover."""
         pairs: Counter = Counter()
-        js = adversaries.js
+        kernel, one = adversaries._js, adversaries.js
+
+        def counting_kernel(pm, qm):
+            for p_row, q_row in zip(pm, qm):  # a (cover, model) pair is its two mass rows
+                pairs[p_row.tobytes(), q_row.tobytes()] += 1
+            return kernel(pm, qm)
 
         def counting_js(p, q):
-            pairs[id(p), q.masses.tobytes()] += 1  # cover histograms are cached per id
-            return js(p, q)
+            pairs[p.masses.tobytes(), q.masses.tobytes()] += 1
+            return one(p, q)
 
+        monkeypatch.setattr(adversaries, "_js", counting_kernel)
         monkeypatch.setattr(adversaries, "js", counting_js)
-        sc = synthetic_scenario(T=16, N=4, seed=3)
-        adversary = SCOAHistogram()
-        assert sc.world.T <= adversary.model_sample
-        res = run_game(sc, adversary, AttackLevel.SCOA, trials=100, seed=5)
-        assert res.successes > 0
-        assert max(pairs.values()) == 1
-        assert 0 < sum(pairs.values()) <= sc.world.T + sc.library.T
+        for world_size, disjoint in ((64, False), (64, True), (200, True)):
+            pairs.clear()
+            sc = synthetic_scenario(T=16, N=4, world_size=world_size, seed=3, disjoint_world=disjoint)
+            adversary = SCOAHistogram()
+            res = run_game(sc, adversary, AttackLevel.SCOA, trials=100, seed=5)
+            assert res.successes > 0
+            assert max(pairs.values()) == 1
+            if sc.world.T <= adversary.model_sample:
+                assert 0 < sum(pairs.values()) <= sc.world.T + sc.library.T
 
     @pytest.mark.parametrize("world_size", [48, 200])
     def test_memo_never_changes_an_answer(self, world_size):
@@ -883,6 +913,33 @@ class TestSCOAHistogram:
                 reused = run_game(sc, shared, AttackLevel.SCOA, trials=100, seed=seed)
                 fresh = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=seed)
                 assert asdict(reused) == asdict(fresh)
+
+    @pytest.mark.parametrize("W, N, seed", [(6, 2, 61), (7, 3, 62)])
+    def test_null_draw_is_uniform_over_subsets(self, W, N, seed):
+        """Every null row holds N distinct world indices, and the rows are
+        uniform over all C(W, N) subsets (chi-square, 20,000 rows)."""
+        from scipy.stats import chisquare
+
+        picks = SCOAHistogram._null_picks(np.random.default_rng(seed), W, N, 20_000)
+        assert picks.shape == (20_000, N)
+        assert 0 <= picks.min() and picks.max() < W
+        rows = [tuple(sorted(row)) for row in picks.tolist()]
+        assert all(len(set(row)) == N for row in rows)
+        index = {subset: i for i, subset in enumerate(itertools.combinations(range(W), N))}
+        counts = np.bincount([index[row] for row in rows], minlength=len(index))
+        assert chisquare(counts).pvalue >= 0.01
+
+    def test_no_in_sample_bias_on_a_small_disjoint_world(self):
+        """On an 18-cover world pool disjoint from the library, every world
+        cover sits in the model sample.  Scored in sample, the null's covers
+        looked closer to the model than a stego challenge's library covers
+        and the detector read 0.6825 (p = 1.1e-13, broken) at game seed 0;
+        scored leave-one-out it stays at chance."""
+        sc = synthetic_scenario(6, 2, world_size=18, disjoint_world=True, seed=4)
+        results = [run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=400, seed=s) for s in range(8)]
+        assert results[0].verdict == VERDICT_RESISTS
+        rate = sum(r.successes for r in results) / (8 * 400)
+        assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / (8 * 400))
 
 
 GOLDEN_FIELDS = (
@@ -924,7 +981,7 @@ GOLDEN = {
         ('KCA', 'recovery', 800, 390, 0.4875, 0.7710857501621271, 0.01, 'resists', 7, None, 100, None),
     ],
     'recovery/histogram-scoa': [
-        ('SCOA', 'recovery', 800, 403, 0.50375, 0.4298489168642772, 0.01, 'resists', 9, None, 100, None),
+        ('SCOA', 'recovery', 800, 397, 0.49625, 0.5977250873888855, 0.01, 'resists', 9, None, 100, None),
     ],
     'recovery/replay-cca': [
         ('CCA', 'recovery', 1200, 598, 0.49833333333333335, 0.5573791631549593, 0.01, 'resists', 4, None, 100, None),
@@ -1128,6 +1185,7 @@ def test_games_refuse_a_level_that_is_not_an_attack_level(kind, level):
     [
         lambda: SCOAHistogram(null_draws=0),
         lambda: SCOAHistogram(model_sample=0),
+        lambda: SCOAHistogram(model_sample=1),
         lambda: SCOAHistogram(percentile=150),
         lambda: SCOAHistogram(percentile=math.nan),
         lambda: SCOAHistogram(null_draws=np.int64(8)),
@@ -1135,7 +1193,7 @@ def test_games_refuse_a_level_that_is_not_an_attack_level(kind, level):
         lambda: CCAReplay(oracle_calls=2.5),
         lambda: CCAReplay(oracle_calls=True),
     ],
-    ids=["null_draws=0", "model_sample=0", "percentile=150", "percentile=nan",
+    ids=["null_draws=0", "model_sample=0", "model_sample=1", "percentile=150", "percentile=nan",
          "null_draws=int64", "oracle_calls=-3", "oracle_calls=2.5", "oracle_calls=True"],
 )
 def test_reference_adversaries_refuse_bad_arguments(make):
