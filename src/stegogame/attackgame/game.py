@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from decimal import Decimal, localcontext
 from enum import IntEnum
+from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Callable, Protocol
 
 import numpy as np
@@ -128,12 +131,13 @@ class Adversary(Protocol):
 # ---------------------------------------------------------------------------
 # deterministic stream derivation
 
+_KEY_PREFIX = hashlib.sha256(b"stegogame.attackgame")
+_ZEROS = (0, 0, 0, 0)
+
+
 def _derive_key(seed: int, *path: object) -> int:
-    h = hashlib.sha256(b"stegogame.attackgame")
-    h.update(str(seed).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
+    h = _KEY_PREFIX.copy()
+    h.update("/".join([str(seed), *map(str, path)]).encode())
     return int.from_bytes(h.digest()[:16], "big")
 
 
@@ -141,15 +145,13 @@ def _rekey(gen: np.random.Generator, seed: int, *path: object) -> np.random.Gene
     """``gen`` set in place to the stream of ``Philox(key=_derive_key(seed,
     *path))``: that bit generator's initial state, written into ``gen``'s.
     A new ``Philox`` costs several times more, since it pulls OS entropy
-    before it takes the key."""
+    before it takes the key.  Only the key is built per call; the state
+    setter copies every value, so the shared zeros stay shared."""
     key = _derive_key(seed, *path)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & ((1 << 64) - 1), key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS, "key": (key & ((1 << 64) - 1), key >> 64)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -220,8 +222,7 @@ def _leaked_key(scenario: Scenario, session_key: StegoKey) -> str | None:
         return None
     if scenario.key_leak == "full":
         return session_key.bits
-    flipped = ("1" if session_key.bits[0] == "0" else "0") + session_key.bits[1:]
-    return flipped
+    return ("1" if session_key.bits[0] == "0" else "0") + session_key.bits[1:]
 
 
 def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
@@ -409,22 +410,73 @@ def _play(
     return points, stego, state
 
 
-def p_value_greater(k: int, n: int) -> float:
-    """One-sided exact binomial p-value P(X >= k) for X ~ Binomial(n, 1/2).
+# ---------------------------------------------------------------------------
+# the verdict: an exact binomial tail, rounded once
 
-    The same float that ``scipy.stats.binomtest(k, n, 0.5,
-    alternative="greater").pvalue`` returns: binomtest evaluates
-    ``binom.sf(k - 1, n, 0.5)``, which is 1 below the support and otherwise
-    the ``_binom_sf`` ufunc clipped to [0, 1].  Calling the ufunc directly
-    imports ``scipy.special`` only, not ``scipy.stats``, which takes several
-    times as long to import.  The public ``special.bdtrc`` and an exact
-    integer tail round differently in the last bits.
-    """
-    if k == 0:
-        return 1.0
-    from scipy.special._ufuncs import _binom_sf  # deferred: only the verdict needs scipy
+_LN2 = Decimal("0.693147180559945309417232121458176568075500134360255254120680009")
+_HALF_LN_2PI = Decimal("0.918938533204672741780329736405617639861397473637783412817151540")
+# B_2i / (2i (2i - 1)), i = 1..5: Stirling's series for ln x!.  Its remainder
+# lies below the next term, 691/360360 / x**11, so under 2e-36 at x >= 1000.
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188))
+_SLACK = Decimal("1e-30")  # relative: over that remainder and every rounding
 
-    return min(max(float(_binom_sf(k - 1, n, 0.5)), 0.0), 1.0)
+
+def _ln_factorial(x: int) -> Decimal:
+    """ln x! less ln(2 pi) / 2, by Stirling's series; for x >= 1000."""
+    d = Decimal(x)
+    series = sum(Decimal(a) / (b * x ** (2 * i + 1)) for i, (a, b) in enumerate(_STIRLING))
+    return (d + Decimal("0.5")) * d.ln() - d + series
+
+
+def _first_term(m: int, n: int, exact: bool) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo <= C(n, m) * 2**(e - n) <= hi, lo of 159 bits or
+    more: by ``comb`` where it is cheap or asked for, else in 50-digit decimals."""
+    if exact or n - m < 1000:
+        c = comb(n, m) << 160
+        return c, c, n + 160
+    with localcontext(prec=50):
+        ln_t = _ln_factorial(n) - _ln_factorial(m) - _ln_factorial(n - m) - _HALF_LN_2PI - n * _LN2
+        e = 160 - int(ln_t / _LN2)
+        t = (ln_t + e * _LN2).exp()
+        return int(t * (1 - _SLACK)), int(t * (1 + _SLACK)) + 1, e
+
+
+def p_value_greater(k: int, n: int, alpha: float = 0.0, exact: bool = False) -> tuple[float, bool]:
+    """The one-sided exact binomial p-value P(X >= k), X ~ Binomial(n, 1/2),
+    correctly rounded, and whether it lies below ``alpha``'s exact value.
+
+    It sums the smaller side, from m = k, or from m = n - k + 1 to return
+    1 - P(X >= m), so each ratio (n - j)/(j + 1) to the next term is below 1
+    and falls.  Terms are floored from the first term's low end, each short
+    by under one unit per step; past term j the rest is below a geometric
+    series in the ratio at j.  Every 32 terms, once both ends of the returned
+    quantity round to one float and lie on one side of alpha, it returns:
+    after a few hundred terms at n = 24,000.  Ends that still differ at
+    j = n sum again from the exact first term, which ends with lo == hi."""
+    if not 0 < k <= n:
+        p = float(k <= 0)
+        return p, p < alpha
+    upper = 2 * k >= n
+    m = k if upper else n - k + 1
+    t_lo, t_hi, e = _first_term(m, n, exact)
+    one, floored = 1 << e, int(t_lo != t_hi)
+    a, b = Fraction(alpha).as_integer_ratio()
+    a <<= e
+    q = s = t_lo
+    j = m
+    while True:
+        c = j - m + 1
+        rest = -(-(q + floored * c) * (n - j) // (2 * j + 1 - n)) + floored * c * c
+        lo, hi = s, s + rest - (-(t_hi - t_lo) * (s + rest) // t_lo)
+        if not upper:
+            lo, hi = one - hi, one - lo
+        if lo / one == hi / one and (hi * b < a) == (lo * b < a):
+            return lo / one, hi * b < a
+        if j == n:
+            return p_value_greater(k, n, alpha, exact=True)
+        for j in range(j + 1, min(j + 33, n + 1)):
+            q = q * (n - j + 1) // j
+            s += q
 
 
 def _result(
@@ -432,8 +484,8 @@ def _result(
 ) -> GameResult:
     """GameResult with a one-sided exact binomial verdict against p = 0.5."""
     rate = successes / trials
-    p_value = p_value_greater(successes, trials)
-    broken = p_value < alpha and rate > 0.5
+    p_value, below = p_value_greater(successes, trials, alpha)
+    broken = below and rate > 0.5
     return GameResult(
         level=level.name,
         kind=kind,

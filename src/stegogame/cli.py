@@ -5,8 +5,7 @@ are byte-identical); human warnings go to stderr.  Exit codes: 0 success,
 1 domain error (JSON error object on stdout), 2 usage error.
 
 The budget, divergence and attack handlers import their modules when they
-run, so the codec subcommands start without numpy and only ``attack`` loads
-scipy.
+run, so the codec subcommands start without numpy.  Nothing loads scipy.
 """
 
 from __future__ import annotations
@@ -24,14 +23,7 @@ from .errors import InvalidParams, MalformedFile, StegogameError
 from .library import build_library, load_manifest, read_text, save_manifest
 from .permcodec import capacity
 from .stego import (
-    Message,
-    SeededEntropy,
-    embed,
-    extract,
-    keygen,
-    load_key,
-    load_sequence,
-    save_key,
+    Message, SeededEntropy, embed, extract, keygen, load_key, load_sequence, save_key,
     save_sequence,
 )
 

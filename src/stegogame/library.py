@@ -19,12 +19,7 @@ from typing import Callable
 
 from .bits import HEX_DIGITS
 from .errors import (
-    CoverReadError,
-    DuplicateCover,
-    FileWriteError,
-    LibraryTooSmall,
-    MalformedFile,
-    NotInLibrary,
+    CoverReadError, DuplicateCover, FileWriteError, LibraryTooSmall, MalformedFile, NotInLibrary,
     StegogameError,
 )
 

@@ -24,11 +24,7 @@ from math import perm
 
 from .bits import bits_to_int, int_to_bits
 from .errors import (
-    InvalidArrangement,
-    InvalidParams,
-    RankOutOfRange,
-    UnreachableArrangement,
-    WrongPayloadLength,
+    InvalidArrangement, InvalidParams, RankOutOfRange, UnreachableArrangement, WrongPayloadLength,
 )
 
 

@@ -17,21 +17,9 @@ from typing import Protocol
 # xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
 # perfbench/tracer.py looks them up in this module by name.
 from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
-from .errors import (
-    EntropyUnavailable,
-    LengthMismatch,
-    MalformedFile,
-    StegogameError,
-    check_int,
-)
+from .errors import EntropyUnavailable, LengthMismatch, MalformedFile, StegogameError, check_int
 from .library import (
-    CoverId,
-    CoverLibrary,
-    check_cover_id,
-    read_json,
-    read_text,
-    write_json,
-    write_text,
+    CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
 from .permcodec import Arrangement, _unrank, capacity, payload_value
 from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401

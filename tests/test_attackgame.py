@@ -951,16 +951,16 @@ GOLDEN_FIELDS = (
 # Any change to seed paths, draw order or scoring shows up here.
 GOLDEN = {
     'detection/random-scoa': [
-        ('SCOA', 'detection', 100, 61, 0.61, 0.017600100108852428, 0.01, 'resists', 7, 51, None, None),
+        ('SCOA', 'detection', 100, 61, 0.61, 0.017600100108852407, 0.01, 'resists', 7, 51, None, None),
     ],
     'detection/membership-kca': [
-        ('KCA', 'detection', 100, 53, 0.53, 0.3086497067946262, 0.01, 'resists', 7, 51, None, None),
+        ('KCA', 'detection', 100, 53, 0.53, 0.308649706794626, 0.01, 'resists', 7, 51, None, None),
     ],
     'detection/membership-acca-level': [
         ('ACCA', 'detection', 100, 41, 0.41, 0.9715560331795096, 0.01, 'resists', 8, 60, None, None),
     ],
     'detection/histogram-scoa': [
-        ('SCOA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 9, 51, None, None),
+        ('SCOA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 9, 51, None, None),
     ],
     'detection/replay-cca': [
         ('CCA', 'detection', 100, 99, 0.99, 7.967495142732219e-29, 0.01, 'broken', 4, 49, None, None),
@@ -990,7 +990,7 @@ GOLDEN = {
         ('KCA', 'recovery', 800, 800, 1.0, 1.499696813895631e-241, 0.01, 'broken', 7, None, 100, None),
     ],
     'recovery/keyed-flip1': [
-        ('KCA', 'recovery', 800, 700, 0.875, 5.964990537578589e-112, 0.01, 'broken', 7, None, 100, None),
+        ('KCA', 'recovery', 800, 700, 0.875, 5.964990537578753e-112, 0.01, 'broken', 7, None, 100, None),
     ],
     'recovery/keyed-no-key': [
         ('KCA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
@@ -1002,29 +1002,29 @@ GOLDEN = {
         ('SCOA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
     ],
     'acca/membership-growing': [
-        ('ACCA', 'detection', 100, 54, 0.54, 0.24205920680364573, 0.01, 'resists', 2, 46, None, 0),
-        ('ACCA', 'detection', 100, 55, 0.55, 0.18410080866334808, 0.01, 'resists', 2, 45, None, 1),
+        ('ACCA', 'detection', 100, 54, 0.54, 0.24205920680364576, 0.01, 'resists', 2, 46, None, 0),
+        ('ACCA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 2, 45, None, 1),
         ('ACCA', 'detection', 100, 59, 0.59, 0.04431304005703379, 0.01, 'resists', 2, 41, None, 2),
         ('ACCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 2, 52, None, 3),
     ],
     'acca/replay': [
-        ('ACCA', 'detection', 100, 81, 0.81, 1.3513812610243942e-10, 0.01, 'broken', 3, 47, None, 0),
+        ('ACCA', 'detection', 100, 81, 0.81, 1.3513812610243944e-10, 0.01, 'broken', 3, 47, None, 0),
     ],
     'acca/flaky': [
         ('ACCA', 'detection', 100, 38, 0.38, 0.9939835121373183, 0.01, 'resists', 18, 45, None, 0),
         ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 18, 53, None, 1),
-        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986663, 0.01, 'resists', 18, 56, None, 2),
-        ('ACCA', 'detection', 100, 50, 0.5, 0.5397946186935889, 0.01, 'resists', 18, 58, None, 3),
+        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986666, 0.01, 'resists', 18, 56, None, 2),
+        ('ACCA', 'detection', 100, 50, 0.5, 0.5397946186935894, 0.01, 'resists', 18, 58, None, 3),
     ],
     'acca/flaky-first-round': [
         ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 57, None, 0),
-        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 13, 49, None, 1),
-        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963932, 0.01, 'resists', 13, 51, None, 2),
+        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 13, 49, None, 1),
+        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963933, 0.01, 'resists', 13, 51, None, 2),
         ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 37, None, 3),
     ],
     'acca/random': [
-        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630823, 0.01, 'resists', 2, 46, None, 0),
-        ('ACCA', 'detection', 100, 57, 0.57, 0.09667395224782122, 0.01, 'resists', 2, 45, None, 1),
+        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 2, 46, None, 0),
+        ('ACCA', 'detection', 100, 57, 0.57, 0.09667395224782123, 0.01, 'resists', 2, 45, None, 1),
         ('ACCA', 'detection', 100, 47, 0.47, 0.7579407931963542, 0.01, 'resists', 2, 41, None, 2),
     ],
     'acca/failing': [
@@ -1096,15 +1096,118 @@ def test_golden_game_results():
         assert got[name] == [dict(zip(GOLDEN_FIELDS, row)) for row in rows], name
 
 
-@pytest.mark.parametrize("n", [100, 150, 800, 1200, 24000])
-def test_p_value_equals_binomtest(n):
-    """The verdict's p-value is binomtest's float: for every k at the golden
-    cases' sizes, and for a stride of k at the size of a 1,600-sequence,
-    15-bit recovery game."""
+def test_golden_rows_under_the_binomtest_float_rule(monkeypatch):
+    """The verdict's earlier rule, binomtest's float against alpha as a
+    float, gives the same golden rows but for p-values within 1e-12
+    relative: the exact tail moved no success count and no verdict."""
+    from scipy.stats import binomtest
+
+    def float_rule(k, n, alpha=0.0):
+        p = binomtest(k, n, 0.5, alternative="greater").pvalue
+        return p, p < alpha
+
+    monkeypatch.setattr(game, "p_value_greater", float_rule)
+    got = {name: [asdict(r) for r in results] for name, results in _golden_cases()}
+    for name, rows in GOLDEN.items():
+        for row, old in zip(rows, got[name], strict=True):
+            new = dict(zip(GOLDEN_FIELDS, row))
+            assert old["p_value"] == pytest.approx(new["p_value"], rel=1e-12, abs=0), name
+            assert {**old, "p_value": None} == {**new, "p_value": None}, name
+
+
+def _exact_tails(n: int) -> list[int]:
+    """sum(C(n, j) for j >= k), for k = 0 .. n + 1."""
+    terms = [1]
+    for j in range(n):
+        terms.append(terms[-1] * (n - j) // (j + 1))
+    tails = [0] * (n + 2)
+    for k in range(n, -1, -1):
+        tails[k] = tails[k + 1] + terms[k]
+    return tails
+
+
+def _exact_p(tails: list[int], k: int, n: int) -> Fraction:
+    return Fraction(tails[min(max(k, 0), n + 1)], 2**n)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 301), (800, 1200)])
+def test_p_value_is_the_correctly_rounded_tail(sizes):
+    """Every k, outside the support too: the exact tail, rounded once (a
+    Fraction's float rounds correctly)."""
+    for n in sizes:
+        tails = _exact_tails(n)
+        for k in range(-1, n + 3):
+            assert game.p_value_greater(k, n)[0] == float(_exact_p(tails, k, n)), (k, n)
+
+
+# trials x l of a 1,600-sequence recovery game at l = 15
+LARGE_N = 24000
+
+
+@pytest.fixture(scope="module")
+def large_tails():
+    return _exact_tails(LARGE_N)
+
+
+def test_p_value_at_large_n_without_the_exact_fallback(large_tails, monkeypatch):
+    """k = 0, n, n + 1 and a stride of k on both sides of n/2, denser near
+    it: each is the correctly rounded tail, and none sums from the exact
+    first term, whose ``comb`` alone takes milliseconds here."""
+    first_term = game._first_term
+
+    def bounded_only(m, n, exact):
+        assert not exact, (m, n)
+        return first_term(m, n, exact)
+
+    monkeypatch.setattr(game, "_first_term", bounded_only)
+    n = LARGE_N
+    for k in [0, *range(1, n, 89), *range(11_800, 12_201, 3), n, n + 1]:
+        assert game.p_value_greater(k, n)[0] == float(_exact_p(large_tails, k, n)), k
+
+
+@pytest.mark.parametrize("n", [100, 150, 800, 1200, LARGE_N])
+def test_p_value_within_binomtest_tolerance(n):
+    """binomtest as an oracle, within 1e-12 relative wherever its float is
+    normal.  Its route underflows early: at n = 1,200 it reads 0 from
+    k = 1,162, where the tail is 6.5e-290."""
     from scipy.stats import binomtest
 
     for k in [*range(0, n, 1 if n <= 1200 else 41), n]:
-        assert game.p_value_greater(k, n) == binomtest(k, n, 0.5, alternative="greater").pvalue, k
+        want = binomtest(k, n, 0.5, alternative="greater").pvalue
+        got = game.p_value_greater(k, n)[0]
+        if want >= np.finfo(float).tiny:
+            assert got == pytest.approx(want, rel=1e-12, abs=0), k
+        else:
+            assert got < 1e-280, k
+
+
+@pytest.mark.parametrize("n", [100, 1200, LARGE_N])
+def test_verdict_decided_on_exact_values(n, large_tails):
+    """With alpha at the rounded p-value and at the floats either side of it,
+    ``p < alpha`` follows the exact tail against alpha's exact value, also
+    where alpha lies inside the bounds and only the exact sum can tell."""
+    tails = large_tails if n == LARGE_N else _exact_tails(n)
+    ks = range(n // 2 - 60, n // 2 + 61, 3 if n == LARGE_N else 1)
+    for k in [1, *ks, n - 3]:
+        exact = _exact_p(tails, k, n)
+        p = float(exact)
+        for alpha in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+            if 0 < alpha < 1:
+                assert game.p_value_greater(k, n, alpha) == (p, exact < Fraction(alpha)), (k, alpha)
+    for k in (n // 2 - 40, n // 2 + 1, n // 2 + 40):
+        exact = _exact_p(tails, k, n)  # alpha inside every bound but the exact sum's
+        assert game.p_value_greater(k, n, exact) == (float(exact), False), k
+        assert game.p_value_greater(k, n, exact * (1 + Fraction(1, 2**200))) == (float(exact), True), k
+
+
+@pytest.mark.parametrize("n", [2000, 2001, LARGE_N, 60001])
+def test_first_term_brackets_the_exact_term(n):
+    """Stirling's series in decimals bounds C(n, m) / 2**n from both sides,
+    within 2**-90 relative, from the smallest n - m it serves (1000) on."""
+    for m in sorted({(n + 1) // 2, n // 2 + 7, (3 * n) // 5, n - 1000} & set(range(n - 999))):
+        lo, hi, e = game._first_term(m, n, False)
+        assert lo * 2**n <= math.comb(n, m) * 2**e <= hi * 2**n, m
+        assert lo.bit_length() >= 159 and lo < hi < lo + (lo >> 90), m
 
 
 _ids = st.sampled_from([format(i, "064x") for i in range(10)])

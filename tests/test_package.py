@@ -3,8 +3,8 @@ package's public names.
 
 The import checks run in child interpreters, since this one has numpy and
 scipy loaded already.  Each child runs the CLI as ``python -m stegogame.cli``
-does and then reports which of numpy, scipy.special and scipy.stats are in
-``sys.modules``.
+does and then reports which of numpy, scipy, scipy.special and scipy.stats
+are in ``sys.modules``.
 """
 
 import json
@@ -69,7 +69,28 @@ def test_subcommands_load_only_what_they_compute_with(tmp_path, make_covers):
     assert _loaded(_RUN_CLI, *mc, cwd=tmp_path) == {"numpy"}
     attack = ["attack", "--level", "kca", "--adversary", "kca-membership", "--trials", "100",
               "--seed", "1", "--scenario", "scen.json"]
-    assert _loaded(_RUN_CLI, *attack, cwd=tmp_path) == {"numpy", "scipy", "scipy.special"}
+    assert _loaded(_RUN_CLI, *attack, cwd=tmp_path) == {"numpy"}
+
+
+def test_attack_runs_without_scipy(tmp_path, make_covers):
+    """With scipy unimportable, ``attack`` exits 0 and prints the bytes it
+    prints with scipy installed, for both games."""
+    covers = [str(p) for p in make_covers(14, tag="noscipy")]
+    for paths, out in ((covers[:6], "lib.json"), (covers[6:], "world.json")):
+        assert cli.dispatch(["build-library", *paths, "-o", str(tmp_path / out)]) == 0
+    (tmp_path / "scen.json").write_text(json.dumps(
+        {"library": "lib.json", "world_pool": "world.json", "N": 3, "leak_fraction": 1.0}
+    ))
+    attack = ["attack", "--level", "kca", "--adversary", "kca-membership", "--trials", "100",
+              "--seed", "1", "--scenario", "scen.json"]
+    for argv in (attack, [*attack, "--game", "recovery"]):
+        outputs = []
+        for prelude in ("", "import sys\nsys.modules['scipy'] = None\n"):
+            done = subprocess.run([sys.executable, "-c", prelude + _RUN_CLI, *argv], cwd=tmp_path,
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert b'"p_value"' in outputs[0] and outputs[1] == outputs[0], argv
 
 
 def test_metric_choices_are_the_metrics():
