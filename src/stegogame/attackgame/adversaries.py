@@ -19,19 +19,19 @@ from ..bits import xor_bits  # noqa: F401
 from ..divergence import _js, byte_counts, js, normalize_byte_counts
 from ..errors import EmptySamples, InvalidConfig, check_int, check_real
 from ..library import CoverId
-from ..permcodec import Arrangement, arrangement_to_bits  # noqa: F401
-from ..stego import StegoKey, StegoSequence, decode
-from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_bits
+from ..permcodec import Arrangement, arrangement_to_bits, payload_value  # noqa: F401
+from ..stego import StegoSequence
+from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_values
 
 # The rules several adversaries share are plain functions assigned as class
 # attributes, never inherited: perfbench/tracer.py wraps learn, guess and
 # recover in each class's own __dict__.
 
 
-def _keyless_recover(self, sequence: StegoSequence, state) -> str:
-    """Uniform bits: without the key the sequence says nothing of them."""
+def _keyless_recover(self, sequence: StegoSequence, state) -> int:
+    """A uniform payload: without the key the sequence says nothing of it."""
     knowledge: Knowledge = state["knowledge"]
-    return _random_bits(knowledge.rng, knowledge.payload_bits)
+    return _random_values(knowledge.rng, knowledge.payload_bits, 1)[0]
 
 
 def _membership_guess(self, challenge: Challenge, state) -> str:
@@ -206,11 +206,8 @@ class CCAReplay:
         oracle = knowledge.embed_oracle
         if oracle is not None:
             budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
-            l = knowledge.payload_bits
-            # one draw for all payloads: the same bits and stream state as one draw each
-            payloads = _random_bits(knowledge.rng, budget * l)
-            for i in range(budget):
-                known.update(oracle(payloads[i * l : (i + 1) * l]).ids)
+            for payload in _random_values(knowledge.rng, knowledge.payload_bits, budget):
+                known.update(oracle(payload).ids)
         return {"known": known, "knowledge": knowledge}
 
     guess = _membership_guess
@@ -225,20 +222,19 @@ class KeyedRecovery:
     name = "keyed-recovery"
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
-        key = knowledge.leaked_key
         return {
             "known": {cid: i for i, cid in enumerate(sorted(knowledge.leaked_ids))},
-            "key": None if key is None else StegoKey(key),
+            "key": knowledge.leaked_key,
         }
 
     guess = _membership_guess
 
-    def recover(self, sequence: StegoSequence, state) -> str:
+    def recover(self, sequence: StegoSequence, state) -> int:
         known = state["known"]
         if state["key"] is None or not known:
             raise ValueError("no leaked key or library to decode with")
         indices = tuple(known[cid] for cid in sequence.ids)
-        return decode(Arrangement(indices=indices, T=len(known)), state["key"]).bits
+        return payload_value(Arrangement(indices=indices, T=len(known)))[0] ^ state["key"]
 
 
 ADVERSARIES = {

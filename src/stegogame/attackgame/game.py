@@ -6,16 +6,19 @@ stego sequence or natural draw from the world pool).  The ">50% success"
 criterion is judged with a one-sided exact binomial test, never a raw rate
 comparison.
 
-All three games run on one serial trial engine.  Every random draw flows
-from a generator keyed by sha256 over (seed, labelled path), so results are
-byte-identical across runs and platforms.  A learning phase draws its
-observation payloads eagerly, keeping every later draw in place, but embeds
-them only when the adversary first reads ``Knowledge.observed``.
+All three games run on one serial trial engine over integer payloads.
+Every random draw flows from a Philox generator keyed by sha256 over (seed,
+labelled path), and a trial's streams are addressed by the Philox counter,
+so results are byte-identical across runs and platforms.  A learning phase
+draws its observation payloads eagerly, keeping every later draw in place,
+but embeds them only when the adversary first reads ``Knowledge.observed``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from enum import IntEnum
@@ -26,11 +29,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..bits import validate_bits
 from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real
 from ..library import CoverId
-from ..permcodec import capacity
-from ..stego import Message, SeededEntropy, StegoKey, StegoSequence, embed, extract, keygen
+from ..permcodec import Arrangement, _unrank, capacity, payload_value
+# embed, extract and keygen are not called here; perfbench/tracer.py looks
+# them up in this module by name.
+from ..stego import StegoSequence, embed, extract, keygen  # noqa: F401
 from .scenario import Scenario
 
 MIN_TRIALS = 100
@@ -67,8 +71,9 @@ class Knowledge:
     above the adversary's level are empty/None, never absent.  ``observed``
     (past stego traffic) is drawn eagerly but embedded on first read.
 
+    Payloads and the leaked key are ints in ``[0, 2**payload_bits)``.
     ``rng`` is this trial's adversary stream (this round's, in an ACCA
-    round).  The harness rekeys it in place when the next trial starts, so
+    round).  The harness moves it to the next trial's counter in place, so
     an adversary must not keep drawing from it past its trial."""
 
     level: AttackLevel
@@ -76,9 +81,9 @@ class Knowledge:
     payload_bits: int
     world_ids: tuple[CoverId, ...]
     leaked_ids: tuple[CoverId, ...]
-    leaked_key: str | None
-    embed_oracle: Callable[[str], StegoSequence] | None
-    extract_oracle: Callable[[StegoSequence], str] | None
+    leaked_key: int | None
+    embed_oracle: Callable[[int], StegoSequence] | None
+    extract_oracle: Callable[[StegoSequence], int] | None
     rounds: int
     rng: np.random.Generator
     content: Callable[[CoverId], bytes]
@@ -114,10 +119,11 @@ class GameResult:
 
 class Adversary(Protocol):
     """Learns from a :class:`Knowledge`, then labels challenges or recovers
-    payloads from the state it returned.  Its only randomness is
-    ``Knowledge.rng``, that trial's stream, which is rekeyed when the next
-    trial starts: state kept past the trial must not draw from it.  None of
-    the reference adversaries does."""
+    payloads from the state it returned.  ``recover`` returns an int in
+    ``[0, 2**payload_bits)``; anything else scores 0 bits.  Its only
+    randomness is ``Knowledge.rng``, that trial's stream, which moves to the
+    next trial's counter when that trial starts: state kept past the trial
+    must not draw from it.  None of the reference adversaries does."""
 
     name: str
 
@@ -125,14 +131,17 @@ class Adversary(Protocol):
 
     def guess(self, challenge: Challenge, state: object) -> str: ...
 
-    def recover(self, sequence: StegoSequence, state: object) -> str: ...
+    def recover(self, sequence: StegoSequence, state: object) -> int: ...
 
 
 # ---------------------------------------------------------------------------
-# deterministic stream derivation
+# deterministic streams and payloads
 
 _KEY_PREFIX = hashlib.sha256(b"stegogame.attackgame")
-_ZEROS = (0, 0, 0, 0)
+_WORD = (1 << 64) - 1
+# A fresh Philox's state but for its counter and key: no buffered words, no spare half-word.
+_FRESH = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+          "has_uint32": 0, "uinteger": 0}
 
 
 def _derive_key(seed: int, *path: object) -> int:
@@ -141,30 +150,57 @@ def _derive_key(seed: int, *path: object) -> int:
     return int.from_bytes(h.digest()[:16], "big")
 
 
-def _rekey(gen: np.random.Generator, seed: int, *path: object) -> np.random.Generator:
-    """``gen`` set in place to the stream of ``Philox(key=_derive_key(seed,
-    *path))``: that bit generator's initial state, written into ``gen``'s.
-    A new ``Philox`` costs several times more, since it pulls OS entropy
-    before it takes the key.  Only the key is built per call; the state
-    setter copies every value, so the shared zeros stay shared."""
-    key = _derive_key(seed, *path)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (key & ((1 << 64) - 1), key >> 64)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _rekey(gen: np.random.Generator, key: int, trial: int = 0) -> np.random.Generator:
+    """``gen`` set in place to the stream of ``Philox(key=key, counter=trial
+    << 128)`` (Salmon et al., SC 2011), several times cheaper than a new
+    ``Philox``, which pulls OS entropy before it takes the key."""
+    counter = (0, 0, trial & _WORD, trial >> 64)
+    gen.bit_generator.state = {**_FRESH, "state": {"counter": counter, "key": (key & _WORD, key >> 64)}}
     return gen
 
 
 def _generator(seed: int, *path: object) -> np.random.Generator:
-    return _rekey(np.random.Generator(np.random.Philox(key=0)), seed, *path)
+    return _rekey(np.random.Generator(np.random.Philox(key=0)), _derive_key(seed, *path))
 
 
-def _random_bits(gen: np.random.Generator, n: int) -> str:
-    return (gen.integers(0, 2, size=n) + 48).astype(np.uint8).tobytes().decode("ascii")
+def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
+    """``count`` uniform l-bit payloads from one ``random_raw`` call: each is
+    the top l bits of its ceil(l / 64) raw words, read big-endian.  One call
+    for k payloads draws what k calls for one do; l = 0 draws nothing."""
+    w = -(-l // 64)
+    words = gen.bit_generator.random_raw(count * w).tolist()
+    values = words[::w] if w else [0] * count
+    for j in range(1, w):  # each later word of a payload is less significant
+        values = [v << 64 | word for v, word in zip(values, words[j::w])]
+    return [v >> 64 * w - l for v in values]
+
+
+# One session key's codec on int payloads: l, key, and value -> sequence -> value.
+_Codec = namedtuple("_Codec", "l key embed extract")
+
+
+def _codec(scenario: Scenario, l: int, key: int) -> _Codec:
+    """What ``embed`` and ``extract`` compute under the session key, with the
+    key, the library's ids and (T, N) hoisted: ``v -> unrank(v ^ key)`` and
+    ``seq -> payload_value(seq) ^ key``.  Built once per game or round."""
+    lib, N = scenario.library, scenario.N
+    T, ids = lib.T, lib.ids()
+
+    def embed_value(value: int) -> StegoSequence:
+        return StegoSequence(ids=tuple(map(ids.__getitem__, _unrank(value ^ key, T, N))))
+
+    def extract_value(seq: StegoSequence) -> int:
+        indices = tuple(map(lib.lookup, seq.ids))
+        return payload_value(Arrangement(indices=indices, T=T))[0] ^ key
+
+    return _Codec(l, key, embed_value, extract_value)
+
+
+def _payload(value: object, l: int) -> int:
+    """``value`` if it is an int (not a bool, not a numpy int) in [0, 2**l)."""
+    if type(value) is not int or value < 0 or value >> l:
+        raise InvalidConfig(f"payload must be an int in [0, 2**{l}), got {value!r}")
+    return value
 
 
 class _BudgetedOracle:
@@ -206,23 +242,20 @@ def _leak_ids(scenario: Scenario, seed: int, level: AttackLevel, round_index: in
     """Fixed shuffled prefix of the library: what has leaked so far.  The
     shuffle depends only on the game seed, so later rounds extend earlier
     leaks instead of replacing them."""
-    if level < AttackLevel.KCA:
-        return ()
-    size = scenario.leak_size(round_index)
+    size = scenario.leak_size(round_index) if level >= AttackLevel.KCA else 0
     if size == 0:
         return ()
-    gen = _generator(seed, "leak")
-    order = gen.permutation(scenario.library.T)
+    order = _generator(seed, "leak").permutation(scenario.library.T)
     all_ids = scenario.library.ids()
     return tuple(all_ids[i] for i in order[:size])
 
 
-def _leaked_key(scenario: Scenario, session_key: StegoKey) -> str | None:
+def _leaked_key(scenario: Scenario, codec: _Codec) -> int | None:
     if scenario.key_leak is None:
         return None
-    if scenario.key_leak == "full":
-        return session_key.bits
-    return ("1" if session_key.bits[0] == "0" else "0") + session_key.bits[1:]
+    if scenario.key_leak == "full" or not codec.l:
+        return codec.key
+    return codec.key ^ 1 << (codec.l - 1)  # "flip1": the first bit flipped
 
 
 def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
@@ -243,41 +276,30 @@ def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
 def _knowledge(
     scenario: Scenario,
     level: AttackLevel,
-    session_key: StegoKey,
+    codec: _Codec,
     leaked: tuple[CoverId, ...],
     observe_gen: np.random.Generator,
     adversary_gen: np.random.Generator,
     faults: list[Exception],
 ) -> Knowledge:
-    lib, n, l = scenario.library, scenario.N, session_key.l
-    # one draw for all payloads: the same bits and stream state as one draw each
-    payloads = _random_bits(observe_gen, scenario.observations * l)
+    payloads = _random_values(observe_gen, codec.l, scenario.observations)
 
     def observe() -> tuple[StegoSequence, ...]:
-        return tuple(
-            embed(Message(payloads[i * l : (i + 1) * l]), session_key, lib, n)
-            for i in range(scenario.observations)
-        )
+        return tuple(map(codec.embed, payloads))
 
     embed_oracle = extract_oracle = None
     if level >= AttackLevel.CCA:
         embed_oracle = _BudgetedOracle(
-            lambda bits: embed(Message(bits), session_key, lib, n),
-            scenario.oracle_embed_budget,
-            "embed",
+            lambda v: codec.embed(_payload(v, codec.l)), scenario.oracle_embed_budget, "embed"
         )
-        extract_oracle = _BudgetedOracle(
-            lambda seq: extract(seq, session_key, lib).bits,
-            scenario.oracle_extract_budget,
-            "extract",
-        )
+        extract_oracle = _BudgetedOracle(codec.extract, scenario.oracle_extract_budget, "extract")
     return Knowledge(
         level=level,
-        N=n,
-        payload_bits=l,
+        N=scenario.N,
+        payload_bits=codec.l,
         world_ids=scenario.world.ids(),
         leaked_ids=leaked,
-        leaked_key=_leaked_key(scenario, session_key),
+        leaked_key=_leaked_key(scenario, codec),
         embed_oracle=embed_oracle,
         extract_oracle=extract_oracle,
         rounds=scenario.rounds if level >= AttackLevel.ACCA else 1,
@@ -287,56 +309,42 @@ def _knowledge(
     )
 
 
-def _natural_ids(scenario: Scenario, gen: np.random.Generator) -> tuple[CoverId, ...]:
-    world = scenario.world.ids()
-    picks = gen.choice(len(world), size=scenario.N, replace=False)
-    return tuple(world[i] for i in picks)
-
-
-def _challenge(
-    scenario: Scenario, session_key: StegoKey, gen: np.random.Generator
-) -> tuple[bool, Challenge]:
-    """Fair coin, then a fresh stego sequence or a natural draw."""
-    is_stego = bool(gen.integers(0, 2))
-    if is_stego:
-        m = Message(_random_bits(gen, session_key.l))
-        return True, Challenge(ids=embed(m, session_key, scenario.library, scenario.N).ids)
-    return False, Challenge(ids=_natural_ids(scenario, gen))
-
-
 # The state a trial scores with when its learning phase raised.
 _UNLEARNED = object()
 
-# score(scenario, session_key, adversary, harness, state) -> (points, stego)
-_Scorer = Callable[[Scenario, StegoKey, Adversary, np.random.Generator, object], tuple[int, bool]]
 
-
-def _score_detection(scenario, session_key, adversary, harness, state) -> tuple[int, bool]:
-    """One point for the right label.  The challenge is drawn even after a
-    failed learn, so it still counts towards the stego challenges."""
-    is_stego, challenge = _challenge(scenario, session_key, harness)
+def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, bool]:
+    """One point for the right label of a fair coin's challenge: a fresh
+    stego sequence or N distinct covers of the world pool.  The challenge is
+    drawn even after a failed learn, so it still counts towards the stego
+    challenges."""
+    is_stego = bool(harness.integers(0, 2))
+    if is_stego:
+        ids = codec.embed(*_random_values(harness, codec.l, 1)).ids
+    else:
+        world = scenario.world.ids()
+        ids = tuple(world[i] for i in harness.choice(len(world), size=scenario.N, replace=False))
     if state is _UNLEARNED:
         return 0, is_stego
     try:
-        answer = adversary.guess(challenge, state)
+        answer = adversary.guess(Challenge(ids=ids), state)
     except Exception:
         return 0, is_stego
     return int(answer == (LABEL_STEGO if is_stego else LABEL_NATURAL)), is_stego
 
 
-def _score_recovery(scenario, session_key, adversary, harness, state) -> tuple[int, bool]:
-    """One point per payload bit guessed right; a malformed guess scores 0."""
+def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bool]:
+    """One point per payload bit guessed right; a guess that is not an int
+    in [0, 2**l) scores 0."""
     if state is _UNLEARNED:
         return 0, False
-    m = Message(_random_bits(harness, session_key.l))
-    seq = embed(m, session_key, scenario.library, scenario.N)
+    (m,) = _random_values(harness, codec.l, 1)
+    seq = codec.embed(m)
     try:
-        guess_bits = validate_bits(adversary.recover(seq, state))
+        guess = _payload(adversary.recover(seq, state), codec.l)
     except Exception:
         return 0, True
-    if len(guess_bits) != m.l:
-        return 0, True
-    return m.l - (int(guess_bits or "0", 2) ^ m.value).bit_count(), True
+    return codec.l - (guess ^ m).bit_count(), True
 
 
 def _play(
@@ -345,39 +353,40 @@ def _play(
     level: AttackLevel,
     seed: int,
     trials: int,
-    score: _Scorer,
+    score: Callable[..., tuple[int, bool]],
     round_index: int | None = None,
     state: object | None = None,
 ) -> tuple[int, int, object | None]:
     """The trial engine: a block of trials against one session key and one leak.
 
-    Without ``round_index`` each trial learns afresh from its own
-    ("trial", t, "harness"|"adversary") streams, and the harness stream then
-    draws the challenge.  With it, one learning phase on the
-    ("round", r, "observe"|"adversary") streams serves the whole block and
-    each trial draws from ("round", r, "trial", t).  A trial's streams are
-    two generators that the next trial rekeys in place, so the adversary's
-    ``Knowledge.rng`` is valid for its own trial only; the round streams
-    are generators of their own.  ``state`` carries the
-    adversary state in and out, and a failed learn keeps the old state but
-    scores the block's trials as unlearned.  The oracle handles close once
-    ``learn`` returns.  Any adversary exception, a budget overrun or a call
-    to a closed oracle included, scores as a miss; a fault of the harness
-    itself raises, by the end of its trial even when it happens inside an
-    adversary call.
+    The block's path, ("game",) or ("round", r), keys its session key and
+    codec, and one stream per role ("harness", "adversary"): trial t runs on
+    each at Philox counter t << 128, in two generators moved in place, so
+    the adversary's ``Knowledge.rng`` is valid for its own trial only.
+    Without ``round_index`` each trial learns afresh on both streams, and
+    the harness stream then draws the challenge.  With it, one learning
+    phase on the block's "observe" and "adversary" generators serves the
+    whole block, and each trial draws on its harness stream.  ``state``
+    carries the adversary state in and out, and a failed learn keeps the
+    old state but scores the block's trials as unlearned.  The oracle
+    handles close once ``learn`` returns.  Any adversary exception, a budget
+    overrun or a call to a closed oracle included, scores as a miss; a fault
+    of the harness itself raises, by the end of its trial even when it
+    happens inside an adversary call.
 
-    Returns (points, stego challenges, adversary state).
+    ``score(scenario, codec, adversary, harness, state)`` gives a trial's
+    (points, stego).  Returns (points, stego challenges, adversary state).
     """
     path = ("game",) if round_index is None else ("round", round_index)
     l = capacity(scenario.library.T, scenario.N).l
-    session_key = keygen(l, SeededEntropy(_derive_key(seed, *path, "session-key")))
+    # keygen's draw from SeededEntropy, which also serves l = 0
+    session_key = random.Random(_derive_key(seed, *path, "session-key")).getrandbits(l)
+    codec = _codec(scenario, l, session_key)
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
     faults: list[Exception] = []  # harness faults raised inside adversary calls
 
     def learn(observe_gen, adversary_gen, prior):
-        knowledge = _knowledge(
-            scenario, level, session_key, leaked, observe_gen, adversary_gen, faults
-        )
+        knowledge = _knowledge(scenario, level, codec, leaked, observe_gen, adversary_gen, faults)
         try:
             return adversary.learn(knowledge, prior)
         except Exception:
@@ -393,16 +402,15 @@ def _play(
         )
         if learned is not _UNLEARNED:
             state = learned
-    # one generator per role, rekeyed as each trial starts
+    # one key and one generator per role, moved to each trial's counter as it starts
+    harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
     harness, adversary_gen = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
     points = stego = 0
     for t in range(trials):
+        _rekey(harness, harness_key, t)
         if round_index is None:
-            _rekey(harness, seed, "trial", t, "harness")
-            learned = learn(harness, _rekey(adversary_gen, seed, "trial", t, "adversary"), None)
-        else:
-            _rekey(harness, seed, *path, "trial", t)
-        p, is_stego = score(scenario, session_key, adversary, harness, learned)
+            learned = learn(harness, _rekey(adversary_gen, adversary_key, t), None)
+        p, is_stego = score(scenario, codec, adversary, harness, learned)
         if faults:
             raise faults[0]
         points += p
@@ -531,9 +539,11 @@ def message_recovery_game(
     """Recovery game: the adversary sees fresh stego sequences and guesses
     the hidden bits; judged on per-bit agreement over all sequences."""
     _validate(level, trials, seed, alpha)
+    l = capacity(scenario.library.T, scenario.N).l
+    if not l:
+        raise InvalidConfig(f"no payload bits to recover at T={scenario.library.T}, N={scenario.N}")
     agreed, _, _ = _play(scenario, adversary, level, seed, trials, _score_recovery)
-    total_bits = trials * capacity(scenario.library.T, scenario.N).l
-    return _result(level, "recovery", agreed, total_bits, alpha, seed, sequences=trials)
+    return _result(level, "recovery", agreed, trials * l, alpha, seed, sequences=trials)
 
 
 def acca_loop(

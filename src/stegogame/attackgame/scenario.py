@@ -24,6 +24,8 @@ from ..library import (
 )
 
 KEY_LEAK_MODES = (None, "full", "flip1")
+# Every learning phase draws its observation payloads up front.
+MAX_OBSERVATIONS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +63,9 @@ class Scenario:
             raise InvalidConfig(f"leak_fraction must be in [0,1], got {self.leak_fraction}")
         if self.leak_growth < 0.0:
             raise InvalidConfig(f"leak_growth must be >= 0, got {self.leak_growth}")
+        if self.observations > MAX_OBSERVATIONS:
+            raise InvalidConfig(f"observations must be at most MAX_OBSERVATIONS = "
+                                f"{MAX_OBSERVATIONS}, got {self.observations}")
         if self.key_leak not in KEY_LEAK_MODES:
             raise InvalidConfig(f"key_leak must be one of {KEY_LEAK_MODES}")
 

@@ -127,12 +127,7 @@ def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
     NotInLibrary: the sequence cannot have come from this library, which
     is itself a detection signal for the receiver.
     """
-    return decode(Arrangement(indices=tuple(map(lib.lookup, seq.ids)), T=lib.T), k)
-
-
-def decode(arr: Arrangement, k: StegoKey) -> Message:
-    """The message an arrangement carries under key k: its rank XOR k."""
-    value, l = payload_value(arr)
+    value, l = payload_value(Arrangement(indices=tuple(map(lib.lookup, seq.ids)), T=lib.T))
     if k.l != l:
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {l}")
     return Message(bits=int_to_bits(value ^ k.value, l))

@@ -10,7 +10,8 @@ values), both scored by the metrics' earlier 1-D kernels.
 The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
-Game observations come from one bit draw per payload, embedded at once.
+Game payloads are the top l bits of their own raw Philox words, read as
+one binary string, and game observations are embedded at once.
 Monte-Carlo blocks mark each draw's N smallest cells through
 ``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
 law of the covers still unseen comes from stepping its chain in rationals.
@@ -227,8 +228,9 @@ def bits_of(value: int, length: int) -> str:
 
 
 class OneCoverLibrary:
-    """The library interface embed and extract use, at T = 1, where the
-    payload is 0 bits wide.  CoverLibrary itself needs two covers."""
+    """The library interface embed, extract and the attack games use, at
+    T = 1, where the payload is 0 bits wide.  CoverLibrary itself needs two
+    covers."""
 
     T = 1
     cid = hash_bytes(b"the only cover")
@@ -240,6 +242,9 @@ class OneCoverLibrary:
         if cover_id != self.cid:
             raise NotInLibrary(cover_id)
         return 0
+
+    def ids(self) -> tuple[str, ...]:
+        return (self.cid,)
 
 
 def embed_reference(m, k, lib, N: int) -> StegoSequence:
@@ -260,13 +265,20 @@ def extract_reference(seq, k, lib) -> Message:
     return Message(bits=xor_bits(payload, k.bits))
 
 
+def payload_bits_reference(gen, l: int) -> str:
+    """One l-bit game payload as a bitstring: the first l of the binary
+    digits of its ceil(l / 64) raw words on ``gen``, each written in 64."""
+    words = gen.bit_generator.random_raw(-(-l // 64)).tolist()
+    return "".join(format(word, "064b") for word in words)[:l]
+
+
 def observations_reference(scenario, session_key, gen) -> tuple[StegoSequence, ...]:
     """A learning phase's observed traffic, built eagerly: each payload is
-    drawn bit by bit on ``gen`` and embedded along the string path."""
-    l = session_key.l
+    drawn on ``gen`` by :func:`payload_bits_reference` and embedded along
+    the string path."""
     return tuple(
         embed_reference(
-            Message("".join("1" if b else "0" for b in gen.integers(0, 2, size=l))),
+            Message(payload_bits_reference(gen, session_key.l)),
             session_key,
             scenario.library,
             scenario.N,

@@ -270,6 +270,8 @@ def test_criterion_7_determinism(capfd, tmp_path, make_covers):
          "--epsilon", "auto", "--seed", "3"],
         ["attack", "--level", "kca", "--adversary", "kca-membership",
          "--trials", "150", "--seed", "9", "--scenario", "scen.json"],
+        ["attack", "--game", "recovery", "--adversary", "random", "--level", "scoa",
+         "--trials", "150", "--seed", "9", "--scenario", "scen.json"],
     ]
     mismatched = []
     child_error = None

@@ -14,9 +14,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
     OneCoverLibrary,
+    bits_of,
     cca_replay_reference,
     kca_membership_reference,
     observations_reference,
+    payload_bits_reference,
 )
 from stegogame import permcodec
 from stegogame.attackgame import (
@@ -38,7 +40,7 @@ from stegogame.attackgame import (
 )
 from stegogame.attackgame import adversaries, game
 from stegogame.attackgame.game import Challenge, _BudgetedOracle
-from stegogame.attackgame.scenario import Scenario
+from stegogame.attackgame.scenario import MAX_OBSERVATIONS, Scenario
 from stegogame.divergence import EmpiricalDistribution
 from stegogame.errors import (
     CoverReadError,
@@ -51,7 +53,7 @@ from stegogame.errors import (
 )
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import capacity
-from stegogame.stego import Message, SeededEntropy, StegoKey, StegoSequence, keygen
+from stegogame.stego import Message, SeededEntropy, StegoSequence, embed, keygen
 
 
 class FailingAdversary:
@@ -68,8 +70,9 @@ class FailingAdversary:
 
 
 class FlakyAdversary:
-    """Learn fails on about half its phases; recover answers with the wrong
-    length, with non-bits, or with a real guess, by turns of its rng."""
+    """Learn fails on about half its phases; recover answers with a payload
+    one bit too wide, with a bitstring, or with a real guess, by turns of
+    its rng."""
 
     name = "flaky"
 
@@ -77,8 +80,8 @@ class FlakyAdversary:
         if knowledge.rng.integers(0, 2):
             raise RuntimeError("learn failed")
         if knowledge.embed_oracle is not None:
-            bits = "1" * knowledge.payload_bits
-            assert knowledge.extract_oracle(knowledge.embed_oracle(bits)) == bits
+            value = (1 << knowledge.payload_bits) - 1
+            assert knowledge.extract_oracle(knowledge.embed_oracle(value)) == value
         count = state["count"] + 1 if state else 1
         return {"knowledge": knowledge, "count": count}
 
@@ -92,10 +95,10 @@ class FlakyAdversary:
         l = knowledge.payload_bits
         kind = knowledge.rng.integers(0, 3)
         if kind == 0:
-            return "0" * (l + 1)
+            return 1 << l
         if kind == 1:
-            return "2" * l
-        return "".join("1" if b else "0" for b in knowledge.rng.integers(0, 2, size=l))
+            return "1" * l
+        return int(knowledge.rng.integers(0, 1 << l))
 
 
 class LateReader:
@@ -117,7 +120,7 @@ class LateReader:
         return "stego" if self._read(state) else "natural"
 
     def recover(self, sequence, state):
-        return "0" * state.payload_bits if self._read(state) else "1" * state.payload_bits
+        return 0 if self._read(state) else (1 << state.payload_bits) - 1
 
 
 class ScriptedRecovery:
@@ -130,6 +133,13 @@ class ScriptedRecovery:
 
     def recover(self, sequence, state):
         return self.guess
+
+
+# Not an int in [0, 2**15): what the embed oracle refuses and a recovery scores 0 for.
+BAD_PAYLOADS = pytest.mark.parametrize(
+    "payload", [True, False, np.int64(3), -1, 1 << 15, "010101010101010", 3.0, None],
+    ids=["true", "false", "numpy-int", "negative", "2**l", "bitstring", "float", "none"],
+)
 
 
 class TestScenario:
@@ -257,6 +267,19 @@ class TestScenario:
             (tmp_path / "scen.json").write_text(json.dumps(doc))
             with pytest.raises(StegogameError):
                 load_scenario(tmp_path / "scen.json")
+
+    @pytest.mark.parametrize("observations", [MAX_OBSERVATIONS + 1, 10**15])
+    def test_observations_bounded(self, tmp_path, make_covers, observations):
+        """An observation count over the limit is refused when the scenario
+        loads, naming the limit, before any game draws a payload; the limit
+        itself loads."""
+        save_manifest(build_library(make_covers(6)), tmp_path / "lib.json")
+        doc = {"library": "lib.json", "world_pool": "lib.json", "N": 2}
+        (tmp_path / "scen.json").write_text(json.dumps({**doc, "observations": observations}))
+        with pytest.raises(InvalidConfig, match=f"MAX_OBSERVATIONS = {MAX_OBSERVATIONS}"):
+            load_scenario(tmp_path / "scen.json")
+        (tmp_path / "scen.json").write_text(json.dumps({**doc, "observations": MAX_OBSERVATIONS}))
+        assert load_scenario(tmp_path / "scen.json").observations == MAX_OBSERVATIONS
 
     def test_undecodable_scenario_refused(self, tmp_path):
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
@@ -512,13 +535,7 @@ class TestRecoveryGame:
         its learning phase are embedded only for an adversary that reads
         them.  Built eagerly, both games made 27,200 embeds."""
         calls = Counter()
-        real_embed = game.embed
-
-        def counting_embed(*args):
-            calls["embed"] += 1
-            return real_embed(*args)
-
-        monkeypatch.setattr(game, "embed", counting_embed)
+        monkeypatch.setattr(game, "_codec", _wrapping_embed(game._codec, lambda: calls.update(["embed"])))
         sc = synthetic_scenario(T=16, N=4, seed=3)
         assert sc.observations == 16
         res = message_recovery_game(sc, adversary, AttackLevel.SCOA, trials=1600, seed=7)
@@ -529,7 +546,7 @@ class TestRecoveryGame:
     def test_score_counts_agreeing_bits(self, T, N):
         """The XOR popcount score equals a per-character count of agreeing
         bits, for random, equal, complementary and constant guesses, and at
-        l = 0, where the payload is the empty string."""
+        l = 0, where the only payload is 0."""
         sc = (
             SimpleNamespace(library=OneCoverLibrary(), N=1)
             if T == 1
@@ -537,55 +554,183 @@ class TestRecoveryGame:
         )
         l = capacity(T, N).l
         rng = np.random.default_rng(4)
-        session_key = StegoKey(game._random_bits(rng, l))
+        codec = game._codec(sc, l, game._random_values(rng, l, 1)[0])
+        mask = (1 << l) - 1
         guesses = [
             lambda truth: truth,
-            lambda truth: truth.translate(str.maketrans("01", "10")),
-            lambda truth: "0" * l,
-            lambda truth: "1" * l,
-            lambda truth: game._random_bits(rng, l),
+            lambda truth: truth ^ mask,
+            lambda truth: 0,
+            lambda truth: mask,
+            lambda truth: game._random_values(rng, l, 1)[0],
         ]
         for draw, guess_of in itertools.product(range(8), guesses):
             harness, twin = (np.random.Generator(np.random.Philox(key=draw)) for _ in range(2))
-            truth = game._random_bits(twin, l)
+            (truth,) = game._random_values(twin, l, 1)
             guess = guess_of(truth)
-            points, stego = game._score_recovery(
-                sc, session_key, ScriptedRecovery(guess), harness, None
-            )
+            points, stego = game._score_recovery(sc, codec, ScriptedRecovery(guess), harness, None)
             assert stego
-            assert points == sum(a == b for a, b in zip(guess, truth))
+            assert points == sum(a == b for a, b in zip(bits_of(guess, l), bits_of(truth, l)))
+
+    @BAD_PAYLOADS
+    def test_malformed_guess_scores_zero(self, payload):
+        """A recovered value that is not an int in [0, 2**l) scores 0 bits,
+        as a malformed bitstring did; a plain int in range scores."""
+        sc = synthetic_scenario(T=16, N=4, seed=3)
+        codec = game._codec(sc, 15, 12345)
+        harness = np.random.Generator(np.random.Philox(key=1))
+        assert game._score_recovery(sc, codec, ScriptedRecovery(payload), harness, None) == (0, True)
+        harness = np.random.Generator(np.random.Philox(key=1))
+        (truth,) = game._random_values(np.random.Generator(np.random.Philox(key=1)), 15, 1)
+        assert game._score_recovery(sc, codec, ScriptedRecovery(truth), harness, None) == (15, True)
 
 
-@pytest.mark.parametrize("key", [0, 7, 2**127 + 12345])
-@pytest.mark.parametrize("n", [0, 1, 15, 64])
-def test_random_bits_matches_per_bit_join(key, n):
-    """One vectorised conversion gives the string and leaves the generator
-    where the earlier join over numpy scalars did."""
-    fast, slow = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
-    expected = "".join("1" if b else "0" for b in slow.integers(0, 2, size=n))
-    assert game._random_bits(fast, n) == expected
-    assert repr(fast.bit_generator.state) == repr(slow.bit_generator.state)
-    assert fast.integers(0, 2**62, size=3).tolist() == slow.integers(0, 2**62, size=3).tolist()
+def _wrapping_embed(make_codec, before):
+    """``game._codec`` whose embed direction calls ``before()`` first."""
+
+    def codec(*args):
+        inner = make_codec(*args)
+
+        def embed_value(value):
+            before()
+            return inner.embed(value)
+
+        return inner._replace(embed=embed_value)
+
+    return codec
 
 
-@pytest.mark.parametrize("observations", [0, 1, 16])
-@pytest.mark.parametrize("l", [0, 1, 15, 64])
-def test_observation_draw_matches_per_payload_draws(monkeypatch, l, observations):
-    """One draw of every observation payload gives the rows of, and leaves
-    the stream where, one _random_bits call per payload does, also after an
-    odd-length earlier draw; reading the observations draws nothing more."""
-    monkeypatch.setattr(game, "embed", lambda m, k, lib, n: StegoSequence(ids=(m.bits,)))
-    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0, observations=observations)
-    batched, single = (np.random.Generator(np.random.Philox(key=99)) for _ in range(2))
-    batched.integers(0, 2, size=7)
-    single.integers(0, 2, size=7)
-    knowledge = game._knowledge(
-        sc, AttackLevel.SCOA, StegoKey("0" * l), (), batched, np.random.default_rng(0), []
-    )
-    expected = [game._random_bits(single, l) for _ in range(observations)]
-    assert [seq.ids[0] for seq in knowledge.observed] == expected
+@BAD_PAYLOADS
+def test_embed_oracle_refuses_a_payload_outside_the_codec(payload):
+    """The embed oracle takes an int in [0, 2**l) and refuses anything else
+    with a typed error, where a bool or numpy int would have embedded."""
+    sc = synthetic_scenario(T=16, N=4, seed=3)
+    codec = game._codec(sc, 15, 12345)
+    gen = np.random.default_rng(0)
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), gen, gen, [])
+    with pytest.raises(StegogameError, match="payload must be an int"):
+        knowledge.embed_oracle(payload)
+    assert knowledge.embed_oracle((1 << 15) - 1) == codec.embed((1 << 15) - 1)
+
+
+class OracleAsker:
+    """Asks the embed oracle for one fixed payload while learning, then
+    labels every challenge stego."""
+
+    name = "oracle-asker"
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def learn(self, knowledge, state=None):
+        return knowledge.embed_oracle(self.payload)
+
+    def guess(self, challenge, state):
+        return "stego"
+
+
+@BAD_PAYLOADS
+def test_refused_oracle_payload_is_the_adversarys_miss(payload):
+    """A refused payload fails the learn, which scores as a miss: the game
+    plays on instead of raising a harness fault."""
+    sc = synthetic_scenario(T=16, N=4, seed=3)
+    res = run_game(sc, OracleAsker(payload), AttackLevel.CCA, trials=100, seed=2)
+    assert res.successes == 0 and res.verdict == VERDICT_RESISTS
+    res = run_game(sc, OracleAsker(7), AttackLevel.CCA, trials=100, seed=2)
+    assert res.successes == res.stego_challenges > 0
+
+
+@pytest.mark.parametrize("leak, expected", [(None, None), ("full", 0b0101), ("flip1", 0b1101)])
+def test_leaked_key_is_an_int(leak, expected):
+    """The leaked key is the session key as an int, with its first (most
+    significant) bit flipped under "flip1", the bit that the earlier
+    bitstring's first character held."""
+    sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0, key_leak=leak)
+    assert capacity(6, 2).l == 4
+    codec = game._codec(sc, 4, 0b0101)
+    assert game._leaked_key(sc, codec) == expected
+
+
+def _one_cover_scenario(**kwargs) -> Scenario:
+    """T = N = 1, where the payload is 0 bits wide."""
+    world = synthetic_scenario(T=4, N=1, world_size=8, seed=1)
+    return Scenario(library=OneCoverLibrary(), world=world.world, N=1,
+                    content_map=world.content_map, **kwargs)
+
+
+def test_zero_bit_games():
+    """At l = 0 the only payload is 0: the oracle embeds it and refuses 1,
+    detection plays (the one library cover against a world draw), a leaked
+    key is 0 either way, and the recovery game, with no bits to score, is
+    refused with a typed error."""
+    for leak in ("full", "flip1"):
+        sc = _one_cover_scenario(key_leak=leak, leak_fraction=1.0)
+        codec = game._codec(sc, 0, 0)
+        gen = np.random.default_rng(0)
+        knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), gen, gen, [])
+        assert knowledge.leaked_key == 0 and knowledge.payload_bits == 0
+        assert knowledge.embed_oracle(0).ids == (OneCoverLibrary.cid,)
+        assert knowledge.extract_oracle(StegoSequence(ids=(OneCoverLibrary.cid,))) == 0
+        with pytest.raises(StegogameError, match="payload must be an int"):
+            knowledge.embed_oracle(1)
+    sc = _one_cover_scenario(leak_fraction=1.0)
+    res = run_game(sc, KCAMembership(), AttackLevel.KCA, trials=100, seed=3)
+    assert res.successes == 100 and res.verdict == VERDICT_BROKEN
+    assert run_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=100, seed=3).verdict == VERDICT_RESISTS
+    (res,) = acca_loop(sc, CCAReplay(), trials_per_round=100, seed=3, rounds=1)
+    assert res.verdict == VERDICT_BROKEN
+    with pytest.raises(InvalidConfig, match="no payload bits to recover"):
+        message_recovery_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=100, seed=3)
+
+
+L_VALUES = [0, 1, 15, 64, 65, 127]
+
+
+@pytest.mark.parametrize("count", [0, 1, 16, 32])
+@pytest.mark.parametrize("l", L_VALUES)
+def test_random_values_one_call_matches_single_calls(l, count):
+    """One call for k payloads gives the values of, and leaves the stream
+    where, k calls for one payload do, also after an earlier draw that left
+    half a word in the generator's 32-bit buffer.  Every value is a plain
+    int in [0, 2**l)."""
+    batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
+    batched.integers(0, 2, size=5)
+    single.integers(0, 2, size=5)
+    values = game._random_values(batched, l, count)
+    assert values == [v for _ in range(count) for v in game._random_values(single, l, 1)]
+    assert all(type(v) is int and 0 <= v < 1 << l for v in values)
     assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
     assert batched.integers(0, 2**62, size=3).tolist() == single.integers(0, 2**62, size=3).tolist()
+
+
+@pytest.mark.parametrize("l", L_VALUES)
+def test_random_values_are_the_top_bits_of_raw_words(l):
+    """Each payload is the first l binary digits of its ceil(l / 64) raw
+    words, built here as a string; l = 0 draws nothing."""
+    gen, ref = (np.random.Generator(np.random.Philox(key=7)) for _ in range(2))
+    expected = [int(payload_bits_reference(ref, l) or "0", 2) for _ in range(40)]
+    assert game._random_values(gen, l, 40) == expected
+    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+    if l == 0:
+        assert repr(gen.bit_generator.state) == repr(np.random.Philox(key=7).state)
+
+
+def test_random_values_bits_are_fair():
+    """At l = 127 every bit position is set in half of 8,000 payloads,
+    within 5 standard errors (a bit taken from the wrong end of a word, or
+    left at 0, misses by 89)."""
+    values = game._random_values(np.random.Generator(np.random.Philox(key=31)), 127, 8000)
+    ones = [sum(v >> i & 1 for v in values) for i in range(127)]
+    assert max(abs(k - 4000) for k in ones) <= 5 * math.sqrt(8000 / 4)
+
+
+def test_random_values_uniform_over_16_cells():
+    """At l = 4 the 16 payload values are uniform (chi-square, 16,000 draws)."""
+    from scipy.stats import chisquare
+
+    values = game._random_values(np.random.Generator(np.random.Philox(key=32)), 4, 16_000)
+    counts = np.bincount(values, minlength=16)
+    assert counts.size == 16
+    assert chisquare(counts).pvalue >= 0.01
 
 
 def test_observed_matches_eager_oracle():
@@ -593,10 +738,9 @@ def test_observed_matches_eager_oracle():
     gives, in the same order, and later reads return the cached tuple."""
     sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, observations=5)
     session_key = keygen(capacity(8, 3).l, SeededEntropy(11))
+    codec = game._codec(sc, session_key.l, session_key.value)
     lazy, eager = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
-    knowledge = game._knowledge(
-        sc, AttackLevel.CCA, session_key, (), lazy, np.random.default_rng(0), []
-    )
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), lazy, np.random.default_rng(0), [])
     expected = observations_reference(sc, session_key, eager)
     assert repr(lazy.bit_generator.state) == repr(eager.bit_generator.state)
     observed = knowledge.observed
@@ -605,11 +749,11 @@ def test_observed_matches_eager_oracle():
     assert knowledge.observed is observed
 
 
-@pytest.mark.parametrize("path", [("leak",), ("trial", 0, "harness"), ("round", 3, "trial", 17)])
-def test_rekey_gives_a_fresh_philox(path):
+@pytest.mark.parametrize("trial", [0, 1, 17, 2**64 + 3])
+def test_rekey_gives_a_fresh_philox(trial):
     """A generator rekeyed after arbitrary draws, with half of a 64-bit word
-    left in its 32-bit buffer, is in the state a new Philox with the derived
-    key starts in, and draws the same next 1,000 values."""
+    left in its 32-bit buffer, is in the state a new Philox with that key at
+    counter ``trial << 128`` starts in, and draws the same next 1,000 values."""
     gen = np.random.Generator(np.random.Philox(key=5))
     gen.integers(0, 2, size=7)
     gen.random(3)
@@ -617,10 +761,10 @@ def test_rekey_gives_a_fresh_philox(path):
     gen.integers(0, 2, size=1)
     state = gen.bit_generator.state
     assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
-    fresh = np.random.Generator(np.random.Philox(key=game._derive_key(9, *path)))
-    assert game._rekey(gen, 9, *path) is gen
+    key = game._derive_key(9, "game", "harness")
+    fresh = np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
+    assert game._rekey(gen, key, trial) is gen
     assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
-    assert repr(game._generator(9, *path).bit_generator.state) == repr(fresh.bit_generator.state)
     for draw in (
         lambda g: g.integers(0, 2, size=333),
         lambda g: g.random(333),
@@ -629,31 +773,78 @@ def test_rekey_gives_a_fresh_philox(path):
         assert draw(gen).tolist() == draw(fresh).tolist()
 
 
-def test_cca_replay_one_draw_matches_a_draw_per_oracle_call():
-    """CCAReplay's payloads, drawn in one call and sliced, are the ones a
-    draw per oracle call gives at an odd payload width, also after an
-    odd-length earlier draw, and leave the stream where those draws do."""
+@pytest.mark.parametrize("path", [("leak",), ("round", 3, "observe")])
+def test_generator_is_a_fresh_philox(path):
+    """A path's own generator is a new Philox on its derived key, at counter 0."""
+    fresh = np.random.Philox(key=game._derive_key(9, *path))
+    assert repr(game._generator(9, *path).bit_generator.state) == repr(fresh.state)
+
+
+@pytest.mark.parametrize(
+    "play, keys",
+    [
+        (lambda sc: run_game(sc, RandomGuesser(), AttackLevel.KCA, trials=300, seed=1), 4),
+        (lambda sc: message_recovery_game(sc, CCAReplay(), AttackLevel.CCA, 300, 1), 4),
+        (lambda sc: acca_loop(sc, KCAMembership(), trials_per_round=150, seed=1), 3 * 6),
+    ],
+    ids=["detection", "recovery", "acca"],
+)
+def test_stream_keys_derived_once_per_block(monkeypatch, play, keys):
+    """One hash per key: the session key, the leak and each role's stream,
+    per game or per ACCA round, however many trials it plays."""
+    derived = []
+    real = game._derive_key
+    monkeypatch.setattr(game, "_derive_key", lambda *args: derived.append(args) or real(*args))
+    sc = synthetic_scenario(T=8, N=3, world_size=16, seed=5, rounds=3, leak_fraction=0.25)
+    play(sc)
+    assert len(derived) == keys
+
+
+def test_trial_streams_follow_the_counter():
+    """Trial t's harness and adversary streams are each role's Philox at
+    counter t << 128: the first raw word a trial's learn sees on each."""
+    seen = []
+
+    class Recorder:
+        name = "recorder"
+
+        def learn(self, knowledge, state=None):
+            seen.append(knowledge.rng.bit_generator.random_raw())
+            return {}
+
+        def guess(self, challenge, state):
+            return "stego"
+
+    sc = synthetic_scenario(T=8, N=3, world_size=16, seed=5, observations=0)
+    run_game(sc, Recorder(), AttackLevel.SCOA, trials=100, seed=4)
+    key = game._derive_key(4, "game", "adversary")
+    assert seen == [np.random.Philox(key=key, counter=t << 128).random_raw() for t in range(100)]
+
+
+def test_cca_replay_asks_the_drawn_payloads():
+    """CCAReplay asks the oracle for the payloads one ``_random_values``
+    call draws on its stream, also after an earlier draw, and learns the ids
+    that the public ``embed`` gives them under the session key."""
     sc = synthetic_scenario(T=16, N=4, world_size=32, seed=3, observations=0)
     l = capacity(16, 4).l
     assert l == 15
     session_key = keygen(l, SeededEntropy(4))
+    codec = game._codec(sc, l, session_key.value)
     batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
     batched.integers(0, 2, size=5)
     single.integers(0, 2, size=5)
-    knowledge = game._knowledge(
-        sc, AttackLevel.CCA, session_key, (), np.random.default_rng(0), batched, []
-    )
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), np.random.default_rng(0), batched, [])
     asked = []
 
-    def oracle(bits):
-        asked.append(bits)
-        return knowledge.embed_oracle(bits)
+    def oracle(value):
+        asked.append(value)
+        return knowledge.embed_oracle(value)
 
     learned = CCAReplay(oracle_calls=32).learn(replace(knowledge, embed_oracle=oracle))
-    assert asked == [game._random_bits(single, l) for _ in range(32)]
+    assert asked == [v for _ in range(32) for v in game._random_values(single, l, 1)]
     assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
     assert learned["known"] == {
-        cid for bits in asked for cid in game.embed(Message(bits), session_key, sc.library, 4).ids
+        cid for v in asked for cid in embed(Message(bits_of(v, l)), session_key, sc.library, 4).ids
     }
 
 
@@ -742,14 +933,12 @@ def test_observation_fault_raises(monkeypatch, play, adversary):
     """A fault while the observations are embedded on first read is the
     harness's: it propagates out of the game instead of scoring as a failed
     learn or guess, also when the adversary catches it."""
-    real_embed = game.embed
 
-    def embed(*args):
+    def fault_in_observe():
         if any(frame.name == "observe" for frame in traceback.extract_stack()):
             raise RuntimeError("observation fault")
-        return real_embed(*args)
 
-    monkeypatch.setattr(game, "embed", embed)
+    monkeypatch.setattr(game, "_codec", _wrapping_embed(game._codec, fault_in_observe))
     sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
     with pytest.raises(RuntimeError, match="observation fault"):
         play(sc, adversary())
@@ -951,40 +1140,40 @@ GOLDEN_FIELDS = (
 # Any change to seed paths, draw order or scoring shows up here.
 GOLDEN = {
     'detection/random-scoa': [
-        ('SCOA', 'detection', 100, 61, 0.61, 0.017600100108852407, 0.01, 'resists', 7, 51, None, None),
+        ('SCOA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 7, 50, None, None),
     ],
     'detection/membership-kca': [
-        ('KCA', 'detection', 100, 53, 0.53, 0.308649706794626, 0.01, 'resists', 7, 51, None, None),
+        ('KCA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 7, 50, None, None),
     ],
     'detection/membership-acca-level': [
-        ('ACCA', 'detection', 100, 41, 0.41, 0.9715560331795096, 0.01, 'resists', 8, 60, None, None),
+        ('ACCA', 'detection', 100, 53, 0.53, 0.308649706794626, 0.01, 'resists', 8, 53, None, None),
     ],
     'detection/histogram-scoa': [
-        ('SCOA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 9, 51, None, None),
+        ('SCOA', 'detection', 100, 38, 0.38, 0.9939835121373183, 0.01, 'resists', 9, 62, None, None),
     ],
     'detection/replay-cca': [
-        ('CCA', 'detection', 100, 99, 0.99, 7.967495142732219e-29, 0.01, 'broken', 4, 49, None, None),
+        ('CCA', 'detection', 100, 95, 0.95, 6.26162256269268e-23, 0.01, 'broken', 4, 51, None, None),
     ],
     'detection/keyed-kca': [
-        ('KCA', 'detection', 100, 99, 0.99, 7.967495142732219e-29, 0.01, 'broken', 5, 61, None, None),
+        ('KCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 5, 55, None, None),
     ],
     'detection/flaky-cca': [
-        ('CCA', 'detection', 100, 22, 0.22, 0.9999999978313167, 0.01, 'resists', 6, 55, None, None),
+        ('CCA', 'detection', 100, 28, 0.28, 0.9999976537936937, 0.01, 'resists', 6, 54, None, None),
     ],
     'detection/failing-scoa': [
         ('SCOA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 56, None, None),
     ],
     'recovery/random-scoa': [
-        ('SCOA', 'recovery', 800, 390, 0.4875, 0.7710857501621271, 0.01, 'resists', 7, None, 100, None),
+        ('SCOA', 'recovery', 800, 408, 0.51, 0.29795534269699137, 0.01, 'resists', 7, None, 100, None),
     ],
     'recovery/membership-kca': [
-        ('KCA', 'recovery', 800, 390, 0.4875, 0.7710857501621271, 0.01, 'resists', 7, None, 100, None),
+        ('KCA', 'recovery', 800, 408, 0.51, 0.29795534269699137, 0.01, 'resists', 7, None, 100, None),
     ],
     'recovery/histogram-scoa': [
-        ('SCOA', 'recovery', 800, 397, 0.49625, 0.5977250873888855, 0.01, 'resists', 9, None, 100, None),
+        ('SCOA', 'recovery', 800, 401, 0.50125, 0.48589966745264385, 0.01, 'resists', 9, None, 100, None),
     ],
     'recovery/replay-cca': [
-        ('CCA', 'recovery', 1200, 598, 0.49833333333333335, 0.5573791631549593, 0.01, 'resists', 4, None, 100, None),
+        ('CCA', 'recovery', 1200, 616, 0.5133333333333333, 0.18542549435061792, 0.01, 'resists', 4, None, 100, None),
     ],
     'recovery/keyed-full': [
         ('KCA', 'recovery', 800, 800, 1.0, 1.499696813895631e-241, 0.01, 'broken', 7, None, 100, None),
@@ -996,40 +1185,40 @@ GOLDEN = {
         ('KCA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
     ],
     'recovery/flaky-cca': [
-        ('CCA', 'recovery', 1200, 83, 0.06916666666666667, 1.0, 0.01, 'resists', 6, None, 100, None),
+        ('CCA', 'recovery', 1200, 128, 0.10666666666666667, 1.0, 0.01, 'resists', 6, None, 100, None),
     ],
     'recovery/failing-scoa': [
         ('SCOA', 'recovery', 800, 0, 0.0, 1.0, 0.01, 'resists', 3, None, 100, None),
     ],
     'acca/membership-growing': [
-        ('ACCA', 'detection', 100, 54, 0.54, 0.24205920680364576, 0.01, 'resists', 2, 46, None, 0),
-        ('ACCA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 2, 45, None, 1),
-        ('ACCA', 'detection', 100, 59, 0.59, 0.04431304005703379, 0.01, 'resists', 2, 41, None, 2),
-        ('ACCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 2, 52, None, 3),
+        ('ACCA', 'detection', 100, 58, 0.58, 0.06660530960360667, 0.01, 'resists', 2, 42, None, 0),
+        ('ACCA', 'detection', 100, 51, 0.51, 0.46020538130641064, 0.01, 'resists', 2, 49, None, 1),
+        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986666, 0.01, 'resists', 2, 55, None, 2),
+        ('ACCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 2, 46, None, 3),
     ],
     'acca/replay': [
-        ('ACCA', 'detection', 100, 81, 0.81, 1.3513812610243944e-10, 0.01, 'broken', 3, 47, None, 0),
+        ('ACCA', 'detection', 100, 80, 0.8, 5.579544528625976e-10, 0.01, 'broken', 3, 44, None, 0),
     ],
     'acca/flaky': [
-        ('ACCA', 'detection', 100, 38, 0.38, 0.9939835121373183, 0.01, 'resists', 18, 45, None, 0),
-        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 18, 53, None, 1),
-        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986666, 0.01, 'resists', 18, 56, None, 2),
-        ('ACCA', 'detection', 100, 50, 0.5, 0.5397946186935894, 0.01, 'resists', 18, 58, None, 3),
+        ('ACCA', 'detection', 100, 46, 0.46, 0.8158991913366519, 0.01, 'resists', 18, 45, None, 0),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 18, 57, None, 1),
+        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963933, 0.01, 'resists', 18, 52, None, 2),
+        ('ACCA', 'detection', 100, 47, 0.47, 0.7579407931963542, 0.01, 'resists', 18, 43, None, 3),
     ],
     'acca/flaky-first-round': [
-        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 57, None, 0),
-        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 13, 49, None, 1),
-        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963933, 0.01, 'resists', 13, 51, None, 2),
-        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 37, None, 3),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 61, None, 0),
+        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986666, 0.01, 'resists', 13, 47, None, 1),
+        ('ACCA', 'detection', 100, 49, 0.49, 0.6178232827986666, 0.01, 'resists', 13, 51, None, 2),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 13, 50, None, 3),
     ],
     'acca/random': [
-        ('ACCA', 'detection', 100, 45, 0.45, 0.8643734879630827, 0.01, 'resists', 2, 46, None, 0),
-        ('ACCA', 'detection', 100, 57, 0.57, 0.09667395224782123, 0.01, 'resists', 2, 45, None, 1),
-        ('ACCA', 'detection', 100, 47, 0.47, 0.7579407931963542, 0.01, 'resists', 2, 41, None, 2),
+        ('ACCA', 'detection', 100, 43, 0.43, 0.9333946903963933, 0.01, 'resists', 2, 42, None, 0),
+        ('ACCA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 2, 49, None, 1),
+        ('ACCA', 'detection', 100, 51, 0.51, 0.46020538130641064, 0.01, 'resists', 2, 55, None, 2),
     ],
     'acca/failing': [
-        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 47, None, 0),
-        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 47, None, 1),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 45, None, 0),
+        ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 1, 43, None, 1),
     ],
 }
 
@@ -1094,6 +1283,25 @@ def test_golden_game_results():
     assert list(got) == list(GOLDEN)
     for name, rows in GOLDEN.items():
         assert got[name] == [dict(zip(GOLDEN_FIELDS, row)) for row in rows], name
+
+
+def test_golden_rows_keep_their_meaning():
+    """The pinned rows say what the reference adversaries are for: the coin
+    flipper and the histogram detector resist, a full library leak breaks
+    detection, a leaked key recovers every bit and a key with its first bit
+    flipped exactly l - 1 of l."""
+    row = {name: [dict(zip(GOLDEN_FIELDS, r)) for r in rows] for name, rows in GOLDEN.items()}
+    for name in ("random-scoa", "histogram-scoa"):
+        for kind in ("detection", "recovery"):
+            assert row[f"{kind}/{name}"][0]["verdict"] == VERDICT_RESISTS, (kind, name)
+    assert {r["verdict"] for r in row["acca/random"]} == {VERDICT_RESISTS}
+    assert row["detection/keyed-kca"][0]["verdict"] == VERDICT_BROKEN
+    assert row["acca/membership-growing"][-1]["verdict"] == VERDICT_BROKEN
+    assert row["acca/membership-growing"][-1]["success_rate"] == 1.0
+    l = capacity(6, 4).l
+    full, flip = row["recovery/keyed-full"][0], row["recovery/keyed-flip1"][0]
+    assert (full["success_rate"], full["successes"], full["verdict"]) == (1.0, 100 * l, VERDICT_BROKEN)
+    assert (flip["success_rate"], flip["successes"]) == ((l - 1) / l, 100 * (l - 1))
 
 
 def test_golden_rows_under_the_binomtest_float_rule(monkeypatch):

@@ -390,6 +390,21 @@ class TestAttackCommand:
         assert doc["verdict"] == "broken"
         assert doc["level"] == "KCA"
 
+    def test_readme_example(self, scenario_file, capsys):
+        """The README's attack example: its scenario over these covers."""
+        doc = {"library": "lib.json", "world_pool": "world.json", "N": 3,
+               "leak_fraction": 0.5, "observations": 32}
+        scenario_file.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            capsys, "attack", "--level", "kca", "--adversary", "kca-membership",
+            "--trials", "200", "--seed", "5", "--scenario", str(scenario_file),
+        )
+        doc = parse(out)
+        assert code == 0
+        assert (doc["p_value"], doc["success_rate"], doc["verdict"]) == (
+            0.5839648127811197, 0.495, "resists"
+        )
+
     def test_missing_cover_is_an_io_error(self, scenario_file, capsys):
         world = json.loads((scenario_file.parent / "world.json").read_text())
         for cover in world["covers"]:
@@ -496,6 +511,23 @@ class TestAttackCommand:
         )
         assert code == 1
         assert parse(out)["error"] == error and field in parse(out)["detail"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("game", ["detection", "recovery"])
+    def test_observations_over_the_limit_refused(self, scenario_file, capsys, game):
+        """A scenario asking for 10**15 observations per learning phase is
+        refused when it loads, naming the limit, where the game used to die
+        with a MemoryError while drawing their payloads."""
+        doc = json.loads(scenario_file.read_text())
+        doc["observations"] = 10**15
+        scenario_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "attack", "--level", "scoa", "--adversary", "cca-replay", "--trials", "100",
+            "--seed", "4", "--scenario", str(scenario_file), "--game", game,
+        )
+        assert code == 1
+        assert parse(out)["error"] == "InvalidConfig"
+        assert "MAX_OBSERVATIONS = 100000" in parse(out)["detail"]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.1", "nan", "inf"])
