@@ -10,8 +10,8 @@ three routes to that probability side by side:
 * ``p_exact`` - inclusion-exclusion over the uncovered sets, always a true
   probability, cross-checked against exhaustive enumeration in tests;
   ``coverage_exact_fraction`` gives it as an exact rational.
-* ``p_mc`` - Monte-Carlo referee between the two (``pr_coverage_mc``): each
-  trial steps Stadje's (1990, Adv. Appl. Prob. 22(4)) collector chain.
+* ``p_mc`` - Monte-Carlo referee between the two (``pr_coverage_mc``): all
+  trials step Stadje's (1990, Adv. Appl. Prob. 22(4)) unseen-count chain at once.
 
 The closed forms are computed in integers: over the common denominator
 ``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
@@ -23,25 +23,13 @@ fast, so no float enters a decision.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from functools import cache
+from math import comb, fsum, sqrt
 
 from .errors import InvalidParams, check_int, check_real, check_seed
-
-_MC_BLOCK = 4096
-
-THREADS_ENV = "STEGOGAME_THREADS"
-
-
-def default_workers() -> int:
-    """Threads for the Monte-Carlo blocks: ``STEGOGAME_THREADS``, else up to 8."""
-    try:
-        return max(1, int(os.environ[THREADS_ENV]))
-    except (KeyError, ValueError):
-        return min(8, os.cpu_count() or 1)
 
 
 def _check_txn(x: int, N: int, T: int) -> None:
@@ -148,21 +136,52 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _mc_block(x: int, N: int, T: int, seed: int, block_index: int, size: int):
-    """Covers still unseen after x uses, per trial; depends only on (seed,
-    block_index).  How many unseen covers a uniform N-subset hits is
-    hypergeometric, so this is exactly the law of x uniform N-subsets."""
+def _hit_row(u: int, N: int, T: int):
+    """How many of u unseen covers one use shows: k = max(0, N-T+u) .. min(N, u),
+    and P(k) = C(u,k) C(T-u,N-k) / C(T,N) in float64 from term ratios taken
+    outward from the mode and a correctly rounded sum: IEEE operations only."""
+    import numpy as np
+
+    lo, hi = max(0, N - T + u), min(N, u)
+    mode = min(max((N + 1) * (u + 1) // (T + 2), lo), hi) - lo
+    k = np.arange(lo, hi, dtype=np.float64)
+    ratio = (u - k) * (N - k) / ((k + 1) * (T - u - N + k + 1))  # P(k+1) / P(k)
+    down = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    row = np.concatenate((down, [1.0], np.cumprod(ratio[mode:])))
+    return np.arange(lo, hi + 1), row / fsum(row.tolist())
+
+
+def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
+    """Sorted distinct unseen counts after x uses, and the trials at each (some
+    may be 0): the c trials at a state move by one multinomial over its hit
+    row if the row has fewer than c cells, else by one hypergeometric draw each."""
     import numpy as np  # deferred: only the Monte-Carlo route computes with numpy
 
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
-    unseen = np.full(size, T, dtype=np.int64)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    hit = cache(lambda u: _hit_row(u, N, T))
+    states, counts = np.array([T], dtype=np.int64), np.array([trials], dtype=np.int64)
     for _ in range(x):
-        unseen -= gen.hypergeometric(unseen, T - unseen, N)
-    return unseen
+        if states[0] == 0 and counts[0] == trials:  # u = 0 is absorbing
+            break
+        pooled = counts > np.minimum(N, states) - np.maximum(0, N - T + states) + 1
+        next_states, next_counts = [], []
+        for u, c in zip(states[pooled].tolist(), counts[pooled].tolist()):
+            k, p = hit(u)
+            next_states.append(u - k)
+            next_counts.append(gen.multinomial(c, p))
+        single = np.repeat(states[~pooled], counts[~pooled])
+        next_states.append(single - gen.hypergeometric(single, T - single, N))
+        next_counts.append(np.ones_like(single))
+        states, where = np.unique(np.concatenate(next_states), return_inverse=True)
+        counts = np.zeros_like(states)
+        np.add.at(counts, where, np.concatenate(next_counts))
+    return states, counts
 
 
 def _check_mc(T: int, trials: int, seed: int, max_workers: int | None) -> None:
     check_int("trials", trials, low=1)
+    if trials >= 1 << 63:  # the occupancy counts trials in int64
+        raise InvalidParams(f"the Monte-Carlo route needs trials < 2**63, got trials={trials}")
     check_seed(seed)
     if max_workers is not None:
         check_int("max_workers", max_workers, low=1)
@@ -178,32 +197,13 @@ def pr_coverage_mc(
     seed: int,
     max_workers: int | None = None,
 ) -> tuple[float, float]:
-    """Monte-Carlo (estimate, standard error) for the coverage probability.
-
-    Counter-based per-block seeding: the result is identical for any worker
-    count or block partitioning, given the same (trials, seed).
-    """
+    """Monte-Carlo (estimate, standard error) for the coverage probability, from
+    one Philox stream keyed by ``seed``; ``max_workers`` has no effect."""
     _check_txn(x, N, T)
     _check_mc(T, trials, seed, max_workers)
-    blocks = [
-        (i, min(_MC_BLOCK, trials - i * _MC_BLOCK))
-        for i in range((trials + _MC_BLOCK - 1) // _MC_BLOCK)
-    ]
-    workers = max_workers if max_workers is not None else default_workers()
-
-    def covered(block: tuple[int, int]) -> int:
-        return int((_mc_block(x, N, T, seed, *block) == 0).sum())
-
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(covered, blocks))
-    else:
-        successes = sum(map(covered, blocks))
-    p_hat = successes / trials
-    se = sqrt(p_hat * (1.0 - p_hat) / trials)
-    return p_hat, se
+    states, counts = _occupancy(x, N, T, trials, seed)
+    p_hat = int(counts[0]) / trials if states[0] == 0 else 0.0
+    return p_hat, sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -209,7 +212,7 @@ class TestMonteCarlo:
             assert abs(est - coverage_report(x, N, T).p_exact) <= 4 * se
 
     def test_unseen_chain_ends_at_exact_coverage(self):
-        # the unseen-count chain _mc_block samples, against inclusion-exclusion
+        # the unseen-count chain _occupancy steps, against inclusion-exclusion
         for T in range(1, 9):
             for N in range(1, T + 1):
                 for x in range(6):
@@ -217,19 +220,36 @@ class TestMonteCarlo:
                     assert sum(law.values()) == 1
                     assert law.get(0, 0) == coverage_exact_fraction(x, N, T), (T, N, x)
 
-    @pytest.mark.parametrize("block", [budget._mc_block, mc_block_reference],
-                             ids=["chain", "subsets"])
-    @pytest.mark.parametrize("x, N, T", [(3, 2, 5), (6, 3, 10), (14, 4, 20), (2, 5, 8)])
-    def test_unseen_law_chi_square(self, block, x, N, T):
+    @staticmethod
+    def _chain(runs):
+        """20,000 trials of the occupancy chain, in ``runs`` seeded runs: one
+        run pools nearly every state into a multinomial, 250 runs of 80
+        trials leave many states to their per-trial draws."""
+        def sample(x, N, T):
+            at = Counter()
+            for seed in range(runs):
+                states, counts = budget._occupancy(x, N, T, 20000 // runs, 2024 + seed)
+                at.update(dict(zip(states.tolist(), counts.tolist())))
+            return at
+        return sample
+
+    @staticmethod
+    def _subsets(x, N, T):
+        return Counter(mc_block_reference(x, N, T, 2024, 0, 20000).tolist())
+
+    @pytest.mark.parametrize("sampler", [_chain(1), _chain(250), _subsets],
+                             ids=["chain", "chain-small-runs", "subsets"])
+    @pytest.mark.parametrize("x, N, T", [(3, 2, 5), (6, 3, 10), (14, 4, 20), (2, 5, 8), (40, 8, 64)])
+    def test_unseen_law_chi_square(self, sampler, x, N, T):
         from scipy.stats import chisquare
 
-        unseen = np.asarray(block(x, N, T, 2024, 0, 20000))
+        at = sampler(x, N, T)
         law = unseen_law_reference(x, N, T)
-        assert set(np.unique(unseen)) <= set(law)
+        assert set(at) <= set(law) and sum(at.values()) == 20000
         observed, expected, o, e = [], [], 0, 0.0
         for u in sorted(law):  # pool neighbouring cells until each expects >= 5
-            o += int((unseen == u).sum())
-            e += float(law[u]) * unseen.size
+            o += at[u]
+            e += float(law[u]) * 20000
             if e >= 5:
                 observed.append(o)
                 expected.append(e)
@@ -239,19 +259,51 @@ class TestMonteCarlo:
         assert len(observed) >= 2
         assert chisquare(observed, expected).pvalue > 1e-3
 
-    # (successes, covers left unseen in all) per block, on the unseen-count stream
-    PINNED_BLOCKS = {
-        (14, 4, 20, 5, 0, 4096): (1572, 3578), (40, 8, 64, 7, 1, 512): (370, 159),
-        (3, 1, 5, 1, 2, 1000): (0, 2533), (10, 5, 5, 1, 1, 100): (100, 0),
-        (5, 19, 20, 2**127, 0, 600): (600, 0), (8, 2, 16, 9, 9, 777): (0, 4273),
+    @pytest.mark.parametrize("T", range(1, 65))
+    def test_hit_rows_match_the_exact_law(self, T):
+        for N in range(1, T + 1):
+            D = comb(T, N)
+            for u in range(T + 1):
+                k, row = budget._hit_row(u, N, T)
+                assert k.tolist() == list(range(max(0, N - T + u), min(N, u) + 1))
+                exact = np.array([comb(u, j) * comb(T - u, N - j) / D for j in k.tolist()])
+                assert np.all(np.abs(row - exact) <= 1e-13 * exact), (N, u)
+
+    @pytest.mark.parametrize("trials", [4096, 150000])
+    def test_wide_rows_bounded_in_time_and_memory(self, trials):
+        # hit rows up to 5,001 cells wide, drawn per trial at 4,096 trials and
+        # pooled at 150,000; the 32 MiB bound is the CLI's at T = 200,000
+        pr_coverage_mc(1, 2, 4, trials=10, seed=0)  # numpy imported outside the bounds
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            est, se = pr_coverage_mc(12, 5000, 10000, trials=trials, seed=3)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 32 * 2**20
+        assert 0.0 < est < 1.0 and se > 0.0
+
+    def test_stops_once_every_trial_is_covered(self):
+        start = time.perf_counter()
+        assert pr_coverage_mc(10**7, 2, 4, trials=1000, seed=0) == (1.0, 0.0)
+        assert time.perf_counter() - start < 1.0
+
+    # (covered trials, covers left unseen over all trials) on the occupancy stream
+    PINNED = {
+        (14, 4, 20, 5, 4096): (1592, 3499), (40, 8, 64, 7, 512): (388, 143),
+        (3, 1, 5, 1, 1000): (0, 2564), (10, 5, 5, 1, 100): (100, 0),
+        (5, 19, 20, 2**127, 600): (600, 0), (8, 2, 16, 9, 777): (0, 4229),
     }
 
-    @pytest.mark.parametrize("x, N, T, seed, block_index, size", list(PINNED_BLOCKS))
-    def test_block_counts_pinned(self, x, N, T, seed, block_index, size):
-        unseen = budget._mc_block(x, N, T, seed, block_index, size)
-        assert (int((unseen == 0).sum()), int(unseen.sum())) == self.PINNED_BLOCKS[
-            x, N, T, seed, block_index, size
-        ]
+    @pytest.mark.parametrize("x, N, T, seed, trials", list(PINNED))
+    def test_results_pinned(self, x, N, T, seed, trials):
+        covered, unseen = self.PINNED[x, N, T, seed, trials]
+        states, counts = budget._occupancy(x, N, T, trials, seed)
+        assert int(states @ counts) == unseen
+        p = covered / trials
+        assert pr_coverage_mc(x, N, T, trials, seed) == (p, sqrt(p * (1 - p) / trials))
 
     @pytest.mark.parametrize("levels", [2, 3, 8])
     @pytest.mark.parametrize("N", [1, 2, 4, 7, 8])
@@ -271,12 +323,12 @@ class TestMonteCarlo:
                 route(1, 1, 10**9, 3, 0)
 
     def test_rejects_bad_trials(self):
-        for trials in (0, 10.5, True, "5"):
+        for trials in (0, 10.5, True, "5", 2**63):  # the occupancy counts in int64
             with pytest.raises(InvalidParams):
                 pr_coverage_mc(1, 2, 3, trials=trials, seed=0)
 
     def test_rejects_bad_workers_before_any_block(self, monkeypatch):
-        monkeypatch.setattr(budget, "_mc_block", None)
+        monkeypatch.setattr(budget, "_occupancy", None)
         for workers in (0, -1, 2.0, "2"):
             for route in (pr_coverage_mc, coverage_report):
                 with pytest.raises(InvalidParams, match="max_workers"):

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -210,6 +211,24 @@ class TestBudgetCommand:
         assert parse(out)["mc_within_4se"] is True
         assert peak < 32 * 2**20
 
+    def test_mc_trials_need_no_time_per_trial(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "budget", "-T", "20", "-N", "4", "--zeta", "0.4",
+                                 "--mc-trials", "1000000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        assert parse(out)["mc_within_4se"] is True
+
+    def test_mc_trials_past_int64_refused(self, capsys):
+        code, out, err = run_cli(capsys, "budget", "-T", "20", "-N", "4", "--zeta", "0.4",
+                                 "--mc-trials", str(2**63))
+        assert code == 1
+        assert parse(out) == {
+            "error": "InvalidParams",
+            "detail": f"the Monte-Carlo route needs trials < 2**63, got trials={2**63}",
+        }
+        assert "Traceback" not in err
+
     def test_published_form_past_float_range_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "budget", "-T", "1100", "-N", "1", "--zeta", "0.4", "--x", "1"
@@ -220,6 +239,34 @@ class TestBudgetCommand:
             "detail": "the published closed form lies outside the float range",
         }
         assert "Traceback" not in err
+
+
+# budget's stdout with the Monte-Carlo referee: the shape the cli-cold
+# benchmark runs, and the README's example.  Only p_mc and mc_se come from the
+# seeded occupancy stream; a move of that stream shows here.
+GOLDEN_BUDGET = {
+    ("-T", "20", "-N", "4", "--zeta", "0.4", "--mc-trials", "150000", "--seed", "5"): (
+        '{"N":4,"T":20,"mc_se":0.0012525568250582487,"mc_seed":5,"mc_trials":150000,'
+        '"mc_within_4se":true,"p_exact":0.37649116369730645,"p_mc":0.3789,'
+        '"p_published":-0.24494298995993982,"params":{"N":4,"T":20,"mc_trials":150000,'
+        '"x":null,"zeta":0.4},"published_in_range":false,"published_matches_exact":false,'
+        '"seed":5,"subcommand":"budget","tool_version":"0.1.0","x":14,"x_max":14,"zeta":0.4}\n'
+    ),
+    ("-T", "8", "-N", "3", "--zeta", "0.4", "--mc-trials", "50000", "--seed", "7"): (
+        '{"N":3,"T":8,"mc_se":0.0021790624020435944,"mc_seed":7,"mc_trials":50000,'
+        '"mc_within_4se":true,"p_exact":0.3897149381117243,"p_mc":0.38782,'
+        '"p_published":0.06406937376353602,"params":{"N":3,"T":8,"mc_trials":50000,'
+        '"x":null,"zeta":0.4},"published_in_range":true,"published_matches_exact":false,'
+        '"seed":7,"subcommand":"budget","tool_version":"0.1.0","x":5,"x_max":5,"zeta":0.4}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_BUDGET))
+def test_golden_budget_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, "budget", *argv)
+    assert code == 0
+    assert out == GOLDEN_BUDGET[argv]
 
 
 class TestDivergenceCommand:

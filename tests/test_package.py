@@ -8,7 +8,6 @@ are in ``sys.modules``.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -36,9 +35,8 @@ except SystemExit as exc:
 
 
 def _loaded(code: str, *argv: str, cwd=None) -> set[str]:
-    env = dict(os.environ, STEGOGAME_THREADS="2")  # the Monte-Carlo pool branch runs too
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
