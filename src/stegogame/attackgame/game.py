@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real
 from ..library import CoverId
-from ..permcodec import Arrangement, _unrank, capacity, payload_value
+from ..permcodec import Arrangement, _places, _unrank, capacity, payload_value
 # embed, extract and keygen are not called here; perfbench/tracer.py looks
 # them up in this module by name.
 from ..stego import StegoSequence, embed, extract, keygen  # noqa: F401
@@ -164,10 +164,12 @@ def _generator(seed: int, *path: object) -> np.random.Generator:
 
 
 def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
-    """``count`` uniform l-bit payloads from one ``random_raw`` call: each is
-    the top l bits of its ceil(l / 64) raw words, read big-endian.  One call
-    for k payloads draws what k calls for one do; l = 0 draws nothing."""
+    """``count`` uniform l-bit payloads, each the top l bits of its ceil(l / 64)
+    raw words read big-endian, from one ``random_raw`` call (scalar for one
+    word).  k payloads in one call draw what k calls do; l = 0 draws nothing."""
     w = -(-l // 64)
+    if count * w == 1:
+        return [gen.bit_generator.random_raw() >> 64 - l]
     words = gen.bit_generator.random_raw(count * w).tolist()
     values = words[::w] if w else [0] * count
     for j in range(1, w):  # each later word of a payload is less significant
@@ -180,14 +182,14 @@ _Codec = namedtuple("_Codec", "l key embed extract")
 
 
 def _codec(scenario: Scenario, l: int, key: int) -> _Codec:
-    """What ``embed`` and ``extract`` compute under the session key, with the
-    key, the library's ids and (T, N) hoisted: ``v -> unrank(v ^ key)`` and
-    ``seq -> payload_value(seq) ^ key``.  Built once per game or round."""
-    lib, N = scenario.library, scenario.N
-    T, ids = lib.T, lib.ids()
+    """``embed`` and ``extract`` under the session key, with the key, the ids
+    and the place values of (T, N) hoisted: ``v -> unrank(v ^ key)``, walked
+    over the ids, and ``seq -> payload_value(seq) ^ key``.  Once per game or round."""
+    lib = scenario.library
+    T, ids, places = lib.T, lib.ids(), _places(lib.T, scenario.N)
 
     def embed_value(value: int) -> StegoSequence:
-        return StegoSequence(ids=tuple(map(ids.__getitem__, _unrank(value ^ key, T, N))))
+        return StegoSequence(ids=_unrank(value ^ key, ids, places))
 
     def extract_value(seq: StegoSequence) -> int:
         indices = tuple(map(lib.lookup, seq.ids))

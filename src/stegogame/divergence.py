@@ -25,7 +25,10 @@ CHUNK_CELLS = 4096
 
 
 def _finite_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
+    try:
+        arr = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):  # strings, complex numbers, ragged nesting
+        raise InvalidParams("samples must be an array of real numbers") from None
     if not np.all(np.isfinite(arr)):
         raise InvalidParams("samples must be finite numbers, not nan or inf")
     return arr
@@ -114,7 +117,8 @@ def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> No
 # The public metrics check the bins and score one row; calibrate_epsilon
 # scores a block of resplits per call on bins it checked once.  Each row
 # reduces along axis 1 exactly as a lone 1-D vector would (row sums, cumsums
-# and logs round as the 1-D calls do), so batching never moves a value.
+# and logs round as the 1-D calls do), so batching never moves a value; JS
+# sums both sides' rows in groups of equal kept-cell count, each on its own.
 
 
 def _at_least_zero(values: np.ndarray) -> np.ndarray:
@@ -133,19 +137,28 @@ def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
 
 def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
     """Row sums of ``a * log(a / mid)`` over the cells where a > 0 (there
-    mid > 0 too).  The kept cells of every row are compressed into one array
-    and each row sums its own slice: a masked or zero-padded row sum would
-    add different terms in a different order, and round differently."""
+    mid > 0 too), with rows sorted by kept-cell count k: the terms of each run
+    of rows with one k lie back to back and sum as one (rows, k) matrix along
+    axis 1.  A zero-padded row or ``np.add.reduceat`` would round differently."""
     mask = a > 0
+    counts = np.count_nonzero(mask, axis=1)
+    order = np.argsort(counts, kind="stable")
+    a, mid, mask = a[order], mid[order], mask[order]
     kept = a[mask]
     terms = kept * np.log(kept / mid[mask])
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-    return np.array([terms[i:j].sum() for i, j in zip([0, *ends], ends)])
+    rows = np.bincount(counts)  # rows per kept count k, in the sorted order
+    ks = np.flatnonzero(rows)
+    sums, start = [], 0
+    for k, n in zip(ks.tolist(), rows[ks].tolist()):
+        sums.append(terms[start : start + n * k].reshape(n, k).sum(axis=1))
+        start += n * k
+    return np.concatenate(sums)[np.argsort(order)]
 
 
 def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     mid = (pm + qm) / 2.0
-    return _at_least_zero(0.5 * _rel_entropy_to_mid(pm, mid) + 0.5 * _rel_entropy_to_mid(qm, mid))
+    both = _rel_entropy_to_mid(np.concatenate([pm, qm]), np.concatenate([mid, mid]))
+    return _at_least_zero(0.5 * both[: len(pm)] + 0.5 * both[len(pm) :])
 
 
 def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -189,12 +202,7 @@ def w1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     return _one_row(_w1, p, q, np.diff(p.centers))
 
 
-METRICS: dict[str, Callable[[EmpiricalDistribution, EmpiricalDistribution], float]] = {
-    "kl": kl,
-    "js": js,
-    "tv": tv,
-    "w1": w1,
-}
+METRICS: dict[str, Callable[..., float]] = {f.__name__: f for f in (kl, js, tv, w1)}
 
 VERDICT_INDISTINGUISHABLE = "indistinguishable-at-epsilon"
 VERDICT_DISTINGUISHABLE = "distinguishable"
@@ -215,11 +223,12 @@ class DistanceReport:
 def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float]):
     """Both sample sets as arrays, then pooled, and the range their shared
     bins span: (a, b, pooled, (low, high))."""
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
+    a, b = _finite_samples(samples_a), _finite_samples(samples_b)
     if a.size == 0 or b.size == 0:
         raise EmptySamples("both sample sets must be non-empty")
-    pooled = _finite_samples(np.concatenate([a, b]))
+    if 0 in (a.ndim, b.ndim) or a.shape[1:] != b.shape[1:]:  # what np.concatenate refuses
+        raise InvalidParams(f"cannot pool samples of shapes {a.shape} and {b.shape}")
+    pooled = np.concatenate([a, b])
     return a, b, pooled, (float(pooled.min()), float(pooled.max()))
 
 
@@ -247,14 +256,8 @@ def distinguishability_test(
     elapsed = time.perf_counter() - start
     verdict = VERDICT_DISTINGUISHABLE if value > epsilon else VERDICT_INDISTINGUISHABLE
     return DistanceReport(
-        metric=metric,
-        value=value,
-        epsilon=epsilon,
-        elapsed=elapsed,
-        verdict=verdict,
-        bins=bins,
-        n_a=int(a.size),
-        n_b=int(b.size),
+        metric=metric, value=value, epsilon=epsilon, elapsed=elapsed, verdict=verdict,
+        bins=bins, n_a=int(a.size), n_b=int(b.size),
     )
 
 

@@ -93,9 +93,6 @@ class CoverLibrary:
     def lookup_entry(self, cover_id: CoverId) -> CoverEntry:
         return self.covers[self.lookup(cover_id)]
 
-    def id_at(self, index: int) -> CoverId:
-        return self.covers[index].id
-
     @cached_property
     def _ids(self) -> tuple[CoverId, ...]:
         return tuple(c.id for c in self.covers)

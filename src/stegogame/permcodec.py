@@ -10,9 +10,10 @@ exist but lie outside the codec image, and decoding one is an error
 rather than a silent truncation.
 
 Ranks and payloads are plain Python integers, so capacities beyond 64 bits
-are exact.  :func:`capacity` computes r and l once per (T, N).  ``_unrank``
-and :func:`rank` are the int core, used by ``stego``; ``'0'/'1'`` strings
-are validated where they enter, here only in :func:`bits_to_arrangement`.
+are exact.  :func:`capacity` (r and l) and ``_places`` run once per (T, N).
+``_unrank``, one walk over any T items (``range(T)``, or a library's ids for
+``stego.embed`` and the game codec), and :func:`rank` are the int core;
+``'0'/'1'`` strings are validated only in :func:`bits_to_arrangement`.
 """
 
 from __future__ import annotations
@@ -75,21 +76,23 @@ def _capacity(T: int, N: int) -> Capacity:
     return Capacity(r=r, l=r.bit_length() - 1)
 
 
-def _unrank(value: int, T: int, N: int) -> tuple[int, ...]:
-    """Index tuple of rank ``value``, for valid (T, N) and 0 <= value < r.
-    Mixed-radix decoding: at step j there are T-j unused indices and
-    A(T-1-j, N-1-j) arrangements per choice, so the digit value // block
-    picks the digit-th smallest unused index.
-    """
-    available = list(range(T))
-    block = _capacity(T, N).r // T
-    indices = []
-    for j in range(N):
-        digit, value = divmod(value, block)
-        indices.append(available.pop(digit))
-        if j < N - 1:
-            block //= T - 1 - j
-    return tuple(indices)
+@lru_cache(maxsize=256)
+def _places(T: int, N: int) -> tuple[int, ...]:
+    """Place value of each digit of a rank: the A(T-1-j, N-1-j)
+    arrangements that follow each choice at step j."""
+    return tuple(perm(T - 1 - j, N - 1 - j) for j in range(N))
+
+
+def _unrank(value: int, items: tuple | range, places: tuple[int, ...]) -> list:
+    """The items at the indices of rank ``value``, for 0 <= value < r and
+    ``places = _places(len(items), N)``.  Mixed-radix decoding: digit j,
+    value // place, picks the digit-th item not yet picked."""
+    pool = list(items)
+    picked = []
+    for place in places:
+        picked.append(pool.pop(value // place))
+        value %= place
+    return picked
 
 
 def unrank(rank: int, T: int, N: int) -> Arrangement:
@@ -97,21 +100,17 @@ def unrank(rank: int, T: int, N: int) -> Arrangement:
     cap = capacity(T, N)
     if type(rank) is not int or not 0 <= rank < cap.r:
         raise RankOutOfRange(f"rank {rank} not in [0, {cap.r})")
-    return Arrangement(indices=_unrank(rank, T, N), T=T)
+    return Arrangement(indices=_unrank(rank, range(T), _places(T, N)), T=T)
 
 
 def rank(arr: Arrangement) -> int:
     """Lexicographic rank of an arrangement; inverse of :func:`unrank`."""
-    T, N = arr.T, arr.N
-    available = list(range(T))
-    block = _capacity(T, N).r // T
+    available = list(range(arr.T))
     value = 0
-    for j, idx in enumerate(arr.indices):
+    for idx, place in zip(arr.indices, _places(arr.T, arr.N)):
         pos = bisect_left(available, idx)
-        value += pos * block
+        value += pos * place
         available.pop(pos)
-        if j < N - 1:
-            block //= T - 1 - j
     return value
 
 
@@ -132,7 +131,7 @@ def bits_to_arrangement(payload: str, T: int, N: int) -> Arrangement:
         raise WrongPayloadLength(
             f"payload has {len(payload)} bits, capacity(T={T}, N={N}) needs {cap.l}"
         )
-    return Arrangement(indices=_unrank(value, T, N), T=T)
+    return unrank(value, T, N)
 
 
 def arrangement_to_bits(arr: Arrangement) -> str:

@@ -21,7 +21,7 @@ from .errors import EntropyUnavailable, LengthMismatch, MalformedFile, Stegogame
 from .library import (
     CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
-from .permcodec import Arrangement, _unrank, capacity, payload_value
+from .permcodec import Arrangement, _places, _unrank, capacity, payload_value
 from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
 
 SEQUENCE_VERSION = 1
@@ -117,7 +117,7 @@ def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
         raise LengthMismatch(
             f"message has {m.l} bits, key {k.l}; capacity(T={lib.T}, N={N}) needs {cap.l}"
         )
-    return StegoSequence(ids=tuple(map(lib.id_at, _unrank(m.value ^ k.value, lib.T, N))))
+    return StegoSequence(ids=_unrank(m.value ^ k.value, lib.ids(), _places(lib.T, N)))
 
 
 def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:

@@ -235,9 +235,6 @@ class OneCoverLibrary:
     T = 1
     cid = hash_bytes(b"the only cover")
 
-    def id_at(self, index: int) -> str:
-        return (self.cid,)[index]
-
     def lookup(self, cover_id: str) -> int:
         if cover_id != self.cid:
             raise NotInLibrary(cover_id)
@@ -253,7 +250,7 @@ def embed_reference(m, k, lib, N: int) -> StegoSequence:
     if m.l != cap.l or k.l != cap.l:
         raise LengthMismatch(f"message has {m.l} bits, key {k.l}; needs {cap.l}")
     arr = bits_to_arrangement(xor_bits(m.bits, k.bits), lib.T, N)
-    return StegoSequence(ids=tuple(lib.id_at(i) for i in arr.indices))
+    return StegoSequence(ids=tuple(lib.ids()[i] for i in arr.indices))
 
 
 def extract_reference(seq, k, lib) -> Message:

@@ -157,7 +157,7 @@ class TestScenario:
         import hashlib
 
         sc = synthetic_scenario(T=4, N=2, world_size=8, seed=2)
-        cid = sc.library.id_at(0)
+        cid = sc.library.ids()[0]
         assert hashlib.sha256(sc.content_for(cid)).hexdigest() == cid
         with pytest.raises(NotInLibrary):
             sc.content_for("0" * 64)
@@ -205,8 +205,8 @@ class TestScenario:
         assert sc.library == lib and sc.world == world
         assert sc.N == 2 and sc.rounds == 3
         # real files resolve through the manifest path
-        assert sc.content_for(lib.id_at(0)) == (
-            next(p for p in paths if str(p) == sc.library.lookup_entry(lib.id_at(0)).path).read_bytes()
+        assert sc.content_for(lib.ids()[0]) == (
+            next(p for p in paths if str(p) == sc.library.lookup_entry(lib.ids()[0]).path).read_bytes()
         )
 
     def test_load_scenario_missing_field(self, tmp_path):

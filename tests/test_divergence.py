@@ -26,6 +26,7 @@ from stegogame.errors import BinMismatch, EmptySamples, InvalidParams
 
 from helpers import (
     calibrate_epsilon_reference,
+    js_1d,
     metric_1d,
     null_values_reference,
     permutation_null_reference,
@@ -247,6 +248,40 @@ class TestDistinguishability:
             calibrate_epsilon([1.0, 2.0], [bad], runs=4)
 
 
+MALFORMED = [["a"], [1 + 2j], None, [[1.0], [2.0, 3.0]]]
+
+
+class TestMalformedSamples:
+    """Samples that are not an array of real numbers, or two sides that
+    cannot be pooled, raise InvalidParams, never a bare numpy error."""
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_estimate_distribution(self, bad):
+        with pytest.raises(InvalidParams):
+            estimate_distribution(bad, bins=4)
+
+    @pytest.mark.parametrize("bad", [*MALFORMED, [[1.0, 2.0]], 3.0])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_pooled_calls(self, bad, side):
+        """Each malformed side, a 2-D side beside a 1-D one, and a scalar."""
+        pair = [[1.0, 2.5], [1.5, 2.0]]
+        pair[side] = bad
+        with pytest.raises(InvalidParams):
+            distinguishability_test(*pair, epsilon=0.1)
+        with pytest.raises(InvalidParams):
+            calibrate_epsilon(*pair, runs=4)
+
+    def test_inputs_that_work_stay(self):
+        """A 2-D array and a scalar histogram flattened; decimal strings
+        parse; 2-D sides alike past the first axis pool."""
+        assert estimate_distribution([[1.0, 2.0], [3.0, 4.0]], 3).masses.tolist() == [0.25, 0.25, 0.5]
+        assert estimate_distribution(5.0, 2).n_samples == 1
+        assert distinguishability_test(["1.5", "2"], [1.5, 2.0], epsilon=0.1).value == 0.0
+        report = distinguishability_test([[1.0, 2.0], [3.0, 4.0]], [[1.5, 2.5]], epsilon=0.1)
+        assert (report.n_a, report.n_b) == (4, 2)
+        assert calibrate_epsilon([[1.0, 2.0]], [[1.5, 2.5]], runs=4) >= 0.0
+
+
 class TestRowBatchedKernels:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, 5000])
@@ -260,6 +295,24 @@ class TestRowBatchedKernels:
                 raw[gen.integers(bins)] += 1.0
                 pair.append(EmpiricalDistribution(edges, raw / raw.sum(), int(gen.integers(1, 900))))
             assert METRICS[metric](*pair) == metric_1d(metric, *pair), case
+
+    @pytest.mark.parametrize("bins", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_js_rows_of_every_kept_count(self, bins):
+        """One call whose rows keep every count of cells from 1 to bins on
+        each side, in shuffled order: the runs of equal count span numpy's
+        unroll (8) and pairwise-block (128) widths, and each row still
+        equals its lone 1-D sum bit for bit."""
+        gen = np.random.Generator(np.random.Philox(key=bins))
+        sides = []
+        for _ in range(2):
+            masses = gen.random((bins, bins)) + 0.01
+            for row, kept in zip(masses, gen.permutation(np.arange(1, bins + 1))):
+                row[gen.permutation(bins)[kept:]] = 0.0
+            sides.append(masses / masses.sum(axis=1, keepdims=True))
+        pm, qm = sides
+        assert sorted(np.count_nonzero(pm, axis=1)) == list(range(1, bins + 1))
+        got = divergence._js(pm, qm)
+        assert [float(v) for v in got] == [js_1d(p, q) for p, q in zip(pm, qm)]
 
 
 def recorded_null(monkeypatch, metric, a, b, bins, runs, seed):

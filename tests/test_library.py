@@ -62,10 +62,10 @@ class TestBuildLibrary:
 
     def test_lookup_inverse(self, file_library):
         for i in range(file_library.T):
-            assert file_library.lookup(file_library.id_at(i)) == i
+            assert file_library.lookup(file_library.ids()[i]) == i
 
     def test_lookup_entry(self, file_library):
-        cid = file_library.id_at(0)
+        cid = file_library.ids()[0]
         assert file_library.lookup_entry(cid).id == cid
 
     def test_lookup_foreign_raises(self, file_library):

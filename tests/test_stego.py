@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from stegogame.errors import (
     NotInLibrary,
     UnreachableArrangement,
 )
+from stegogame.attackgame.game import _codec
 from stegogame.permcodec import capacity, unrank
 from stegogame.stego import (
     Message,
@@ -86,7 +88,7 @@ class TestEmbed:
         lib = mem_library(4)
         seq = embed(Message("0011"), StegoKey("0101"), lib, N=3)
         expected = lex_arrangements(4, 3)[6]
-        assert seq.ids == tuple(lib.id_at(i) for i in expected)
+        assert seq.ids == tuple(lib.ids()[i] for i in expected)
 
     def test_length_mismatch(self):
         lib = mem_library(4)
@@ -148,14 +150,14 @@ class TestExtract:
 
     def test_duplicate_ids_raise(self):
         lib = mem_library(4)
-        cid = lib.id_at(0)
+        cid = lib.ids()[0]
         with pytest.raises(InvalidArrangement):
-            extract(StegoSequence(ids=(cid, cid, lib.id_at(1))), StegoKey("0000"), lib)
+            extract(StegoSequence(ids=(cid, cid, lib.ids()[1])), StegoKey("0000"), lib)
 
     def test_unreachable_arrangement(self):
         lib = mem_library(3)
         arr = unrank(5, T=3, N=2)  # rank beyond the 2-bit payload image
-        seq = StegoSequence(ids=tuple(lib.id_at(i) for i in arr.indices))
+        seq = StegoSequence(ids=tuple(lib.ids()[i] for i in arr.indices))
         with pytest.raises(UnreachableArrangement):
             extract(seq, StegoKey("00"), lib)
 
@@ -216,6 +218,29 @@ def _bits(data, length):
     return "".join(data.draw(st.lists(st.sampled_from("01"), min_size=length, max_size=length)))
 
 
+@pytest.mark.parametrize(
+    "T, N, count", [(2, 1, None), (3, 3, None), (5, 2, None), (16, 4, 500), (20, 4, 500),
+                    (1024, 16, 500), (10000, 64, 500)],
+)
+def test_codec_walks_agree(T, N, count):
+    """The game codec, embed and unrank walk one digit path: every value at
+    the small shapes (count None), 500 seeded ones at the others, all map to
+    the same ids, and both extract directions return the value."""
+    lib = _library(T)
+    l = capacity(T, N).l
+    rng = random.Random(T * 1000 + N)
+    key = rng.getrandbits(l)
+    codec = _codec(SimpleNamespace(library=lib, N=N), l, key)
+    stego_key = StegoKey(bits_of(key, l))
+    values = range(1 << l) if count is None else [rng.getrandbits(l) for _ in range(count)]
+    for v in values:
+        seq = codec.embed(v)
+        assert seq == embed(Message(bits_of(v, l)), stego_key, lib, N)
+        assert seq.ids == tuple(lib.ids()[i] for i in unrank(v ^ key, T, N).indices)
+        assert codec.extract(seq) == v
+        assert extract(seq, stego_key, lib).value == v
+
+
 class TestMatchesStringPath:
     """embed and extract agree with the earlier string path, which XORs and
     codes '0'/'1' strings, on outputs and on the type of every error."""
@@ -261,7 +286,7 @@ class TestMatchesStringPath:
         of the wrong length, in any combination."""
         T = data.draw(st.integers(1, 8))
         lib = _library(T)
-        pool = [lib.id_at(i) for i in range(T)] + ["f" * 64]
+        pool = [*lib.ids(), "f" * 64]
         ids = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=T + 1))
         n = len(ids)
         l = capacity(T, n).l if 1 <= n <= T else 2
