@@ -34,6 +34,18 @@ def _keyless_recover(self, sequence: StegoSequence, state) -> int:
     return _random_values(knowledge.rng, knowledge.payload_bits, 1)[0]
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its
+    ``_lerp`` between the order statistics next to the virtual index
+    (n - 1) * q / 100, or the maximum from the last index on."""
+    n = len(values)
+    at = (n - 1) * (q / 100)
+    lo, hi = (int(at), int(at) + 1) if at < n - 1 else (-1, -1)
+    part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
+    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _membership_guess(self, challenge: Challenge, state) -> str:
     """Stego when every id of the challenge is a known library id."""
     known = state["known"]
@@ -88,8 +100,9 @@ class SCOAHistogram:
     this stays at chance level by design.
 
     World covers are read once into a W x 256 count matrix.  Distances are
-    memoised by the last sample's membership and computed in one batched
-    kernel call that rounds as ``js`` does: the memo never changes an answer.
+    memoised by the last sample's membership and computed in batched kernel
+    calls that round as ``js`` does; the null's Floyd steps are one draw and
+    its percentile is numpy's without ``np.percentile``: none changes an answer.
     """
 
     name = "scoa-histogram"
@@ -127,24 +140,25 @@ class SCOAHistogram:
     @staticmethod
     def _null_picks(rng: np.random.Generator, W: int, N: int, draws: int) -> np.ndarray:
         """``draws`` uniform N-subsets of range(W), one per row, by Floyd's
-        algorithm (Bentley & Floyd, 1987), each step drawn for every row."""
+        algorithm (Bentley & Floyd, 1987), each step taken for every row.
+        One call draws the steps in turn, as one call per step does."""
+        steps = rng.integers(0, np.arange(W - N + 1, W + 1)[:, None], size=(N, draws))
         picks = np.empty((draws, N), dtype=np.intp)
-        for c, j in enumerate(range(W - N, W)):
-            t = rng.integers(0, j + 1, size=draws)
-            picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), j, t)
+        for c, t in enumerate(steps):
+            picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), W - N + c, t)
         return picks
 
     @staticmethod
-    def _world_scores(rows, memo: dict) -> np.ndarray:
-        """The memo's distances, with ``rows`` filled in by one kernel call."""
-        scores, counts = memo["scores"], memo["counts"]
-        todo = np.asarray(rows, dtype=np.intp)
-        todo = todo[np.isnan(scores[todo])]
+    def _world_scores(rows, memo: dict) -> None:
+        """Fills the memo's distances of ``rows`` not in it by one kernel call."""
+        scores, counts, todo = memo["scores"], memo["counts"], np.zeros(len(memo["scores"]), bool)
+        todo[rows] = True
+        todo = np.flatnonzero(todo & np.isnan(scores))  # sorted, as np.unique was
         if todo.size:
             model = memo["model_counts"] - counts[todo] * memo["member"][todo, None]
             model = model / model.sum(axis=1, keepdims=True)  # drops the int rows before the kernel
             scores[todo] = _js(counts[todo] / memo["totals"][todo, None], model)
-        return scores
+            memo["missing"] -= todo.size
 
     def learn(self, knowledge: Knowledge, state: object | None = None):
         rng, world = knowledge.rng, self._world_matrix(knowledge)
@@ -158,11 +172,13 @@ class SCOAHistogram:
                 **world, "key": key, "member": member, "model_counts": model_counts,
                 "model": normalize_byte_counts(model_counts),
                 "scores": np.full(W, np.nan),  # each world cover's distance, once computed
+                "missing": W,  # how many of them are not
                 "outside": {},  # distances of covers outside the world pool
             }
         picks = self._null_picks(rng, W, knowledge.N, self.null_draws)
-        null_scores = self._world_scores(np.unique(picks), self._memo)[picks].mean(axis=1)
-        threshold = float(np.percentile(null_scores, self.percentile))
+        if self._memo["missing"]:
+            self._world_scores(picks, self._memo)
+        threshold = _percentile(self._memo["scores"][picks].mean(axis=1), self.percentile)
         return {"memo": self._memo, "threshold": threshold, "knowledge": knowledge}
 
     def _outside_score(self, cid: CoverId, state) -> float:
@@ -174,8 +190,10 @@ class SCOAHistogram:
         return outside[cid]
 
     def guess(self, challenge: Challenge, state) -> str:
-        ids, row_of = challenge.ids, state["memo"]["row_of"]
-        scores = self._world_scores([row_of[c] for c in ids if c in row_of], state["memo"])
+        ids, memo = challenge.ids, state["memo"]
+        row_of, scores = memo["row_of"], memo["scores"]
+        if memo["missing"]:
+            self._world_scores([row_of[c] for c in ids if c in row_of], memo)
         per_cover = [scores[row_of[c]] if c in row_of else self._outside_score(c, state) for c in ids]
         return LABEL_STEGO if float(np.mean(per_cover)) > state["threshold"] else LABEL_NATURAL
 

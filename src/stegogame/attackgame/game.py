@@ -9,9 +9,9 @@ comparison.
 All three games run on one serial trial engine over integer payloads.
 Every random draw flows from a Philox generator keyed by sha256 over (seed,
 labelled path), and a trial's streams are addressed by the Philox counter,
-so results are byte-identical across runs and platforms.  A learning phase
-draws its observation payloads eagerly, keeping every later draw in place,
-but embeds them only when the adversary first reads ``Knowledge.observed``.
+so results are byte-identical across runs and platforms.  A learning phase's
+observation payloads open its stream: the harness skips them by moving the
+counter, and ``Knowledge.observed`` draws and embeds them on its first read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import comb
 from typing import Callable, Protocol
 
@@ -69,7 +69,7 @@ class AttackLevel(IntEnum):
 class Knowledge:
     """What one learning phase hands the adversary.  Level-scoped: fields
     above the adversary's level are empty/None, never absent.  ``observed``
-    (past stego traffic) is drawn eagerly but embedded on first read.
+    (past stego traffic) is drawn and embedded on first read.
 
     Payloads and the leaked key are ints in ``[0, 2**payload_bits)``.
     ``rng`` is this trial's adversary stream (this round's, in an ACCA
@@ -150,12 +150,15 @@ def _derive_key(seed: int, *path: object) -> int:
     return int.from_bytes(h.digest()[:16], "big")
 
 
-def _rekey(gen: np.random.Generator, key: int, trial: int = 0) -> np.random.Generator:
+def _rekey(gen: np.random.Generator, key: int, trial: int = 0, skip: int = 0) -> np.random.Generator:
     """``gen`` set in place to the stream of ``Philox(key=key, counter=trial
-    << 128)`` (Salmon et al., SC 2011), several times cheaper than a new
-    ``Philox``, which pulls OS entropy before it takes the key."""
-    counter = (0, 0, trial & _WORD, trial >> 64)
+    << 128)`` (Salmon et al., SC 2011), ``skip`` raw words in: several times
+    cheaper than a new ``Philox``, which pulls OS entropy before it takes the
+    key.  A counter step gives 4 words, so only ``skip & 3`` words are drawn."""
+    counter = (skip >> 2, 0, trial & _WORD, trial >> 64)
     gen.bit_generator.state = {**_FRESH, "state": {"counter": counter, "key": (key & _WORD, key >> 64)}}
+    if skip & 3:
+        gen.bit_generator.random_raw(skip & 3)
     return gen
 
 
@@ -177,6 +180,14 @@ def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
     return [v >> 64 * w - l for v in values]
 
 
+def _record(cls: type, fields: dict):
+    """``cls(**fields)`` for a frozen dataclass whose fields the harness built
+    valid, without its ``__init__``'s ``object.__setattr__`` per field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # One session key's codec on int payloads: l, key, and value -> sequence -> value.
 _Codec = namedtuple("_Codec", "l key embed extract")
 
@@ -184,12 +195,15 @@ _Codec = namedtuple("_Codec", "l key embed extract")
 def _codec(scenario: Scenario, l: int, key: int) -> _Codec:
     """``embed`` and ``extract`` under the session key, with the key, the ids
     and the place values of (T, N) hoisted: ``v -> unrank(v ^ key)``, walked
-    over the ids, and ``seq -> payload_value(seq) ^ key``.  Once per game or round."""
+    over the ids, and ``seq -> payload_value(seq) ^ key``.  Once per game or
+    round.  ``embed`` refuses what ``_payload`` does: it is the embed oracle's."""
     lib = scenario.library
     T, ids, places = lib.T, lib.ids(), _places(lib.T, scenario.N)
 
     def embed_value(value: int) -> StegoSequence:
-        return StegoSequence(ids=_unrank(value ^ key, ids, places))
+        if type(value) is not int or value < 0 or value >> l:
+            _payload(value, l)
+        return _record(StegoSequence, {"ids": tuple(_unrank(value ^ key, ids, places))})
 
     def extract_value(seq: StegoSequence) -> int:
         indices = tuple(map(lib.lookup, seq.ids))
@@ -218,13 +232,12 @@ class _BudgetedOracle:
     def close(self) -> None:
         self.closed = True
 
-    def __call__(self, *args):
-        if self.closed:
-            raise OracleBudgetExceeded(f"{self.name} oracle closed after learning")
-        if self.remaining <= 0:
-            raise OracleBudgetExceeded(f"{self.name} oracle budget exhausted")
+    def __call__(self, arg):
+        if self.remaining <= 0 or self.closed:
+            why = "closed after learning" if self.closed else "budget exhausted"
+            raise OracleBudgetExceeded(f"{self.name} oracle {why}")
         self.remaining -= 1
-        return self._fn(*args)
+        return self._fn(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -275,40 +288,34 @@ def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
     return call
 
 
-def _knowledge(
-    scenario: Scenario,
-    level: AttackLevel,
-    codec: _Codec,
-    leaked: tuple[CoverId, ...],
-    observe_gen: np.random.Generator,
-    adversary_gen: np.random.Generator,
-    faults: list[Exception],
-) -> Knowledge:
-    payloads = _random_values(observe_gen, codec.l, scenario.observations)
+def _knowledge(scenario: Scenario, level: AttackLevel, codec: _Codec, leaked: tuple[CoverId, ...],
+               faults: list[Exception]) -> Callable[[int, int, np.random.Generator], Knowledge]:
+    """A block's learning phases: ``knowledge(key, trial, rng)`` is one, whose
+    observations open the stream ``(key, trial)`` and are drawn, on the
+    block's own generator, and embedded when ``observed`` is first read."""
+    l, count = codec.l, scenario.observations
+    observer = cache(lambda: np.random.Generator(np.random.Philox(key=0)))
 
-    def observe() -> tuple[StegoSequence, ...]:
-        return tuple(map(codec.embed, payloads))
+    def observe(key: int, trial: int) -> tuple[StegoSequence, ...]:
+        return tuple(map(codec.embed, _random_values(_rekey(observer(), key, trial), l, count))) if count else ()
 
-    embed_oracle = extract_oracle = None
-    if level >= AttackLevel.CCA:
-        embed_oracle = _BudgetedOracle(
-            lambda v: codec.embed(_payload(v, codec.l)), scenario.oracle_embed_budget, "embed"
-        )
-        extract_oracle = _BudgetedOracle(codec.extract, scenario.oracle_extract_budget, "extract")
-    return Knowledge(
-        level=level,
-        N=scenario.N,
-        payload_bits=codec.l,
-        world_ids=scenario.world.ids(),
-        leaked_ids=leaked,
-        leaked_key=_leaked_key(scenario, codec),
-        embed_oracle=embed_oracle,
-        extract_oracle=extract_oracle,
-        rounds=scenario.rounds if level >= AttackLevel.ACCA else 1,
-        rng=adversary_gen,
-        content=_harness_call(scenario.content_for, faults),
-        _observe=_harness_call(observe, faults),
-    )
+    observe = _harness_call(observe, faults)
+    block = {
+        "level": level, "N": scenario.N, "payload_bits": l, "world_ids": scenario.world.ids(),
+        "leaked_ids": leaked, "leaked_key": _leaked_key(scenario, codec),
+        "embed_oracle": None, "extract_oracle": None,
+        "rounds": scenario.rounds if level >= AttackLevel.ACCA else 1,
+        "content": _harness_call(scenario.content_for, faults),
+    }
+
+    def knowledge(key: int, trial: int, rng: np.random.Generator) -> Knowledge:
+        fields = {**block, "rng": rng, "_observe": partial(observe, key, trial)}
+        if level >= AttackLevel.CCA:
+            fields["embed_oracle"] = _BudgetedOracle(codec.embed, scenario.oracle_embed_budget, "embed")
+            fields["extract_oracle"] = _BudgetedOracle(codec.extract, scenario.oracle_extract_budget, "extract")
+        return _record(Knowledge, fields)
+
+    return knowledge
 
 
 # The state a trial scores with when its learning phase raised.
@@ -329,7 +336,7 @@ def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, b
     if state is _UNLEARNED:
         return 0, is_stego
     try:
-        answer = adversary.guess(Challenge(ids=ids), state)
+        answer = adversary.guess(_record(Challenge, {"ids": ids}), state)
     except Exception:
         return 0, is_stego
     return int(answer == (LABEL_STEGO if is_stego else LABEL_NATURAL)), is_stego
@@ -349,28 +356,22 @@ def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bo
     return codec.l - (guess ^ m).bit_count(), True
 
 
-def _play(
-    scenario: Scenario,
-    adversary: Adversary,
-    level: AttackLevel,
-    seed: int,
-    trials: int,
-    score: Callable[..., tuple[int, bool]],
-    round_index: int | None = None,
-    state: object | None = None,
-) -> tuple[int, int, object | None]:
+def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: int, trials: int,
+          score: Callable[..., tuple[int, bool]], round_index: int | None = None,
+          state: object | None = None) -> tuple[int, int, object | None]:
     """The trial engine: a block of trials against one session key and one leak.
 
     The block's path, ("game",) or ("round", r), keys its session key and
     codec, and one stream per role ("harness", "adversary"): trial t runs on
     each at Philox counter t << 128, in two generators moved in place, so
     the adversary's ``Knowledge.rng`` is valid for its own trial only.
-    Without ``round_index`` each trial learns afresh on both streams, and
-    the harness stream then draws the challenge.  With it, one learning
-    phase on the block's "observe" and "adversary" generators serves the
-    whole block, and each trial draws on its harness stream.  ``state``
-    carries the adversary state in and out, and a failed learn keeps the
-    old state but scores the block's trials as unlearned.  The oracle
+    Without ``round_index`` each trial learns afresh on both streams: its
+    observations open its harness stream, which skips their words and then
+    draws the challenge.  With it, one learning phase on the block's
+    "observe" and "adversary" streams serves the whole block, and each trial
+    draws on its harness stream.  ``state`` carries the adversary state in
+    and out, and a failed learn keeps the old state but scores the block's
+    trials as unlearned.  The oracle
     handles close once ``learn`` returns.  Any adversary exception, a budget
     overrun or a call to a closed oracle included, scores as a miss; a fault
     of the harness itself raises, by the end of its trial even when it
@@ -386,32 +387,33 @@ def _play(
     codec = _codec(scenario, l, session_key)
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
     faults: list[Exception] = []  # harness faults raised inside adversary calls
+    knowledge_at = _knowledge(scenario, level, codec, leaked, faults)
 
-    def learn(observe_gen, adversary_gen, prior):
-        knowledge = _knowledge(scenario, level, codec, leaked, observe_gen, adversary_gen, faults)
+    def learn(key, trial, adversary_gen, prior):
+        knowledge = knowledge_at(key, trial, adversary_gen)
         try:
             return adversary.learn(knowledge, prior)
         except Exception:
             return _UNLEARNED
         finally:  # the oracles answer the learning phase only, never a challenge
-            for oracle in (knowledge.embed_oracle, knowledge.extract_oracle):
-                if oracle is not None:
-                    oracle.close()
+            if knowledge.embed_oracle is not None:
+                knowledge.embed_oracle.close()
+                knowledge.extract_oracle.close()
 
-    if round_index is not None:
-        learned = learn(
-            _generator(seed, *path, "observe"), _generator(seed, *path, "adversary"), state
-        )
+    # one generator per role, moved to each trial's counter as it starts
+    harness, adversary_gen = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
+    if round_index is not None:  # no trial moves adversary_gen, so it serves the whole block
+        _rekey(adversary_gen, _derive_key(seed, *path, "adversary"))
+        learned = learn(_derive_key(seed, *path, "observe"), 0, adversary_gen, state)
         if learned is not _UNLEARNED:
             state = learned
-    # one key and one generator per role, moved to each trial's counter as it starts
+    skip = scenario.observations * -(-l // 64) if round_index is None else 0  # a trial's observations
     harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
-    harness, adversary_gen = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
     points = stego = 0
     for t in range(trials):
-        _rekey(harness, harness_key, t)
+        _rekey(harness, harness_key, t, skip)
         if round_index is None:
-            learned = learn(harness, _rekey(adversary_gen, adversary_key, t), None)
+            learned = learn(harness_key, t, _rekey(adversary_gen, adversary_key, t), None)
         p, is_stego = score(scenario, codec, adversary, harness, learned)
         if faults:
             raise faults[0]
@@ -489,36 +491,21 @@ def p_value_greater(k: int, n: int, alpha: float = 0.0, exact: bool = False) -> 
             s += q
 
 
-def _result(
-    level: AttackLevel, kind: str, successes: int, trials: int, alpha: float, seed: int, **extra
-) -> GameResult:
+def _result(level: AttackLevel, kind: str, successes: int, trials: int, alpha: float, seed: int,
+            **extra) -> GameResult:
     """GameResult with a one-sided exact binomial verdict against p = 0.5."""
     rate = successes / trials
     p_value, below = p_value_greater(successes, trials, alpha)
     broken = below and rate > 0.5
     return GameResult(
-        level=level.name,
-        kind=kind,
-        trials=trials,
-        successes=successes,
-        success_rate=rate,
-        p_value=p_value,
-        alpha=alpha,
-        verdict=VERDICT_BROKEN if broken else VERDICT_RESISTS,
-        seed=seed,
-        **extra,
+        level=level.name, kind=kind, trials=trials, successes=successes, success_rate=rate,
+        p_value=p_value, alpha=alpha, verdict=VERDICT_BROKEN if broken else VERDICT_RESISTS,
+        seed=seed, **extra,
     )
 
 
-def run_game(
-    scenario: Scenario,
-    adversary: Adversary,
-    level: AttackLevel,
-    trials: int,
-    seed: int,
-    alpha: float = DEFAULT_ALPHA,
-    max_workers: int | None = None,
-) -> GameResult:
+def run_game(scenario: Scenario, adversary: Adversary, level: AttackLevel, trials: int, seed: int,
+             alpha: float = DEFAULT_ALPHA, max_workers: int | None = None) -> GameResult:
     """Detection game: can the adversary tell stego sequences from natural
     traffic better than a fair coin?
 
@@ -530,14 +517,8 @@ def run_game(
     return _result(level, "detection", successes, trials, alpha, seed, stego_challenges=stego)
 
 
-def message_recovery_game(
-    scenario: Scenario,
-    adversary: Adversary,
-    level: AttackLevel,
-    trials: int,
-    seed: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> GameResult:
+def message_recovery_game(scenario: Scenario, adversary: Adversary, level: AttackLevel, trials: int,
+                          seed: int, alpha: float = DEFAULT_ALPHA) -> GameResult:
     """Recovery game: the adversary sees fresh stego sequences and guesses
     the hidden bits; judged on per-bit agreement over all sequences."""
     _validate(level, trials, seed, alpha)
@@ -548,14 +529,8 @@ def message_recovery_game(
     return _result(level, "recovery", agreed, trials * l, alpha, seed, sequences=trials)
 
 
-def acca_loop(
-    scenario: Scenario,
-    adversary: Adversary,
-    trials_per_round: int,
-    seed: int,
-    rounds: int | None = None,
-    alpha: float = DEFAULT_ALPHA,
-) -> list[GameResult]:
+def acca_loop(scenario: Scenario, adversary: Adversary, trials_per_round: int, seed: int,
+              rounds: int | None = None, alpha: float = DEFAULT_ALPHA) -> list[GameResult]:
     """Adaptive game: repeated (learning, challenge-block) rounds.
 
     Adversary state persists across rounds and each round gets a fresh

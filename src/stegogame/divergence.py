@@ -26,6 +26,8 @@ CHUNK_CELLS = 4096
 
 def _finite_samples(samples) -> np.ndarray:
     try:
+        if np.iscomplexobj(samples):  # the cast would drop the imaginary parts
+            raise TypeError
         arr = np.asarray(samples, dtype=float)
     except (TypeError, ValueError):  # strings, complex numbers, ragged nesting
         raise InvalidParams("samples must be an array of real numbers") from None

@@ -606,7 +606,7 @@ def test_embed_oracle_refuses_a_payload_outside_the_codec(payload):
     sc = synthetic_scenario(T=16, N=4, seed=3)
     codec = game._codec(sc, 15, 12345)
     gen = np.random.default_rng(0)
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), gen, gen, [])
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
     with pytest.raises(StegogameError, match="payload must be an int"):
         knowledge.embed_oracle(payload)
     assert knowledge.embed_oracle((1 << 15) - 1) == codec.embed((1 << 15) - 1)
@@ -666,7 +666,7 @@ def test_zero_bit_games():
         sc = _one_cover_scenario(key_leak=leak, leak_fraction=1.0)
         codec = game._codec(sc, 0, 0)
         gen = np.random.default_rng(0)
-        knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), gen, gen, [])
+        knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
         assert knowledge.leaked_key == 0 and knowledge.payload_bits == 0
         assert knowledge.embed_oracle(0).ids == (OneCoverLibrary.cid,)
         assert knowledge.extract_oracle(StegoSequence(ids=(OneCoverLibrary.cid,))) == 0
@@ -734,19 +734,83 @@ def test_random_values_uniform_over_16_cells():
 
 
 def test_observed_matches_eager_oracle():
-    """Observations embedded on first read are the tuple an eager build
-    gives, in the same order, and later reads return the cached tuple."""
+    """Observations drawn and embedded on first read are the tuple an eager
+    build gives, in the same order, and later reads return the cached
+    tuple; the harness stream that skipped their words stands where the
+    eager draw left it."""
     sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, observations=5)
     session_key = keygen(capacity(8, 3).l, SeededEntropy(11))
     codec = game._codec(sc, session_key.l, session_key.value)
-    lazy, eager = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), lazy, np.random.default_rng(0), [])
+    # the harness stream of trial 3 after its learning phase: the observations' words skipped
+    lazy = game._rekey(np.random.Generator(np.random.Philox(key=0)), 5, 3, skip=5)
+    eager = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(5, 3, np.random.default_rng(0))
     expected = observations_reference(sc, session_key, eager)
     assert repr(lazy.bit_generator.state) == repr(eager.bit_generator.state)
     observed = knowledge.observed
     assert type(observed) is tuple and len(observed) == 5
     assert observed == expected
     assert knowledge.observed is observed
+
+
+def _live_state(gen) -> str:
+    """A Philox's state less the buffered words already read, which no later
+    draw can see."""
+    state = gen.bit_generator.state
+    pos = state["buffer_pos"]
+    return repr({**state, "buffer": [None] * pos + state["buffer"].tolist()[pos:]})
+
+
+@pytest.mark.parametrize("l", [15, 127])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 16, 17, 63])
+def test_skip_stands_where_the_observations_draw_leaves(count, l):
+    """A harness stream that skips ``count`` observations by the counter is
+    where drawing them leaves it, one raw word per payload at l = 15 and two
+    at l = 127, and draws what it would next."""
+    key, trial = game._derive_key(3, "game", "harness"), 7
+    skipped = game._rekey(np.random.Generator(np.random.Philox(key=0)), key, trial, count * -(-l // 64))
+    drawn = np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
+    game._random_values(drawn, l, count)
+    assert _live_state(skipped) == _live_state(drawn)
+    assert skipped.bit_generator.random_raw(9).tolist() == drawn.bit_generator.random_raw(9).tolist()
+    assert skipped.integers(0, 2**40, size=5).tolist() == drawn.integers(0, 2**40, size=5).tolist()
+
+
+def test_unread_observations_are_never_drawn(monkeypatch):
+    """A recovery game whose adversary never reads ``observed`` draws no
+    observation payload, even at ``MAX_OBSERVATIONS`` per learning phase:
+    each trial draws one challenge payload and one guess."""
+    counts = []
+    real = game._random_values
+    monkeypatch.setattr(game, "_random_values", lambda gen, l, count: counts.append(count) or real(gen, l, count))
+    monkeypatch.setattr(adversaries, "_random_values", game._random_values)
+    sc = synthetic_scenario(T=16, N=4, seed=12345, observations=MAX_OBSERVATIONS)
+    res = message_recovery_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=100, seed=99)
+    assert res.sequences == 100
+    assert counts == [1] * 200
+
+
+def test_harness_built_records_behave_as_public_ones():
+    """A sequence from the game codec and a learning phase's Knowledge, built
+    without ``__init__``, compare, hash and print as publicly built ones
+    with the same fields, and stay frozen."""
+    from dataclasses import FrozenInstanceError, fields
+
+    sc = synthetic_scenario(T=16, N=4, seed=3, observations=2)
+    codec = game._codec(sc, 15, 12345)
+    seq = codec.embed(777)
+    public = StegoSequence(ids=list(seq.ids))
+    assert type(seq.ids) is tuple and seq == public and hash(seq) == hash(public)
+    assert repr(seq) == repr(public) and seq != StegoSequence(ids=seq.ids[::-1])
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, np.random.default_rng(0))
+    twin = game.Knowledge(**{f.name: getattr(knowledge, f.name) for f in fields(game.Knowledge)})
+    assert repr(knowledge) == repr(twin)
+    assert knowledge == knowledge and knowledge != twin  # eq=False: identity, as for a public one
+    assert hash(knowledge) == object.__hash__(knowledge)
+    assert knowledge.observed == twin.observed == replace(knowledge).observed
+    for record, name in ((seq, "ids"), (knowledge, "N"), (knowledge, "observed")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
 
 
 @pytest.mark.parametrize("trial", [0, 1, 17, 2**64 + 3])
@@ -833,7 +897,7 @@ def test_cca_replay_asks_the_drawn_payloads():
     batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
     batched.integers(0, 2, size=5)
     single.integers(0, 2, size=5)
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), np.random.default_rng(0), batched, [])
+    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, batched)
     asked = []
 
     def oracle(value):
@@ -1117,6 +1181,35 @@ class TestSCOAHistogram:
         index = {subset: i for i, subset in enumerate(itertools.combinations(range(W), N))}
         counts = np.bincount([index[row] for row in rows], minlength=len(index))
         assert chisquare(counts).pvalue >= 0.01
+
+    @pytest.mark.parametrize("W, N, draws", [(64, 4, 64), (20, 7, 33), (5, 5, 10), (300, 16, 64), (3, 1, 5)])
+    def test_null_draw_in_one_call_matches_one_call_per_step(self, W, N, draws):
+        """The Floyd steps drawn in one call are those of one call per step
+        and leave the generator where they do, also after a draw that left
+        half a word buffered."""
+        for seed in range(40):
+            one, per_step = (np.random.default_rng(seed) for _ in range(2))
+            one.integers(0, 2, size=seed % 3)
+            per_step.integers(0, 2, size=seed % 3)
+            picks = np.empty((draws, N), dtype=np.intp)
+            for c, j in enumerate(range(W - N, W)):
+                t = per_step.integers(0, j + 1, size=draws)
+                picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), j, t)
+            assert np.array_equal(SCOAHistogram._null_picks(one, W, N, draws), picks)
+            assert repr(one.bit_generator.state) == repr(per_step.bit_generator.state)
+
+    def test_percentile_is_numpys_bit_for_bit(self):
+        """The threshold's percentile equals ``np.percentile`` to the last
+        bit at n = 1..200, at 0, 50, 99 and 100 and at random percentiles,
+        on distinct values and on values with many ties (signed zeros among them)."""
+        gen = np.random.Generator(np.random.Philox(key=41))
+        for n in range(1, 201):
+            distinct = gen.random(n)
+            tied = gen.choice([-0.0, 0.0, 0.25, 1 / 3, 0.5], size=n)
+            for values in (distinct, tied):
+                for q in (0.0, 50.0, 99.0, 100.0, *(gen.random(4) * 100).tolist()):
+                    expected = float(np.percentile(values, q))
+                    assert adversaries._percentile(values, q).hex() == expected.hex(), (n, q)
 
     def test_no_in_sample_bias_on_a_small_disjoint_world(self):
         """On an 18-cover world pool disjoint from the library, every world

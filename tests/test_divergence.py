@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,24 @@ class TestMalformedSamples:
             distinguishability_test(*pair, epsilon=0.1)
         with pytest.raises(InvalidParams):
             calibrate_epsilon(*pair, runs=4)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1 + 2j, 3 + 0j]), np.array([[1j], [2.0]]), np.complex128(3 + 0j), [np.complex128(1 + 2j)]],
+        ids=["array", "2d-array", "scalar", "list-of-scalars"],
+    )
+    def test_complex_samples(self, bad):
+        """Complex samples are refused before the cast to float, which would
+        keep the real parts and warn with an untyped ``ComplexWarning``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="real numbers"):
+                estimate_distribution(bad, bins=4)
+            for pair in ((bad, [1.0, 2.0]), ([1.0, 2.0], bad)):
+                with pytest.raises(InvalidParams, match="real numbers"):
+                    distinguishability_test(*pair, epsilon=0.1)
+                with pytest.raises(InvalidParams, match="real numbers"):
+                    calibrate_epsilon(*pair, runs=4)
 
     def test_inputs_that_work_stay(self):
         """A 2-D array and a scalar histogram flattened; decimal strings
