@@ -24,7 +24,7 @@ from ..library import (
 )
 
 KEY_LEAK_MODES = (None, "full", "flip1")
-# Every learning phase draws its observation payloads up front.
+# A learning phase's observations at most; they are drawn and embedded when first read.
 MAX_OBSERVATIONS = 100_000
 
 

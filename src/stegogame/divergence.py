@@ -9,7 +9,6 @@ from their hypergeometric law, picks epsilon when the caller has none.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -20,8 +19,8 @@ import numpy as np
 from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_real, check_seed
 
 MASS_TOLERANCE = 1e-12
-# calibrate_epsilon draws and scores its resplits in blocks of about this many count cells
-CHUNK_CELLS = 4096
+# calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
+CHUNK_CELLS = 16384
 
 
 def _finite_samples(samples) -> np.ndarray:
@@ -67,6 +66,16 @@ class EmpiricalDistribution:
         return (self.edges[:-1] + self.edges[1:]) / 2.0
 
 
+def _histogram(arr: np.ndarray, bins: int, support) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram``; a support (None: the samples' range) that ``bins`` finite bins
+    cannot cut is InvalidParams (on older numpy, from EmpiricalDistribution's edge check)."""
+    check_int("bins", bins, low=1)
+    try:
+        return np.histogram(arr, bins=bins, range=support)
+    except ValueError as exc:
+        raise InvalidParams(f"cannot cut support {support!r} into {bins} finite bins: {exc}") from None
+
+
 def estimate_distribution(
     samples: Sequence[float],
     bins: int,
@@ -80,10 +89,7 @@ def estimate_distribution(
     arr = _finite_samples(samples)
     if arr.size == 0:
         raise EmptySamples("need at least one sample")
-    check_int("bins", bins, low=1)
-    if support is not None and not (-math.inf < support[0] <= support[1] < math.inf):
-        raise InvalidParams(f"support must be finite with low <= high, got {support!r}")
-    counts, edges = np.histogram(arr, bins=bins, range=support)
+    counts, edges = _histogram(arr, bins, support)
     total = int(counts.sum())
     if total == 0:
         raise EmptySamples("no samples fall inside the requested support")
@@ -108,19 +114,9 @@ def normalize_byte_counts(counts: np.ndarray) -> EmpiricalDistribution:
     return EmpiricalDistribution(edges=_BYTE_EDGES, masses=counts / total, n_samples=total)
 
 
-def _require_same_bins(p: EmpiricalDistribution, q: EmpiricalDistribution) -> None:
-    shared = p.edges is q.edges  # byte histograms all share one edges array
-    if not shared and (p.bins != q.bins or not np.array_equal(p.edges, q.edges)):
-        raise BinMismatch("distributions use different bins")
-
-
-# Row-batched kernels: the arithmetic of each metric on two (rows, bins)
-# mass matrices over bins already known to be shared, one value per row.
-# The public metrics check the bins and score one row; calibrate_epsilon
-# scores a block of resplits per call on bins it checked once.  Each row
-# reduces along axis 1 exactly as a lone 1-D vector would (row sums, cumsums
-# and logs round as the 1-D calls do), so batching never moves a value; JS
-# sums both sides' rows in groups of equal kept-cell count, each on its own.
+# Row-batched kernels: each metric on two (rows, bins) mass matrices over
+# shared bins, one value per row.  Each row reduces along axis 1 exactly as a
+# lone 1-D vector would, so batching never moves a value.
 
 
 def _at_least_zero(values: np.ndarray) -> np.ndarray:
@@ -137,30 +133,31 @@ def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
     return _at_least_zero((pm * np.log(pm / qm)).sum(axis=1))
 
 
-def _rel_entropy_to_mid(a: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """Row sums of ``a * log(a / mid)`` over the cells where a > 0 (there
-    mid > 0 too), with rows sorted by kept-cell count k: the terms of each run
-    of rows with one k lie back to back and sum as one (rows, k) matrix along
-    axis 1.  A zero-padded row or ``np.add.reduceat`` would round differently."""
-    mask = a > 0
-    counts = np.count_nonzero(mask, axis=1)
-    order = np.argsort(counts, kind="stable")
-    a, mid, mask = a[order], mid[order], mask[order]
-    kept = a[mask]
-    terms = kept * np.log(kept / mid[mask])
-    rows = np.bincount(counts)  # rows per kept count k, in the sorted order
-    ks = np.flatnonzero(rows)
-    sums, start = [], 0
-    for k, n in zip(ks.tolist(), rows[ks].tolist()):
-        sums.append(terms[start : start + n * k].reshape(n, k).sum(axis=1))
-        start += n * k
-    return np.concatenate(sums)[np.argsort(order)]
+def _js_terms(pm: np.ndarray, qm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' cell terms ``p * log(p / mid)``, side A's rows on side B's,
+    and where they are kept: where p > 0 (there mid > 0 too); 0 elsewhere."""
+    mid = (pm + qm) / 2.0
+    both = np.concatenate([pm, qm])
+    keep = both > 0
+    ratio = np.divide(both, np.concatenate([mid, mid]), out=np.ones_like(both), where=keep)
+    return both * np.log(ratio), keep
+
+
+def _js_of_terms(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """JS from :func:`_js_terms`.  The rows of one kept count k are selected
+    together, so their kept terms sum as one (rows, k) matrix along axis 1; a
+    zero-padded row or ``np.add.reduceat`` would round differently."""
+    counts = np.count_nonzero(keep, axis=1)
+    sums = np.empty(len(counts))
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = counts == k
+        sums[rows] = terms[rows][keep[rows]].reshape(-1, k).sum(axis=1)
+    half = len(sums) // 2
+    return _at_least_zero(0.5 * sums[:half] + 0.5 * sums[half:])
 
 
 def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    mid = (pm + qm) / 2.0
-    both = _rel_entropy_to_mid(np.concatenate([pm, qm]), np.concatenate([mid, mid]))
-    return _at_least_zero(0.5 * both[: len(pm)] + 0.5 * both[len(pm) :])
+    return _js_of_terms(*_js_terms(pm, qm))
 
 
 def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -176,7 +173,9 @@ def _one_row(
     kernel: Callable[..., np.ndarray], p: EmpiricalDistribution, q: EmpiricalDistribution, *args
 ) -> float:
     """``kernel`` on the masses of two distributions over the same bins."""
-    _require_same_bins(p, q)
+    shared = p.edges is q.edges  # byte histograms all share one edges array
+    if not shared and (p.bins != q.bins or not np.array_equal(p.edges, q.edges)):
+        raise BinMismatch("distributions use different bins")
     return float(kernel(p.masses[None], q.masses[None], *args)[0])
 
 
@@ -222,9 +221,11 @@ class DistanceReport:
     n_b: int
 
 
-def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float]):
+def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float], metric: str):
     """Both sample sets as arrays, then pooled, and the range their shared
-    bins span: (a, b, pooled, (low, high))."""
+    bins span: (a, b, pooled, (low, high)); the metric is checked first."""
+    if metric not in METRICS:
+        raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     a, b = _finite_samples(samples_a), _finite_samples(samples_b)
     if a.size == 0 or b.size == 0:
         raise EmptySamples("both sample sets must be non-empty")
@@ -247,11 +248,9 @@ def distinguishability_test(
     single metric past its threshold is enough to separate two sources, so
     callers probing several metrics should take the OR of verdicts.
     """
-    if metric not in METRICS:
-        raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     check_real("epsilon", epsilon)
     start = time.perf_counter()
-    a, b, _, support = _pooled_support(samples_a, samples_b)
+    a, b, _, support = _pooled_support(samples_a, samples_b, metric)
     dist_a = estimate_distribution(a, bins, support=support)
     dist_b = estimate_distribution(b, bins, support=support)
     value = METRICS[metric](dist_a, dist_b)
@@ -275,43 +274,49 @@ def calibrate_epsilon(
     """Permutation-null threshold: pool the samples, resplit at random many
     times, and return the given percentile of the null distances.
 
-    A resplit's only output is the first side's count per pooled bin, which
-    is multivariate hypergeometric: the pooled counts are the colours, the
-    first side's size the sample size.  Each block of about ``CHUNK_CELLS``
-    count cells draws its rows in one call and scores them in one kernel
-    call; ``marginals`` draws row after row, so no value depends on the
-    block size.
+    A resplit's only output is the first side's count per pooled bin:
+    multivariate hypergeometric, the pooled counts as colours.  An empty bin
+    is 0 on both sides of every resplit, so only the non-empty bins are
+    drawn, largest first (the same law, drawn faster), row after row, so no
+    value depends on ``CHUNK_CELLS``.  JS takes a block's terms from a table
+    over each bin's drawn counts; the others score full-width rows.
     """
-    if metric not in METRICS:
-        raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
-    check_int("bins", bins, low=1)
     check_int("runs", runs, low=1)
     check_real("percentile", percentile)
     if not 0 <= percentile <= 100:
         raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
     check_seed(seed)
-    a, _, pooled, support = _pooled_support(samples_a, samples_b)
-    pooled_counts, edges = np.histogram(pooled, bins, range=support)
-    # the one validation of these edges (and of the pooled masses) per call
-    pooled_dist = EmpiricalDistribution(
-        edges=edges, masses=pooled_counts / pooled.size, n_samples=pooled.size
-    )
+    a, _, pooled, support = _pooled_support(samples_a, samples_b, metric)
+    pooled_counts, edges = _histogram(pooled, bins, support)
+    pooled_dist = EmpiricalDistribution(edges, pooled_counts / pooled.size, pooled.size)  # checks edges
     n_a, n_b = a.size, pooled.size - a.size
+    filled = np.flatnonzero(pooled_counts)
+    colours = pooled_counts[filled]
+    order = np.argsort(-colours, kind="stable")
+    undo = np.argsort(order)
     kernel = {
         "kl": partial(_kl, n_p=n_a, n_q=n_b),
-        "js": _js,
         "tv": _tv,
         "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers)),
-    }[metric]
+    }.get(metric)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    block = max(1, CHUNK_CELLS // bins)
+    block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins))
     values = np.empty(runs)
     for start in range(0, runs, block):
-        counts_a = gen.multivariate_hypergeometric(
-            pooled_counts, n_a, size=min(block, runs - start), method="marginals"
-        )
-        values[start : start + len(counts_a)] = kernel(
-            counts_a / n_a, (pooled_counts - counts_a) / n_b
-        )
+        counts = gen.multivariate_hypergeometric(
+            colours[order], n_a, size=min(block, runs - start), method="marginals"
+        )[:, undo]
+        if metric == "js":  # a table of both sides' terms at each bin's drawn counts lo..hi
+            lo, hi = counts.min(axis=0), counts.max(axis=0)
+            offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
+            cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
+            cell_b = np.repeat(colours, hi - lo + 1) - cell_a
+            table, kept = (t.ravel() for t in _js_terms(cell_a[None] / n_a, cell_b[None] / n_b))
+            cells = np.concatenate([counts + offsets, counts + (offsets + cell_a.size)])
+            values[start : start + len(counts)] = _js_of_terms(table[cells], kept[cells])
+        else:
+            full = np.zeros((len(counts), bins), dtype=counts.dtype)
+            full[:, filled] = counts
+            values[start : start + len(counts)] = kernel(full / n_a, (pooled_counts - full) / n_b)
     return float(np.percentile(values, percentile))

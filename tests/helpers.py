@@ -5,8 +5,9 @@ order comes from itertools enumeration, coverage probabilities from
 exhaustive counting with exact rationals, safe-use counts from a search
 whose every probe sums the whole inclusion-exclusion series in rationals,
 and permutation nulls from a shuffle of the pooled samples' bins in every
-resplit (the law), or from one hypergeometric row per draw (the exact
-values), both scored by the metrics' earlier 1-D kernels.
+resplit (the law), or from one hypergeometric row per draw over the
+non-empty bins (the exact values), both scored on full-width rows by the
+metrics' earlier 1-D kernels.
 The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
@@ -193,14 +194,18 @@ def permutation_null_reference(samples_a, samples_b, metric, bins, runs, seed) -
 def null_values_reference(samples_a, samples_b, metric, bins, runs, seed) -> np.ndarray:
     """The hypergeometric null's distances, one run at a time: bin the pooled
     samples once, draw every run's first-side counts in a call of its own on
-    the stream of ``Philox(key=seed)``, subtract them from the pooled counts
-    and score both mass vectors with a 1-D kernel."""
+    the stream of ``Philox(key=seed)``, over the non-empty bins only, the
+    largest pooled count first and ties in bin order, put them back in their
+    bins, subtract them from the pooled counts and score both full-width mass
+    vectors with a 1-D kernel."""
     index, n_a, n_b, kernel = _null_setup(samples_a, samples_b, metric, bins)
     pooled_counts = np.bincount(index, minlength=bins)
+    drawn = sorted(np.flatnonzero(pooled_counts).tolist(), key=lambda i: -pooled_counts[i])
     gen = np.random.Generator(np.random.Philox(key=seed))
     values = np.empty(runs)
     for run in range(runs):
-        counts_a = gen.multivariate_hypergeometric(pooled_counts, n_a, method="marginals")
+        counts_a = np.zeros(bins, dtype=np.int64)
+        counts_a[drawn] = gen.multivariate_hypergeometric(pooled_counts[drawn], n_a, method="marginals")
         values[run] = kernel(counts_a / n_a, (pooled_counts - counts_a) / n_b)
     return values
 

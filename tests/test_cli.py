@@ -345,6 +345,17 @@ class TestDivergenceCommand:
         }
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("epsilon", ["0.1", "auto"])
+    def test_range_too_narrow_for_the_bins(self, tmp_path, capsys, epsilon):
+        """Samples whose range 64 finite bins cannot cut are a domain error."""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("1.0\n")
+        b.write_text("1.0000000000000002\n")
+        code, out, err = run_cli(capsys, "divergence", "-a", str(a), "-b", str(b), "--epsilon", epsilon)
+        assert code == 1
+        assert parse(out)["error"] == "InvalidParams"
+        assert "Traceback" not in err
+
     def test_bad_epsilon_string(self, sample_files, capsys):
         a, b = sample_files
         code, out, _ = run_cli(
@@ -357,28 +368,29 @@ class TestDivergenceCommand:
 
 # divergence's stdout on samples from Philox(key=2018): 300 normals in a.txt,
 # 200 normals shifted by 0.1 in b.txt.  The auto thresholds come from the
-# hypergeometric null's stream; the fixed-epsilon run predates it.
+# hypergeometric null's stream over the non-empty bins; the fixed-epsilon run
+# predates it.
 GOLDEN_DIVERGENCE = {
     ("--metric", "js", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.09613445664359267,"epsilon_mode":"auto","metric":"js",'
+        '{"bins":64,"epsilon":0.09575497901120684,"epsilon_mode":"auto","metric":"js",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"js"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
         '"value":0.05736797916196189,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "kl", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.299910302227738,"epsilon_mode":"auto","metric":"kl",'
+        '{"bins":64,"epsilon":0.28931501977379415,"epsilon_mode":"auto","metric":"kl",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"kl"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
         '"value":0.15774813093162576,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "tv", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.32499999999999996,"epsilon_mode":"auto","metric":"tv",'
+        '{"bins":64,"epsilon":0.31335,"epsilon_mode":"auto","metric":"tv",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"tv"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
         '"value":0.2333333333333333,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "w1", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.2476239709901827,"epsilon_mode":"auto","metric":"w1",'
+        '{"bins":64,"epsilon":0.25538644262952764,"epsilon_mode":"auto","metric":"w1",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"w1"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
         '"value":0.07317018015127302,"verdict":"indistinguishable-at-epsilon"}\n'
@@ -403,6 +415,16 @@ def test_golden_divergence_bytes(tmp_path, monkeypatch, capsys, argv):
     code, out, err = run_cli(capsys, "divergence", "-a", "a.txt", "-b", "b.txt", *argv)
     assert (code, err) == (0, "")
     assert out == GOLDEN_DIVERGENCE[argv]
+
+
+def test_readme_divergence_example_is_golden():
+    """The README's divergence example shows the golden js/auto/seed-11
+    line's epsilon and value, so a repin of that line cannot leave it stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("stegogame divergence -a a.txt -b b.txt --metric js --epsilon auto --seed 11"):]
+    golden = json.loads(GOLDEN_DIVERGENCE[("--metric", "js", "--epsilon", "auto", "--seed", "11")])
+    for field in ("epsilon", "value"):
+        assert f'"{field}":{golden[field]!r}' in example.split("```")[0], field
 
 
 class TestAttackCommand:

@@ -290,6 +290,30 @@ class TestMalformedSamples:
                 with pytest.raises(InvalidParams, match="real numbers"):
                     calibrate_epsilon(*pair, runs=4)
 
+    def test_range_that_bins_cannot_cut(self, monkeypatch):
+        """A range too narrow for 64 finite, strictly increasing bins is
+        refused by each entry point.  numpy 2's ``np.histogram`` raises
+        ValueError there; older numpy returns the repeated edges, as the
+        stand-in below does, and they are refused.  A range past the float
+        range is refused too, after numpy's overflow warning."""
+        pair, histogram = ([1.0], [1.0000000000000002]), np.histogram
+
+        def old_numpy(arr, bins, range):
+            edges = np.linspace(*(range or (arr.min(), arr.max())), bins + 1)
+            return histogram(arr, bins=edges)[0], edges
+
+        for stand_in in (histogram, old_numpy):
+            monkeypatch.setattr(np, "histogram", stand_in)
+            with pytest.raises(InvalidParams, match="finite"):
+                estimate_distribution(pair[0] + pair[1], bins=64)
+            with pytest.raises(InvalidParams, match="finite"):
+                distinguishability_test(*pair, epsilon=0.1)
+            with pytest.raises(InvalidParams, match="finite"):
+                calibrate_epsilon(*pair, runs=4)
+        monkeypatch.undo()
+        with pytest.warns(RuntimeWarning), pytest.raises(InvalidParams, match="finite bins"):
+            calibrate_epsilon([-1.7e308], [1.7e308], runs=4)
+
     def test_inputs_that_work_stay(self):
         """A 2-D array and a scalar histogram flattened; decimal strings
         parse; 2-D sides alike past the first axis pool."""
@@ -333,20 +357,94 @@ class TestRowBatchedKernels:
         got = divergence._js(pm, qm)
         assert [float(v) for v in got] == [js_1d(p, q) for p, q in zip(pm, qm)]
 
+    @pytest.mark.parametrize("filled", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_tabled_js_equals_full_width_rows(self, monkeypatch, filled):
+        """calibrate_epsilon's JS, scored from per-bin term tables, equals
+        ``_js`` and the 1-D kernel on each full-width row bit for bit.  The
+        pooled counts are random over ``filled`` non-empty bins among empty
+        ones (one bin among six empty ones at filled = 1).  The scored rows
+        replace its draws: side A keeps each count of cells from 1 to
+        ``filled`` while side B keeps them all, the same with the sides
+        swapped, and random rows, all shuffled; the kept counts span
+        numpy's unroll (8) and pairwise-block (128) widths.  Each block's
+        table covers the counts drawn in it, bin by bin."""
+        gen = np.random.Generator(np.random.Philox(key=filled))
+        bins = 7 if filled == 1 else 2 * filled - 1
+        where = [3]
+        if filled > 1:
+            inner = gen.choice(np.arange(1, bins - 1), filled - 2, replace=False)
+            where = [0, *sorted(inner.tolist()), bins - 1]
+        colours = np.zeros(bins, dtype=np.int64)
+        colours[where] = gen.integers(2, 31, size=filled)
+        samples = np.repeat(np.arange(bins), colours).astype(float)  # value i lands in bin i
+        gen.shuffle(samples)
+        n_a = samples.size // 3
+        a, b = samples[:n_a], samples[n_a:]
+        assert np.array_equal(np.histogram(samples, bins, range=(samples.min(), samples.max()))[0], colours)
 
-def recorded_null(monkeypatch, metric, a, b, bins, runs, seed):
-    """What calibrate_epsilon hands its kernel: the first side's counts of
-    every run (its masses times the side's size) and the null distances."""
+        def rows_keeping(kept_a):
+            """Per row, side A's count in each bin: 0 outside the row's kept cells
+            (side B keeps those) and between 1 and c - 1 in them (both keep those)."""
+            rows = np.zeros((len(kept_a), bins), dtype=np.int64)
+            for row, k in zip(rows, kept_a):
+                cells = gen.permutation(where)[:k]
+                row[cells] = gen.integers(1, colours[cells])
+            return rows
+
+        a_keeps = rows_keeping(range(1, filled + 1))  # side B keeps every cell
+        b_keeps = colours - rows_keeping(range(1, filled + 1))  # side A keeps every cell
+        random = gen.integers(0, colours + 1, size=(300, bins))
+        random = random[(random > 0).any(axis=1) & (random < colours).any(axis=1)]
+        rows = np.concatenate([a_keeps, b_keeps, random])
+        rows = rows[gen.permutation(len(rows))]
+        assert {int(k) for k in np.count_nonzero(rows, axis=1)} >= set(range(1, filled + 1))
+        assert {int(k) for k in np.count_nonzero(colours - rows, axis=1)} >= set(range(1, filled + 1))
+
+        # then rows that keep every cell on both sides, so that no bin's
+        # table starts at a count of 0
+        interior = gen.integers(1, np.maximum(colours, 2), size=(60, bins)) * (colours > 0)
+        for rows in (rows, interior):
+            counts, values = recorded_null(monkeypatch, "js", a, b, bins, len(rows), 0, rows=rows)
+            assert np.array_equal(counts, rows)
+            pm, qm = rows / n_a, (colours - rows) / (samples.size - n_a)
+            assert values.tolist() == divergence._js(pm, qm).tolist()
+            assert values.tolist() == [js_1d(p, q) for p, q in zip(pm, qm)]
+
+
+def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None):
+    """What calibrate_epsilon draws and scores: the first side's counts of
+    every run, put back in their bins of a full-width row, and the null
+    distances.  Its draws cover the non-empty bins, the largest pooled count
+    first and ties in bin order; given full-width ``rows``, it scores those
+    instead of its draws."""
+    pooled = np.concatenate([a, b])
+    colours = np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]
+    drawn = sorted(np.flatnonzero(colours).tolist(), key=lambda i: -colours[i])
     counts, values = [], []
-    kernel = getattr(divergence, f"_{metric}")
 
-    def recording(pm, qm, *args, **kwargs):
-        counts.append(np.rint(pm * len(a)).astype(np.int64))
-        values.append(kernel(pm, qm, *args, **kwargs))
+    class Recording(np.random.Generator):
+        def multivariate_hypergeometric(self, colors, nsample, size, method):
+            assert colors.tolist() == colours[drawn].tolist() and nsample == len(a)
+            if rows is None:
+                block = super().multivariate_hypergeometric(colors, nsample, size=size, method=method)
+            else:
+                done = sum(map(len, counts))
+                block = rows[done : done + size][:, drawn]
+            full = np.zeros((size, bins), dtype=np.int64)
+            full[:, drawn] = block
+            counts.append(full)
+            return block
+
+    scorer = "_js_of_terms" if metric == "js" else f"_{metric}"
+    kernel = getattr(divergence, scorer)
+
+    def recording(*args, **kwargs):
+        values.append(kernel(*args, **kwargs))
         return values[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(divergence, f"_{metric}", recording)
+        patch.setattr(np.random, "Generator", Recording)
+        patch.setattr(divergence, scorer, recording)
         calibrate_epsilon(a, b, metric, bins, runs, 50, seed)
     return np.concatenate(counts), np.concatenate(values)
 
@@ -366,14 +464,20 @@ def sample_pair(key, n_a, n_b, clustered):
 class TestPermutationNull:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [1, 2, 63, 64, 65, 300, 5000])
-    def test_chunked_null_equals_per_run_kernels(self, metric, bins):
+    def test_chunked_null_equals_per_run_kernels(self, monkeypatch, metric, bins):
         """Every block boundary: one run, a block short of one run, a whole
         block, one run past it, and many blocks; unequal sides, with empty
-        bins between two clusters.  The reference draws one row per call."""
+        bins between two clusters.  The reference draws one row per call.
+        Blocks of 4,096 count cells keep the boundaries within reach of the
+        reference; a block holds that many non-empty bins' cells for JS and
+        bins' cells for the others."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         a = np.concatenate([gen.normal(0.0, 0.1, 20), gen.normal(5.0, 0.1, 17)])
         b = np.concatenate([gen.normal(0.0, 0.1, 9), gen.normal(5.0, 0.1, 14)])
-        chunk = max(1, CHUNK_CELLS // bins)
+        pooled = np.concatenate([a, b])
+        filled = int(np.count_nonzero(np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]))
+        monkeypatch.setattr(divergence, "CHUNK_CELLS", 4096)
+        chunk = max(1, 4096 // (filled if metric == "js" else bins))
         for runs in sorted({1, chunk - 1, chunk, chunk + 1, 777} - {0}):
             values = null_values_reference(a, b, metric, bins, runs, 5)
             for percentile in (0, 50, 99, 100):
@@ -467,7 +571,8 @@ class TestNullLaw:
 
     @pytest.mark.parametrize(
         "n_a, n_b, bins, clustered",
-        [(20, 300, 16, False), (300, 20, 16, False), (37, 23, 64, True), (9, 4, 1, False), (3, 1, 8, True)],
+        [(20, 300, 16, False), (300, 20, 16, False), (37, 23, 64, True), (9, 4, 1, False), (3, 1, 8, True),
+         (36, 24, 300, False)],  # the last: 60 samples in 300 bins, most of them empty
     )
     def test_per_bin_moments(self, monkeypatch, n_a, n_b, bins, clustered):
         a, b = sample_pair(n_a * 1000 + bins, n_a, n_b, clustered)
@@ -494,7 +599,8 @@ class TestNullLaw:
     @pytest.mark.parametrize(
         "metric, n_a, n_b, bins, clustered, seed",
         [("js", 20, 300, 16, False, 1), ("kl", 20, 300, 16, False, 2), ("tv", 20, 300, 16, False, 3),
-         ("w1", 20, 300, 16, False, 4), ("js", 37, 23, 64, True, 5)],
+         ("w1", 20, 300, 16, False, 4), ("js", 37, 23, 64, True, 5), ("js", 36, 24, 300, False, 6),
+         ("kl", 36, 24, 300, False, 7)],
     )
     def test_ks_against_permutation_null(self, monkeypatch, metric, n_a, n_b, bins, clustered, seed):
         a, b = sample_pair(100 + seed, n_a, n_b, clustered)
