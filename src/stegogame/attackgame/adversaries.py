@@ -19,8 +19,8 @@ from ..bits import xor_bits  # noqa: F401
 from ..divergence import _js, byte_counts, js, normalize_byte_counts
 from ..errors import EmptySamples, InvalidConfig, check_int, check_real
 from ..library import CoverId
-from ..permcodec import Arrangement, arrangement_to_bits, payload_value  # noqa: F401
-from ..stego import StegoSequence
+from ..permcodec import arrangement_to_bits  # noqa: F401
+from ..stego import StegoSequence, _decode
 from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_values
 
 # The rules several adversaries share are plain functions assigned as class
@@ -233,9 +233,9 @@ class CCAReplay:
 
 
 class KeyedRecovery:
-    """Recovery ceiling: rebuilds the public decode path from a full library
-    leak plus a leaked key.  With the exact key, agreement is 1; with one
-    key bit flipped, exactly one payload bit inverts per message."""
+    """Recovery ceiling: the public decode over the leaked ids in their sorted,
+    canonical order, under a leaked key.  From a full leak and the exact key,
+    agreement is 1; with one key bit flipped, one payload bit inverts per message."""
 
     name = "keyed-recovery"
 
@@ -251,8 +251,7 @@ class KeyedRecovery:
         known = state["known"]
         if state["key"] is None or not known:
             raise ValueError("no leaked key or library to decode with")
-        indices = tuple(known[cid] for cid in sequence.ids)
-        return payload_value(Arrangement(indices=indices, T=len(known)))[0] ^ state["key"]
+        return _decode(sequence, known.__getitem__, len(known), state["key"])[0]
 
 
 ADVERSARIES = {

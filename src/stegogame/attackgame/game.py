@@ -6,19 +6,18 @@ stego sequence or natural draw from the world pool).  The ">50% success"
 criterion is judged with a one-sided exact binomial test, never a raw rate
 comparison.
 
-All three games run on one serial trial engine over integer payloads.
-Every random draw flows from a Philox generator keyed by sha256 over (seed,
-labelled path), and a trial's streams are addressed by the Philox counter,
-so results are byte-identical across runs and platforms.  A learning phase's
-observation payloads open its stream: the harness skips them by moving the
-counter, and ``Knowledge.observed`` draws and embeds them on its first read.
+All three games run on one serial trial engine over integer payloads, which
+``stego._codec`` pads and ranks as it does the CLI's.  Every draw flows from
+a Philox generator keyed by sha256 over (seed, labelled path), and a trial's
+streams are addressed by the Philox counter, so results are byte-identical
+across runs and platforms.  Observations open a learning phase's stream: the
+harness skips them; ``Knowledge.observed`` draws and embeds them on first read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from enum import IntEnum
@@ -31,10 +30,10 @@ import numpy as np
 
 from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real
 from ..library import CoverId
-from ..permcodec import Arrangement, _places, _unrank, capacity, payload_value
+from ..permcodec import capacity
 # embed, extract and keygen are not called here; perfbench/tracer.py looks
 # them up in this module by name.
-from ..stego import StegoSequence, embed, extract, keygen  # noqa: F401
+from ..stego import StegoSequence, _Codec, _codec, _payload, _record, embed, extract, keygen  # noqa: F401
 from .scenario import Scenario
 
 MIN_TRIALS = 100
@@ -178,45 +177,6 @@ def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
     for j in range(1, w):  # each later word of a payload is less significant
         values = [v << 64 | word for v, word in zip(values, words[j::w])]
     return [v >> 64 * w - l for v in values]
-
-
-def _record(cls: type, fields: dict):
-    """``cls(**fields)`` for a frozen dataclass whose fields the harness built
-    valid, without its ``__init__``'s ``object.__setattr__`` per field."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-# One session key's codec on int payloads: l, key, and value -> sequence -> value.
-_Codec = namedtuple("_Codec", "l key embed extract")
-
-
-def _codec(scenario: Scenario, l: int, key: int) -> _Codec:
-    """``embed`` and ``extract`` under the session key, with the key, the ids
-    and the place values of (T, N) hoisted: ``v -> unrank(v ^ key)``, walked
-    over the ids, and ``seq -> payload_value(seq) ^ key``.  Once per game or
-    round.  ``embed`` refuses what ``_payload`` does: it is the embed oracle's."""
-    lib = scenario.library
-    T, ids, places = lib.T, lib.ids(), _places(lib.T, scenario.N)
-
-    def embed_value(value: int) -> StegoSequence:
-        if type(value) is not int or value < 0 or value >> l:
-            _payload(value, l)
-        return _record(StegoSequence, {"ids": tuple(_unrank(value ^ key, ids, places))})
-
-    def extract_value(seq: StegoSequence) -> int:
-        indices = tuple(map(lib.lookup, seq.ids))
-        return payload_value(Arrangement(indices=indices, T=T))[0] ^ key
-
-    return _Codec(l, key, embed_value, extract_value)
-
-
-def _payload(value: object, l: int) -> int:
-    """``value`` if it is an int (not a bool, not a numpy int) in [0, 2**l)."""
-    if type(value) is not int or value < 0 or value >> l:
-        raise InvalidConfig(f"payload must be an int in [0, 2**{l}), got {value!r}")
-    return value
 
 
 class _BudgetedOracle:
@@ -384,7 +344,7 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
     l = capacity(scenario.library.T, scenario.N).l
     # keygen's draw from SeededEntropy, which also serves l = 0
     session_key = random.Random(_derive_key(seed, *path, "session-key")).getrandbits(l)
-    codec = _codec(scenario, l, session_key)
+    codec = _codec(scenario.library, scenario.N, session_key)
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
     faults: list[Exception] = []  # harness faults raised inside adversary calls
     knowledge_at = _knowledge(scenario, level, codec, leaked, faults)

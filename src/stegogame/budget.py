@@ -178,7 +178,7 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
     return states, counts
 
 
-def _check_mc(T: int, trials: int, seed: int, max_workers: int | None) -> None:
+def _check_mc(T: int, trials: int, seed: int, max_workers: int | None = None) -> None:
     check_int("trials", trials, low=1)
     if trials >= 1 << 63:  # the occupancy counts trials in int64
         raise InvalidParams(f"the Monte-Carlo route needs trials < 2**63, got trials={trials}")
@@ -195,12 +195,11 @@ def pr_coverage_mc(
     T: int,
     trials: int,
     seed: int,
-    max_workers: int | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo (estimate, standard error) for the coverage probability, from
-    one Philox stream keyed by ``seed``; ``max_workers`` has no effect."""
+    one Philox stream keyed by ``seed``."""
     _check_txn(x, N, T)
-    _check_mc(T, trials, seed, max_workers)
+    _check_mc(T, trials, seed)
     states, counts = _occupancy(x, N, T, trials, seed)
     p_hat = int(counts[0]) / trials if states[0] == 0 else 0.0
     return p_hat, sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -246,7 +245,7 @@ def coverage_report(
     p_exact = exact / D
     p_mc = mc_se = within = None
     if mc_trials is not None:
-        p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed, max_workers=max_workers)
+        p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed)
         within = abs(p_mc - p_exact) <= 4.0 * mc_se if mc_se > 0 else p_mc == p_exact
     return CoverageReport(
         T=T,

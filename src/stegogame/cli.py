@@ -19,12 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from .bits import bits_to_hex, hex_digits_for, hex_to_bits
-from .errors import InvalidParams, MalformedFile, StegogameError
+from .errors import InvalidParams, LengthMismatch, MalformedFile, StegogameError
 from .library import build_library, load_manifest, read_text, save_manifest
 from .permcodec import capacity
 from .stego import (
-    Message, SeededEntropy, embed, extract, keygen, load_key, load_sequence, save_key,
-    save_sequence,
+    SeededEntropy, _codec, extract, keygen, load_key, load_sequence, save_key, save_sequence,
 )
 
 
@@ -81,35 +80,34 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _message_blocks(hexstr: str, l: int) -> list[str]:
-    """Split a long message into per-sequence blocks of ceil(l/4) hex digits."""
+def _message_blocks(hexstr: str, l: int) -> list[int]:
+    """Split a long message into per-sequence l-bit values of ceil(l/4) hex digits each."""
     width = hex_digits_for(l)
     if not hexstr or len(hexstr) % width != 0:
         raise MalformedFile(
             f"message hex length must be a positive multiple of {width} digits for l={l}"
         )
-    return [hex_to_bits(hexstr[i : i + width], l) for i in range(0, len(hexstr), width)]
+    return [int(hex_to_bits(hexstr[i : i + width], l), 2) for i in range(0, len(hexstr), width)]
 
 
 def _block_path(base: str, index: int, total: int) -> Path:
-    if total == 1:
-        return Path(base)
     p = Path(base)
-    return p.with_name(f"{p.stem}.{index:03d}{p.suffix}")
+    return p if total == 1 else p.with_name(f"{p.stem}.{index:03d}{p.suffix}")
 
 
 def _cmd_embed(args) -> int:
     lib = load_manifest(args.library)
     key = load_key(args.key)
-    l = capacity(lib.T, args.N).l
-    blocks = _message_blocks(args.message.lower(), l)
-    paths = []
-    for i, bits in enumerate(blocks):
-        seq = embed(Message(bits), key, lib, args.N)
-        out = _block_path(args.output, i, len(blocks))
-        save_sequence(seq, out)
-        paths.append(str(out))
-    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l})
+    codec = _codec(lib, args.N, key.value)
+    blocks = _message_blocks(args.message.lower(), codec.l)
+    if key.l != codec.l:  # checked once the message parses, as stego.embed's check was
+        raise LengthMismatch(
+            f"message has {codec.l} bits, key {key.l}; capacity(T={lib.T}, N={args.N}) needs {codec.l}"
+        )
+    paths = [str(_block_path(args.output, i, len(blocks))) for i in range(len(blocks))]
+    for value, path in zip(blocks, paths):
+        save_sequence(codec.embed(value), path)
+    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": codec.l})
     return 0
 
 

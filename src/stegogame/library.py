@@ -193,7 +193,7 @@ def read_json(path: str | os.PathLike, what: str, unreadable: _Unreadable | None
     data = read_bytes(path, what, unreadable)
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -4,6 +4,7 @@ Embedding never touches cover bytes.  The payload is XORed with an equally
 long uniform key, the result is read as an arrangement rank, and the
 arrangement's indices are resolved to cover ids through the library's
 canonical order.  The transmitted object is just the ordered list of ids.
+``_codec`` and ``_decode`` hold that pad and rank, on ints, for every caller.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import os
 import re
 import secrets
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 # xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
 # perfbench/tracer.py looks them up in this module by name.
 from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
-from .errors import EntropyUnavailable, LengthMismatch, MalformedFile, StegogameError, check_int
+from .errors import EntropyUnavailable, InvalidConfig, LengthMismatch, MalformedFile, StegogameError
+from .errors import check_int
 from .library import (
     CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
@@ -106,18 +109,58 @@ def keygen(l: int, entropy: EntropySource | None = None) -> StegoKey:
     return key
 
 
+def _record(cls: type, fields: dict):
+    """``cls(**fields)`` for a frozen dataclass whose fields the caller built
+    valid, without its ``__init__``'s ``object.__setattr__`` per field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _payload(value: object, l: int) -> int:
+    """``value`` if it is an int (not a bool, not a numpy int) in [0, 2**l)."""
+    if type(value) is not int or value < 0 or value >> l:
+        raise InvalidConfig(f"payload must be an int in [0, 2**{l}), got {value!r}")
+    return value
+
+
+def _decode(seq: StegoSequence, lookup: Callable[[CoverId], int], T: int, key: int) -> tuple[int, int]:
+    """(value, l) of the payload ``seq`` carries under ``key``, its ids
+    ``lookup``-ed to indices into ``range(T)``: its rank, below 2**l, XOR key."""
+    value, l = payload_value(Arrangement(indices=tuple(map(lookup, seq.ids)), T=T))
+    return value ^ key, l
+
+
+# One key's codec on int payloads: l, key, and value -> sequence -> value.
+_Codec = namedtuple("_Codec", "l key embed extract")
+
+
+def _codec(lib: CoverLibrary, N: int, key: int) -> _Codec:
+    """``embed`` and ``extract`` of ``lib`` at N under ``key``, with the ids,
+    the place values and l hoisted: ``v -> unrank(v ^ key)``, walked over the
+    ids, and :func:`_decode`.  ``embed`` refuses what ``_payload`` does."""
+    l, ids, places = capacity(lib.T, N).l, lib.ids(), _places(lib.T, N)
+
+    def embed_value(value: int) -> StegoSequence:
+        if type(value) is not int or value < 0 or value >> l:
+            _payload(value, l)
+        return _record(StegoSequence, {"ids": tuple(_unrank(value ^ key, ids, places))})
+
+    return _Codec(l, key, embed_value, lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
+
+
 def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
     """Map one message block to a cover sequence under key k.
 
     Deterministic given (m, k, lib, N); reads only the library manifest,
     never cover file contents.
     """
-    cap = capacity(lib.T, N)
-    if m.l != cap.l or k.l != cap.l:
+    codec = _codec(lib, N, k.value)
+    if m.l != codec.l or k.l != codec.l:
         raise LengthMismatch(
-            f"message has {m.l} bits, key {k.l}; capacity(T={lib.T}, N={N}) needs {cap.l}"
+            f"message has {m.l} bits, key {k.l}; capacity(T={lib.T}, N={N}) needs {codec.l}"
         )
-    return StegoSequence(ids=_unrank(m.value ^ k.value, lib.ids(), _places(lib.T, N)))
+    return codec.embed(m.value)
 
 
 def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
@@ -127,16 +170,16 @@ def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
     NotInLibrary: the sequence cannot have come from this library, which
     is itself a detection signal for the receiver.
     """
-    value, l = payload_value(Arrangement(indices=tuple(map(lib.lookup, seq.ids)), T=lib.T))
+    value, l = _decode(seq, lib.lookup, lib.T, k.value)
     if k.l != l:
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {l}")
-    return Message(bits=int_to_bits(value ^ k.value, l))
+    return Message(bits=int_to_bits(value, l))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
-_KEY_LINE1 = re.compile(r"^l=(\d+)$")
+_KEY_LINE1 = re.compile(r"^l=([0-9]{1,9})$")  # ASCII digits, few enough for int()
 
 
 def save_key(key: StegoKey, path: str | os.PathLike) -> None:

@@ -55,8 +55,7 @@ CALLS = [
      {"x": "int", "N": "int", "T": "int", "mc_trials": "int or None", "seed": "int",
       "max_workers": "int or None"}),
     ("pr_coverage_mc", pr_coverage_mc, dict(x=2, N=2, T=4, trials=10, seed=0),
-     {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int",
-      "max_workers": "int or None"}),
+     {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int"}),
     ("estimate_distribution", estimate_distribution, dict(samples=[1.0, 2.0], bins=4),
      {"bins": "int"}),
     ("calibrate_epsilon", calibrate_epsilon,

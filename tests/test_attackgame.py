@@ -554,7 +554,7 @@ class TestRecoveryGame:
         )
         l = capacity(T, N).l
         rng = np.random.default_rng(4)
-        codec = game._codec(sc, l, game._random_values(rng, l, 1)[0])
+        codec = game._codec(sc.library, sc.N, game._random_values(rng, l, 1)[0])
         mask = (1 << l) - 1
         guesses = [
             lambda truth: truth,
@@ -576,7 +576,7 @@ class TestRecoveryGame:
         """A recovered value that is not an int in [0, 2**l) scores 0 bits,
         as a malformed bitstring did; a plain int in range scores."""
         sc = synthetic_scenario(T=16, N=4, seed=3)
-        codec = game._codec(sc, 15, 12345)
+        codec = game._codec(sc.library, sc.N, 12345)
         harness = np.random.Generator(np.random.Philox(key=1))
         assert game._score_recovery(sc, codec, ScriptedRecovery(payload), harness, None) == (0, True)
         harness = np.random.Generator(np.random.Philox(key=1))
@@ -604,7 +604,7 @@ def test_embed_oracle_refuses_a_payload_outside_the_codec(payload):
     """The embed oracle takes an int in [0, 2**l) and refuses anything else
     with a typed error, where a bool or numpy int would have embedded."""
     sc = synthetic_scenario(T=16, N=4, seed=3)
-    codec = game._codec(sc, 15, 12345)
+    codec = game._codec(sc.library, sc.N, 12345)
     gen = np.random.default_rng(0)
     knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
     with pytest.raises(StegogameError, match="payload must be an int"):
@@ -646,7 +646,7 @@ def test_leaked_key_is_an_int(leak, expected):
     bitstring's first character held."""
     sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0, key_leak=leak)
     assert capacity(6, 2).l == 4
-    codec = game._codec(sc, 4, 0b0101)
+    codec = game._codec(sc.library, sc.N, 0b0101)
     assert game._leaked_key(sc, codec) == expected
 
 
@@ -664,7 +664,7 @@ def test_zero_bit_games():
     refused with a typed error."""
     for leak in ("full", "flip1"):
         sc = _one_cover_scenario(key_leak=leak, leak_fraction=1.0)
-        codec = game._codec(sc, 0, 0)
+        codec = game._codec(sc.library, sc.N, 0)
         gen = np.random.default_rng(0)
         knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
         assert knowledge.leaked_key == 0 and knowledge.payload_bits == 0
@@ -740,7 +740,7 @@ def test_observed_matches_eager_oracle():
     eager draw left it."""
     sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, observations=5)
     session_key = keygen(capacity(8, 3).l, SeededEntropy(11))
-    codec = game._codec(sc, session_key.l, session_key.value)
+    codec = game._codec(sc.library, sc.N, session_key.value)
     # the harness stream of trial 3 after its learning phase: the observations' words skipped
     lazy = game._rekey(np.random.Generator(np.random.Philox(key=0)), 5, 3, skip=5)
     eager = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
@@ -791,13 +791,13 @@ def test_unread_observations_are_never_drawn(monkeypatch):
 
 
 def test_harness_built_records_behave_as_public_ones():
-    """A sequence from the game codec and a learning phase's Knowledge, built
+    """A sequence from the int codec and a learning phase's Knowledge, built
     without ``__init__``, compare, hash and print as publicly built ones
     with the same fields, and stay frozen."""
     from dataclasses import FrozenInstanceError, fields
 
     sc = synthetic_scenario(T=16, N=4, seed=3, observations=2)
-    codec = game._codec(sc, 15, 12345)
+    codec = game._codec(sc.library, sc.N, 12345)
     seq = codec.embed(777)
     public = StegoSequence(ids=list(seq.ids))
     assert type(seq.ids) is tuple and seq == public and hash(seq) == hash(public)
@@ -893,7 +893,7 @@ def test_cca_replay_asks_the_drawn_payloads():
     l = capacity(16, 4).l
     assert l == 15
     session_key = keygen(l, SeededEntropy(4))
-    codec = game._codec(sc, l, session_key.value)
+    codec = game._codec(sc.library, sc.N, session_key.value)
     batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
     batched.integers(0, 2, size=5)
     single.integers(0, 2, size=5)

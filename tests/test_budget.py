@@ -198,9 +198,12 @@ class TestMonteCarlo:
         assert a == b
 
     def test_partition_invariant(self):
-        a = pr_coverage_mc(3, 2, 5, trials=30000, seed=3, max_workers=1)
-        for workers in (2, 4):
-            assert pr_coverage_mc(3, 2, 5, trials=30000, seed=3, max_workers=workers) == a
+        # coverage_report still takes max_workers; the estimate must not depend on it
+        a = pr_coverage_mc(3, 2, 5, trials=30000, seed=3)
+        assert pr_coverage_mc(3, 2, 5, trials=30000, seed=3) == a
+        for workers in (None, 1, 2, 4):
+            r = coverage_report(3, 2, 5, 30000, 3, max_workers=workers)
+            assert (r.p_mc, r.mc_se) == a
 
     def test_single_use_partial_draw_is_zero(self):
         est, se = pr_coverage_mc(1, 2, 4, trials=5000, seed=0)
@@ -330,9 +333,8 @@ class TestMonteCarlo:
     def test_rejects_bad_workers_before_any_block(self, monkeypatch):
         monkeypatch.setattr(budget, "_occupancy", None)
         for workers in (0, -1, 2.0, "2"):
-            for route in (pr_coverage_mc, coverage_report):
-                with pytest.raises(InvalidParams, match="max_workers"):
-                    route(3, 2, 4, 9000, 1, max_workers=workers)
+            with pytest.raises(InvalidParams, match="max_workers"):
+                coverage_report(3, 2, 4, 9000, 1, max_workers=workers)
 
 
 class TestParamsAndReport:

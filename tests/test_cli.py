@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -169,6 +170,113 @@ class TestFileRoundTrip:
         run_cli(capsys, "keygen", "--bits", "16", "--seed", "3", "-o", str(p1))
         run_cli(capsys, "keygen", "--bits", "16", "--seed", "3", "-o", str(p2))
         assert p1.read_text() == p2.read_text()
+
+
+# The codec's seeded bytes over six "golden" covers: keygen's stdout and key
+# file, embed's stdout and the SHA-256 of each sequence file it writes, and
+# extract's stdout.  The four-block embed repeats "2f", which gives seq.json's
+# bytes each time.  At T = 6, N = 5 and N = 6 both give l = 9, so one key
+# decodes a sequence of each length in one extract.
+GOLDEN_CODEC = [
+    (("keygen", "-T", "6", "-N", "3", "--seed", "42", "-o", "key.txt"),
+     '{"key_file":"key.txt","l":6,"params":{"N":3,"T":6,"bits":null,"output":"key.txt"},'
+     '"seed":42,"subcommand":"keygen","tool_version":"0.1.0"}\n',
+     {"key.txt": "l=6\n28\n"}),
+    (("embed", "-m", "2f", "-k", "key.txt", "-x", "lib.json", "-N", "3", "-o", "seq.json"),
+     '{"N":3,"blocks":1,"l":6,"params":{"N":3,"key":"key.txt","library":"lib.json",'
+     '"message":"2f","output":"seq.json"},"sequences":["seq.json"],"subcommand":"embed",'
+     '"tool_version":"0.1.0"}\n',
+     {"seq.json": "ab32f360d1baac509acff1c33cc4828d06082e7c3e9dd53203f029025d14f2db"}),
+    (("embed", "-m", "0a2f3b2f", "-k", "key.txt", "-x", "lib.json", "-N", "3", "-o", "m.json"),
+     '{"N":3,"blocks":4,"l":6,"params":{"N":3,"key":"key.txt","library":"lib.json",'
+     '"message":"0a2f3b2f","output":"m.json"},"sequences":["m.000.json","m.001.json",'
+     '"m.002.json","m.003.json"],"subcommand":"embed","tool_version":"0.1.0"}\n',
+     {"m.000.json": "06164ce67399733048119aafc998b03bfa46a7d49fc0c58c495a7919cc6e34ca",
+      "m.001.json": "ab32f360d1baac509acff1c33cc4828d06082e7c3e9dd53203f029025d14f2db",
+      "m.002.json": "bb777795f809e1eea774738b7d4bb8ddb704a9e12fd4370aa516ae97ac6519b4",
+      "m.003.json": "ab32f360d1baac509acff1c33cc4828d06082e7c3e9dd53203f029025d14f2db"}),
+    (("extract", "-s", "seq.json", "-k", "key.txt", "-x", "lib.json"),
+     '{"blocks":1,"l":6,"message":"2f","params":{"key":"key.txt","library":"lib.json",'
+     '"sequence":["seq.json"]},"subcommand":"extract","tool_version":"0.1.0"}\n', {}),
+    (("extract", "-s", "m.000.json", "-s", "m.001.json", "-s", "m.002.json", "-s", "m.003.json",
+      "-k", "key.txt", "-x", "lib.json"),
+     '{"blocks":4,"l":6,"message":"0a2f3b2f","params":{"key":"key.txt","library":"lib.json",'
+     '"sequence":["m.000.json","m.001.json","m.002.json","m.003.json"]},"subcommand":"extract",'
+     '"tool_version":"0.1.0"}\n', {}),
+    (("keygen", "-T", "6", "-N", "5", "--seed", "9", "-o", "key9.txt"),
+     '{"key_file":"key9.txt","l":9,"params":{"N":5,"T":6,"bits":null,"output":"key9.txt"},'
+     '"seed":9,"subcommand":"keygen","tool_version":"0.1.0"}\n',
+     {"key9.txt": "l=9\n0ed\n"}),
+    (("embed", "-m", "1a5", "-k", "key9.txt", "-x", "lib.json", "-N", "5", "-o", "n5.json"),
+     '{"N":5,"blocks":1,"l":9,"params":{"N":5,"key":"key9.txt","library":"lib.json",'
+     '"message":"1a5","output":"n5.json"},"sequences":["n5.json"],"subcommand":"embed",'
+     '"tool_version":"0.1.0"}\n',
+     {"n5.json": "98eb7ec2ceb4c26e6656c9874a890179a68dcbb739108ebfd9d272f936adbc85"}),
+    (("embed", "-m", "0c3", "-k", "key9.txt", "-x", "lib.json", "-N", "6", "-o", "n6.json"),
+     '{"N":6,"blocks":1,"l":9,"params":{"N":6,"key":"key9.txt","library":"lib.json",'
+     '"message":"0c3","output":"n6.json"},"sequences":["n6.json"],"subcommand":"embed",'
+     '"tool_version":"0.1.0"}\n',
+     {"n6.json": "e146d58ccfca2d9131bce3c76469b1de6d88d22036e44b8ff8a187660e81fbce"}),
+    (("extract", "-s", "n5.json", "-s", "n6.json", "-k", "key9.txt", "-x", "lib.json"),
+     '{"blocks":2,"l":9,"message":"1a50c3","params":{"key":"key9.txt","library":"lib.json",'
+     '"sequence":["n5.json","n6.json"]},"subcommand":"extract","tool_version":"0.1.0"}\n', {}),
+]
+
+
+def test_golden_codec_bytes(tmp_path, monkeypatch, make_covers, capsys):
+    """Each step's stdout and the files it writes, run in order."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "build-library", *map(str, make_covers(6, tag="golden")), "-o", "lib.json")[0] == 0
+    for argv, stdout, files in GOLDEN_CODEC:
+        assert run_cli(capsys, *argv) == (0, stdout, ""), argv
+        for name, expected in files.items():
+            data = Path(name).read_bytes()
+            assert (data.decode() if name.startswith("key") else hashlib.sha256(data).hexdigest()) == expected
+
+
+@pytest.mark.parametrize("message, N, golden", [
+    ("2f", "3", '{"detail":"message has 6 bits, key 8; capacity(T=6, N=3) needs 6","error":"LengthMismatch"}\n'),
+    ("2f3", "3", '{"detail":"message hex length must be a positive multiple of 2 digits for l=6",'
+                 '"error":"MalformedFile"}\n'),
+    ("2f", "7", '{"detail":"need 1 <= N <= T, got T=6, N=7","error":"InvalidParams"}\n'),
+], ids=["key-length", "message-first", "N-first"])
+def test_embed_refusals_keep_their_order_and_bytes(tmp_path, monkeypatch, make_covers, capsys, message, N, golden):
+    """An 8-bit key where l = 6: N is checked before the message, the message
+    before the key's length, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "build-library", *map(str, make_covers(6, tag="golden")), "-o", "lib.json")
+    run_cli(capsys, "keygen", "--bits", "8", "--seed", "1", "-o", "key8.txt")
+    argv = ("embed", "-m", message, "-k", "key8.txt", "-x", "lib.json", "-N", N, "-o", "s.json")
+    assert run_cli(capsys, *argv) == (1, golden, "")
+    assert not Path("s.json").exists()
+
+
+# json.loads raises a plain ValueError on an integer literal past Python's
+# digit limit, and a RecursionError on arrays nested past the recursion limit.
+_PAST_PARSER_LIMITS = {
+    "huge-int": '{"version": %s, "N": 3, "ids": []}' % ("9" * 5000),
+    "deep-nesting": "[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("document", list(_PAST_PARSER_LIMITS))
+@pytest.mark.parametrize("reader", ["extract -s", "attack --scenario"])
+def test_json_past_the_parser_limits_refused(tmp_path, make_covers, capsys, reader, document):
+    assert 5000 > sys.get_int_max_str_digits() and 200_000 > sys.getrecursionlimit()
+    save_manifest(build_library(make_covers(6)), tmp_path / "lib.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(_PAST_PARSER_LIMITS[document])
+    run_cli(capsys, "keygen", "--bits", "6", "--seed", "1", "-o", str(tmp_path / "key.txt"))
+    argv = {
+        "extract -s": ["extract", "-s", bad, "-k", tmp_path / "key.txt", "-x", tmp_path / "lib.json"],
+        "attack --scenario": ["attack", "--level", "scoa", "--adversary", "random", "--trials", "100",
+                              "--seed", "1", "--scenario", bad],
+    }[reader]
+    code, out, err = run_cli(capsys, *map(str, argv))
+    assert code == 1
+    assert parse(out)["error"] == "MalformedFile"
+    assert "JSON" in parse(out)["detail"]
+    assert "Traceback" not in err
 
 
 class TestBudgetCommand:

@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +20,9 @@ from stegogame.errors import (
     NotInLibrary,
     UnreachableArrangement,
 )
-from stegogame.attackgame.game import _codec
 from stegogame.permcodec import capacity, unrank
 from stegogame.stego import (
+    _codec,
     Message,
     SeededEntropy,
     StegoKey,
@@ -223,14 +222,15 @@ def _bits(data, length):
                     (1024, 16, 500), (10000, 64, 500)],
 )
 def test_codec_walks_agree(T, N, count):
-    """The game codec, embed and unrank walk one digit path: every value at
+    """The int codec, embed and unrank walk one digit path: every value at
     the small shapes (count None), 500 seeded ones at the others, all map to
     the same ids, and both extract directions return the value."""
     lib = _library(T)
     l = capacity(T, N).l
     rng = random.Random(T * 1000 + N)
     key = rng.getrandbits(l)
-    codec = _codec(SimpleNamespace(library=lib, N=N), l, key)
+    codec = _codec(lib, N, key)
+    assert codec.l == l
     stego_key = StegoKey(bits_of(key, l))
     values = range(1 << l) if count is None else [rng.getrandbits(l) for _ in range(count)]
     for v in values:
@@ -309,6 +309,18 @@ class TestKeyFile:
             p.write_text(text)
             with pytest.raises(MalformedFile):
                 load_key(p)
+
+    @pytest.mark.parametrize(
+        "length", ["٣", "５", "9" * 5000], ids=["arabic-indic", "fullwidth", "5000-digits"]
+    )
+    def test_length_is_a_short_ascii_number(self, tmp_path, length):
+        """``l=`` takes ASCII digits only: an Arabic-Indic or fullwidth digit,
+        which ``int`` would read, is refused, and so is a length past the
+        digit limit of ``int``."""
+        p = tmp_path / "key.txt"
+        p.write_text(f"l={length}\n7\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match="first line"):
+            load_key(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedFile):
