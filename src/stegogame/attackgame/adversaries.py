@@ -16,7 +16,7 @@ import numpy as np
 # xor_bits and arrangement_to_bits are not called here; perfbench/tracer.py
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
-from ..divergence import _js, byte_counts, js, normalize_byte_counts
+from ..divergence import _js, _percentile, byte_counts, js, normalize_byte_counts
 from ..errors import EmptySamples, InvalidConfig, check_int, check_real
 from ..library import CoverId
 from ..permcodec import arrangement_to_bits  # noqa: F401
@@ -32,18 +32,6 @@ def _keyless_recover(self, sequence: StegoSequence, state) -> int:
     """A uniform payload: without the key the sequence says nothing of it."""
     knowledge: Knowledge = state["knowledge"]
     return _random_values(knowledge.rng, knowledge.payload_bits, 1)[0]
-
-
-def _percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its
-    ``_lerp`` between the order statistics next to the virtual index
-    (n - 1) * q / 100, or the maximum from the last index on."""
-    n = len(values)
-    at = (n - 1) * (q / 100)
-    lo, hi = (int(at), int(at) + 1) if at < n - 1 else (-1, -1)
-    part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
-    a, b, t = float(part[lo]), float(part[hi]), at - lo
-    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _membership_guess(self, challenge: Challenge, state) -> str:

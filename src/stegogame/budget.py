@@ -15,10 +15,10 @@ three routes to that probability side by side:
 
 The closed forms are computed in integers: over the common denominator
 ``D = C(T,N)**x`` the y-th inclusion-exclusion term has the numerator
-``C(T,y) * C(T-y,N)**x``, and one walk over those terms yields both closed
-forms.  Floats appear only at the API boundary, as ``numerator / D``, which
-rounds correctly; binomial ratios raised to the x-th power shed precision
-fast, so no float enters a decision.
+``t_y = C(T,y) * C(T-y,N)**x``.  The report and ``max_safe_uses`` share one
+walk over them, each stopping once its answer is settled (the oracle
+``coverage_exact_fraction`` sums all T-N+1).  A float only picks where
+``max_safe_uses`` probes or, as ``numerator / D``, rounds an answer correctly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, fsum, sqrt
+from math import comb, floor, fsum, log, log1p, sqrt
 
 from .errors import InvalidParams, check_int, check_real, check_seed
 
@@ -41,76 +41,75 @@ def _check_txn(x: int, N: int, T: int) -> None:
 
 
 def _terms(x: int, N: int, T: int) -> Iterator[int]:
-    """Numerators C(T,y) * C(T-y,N)**x for y = 0 .. T-N; the first is D.
-
-    Beyond y = T-N they vanish for x >= 1: that many covers cannot all stay
-    unseen.
-    """
+    """Numerators t_y for y = 0 .. T-N; t_0 = D.  Past y = T-N they vanish for
+    x >= 1: that many covers cannot all stay unseen."""
     for y in range(T - N + 1):
         yield comb(T, y) * comb(T - y, N) ** x
 
 
-def _coverage_numerators(x: int, N: int, T: int) -> tuple[int, int, int]:
-    """Published and exact coverage numerators over D, then D, from one walk.
-
-    The published form subtracts every term after the first; the exact one
-    alternates signs.  Truncating at y = T-N is only valid for x >= 1; with
-    no observations the coverage event is simply impossible.
-    """
-    terms = _terms(x, N, T)
-    D = next(terms)
-    odd = even = 0
-    for y, term in enumerate(terms, 1):
-        if y % 2:
-            odd += term
-        else:
-            even += term
-    return D - odd - even, (D - odd + even) if x else 0, D
+def _walk(x: int, N: int, T: int) -> Iterator[tuple[int, int, int]]:
+    """For y = 0 .. T-N: t_y and a bracket lo <= exact numerator <= hi, made of
+    S_y = t_0 - t_1 + ... +- t_y and S_{y-1} (or 0): Bonferroni puts S_y above it
+    at even y, below at odd y.  Last (0, S, S), S exact for x >= 1, settles any caller."""
+    partial = 0
+    for y, term in enumerate(_terms(x, N, T)):
+        last, partial = partial, partial - term if y % 2 else partial + term
+        yield term, min(last, partial), max(last, partial)
+    yield 0, partial, partial
 
 
 def _coverage_below(x: int, N: int, T: int, zn: int, zd: int) -> bool:
-    """Exactly whether coverage(x) < zn/zd, for x >= 1 and zn < zd.
-
-    By the Bonferroni inequalities the partial inclusion-exclusion sum that
-    ends at an even y bounds coverage from above, and one that ends at an odd
-    y bounds it from below; at y = T-N it is exact.  So the first partial
-    sum on the decisive side of zeta settles the comparison.  With x*N < T
-    some cover is never seen, so coverage is exactly 0 and below any zeta
-    that max_safe_uses accepts.
-    """
+    """Exactly whether coverage(x) < zn/zd (x >= 1, zn < zd), by the first bracket
+    on one side of it; with x*N < T some cover is never seen, so coverage is 0."""
     if x * N < T:
         return True
-    terms = _terms(x, N, T)
-    partial = next(terms)  # the y = 0 sum, D, lies above any zeta < 1
-    target = zn * partial
-    for y, term in enumerate(terms, 1):
-        if y % 2:
-            partial -= term
-            if partial * zd >= target:
-                return False
-        else:
-            partial += term
-            if partial * zd < target:
-                return True
-    return partial * zd < target
+    walk = _walk(x, N, T)
+    target = zn * next(walk)[0]  # D lies above any zeta < 1
+    for _, lo, hi in walk:
+        if hi * zd < target or lo * zd >= target:
+            return hi * zd < target
+
+
+def _report_values(x: int, N: int, T: int) -> tuple[float, float, bool, bool]:
+    """The report's four exact-route fields, from the walk stopped once settled.
+
+    Published lies in [P_y - t_y, P_y], P_y = D - t_1 - ... - t_y, once 2 t_y
+    <= t_{y-1}: t_{y+1} / t_y = (T-y)/(y+1) * (1 - N/(T-y))**x falls as y
+    grows.  int / int rounds correctly and monotonically, so two bracket ends
+    that round to one float (and a known sign) settle a value; past the float
+    range (as at T=1100, N=1, x=1) a published value is refused.  The forms
+    match only at T - N <= 1: for x >= 1 published - exact = -2 (t_2 + t_4 +
+    ...), each t_y > 0; at x = 0 exact is 0, and 2 - C(T,0) - ... - C(T,T-N) is not.
+    """
+    walk = _walk(x, N, T)
+    D = published = last = next(walk)[0]
+    for term, lo, hi in walk:
+        published -= term
+        if 2 * term <= last and (published >= term or published < 0):
+            try:  # an end past the float range is not settled
+                p_exact = hi / D if x else 0.0  # hi >= exact >= 0, so never -0.0
+                if (published - term) / D == published / D and (not x or lo / D == p_exact):
+                    return published / D, p_exact, published >= 0, x >= 1 and T - N <= 1
+            except OverflowError:
+                pass
+        last = term
+    raise InvalidParams("the published closed form lies outside the float range")
 
 
 def coverage_exact_fraction(x: int, N: int, T: int) -> Fraction:
     """P(all T covers appear in x independent uniform N-subsets), exactly."""
     _check_txn(x, N, T)
-    _, exact, D = _coverage_numerators(x, N, T)
-    return Fraction(exact, D)
+    exact = sum(-t if y % 2 else t for y, t in enumerate(_terms(x, N, T)))  # every term
+    return Fraction(exact if x else 0, comb(T, N) ** x)
 
 
 def max_safe_uses(N: int, T: int, zeta: float) -> int:
     """Largest x with coverage_exact_fraction(x, N, T) < zeta; 0 if none.
 
-    Coverage probability is 0 at x=0 and increases to 1, so the answer is
-    the last x before the monotone sequence crosses zeta, found by an
-    exponential then a binary search over x.  Each probe compares integer
-    numerators over C(T,N)**x against the exact binary value of zeta and
-    stops at the first Bonferroni partial sum that lies on the decisive
-    side of it, so the answer is exact.
+    Coverage rises from 0 at x=0 to 1.  The search probes next to the x where
+    exp(-T (1 - N/T)**x) crosses zeta, gallops away in doubling steps and
+    bisects the last one.  The estimate only picks the probes: each compares
+    integers over C(T,N)**x with the exact value of zeta.
     """
     _check_txn(0, N, T)
     check_real("zeta", zeta)
@@ -119,18 +118,25 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     zn, zd = Fraction(zeta).as_integer_ratio()
     if N == T:
         return 0
-    # exponential then binary search for the first x at or past the threshold
-    hi = 1
-    while _coverage_below(hi, N, T, zn, zd):
-        hi *= 2
-    lo = hi // 2  # coverage(lo) < zeta or lo == 0
-    while lo + 1 < hi:
+    try:
+        guess = max(0, floor(log(-log(zeta) / T) / log1p(-N / T)))
+    except (ArithmeticError, ValueError):  # a zeta or T past the float range
+        guess = 0
+    lo, hi, step = guess, guess + 1, 1
+    if _coverage_below(hi, N, T, zn, zd):  # gallop up ...
+        lo, hi = hi, hi + 1
+        while _coverage_below(hi, N, T, zn, zd):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    else:  # ... or down, to x = 0 at most, whose coverage is 0
+        while not _coverage_below(lo, N, T, zn, zd):
+            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
+    while lo + 1 < hi:  # coverage(lo) < zeta <= coverage(hi)
         mid = (lo + hi) // 2
         if _coverage_below(mid, N, T, zn, zd):
             lo = mid
         else:
             hi = mid
-    return hi - 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +241,9 @@ def coverage_report(
     max_workers: int | None = None,
 ) -> CoverageReport:
     _check_txn(x, N, T)
-    if mc_trials is not None:  # before the exact walk, which is O(T)
+    if mc_trials is not None:  # before the exact walk, which can be long
         _check_mc(T, mc_trials, seed, max_workers)
-    published, exact, D = _coverage_numerators(x, N, T)
-    try:
-        p_published = published / D
-    except OverflowError:  # e.g. about -2**1100 at T=1100, N=1, x=1
-        raise InvalidParams("the published closed form lies outside the float range") from None
-    p_exact = exact / D
+    p_published, p_exact, in_range, matches = _report_values(x, N, T)
     p_mc = mc_se = within = None
     if mc_trials is not None:
         p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed)
@@ -253,8 +254,8 @@ def coverage_report(
         x=x,
         p_published=p_published,
         p_exact=p_exact,
-        published_in_range=0 <= published <= D,
-        published_matches_exact=published == exact,
+        published_in_range=in_range,
+        published_matches_exact=matches,
         p_mc=p_mc,
         mc_se=mc_se,
         mc_trials=mc_trials,

@@ -262,6 +262,18 @@ def distinguishability_test(
     )
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its
+    ``_lerp`` between the order statistics next to the virtual index
+    (n - 1) * q / 100, or the maximum from the last index on."""
+    n = len(values)
+    at = (n - 1) * (q / 100)
+    lo, hi = (int(at), int(at) + 1) if at < n - 1 else (-1, -1)
+    part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
+    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def calibrate_epsilon(
     samples_a: Sequence[float],
     samples_b: Sequence[float],
@@ -319,4 +331,4 @@ def calibrate_epsilon(
             full = np.zeros((len(counts), bins), dtype=counts.dtype)
             full[:, filled] = counts
             values[start : start + len(counts)] = kernel(full / n_a, (pooled_counts - full) / n_b)
-    return float(np.percentile(values, percentile))
+    return _percentile(values, float(percentile))

@@ -4,6 +4,7 @@ The oracles here deliberately avoid the package's own algorithms: rank
 order comes from itertools enumeration, coverage probabilities from
 exhaustive counting with exact rationals, safe-use counts from a search
 whose every probe sums the whole inclusion-exclusion series in rationals,
+coverage reports from one full pass over the integer numerators,
 and permutation nulls from a shuffle of the pooled samples' bins in every
 resplit (the law), or from one hypergeometric row per draw over the
 non-empty bins (the exact values), both scored on full-width rows by the
@@ -80,6 +81,24 @@ def max_safe_uses_reference(N: int, T: int, zeta: float) -> int:
         else:
             hi = mid
     return hi - 1
+
+
+def coverage_report_reference(x: int, N: int, T: int) -> tuple[float, float, bool, bool]:
+    """A coverage report's p_published, p_exact, published_in_range and
+    published_matches_exact from one pass over every inclusion-exclusion
+    numerator C(T,y) * C(T-y,N)**x over D = C(T,N)**x: the published form
+    subtracts each term after the first, the exact one alternates signs
+    (and is 0 at x = 0).  Floats only as the integer quotients."""
+    D = comb(T, N) ** x
+    odd = even = 0
+    for y in range(1, T - N + 1):
+        term = comb(T, y) * comb(T - y, N) ** x
+        if y % 2:
+            odd += term
+        else:
+            even += term
+    published, exact = D - odd - even, (D - odd + even) if x else 0
+    return published / D, exact / D, 0 <= published <= D, published == exact
 
 
 def smallest_mask_reference(u: np.ndarray, N: int) -> np.ndarray:

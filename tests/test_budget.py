@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     coverage_enumeration,
+    coverage_report_reference,
     max_safe_uses_reference,
     mc_block_reference,
     smallest_mask_reference,
@@ -185,6 +186,37 @@ class TestMaxSafeUses:
         below = coverage_exact_fraction(x_max, N, T)
         assert below < Fraction(0.4) <= coverage_exact_fraction(x_max + 1, N, T)
 
+    @pytest.mark.parametrize("T, N", [(256, 16), (512, 24)])
+    def test_probes_start_at_the_estimate(self, monkeypatch, T, N):
+        # an exponential then binary search from x = 1 made 14 and 16 probes here
+        probes = []
+        below = budget._coverage_below
+
+        def counted(x, *args):
+            probes.append(x)
+            return below(x, *args)
+
+        monkeypatch.setattr(budget, "_coverage_below", counted)
+        x_max = max_safe_uses(N, T, 0.4)
+        assert len(probes) <= 3, probes
+        assert {x_max, x_max + 1} <= set(probes)
+
+    @pytest.mark.parametrize("T, N, zeta", [
+        (64, 1, 1e-12), (200, 1, 1e-12), (100, 2, 1e-12), (64, 1, 0.999999), (200, 100, 1e-12),
+        (200, 100, 0.999999), (128, 127, 1e-12), (200, 199, 0.999999), (1000, 999, 0.4),
+    ])
+    def test_far_estimates_gallop_to_the_reference(self, T, N, zeta):
+        # the estimate exp(-T (1 - N/T)**x) is furthest off at these extremes
+        assert max_safe_uses(N, T, zeta) == max_safe_uses_reference(N, T, zeta)
+
+    def test_estimate_past_the_float_range_falls_back(self):
+        # Fraction(1, 10**400) rounds to 0.0, whose log is refused; the search
+        # then starts at x = 1, as with no estimate
+        assert max_safe_uses(1, 2, Fraction(1, 10**400)) == 1
+        assert max_safe_uses(2, 4, Fraction(10**400 - 1, 10**400)) == max_safe_uses_reference(
+            2, 4, Fraction(10**400 - 1, 10**400)
+        )
+
     def test_rejects_degenerate_zeta(self):
         for zeta in (0.0, 1.0, -0.1, 1.5, float("nan"), "0.4", None, True, 0.5j):
             with pytest.raises(InvalidParams):
@@ -357,6 +389,31 @@ class TestParamsAndReport:
         rep = coverage_report(3, 2, 5, mc_trials=1000, seed=1)
         assert walks == [(3, 2, 5)]
         assert rep.p_exact == float(coverage_exact_fraction(3, 2, 5))
+
+    def test_report_matches_the_full_walk(self):
+        # every field bit for bit, though the walk stops once they are settled
+        points = [(x, N, T) for T in range(1, 17) for N in range(1, T + 1) for x in range(25)]
+        for x, N, T in [*points, (131, 24, 512), (221, 32, 1024), (3000, 1, 1100), (0, 60, 100)]:
+            rep = coverage_report(x, N, T)
+            published, exact, *flags = coverage_report_reference(x, N, T)
+            assert (rep.p_published.hex(), rep.p_exact.hex(), rep.published_in_range,
+                    rep.published_matches_exact) == (published.hex(), exact.hex(), *flags), (x, N, T)
+
+    def test_report_stops_once_settled(self, monkeypatch):
+        # a full walk draws all 1,953 terms at this point
+        drawn = []
+        terms = budget._terms
+
+        def counted(x, N, T):
+            for term in terms(x, N, T):
+                drawn.append(term)
+                yield term
+
+        monkeypatch.setattr(budget, "_terms", counted)
+        rep = coverage_report(325, 48, 2048)
+        assert len(drawn) <= 25
+        # the full walk's values, as GOLDEN_BUDGET's T = 2048 row prints them
+        assert (rep.p_published, rep.p_exact) == (-0.5050529155234735, 0.3977460185851574)
 
     def test_report_flags_agreement(self):
         rep = coverage_report(2, 2, 3, mc_trials=20000, seed=5)

@@ -367,6 +367,19 @@ GOLDEN_BUDGET = {
         '"x":null,"zeta":0.4},"published_in_range":true,"published_matches_exact":false,'
         '"seed":7,"subcommand":"budget","tool_version":"0.1.0","x":5,"x_max":5,"zeta":0.4}\n'
     ),
+    # large libraries: the search and the report stop near the answer, not after T terms
+    ("-T", "2048", "-N", "48", "--zeta", "0.4"): (
+        '{"N":48,"T":2048,"p_exact":0.3977460185851574,"p_published":-0.5050529155234735,'
+        '"params":{"N":48,"T":2048,"mc_trials":null,"x":null,"zeta":0.4},'
+        '"published_in_range":false,"published_matches_exact":false,"subcommand":"budget",'
+        '"tool_version":"0.1.0","x":325,"x_max":325,"zeta":0.4}\n'
+    ),
+    ("-T", "4096", "-N", "64", "--zeta", "0.4"): (
+        '{"N":64,"T":4096,"p_exact":0.3954587252830848,"p_published":-0.5237026885242394,'
+        '"params":{"N":64,"T":4096,"mc_trials":null,"x":null,"zeta":0.4},'
+        '"published_in_range":false,"published_matches_exact":false,"subcommand":"budget",'
+        '"tool_version":"0.1.0","x":533,"x_max":533,"zeta":0.4}\n'
+    ),
 }
 
 

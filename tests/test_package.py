@@ -16,7 +16,7 @@ import pytest
 import stegogame
 from stegogame import budget, cli, divergence
 
-HEAVY = ("numpy", "scipy", "scipy.special", "scipy.stats")
+HEAVY = ("numpy", "numpy.ma", "scipy", "scipy.special", "scipy.stats")
 
 _REPORT = f"""
 import json, sys
@@ -68,6 +68,11 @@ def test_subcommands_load_only_what_they_compute_with(tmp_path, make_covers):
     attack = ["attack", "--level", "kca", "--adversary", "kca-membership", "--trials", "100",
               "--seed", "1", "--scenario", "scen.json"]
     assert _loaded(_RUN_CLI, *attack, cwd=tmp_path) == {"numpy"}
+    # calibrate_epsilon's percentile partitions once; np.percentile would load numpy.ma
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("\n".join(str(v / 7) for v in range(40)))
+    auto = ["divergence", "-a", "a.txt", "-b", "b.txt", "--epsilon", "auto", "--seed", "2"]
+    assert _loaded(_RUN_CLI, *auto, cwd=tmp_path) == {"numpy"}
 
 
 def test_attack_runs_without_scipy(tmp_path, make_covers):
