@@ -195,13 +195,7 @@ def _check_mc(T: int, trials: int, seed: int, max_workers: int | None = None) ->
         raise InvalidParams(f"the Monte-Carlo route needs T < 10**9, got T={T}")
 
 
-def pr_coverage_mc(
-    x: int,
-    N: int,
-    T: int,
-    trials: int,
-    seed: int,
-) -> tuple[float, float]:
+def pr_coverage_mc(x: int, N: int, T: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo (estimate, standard error) for the coverage probability, from
     one Philox stream keyed by ``seed``."""
     _check_txn(x, N, T)
@@ -232,14 +226,8 @@ class CoverageReport:
     mc_within_4se: bool | None = None
 
 
-def coverage_report(
-    x: int,
-    N: int,
-    T: int,
-    mc_trials: int | None = None,
-    seed: int = 0,
-    max_workers: int | None = None,
-) -> CoverageReport:
+def coverage_report(x: int, N: int, T: int, mc_trials: int | None = None, seed: int = 0,
+                    max_workers: int | None = None) -> CoverageReport:
     _check_txn(x, N, T)
     if mc_trials is not None:  # before the exact walk, which can be long
         _check_mc(T, mc_trials, seed, max_workers)
@@ -249,16 +237,7 @@ def coverage_report(
         p_mc, mc_se = pr_coverage_mc(x, N, T, mc_trials, seed)
         within = abs(p_mc - p_exact) <= 4.0 * mc_se if mc_se > 0 else p_mc == p_exact
     return CoverageReport(
-        T=T,
-        N=N,
-        x=x,
-        p_published=p_published,
-        p_exact=p_exact,
-        published_in_range=in_range,
-        published_matches_exact=matches,
-        p_mc=p_mc,
-        mc_se=mc_se,
-        mc_trials=mc_trials,
-        mc_seed=seed if mc_trials is not None else None,
-        mc_within_4se=within,
+        T=T, N=N, x=x, p_published=p_published, p_exact=p_exact, published_in_range=in_range,
+        published_matches_exact=matches, p_mc=p_mc, mc_se=mc_se, mc_trials=mc_trials,
+        mc_seed=seed if mc_trials is not None else None, mc_within_4se=within,
     )

@@ -6,6 +6,10 @@ are byte-identical); human warnings go to stderr.  Exit codes: 0 success,
 
 The budget, divergence and attack handlers import their modules when they
 run, so the codec subcommands start without numpy.  Nothing loads scipy.
+The codec's value types are frozen records, not dataclasses, and each
+standard module is imported where it runs, so the codec subcommands also
+skip ``dataclasses`` with its ``inspect``, ``secrets`` (OS-entropy keygen),
+``decimal`` (``capacity``) and ``hashlib`` (``build-library``).
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
@@ -40,12 +42,10 @@ def _emit(args, result: dict, seed: int | None = None) -> None:
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def _fields(report) -> dict:
     """A dataclass report as a dict, without its unset fields."""
+    from dataclasses import asdict
+
     return {k: v for k, v in asdict(report).items() if v is not None}
 
 
@@ -60,6 +60,8 @@ def _cmd_build_library(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    from decimal import Decimal
+
     cap = capacity(args.T, args.N)
     # via Decimal: str(int) refuses more than sys.get_int_max_str_digits() digits
     _emit(args, {"r": str(Decimal(cap.r)), "l": cap.l})
@@ -126,10 +128,8 @@ def _cmd_budget(args) -> int:
     x = args.x if args.x is not None else x_max
     report = coverage_report(x, args.N, args.T, mc_trials=args.mc_trials, seed=args.seed)
     if not report.published_in_range:
-        _warn(
-            f"closed-form coverage value {report.p_published} lies outside [0,1]; "
-            "trust p_exact"
-        )
+        print(f"warning: closed-form coverage value {report.p_published} lies outside [0,1]; "
+              "trust p_exact", file=sys.stderr)
     result = _fields(report)
     result.update({"zeta": args.zeta, "x_max": x_max})
     _emit(args, result, seed=args.seed if args.mc_trials is not None else None)
@@ -164,7 +164,7 @@ def _cmd_divergence(args) -> int:
             raise InvalidParams(f"--epsilon must be a float or 'auto', got {args.epsilon!r}") from None
         mode = "fixed"
     report = distinguishability_test(a, b, epsilon, metric=args.metric, bins=args.bins)
-    result = asdict(report)
+    result = _fields(report)  # every field is set
     if not args.timing:
         # wall-clock noise would break byte-identical reruns
         del result["elapsed"]

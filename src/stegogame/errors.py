@@ -1,4 +1,4 @@
-"""Domain error hierarchy, and the one rule per argument kind.
+"""Domain error hierarchy, the one rule per argument kind, and frozen records.
 
 Every error carries a short machine-readable ``code`` that the CLI uses for
 its JSON error objects, e.g. ``{"error": "NotInLibrary", ...}``.
@@ -135,3 +135,34 @@ def check_seed(seed, error=InvalidParams) -> None:
     """Raise ``error`` unless ``seed`` can key a Philox generator."""
     if type(seed) is not int or not 0 <= seed < 1 << 128:
         raise error("seed must be an integer in [0, 2**128)")
+
+
+class Record:
+    """Base of a frozen value type that does not load ``dataclasses`` (and its
+    ``inspect``).  The fields are the subclass ``__init__``'s arguments, in
+    order, which it stores in ``__dict__``; ``==`` (same class only), ``hash``,
+    ``repr`` and frozenness are a frozen dataclass's."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # an AttributeError; loaded only on a refusal
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__

@@ -9,10 +9,8 @@ order files were supplied in.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -20,7 +18,7 @@ from typing import Callable
 from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError, DuplicateCover, FileWriteError, LibraryTooSmall, MalformedFile, NotInLibrary,
-    StegogameError,
+    Record, StegogameError,
 )
 
 # CoverId is the lowercase-hex SHA-256 of the cover's bytes (32 bytes, 64 hex chars).
@@ -41,33 +39,36 @@ def check_cover_id(cover_id: object) -> None:
 
 
 def hash_bytes(data: bytes) -> CoverId:
+    import hashlib  # here, not at the top: only hashing subcommands load it
+
     return hashlib.sha256(data).hexdigest()
 
 
 def hash_file(path: str | os.PathLike) -> tuple[CoverId, int]:
-    """SHA-256 digest and byte length of a file."""
+    """SHA-256 digest and byte length of a file, read in 1 MiB chunks."""
+    import hashlib
+
+    digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            return hashlib.file_digest(fh, "sha256").hexdigest(), fh.tell()
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+            return digest.hexdigest(), fh.tell()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CoverReadError(str(path), reason=str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class CoverEntry:
-    id: CoverId
-    path: str
-    nbytes: int
+class CoverEntry(Record):
+    def __init__(self, id: CoverId, path: str, nbytes: int):
+        self.__dict__.update(id=id, path=path, nbytes=nbytes)
 
 
-@dataclass(frozen=True)
-class CoverLibrary:
+class CoverLibrary(Record):
     """Immutable, canonically ordered cover set; index i is the library index."""
 
-    covers: tuple[CoverEntry, ...]
-
-    def __post_init__(self):
-        ids = self.ids()
+    def __init__(self, covers: tuple[CoverEntry, ...]):
+        ids = tuple(c.id for c in covers)
+        self.__dict__.update(covers=covers, _ids=ids)
         if len(ids) < 2:
             raise LibraryTooSmall(f"need at least 2 covers, got {len(ids)}")
         for a, b in zip(ids, ids[1:]):
@@ -92,10 +93,6 @@ class CoverLibrary:
 
     def lookup_entry(self, cover_id: CoverId) -> CoverEntry:
         return self.covers[self.lookup(cover_id)]
-
-    @cached_property
-    def _ids(self) -> tuple[CoverId, ...]:
-        return tuple(c.id for c in self.covers)
 
     def ids(self) -> tuple[CoverId, ...]:
         return self._ids

@@ -19,25 +19,21 @@ are exact.  :func:`capacity` (r and l) and ``_places`` run once per (T, N).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import perm
 
 from .bits import bits_to_int, int_to_bits
 from .errors import (
-    InvalidArrangement, InvalidParams, RankOutOfRange, UnreachableArrangement, WrongPayloadLength,
+    InvalidArrangement, InvalidParams, RankOutOfRange, Record, UnreachableArrangement,
+    WrongPayloadLength,
 )
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """Ordered selection of distinct indices from ``range(T)``."""
 
-    indices: tuple[int, ...]
-    T: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
+    def __init__(self, indices: tuple[int, ...], T: int):
+        self.__dict__.update(indices=tuple(indices), T=T)
         n = len(self.indices)
         if type(self.T) is not int or not 1 <= n <= self.T:
             raise InvalidArrangement(f"length {n} not in [1, T={self.T}]")
@@ -54,12 +50,11 @@ class Arrangement:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class Capacity:
+class Capacity(Record):
     """Arrangement count r and usable payload bits l = floor(log2 r)."""
 
-    r: int
-    l: int
+    def __init__(self, r: int, l: int):
+        self.__dict__.update(r=r, l=l)
 
 
 def capacity(T: int, N: int) -> Capacity:

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import os
 import re
-import secrets
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 # xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
 # perfbench/tracer.py looks them up in this module by name.
 from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
 from .errors import EntropyUnavailable, InvalidConfig, LengthMismatch, MalformedFile, StegogameError
-from .errors import check_int
+from .errors import Record, check_int
 from .library import (
     CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
@@ -30,14 +28,11 @@ from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
 SEQUENCE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(Record):
     """An l-bit string, validated on construction."""
 
-    bits: str
-
-    def __post_init__(self):
-        validate_bits(self.bits)
+    def __init__(self, bits: str):
+        self.__dict__["bits"] = validate_bits(bits)
 
     @property
     def l(self) -> int:
@@ -49,24 +44,19 @@ class _Block:
         return int(self.bits, 2) if self.bits else 0
 
 
-@dataclass(frozen=True)
 class StegoKey(_Block):
     """Uniformly random l-bit key; the key space has size 2**l."""
 
 
-@dataclass(frozen=True)
 class Message(_Block):
     """One l-bit payload block; exactly one block is carried per sequence."""
 
 
-@dataclass(frozen=True)
-class StegoSequence:
+class StegoSequence(Record):
     """Ordered cover ids as exchanged on the channel."""
 
-    ids: tuple[CoverId, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
+    def __init__(self, ids: tuple[CoverId, ...]):
+        self.__dict__["ids"] = tuple(ids)
 
     @property
     def N(self) -> int:
@@ -81,6 +71,8 @@ class SystemEntropy:
     """OS-backed entropy; the production default."""
 
     def bits(self, n: int) -> str:
+        import secrets  # here, not at the top: a seeded keygen does not load it
+
         try:
             return int_to_bits(secrets.randbits(n), n) if n else ""
         except (OSError, NotImplementedError) as exc:
@@ -110,8 +102,9 @@ def keygen(l: int, entropy: EntropySource | None = None) -> StegoKey:
 
 
 def _record(cls: type, fields: dict):
-    """``cls(**fields)`` for a frozen dataclass whose fields the caller built
-    valid, without its ``__init__``'s ``object.__setattr__`` per field."""
+    """``cls(**fields)`` for a frozen record or dataclass whose fields the
+    caller built valid, without its ``__init__``'s checks and conversions
+    (a dataclass's ``object.__setattr__`` per field)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -42,6 +42,15 @@ def test_hash_file_matches_stdlib(tmp_path):
     assert nbytes == 7000
 
 
+def test_hash_file_past_its_read_chunks(tmp_path):
+    """A file one byte longer than three 1 MiB read chunks hashes whole."""
+    data = bytes(range(256)) * (3 * 4096) + b"\x07"
+    p = tmp_path / "big.bin"
+    p.write_bytes(data)
+    assert len(data) == 3 * (1 << 20) + 1
+    assert hash_file(p) == (hashlib.sha256(data).hexdigest(), len(data))
+
+
 def test_hash_file_missing(tmp_path):
     with pytest.raises(CoverReadError) as exc:
         hash_file(tmp_path / "nope.bin")

@@ -12,16 +12,20 @@ from helpers import (
     mem_library,
 )
 from stegogame.errors import (
+    DuplicateCover,
     EntropyUnavailable,
     InvalidArrangement,
     InvalidParams,
     LengthMismatch,
+    LibraryTooSmall,
     MalformedFile,
     NotInLibrary,
     UnreachableArrangement,
 )
-from stegogame.permcodec import capacity, unrank
+from stegogame.library import CoverEntry, CoverLibrary
+from stegogame.permcodec import Arrangement, Capacity, capacity, unrank
 from stegogame.stego import (
+    _Block,
     _codec,
     Message,
     SeededEntropy,
@@ -351,3 +355,94 @@ class TestSequenceFile:
             p.write_text(text)
             with pytest.raises(MalformedFile):
                 load_sequence(p)
+
+
+# The codec's eight value types: (class, field names, field values, repr).
+_E1, _E2 = CoverEntry("1" * 64, "a.bin", 3), CoverEntry("2" * 64, "b.bin", 0)
+_RECORDS = [
+    (CoverEntry, ("id", "path", "nbytes"), ("1" * 64, "a.bin", 3),
+     f"CoverEntry(id='{'1' * 64}', path='a.bin', nbytes=3)"),
+    (CoverLibrary, ("covers",), ((_E1, _E2),), f"CoverLibrary(covers=({_E1!r}, {_E2!r}))"),
+    (Arrangement, ("indices", "T"), ((2, 0), 3), "Arrangement(indices=(2, 0), T=3)"),
+    (Capacity, ("r", "l"), (24, 4), "Capacity(r=24, l=4)"),
+    (_Block, ("bits",), ("1",), "_Block(bits='1')"),
+    (StegoKey, ("bits",), ("01",), "StegoKey(bits='01')"),
+    (Message, ("bits",), ("01",), "Message(bits='01')"),
+    (StegoSequence, ("ids",), (("x", "y"),), "StegoSequence(ids=('x', 'y'))"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, text", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_value_types_are_frozen_records(cls, names, values, text):
+    """Each value type builds from positional or keyword fields in one order,
+    refuses a missing or an extra one, prints as the dataclass repr did,
+    equals and hashes as its fields only against its own class, and refuses
+    to assign or delete a field."""
+    record = cls(*values)
+    twin = cls(**dict(zip(names, values)))
+    assert repr(record) == repr(twin) == text
+    assert record == twin and not record != twin and hash(record) == hash(twin)
+    assert [getattr(record, name) for name in names] == list(values)
+    assert record != values and values != record and not record == values
+    for bad in (lambda: cls(*values[1:]), lambda: cls(*values, None),
+                lambda: cls(**dict(zip(names, values)), extra=None)):
+        with pytest.raises(TypeError):
+            bad()
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in names] == list(values)
+
+
+def test_value_types_compare_by_class():
+    assert Message("01") != StegoKey("01") and not Message("01") == StegoKey("01")
+    assert Capacity(24, 4) != (24, 4) and Capacity(24, 4) != Capacity(24, 5)
+    assert StegoSequence(("x",)) != ("x",) and StegoSequence(["x"]) == StegoSequence(("x",))
+    assert Arrangement([2, 0], 3).indices == (2, 0) and Arrangement([2, 0], 3).N == 2
+    assert StegoSequence(["x", "y"]).ids == ("x", "y") and StegoSequence(["x", "y"]).N == 2
+    assert {Message("01"), Message("01"), StegoKey("01")} == {Message("01"), StegoKey("01")}
+    assert Message("0110").value == 6 and Message("0110").l == 4 and Message("").value == 0
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: Arrangement((0, 0), 3), InvalidArrangement, "duplicate index 0"),
+    (lambda: Arrangement((0, 3), 3), InvalidArrangement, r"index 3 out of range \[0, 3\)"),
+    (lambda: Arrangement((True,), 3), InvalidArrangement, r"index True out of range \[0, 3\)"),
+    (lambda: Arrangement((), 3), InvalidArrangement, r"length 0 not in \[1, T=3\]"),
+    (lambda: Arrangement((0,), 3.0), InvalidArrangement, r"length 1 not in \[1, T=3.0\]"),
+    (lambda: StegoKey("012"), InvalidParams, "not a bitstring: '012'"),
+    (lambda: Message(None), InvalidParams, "not a bitstring: None"),
+    (lambda: CoverLibrary((_E1,)), LibraryTooSmall, "need at least 2 covers, got 1"),
+    (lambda: CoverLibrary((_E1, _E1)), DuplicateCover, f"digest {'1' * 64}$"),
+    (lambda: CoverLibrary((_E2, _E1)), MalformedFile, "not in ascending digest order"),
+])
+def test_value_types_validate_on_construction(build, error, text):
+    with pytest.raises(error, match=text) as exc:
+        build()
+    assert type(exc.value) is error
+
+
+def test_library_lookups_after_construction():
+    e3 = CoverEntry("3" * 64, "c.bin", 9)
+    lib = CoverLibrary(covers=(_E1, _E2, e3))
+    assert lib.T == 3 and lib.ids() == ("1" * 64, "2" * 64, "3" * 64)
+    assert [lib.lookup(e.id) for e in (e3, _E1, _E2)] == [2, 0, 1]
+    assert lib.lookup_entry("2" * 64) is _E2
+    with pytest.raises(NotInLibrary):
+        lib.lookup("4" * 64)
+    assert lib == CoverLibrary((_E1, _E2, e3)) and hash(lib) == hash(CoverLibrary((_E1, _E2, e3)))
+
+
+def test_codec_built_sequence_is_a_public_one():
+    """The int codec's sequences, built without ``__init__``, are the ones
+    the public constructor builds from the same ids, in every respect."""
+    lib = mem_library(6, tag="records")
+    seq = _codec(lib, 3, 5).embed(17)
+    public = StegoSequence(ids=list(seq.ids))
+    assert type(seq) is StegoSequence and type(seq.ids) is tuple
+    assert seq == public and hash(seq) == hash(public) and repr(seq) == repr(public)
+    assert seq.N == public.N == 3 and vars(seq) == vars(public)
+    with pytest.raises(AttributeError):
+        seq.ids = ()
