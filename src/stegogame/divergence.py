@@ -134,8 +134,8 @@ def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
 
 
 def _js_terms(pm: np.ndarray, qm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' cell terms ``p * log(p / mid)``, side A's rows on side B's,
-    and where they are kept: where p > 0 (there mid > 0 too); 0 elsewhere."""
+    """Both sides' cell terms ``p * log(p / mid)``, side A's rows on side B's, kept where
+    p > 0 (there mid > 0 too), else 0; |term| <= p + mid, so sum|term| <= 2 a side."""
     mid = (pm + qm) / 2.0
     both = np.concatenate([pm, qm])
     keep = both > 0
@@ -143,10 +143,11 @@ def _js_terms(pm: np.ndarray, qm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both * np.log(ratio), keep
 
 
-def _js_of_terms(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """JS from :func:`_js_terms`.  The rows of one kept count k are selected
-    together, so their kept terms sum as one (rows, k) matrix along axis 1; a
-    zero-padded row or ``np.add.reduceat`` would round differently."""
+def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """JS per row.  The rows of one kept count k are selected together, so their
+    kept terms sum as one (rows, k) matrix along axis 1; a zero-padded row or
+    ``np.add.reduceat`` would round differently."""
+    terms, keep = _js_terms(pm, qm)
     counts = np.count_nonzero(keep, axis=1)
     sums = np.empty(len(counts))
     for k in np.flatnonzero(np.bincount(counts)).tolist():
@@ -154,10 +155,6 @@ def _js_of_terms(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
         sums[rows] = terms[rows][keep[rows]].reshape(-1, k).sum(axis=1)
     half = len(sums) // 2
     return _at_least_zero(0.5 * sums[:half] + 0.5 * sums[half:])
-
-
-def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    return _js_of_terms(*_js_terms(pm, qm))
 
 
 def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -236,11 +233,7 @@ def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float], metr
 
 
 def distinguishability_test(
-    samples_a: Sequence[float],
-    samples_b: Sequence[float],
-    epsilon: float,
-    metric: str = "js",
-    bins: int = 64,
+    samples_a: Sequence[float], samples_b: Sequence[float], epsilon: float, metric: str = "js", bins: int = 64
 ) -> DistanceReport:
     """Histogram both sample sets over their pooled range and compare.
 
@@ -262,36 +255,39 @@ def distinguishability_test(
     )
 
 
+def _ranks(n: int, q: float) -> tuple[float, int, int]:
+    at = (n - 1) * (q / 100)  # numpy's virtual index; the order statistics next to it, or the maximum
+    return (at, int(at), int(at) + 1) if at < n - 1 else (at, -1, -1)
+
+
 def _percentile(values: np.ndarray, q: float) -> float:
     """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its
-    ``_lerp`` between the order statistics next to the virtual index
-    (n - 1) * q / 100, or the maximum from the last index on."""
-    n = len(values)
-    at = (n - 1) * (q / 100)
-    lo, hi = (int(at), int(at) + 1) if at < n - 1 else (-1, -1)
+    ``_lerp`` between the order statistics of :func:`_ranks`."""
+    at, lo, hi = _ranks(len(values), q)
     part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
     a, b, t = float(part[lo]), float(part[hi]), at - lo
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def calibrate_epsilon(
-    samples_a: Sequence[float],
-    samples_b: Sequence[float],
-    metric: str = "js",
-    bins: int = 64,
-    runs: int = 200,
-    percentile: float = 99.0,
-    seed: int = 0,
+    samples_a: Sequence[float], samples_b: Sequence[float], metric: str = "js", bins: int = 64,
+    runs: int = 200, percentile: float = 99.0, seed: int = 0,
 ) -> float:
-    """Permutation-null threshold: pool the samples, resplit at random many
-    times, and return the given percentile of the null distances.
-
-    A resplit's only output is the first side's count per pooled bin:
-    multivariate hypergeometric, the pooled counts as colours.  An empty bin
-    is 0 on both sides of every resplit, so only the non-empty bins are
-    drawn, largest first (the same law, drawn faster), row after row, so no
-    value depends on ``CHUNK_CELLS``.  JS takes a block's terms from a table
-    over each bin's drawn counts; the others score full-width rows.
+    """Permutation-null threshold: the given percentile of the metric over
+    random resplits of the pooled samples, each drawn as the first side's
+    count per non-empty bin (multivariate hypergeometric, largest bin first,
+    row after row, so no value depends on ``CHUNK_CELLS``).  KL, TV and W1
+    score full-width rows.  JS screens each row with one sum of its k bins'
+    ``0.5*tA + 0.5*tB`` from a per-block table; ``_js`` sums the same terms
+    in another order.  Any order errs by at most (m-1)*u*sum|x| to first
+    order (u = 2**-53; Higham 2002, 4.2) and sum|t| <= 2 a side, so the two,
+    both clamped at 0, differ by at most (2(k-1)u + u) + (2(k-1)u + 2u) < 4ku;
+    e = 16ku.  A row more than 2e from the screen's order statistics that
+    ``_percentile`` reads (each within e of the exact one) is on the same side
+    of the exact ones, so only the rows inside are rescored by ``_js``: the
+    last block's from its rows at hand, an earlier block's drawn again from
+    its saved state up to its last such row.  Each block is drawn at most
+    twice, memory is O(block + runs), and the threshold is the all-exact one.
     """
     check_int("runs", runs, low=1)
     check_real("percentile", percentile)
@@ -302,33 +298,42 @@ def calibrate_epsilon(
     pooled_counts, edges = _histogram(pooled, bins, support)
     pooled_dist = EmpiricalDistribution(edges, pooled_counts / pooled.size, pooled.size)  # checks edges
     n_a, n_b = a.size, pooled.size - a.size
-    filled = np.flatnonzero(pooled_counts)
+    # the non-empty bins, largest first and ties in bin order
+    filled = np.argsort(-pooled_counts, kind="stable")[: np.count_nonzero(pooled_counts)]
     colours = pooled_counts[filled]
-    order = np.argsort(-colours, kind="stable")
-    undo = np.argsort(order)
-    kernel = {
-        "kl": partial(_kl, n_p=n_a, n_q=n_b),
-        "tv": _tv,
-        "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers)),
-    }.get(metric)
+    kernel = {"kl": partial(_kl, n_p=n_a, n_q=n_b), "js": _js, "tv": _tv,
+              "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers))}[metric]
+
+    def score(counts: np.ndarray) -> np.ndarray:  # on full-width rows
+        full = np.zeros((len(counts), bins), dtype=counts.dtype)
+        full[:, filled] = counts
+        return kernel(full / n_a, (pooled_counts - full) / n_b)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
+    draw = partial(gen.multivariate_hypergeometric, colours, n_a, method="marginals")
     block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins))
-    values = np.empty(runs)
+    values, states = np.empty(runs), []
     for start in range(0, runs, block):
-        counts = gen.multivariate_hypergeometric(
-            colours[order], n_a, size=min(block, runs - start), method="marginals"
-        )[:, undo]
-        if metric == "js":  # a table of both sides' terms at each bin's drawn counts lo..hi
+        states.append(gen.bit_generator.state)
+        counts = draw(size=min(block, runs - start))
+        if metric == "js":  # a table of each bin's 0.5*tA + 0.5*tB at its drawn counts lo..hi
             lo, hi = counts.min(axis=0), counts.max(axis=0)
             offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
             cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
             cell_b = np.repeat(colours, hi - lo + 1) - cell_a
-            table, kept = (t.ravel() for t in _js_terms(cell_a[None] / n_a, cell_b[None] / n_b))
-            cells = np.concatenate([counts + offsets, counts + (offsets + cell_a.size)])
-            values[start : start + len(counts)] = _js_of_terms(table[cells], kept[cells])
+            table = 0.5 * _js_terms(cell_a[None] / n_a, cell_b[None] / n_b)[0]
+            values[start : start + block] = _at_least_zero((table[0] + table[1])[counts + offsets].sum(axis=1))
         else:
-            full = np.zeros((len(counts), bins), dtype=counts.dtype)
-            full[:, filled] = counts
-            values[start : start + len(counts)] = kernel(full / n_a, (pooled_counts - full) / n_b)
+            values[start : start + block] = score(counts)
+    if metric == "js":
+        _, lo, hi = _ranks(runs, float(percentile))
+        e = 16 * filled.size * 2.0**-53
+        low, high = np.partition(values, (lo, hi))[[lo, hi]] + (-2 * e, 2 * e)
+        near = np.flatnonzero((low <= values) & (values <= high))
+        for b in np.flatnonzero(np.bincount(near // block))[::-1].tolist():
+            rows = near[near // block == b] - b * block
+            if (b + 1) * block < runs:  # not the last block, taken first from the rows at hand
+                gen.bit_generator.state = states[b]
+                counts = draw(size=rows[-1] + 1)
+            values[rows + b * block] = score(counts[rows])
     return _percentile(values, float(percentile))
