@@ -2,11 +2,11 @@
 
 These are calibration points for the harness, not serious steganalysis:
 a coin-flipper (floor), a histogram modeler (what channel statistics alone
-can see), a leak-membership checker (what a leaked library subset buys),
-an oracle replayer (what embed access buys), and a key-holding decoder
-(the recovery ceiling).  Each is pure given (knowledge, challenge, the
-harness-supplied rng); instance attributes are only content-addressed
-caches that never change an answer.
+can see), and an id-membership family that differs only in what it knows:
+a leaked library subset, plus traffic and embed access, or plus a leaked key
+that it decodes with (the recovery ceiling).  Each is pure given (knowledge,
+challenge, the harness-supplied rng); instance attributes are only
+content-addressed caches that never change an answer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,24 @@ from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_valu
 
 # The rules several adversaries share are plain functions assigned as class
 # attributes, never inherited: perfbench/tracer.py wraps learn, guess and
-# recover in each class's own __dict__.
+# recover in each class's own __dict__.  An id preset is a class that assigns
+# them and says in class attributes what it reads.
+
+
+def _learn_ids(self, knowledge: Knowledge, state: object | None = None):
+    """The last state's ids and the leak's; a replaying preset adds every observed
+    sequence's and those of up to ``oracle_calls`` embed-oracle answers."""
+    known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
+    known.update(knowledge.leaked_ids)
+    if self.replays:
+        for seq in knowledge.observed:
+            known.update(seq.ids)
+        oracle = knowledge.embed_oracle
+        if oracle is not None:
+            budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
+            for payload in _random_values(knowledge.rng, knowledge.payload_bits, budget):
+                known.update(oracle(payload).ids)
+    return {"known": known, "knowledge": knowledge}
 
 
 def _keyless_recover(self, sequence: StegoSequence, state) -> int:
@@ -57,21 +74,13 @@ class RandomGuesser:
 
 
 class KCAMembership:
-    """Flags a challenge as stego when all of its ids sit in the leak.
-
-    With the full library leaked and a world pool disjoint from it, the
-    id-set test is exact: true-positive 1, false-positive 0.
-    """
+    """Knows the leak alone.  With the full library leaked and a world pool
+    disjoint from it, the id-set test is exact: true-positive 1, false-positive 0."""
 
     name = "kca-membership"
+    replays = False
 
-    def learn(self, knowledge: Knowledge, state: object | None = None):
-        known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
-        known.update(knowledge.leaked_ids)
-        return {"known": known, "knowledge": knowledge}
-
-    guess = _membership_guess
-    recover = _keyless_recover
+    learn, guess, recover = _learn_ids, _membership_guess, _keyless_recover
 
 
 class SCOAHistogram:
@@ -189,57 +198,36 @@ class SCOAHistogram:
 
 
 class CCAReplay:
-    """Maps the library through the embed oracle, then tests membership.
-
-    Every observed sequence and oracle output exposes N library ids, which
-    join the leaked ones; a challenge is stego when all of its ids are
-    known, so a replayed output always is.  A modest call budget recovers
-    most of the secret library; this strictly subsumes what the leak alone
-    provides.
-    """
+    """Knows the leak, the observed traffic and the embed oracle's answers: each
+    sequence exposes N library ids, so a replayed output always reads stego and
+    a modest call budget recovers most of the secret library."""
 
     name = "cca-replay"
+    replays = True
 
     def __init__(self, oracle_calls: int = 32):
         check_int("oracle_calls", oracle_calls, 0, InvalidConfig)
         self.oracle_calls = oracle_calls
 
-    def learn(self, knowledge: Knowledge, state: object | None = None):
-        known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
-        known.update(knowledge.leaked_ids)
-        for seq in knowledge.observed:
-            known.update(seq.ids)
-        oracle = knowledge.embed_oracle
-        if oracle is not None:
-            budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
-            for payload in _random_values(knowledge.rng, knowledge.payload_bits, budget):
-                known.update(oracle(payload).ids)
-        return {"known": known, "knowledge": knowledge}
-
-    guess = _membership_guess
-    recover = _keyless_recover
+    learn, guess, recover = _learn_ids, _membership_guess, _keyless_recover
 
 
 class KeyedRecovery:
-    """Recovery ceiling: the public decode over the leaked ids in their sorted,
+    """Recovery ceiling: the public decode over the known ids in their sorted,
     canonical order, under a leaked key.  From a full leak and the exact key,
     agreement is 1; with one key bit flipped, one payload bit inverts per message."""
 
     name = "keyed-recovery"
+    replays = False
 
-    def learn(self, knowledge: Knowledge, state: object | None = None):
-        return {
-            "known": {cid: i for i, cid in enumerate(sorted(knowledge.leaked_ids))},
-            "key": knowledge.leaked_key,
-        }
-
-    guess = _membership_guess
+    learn, guess = _learn_ids, _membership_guess
 
     def recover(self, sequence: StegoSequence, state) -> int:
-        known = state["known"]
-        if state["key"] is None or not known:
+        known, key = state["known"], state["knowledge"].leaked_key
+        if key is None or not known:
             raise ValueError("no leaked key or library to decode with")
-        return _decode(sequence, known.__getitem__, len(known), state["key"])[0]
+        index = {cid: i for i, cid in enumerate(sorted(known))}
+        return _decode(sequence, index.__getitem__, len(index), key)[0]
 
 
 ADVERSARIES = {

@@ -21,6 +21,9 @@ from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_r
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
 CHUNK_CELLS = 16384
+# The most bins a histogram may have: calibrate_epsilon's JS null at 200 runs on 400 + 400
+# samples took 0.3 s and 53 MB at 2**16, 17 s and 1.7 GB at 2**20 (numpy 2.4, 2 cores).
+MAX_BINS = 1 << 16
 
 
 def _finite_samples(samples) -> np.ndarray:
@@ -68,8 +71,11 @@ class EmpiricalDistribution:
 
 def _histogram(arr: np.ndarray, bins: int, support) -> tuple[np.ndarray, np.ndarray]:
     """``np.histogram``; a support (None: the samples' range) that ``bins`` finite bins
-    cannot cut is InvalidParams (on older numpy, from EmpiricalDistribution's edge check)."""
+    cannot cut is InvalidParams (on older numpy, from EmpiricalDistribution's edge check),
+    and so are more than ``MAX_BINS`` bins, refused before anything is allocated."""
     check_int("bins", bins, low=1)
+    if bins > MAX_BINS:
+        raise InvalidParams(f"bins must be at most MAX_BINS = {MAX_BINS}, got {bins}")
     try:
         return np.histogram(arr, bins=bins, range=support)
     except ValueError as exc:

@@ -912,6 +912,38 @@ def test_cca_replay_asks_the_drawn_payloads():
     }
 
 
+@pytest.mark.parametrize("budget", [0, 5, 40])
+@pytest.mark.parametrize("level", [AttackLevel.CCA, AttackLevel.ACCA])
+@pytest.mark.parametrize("make, replays", [(KCAMembership, False), (CCAReplay, True),
+                                           (KeyedRecovery, False)],
+                         ids=["kca-membership", "cca-replay", "keyed-recovery"])
+def test_only_cca_replay_reads_traffic_and_the_oracle(make, replays, level, budget):
+    """Of the id presets, only cca-replay reads the observations, once, and
+    asks the embed oracle, min(oracle_calls, remaining) times; the other two
+    know the leak alone, also where the level hands them both.  Each keeps
+    the ids it knew when it learns again."""
+    sc = synthetic_scenario(T=16, N=4, world_size=32, seed=3, observations=3,
+                            oracle_embed_budget=budget)
+    codec = game._codec(sc.library, sc.N, 12345)
+    reads = []
+
+    def observe():
+        reads.append(None)
+        if not replays:
+            raise AssertionError("the observations were read")
+        return tuple(map(codec.embed, range(3)))
+
+    learning = game._knowledge(sc, level, codec, sc.library.ids()[:5], [])
+    knowledge = replace(learning(0, 0, np.random.default_rng(0)), _observe=observe)
+    known = make().learn(knowledge)["known"]
+    assert len(reads) == replays
+    assert budget - knowledge.embed_oracle.remaining == (min(32, budget) if replays else 0)
+    assert set(knowledge.leaked_ids) <= set(known)
+    assert bool(set(known) - set(knowledge.leaked_ids)) == replays
+    # what a preset knew, it still knows after the next round's learn
+    assert set(known) <= make().learn(replace(knowledge, leaked_ids=()), {"known": known})["known"]
+
+
 class TestAccaLoop:
     def test_random_guesser_never_breaks(self):
         sc = synthetic_scenario(T=8, N=3, world_size=16, seed=5, rounds=3)
@@ -1292,6 +1324,12 @@ GOLDEN = {
     'acca/replay': [
         ('ACCA', 'detection', 100, 80, 0.8, 5.579544528625976e-10, 0.01, 'broken', 3, 44, None, 0),
     ],
+    'acca/keyed': [
+        ('ACCA', 'detection', 100, 56, 0.56, 0.13562651203691736, 0.01, 'resists', 3, 44, None, 0),
+        ('ACCA', 'detection', 100, 51, 0.51, 0.46020538130641064, 0.01, 'resists', 3, 49, None, 1),
+        ('ACCA', 'detection', 100, 50, 0.5, 0.5397946186935894, 0.01, 'resists', 3, 56, None, 2),
+        ('ACCA', 'detection', 100, 100, 1.0, 7.888609052210118e-31, 0.01, 'broken', 3, 52, None, 3),
+    ],
     'acca/flaky': [
         ('ACCA', 'detection', 100, 46, 0.46, 0.8158991913366519, 0.01, 'resists', 18, 45, None, 0),
         ('ACCA', 'detection', 100, 0, 0.0, 1.0, 0.01, 'resists', 18, 57, None, 1),
@@ -1359,6 +1397,7 @@ def _golden_cases():
     adaptive = [
         ("membership-growing", growing, KCAMembership(), None, 2),
         ("replay", rounds, CCAReplay(oracle_calls=2), 2, 3),
+        ("keyed", growing, KeyedRecovery(), None, 3),
         ("flaky", rounds, FlakyAdversary(), None, 18),
         ("flaky-first-round", rounds, FlakyAdversary(), None, 13),
         ("random", rounds, RandomGuesser(), 3, 2),
@@ -1527,9 +1566,7 @@ def test_membership_guess_matches_earlier_rules(data):
     expected = kca_membership_reference(ids, known)
     assert cca_replay_reference(ids, known, outputs) == expected
     for cls in (KCAMembership, CCAReplay, KeyedRecovery):
-        # KeyedRecovery's known ids map to their library indices
-        state = {"known": dict.fromkeys(known, 0) if cls is KeyedRecovery else known}
-        assert cls().guess(Challenge(ids=ids), state) == expected
+        assert cls().guess(Challenge(ids=ids), {"known": known}) == expected
 
 
 @pytest.mark.parametrize(

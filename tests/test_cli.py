@@ -477,6 +477,24 @@ class TestDivergenceCommand:
         assert parse(out)["error"] == "InvalidParams"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("epsilon", ["0.1", "auto"])
+    @pytest.mark.parametrize("bins", ["65537", "400000000"])
+    def test_bins_over_the_limit_refused(self, sample_files, capsys, monkeypatch, epsilon, bins):
+        """More than MAX_BINS bins is a domain error, refused before the
+        histogram is allocated: 400,000,000 used to die allocating 2.98 GiB."""
+        import numpy as np
+
+        monkeypatch.setattr(np, "histogram", lambda *args, **kwargs: pytest.fail("allocated"))
+        a, b = sample_files
+        code, out, err = run_cli(
+            capsys, "divergence", "-a", str(a), "-b", str(b), "--epsilon", epsilon, "--bins", bins,
+        )
+        assert code == 1
+        assert parse(out) == {
+            "error": "InvalidParams", "detail": f"bins must be at most MAX_BINS = 65536, got {bins}"
+        }
+        assert "Traceback" not in err
+
     def test_bad_epsilon_string(self, sample_files, capsys):
         a, b = sample_files
         code, out, _ = run_cli(
@@ -548,6 +566,30 @@ def test_readme_divergence_example_is_golden():
         assert f'"{field}":{golden[field]!r}' in example.split("```")[0], field
 
 
+# attack's stdout over TestAttackCommand's 18 covers, keyed by its flags: the
+# scenario fields each run adds to library, world_pool and N, and the bytes.
+# The replay scenario leaks nothing, so only observations and oracle answers
+# make ids known; the recovery one leaks half the library and the exact key.
+GOLDEN_ATTACK = {
+    ("--level", "cca", "--adversary", "cca-replay", "--trials", "100"): (
+        {"observations": 1, "oracle_embed_budget": 1},
+        '{"alpha":0.01,"kind":"detection","level":"CCA","p_value":2.818141017102701e-07,'
+        '"params":{"adversary":"cca-replay","alpha":0.01,"game":"detection","level":"cca",'
+        '"rounds":null,"scenario":"scen.json","scheme":"coverless","trials":100},"seed":4,'
+        '"stego_challenges":41,"subcommand":"attack","success_rate":0.75,"successes":75,'
+        '"tool_version":"0.1.0","trials":100,"verdict":"broken"}\n',
+    ),
+    ("--level", "kca", "--adversary", "keyed-recovery", "--trials", "100", "--game", "recovery"): (
+        {"leak_fraction": 0.5, "key_leak": "full"},
+        '{"alpha":0.01,"kind":"recovery","level":"KCA","p_value":1.0,'
+        '"params":{"adversary":"keyed-recovery","alpha":0.01,"game":"recovery","level":"kca",'
+        '"rounds":null,"scenario":"scen.json","scheme":"coverless","trials":100},"seed":4,'
+        '"sequences":100,"subcommand":"attack","success_rate":0.013333333333333334,'
+        '"successes":8,"tool_version":"0.1.0","trials":600,"verdict":"resists"}\n',
+    ),
+}
+
+
 class TestAttackCommand:
     @pytest.fixture
     def scenario_file(self, tmp_path, make_covers):
@@ -594,6 +636,17 @@ class TestAttackCommand:
         assert (doc["p_value"], doc["success_rate"], doc["verdict"]) == (
             0.5839648127811197, 0.495, "resists"
         )
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_ATTACK))
+    def test_golden_attack_bytes(self, scenario_file, capsys, monkeypatch, argv):
+        """Seeded stdout of the presets that replay traffic and decode with a
+        leaked key, over these covers with each one's scenario fields."""
+        monkeypatch.chdir(scenario_file.parent)
+        doc = {"library": "lib.json", "world_pool": "world.json", "N": 3, **GOLDEN_ATTACK[argv][0]}
+        scenario_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "attack", *argv, "--seed", "4", "--scenario", "scen.json")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_ATTACK[argv][1]
 
     def test_missing_cover_is_an_io_error(self, scenario_file, capsys):
         world = json.loads((scenario_file.parent / "world.json").read_text())

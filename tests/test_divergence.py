@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 from stegogame import divergence
 from stegogame.divergence import (
     CHUNK_CELLS,
+    MAX_BINS,
     METRICS,
     EmpiricalDistribution,
     VERDICT_DISTINGUISHABLE,
@@ -83,6 +84,20 @@ class TestEstimator:
         for bins in (0, -1, True, 2.5, "4", None):
             with pytest.raises(InvalidParams):
                 estimate_distribution([1.0], bins=bins)
+
+    @pytest.mark.parametrize("entry", [
+        lambda bins: estimate_distribution([0.0, 1.0], bins=bins),
+        lambda bins: distinguishability_test([0.0, 1.0], [0.5, 2.0], 0.1, bins=bins),
+        lambda bins: calibrate_epsilon([0.0, 1.0], [0.5, 2.0], metric="kl", bins=bins, runs=20),
+    ], ids=["estimate_distribution", "distinguishability_test", "calibrate_epsilon"])
+    def test_bins_at_most_max_bins(self, entry, monkeypatch):
+        """``MAX_BINS`` bins are accepted; more are refused, naming the limit,
+        before ``np.histogram`` allocates anything."""
+        entry(MAX_BINS)
+        monkeypatch.setattr(np, "histogram", lambda *args, **kwargs: pytest.fail("allocated"))
+        for bins in (MAX_BINS + 1, 400_000_000, 10**30):
+            with pytest.raises(InvalidParams, match=f"at most MAX_BINS = {MAX_BINS}, got {bins}"):
+                entry(bins)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_refused(self, bad):
