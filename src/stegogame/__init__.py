@@ -28,8 +28,8 @@ _PUBLIC = {
     ),
     "permcodec": ("Arrangement", "Capacity", "capacity", "rank", "unrank"),
     "stego": (
-        "Message", "SeededEntropy", "StegoKey", "StegoSequence", "SystemEntropy", "embed",
-        "extract", "keygen", "load_key", "load_sequence", "save_key", "save_sequence",
+        "Message", "StegoKey", "StegoSequence", "embed", "extract", "keygen", "load_key",
+        "load_sequence", "save_key", "save_sequence",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

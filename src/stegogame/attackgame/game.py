@@ -342,7 +342,7 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
     """
     path = ("game",) if round_index is None else ("round", round_index)
     l = capacity(scenario.library.T, scenario.N).l
-    # keygen's draw from SeededEntropy, which also serves l = 0
+    # the draw keygen makes from random.Random(seed); getrandbits also serves l = 0
     session_key = random.Random(_derive_key(seed, *path, "session-key")).getrandbits(l)
     codec = _codec(scenario.library, scenario.N, session_key)
     leaked = _leak_ids(scenario, seed, level, round_index or 0)

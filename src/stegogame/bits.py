@@ -1,8 +1,8 @@
 """Helpers for fixed-length bitstrings rendered as '0'/'1' text.
 
 Bitstrings are MSB-first throughout: ``"0110"`` is the integer 6.  Hex
-renderings are zero-padded to ceil(l/4) digits so a bitstring's length
-survives the round trip through hex.
+renderings of an l-bit value are zero-padded to ceil(l/4) digits so l
+survives the round trip through hex; the file formats use the int forms.
 """
 
 from __future__ import annotations
@@ -43,13 +43,19 @@ def hex_digits_for(length: int) -> int:
     return (length + 3) // 4
 
 
+def int_to_hex(value: int, length: int) -> str:
+    """``value``, which must fit in ``length`` bits, as ceil(length/4) lowercase hex digits."""
+    if value < 0 or value >> length:
+        raise InvalidParams(f"{value} does not fit in {length} bits")
+    return format(value, f"0{hex_digits_for(length)}x") if length else ""
+
+
 def bits_to_hex(bits: str) -> str:
-    value = bits_to_int(bits)
-    return format(value, f"0{hex_digits_for(len(bits))}x") if bits else ""
+    return int_to_hex(bits_to_int(bits), len(bits))
 
 
-def hex_to_bits(hexstr: str, length: int) -> str:
-    """Decode ceil(length/4) lowercase hex digits into exactly ``length`` bits."""
+def hex_to_int(hexstr: str, length: int) -> int:
+    """Decode ceil(length/4) lowercase hex digits into a value below 2**length."""
     expected = hex_digits_for(length)
     if len(hexstr) != expected:
         raise WrongPayloadLength(
@@ -58,9 +64,11 @@ def hex_to_bits(hexstr: str, length: int) -> str:
     # int(s, 16) alone would also take "0x1", "+01", " 1 " and "f_f"
     if not HEX_DIGITS.issuperset(hexstr):
         raise InvalidParams(f"not a hex string: {hexstr!r}")
-    if length == 0:
-        return ""
-    value = int(hexstr, 16)
+    value = int(hexstr, 16) if hexstr else 0
     if value >> length:
         raise WrongPayloadLength(f"hex value {hexstr} does not fit in {length} bits")
-    return int_to_bits(value, length)
+    return value
+
+
+def hex_to_bits(hexstr: str, length: int) -> str:
+    return int_to_bits(hex_to_int(hexstr, length), length)

@@ -20,13 +20,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bits import bits_to_hex, hex_digits_for, hex_to_bits
-from .errors import InvalidParams, LengthMismatch, MalformedFile, StegogameError
+from .bits import hex_digits_for, hex_to_int, int_to_hex
+from .errors import InvalidParams, MalformedFile, StegogameError
 from .library import build_library, load_manifest, read_text, save_manifest
 from .permcodec import capacity
-from .stego import (
-    SeededEntropy, _codec, extract, keygen, load_key, load_sequence, save_key, save_sequence,
-)
+from .stego import Message, embed, extract, keygen, load_key, load_sequence, save_key, save_sequence
 
 
 # parsed arguments that are not echoed in "params"; --seed is reported beside it
@@ -75,8 +73,9 @@ def _cmd_keygen(args) -> int:
         l = capacity(args.T, args.N).l
     else:
         raise InvalidParams("keygen needs either --bits or both -T and -N")
-    entropy = SeededEntropy(args.seed) if args.seed is not None else None
-    key = keygen(l, entropy=entropy)
+    import random  # here, not at the top: only keygen draws, and secrets loads it too
+
+    key = keygen(l, entropy=random.Random(args.seed) if args.seed is not None else None)
     save_key(key, args.output)
     _emit(args, {"l": key.l, "key_file": args.output}, seed=args.seed)
     return 0
@@ -89,7 +88,7 @@ def _message_blocks(hexstr: str, l: int) -> list[int]:
         raise MalformedFile(
             f"message hex length must be a positive multiple of {width} digits for l={l}"
         )
-    return [int(hex_to_bits(hexstr[i : i + width], l), 2) for i in range(0, len(hexstr), width)]
+    return [hex_to_int(hexstr[i : i + width], l) for i in range(0, len(hexstr), width)]
 
 
 def _block_path(base: str, index: int, total: int) -> Path:
@@ -100,23 +99,20 @@ def _block_path(base: str, index: int, total: int) -> Path:
 def _cmd_embed(args) -> int:
     lib = load_manifest(args.library)
     key = load_key(args.key)
-    codec = _codec(lib, args.N, key.value)
-    blocks = _message_blocks(args.message.lower(), codec.l)
-    if key.l != codec.l:  # checked once the message parses, as stego.embed's check was
-        raise LengthMismatch(
-            f"message has {codec.l} bits, key {key.l}; capacity(T={lib.T}, N={args.N}) needs {codec.l}"
-        )
+    l = capacity(lib.T, args.N).l
+    blocks = _message_blocks(args.message.lower(), l)
     paths = [str(_block_path(args.output, i, len(blocks))) for i in range(len(blocks))]
     for value, path in zip(blocks, paths):
-        save_sequence(codec.embed(value), path)
-    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": codec.l})
+        save_sequence(embed(Message(value, l), key, lib, args.N), path)
+    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l})
     return 0
 
 
 def _cmd_extract(args) -> int:
     lib = load_manifest(args.library)
     key = load_key(args.key)
-    message = "".join(bits_to_hex(extract(load_sequence(p), key, lib).bits) for p in args.sequence)
+    blocks = [extract(load_sequence(p), key, lib) for p in args.sequence]
+    message = "".join(int_to_hex(m.value, m.l) for m in blocks)
     _emit(args, {"message": message, "blocks": len(args.sequence), "l": key.l})
     return 0
 

@@ -12,36 +12,38 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
-# xor_bits, arrangement_to_bits and bits_to_arrangement are not called here;
-# perfbench/tracer.py looks them up in this module by name.
-from .bits import bits_to_hex, hex_to_bits, int_to_bits, validate_bits, xor_bits  # noqa: F401
-from .errors import EntropyUnavailable, InvalidConfig, LengthMismatch, MalformedFile, StegogameError
-from .errors import Record, check_int
+from .bits import hex_to_int, int_to_hex
+from .errors import EntropyUnavailable, InvalidConfig, InvalidParams, LengthMismatch, MalformedFile
+from .errors import Record, StegogameError, check_int
 from .library import (
     CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
 from .permcodec import Arrangement, _places, _unrank, capacity, payload_value
+# not called here; perfbench/tracer.py looks them up in this module by name
+from .bits import bits_to_hex, hex_to_bits, xor_bits  # noqa: F401
 from .permcodec import arrangement_to_bits, bits_to_arrangement  # noqa: F401
+
+if TYPE_CHECKING:
+    import random
 
 SEQUENCE_VERSION = 1
 
 
 class _Block(Record):
-    """An l-bit string, validated on construction."""
+    """An l-bit value: an int in [0, 2**l), checked on construction."""
 
-    def __init__(self, bits: str):
-        self.__dict__["bits"] = validate_bits(bits)
+    def __init__(self, value: int, l: int):
+        check_int("block length", l, low=0)
+        if type(value) is not int or value < 0 or value >> l:
+            raise InvalidParams(f"block value must be an int in [0, 2**{l})")
+        self.__dict__.update(value=value, l=l)
 
     @property
-    def l(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> int:
-        """The bits as a big-endian integer; 0 when l = 0."""
-        return int(self.bits, 2) if self.bits else 0
+    def bits(self) -> str:
+        """The value as l '0'/'1' digits, MSB first; "" when l = 0."""
+        return format(self.value, f"0{self.l}b") if self.l else ""
 
 
 class StegoKey(_Block):
@@ -63,42 +65,20 @@ class StegoSequence(Record):
         return len(self.ids)
 
 
-class EntropySource(Protocol):
-    def bits(self, n: int) -> str: ...
-
-
-class SystemEntropy:
-    """OS-backed entropy; the production default."""
-
-    def bits(self, n: int) -> str:
+def keygen(l: int, entropy: random.Random | None = None) -> StegoKey:
+    """Sample an l-bit key as ``entropy.getrandbits(l)``; OS entropy
+    (``secrets.SystemRandom``) by default."""
+    check_int("key length", l, low=1)
+    if entropy is None:
         import secrets  # here, not at the top: a seeded keygen does not load it
 
-        try:
-            return int_to_bits(secrets.randbits(n), n) if n else ""
-        except (OSError, NotImplementedError) as exc:
-            raise EntropyUnavailable(str(exc)) from exc
-
-
-class SeededEntropy:
-    """Deterministic entropy for tests and replayable experiments."""
-
-    def __init__(self, seed: int):
-        import random
-
-        self._rng = random.Random(seed)
-
-    def bits(self, n: int) -> str:
-        return int_to_bits(self._rng.getrandbits(n), n) if n else ""
-
-
-def keygen(l: int, entropy: EntropySource | None = None) -> StegoKey:
-    """Sample an l-bit key from the given source (OS entropy by default)."""
-    check_int("key length", l, low=1)
-    source = entropy if entropy is not None else SystemEntropy()
-    key = StegoKey(bits=source.bits(l))
-    if key.l != l:
-        raise EntropyUnavailable(f"entropy source returned {key.l} bits, wanted {l}")
-    return key
+        entropy = secrets.SystemRandom()
+    try:
+        return StegoKey(entropy.getrandbits(l), l)
+    except (OSError, NotImplementedError) as exc:
+        raise EntropyUnavailable(str(exc)) from exc
+    except InvalidParams as exc:  # l is checked, so the draw is not an l-bit int
+        raise EntropyUnavailable(f"entropy source: {exc}") from exc
 
 
 def _record(cls: type, fields: dict):
@@ -166,7 +146,7 @@ def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
     value, l = _decode(seq, lib.lookup, lib.T, k.value)
     if k.l != l:
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {l}")
-    return Message(bits=int_to_bits(value, l))
+    return Message(value, l)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +156,8 @@ _KEY_LINE1 = re.compile(r"^l=([0-9]{1,9})$")  # ASCII digits, few enough for int
 
 
 def save_key(key: StegoKey, path: str | os.PathLike) -> None:
-    """Key file: line 1 ``l=<int>``, line 2 the bits as MSB-first hex."""
-    write_text(f"l={key.l}\n{bits_to_hex(key.bits)}\n", path, "key file")
+    """Key file: line 1 ``l=<int>``, line 2 the value as ceil(l/4) hex digits."""
+    write_text(f"l={key.l}\n{int_to_hex(key.value, key.l)}\n", path, "key file")
 
 
 def load_key(path: str | os.PathLike) -> StegoKey:
@@ -189,10 +169,10 @@ def load_key(path: str | os.PathLike) -> StegoKey:
         raise MalformedFile(f"key file {path}: first line must be 'l=<int>'")
     l = int(m.group(1))
     try:
-        bits = hex_to_bits(lines[1].strip().lower(), l)
+        value = hex_to_int(lines[1].strip().lower(), l)
     except StegogameError as exc:
         raise MalformedFile(f"key file {path}: {exc}") from exc
-    return StegoKey(bits=bits)
+    return StegoKey(value, l)
 
 
 def sequence_to_json(seq: StegoSequence) -> dict:

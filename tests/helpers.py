@@ -251,6 +251,11 @@ def bits_of(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
 
 
+def message_of(bits: str) -> Message:
+    """The message whose ``.bits`` are ``bits``."""
+    return Message(int(bits or "0", 2), len(bits))
+
+
 class OneCoverLibrary:
     """The library interface embed, extract and the attack games use, at
     T = 1, where the payload is 0 bits wide.  CoverLibrary itself needs two
@@ -283,7 +288,7 @@ def extract_reference(seq, k, lib) -> Message:
     payload = arrangement_to_bits(arr)
     if k.l != len(payload):
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {len(payload)}")
-    return Message(bits=xor_bits(payload, k.bits))
+    return message_of(xor_bits(payload, k.bits))
 
 
 def payload_bits_reference(gen, l: int) -> str:
@@ -299,7 +304,7 @@ def observations_reference(scenario, session_key, gen) -> tuple[StegoSequence, .
     the string path."""
     return tuple(
         embed_reference(
-            Message(payload_bits_reference(gen, session_key.l)),
+            message_of(payload_bits_reference(gen, session_key.l)),
             session_key,
             scenario.library,
             scenario.N,

@@ -20,7 +20,7 @@ import pytest
 from scipy.stats import chisquare
 
 import stegogame
-from helpers import bits_of, coverage_enumeration, lex_arrangements, mem_library
+from helpers import coverage_enumeration, lex_arrangements, mem_library
 from stegogame.attackgame import (
     AttackLevel,
     KCAMembership,
@@ -71,15 +71,15 @@ def test_criterion_1_round_trip(capfd):
                 big_pairs.append((T, N, l, lib))
                 continue
             for value in range(2**l):
-                m = Message(bits_of(value, l))
-                k = StegoKey(bits_of(int(rng.integers(0, 2**l)), l))
+                m = Message(value, l)
+                k = StegoKey(int(rng.integers(0, 2**l)), l)
                 failures += extract(embed(m, k, lib, N), k, lib) != m
                 checked += 1
     per_pair = 10_000 // len(big_pairs)
     for T, N, l, lib in big_pairs:
         for _ in range(per_pair):
-            m = Message(bits_of(int(rng.integers(0, 2**l)), l))
-            k = StegoKey(bits_of(int(rng.integers(0, 2**l)), l))
+            m = Message(int(rng.integers(0, 2**l)), l)
+            k = StegoKey(int(rng.integers(0, 2**l)), l)
             failures += extract(embed(m, k, lib, N), k, lib) != m
             checked += 1
     _report(
@@ -178,7 +178,7 @@ def test_criterion_5_output_uniformity(capfd):
     """With the key uniform, embed's output rank is uniform over the payload
     range: chi-square not rejected at alpha=0.01 in >= 95/100 repetitions."""
     lib = mem_library(4)
-    m = Message("0000")
+    m = Message(0, 4)
     master = 0  # fixed master seed; each repetition gets its own counter
     passed = 0
     for rep in range(100):
@@ -186,7 +186,7 @@ def test_criterion_5_output_uniformity(capfd):
         key_values = gen.integers(0, 16, size=16_000)
         counts = np.zeros(16, dtype=np.int64)
         for kv in key_values:
-            seq = embed(m, StegoKey(bits_of(int(kv), 4)), lib, 3)
+            seq = embed(m, StegoKey(int(kv), 4), lib, 3)
             r = rank(Arrangement(indices=tuple(lib.lookup(c) for c in seq.ids), T=4))
             counts[r] += 1
         passed += chisquare(counts).pvalue >= 0.01
@@ -229,19 +229,18 @@ def test_criterion_6_security_claims(capfd):
 
 
 def test_criterion_7_determinism(capfd, tmp_path, make_covers):
-    """Seeded subcommands emit byte-identical JSON across reruns and across
-    worker counts 1 vs 8."""
+    """Seeded subcommands emit byte-identical JSON, and keygen the same key
+    file, across three reruns in separate workspaces."""
 
     # The children get a stripped env; PYTHONPATH names the directory holding
     # the package under test, so they import it whether or not it is installed.
     package_root = str(Path(stegogame.__file__).resolve().parents[1])
 
-    def run(cwd, argv, threads):
+    def run(cwd, argv):
         return subprocess.run(
             [sys.executable, "-m", "stegogame.cli", *argv],
             capture_output=True, cwd=cwd,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
-                 "STEGOGAME_THREADS": str(threads)},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         )
 
     paths = make_covers(18, tag="det")
@@ -276,11 +275,7 @@ def test_criterion_7_determinism(capfd, tmp_path, make_covers):
     mismatched = []
     child_error = None
     for argv in commands:
-        procs = [
-            run(workspaces[0], argv, threads=1),
-            run(workspaces[1], argv, threads=1),
-            run(workspaces[2], argv, threads=8),
-        ]
+        procs = [run(d, argv) for d in workspaces]
         outs = [p.stdout for p in procs]
         failed = [p for p in procs if p.returncode != 0]
         if failed or not (outs[0] and outs[0] == outs[1] == outs[2]):
@@ -302,7 +297,7 @@ def test_criterion_7_determinism(capfd, tmp_path, make_covers):
     _report(
         capfd, 7, not mismatched,
         "determinism: keygen/budget/divergence/attack byte-identical across "
-        f"reruns and 1-vs-8 workers{failure}",
+        f"three reruns{failure}",
     )
 
 

@@ -21,7 +21,7 @@ from stegogame.budget import coverage_report, max_safe_uses, pr_coverage_mc
 from stegogame.divergence import calibrate_epsilon, distinguishability_test, estimate_distribution
 from stegogame.errors import StegogameError
 from stegogame.permcodec import capacity
-from stegogame.stego import keygen
+from stegogame.stego import Message, StegoKey, keygen
 
 NOT_INTS = st.one_of(
     st.floats(), st.booleans(), st.text(max_size=3), st.none(),
@@ -49,6 +49,8 @@ SAMPLES = dict(samples_a=[1.0, 2.0], samples_b=[3.0])
 CALLS = [
     ("capacity", capacity, dict(T=8, N=3), {"T": "int", "N": "int"}),
     ("keygen", keygen, dict(l=8), {"l": "int"}),
+    *((cls.__name__, cls, dict(value=1, l=4), {"value": "int", "l": "int"})
+      for cls in (Message, StegoKey)),
     ("max_safe_uses", max_safe_uses, dict(N=2, T=4, zeta=0.4),
      {"N": "int", "T": "int", "zeta": "real"}),
     ("coverage_report", coverage_report, dict(x=2, N=2, T=4, mc_trials=10, seed=0),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import traceback
 import warnings
 from collections import Counter
@@ -53,7 +54,7 @@ from stegogame.errors import (
 )
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import capacity
-from stegogame.stego import Message, SeededEntropy, StegoSequence, embed, keygen
+from stegogame.stego import Message, StegoSequence, embed, keygen
 
 
 class FailingAdversary:
@@ -739,7 +740,7 @@ def test_observed_matches_eager_oracle():
     tuple; the harness stream that skipped their words stands where the
     eager draw left it."""
     sc = synthetic_scenario(T=8, N=3, world_size=16, seed=4, observations=5)
-    session_key = keygen(capacity(8, 3).l, SeededEntropy(11))
+    session_key = keygen(capacity(8, 3).l, random.Random(11))
     codec = game._codec(sc.library, sc.N, session_key.value)
     # the harness stream of trial 3 after its learning phase: the observations' words skipped
     lazy = game._rekey(np.random.Generator(np.random.Philox(key=0)), 5, 3, skip=5)
@@ -892,7 +893,7 @@ def test_cca_replay_asks_the_drawn_payloads():
     sc = synthetic_scenario(T=16, N=4, world_size=32, seed=3, observations=0)
     l = capacity(16, 4).l
     assert l == 15
-    session_key = keygen(l, SeededEntropy(4))
+    session_key = keygen(l, random.Random(4))
     codec = game._codec(sc.library, sc.N, session_key.value)
     batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
     batched.integers(0, 2, size=5)
@@ -908,7 +909,7 @@ def test_cca_replay_asks_the_drawn_payloads():
     assert asked == [v for _ in range(32) for v in game._random_values(single, l, 1)]
     assert repr(batched.bit_generator.state) == repr(single.bit_generator.state)
     assert learned["known"] == {
-        cid for v in asked for cid in embed(Message(bits_of(v, l)), session_key, sc.library, 4).ids
+        cid for v in asked for cid in embed(Message(v, l), session_key, sc.library, 4).ids
     }
 
 

@@ -6,7 +6,9 @@ from stegogame.bits import (
     bits_to_int,
     hex_digits_for,
     hex_to_bits,
+    hex_to_int,
     int_to_bits,
+    int_to_hex,
     validate_bits,
     xor_bits,
 )
@@ -19,6 +21,7 @@ def test_empty_bits_round_trip():
     assert bits_to_int("") == 0
     assert int_to_bits(0, 0) == ""
     assert bits_to_hex("") == ""
+    assert int_to_hex(0, 0) == "" and hex_to_int("", 0) == 0
 
 
 def test_validate_rejects_non_bits():
@@ -67,25 +70,36 @@ def test_hex_round_trip(l, data):
     value = data.draw(st.integers(min_value=0, max_value=2**l - 1))
     bits = int_to_bits(value, l)
     assert hex_to_bits(bits_to_hex(bits), l) == bits
+    assert int_to_hex(value, l) == bits_to_hex(bits) and hex_to_int(int_to_hex(value, l), l) == value
+
+
+def test_int_to_hex_pads_and_refuses_overflow():
+    assert int_to_hex(1, 5) == "01" and int_to_hex(31, 5) == "1f"
+    for value, l in ((32, 5), (-1, 5), (1, 0)):
+        with pytest.raises(InvalidParams):
+            int_to_hex(value, l)
 
 
 def test_hex_to_bits_rejects_wrong_width():
-    with pytest.raises(WrongPayloadLength):
-        hex_to_bits("0f", 4)  # needs exactly 1 digit
-    with pytest.raises(WrongPayloadLength):
-        hex_to_bits("f", 8)
+    for decode in (hex_to_bits, hex_to_int):
+        with pytest.raises(WrongPayloadLength):
+            decode("0f", 4)  # needs exactly 1 digit
+        with pytest.raises(WrongPayloadLength):
+            decode("f", 8)
 
 
 def test_hex_to_bits_rejects_overflow_value():
-    # l=5 uses 2 digits but only values < 32 are valid
-    with pytest.raises(WrongPayloadLength):
-        hex_to_bits("20", 5)
+    for decode in (hex_to_bits, hex_to_int):
+        # l=5 uses 2 digits but only values < 32 are valid
+        with pytest.raises(WrongPayloadLength):
+            decode("20", 5)
 
 
 def test_hex_to_bits_rejects_non_hex():
-    with pytest.raises(InvalidParams):
-        hex_to_bits("zz", 8)
-    # int(s, 16) accepts all of these; a payload must be bare hex digits
-    for text in ("0x1", "+01", " 1 ", "f_f"):
+    for decode in (hex_to_bits, hex_to_int):
         with pytest.raises(InvalidParams):
-            hex_to_bits(text, 12)
+            decode("zz", 8)
+        # int(s, 16) accepts all of these; a payload must be bare hex digits
+        for text in ("0x1", "+01", " 1 ", "f_f"):
+            with pytest.raises(InvalidParams):
+                decode(text, 12)

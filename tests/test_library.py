@@ -181,7 +181,7 @@ def test_reader_raises_its_typed_error(tmp_path, reader, case):
 # every writer of an output file, each handed something it can write
 WRITERS = {
     "save_manifest": lambda path: save_manifest(mem_library(2), path),
-    "save_key": lambda path: save_key(StegoKey("0110"), path),
+    "save_key": lambda path: save_key(StegoKey(6, 4), path),
     "save_sequence": lambda path: save_sequence(StegoSequence(ids=("a" * 64,)), path),
 }
 

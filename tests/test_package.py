@@ -147,8 +147,8 @@ def test_public_names_are_listed_once_and_sorted():
     assert stegogame.__all__ == sorted(set(stegogame.__all__))
     assert stegogame.__all__ == [
         "Arrangement", "Capacity", "CoverEntry", "CoverLibrary", "CoverageReport",
-        "DistanceReport", "EmpiricalDistribution", "Message", "SeededEntropy", "StegoKey",
-        "StegoSequence", "StegogameError", "SystemEntropy", "bits_to_hex", "build_library",
+        "DistanceReport", "EmpiricalDistribution", "Message", "StegoKey",
+        "StegoSequence", "StegogameError", "bits_to_hex", "build_library",
         "calibrate_epsilon", "capacity", "coverage_report", "distinguishability_test", "embed",
         "estimate_distribution", "extract", "hash_bytes", "hash_file", "hex_to_bits", "js",
         "keygen", "kl", "load_key", "load_manifest", "load_sequence", "max_safe_uses",

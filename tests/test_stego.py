@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     OneCoverLibrary,
-    bits_of,
     embed_reference,
     extract_reference,
     lex_arrangements,
@@ -28,7 +27,6 @@ from stegogame.stego import (
     _Block,
     _codec,
     Message,
-    SeededEntropy,
     StegoKey,
     StegoSequence,
     embed,
@@ -42,70 +40,94 @@ from stegogame.stego import (
 
 
 class FixedEntropy:
-    def __init__(self, bits: str):
-        self._bits = bits
+    """An entropy source whose every draw is ``value``."""
 
-    def bits(self, n: int) -> str:
-        return self._bits[:n]
+    def __init__(self, value):
+        self._value = value
+
+    def getrandbits(self, n: int):
+        return self._value
 
 
 class TestKeygen:
     def test_passes_injected_entropy_through(self):
-        assert keygen(4, FixedEntropy("1010")).bits == "1010"
+        assert keygen(4, FixedEntropy(0b1010)) == StegoKey(10, 4)
+        assert keygen(4, FixedEntropy(0b1010)).bits == "1010"
 
     def test_zero_length_rejected(self):
         with pytest.raises(InvalidParams):
             keygen(0)
 
     def test_seeded_entropy_is_reproducible(self):
-        assert keygen(64, SeededEntropy(9)).bits == keygen(64, SeededEntropy(9)).bits
-        assert keygen(64, SeededEntropy(9)).bits != keygen(64, SeededEntropy(10)).bits
+        assert keygen(64, random.Random(9)) == keygen(64, random.Random(9))
+        assert keygen(64, random.Random(9)) != keygen(64, random.Random(10))
+        assert keygen(64, random.Random(9)).value == random.Random(9).getrandbits(64)
 
     def test_system_entropy_varies(self):
-        keys = {keygen(64).bits for _ in range(8)}
+        keys = {keygen(64).value for _ in range(8)}
         assert len(keys) == 8
 
     def test_short_entropy_source_rejected(self):
-        with pytest.raises(EntropyUnavailable):
-            keygen(8, FixedEntropy("101"))
+        """A draw that is not an int in [0, 2**l) is the source's fault."""
+        for draw in (256, -1, "101", 5.0, True, None):
+            with pytest.raises(EntropyUnavailable):
+                keygen(8, FixedEntropy(draw))
 
     @pytest.mark.parametrize("l", [True, False, 4.0, "4", None])
     def test_non_int_length_rejected(self, l):
         with pytest.raises(InvalidParams):
-            keygen(l, FixedEntropy("1010"))
+            keygen(l, FixedEntropy(0b1010))
+
+    def test_os_entropy_failure_is_typed(self, monkeypatch, tmp_path, capsys):
+        """An OS that cannot supply entropy fails keygen with
+        EntropyUnavailable, and the CLI with exit 1 and a JSON error."""
+        from stegogame.cli import dispatch
+
+        def no_entropy(n):
+            raise OSError("no entropy source")
+
+        # secrets.SystemRandom().getrandbits reads random._urandom
+        monkeypatch.setattr(random, "_urandom", no_entropy)
+        with pytest.raises(EntropyUnavailable, match="no entropy source"):
+            keygen(8)
+        capsys.readouterr()
+        assert dispatch(["keygen", "--bits", "8", "-o", str(tmp_path / "key.txt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == '{"detail":"no entropy source","error":"EntropyUnavailable"}\n'
+        assert "Traceback" not in err and not (tmp_path / "key.txt").exists()
 
 
 class TestEmbed:
     def test_zero_payload_takes_first_covers(self):
         lib = mem_library(4)
-        seq = embed(Message("0000"), StegoKey("0000"), lib, N=3)
+        seq = embed(Message(0, 4), StegoKey(0, 4), lib, N=3)
         assert seq.ids == lib.ids()[:3]
 
     def test_xor_self_inverse_pair(self):
         lib = mem_library(4)
-        a = embed(Message("0000"), StegoKey("0000"), lib, N=3)
-        b = embed(Message("0110"), StegoKey("0110"), lib, N=3)
+        a = embed(Message(0, 4), StegoKey(0, 4), lib, N=3)
+        b = embed(Message(6, 4), StegoKey(6, 4), lib, N=3)
         assert a == b
 
     def test_rank_six_example(self):
         lib = mem_library(4)
-        seq = embed(Message("0011"), StegoKey("0101"), lib, N=3)
+        seq = embed(Message(3, 4), StegoKey(5, 4), lib, N=3)
         expected = lex_arrangements(4, 3)[6]
         assert seq.ids == tuple(lib.ids()[i] for i in expected)
 
     def test_length_mismatch(self):
         lib = mem_library(4)
         with pytest.raises(LengthMismatch):
-            embed(Message("000"), StegoKey("0000"), lib, N=3)
+            embed(Message(0, 3), StegoKey(0, 4), lib, N=3)
         with pytest.raises(LengthMismatch):
-            embed(Message("0000"), StegoKey("00000"), lib, N=3)
+            embed(Message(0, 4), StegoKey(0, 5), lib, N=3)
 
     def test_never_reads_cover_content(self):
         # entries point at mem:// paths that cannot be opened; embedding and
         # extraction must succeed anyway
         lib = mem_library(5)
-        seq = embed(Message("00000"), StegoKey("11111"), lib, N=3)
-        assert extract(seq, StegoKey("11111"), lib).bits == "00000"
+        seq = embed(Message(0, 5), StegoKey(31, 5), lib, N=3)
+        assert extract(seq, StegoKey(31, 5), lib) == Message(0, 5)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -115,8 +137,8 @@ class TestEmbed:
         m = data.draw(st.integers(0, 2**l - 1))
         k = data.draw(st.integers(0, 2**l - 1))
         d = data.draw(st.integers(0, 2**l - 1))
-        direct = embed(Message(bits_of(m, l)), StegoKey(bits_of(k, l)), lib, 3)
-        shifted = embed(Message(bits_of(m ^ d, l)), StegoKey(bits_of(k ^ d, l)), lib, 3)
+        direct = embed(Message(m, l), StegoKey(k, l), lib, 3)
+        shifted = embed(Message(m ^ d, l), StegoKey(k ^ d, l), lib, 3)
         assert direct == shifted
 
 
@@ -126,19 +148,19 @@ class TestExtract:
         l = capacity(6, 3).l
         rng = random.Random(0)
         for _ in range(300):
-            m = Message(bits_of(rng.getrandbits(l), l))
-            k = StegoKey(bits_of(rng.getrandbits(l), l))
+            m = Message(rng.getrandbits(l), l)
+            k = StegoKey(rng.getrandbits(l), l)
             assert extract(embed(m, k, lib, 3), k, lib) == m
 
     def test_wrong_key_agreement_near_half(self):
         lib = mem_library(6)
         l = capacity(6, 3).l
         rng = random.Random(1)
-        m = Message(bits_of(rng.getrandbits(l), l))
+        m = Message(rng.getrandbits(l), l)
         agree = total = 0
         for _ in range(500):
-            k = StegoKey(bits_of(rng.getrandbits(l), l))
-            wrong = StegoKey(bits_of(rng.getrandbits(l), l))
+            k = StegoKey(rng.getrandbits(l), l)
+            wrong = StegoKey(rng.getrandbits(l), l)
             got = extract(embed(m, k, lib, 3), wrong, lib)
             agree += sum(a == b for a, b in zip(got.bits, m.bits))
             total += l
@@ -146,29 +168,29 @@ class TestExtract:
 
     def test_foreign_id_raises(self):
         lib = mem_library(4)
-        seq = embed(Message("0000"), StegoKey("0000"), lib, 3)
+        seq = embed(Message(0, 4), StegoKey(0, 4), lib, 3)
         forged = StegoSequence(ids=("f" * 64,) + seq.ids[1:])
         with pytest.raises(NotInLibrary):
-            extract(forged, StegoKey("0000"), lib)
+            extract(forged, StegoKey(0, 4), lib)
 
     def test_duplicate_ids_raise(self):
         lib = mem_library(4)
         cid = lib.ids()[0]
         with pytest.raises(InvalidArrangement):
-            extract(StegoSequence(ids=(cid, cid, lib.ids()[1])), StegoKey("0000"), lib)
+            extract(StegoSequence(ids=(cid, cid, lib.ids()[1])), StegoKey(0, 4), lib)
 
     def test_unreachable_arrangement(self):
         lib = mem_library(3)
         arr = unrank(5, T=3, N=2)  # rank beyond the 2-bit payload image
         seq = StegoSequence(ids=tuple(lib.ids()[i] for i in arr.indices))
         with pytest.raises(UnreachableArrangement):
-            extract(seq, StegoKey("00"), lib)
+            extract(seq, StegoKey(0, 2), lib)
 
     def test_key_length_mismatch(self):
         lib = mem_library(4)
-        seq = embed(Message("0000"), StegoKey("0000"), lib, 3)
+        seq = embed(Message(0, 4), StegoKey(0, 4), lib, 3)
         with pytest.raises(LengthMismatch):
-            extract(seq, StegoKey("00000"), lib)
+            extract(seq, StegoKey(0, 5), lib)
 
     @given(st.data())
     @settings(max_examples=80)
@@ -177,8 +199,8 @@ class TestExtract:
         N = data.draw(st.integers(1, T))
         lib = mem_library(T)
         l = capacity(T, N).l
-        m = Message(bits_of(data.draw(st.integers(0, 2**l - 1)), l))
-        k = StegoKey(bits_of(data.draw(st.integers(0, 2**l - 1)), l))
+        m = Message(data.draw(st.integers(0, 2**l - 1)), l)
+        k = StegoKey(data.draw(st.integers(0, 2**l - 1)), l)
         assert extract(embed(m, k, lib, N), k, lib) == m
 
 
@@ -188,16 +210,16 @@ class TestZeroWidthPayload:
 
     def test_round_trip(self):
         lib = OneCoverLibrary()
-        seq = embed(Message(""), StegoKey(""), lib, 1)
+        seq = embed(Message(0, 0), StegoKey(0, 0), lib, 1)
         assert seq.ids == (lib.cid,)
-        assert extract(seq, StegoKey(""), lib) == Message("")
+        assert extract(seq, StegoKey(0, 0), lib) == Message(0, 0)
 
     def test_lengths_still_checked(self):
         lib = OneCoverLibrary()
         with pytest.raises(LengthMismatch):
-            embed(Message("0"), StegoKey(""), lib, 1)
+            embed(Message(0, 1), StegoKey(0, 0), lib, 1)
         with pytest.raises(LengthMismatch):
-            extract(StegoSequence(ids=(lib.cid,)), StegoKey("1"), lib)
+            extract(StegoSequence(ids=(lib.cid,)), StegoKey(1, 1), lib)
 
 
 def _outcome(fn, *args):
@@ -217,8 +239,8 @@ def _library(T):
     return _LIBRARIES[T]
 
 
-def _bits(data, length):
-    return "".join(data.draw(st.lists(st.sampled_from("01"), min_size=length, max_size=length)))
+def _block(data, cls, l):
+    return cls(data.draw(st.integers(0, 2**l - 1)), l)
 
 
 @pytest.mark.parametrize(
@@ -235,11 +257,11 @@ def test_codec_walks_agree(T, N, count):
     key = rng.getrandbits(l)
     codec = _codec(lib, N, key)
     assert codec.l == l
-    stego_key = StegoKey(bits_of(key, l))
+    stego_key = StegoKey(key, l)
     values = range(1 << l) if count is None else [rng.getrandbits(l) for _ in range(count)]
     for v in values:
         seq = codec.embed(v)
-        assert seq == embed(Message(bits_of(v, l)), stego_key, lib, N)
+        assert seq == embed(Message(v, l), stego_key, lib, N)
         assert seq.ids == tuple(lib.ids()[i] for i in unrank(v ^ key, T, N).indices)
         assert codec.extract(seq) == v
         assert extract(seq, stego_key, lib).value == v
@@ -251,7 +273,7 @@ class TestMatchesStringPath:
 
     def _check(self, data, T, N, l_message, l_key):
         lib = _library(T)
-        m, k = Message(_bits(data, l_message)), StegoKey(_bits(data, l_key))
+        m, k = _block(data, Message, l_message), _block(data, StegoKey, l_key)
         got = _outcome(embed, m, k, lib, N)
         assert got == _outcome(embed_reference, m, k, lib, N)
         if got[0] == "returned":
@@ -294,14 +316,14 @@ class TestMatchesStringPath:
         ids = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=T + 1))
         n = len(ids)
         l = capacity(T, n).l if 1 <= n <= T else 2
-        k = StegoKey(_bits(data, max(0, l + data.draw(st.integers(-1, 1)))))
+        k = _block(data, StegoKey, max(0, l + data.draw(st.integers(-1, 1))))
         seq = StegoSequence(ids=tuple(ids))
         assert _outcome(extract, seq, k, lib) == _outcome(extract_reference, seq, k, lib)
 
 
 class TestKeyFile:
     def test_round_trip(self, tmp_path):
-        key = StegoKey("10110")
+        key = StegoKey(22, 5)
         p = tmp_path / "key.txt"
         save_key(key, p)
         assert p.read_text() == "l=5\n16\n"
@@ -334,7 +356,7 @@ class TestKeyFile:
 class TestSequenceFile:
     def test_round_trip(self, tmp_path):
         lib = mem_library(5)
-        seq = embed(Message("00000"), StegoKey("10101"), lib, 3)
+        seq = embed(Message(0, 5), StegoKey(21, 5), lib, 3)
         p = tmp_path / "seq.json"
         save_sequence(seq, p)
         assert load_sequence(p) == seq
@@ -342,7 +364,7 @@ class TestSequenceFile:
     def test_rejects_malformed(self, tmp_path):
         p = tmp_path / "seq.json"
         lib = mem_library(4)
-        good_ids = list(embed(Message("0000"), StegoKey("0000"), lib, 3).ids)
+        good_ids = list(embed(Message(0, 4), StegoKey(0, 4), lib, 3).ids)
         cases = [
             "{not json",
             '{"version":2,"N":3,"ids":%s}' % __import__("json").dumps(good_ids),
@@ -365,9 +387,9 @@ _RECORDS = [
     (CoverLibrary, ("covers",), ((_E1, _E2),), f"CoverLibrary(covers=({_E1!r}, {_E2!r}))"),
     (Arrangement, ("indices", "T"), ((2, 0), 3), "Arrangement(indices=(2, 0), T=3)"),
     (Capacity, ("r", "l"), (24, 4), "Capacity(r=24, l=4)"),
-    (_Block, ("bits",), ("1",), "_Block(bits='1')"),
-    (StegoKey, ("bits",), ("01",), "StegoKey(bits='01')"),
-    (Message, ("bits",), ("01",), "Message(bits='01')"),
+    (_Block, ("value", "l"), (1, 1), "_Block(value=1, l=1)"),
+    (StegoKey, ("value", "l"), (1, 2), "StegoKey(value=1, l=2)"),
+    (Message, ("value", "l"), (1, 2), "Message(value=1, l=2)"),
     (StegoSequence, ("ids",), (("x", "y"),), "StegoSequence(ids=('x', 'y'))"),
 ]
 
@@ -397,13 +419,13 @@ def test_value_types_are_frozen_records(cls, names, values, text):
 
 
 def test_value_types_compare_by_class():
-    assert Message("01") != StegoKey("01") and not Message("01") == StegoKey("01")
+    assert Message(1, 2) != StegoKey(1, 2) and not Message(1, 2) == StegoKey(1, 2)
     assert Capacity(24, 4) != (24, 4) and Capacity(24, 4) != Capacity(24, 5)
     assert StegoSequence(("x",)) != ("x",) and StegoSequence(["x"]) == StegoSequence(("x",))
     assert Arrangement([2, 0], 3).indices == (2, 0) and Arrangement([2, 0], 3).N == 2
     assert StegoSequence(["x", "y"]).ids == ("x", "y") and StegoSequence(["x", "y"]).N == 2
-    assert {Message("01"), Message("01"), StegoKey("01")} == {Message("01"), StegoKey("01")}
-    assert Message("0110").value == 6 and Message("0110").l == 4 and Message("").value == 0
+    assert {Message(1, 2), Message(1, 2), StegoKey(1, 2)} == {Message(1, 2), StegoKey(1, 2)}
+    assert Message(6, 4).bits == "0110" and Message(0, 0).bits == "" and StegoKey(1, 3).bits == "001"
 
 
 @pytest.mark.parametrize("build, error, text", [
@@ -412,8 +434,13 @@ def test_value_types_compare_by_class():
     (lambda: Arrangement((True,), 3), InvalidArrangement, r"index True out of range \[0, 3\)"),
     (lambda: Arrangement((), 3), InvalidArrangement, r"length 0 not in \[1, T=3\]"),
     (lambda: Arrangement((0,), 3.0), InvalidArrangement, r"length 1 not in \[1, T=3.0\]"),
-    (lambda: StegoKey("012"), InvalidParams, "not a bitstring: '012'"),
-    (lambda: Message(None), InvalidParams, "not a bitstring: None"),
+    (lambda: StegoKey("01", 2), InvalidParams, r"block value must be an int in \[0, 2\*\*2\)"),
+    (lambda: Message(None, 0), InvalidParams, r"block value must be an int in \[0, 2\*\*0\)"),
+    (lambda: Message(16, 4), InvalidParams, r"block value must be an int in \[0, 2\*\*4\)"),
+    (lambda: Message(-1, 4), InvalidParams, r"block value must be an int in \[0, 2\*\*4\)"),
+    (lambda: Message(True, 1), InvalidParams, r"block value must be an int in \[0, 2\*\*1\)"),
+    (lambda: StegoKey(0, -1), InvalidParams, "block length must be >= 0, got -1"),
+    (lambda: StegoKey(0, 4.0), InvalidParams, "block length must be an integer, got 4.0"),
     (lambda: CoverLibrary((_E1,)), LibraryTooSmall, "need at least 2 covers, got 1"),
     (lambda: CoverLibrary((_E1, _E1)), DuplicateCover, f"digest {'1' * 64}$"),
     (lambda: CoverLibrary((_E2, _E1)), MalformedFile, "not in ascending digest order"),
