@@ -17,7 +17,7 @@ import numpy as np
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
 from ..divergence import _js, _percentile, byte_counts, js, normalize_byte_counts
-from ..errors import EmptySamples, InvalidConfig, check_int, check_real
+from ..errors import EmptySamples, InvalidConfig, check_int, check_real, show
 from ..library import CoverId
 from ..permcodec import arrangement_to_bits  # noqa: F401
 from ..stego import StegoSequence, _decode
@@ -107,9 +107,7 @@ class SCOAHistogram:
     def __init__(self, model_sample: int = 64, null_draws: int = 64, percentile: float = 99.0):
         check_int("model_sample", model_sample, 2, InvalidConfig)  # leave-one-out needs two
         check_int("null_draws", null_draws, 1, InvalidConfig)
-        check_real("percentile", percentile, InvalidConfig)
-        if not 0 <= percentile <= 100:
-            raise InvalidConfig(f"percentile must be a real number in [0, 100], got {percentile!r}")
+        check_real("percentile", percentile, 0, 100, InvalidConfig)
         self.model_sample = model_sample
         self.null_draws = null_draws
         self.percentile = percentile
@@ -241,5 +239,5 @@ def make_adversary(name: str):
         return ADVERSARIES[name]()
     except KeyError:
         raise InvalidConfig(
-            f"unknown adversary {name!r}; choose from {sorted(ADVERSARIES)}"
+            f"unknown adversary {show(name)}; choose from {sorted(ADVERSARIES)}"
         ) from None

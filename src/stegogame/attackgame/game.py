@@ -28,12 +28,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real
+from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real, check_width, show
 from ..library import CoverId
 from ..permcodec import capacity
 # embed, extract and keygen are not called here; perfbench/tracer.py looks
 # them up in this module by name.
-from ..stego import StegoSequence, _Codec, _codec, _payload, _record, embed, extract, keygen  # noqa: F401
+from ..stego import StegoSequence, _Codec, _codec, _record, embed, extract, keygen  # noqa: F401
 from .scenario import Scenario
 
 MIN_TRIALS = 100
@@ -205,12 +205,10 @@ class _BudgetedOracle:
 
 def _validate(level: AttackLevel, trials: int, seed: int, alpha: float) -> None:
     if not isinstance(level, AttackLevel):
-        raise InvalidConfig(f"level must be an AttackLevel, got {level!r}")
+        raise InvalidConfig(f"level must be an AttackLevel, got {show(level)}")
     check_int("trials", trials, MIN_TRIALS, InvalidConfig)
     check_int("seed", seed, 0, InvalidConfig)
-    check_real("alpha", alpha, InvalidConfig)
-    if not 0 < alpha < 1:
-        raise InvalidConfig(f"alpha must be a real number in (0, 1), got {alpha!r}")
+    check_real("alpha", alpha, 0, 1, InvalidConfig, closed=False)
 
 
 def _leak_ids(scenario: Scenario, seed: int, level: AttackLevel, round_index: int) -> tuple[CoverId, ...]:
@@ -310,7 +308,7 @@ def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bo
     (m,) = _random_values(harness, codec.l, 1)
     seq = codec.embed(m)
     try:
-        guess = _payload(adversary.recover(seq, state), codec.l)
+        guess = check_width("payload", adversary.recover(seq, state), codec.l, InvalidConfig)
     except Exception:
         return 0, True
     return codec.l - (guess ^ m).bit_count(), True

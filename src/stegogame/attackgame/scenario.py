@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import (
     CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_int, check_real, check_seed,
+    check_shape, show,
 )
 from ..library import (
     CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
@@ -45,27 +46,21 @@ class Scenario:
     content_map: Mapping[CoverId, bytes] | None = None
 
     def __post_init__(self):
-        # N's range depends on the library, so it is checked below
         for name, low in (
-            ("N", None), ("oracle_embed_budget", 0), ("oracle_extract_budget", 0),
-            ("rounds", 1), ("observations", 0),
+            ("oracle_embed_budget", 0), ("oracle_extract_budget", 0), ("rounds", 1),
+            ("observations", 0),
         ):
             check_int(name, getattr(self, name), low, InvalidConfig)
-        check_real("leak_fraction", self.leak_fraction, InvalidConfig)
-        check_real("leak_growth", self.leak_growth, InvalidConfig)
-        if not (1 <= self.N <= self.library.T):
-            raise InvalidConfig(f"need 1 <= N <= T={self.library.T}, got N={self.N}")
+        check_real("leak_fraction", self.leak_fraction, 0, 1, InvalidConfig)
+        check_real("leak_growth", self.leak_growth, 0, error=InvalidConfig)
+        check_shape(self.library.T, self.N, InvalidConfig)
         if self.world.T < self.N:
             raise InvalidConfig(
                 f"world pool holds {self.world.T} covers, fewer than N={self.N}"
             )
-        if not (0.0 <= self.leak_fraction <= 1.0):
-            raise InvalidConfig(f"leak_fraction must be in [0,1], got {self.leak_fraction}")
-        if self.leak_growth < 0.0:
-            raise InvalidConfig(f"leak_growth must be >= 0, got {self.leak_growth}")
         if self.observations > MAX_OBSERVATIONS:
             raise InvalidConfig(f"observations must be at most MAX_OBSERVATIONS = "
-                                f"{MAX_OBSERVATIONS}, got {self.observations}")
+                                f"{MAX_OBSERVATIONS}, got {show(self.observations)}")
         if self.key_leak not in KEY_LEAK_MODES:
             raise InvalidConfig(f"key_leak must be one of {KEY_LEAK_MODES}")
 

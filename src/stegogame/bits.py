@@ -7,7 +7,7 @@ survives the round trip through hex; the file formats use the int forms.
 
 from __future__ import annotations
 
-from .errors import InvalidParams, WrongPayloadLength
+from .errors import InvalidParams, WrongPayloadLength, check_width, show
 
 _BITSET = frozenset("01")
 HEX_DIGITS = frozenset("0123456789abcdef")
@@ -15,7 +15,7 @@ HEX_DIGITS = frozenset("0123456789abcdef")
 
 def validate_bits(bits: str) -> str:
     if not isinstance(bits, str) or not _BITSET.issuperset(bits):
-        raise InvalidParams(f"not a bitstring: {bits!r}")
+        raise InvalidParams(f"not a bitstring: {show(bits)}")
     return bits
 
 
@@ -25,11 +25,8 @@ def bits_to_int(bits: str) -> int:
 
 
 def int_to_bits(value: int, length: int) -> str:
-    if value < 0 or (length >= 0 and value >> length):
-        raise InvalidParams(f"{value} does not fit in {length} bits")
-    if length == 0:
-        return ""
-    return format(value, f"0{length}b")
+    check_width("value", value, length, l_name="length")
+    return format(value, f"0{length}b") if length else ""
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -45,8 +42,7 @@ def hex_digits_for(length: int) -> int:
 
 def int_to_hex(value: int, length: int) -> str:
     """``value``, which must fit in ``length`` bits, as ceil(length/4) lowercase hex digits."""
-    if value < 0 or value >> length:
-        raise InvalidParams(f"{value} does not fit in {length} bits")
+    check_width("value", value, length, l_name="length")
     return format(value, f"0{hex_digits_for(length)}x") if length else ""
 
 
@@ -59,15 +55,13 @@ def hex_to_int(hexstr: str, length: int) -> int:
     expected = hex_digits_for(length)
     if len(hexstr) != expected:
         raise WrongPayloadLength(
-            f"expected {expected} hex digits for {length} bits, got {len(hexstr)}"
+            f"expected {show(expected)} hex digits for {show(length)} bits, got {len(hexstr)}"
         )
     # int(s, 16) alone would also take "0x1", "+01", " 1 " and "f_f"
     if not HEX_DIGITS.issuperset(hexstr):
         raise InvalidParams(f"not a hex string: {hexstr!r}")
     value = int(hexstr, 16) if hexstr else 0
-    if value >> length:
-        raise WrongPayloadLength(f"hex value {hexstr} does not fit in {length} bits")
-    return value
+    return check_width("hex value", value, length, WrongPayloadLength, "length")
 
 
 def hex_to_bits(hexstr: str, length: int) -> str:

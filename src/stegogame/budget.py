@@ -29,14 +29,11 @@ from fractions import Fraction
 from functools import cache
 from math import comb, floor, fsum, log, log1p, sqrt
 
-from .errors import InvalidParams, check_int, check_real, check_seed
+from .errors import InvalidParams, check_int, check_real, check_seed, check_shape, show
 
 
 def _check_txn(x: int, N: int, T: int) -> None:
-    check_int("T", T)
-    check_int("N", N)
-    if N < 1 or T < N:
-        raise InvalidParams(f"need 1 <= N <= T, got N={N}, T={T}")
+    check_shape(T, N)
     check_int("x", x, low=0)
 
 
@@ -112,9 +109,7 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     integers over C(T,N)**x with the exact value of zeta.
     """
     _check_txn(0, N, T)
-    check_real("zeta", zeta)
-    if not (0.0 < zeta < 1.0):
-        raise InvalidParams(f"zeta must lie strictly in (0,1), got {zeta}")
+    check_real("zeta", zeta, 0, 1, closed=False)
     zn, zd = Fraction(zeta).as_integer_ratio()
     if N == T:
         return 0
@@ -187,12 +182,12 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
 def _check_mc(T: int, trials: int, seed: int, max_workers: int | None = None) -> None:
     check_int("trials", trials, low=1)
     if trials >= 1 << 63:  # the occupancy counts trials in int64
-        raise InvalidParams(f"the Monte-Carlo route needs trials < 2**63, got trials={trials}")
+        raise InvalidParams(f"the Monte-Carlo route needs trials < 2**63, got trials={show(trials)}")
     check_seed(seed)
     if max_workers is not None:
         check_int("max_workers", max_workers, low=1)
     if T >= 10**9:  # numpy's hypergeometric refuses that many good or bad items
-        raise InvalidParams(f"the Monte-Carlo route needs T < 10**9, got T={T}")
+        raise InvalidParams(f"the Monte-Carlo route needs T < 10**9, got T={show(T)}")
 
 
 def pr_coverage_mc(x: int, N: int, T: int, trials: int, seed: int) -> tuple[float, float]:

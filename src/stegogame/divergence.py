@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_real, check_seed
+from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_real, check_seed, show
 
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
@@ -75,7 +75,7 @@ def _histogram(arr: np.ndarray, bins: int, support) -> tuple[np.ndarray, np.ndar
     and so are more than ``MAX_BINS`` bins, refused before anything is allocated."""
     check_int("bins", bins, low=1)
     if bins > MAX_BINS:
-        raise InvalidParams(f"bins must be at most MAX_BINS = {MAX_BINS}, got {bins}")
+        raise InvalidParams(f"bins must be at most MAX_BINS = {MAX_BINS}, got {show(bins)}")
     try:
         return np.histogram(arr, bins=bins, range=support)
     except ValueError as exc:
@@ -228,7 +228,7 @@ def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float], metr
     """Both sample sets as arrays, then pooled, and the range their shared
     bins span: (a, b, pooled, (low, high)); the metric is checked first."""
     if metric not in METRICS:
-        raise InvalidParams(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
+        raise InvalidParams(f"unknown metric {show(metric)}; choose from {sorted(METRICS)}")
     a, b = _finite_samples(samples_a), _finite_samples(samples_b)
     if a.size == 0 or b.size == 0:
         raise EmptySamples("both sample sets must be non-empty")
@@ -296,9 +296,7 @@ def calibrate_epsilon(
     twice, memory is O(block + runs), and the threshold is the all-exact one.
     """
     check_int("runs", runs, low=1)
-    check_real("percentile", percentile)
-    if not 0 <= percentile <= 100:
-        raise InvalidParams(f"percentile must be a real number in [0, 100], got {percentile!r}")
+    check_real("percentile", percentile, 0, 100)
     check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b, metric)
     pooled_counts, edges = _histogram(pooled, bins, support)

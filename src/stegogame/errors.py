@@ -4,9 +4,11 @@ Every error carries a short machine-readable ``code`` that the CLI uses for
 its JSON error objects, e.g. ``{"error": "NotInLibrary", ...}``.
 
 Integer, real and seed arguments are checked by :func:`check_int`,
-:func:`check_real` and :func:`check_seed`, each raising the caller's error
-class.  An integer is exactly an ``int``: a bool or a numpy int, which would
-wrap around in the exact integer math, is refused.
+:func:`check_real` (in an interval, closed by default) and :func:`check_seed`,
+l-bit values by :func:`check_width` and (T, N) by :func:`check_shape`, each
+raising the caller's error class.  An integer is exactly an ``int``, not a bool
+or a numpy int, which would wrap around in the exact integer math.  :func:`show`
+prints a refused value: past the 4,300-digit ``str`` limit as ``<int of 14729 bits>``.
 """
 
 from __future__ import annotations
@@ -115,20 +117,50 @@ class InvalidConfig(StegogameError):
     code = "InvalidConfig"
 
 
+def show(value) -> str:
+    """``repr(value)``, or its type and size: ``-<int of 16610 bits>``, ``<Fraction of 16610/2 bits>``."""
+    try:
+        return repr(value)
+    except Exception:  # an int past the str limit, or a value built on one
+        kind = type(value).__qualname__
+    try:  # never raises, whatever the type
+        n, d, sign = value.numerator.bit_length(), value.denominator.bit_length(), "-" * (value < 0)
+    except Exception:
+        return f"<{kind}>"
+    return f"{sign}<{kind} of {n}{f'/{d}' if d > 1 else ''} bits>"
+
+
 def check_int(name: str, value, low: int | None = None, error=InvalidParams) -> None:
     """Raise ``error`` unless ``value`` is an ``int`` (not a bool, not a numpy
     int) and, given ``low``, at least ``low``."""
     if type(value) is not int:
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {show(value)}")
     if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {show(value)}")
 
 
-def check_real(name: str, value, error=InvalidParams) -> None:
-    """Raise ``error`` unless ``value`` is a finite real number, not a bool.
-    Tested by comparison: ``math.isfinite`` cannot convert an int past the float range."""
+def check_real(name: str, value, low=-math.inf, high=math.inf, error=InvalidParams, closed=True) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number, not a bool, in [low, high], or
+    (low, high) unless ``closed``.  By comparison: ``math.isfinite`` cannot convert a huge int."""
     if isinstance(value, bool) or not isinstance(value, Real) or not -math.inf < value < math.inf:
-        raise error(f"{name} must be a finite real number, got {value!r}")
+        raise error(f"{name} must be a finite real number, got {show(value)}")
+    if not (low <= value <= high if closed else low < value < high):
+        interval = f"[{low}, {high}" + ("]" if high < math.inf else ")") if closed else f"({low}, {high})"
+        raise error(f"{name} must be a real number in {interval}, got {show(value)}")
+
+
+def check_width(name: str, value, l, error=InvalidParams, l_name: str = "l") -> int:
+    """``value`` if it is an int in [0, 2**l), l (``l_name``) an int >= 0; else raise ``error``."""
+    check_int(l_name, l, 0, error)
+    if type(value) is not int or value < 0 or value >> l:
+        raise error(f"{name} must be an int in [0, 2**{show(l)}), got {show(value)}")
+    return value
+
+
+def check_shape(T, N, error=InvalidParams) -> None:
+    """Raise ``error`` unless T and N are ints with 1 <= N <= T."""
+    if type(T) is not int or type(N) is not int or not 1 <= N <= T:
+        raise error(f"need 1 <= N <= T, got T={show(T)}, N={show(N)}")
 
 
 def check_seed(seed, error=InvalidParams) -> None:
@@ -157,7 +189,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={show(value)}" for name, value in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, *value):

@@ -18,7 +18,7 @@ from typing import Callable
 from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError, DuplicateCover, FileWriteError, LibraryTooSmall, MalformedFile, NotInLibrary,
-    Record, StegogameError,
+    Record, StegogameError, show,
 )
 
 # CoverId is the lowercase-hex SHA-256 of the cover's bytes (32 bytes, 64 hex chars).
@@ -35,7 +35,7 @@ def check_cover_id(cover_id: object) -> None:
         or len(cover_id) != DIGEST_HEX_LEN
         or not HEX_DIGITS.issuperset(cover_id)
     ):
-        raise MalformedFile(f"bad cover id {cover_id!r}")
+        raise MalformedFile(f"bad cover id {show(cover_id)}")
 
 
 def hash_bytes(data: bytes) -> CoverId:
@@ -130,7 +130,7 @@ def library_to_manifest(lib: CoverLibrary) -> dict:
 def library_from_manifest(doc: dict) -> CoverLibrary:
     try:
         if doc["version"] != MANIFEST_VERSION:
-            raise MalformedFile(f"unsupported manifest version {doc['version']!r}")
+            raise MalformedFile(f"unsupported manifest version {show(doc['version'])}")
         covers = tuple(
             CoverEntry(id=c["id"], path=c["path"], nbytes=c["bytes"]) for c in doc["covers"]
         )
@@ -140,9 +140,9 @@ def library_from_manifest(doc: dict) -> CoverLibrary:
     for c in covers:
         check_cover_id(c.id)
         if not isinstance(c.path, str) or "\x00" in c.path:
-            raise MalformedFile(f"bad cover path {c.path!r}")
+            raise MalformedFile(f"bad cover path {show(c.path)}")
         if type(c.nbytes) is not int or c.nbytes < 0:
-            raise MalformedFile(f"bad cover size {c.nbytes!r}")
+            raise MalformedFile(f"bad cover size {show(c.nbytes)}")
     lib = CoverLibrary(covers=covers)
     if lib.T != declared_t:
         raise MalformedFile(f"manifest T={declared_t} but {lib.T} covers listed")

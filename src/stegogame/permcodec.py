@@ -24,8 +24,8 @@ from math import perm
 
 from .bits import bits_to_int, int_to_bits
 from .errors import (
-    InvalidArrangement, InvalidParams, RankOutOfRange, Record, UnreachableArrangement,
-    WrongPayloadLength,
+    InvalidArrangement, RankOutOfRange, Record, UnreachableArrangement, WrongPayloadLength,
+    check_shape, show,
 )
 
 
@@ -36,13 +36,13 @@ class Arrangement(Record):
         self.__dict__.update(indices=tuple(indices), T=T)
         n = len(self.indices)
         if type(self.T) is not int or not 1 <= n <= self.T:
-            raise InvalidArrangement(f"length {n} not in [1, T={self.T}]")
+            raise InvalidArrangement(f"length {n} not in [1, T={show(self.T)}]")
         seen = set()
         for idx in self.indices:
             if type(idx) is not int or not 0 <= idx < self.T:
-                raise InvalidArrangement(f"index {idx!r} out of range [0, {self.T})")
+                raise InvalidArrangement(f"index {show(idx)} out of range [0, {show(self.T)})")
             if idx in seen:
-                raise InvalidArrangement(f"duplicate index {idx}")
+                raise InvalidArrangement(f"duplicate index {show(idx)}")
             seen.add(idx)
 
     @property
@@ -59,9 +59,7 @@ class Capacity(Record):
 
 def capacity(T: int, N: int) -> Capacity:
     """Exact number of N-arrangements of T items and the payload width."""
-    # errors.check_int's rule (exactly int), inline: a game makes thousands of calls
-    if type(T) is not int or type(N) is not int or N < 1 or N > T:
-        raise InvalidParams(f"need 1 <= N <= T, got T={T}, N={N}")
+    check_shape(T, N)
     return _capacity(T, N)
 
 
@@ -94,7 +92,7 @@ def unrank(rank: int, T: int, N: int) -> Arrangement:
     """The rank-th arrangement in lexicographic order of index tuples."""
     cap = capacity(T, N)
     if type(rank) is not int or not 0 <= rank < cap.r:
-        raise RankOutOfRange(f"rank {rank} not in [0, {cap.r})")
+        raise RankOutOfRange(f"rank {show(rank)} not in [0, {show(cap.r)})")
     return Arrangement(indices=_unrank(rank, range(T), _places(T, N)), T=T)
 
 
@@ -114,7 +112,7 @@ def payload_value(arr: Arrangement) -> tuple[int, int]:
     l = _capacity(arr.T, arr.N).l
     value = rank(arr)
     if value >> l:
-        raise UnreachableArrangement(f"rank {value} >= 2**{l}; arrangement outside the codec image")
+        raise UnreachableArrangement(f"rank {show(value)} >= 2**{l}; arrangement outside the codec image")
     return value, l
 
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .bits import hex_to_int, int_to_hex
 from .errors import EntropyUnavailable, InvalidConfig, InvalidParams, LengthMismatch, MalformedFile
-from .errors import Record, StegogameError, check_int
+from .errors import Record, StegogameError, check_int, check_width, show
 from .library import (
     CoverId, CoverLibrary, check_cover_id, read_json, read_text, write_json, write_text,
 )
@@ -35,10 +35,7 @@ class _Block(Record):
     """An l-bit value: an int in [0, 2**l), checked on construction."""
 
     def __init__(self, value: int, l: int):
-        check_int("block length", l, low=0)
-        if type(value) is not int or value < 0 or value >> l:
-            raise InvalidParams(f"block value must be an int in [0, 2**{l})")
-        self.__dict__.update(value=value, l=l)
+        self.__dict__.update(value=check_width("block value", value, l, l_name="block length"), l=l)
 
     @property
     def bits(self) -> str:
@@ -90,13 +87,6 @@ def _record(cls: type, fields: dict):
     return obj
 
 
-def _payload(value: object, l: int) -> int:
-    """``value`` if it is an int (not a bool, not a numpy int) in [0, 2**l)."""
-    if type(value) is not int or value < 0 or value >> l:
-        raise InvalidConfig(f"payload must be an int in [0, 2**{l}), got {value!r}")
-    return value
-
-
 def _decode(seq: StegoSequence, lookup: Callable[[CoverId], int], T: int, key: int) -> tuple[int, int]:
     """(value, l) of the payload ``seq`` carries under ``key``, its ids
     ``lookup``-ed to indices into ``range(T)``: its rank, below 2**l, XOR key."""
@@ -111,12 +101,13 @@ _Codec = namedtuple("_Codec", "l key embed extract")
 def _codec(lib: CoverLibrary, N: int, key: int) -> _Codec:
     """``embed`` and ``extract`` of ``lib`` at N under ``key``, with the ids,
     the place values and l hoisted: ``v -> unrank(v ^ key)``, walked over the
-    ids, and :func:`_decode`.  ``embed`` refuses what ``_payload`` does."""
+    ids, and :func:`_decode`.  ``embed`` refuses a value that is not an l-bit
+    int, by ``check_width`` after its own fast test."""
     l, ids, places = capacity(lib.T, N).l, lib.ids(), _places(lib.T, N)
 
     def embed_value(value: int) -> StegoSequence:
         if type(value) is not int or value < 0 or value >> l:
-            _payload(value, l)
+            check_width("payload", value, l, InvalidConfig)
         return _record(StegoSequence, {"ids": tuple(_unrank(value ^ key, ids, places))})
 
     return _Codec(l, key, embed_value, lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
@@ -131,7 +122,7 @@ def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
     codec = _codec(lib, N, k.value)
     if m.l != codec.l or k.l != codec.l:
         raise LengthMismatch(
-            f"message has {m.l} bits, key {k.l}; capacity(T={lib.T}, N={N}) needs {codec.l}"
+            f"message has {show(m.l)} bits, key {show(k.l)}; capacity(T={lib.T}, N={N}) needs {codec.l}"
         )
     return codec.embed(m.value)
 
@@ -145,7 +136,7 @@ def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
     """
     value, l = _decode(seq, lib.lookup, lib.T, k.value)
     if k.l != l:
-        raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {l}")
+        raise LengthMismatch(f"key has {show(k.l)} bits, sequence decodes to {l}")
     return Message(value, l)
 
 
@@ -182,7 +173,7 @@ def sequence_to_json(seq: StegoSequence) -> dict:
 def sequence_from_json(doc: dict) -> StegoSequence:
     try:
         if doc["version"] != SEQUENCE_VERSION:
-            raise MalformedFile(f"unsupported sequence version {doc['version']!r}")
+            raise MalformedFile(f"unsupported sequence version {show(doc['version'])}")
         ids = tuple(doc["ids"])
         declared_n = doc["N"]
     except (KeyError, TypeError) as exc:

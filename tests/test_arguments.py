@@ -3,25 +3,30 @@
 An integer argument is exactly an ``int``: a float, a bool, a string, None
 or a numpy int is refused.  A real argument is a finite ``numbers.Real``
 other than a bool.  Every refusal is a StegogameError, never a TypeError,
-ValueError or AttributeError escaping from deeper in the code.
+ValueError or AttributeError escaping from deeper in the code: an int past
+Python's 4,300-digit ``str`` limit, below an argument's lower bound or above
+its upper one, is refused with a message that can print it.
 """
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stegogame.attackgame import (
-    AttackLevel, RandomGuesser, acca_loop, message_recovery_game, run_game, synthetic_corpus,
-    synthetic_scenario,
+    AttackLevel, RandomGuesser, acca_loop, make_adversary, message_recovery_game, run_game,
+    synthetic_corpus, synthetic_scenario,
 )
+from stegogame.bits import bits_to_int
 from stegogame.budget import coverage_report, max_safe_uses, pr_coverage_mc
 from stegogame.divergence import calibrate_epsilon, distinguishability_test, estimate_distribution
 from stegogame.errors import StegogameError
+from stegogame.library import library_from_manifest
 from stegogame.permcodec import capacity
-from stegogame.stego import Message, StegoKey, keygen
+from stegogame.stego import Message, StegoKey, keygen, sequence_from_json
 
 NOT_INTS = st.one_of(
     st.floats(), st.booleans(), st.text(max_size=3), st.none(),
@@ -31,13 +36,14 @@ NOT_REALS = st.one_of(
     st.booleans(), st.text(max_size=3), st.none(),
     st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
 )
+HUGE = 10**5000  # past the str limit; every int argument here has a lower bound above -HUGE
 # each kind's strategy, and values it must always include
 KINDS = {
-    "int": (NOT_INTS, (2.0, True, "2", None, np.int64(2), math.nan)),
+    "int": (NOT_INTS, (2.0, True, "2", None, np.int64(2), math.nan, -HUGE)),
     # None asks for a default: a scenario's rounds, no Monte Carlo
-    "int or None": (NOT_INTS.filter(lambda v: v is not None), (2.0, True, "2", np.int64(2))),
+    "int or None": (NOT_INTS.filter(lambda v: v is not None), (2.0, True, "2", np.int64(2), -HUGE)),
     "real": (NOT_REALS, (True, "0.5", None, math.nan, math.inf)),
-    "level": (NOT_INTS | st.integers(), (2, "kca", None, True, np.int64(2))),
+    "level": (NOT_INTS | st.integers(), (2, "kca", None, True, np.int64(2), HUGE)),
 }
 
 SCENARIO = synthetic_scenario(T=4, N=2, world_size=8, seed=0)
@@ -81,18 +87,39 @@ CALLS = [
                        "observations"), "int"),
       "leak_fraction": "real", "leak_growth": "real"}),
 ]
+# more values that one argument must refuse: a huge int above its upper bound,
+# and a Fraction on one outside zeta's interval
+PAST_UPPER_BOUND = {
+    **dict.fromkeys(("capacity-N", "Scenario-observations", "estimate_distribution-bins",
+                     "calibrate_epsilon-bins", "distinguishability_test-bins", "pr_coverage_mc-trials",
+                     "pr_coverage_mc-T", "coverage_report-mc_trials", "coverage_report-T"), (HUGE,)),
+    "max_safe_uses-zeta": (Fraction(HUGE, 3),),
+}
 ARGUMENTS = [
-    pytest.param(call, valid, arg, kind, id=f"{name}-{arg}")
+    pytest.param(call, valid, arg, kind, PAST_UPPER_BOUND.get(f"{name}-{arg}", ()), id=f"{name}-{arg}")
     for name, call, valid, kinds in CALLS
     for arg, kind in kinds.items()
 ]
 
 
-@pytest.mark.parametrize("call, valid, arg, kind", ARGUMENTS)
+@pytest.mark.parametrize("call, valid, arg, kind, more", ARGUMENTS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_every_argument_refuses_the_wrong_kind_with_a_typed_error(call, valid, arg, kind, data):
+def test_every_argument_refuses_the_wrong_kind_with_a_typed_error(call, valid, arg, kind, more, data):
     strategy, always = KINDS[kind]
-    for bad in (*always, data.draw(strategy, label=arg)):
+    for bad in (*always, *more, data.draw(strategy, label=arg)):
         with pytest.raises(StegogameError):
             call(**{**valid, arg: bad})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bits_to_int(HUGE),
+    lambda: sequence_from_json({"version": HUGE, "N": 0, "ids": []}),
+    lambda: sequence_from_json({"version": 1, "N": 1, "ids": [HUGE]}),
+    lambda: library_from_manifest({"version": HUGE, "T": 0, "covers": []}),
+    lambda: distinguishability_test(**SAMPLES, epsilon=0.1, metric=HUGE),
+    lambda: make_adversary(HUGE),
+], ids=["bitstring", "sequence-version", "cover-id", "manifest-version", "metric", "adversary"])
+def test_a_huge_int_where_another_kind_belongs_prints_its_size(call):
+    with pytest.raises(StegogameError, match=f"<int of {HUGE.bit_length()} bits>"):
+        call()

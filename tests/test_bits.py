@@ -12,7 +12,7 @@ from stegogame.bits import (
     validate_bits,
     xor_bits,
 )
-from stegogame.errors import InvalidParams, WrongPayloadLength
+from stegogame.errors import InvalidParams, StegogameError, WrongPayloadLength
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
 
@@ -78,6 +78,16 @@ def test_int_to_hex_pads_and_refuses_overflow():
     for value, l in ((32, 5), (-1, 5), (1, 0)):
         with pytest.raises(InvalidParams):
             int_to_hex(value, l)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hex_to_bits("", -1), lambda: int_to_hex(0, -1), lambda: int_to_bits(0, -1),
+], ids=["hex_to_bits", "int_to_hex", "int_to_bits"])
+def test_negative_width_refused_with_a_typed_error(call):
+    """A negative width is refused before anything shifts by it, which would
+    raise ValueError("negative shift count")."""
+    with pytest.raises(StegogameError, match="length must be >= 0, got -1"):
+        call()
 
 
 def test_hex_to_bits_rejects_wrong_width():

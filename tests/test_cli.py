@@ -251,6 +251,28 @@ def test_embed_refusals_keep_their_order_and_bytes(tmp_path, monkeypatch, make_c
     assert not Path("s.json").exists()
 
 
+def test_unreachable_rank_past_the_int_digit_limit(tmp_path, monkeypatch, capsys):
+    """A 1,600-cover library's ids in reverse are the last arrangement at
+    T = N = 1600: its rank, r - 1, lies past 2**l and past Python's 4,300-digit
+    str limit.  extract refuses it with a JSON error, not a traceback."""
+    from helpers import mem_library
+    from stegogame.permcodec import capacity
+    from stegogame.stego import StegoSequence, save_sequence
+
+    monkeypatch.chdir(tmp_path)
+    lib = mem_library(1600)
+    save_manifest(lib, "lib.json")
+    save_sequence(StegoSequence(lib.ids()[::-1]), "seq.json")
+    assert run_cli(capsys, "keygen", "-T", "1600", "-N", "1600", "--seed", "1", "-o", "key.txt")[0] == 0
+    code, out, err = run_cli(capsys, "extract", "-s", "seq.json", "-k", "key.txt", "-x", "lib.json")
+    cap = capacity(1600, 1600)
+    assert (code, err) == (1, "") and parse(out) == {
+        "error": "UnreachableArrangement",
+        "detail": f"rank <int of {(cap.r - 1).bit_length()} bits> >= 2**{cap.l}; "
+                  "arrangement outside the codec image",
+    }
+
+
 # json.loads raises a plain ValueError on an integer literal past Python's
 # digit limit, and a RecursionError on arrays nested past the recursion limit.
 _PAST_PARSER_LIMITS = {

@@ -451,6 +451,14 @@ def test_value_types_validate_on_construction(build, error, text):
     assert type(exc.value) is error
 
 
+def test_record_repr_past_the_int_digit_limit():
+    """An int field past Python's 4,300-digit str limit prints as its type and
+    size, where ``repr`` of the record used to raise ValueError."""
+    cap, key = capacity(10000, 2000), keygen(20000, random.Random(1))
+    assert repr(cap) == f"Capacity(r=<int of {cap.r.bit_length()} bits>, l={cap.l})"
+    assert repr(key) == f"StegoKey(value=<int of {key.value.bit_length()} bits>, l=20000)"
+
+
 def test_library_lookups_after_construction():
     e3 = CoverEntry("3" * 64, "c.bin", 9)
     lib = CoverLibrary(covers=(_E1, _E2, e3))
