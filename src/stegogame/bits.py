@@ -7,7 +7,7 @@ survives the round trip through hex; the file formats use the int forms.
 
 from __future__ import annotations
 
-from .errors import InvalidParams, WrongPayloadLength, check_width, show
+from .errors import InvalidParams, WrongPayloadLength, check_int, check_width, show
 
 _BITSET = frozenset("01")
 HEX_DIGITS = frozenset("0123456789abcdef")
@@ -52,6 +52,7 @@ def bits_to_hex(bits: str) -> str:
 
 def hex_to_int(hexstr: str, length: int) -> int:
     """Decode ceil(length/4) lowercase hex digits into a value below 2**length."""
+    check_int("length", length, 0, WrongPayloadLength)  # the width rule's check, before the digit count
     expected = hex_digits_for(length)
     if len(hexstr) != expected:
         raise WrongPayloadLength(

@@ -9,9 +9,11 @@ from their hypergeometric law, picks epsilon when the caller has none.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,8 +23,9 @@ from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_r
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
 CHUNK_CELLS = 16384
-# The most bins a histogram may have: calibrate_epsilon's JS null at 200 runs on 400 + 400
-# samples took 0.3 s and 53 MB at 2**16, 17 s and 1.7 GB at 2**20 (numpy 2.4, 2 cores).
+# The most bins a histogram may have: calibrate_epsilon's KL, TV and W1 nulls score full-width
+# rows, and at 200 runs on 400 + 400 samples took 0.3-0.5 s at 2**16, 3.7-7.9 s at 2**20
+# (numpy 2.4, 2 cores).  JS's works over the non-empty bins only.
 MAX_BINS = 1 << 16
 
 
@@ -70,12 +73,25 @@ class EmpiricalDistribution:
 
 
 def _histogram(arr: np.ndarray, bins: int, support) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram``; a support (None: the samples' range) that ``bins`` finite bins
-    cannot cut is InvalidParams (on older numpy, from EmpiricalDistribution's edge check),
-    and so are more than ``MAX_BINS`` bins, refused before anything is allocated."""
+    """``np.histogram``; a support (None: the samples' range) that is not a pair of reals
+    finite as floats, or that ``bins`` finite bins cannot cut, is InvalidParams (on older
+    numpy, from EmpiricalDistribution's edge check), and so are more than ``MAX_BINS``
+    bins, refused before anything is allocated."""
     check_int("bins", bins, low=1)
     if bins > MAX_BINS:
         raise InvalidParams(f"bins must be at most MAX_BINS = {MAX_BINS}, got {show(bins)}")
+    if support is not None:
+        ends = tuple(support) if isinstance(support, (tuple, list)) else ()
+        try:  # isfinite takes each end as a float, which 10**5000 overflows
+            finite = len(ends) == 2 and all(
+                isinstance(end, Real) and not isinstance(end, bool) and math.isfinite(end) for end in ends
+            )
+        except OverflowError:
+            finite = False
+        if not finite:
+            shown = f"({show(ends[0])}, {show(ends[1])})" if len(ends) == 2 else show(support)
+            raise InvalidParams(f"support must be a pair of finite real numbers, got {shown}")
+        support = (float(ends[0]), float(ends[1]))
     try:
         return np.histogram(arr, bins=bins, range=support)
     except ValueError as exc:
@@ -139,28 +155,20 @@ def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
     return _at_least_zero((pm * np.log(pm / qm)).sum(axis=1))
 
 
-def _js_terms(pm: np.ndarray, qm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' cell terms ``p * log(p / mid)``, side A's rows on side B's, kept where
-    p > 0 (there mid > 0 too), else 0; |term| <= p + mid, so sum|term| <= 2 a side."""
+def _js_terms(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """Each cell's ``0.5*tA + 0.5*tB``, the sides' ``p * log(p / mid)`` (0 where p = 0), clamped
+    at 0 (it is >= 0 by the log-sum inequality; rounding can leave about -1e-18) and rounded once
+    to an int64 multiple of 2**-60.  A row of k cells sums below ln 2 * 2**60 + k < 2**63."""
+    both = np.stack([pm, qm])
     mid = (pm + qm) / 2.0
-    both = np.concatenate([pm, qm])
-    keep = both > 0
-    ratio = np.divide(both, np.concatenate([mid, mid]), out=np.ones_like(both), where=keep)
-    return both * np.log(ratio), keep
+    terms = both * np.log(np.divide(both, mid, out=np.ones_like(both), where=both > 0))
+    return np.rint(np.maximum(0.5 * terms[0] + 0.5 * terms[1], 0.0) * 2.0**60).astype(np.int64)
 
 
 def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """JS per row.  The rows of one kept count k are selected together, so their
-    kept terms sum as one (rows, k) matrix along axis 1; a zero-padded row or
-    ``np.add.reduceat`` would round differently."""
-    terms, keep = _js_terms(pm, qm)
-    counts = np.count_nonzero(keep, axis=1)
-    sums = np.empty(len(counts))
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        rows = counts == k
-        sums[rows] = terms[rows][keep[rows]].reshape(-1, k).sum(axis=1)
-    half = len(sums) // 2
-    return _at_least_zero(0.5 * sums[:half] + 0.5 * sums[half:])
+    """JS per row: one exact integer sum of its k cells' terms, so no value depends on the
+    batch, the bin order or the empty bins; rounding the terms moves it by at most k * 2**-61."""
+    return _js_terms(pm, qm).sum(axis=1) * 2.0**-60
 
 
 def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -261,15 +269,11 @@ def distinguishability_test(
     )
 
 
-def _ranks(n: int, q: float) -> tuple[float, int, int]:
-    at = (n - 1) * (q / 100)  # numpy's virtual index; the order statistics next to it, or the maximum
-    return (at, int(at), int(at) + 1) if at < n - 1 else (at, -1, -1)
-
-
 def _percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its
-    ``_lerp`` between the order statistics of :func:`_ranks`."""
-    at, lo, hi = _ranks(len(values), q)
+    """``np.percentile(values, q)`` bit for bit: numpy's "linear" rule, its ``_lerp``
+    between the order statistics next to numpy's virtual index, or the maximum."""
+    at = (len(values) - 1) * (q / 100)
+    lo, hi = (int(at), int(at) + 1) if at < len(values) - 1 else (-1, -1)
     part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
     a, b, t = float(part[lo]), float(part[hi]), at - lo
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
@@ -283,17 +287,13 @@ def calibrate_epsilon(
     random resplits of the pooled samples, each drawn as the first side's
     count per non-empty bin (multivariate hypergeometric, largest bin first,
     row after row, so no value depends on ``CHUNK_CELLS``).  KL, TV and W1
-    score full-width rows.  JS screens each row with one sum of its k bins'
-    ``0.5*tA + 0.5*tB`` from a per-block table; ``_js`` sums the same terms
-    in another order.  Any order errs by at most (m-1)*u*sum|x| to first
-    order (u = 2**-53; Higham 2002, 4.2) and sum|t| <= 2 a side, so the two,
-    both clamped at 0, differ by at most (2(k-1)u + u) + (2(k-1)u + 2u) < 4ku;
-    e = 16ku.  A row more than 2e from the screen's order statistics that
-    ``_percentile`` reads (each within e of the exact one) is on the same side
-    of the exact ones, so only the rows inside are rescored by ``_js``: the
-    last block's from its rows at hand, an earlier block's drawn again from
-    its saved state up to its last such row.  Each block is drawn at most
-    twice, memory is O(block + runs), and the threshold is the all-exact one.
+    score full-width rows.  JS sums, per run, its k non-empty bins' terms from
+    a per-block table of ``_js_terms`` at the counts drawn there: each cell's
+    ``0.5*tA + 0.5*tB`` rounded once to an int64 multiple of 2**-60, as ``_js``
+    rounds it on the full row, so the exact integer sums make each value
+    ``_js``'s bit for bit.  The rounding moves a value by at most k * 2**-61;
+    it moved JS values and thresholds once, in their last digits, from the
+    float row sums it replaced.  Every block is drawn once; memory is O(block + runs).
     """
     check_int("runs", runs, low=1)
     check_real("percentile", percentile, 0, 100)
@@ -305,39 +305,22 @@ def calibrate_epsilon(
     # the non-empty bins, largest first and ties in bin order
     filled = np.argsort(-pooled_counts, kind="stable")[: np.count_nonzero(pooled_counts)]
     colours = pooled_counts[filled]
-    kernel = {"kl": partial(_kl, n_p=n_a, n_q=n_b), "js": _js, "tv": _tv,
-              "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers))}[metric]
-
-    def score(counts: np.ndarray) -> np.ndarray:  # on full-width rows
-        full = np.zeros((len(counts), bins), dtype=counts.dtype)
-        full[:, filled] = counts
-        return kernel(full / n_a, (pooled_counts - full) / n_b)
-
+    kernel = {"kl": partial(_kl, n_p=n_a, n_q=n_b), "tv": _tv,
+              "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers))}.get(metric)  # JS: tables
     gen = np.random.Generator(np.random.Philox(key=seed))
-    draw = partial(gen.multivariate_hypergeometric, colours, n_a, method="marginals")
     block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins))
-    values, states = np.empty(runs), []
+    values = np.empty(runs)
     for start in range(0, runs, block):
-        states.append(gen.bit_generator.state)
-        counts = draw(size=min(block, runs - start))
-        if metric == "js":  # a table of each bin's 0.5*tA + 0.5*tB at its drawn counts lo..hi
+        counts = gen.multivariate_hypergeometric(colours, n_a, size=min(block, runs - start), method="marginals")
+        if metric == "js":  # a table of each bin's terms at its drawn counts lo..hi
             lo, hi = counts.min(axis=0), counts.max(axis=0)
             offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
             cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
             cell_b = np.repeat(colours, hi - lo + 1) - cell_a
-            table = 0.5 * _js_terms(cell_a[None] / n_a, cell_b[None] / n_b)[0]
-            values[start : start + block] = _at_least_zero((table[0] + table[1])[counts + offsets].sum(axis=1))
+            table = _js_terms(cell_a / n_a, cell_b / n_b)
+            values[start : start + block] = table[counts + offsets].sum(axis=1) * 2.0**-60
         else:
-            values[start : start + block] = score(counts)
-    if metric == "js":
-        _, lo, hi = _ranks(runs, float(percentile))
-        e = 16 * filled.size * 2.0**-53
-        low, high = np.partition(values, (lo, hi))[[lo, hi]] + (-2 * e, 2 * e)
-        near = np.flatnonzero((low <= values) & (values <= high))
-        for b in np.flatnonzero(np.bincount(near // block))[::-1].tolist():
-            rows = near[near // block == b] - b * block
-            if (b + 1) * block < runs:  # not the last block, taken first from the rows at hand
-                gen.bit_generator.state = states[b]
-                counts = draw(size=rows[-1] + 1)
-            values[rows + b * block] = score(counts[rows])
+            full = np.zeros((len(counts), bins), dtype=counts.dtype)
+            full[:, filled] = counts
+            values[start : start + block] = kernel(full / n_a, (pooled_counts - full) / n_b)
     return _percentile(values, float(percentile))

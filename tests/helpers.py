@@ -7,8 +7,10 @@ whose every probe sums the whole inclusion-exclusion series in rationals,
 coverage reports from one full pass over the integer numerators,
 and permutation nulls from a shuffle of the pooled samples' bins in every
 resplit (the law), or from one hypergeometric row per draw over the
-non-empty bins (the exact values), both scored on full-width rows by the
-metrics' earlier 1-D kernels.
+non-empty bins (the exact values), both scored on full-width rows by 1-D
+kernels: the metrics' earlier float kernels, and for JS the fixed-point rule
+applied one cell at a time (``js_fixed_1d``), beside its float sum
+(``js_1d``).
 The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
@@ -151,8 +153,23 @@ def _rel_entropy_to_mid_1d(a, mid) -> float:
 
 
 def js_1d(pm, qm) -> float:
+    """JS as a float sum of each side's terms, the independent reference."""
     mid = (pm + qm) / 2.0
     return max(0.0, 0.5 * _rel_entropy_to_mid_1d(pm, mid) + 0.5 * _rel_entropy_to_mid_1d(qm, mid))
+
+
+def js_fixed_1d(pm, qm) -> float:
+    """JS by the fixed-point rule: each cell's ``0.5*tA + 0.5*tB`` that is
+    above 0, rounded half to even to a whole number of 2**-60 and added as a
+    Python int; the total times 2**-60."""
+    mid = (pm + qm) / 2.0
+    sides = []
+    for side in (pm, qm):
+        terms, kept = np.zeros(len(side)), side > 0
+        terms[kept] = side[kept] * np.log(side[kept] / mid[kept])
+        sides.append(terms)
+    cells = (0.5 * sides[0] + 0.5 * sides[1]).tolist()
+    return sum(round(cell * 2**60) for cell in cells if cell > 0) * 2.0**-60
 
 
 def tv_1d(pm, qm) -> float:
@@ -168,7 +185,7 @@ def metric_1d(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -
     """``METRICS[metric](p, q)`` through the 1-D kernels."""
     return {
         "kl": lambda: kl_1d(p.masses, q.masses, p.n_samples, q.n_samples),
-        "js": lambda: js_1d(p.masses, q.masses),
+        "js": lambda: js_fixed_1d(p.masses, q.masses),
         "tv": lambda: tv_1d(p.masses, q.masses),
         "w1": lambda: w1_1d(p.masses, q.masses, np.diff(p.centers)),
     }[metric]()
@@ -186,7 +203,7 @@ def _null_setup(samples_a, samples_b, metric, bins):
     center_gaps = np.diff((edges[:-1] + edges[1:]) / 2.0)
     kernel = {
         "kl": lambda pm, qm: kl_1d(pm, qm, n_a, n_b),
-        "js": js_1d,
+        "js": js_fixed_1d,
         "tv": tv_1d,
         "w1": lambda pm, qm: w1_1d(pm, qm, center_gaps),
     }[metric]

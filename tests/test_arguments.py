@@ -36,6 +36,7 @@ NOT_REALS = st.one_of(
     st.booleans(), st.text(max_size=3), st.none(),
     st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
 )
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 HUGE = 10**5000  # past the str limit; every int argument here has a lower bound above -HUGE
 # each kind's strategy, and values it must always include
 KINDS = {
@@ -44,6 +45,12 @@ KINDS = {
     "int or None": (NOT_INTS.filter(lambda v: v is not None), (2.0, True, "2", np.int64(2), -HUGE)),
     "real": (NOT_REALS, (True, "0.5", None, math.nan, math.inf)),
     "level": (NOT_INTS | st.integers(), (2, "kca", None, True, np.int64(2), HUGE)),
+    # a pair of reals finite as floats, or None for the samples' range
+    "support": (
+        st.tuples(NOT_REALS, FINITE) | st.tuples(FINITE, NOT_REALS) | st.tuples(FINITE)
+        | st.lists(FINITE, min_size=3, max_size=3) | st.floats() | st.text(max_size=3),
+        ((0, HUGE), (-HUGE, 0.0), ("a", 3), (0.0, math.inf), (True, 3.0), (1.0,), 2.0, "ab"),
+    ),
 }
 
 SCENARIO = synthetic_scenario(T=4, N=2, world_size=8, seed=0)
@@ -65,7 +72,7 @@ CALLS = [
     ("pr_coverage_mc", pr_coverage_mc, dict(x=2, N=2, T=4, trials=10, seed=0),
      {"x": "int", "N": "int", "T": "int", "trials": "int", "seed": "int"}),
     ("estimate_distribution", estimate_distribution, dict(samples=[1.0, 2.0], bins=4),
-     {"bins": "int"}),
+     {"bins": "int", "support": "support"}),
     ("calibrate_epsilon", calibrate_epsilon,
      dict(SAMPLES, bins=4, runs=4, percentile=99.0, seed=0),
      {"bins": "int", "runs": "int", "percentile": "real", "seed": "int"}),
@@ -119,7 +126,8 @@ def test_every_argument_refuses_the_wrong_kind_with_a_typed_error(call, valid, a
     lambda: library_from_manifest({"version": HUGE, "T": 0, "covers": []}),
     lambda: distinguishability_test(**SAMPLES, epsilon=0.1, metric=HUGE),
     lambda: make_adversary(HUGE),
-], ids=["bitstring", "sequence-version", "cover-id", "manifest-version", "metric", "adversary"])
+    lambda: estimate_distribution([1.0, 2.0], 4, support=(0, HUGE)),
+], ids=["bitstring", "sequence-version", "cover-id", "manifest-version", "metric", "adversary", "support"])
 def test_a_huge_int_where_another_kind_belongs_prints_its_size(call):
     with pytest.raises(StegogameError, match=f"<int of {HUGE.bit_length()} bits>"):
         call()

@@ -90,6 +90,19 @@ def test_negative_width_refused_with_a_typed_error(call):
         call()
 
 
+@pytest.mark.parametrize("length, message", [
+    (None, "length must be an integer, got None"), (-5, "length must be >= 0, got -5"),
+])
+def test_hex_decoders_check_length_first(length, message):
+    """``length`` is checked by the width rule before the digit count is
+    worked out from it, which would raise TypeError on None or expect -1
+    digits for -5 bits."""
+    for decode in (hex_to_bits, hex_to_int):
+        for hexstr in ("", "a"):
+            with pytest.raises(WrongPayloadLength, match=f"^{message}$"):
+                decode(hexstr, length)
+
+
 def test_hex_to_bits_rejects_wrong_width():
     for decode in (hex_to_bits, hex_to_int):
         with pytest.raises(WrongPayloadLength):

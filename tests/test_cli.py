@@ -533,10 +533,10 @@ class TestDivergenceCommand:
 # predates it.
 GOLDEN_DIVERGENCE = {
     ("--metric", "js", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.09575497901120684,"epsilon_mode":"auto","metric":"js",'
+        '{"bins":64,"epsilon":0.09575497901120683,"epsilon_mode":"auto","metric":"js",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"js"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
-        '"value":0.05736797916196189,"verdict":"indistinguishable-at-epsilon"}\n'
+        '"value":0.05736797916196188,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "kl", "--epsilon", "auto", "--seed", "11"): (
         '{"bins":64,"epsilon":0.28931501977379415,"epsilon_mode":"auto","metric":"kl",'
@@ -560,7 +560,7 @@ GOLDEN_DIVERGENCE = {
         '{"bins":32,"epsilon":0.05,"epsilon_mode":"fixed","metric":"js",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":32,"epsilon":"0.05",'
         '"metric":"js"},"subcommand":"divergence","tool_version":"0.1.0",'
-        '"value":0.02708777880872491,"verdict":"indistinguishable-at-epsilon"}\n'
+        '"value":0.027087778808724906,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
 }
 

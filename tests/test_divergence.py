@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,7 @@ from stegogame.errors import BinMismatch, EmptySamples, InvalidParams
 from helpers import (
     calibrate_epsilon_reference,
     js_1d,
+    js_fixed_1d,
     metric_1d,
     null_values_reference,
     permutation_null_reference,
@@ -115,6 +118,20 @@ class TestEstimator:
     def test_non_finite_support_refused(self, support):
         with pytest.raises(InvalidParams, match="support"):
             estimate_distribution([0.5], bins=2, support=support)
+
+    @pytest.mark.parametrize(
+        "support", [(0, 10**400), ("a", 3), (True, 3.0), (1.0,), (0.0, 1.0, 2.0), 2.0, "ab", {0.0: 1.0}],
+        ids=["past-float-range", "str", "bool", "one-end", "three-ends", "scalar", "str-pair", "dict"],
+    )
+    def test_support_not_a_pair_of_finite_reals_refused(self, support):
+        with pytest.raises(InvalidParams, match="support must be a pair of finite real numbers, got "):
+            estimate_distribution([0.5], bins=2, support=support)
+
+    def test_real_support_ends_accepted(self):
+        """Any finite real ends, taken as floats: the same bins as (0.0, 2.0)."""
+        masses = estimate_distribution([0.5, 1.5, 1.7], bins=2, support=(0.0, 2.0)).masses.tolist()
+        for support in ([0, 2], (np.float32(0), np.int64(2)), (Fraction(0), Fraction(4, 2))):
+            assert estimate_distribution([0.5, 1.5, 1.7], bins=2, support=support).masses.tolist() == masses
 
     def test_equal_support_bounds_widen(self):
         d = estimate_distribution([1.0, 1.0, 3.0], bins=2, support=(1.0, 1.0))
@@ -341,10 +358,19 @@ class TestMalformedSamples:
         assert calibrate_epsilon([[1.0, 2.0]], [[1.5, 2.5]], runs=4) >= 0.0
 
 
+def js_bound(k):
+    """How far ``_js`` may lie from the float sum ``js_1d`` over k cells: the
+    terms' rounding to 2**-60, at most k * 2**-61, plus the float sum's own
+    order error, below 4 * k * 2**-53 since each side's |terms| sum to at most 2."""
+    return k * 2.0**-61 + 4 * k * 2.0**-53
+
+
 class TestRowBatchedKernels:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, 5000])
     def test_public_metrics_equal_1d_kernels(self, metric, bins):
+        """Each metric equals its 1-D kernel bit for bit; for JS that is the
+        fixed-point rule applied cell by cell, within ``js_bound`` of the float sum."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         edges = np.cumsum(gen.random(bins + 1) + 0.01)
         for case in range(6):
@@ -354,13 +380,17 @@ class TestRowBatchedKernels:
                 raw[gen.integers(bins)] += 1.0
                 pair.append(EmpiricalDistribution(edges, raw / raw.sum(), int(gen.integers(1, 900))))
             assert METRICS[metric](*pair) == metric_1d(metric, *pair), case
+            if metric == "js":
+                assert abs(js(*pair) - js_1d(pair[0].masses, pair[1].masses)) <= js_bound(bins), case
 
     @pytest.mark.parametrize("bins", [1, 7, 8, 9, 127, 128, 129, 300])
     def test_js_rows_of_every_kept_count(self, bins):
         """One call whose rows keep every count of cells from 1 to bins on
-        each side, in shuffled order: the runs of equal count span numpy's
-        unroll (8) and pairwise-block (128) widths, and each row still
-        equals its lone 1-D sum bit for bit."""
+        each side: each row's JS is the same bit for bit alone, inside the
+        batch in any row order, with its bins permuted and with empty bins
+        inserted among them, equals the cell-by-cell fixed-point reference and
+        lies within ``js_bound`` of the float sum.  The counts span numpy's
+        unroll (8) and pairwise-block (128) widths, which set a float sum's order."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         sides = []
         for _ in range(2):
@@ -371,23 +401,28 @@ class TestRowBatchedKernels:
         pm, qm = sides
         assert sorted(np.count_nonzero(pm, axis=1)) == list(range(1, bins + 1))
         got = divergence._js(pm, qm)
-        assert [float(v) for v in got] == [js_1d(p, q) for p, q in zip(pm, qm)]
+        order, cells = gen.permutation(bins), gen.permutation(bins)
+        assert np.array_equal(divergence._js(pm[order], qm[order]), got[order])
+        assert np.array_equal(divergence._js(pm[:, cells], qm[:, cells]), got)
+        padded = np.zeros((2, bins, 3 * bins))
+        padded[:, :, np.sort(gen.choice(3 * bins, bins, replace=False))] = pm, qm
+        assert np.array_equal(divergence._js(*padded), got)
+        for p, q, value in zip(pm, qm, got.tolist()):
+            assert divergence._js(p[None], q[None]).tolist() == [value] == [js_fixed_1d(p, q)]
+            assert abs(value - js_1d(p, q)) <= js_bound(bins)
 
     @pytest.mark.parametrize("filled", [1, 7, 8, 9, 127, 128, 129, 300])
     def test_tabled_js_equals_full_width_rows(self, monkeypatch, filled):
-        """calibrate_epsilon's JS, screened from per-bin tables of combined
-        terms, lies within the documented bound 16 * k * 2**-53 (k non-empty
-        bins) of ``_js`` on each full-width row, which equals the 1-D kernel
-        bit for bit, and its threshold is ``_percentile`` of those exact
-        values bit for bit at every percentile tried.  The pooled counts are
-        random over ``filled`` non-empty bins among empty ones (one bin
-        among six empty ones at filled = 1).  The scored rows
+        """calibrate_epsilon's JS, summed from per-bin tables of combined
+        terms over the non-empty bins, is ``_js`` on each full-width row bit
+        for bit, and its threshold is ``_percentile`` of those values.  The
+        pooled counts are random over ``filled`` non-empty bins among empty
+        ones (one bin among six empty ones at filled = 1).  The scored rows
         replace its draws: side A keeps each count of cells from 1 to
         ``filled`` while side B keeps them all, the same with the sides
-        swapped, and random rows, all shuffled; the kept counts span
-        numpy's unroll (8) and pairwise-block (128) widths.  Each block's
-        table covers the counts drawn in it, bin by bin; from 127 non-empty
-        bins on, the rows span several blocks."""
+        swapped, and random rows, all shuffled.  Each block's table covers the
+        counts drawn in it, bin by bin; from 127 non-empty bins on, the rows
+        span several blocks."""
         gen = np.random.Generator(np.random.Philox(key=filled))
         bins = 7 if filled == 1 else 2 * filled - 1
         where = [3]
@@ -423,51 +458,41 @@ class TestRowBatchedKernels:
         # then rows that keep every cell on both sides, so that no bin's
         # table starts at a count of 0
         interior = gen.integers(1, np.maximum(colours, 2), size=(60, bins)) * (colours > 0)
-        bound = 16 * filled * 2.0**-53
         for rows in (rows, interior):
             pm, qm = rows / n_a, (colours - rows) / (samples.size - n_a)
             exact = divergence._js(pm, qm)
-            assert exact.tolist() == [js_1d(p, q) for p, q in zip(pm, qm)]
+            assert exact.tolist() == [js_fixed_1d(p, q) for p, q in zip(pm, qm)]
             for q in (0, 50, 99, 100, float(gen.uniform(0, 100))):
                 null = recorded_null(monkeypatch, "js", a, b, bins, len(rows), 0, rows=rows, percentile=q)
                 assert np.array_equal(null.counts, rows)
-                assert np.all(np.abs(null.values - exact) <= bound)
+                assert np.array_equal(null.values, exact)
                 assert null.epsilon.hex() == divergence._percentile(exact, q).hex(), q
 
 
 def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percentile=50):
     """What calibrate_epsilon draws and scores: ``counts``, the first side's
     counts of every run, put back in their bins of a full-width row;
-    ``values``, the null distances it takes the percentile of (for JS, the
-    screen, rescored near the percentile, and ``exact``, ``_js`` on the
-    full-width rows, checked to be within the screen's bound); ``redraws``,
-    each earlier block it draws again, as (first run, rows); and
-    ``epsilon``, its threshold.
+    ``values``, the null distances it takes the percentile of (for JS,
+    checked to equal ``_js`` on the full-width rows bit for bit);
+    ``blocks``, how many draws it made; and ``epsilon``, its threshold.
     Its draws cover the non-empty bins, the largest pooled count first and
-    ties in bin order, and a redraw gives the rows first drawn; given
-    full-width ``rows``, it scores those instead of its draws."""
+    ties in bin order, each run once; given full-width ``rows``, it scores
+    those instead of its draws."""
     pooled = np.concatenate([a, b])
     colours = np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]
     drawn = sorted(np.flatnonzero(colours).tolist(), key=lambda i: -colours[i])
-    counts, starts, redraws, values = [], {}, [], []
+    counts, values = [], []
 
     class Recording(np.random.Generator):
         def multivariate_hypergeometric(self, colors, nsample, size, method):
             assert colors.tolist() == colours[drawn].tolist() and nsample == len(a)
-            done, state = sum(map(len, counts)), str(self.bit_generator.state)
-            if done < runs:  # every run is drawn once before any redraw
-                starts.setdefault(state, done)
-            start = starts[state] if done == runs else done
+            start = sum(map(len, counts))
             block = super().multivariate_hypergeometric(colors, nsample, size=size, method=method)
             if rows is not None:
                 block = rows[start : start + size][:, drawn]
             full = np.zeros((size, bins), dtype=np.int64)
             full[:, drawn] = block
-            if start == done:
-                counts.append(full)
-            else:
-                redraws.append((start, size))
-                assert np.array_equal(full, np.concatenate(counts)[start : start + size])
+            counts.append(full)
             return block
 
     def percentile_of(null, q):
@@ -479,10 +504,10 @@ def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percen
         patch.setattr(np.random, "Generator", Recording)
         patch.setattr(divergence, "_percentile", percentile_of)
         epsilon = calibrate_epsilon(a, b, metric, bins, runs, percentile, seed)
-    null = SimpleNamespace(counts=np.concatenate(counts), values=values[0], redraws=redraws, epsilon=epsilon)
-    if metric == "js":  # the screen lies within its bound of the row kernel on full-width rows
-        null.exact = divergence._js(null.counts / len(a), (colours - null.counts) / len(b))
-        assert np.all(np.abs(null.values - null.exact) <= 16 * len(drawn) * 2.0**-53)
+    null = SimpleNamespace(counts=np.concatenate(counts), values=values[0], blocks=len(counts), epsilon=epsilon)
+    assert len(null.counts) == runs  # no run is drawn twice
+    if metric == "js":  # the tabled sums are the row kernel's on full-width rows
+        assert np.array_equal(null.values, divergence._js(null.counts / len(a), (colours - null.counts) / len(b)))
     return null
 
 
@@ -522,16 +547,13 @@ class TestPermutationNull:
                 assert got == float(np.percentile(values, percentile)), (runs, percentile)
 
     @pytest.mark.parametrize("rounded", [False, True])
-    def test_js_rescored_across_blocks(self, monkeypatch, rounded):
+    def test_js_ties_across_blocks(self, monkeypatch, rounded):
         """Ties-heavy samples in 7 bins (seven values, 11 samples each and one
-        a bin, or normals rounded to 0.1) make many resplits score within the
-        screen's band of the percentile, in many blocks of 9 runs; with equal
-        pooled counts, resplits that swap two bins' counts have the same JS
-        in exact arithmetic but may round apart.  The threshold is still the
-        reference's bit for bit at every block boundary and percentile; each
-        earlier block with such runs is drawn again once, from its start and
-        no further than its end, and the last block never, its rows being at
-        hand."""
+        a bin, or normals rounded to 0.1) make many resplits tie, in many
+        blocks of 9 runs.  The threshold is the reference's bit for bit at
+        every block boundary and percentile, and each block is drawn once.
+        With equal pooled counts, resplits whose counts are the same up to
+        order have the same JS in exact arithmetic, and here bit for bit."""
         gen = np.random.Generator(np.random.Philox(key=70 + rounded))
         if rounded:
             a, b = np.round(gen.normal(size=45), 1), np.round(gen.normal(size=31), 1)
@@ -539,25 +561,47 @@ class TestPermutationNull:
             pooled = gen.permutation(np.repeat(np.arange(7), 11)) / 10
             a, b = pooled[:45], pooled[45:]
         monkeypatch.setattr(divergence, "CHUNK_CELLS", 64)
-        block, redrawn = 64 // 7, 0
+        block = 64 // 7
         for runs in (1, 2, block - 1, block, block + 1, 30 * block + 4):
             reference = null_values_reference(a, b, "js", 7, runs, 5)
             for q in (0, 50, 99, 100, float(gen.uniform(0, 100))):
                 null = recorded_null(monkeypatch, "js", a, b, 7, runs, 5, percentile=q)
                 assert null.epsilon.hex() == float(np.percentile(reference, q)).hex(), (runs, q)
-                starts = [start for start, _ in null.redraws]
-                assert len(set(starts)) == len(starts), (runs, q)
-                for start, size in null.redraws:
-                    assert start % block == 0 and start + block < runs and size <= block, (runs, q)
-                redrawn += len(starts)
-        assert redrawn > 0
+                assert null.blocks == -(-runs // block), (runs, q)
+        if not rounded:
+            by_multiset = {}
+            for row, value in zip(np.sort(null.counts, axis=1).tolist(), null.values.tolist()):
+                assert by_multiset.setdefault(tuple(row), value) == value
+            assert len(by_multiset) < len(null.values)
+
+    def test_mid_percentile_of_tied_masses(self):
+        """77 samples on 7 values, 11 each, in 7 bins: 20,000 resplits and
+        the median, where many runs tie with the percentile's neighbours.
+        The threshold is the reference's."""
+        gen = np.random.Generator(np.random.Philox(key=70))
+        pooled = gen.permutation(np.repeat(np.arange(7), 11)) / 10
+        args = (pooled[:45], pooled[45:], "js", 7, 20_000, 50, 5)
+        assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args)
+
+    def test_js_null_at_max_bins_stays_small(self):
+        """400 + 400 normals in MAX_BINS bins, about 790 of them non-empty:
+        the JS null works over the non-empty bins only, so its traced peak
+        stays far below one full-width (runs, bins) float matrix (105 MB)."""
+        gen = np.random.Generator(np.random.Philox(key=3))
+        a, b = gen.normal(size=400), gen.normal(size=400)
+        tracemalloc.start()
+        try:
+            calibrate_epsilon(a, b, "js", MAX_BINS, runs=200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     # calibrate_epsilon(...).hex() at security-eval's shape, 500 + 500 normals
-    # in 64 bins and 4,000 runs: about 16 blocks of JS, so candidates of the
-    # percentile fall in earlier blocks; recorded from full-row JS scoring
+    # in 64 bins and 4,000 runs: about 16 blocks of JS
     GOLDEN_4000_RUNS = {
-        (1, 100): "0x1.ca54a51b69910p-5", (1, 99): "0x1.5f710b97f2231p-5",
-        (2, 100): "0x1.99a9abf9e1fc7p-5", (2, 99): "0x1.662e7e11ffae5p-5",
+        (1, 100): "0x1.ca54a51b69911p-5", (1, 99): "0x1.5f710b97f2230p-5",
+        (2, 100): "0x1.99a9abf9e1fc6p-5", (2, 99): "0x1.662e7e11ffae5p-5",
         (3, 100): "0x1.c923785083bd6p-5", (3, 99): "0x1.5fc4babab3048p-5",
     }
 
@@ -688,9 +732,8 @@ class TestNullLaw:
     def test_ks_against_permutation_null(self, monkeypatch, metric, n_a, n_b, bins, clustered, seed):
         a, b = sample_pair(100 + seed, n_a, n_b, clustered)
         null = recorded_null(monkeypatch, metric, a, b, bins, self.RUNS, seed=seed)
-        drawn = null.exact if metric == "js" else null.values  # a screen would move ties apart
         permuted = permutation_null_reference(a, b, metric, bins, self.RUNS, seed=1000 + seed)
-        assert ks_2samp(drawn, permuted).pvalue > 0.01
+        assert ks_2samp(null.values, permuted).pvalue > 0.01
 
     def test_ks_on_the_benchmark_split_above_its_null(self, monkeypatch):
         """perfbench security-eval's i.i.d. split at seed 1106 (its Philox key
@@ -700,7 +743,7 @@ class TestNullLaw:
         that a threshold at the null's maximum raises on about 1 seed in 4,001."""
         a, b = sample_pair(283466818900148146, 500, 500, False)
         observed = distinguishability_test(a, b, 0.0).value
-        drawn = recorded_null(monkeypatch, "js", a, b, 64, self.RUNS, seed=4137733485).exact
+        drawn = recorded_null(monkeypatch, "js", a, b, 64, self.RUNS, seed=4137733485).values
         permuted = permutation_null_reference(a, b, "js", 64, self.RUNS, seed=1106)
         assert ks_2samp(drawn, permuted).pvalue > 0.01
         assert np.mean(drawn >= observed) < 1e-3 and np.mean(permuted >= observed) < 1e-3
