@@ -10,6 +10,7 @@ from their hypergeometric law, picks epsilon when the caller has none.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -27,6 +28,11 @@ CHUNK_CELLS = 16384
 # rows, and at 200 runs on 400 + 400 samples took 0.3-0.5 s at 2**16, 3.7-7.9 s at 2**20
 # (numpy 2.4, 2 cores).  JS's works over the non-empty bins only.
 MAX_BINS = 1 << 16
+# calibrate_epsilon's runs: run i draws on stream i // STREAM_RUNS, and at most MAX_RUNS are
+# drawn.  Each costs 8 bytes of values (128 MiB at 2**24); 2**20 runs of JS or TV on 500 + 500
+# samples in 64 bins took about 10 s (numpy 2.4, 2 cores), and time grows linearly in runs.
+STREAM_RUNS = 2048
+MAX_RUNS = 1 << 24
 
 
 def _finite_samples(samples) -> np.ndarray:
@@ -285,17 +291,21 @@ def calibrate_epsilon(
 ) -> float:
     """Permutation-null threshold: the given percentile of the metric over
     random resplits of the pooled samples, each drawn as the first side's
-    count per non-empty bin (multivariate hypergeometric, largest bin first,
-    row after row, so no value depends on ``CHUNK_CELLS``).  KL, TV and W1
-    score full-width rows.  JS sums, per run, its k non-empty bins' terms from
-    a per-block table of ``_js_terms`` at the counts drawn there: each cell's
-    ``0.5*tA + 0.5*tB`` rounded once to an int64 multiple of 2**-60, as ``_js``
-    rounds it on the full row, so the exact integer sums make each value
-    ``_js``'s bit for bit.  The rounding moves a value by at most k * 2**-61;
-    it moved JS values and thresholds once, in their last digits, from the
-    float row sums it replaced.  Every block is drawn once; memory is O(block + runs).
+    count per non-empty bin (multivariate hypergeometric, largest bin first).
+    Run i is drawn on stream s = i // ``STREAM_RUNS``, ``Philox(key=seed,
+    counter=s << 128)``, row after row, so no value depends on ``CHUNK_CELLS``
+    or on how many threads draw: the calling thread draws the even streams and,
+    from two streams on, one more thread the odd ones, each lane half a block at
+    a time.  KL, TV and W1 score full-width rows.  JS sums, per run, its k
+    non-empty bins' terms from a per-block table of ``_js_terms`` at the counts
+    drawn there: each cell's ``0.5*tA + 0.5*tB`` rounded once to an int64
+    multiple of 2**-60, as ``_js`` rounds it on the full row, so the exact
+    integer sums make each value ``_js``'s bit for bit, within k * 2**-61 of
+    the float sum.  Memory is O(block + runs); more than ``MAX_RUNS`` is refused.
     """
     check_int("runs", runs, low=1)
+    if runs > MAX_RUNS:
+        raise InvalidParams(f"runs must be at most MAX_RUNS = {MAX_RUNS}, got {show(runs)}")
     check_real("percentile", percentile, 0, 100)
     check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b, metric)
@@ -307,20 +317,40 @@ def calibrate_epsilon(
     colours = pooled_counts[filled]
     kernel = {"kl": partial(_kl, n_p=n_a, n_q=n_b), "tv": _tv,
               "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers))}.get(metric)  # JS: tables
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins))
-    values = np.empty(runs)
-    for start in range(0, runs, block):
-        counts = gen.multivariate_hypergeometric(colours, n_a, size=min(block, runs - start), method="marginals")
-        if metric == "js":  # a table of each bin's terms at its drawn counts lo..hi
-            lo, hi = counts.min(axis=0), counts.max(axis=0)
-            offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
-            cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
-            cell_b = np.repeat(colours, hi - lo + 1) - cell_a
-            table = _js_terms(cell_a / n_a, cell_b / n_b)
-            values[start : start + block] = table[counts + offsets].sum(axis=1) * 2.0**-60
-        else:
-            full = np.zeros((len(counts), bins), dtype=counts.dtype)
-            full[:, filled] = counts
-            values[start : start + block] = kernel(full / n_a, (pooled_counts - full) / n_b)
+    streams = -(-runs // STREAM_RUNS)
+    # with two lanes, two blocks are in flight, so each holds half of what one would
+    block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins) // min(streams, 2))
+    values, faults = np.empty(runs), []
+
+    def lane(first: int) -> None:  # streams first, first + 2, ..., each a block at a time
+        try:
+            for stream in range(first, streams, 2):
+                gen = np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
+                end = min(runs, (stream + 1) * STREAM_RUNS)
+                for start in range(stream * STREAM_RUNS, end, block):
+                    stop = min(start + block, end)
+                    counts = gen.multivariate_hypergeometric(colours, n_a, size=stop - start, method="marginals")
+                    if metric == "js":  # a table of each bin's terms at its drawn counts lo..hi
+                        lo, hi = counts.min(axis=0), counts.max(axis=0)
+                        offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
+                        cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
+                        cell_b = np.repeat(colours, hi - lo + 1) - cell_a
+                        table = _js_terms(cell_a / n_a, cell_b / n_b)
+                        values[start:stop] = table[counts + offsets].sum(axis=1) * 2.0**-60
+                    else:
+                        full = np.zeros((len(counts), bins), dtype=counts.dtype)
+                        full[:, filled] = counts
+                        values[start:stop] = kernel(full / n_a, (pooled_counts - full) / n_b)
+        except BaseException as exc:  # raised again in the caller, after the join
+            faults.append(exc)
+
+    # the draws release the GIL, so a second thread runs the odd streams on another core
+    worker = threading.Thread(target=lane, args=(1,)) if streams > 1 else None
+    if worker:
+        worker.start()
+    lane(0)
+    if worker:
+        worker.join()
+    if faults:
+        raise faults[0]
     return _percentile(values, float(percentile))

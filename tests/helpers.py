@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from stegogame.bits import xor_bits
-from stegogame.divergence import EmpiricalDistribution
+from stegogame.divergence import STREAM_RUNS, EmpiricalDistribution
 from stegogame.errors import LengthMismatch, NotInLibrary
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
 from stegogame.permcodec import Arrangement, arrangement_to_bits, bits_to_arrangement, capacity
@@ -229,17 +229,20 @@ def permutation_null_reference(samples_a, samples_b, metric, bins, runs, seed) -
 
 def null_values_reference(samples_a, samples_b, metric, bins, runs, seed) -> np.ndarray:
     """The hypergeometric null's distances, one run at a time: bin the pooled
-    samples once, draw every run's first-side counts in a call of its own on
-    the stream of ``Philox(key=seed)``, over the non-empty bins only, the
-    largest pooled count first and ties in bin order, put them back in their
-    bins, subtract them from the pooled counts and score both full-width mass
-    vectors with a 1-D kernel."""
+    samples once, draw every run's first-side counts in a call of its own,
+    run i on the stream of ``Philox(key=seed, counter=s << 128)`` with s =
+    i // ``STREAM_RUNS``, over the non-empty bins only, the largest pooled
+    count first and ties in bin order, put them back in their bins, subtract
+    them from the pooled counts and score both full-width mass vectors with a
+    1-D kernel."""
     index, n_a, n_b, kernel = _null_setup(samples_a, samples_b, metric, bins)
     pooled_counts = np.bincount(index, minlength=bins)
     drawn = sorted(np.flatnonzero(pooled_counts).tolist(), key=lambda i: -pooled_counts[i])
-    gen = np.random.Generator(np.random.Philox(key=seed))
     values = np.empty(runs)
     for run in range(runs):
+        stream, place = divmod(run, STREAM_RUNS)
+        if place == 0:
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
         counts_a = np.zeros(bins, dtype=np.int64)
         counts_a[drawn] = gen.multivariate_hypergeometric(pooled_counts[drawn], n_a, method="marginals")
         values[run] = kernel(counts_a / n_a, (pooled_counts - counts_a) / n_b)

@@ -22,7 +22,7 @@ from stegogame.attackgame import (
 )
 from stegogame.bits import bits_to_int
 from stegogame.budget import coverage_report, max_safe_uses, pr_coverage_mc
-from stegogame.divergence import calibrate_epsilon, distinguishability_test, estimate_distribution
+from stegogame.divergence import MAX_RUNS, calibrate_epsilon, distinguishability_test, estimate_distribution
 from stegogame.errors import StegogameError
 from stegogame.library import library_from_manifest
 from stegogame.permcodec import capacity
@@ -95,12 +95,14 @@ CALLS = [
       "leak_fraction": "real", "leak_growth": "real"}),
 ]
 # more values that one argument must refuse: a huge int above its upper bound,
-# and a Fraction on one outside zeta's interval
+# a Fraction on one outside zeta's interval, and runs past MAX_RUNS
 PAST_UPPER_BOUND = {
     **dict.fromkeys(("capacity-N", "Scenario-observations", "estimate_distribution-bins",
                      "calibrate_epsilon-bins", "distinguishability_test-bins", "pr_coverage_mc-trials",
                      "pr_coverage_mc-T", "coverage_report-mc_trials", "coverage_report-T"), (HUGE,)),
     "max_safe_uses-zeta": (Fraction(HUGE, 3),),
+    # numpy's _ArrayMemoryError at 10**12 runs and its ValueError at 2**63, without MAX_RUNS
+    "calibrate_epsilon-runs": (MAX_RUNS + 1, 10**12, 2**63, HUGE),
 }
 ARGUMENTS = [
     pytest.param(call, valid, arg, kind, PAST_UPPER_BOUND.get(f"{name}-{arg}", ()), id=f"{name}-{arg}")

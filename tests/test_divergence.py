@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -13,7 +15,9 @@ from stegogame import divergence
 from stegogame.divergence import (
     CHUNK_CELLS,
     MAX_BINS,
+    MAX_RUNS,
     METRICS,
+    STREAM_RUNS,
     EmpiricalDistribution,
     VERDICT_DISTINGUISHABLE,
     VERDICT_INDISTINGUISHABLE,
@@ -477,22 +481,30 @@ def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percen
     ``blocks``, how many draws it made; and ``epsilon``, its threshold.
     Its draws cover the non-empty bins, the largest pooled count first and
     ties in bin order, each run once; given full-width ``rows``, it scores
-    those instead of its draws."""
+    those instead of its draws.  Each draw is filed under the run it starts
+    at, from its generator's stream (the Philox counter's upper half) and the
+    rows drawn on it before, so ``counts`` are in run order whichever thread
+    drew them."""
     pooled = np.concatenate([a, b])
     colours = np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]
     drawn = sorted(np.flatnonzero(colours).tolist(), key=lambda i: -colours[i])
-    counts, values = [], []
+    counts, values = {}, []
 
     class Recording(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            counter = bit_generator.state["state"]["counter"]
+            self.run = STREAM_RUNS * (int(counter[2]) | int(counter[3]) << 64)
+
         def multivariate_hypergeometric(self, colors, nsample, size, method):
             assert colors.tolist() == colours[drawn].tolist() and nsample == len(a)
-            start = sum(map(len, counts))
+            start, self.run = self.run, self.run + size
             block = super().multivariate_hypergeometric(colors, nsample, size=size, method=method)
             if rows is not None:
                 block = rows[start : start + size][:, drawn]
             full = np.zeros((size, bins), dtype=np.int64)
             full[:, drawn] = block
-            counts.append(full)
+            assert counts.setdefault(start, full) is full  # no block drawn twice
             return block
 
     def percentile_of(null, q):
@@ -504,8 +516,12 @@ def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percen
         patch.setattr(np.random, "Generator", Recording)
         patch.setattr(divergence, "_percentile", percentile_of)
         epsilon = calibrate_epsilon(a, b, metric, bins, runs, percentile, seed)
-    null = SimpleNamespace(counts=np.concatenate(counts), values=values[0], blocks=len(counts), epsilon=epsilon)
-    assert len(null.counts) == runs  # no run is drawn twice
+    starts = sorted(counts)
+    null = SimpleNamespace(counts=np.concatenate([counts[start] for start in starts]), values=values[0],
+                           blocks=len(counts), epsilon=epsilon)
+    # each run drawn once: every block starts where the one before it ends
+    assert starts == np.cumsum([0] + [len(counts[start]) for start in starts[:-1]]).tolist()
+    assert len(null.counts) == runs
     if metric == "js":  # the tabled sums are the row kernel's on full-width rows
         assert np.array_equal(null.values, divergence._js(null.counts / len(a), (colours - null.counts) / len(b)))
     return null
@@ -598,11 +614,11 @@ class TestPermutationNull:
         assert peak < 8 * 2**20
 
     # calibrate_epsilon(...).hex() at security-eval's shape, 500 + 500 normals
-    # in 64 bins and 4,000 runs: about 16 blocks of JS
+    # in 64 bins and 4,000 runs: two streams, each about 16 half blocks of JS
     GOLDEN_4000_RUNS = {
-        (1, 100): "0x1.ca54a51b69911p-5", (1, 99): "0x1.5f710b97f2230p-5",
-        (2, 100): "0x1.99a9abf9e1fc6p-5", (2, 99): "0x1.662e7e11ffae5p-5",
-        (3, 100): "0x1.c923785083bd6p-5", (3, 99): "0x1.5fc4babab3048p-5",
+        (1, 100): "0x1.ca54a51b69911p-5", (1, 99): "0x1.683544b99c3c3p-5",
+        (2, 100): "0x1.9833b9362256dp-5", (2, 99): "0x1.657ec52c126adp-5",
+        (3, 100): "0x1.9007150b1788cp-5", (3, 99): "0x1.5af2549f8f93bp-5",
     }
 
     @pytest.mark.parametrize("seed, percentile", list(GOLDEN_4000_RUNS))
@@ -689,6 +705,88 @@ class TestPermutationNull:
         assert report.verdict == VERDICT_DISTINGUISHABLE
 
 
+class TestStreams:
+    """Run i is drawn on stream i // STREAM_RUNS, the calling thread drawing the
+    even streams and one more thread the odd ones, so every value is the
+    sequential reference's, one core or two."""
+
+    RUNS = (1, STREAM_RUNS - 1, STREAM_RUNS, STREAM_RUNS + 1, 4000, 3 * STREAM_RUNS + 5)
+
+    @pytest.mark.parametrize("metric", ["js", "tv"])
+    def test_streams_equal_the_reference(self, monkeypatch, metric):
+        """Clustered samples with empty bins between them, at blocks that do
+        and do not divide a stream; a run's value does not depend on ``runs``,
+        so each null is a prefix of the longest one."""
+        a, b = sample_pair(39, 60, 45, clustered=True)
+        reference = null_values_reference(a, b, metric, 16, max(self.RUNS), 8)
+        for cells in (100, CHUNK_CELLS):
+            monkeypatch.setattr(divergence, "CHUNK_CELLS", cells)
+            for runs in self.RUNS:
+                null = recorded_null(monkeypatch, metric, a, b, 16, runs, 8, percentile=99)
+                assert null.values.tobytes() == reference[:runs].tobytes(), (cells, runs)
+                assert null.epsilon.hex() == float(np.percentile(reference[:runs], 99)).hex(), (cells, runs)
+
+    def test_concurrent_callers_keep_their_values(self):
+        """Three callers at once, two lanes each, on two cores with a short
+        switch interval: each threshold is the one drawn alone."""
+        a, b = sample_pair(40, 300, 200, clustered=False)
+        runs = 3 * STREAM_RUNS + 5
+        alone = {seed: calibrate_epsilon_reference(a, b, "tv", 16, runs, 99, seed) for seed in range(3)}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda seed=seed: got.update(
+                {seed: calibrate_epsilon(a, b, "tv", 16, runs, 99, seed)})) for seed in alone]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == alone
+
+    @pytest.mark.parametrize("faulty", [1, 0])
+    def test_a_lane_fault_is_raised_after_the_join(self, monkeypatch, faulty):
+        """A draw that fails on one stream only, in the second thread's lane
+        (stream 1) or the caller's (stream 0): the call raises that very
+        exception, and no thread outlives it."""
+        fault = RuntimeError(f"stream {faulty}")
+
+        class Faulty(np.random.Generator):
+            def multivariate_hypergeometric(self, *args, **kwargs):
+                if int(self.bit_generator.state["state"]["counter"][2]) == faulty:
+                    raise fault
+                return super().multivariate_hypergeometric(*args, **kwargs)
+
+        a, b = sample_pair(41, 50, 50, clustered=False)
+        before = threading.active_count()
+        monkeypatch.setattr(np.random, "Generator", Faulty)
+        with pytest.raises(RuntimeError) as caught:
+            calibrate_epsilon(a, b, runs=4 * STREAM_RUNS, seed=1)
+        assert caught.value is fault
+        assert threading.active_count() == before
+
+    def test_one_stream_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("calibrate_epsilon started a thread")
+
+        a, b = sample_pair(42, 50, 50, clustered=False)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for runs in (200, STREAM_RUNS):
+            calibrate_epsilon(a, b, runs=runs, seed=2)
+
+    def test_runs_above_max_runs_refused_before_allocating(self, monkeypatch):
+        for runs in (MAX_RUNS + 1, 10**12, 2**63):
+            with pytest.raises(InvalidParams, match="MAX_RUNS"):
+                calibrate_epsilon([0.0, 1.0], [0.5, 2.0], runs=runs)
+        monkeypatch.setattr(divergence, "MAX_RUNS", 5)
+        calibrate_epsilon([0.0, 1.0], [0.5, 2.0], runs=5)
+        with pytest.raises(InvalidParams, match="runs must be at most MAX_RUNS = 5, got 6"):
+            calibrate_epsilon([0.0, 1.0], [0.5, 2.0], runs=6)
+
+
 class TestNullLaw:
     """The drawn counts follow the permutation null's law: multivariate
     hypergeometric, the pooled counts as colours and side A's size as the
@@ -740,7 +838,8 @@ class TestNullLaw:
         below) scores JS 0.0556 in 64 bins, above all 4,000 resplits of the
         benchmark's null.  The count-space null still follows the permutation
         law there, and both put the split in their far tail: a false alarm
-        that a threshold at the null's maximum raises on about 1 seed in 4,001."""
+        that a threshold at the null's maximum raises on about 1 seed in 4,001.
+        Over the benchmark's seeds 1-1200 it is raised at 179 and at 1106."""
         a, b = sample_pair(283466818900148146, 500, 500, False)
         observed = distinguishability_test(a, b, 0.0).value
         drawn = recorded_null(monkeypatch, "js", a, b, 64, self.RUNS, seed=4137733485).values
