@@ -17,7 +17,7 @@ import numpy as np
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
 from ..divergence import _js, _percentile, byte_counts, js, normalize_byte_counts
-from ..errors import EmptySamples, InvalidConfig, check_int, check_real, show
+from ..errors import EmptySamples, InvalidConfig, check_choice, check_int, check_real
 from ..library import CoverId
 from ..permcodec import arrangement_to_bits  # noqa: F401
 from ..stego import StegoSequence, _decode
@@ -235,9 +235,5 @@ ADVERSARIES = {
 
 
 def make_adversary(name: str):
-    try:
-        return ADVERSARIES[name]()
-    except KeyError:
-        raise InvalidConfig(
-            f"unknown adversary {show(name)}; choose from {sorted(ADVERSARIES)}"
-        ) from None
+    check_choice("adversary", name, sorted(ADVERSARIES), InvalidConfig)
+    return ADVERSARIES[name]()

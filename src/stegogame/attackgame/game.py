@@ -28,7 +28,9 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..errors import InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_int, check_real, check_width, show
+from ..errors import (
+    InvalidConfig, NotInLibrary, OracleBudgetExceeded, check_choice, check_int, check_real, check_width, show,
+)
 from ..library import CoverId
 from ..permcodec import capacity
 # embed, extract and keygen are not called here; perfbench/tracer.py looks
@@ -56,12 +58,9 @@ class AttackLevel(IntEnum):
 
     @classmethod
     def parse(cls, name: str) -> "AttackLevel":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise InvalidConfig(
-                f"unknown level {name!r}; choose from {[m.name.lower() for m in cls]}"
-            ) from None
+        name = name.strip().lower() if isinstance(name, str) else name
+        check_choice("level", name, [m.name.lower() for m in cls], InvalidConfig)
+        return cls[name.upper()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import (
-    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_int, check_real, check_seed,
-    check_shape, show,
+    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_choice, check_int, check_real,
+    check_seed, check_shape,
 )
 from ..library import (
     CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
@@ -46,11 +46,11 @@ class Scenario:
     content_map: Mapping[CoverId, bytes] | None = None
 
     def __post_init__(self):
-        for name, low in (
-            ("oracle_embed_budget", 0), ("oracle_extract_budget", 0), ("rounds", 1),
-            ("observations", 0),
+        for name, low, high in (
+            ("oracle_embed_budget", 0, None), ("oracle_extract_budget", 0, None), ("rounds", 1, None),
+            ("observations", 0, MAX_OBSERVATIONS),
         ):
-            check_int(name, getattr(self, name), low, InvalidConfig)
+            check_int(name, getattr(self, name), low, InvalidConfig, high)
         check_real("leak_fraction", self.leak_fraction, 0, 1, InvalidConfig)
         check_real("leak_growth", self.leak_growth, 0, error=InvalidConfig)
         check_shape(self.library.T, self.N, InvalidConfig)
@@ -58,11 +58,7 @@ class Scenario:
             raise InvalidConfig(
                 f"world pool holds {self.world.T} covers, fewer than N={self.N}"
             )
-        if self.observations > MAX_OBSERVATIONS:
-            raise InvalidConfig(f"observations must be at most MAX_OBSERVATIONS = "
-                                f"{MAX_OBSERVATIONS}, got {show(self.observations)}")
-        if self.key_leak not in KEY_LEAK_MODES:
-            raise InvalidConfig(f"key_leak must be one of {KEY_LEAK_MODES}")
+        check_choice("key_leak", self.key_leak, KEY_LEAK_MODES, InvalidConfig)
 
     def leak_size(self, round_index: int = 0) -> int:
         """Leaked-subset size for a given round; grows linearly, capped at T."""

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, floor, fsum, log, log1p, sqrt
 
-from .errors import InvalidParams, check_int, check_real, check_seed, check_shape, show
+from .errors import InvalidParams, check_int, check_real, check_seed, check_shape
 
 
 def _check_txn(x: int, N: int, T: int) -> None:
@@ -180,14 +180,11 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
 
 
 def _check_mc(T: int, trials: int, seed: int, max_workers: int | None = None) -> None:
-    check_int("trials", trials, low=1)
-    if trials >= 1 << 63:  # the occupancy counts trials in int64
-        raise InvalidParams(f"the Monte-Carlo route needs trials < 2**63, got trials={show(trials)}")
+    check_int("trials", trials, 1, high=(1 << 63) - 1)  # the occupancy counts trials in int64
     check_seed(seed)
     if max_workers is not None:
         check_int("max_workers", max_workers, low=1)
-    if T >= 10**9:  # numpy's hypergeometric refuses that many good or bad items
-        raise InvalidParams(f"the Monte-Carlo route needs T < 10**9, got T={show(T)}")
+    check_int("T", T, high=10**9 - 1)  # numpy's hypergeometric refuses 10**9 or more good or bad items
 
 
 def pr_coverage_mc(x: int, N: int, T: int, trials: int, seed: int) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BinMismatch, EmptySamples, InvalidParams, check_int, check_real, check_seed, show
+from .errors import BinMismatch, EmptySamples, InvalidParams, check_choice, check_int, check_real, check_seed, show
 
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
@@ -83,9 +83,7 @@ def _histogram(arr: np.ndarray, bins: int, support) -> tuple[np.ndarray, np.ndar
     finite as floats, or that ``bins`` finite bins cannot cut, is InvalidParams (on older
     numpy, from EmpiricalDistribution's edge check), and so are more than ``MAX_BINS``
     bins, refused before anything is allocated."""
-    check_int("bins", bins, low=1)
-    if bins > MAX_BINS:
-        raise InvalidParams(f"bins must be at most MAX_BINS = {MAX_BINS}, got {show(bins)}")
+    check_int("bins", bins, 1, high=MAX_BINS)
     if support is not None:
         ends = tuple(support) if isinstance(support, (tuple, list)) else ()
         try:  # isfinite takes each end as a float, which 10**5000 overflows
@@ -147,18 +145,12 @@ def normalize_byte_counts(counts: np.ndarray) -> EmpiricalDistribution:
 # lone 1-D vector would, so batching never moves a value.
 
 
-def _at_least_zero(values: np.ndarray) -> np.ndarray:
-    """``max(0.0, v)`` per value: nonnegative in exact arithmetic, rounding
-    can leave about -1e-18."""
-    return np.where(values > 0.0, values, 0.0)
-
-
 def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
     pm = pm + 1.0 / (2.0 * n_p)
     qm = qm + 1.0 / (2.0 * n_q)
     pm = pm / pm.sum(axis=1, keepdims=True)
     qm = qm / qm.sum(axis=1, keepdims=True)
-    return _at_least_zero((pm * np.log(pm / qm)).sum(axis=1))
+    return np.maximum((pm * np.log(pm / qm)).sum(axis=1), 0.0)  # >= 0; rounding can leave -1e-18
 
 
 def _js_terms(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
@@ -241,8 +233,7 @@ class DistanceReport:
 def _pooled_support(samples_a: Sequence[float], samples_b: Sequence[float], metric: str):
     """Both sample sets as arrays, then pooled, and the range their shared
     bins span: (a, b, pooled, (low, high)); the metric is checked first."""
-    if metric not in METRICS:
-        raise InvalidParams(f"unknown metric {show(metric)}; choose from {sorted(METRICS)}")
+    check_choice("metric", metric, sorted(METRICS))
     a, b = _finite_samples(samples_a), _finite_samples(samples_b)
     if a.size == 0 or b.size == 0:
         raise EmptySamples("both sample sets must be non-empty")
@@ -303,9 +294,7 @@ def calibrate_epsilon(
     integer sums make each value ``_js``'s bit for bit, within k * 2**-61 of
     the float sum.  Memory is O(block + runs); more than ``MAX_RUNS`` is refused.
     """
-    check_int("runs", runs, low=1)
-    if runs > MAX_RUNS:
-        raise InvalidParams(f"runs must be at most MAX_RUNS = {MAX_RUNS}, got {show(runs)}")
+    check_int("runs", runs, 1, high=MAX_RUNS)
     check_real("percentile", percentile, 0, 100)
     check_seed(seed)
     a, _, pooled, support = _pooled_support(samples_a, samples_b, metric)

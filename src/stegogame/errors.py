@@ -3,9 +3,10 @@
 Every error carries a short machine-readable ``code`` that the CLI uses for
 its JSON error objects, e.g. ``{"error": "NotInLibrary", ...}``.
 
-Integer, real and seed arguments are checked by :func:`check_int`,
-:func:`check_real` (in an interval, closed by default) and :func:`check_seed`,
-l-bit values by :func:`check_width` and (T, N) by :func:`check_shape`, each
+Integer, real and seed arguments are checked by :func:`check_int` (between
+optional bounds), :func:`check_real` (in an interval, closed by default) and
+:func:`check_seed`, l-bit values by :func:`check_width`, (T, N) by
+:func:`check_shape` and names from a fixed set by :func:`check_choice`, each
 raising the caller's error class.  An integer is exactly an ``int``, not a bool
 or a numpy int, which would wrap around in the exact integer math.  :func:`show`
 prints a refused value: past the 4,300-digit ``str`` limit as ``<int of 14729 bits>``.
@@ -130,13 +131,22 @@ def show(value) -> str:
     return f"{sign}<{kind} of {n}{f'/{d}' if d > 1 else ''} bits>"
 
 
-def check_int(name: str, value, low: int | None = None, error=InvalidParams) -> None:
+def check_int(name: str, value, low: int | None = None, error=InvalidParams, high: int | None = None) -> None:
     """Raise ``error`` unless ``value`` is an ``int`` (not a bool, not a numpy
-    int) and, given ``low``, at least ``low``."""
+    int) and, given ``low`` and ``high``, at least ``low`` and at most ``high``."""
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {show(value)}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {show(value)}")
+    if high is not None and value > high:
+        raise error(f"{name} must be at most {high}, got {show(value)}")
+
+
+def check_choice(name: str, value, choices, error=InvalidParams) -> None:
+    """Raise ``error`` unless ``value`` equals one of ``choices`` and is of its type (a
+    ``str`` subclass passes for a ``str``), so a list or an array is refused, not hashed."""
+    if not any(isinstance(value, type(choice)) and value == choice for choice in choices):
+        raise error(f"unknown {name} {show(value)}; choose from {list(choices)}")
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, error=InvalidParams, closed=True) -> None:

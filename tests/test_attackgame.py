@@ -277,7 +277,7 @@ class TestScenario:
         save_manifest(build_library(make_covers(6)), tmp_path / "lib.json")
         doc = {"library": "lib.json", "world_pool": "lib.json", "N": 2}
         (tmp_path / "scen.json").write_text(json.dumps({**doc, "observations": observations}))
-        with pytest.raises(InvalidConfig, match=f"MAX_OBSERVATIONS = {MAX_OBSERVATIONS}"):
+        with pytest.raises(InvalidConfig, match=f"observations must be at most {MAX_OBSERVATIONS}, got"):
             load_scenario(tmp_path / "scen.json")
         (tmp_path / "scen.json").write_text(json.dumps({**doc, "observations": MAX_OBSERVATIONS}))
         assert load_scenario(tmp_path / "scen.json").observations == MAX_OBSERVATIONS

@@ -355,7 +355,7 @@ class TestBudgetCommand:
         assert code == 1
         assert parse(out) == {
             "error": "InvalidParams",
-            "detail": f"the Monte-Carlo route needs trials < 2**63, got trials={2**63}",
+            "detail": f"trials must be at most {2**63 - 1}, got {2**63}",
         }
         assert "Traceback" not in err
 
@@ -513,7 +513,7 @@ class TestDivergenceCommand:
         )
         assert code == 1
         assert parse(out) == {
-            "error": "InvalidParams", "detail": f"bins must be at most MAX_BINS = 65536, got {bins}"
+            "error": "InvalidParams", "detail": f"bins must be at most 65536, got {bins}"
         }
         assert "Traceback" not in err
 
@@ -792,7 +792,7 @@ class TestAttackCommand:
         )
         assert code == 1
         assert parse(out)["error"] == "InvalidConfig"
-        assert "MAX_OBSERVATIONS = 100000" in parse(out)["detail"]
+        assert "observations must be at most 100000, got" in parse(out)["detail"]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.1", "nan", "inf"])
