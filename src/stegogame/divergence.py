@@ -13,7 +13,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -22,11 +21,9 @@ import numpy as np
 from .errors import BinMismatch, EmptySamples, InvalidParams, check_choice, check_int, check_real, check_seed, show
 
 MASS_TOLERANCE = 1e-12
-# calibrate_epsilon's block of resplits, in count cells: non-empty bins for JS, else all bins
+# calibrate_epsilon's block of resplits, in count cells: rows of the non-empty bins' counts
 CHUNK_CELLS = 16384
-# The most bins a histogram may have: calibrate_epsilon's KL, TV and W1 nulls score full-width
-# rows, and at 200 runs on 400 + 400 samples took 0.3-0.5 s at 2**16, 3.7-7.9 s at 2**20
-# (numpy 2.4, 2 cores).  JS's works over the non-empty bins only.
+# The most bins a histogram may have: it bounds only np.histogram's arrays, all else is per non-empty bin
 MAX_BINS = 1 << 16
 # calibrate_epsilon's runs: run i draws on stream i // STREAM_RUNS, and at most MAX_RUNS are
 # drawn.  Each costs 8 bytes of values (128 MiB at 2**24); 2**20 runs of JS or TV on 500 + 500
@@ -67,7 +64,7 @@ class EmpiricalDistribution:
         # `not >= 0` rather than `< 0`, so that a NaN mass is refused too
         if not np.all(masses >= 0) or abs(float(masses.sum()) - 1.0) > MASS_TOLERANCE:
             raise InvalidParams("masses must be finite, non-negative and sum to 1")
-        check_int("n_samples", self.n_samples, low=1)
+        check_int("n_samples", self.n_samples, low=1, high=1 << 62)  # KL needs ln(2n + bins) < 64
 
     @property
     def bins(self) -> int:
@@ -140,76 +137,81 @@ def normalize_byte_counts(counts: np.ndarray) -> EmpiricalDistribution:
     return EmpiricalDistribution(edges=_BYTE_EDGES, masses=counts / total, n_samples=total)
 
 
-# Row-batched kernels: each metric on two (rows, bins) mass matrices over
-# shared bins, one value per row.  Each row reduces along axis 1 exactly as a
-# lone 1-D vector would, so batching never moves a value.
+# Each metric is an int64 sum of per-cell terms in whole units, over the bins non-empty on either side:
+# exact in any order or batch (the pre-rounding of reproducible summation, Demmel & Nguyen, ARITH 2013).
+UNITS = {"kl": 2.0**-57, "js": 2.0**-60, "tv": 2.0**-60, "w1": 2.0**-60}
 
 
-def _kl(pm: np.ndarray, qm: np.ndarray, n_p: int, n_q: int) -> np.ndarray:
-    pm = pm + 1.0 / (2.0 * n_p)
-    qm = qm + 1.0 / (2.0 * n_q)
-    pm = pm / pm.sum(axis=1, keepdims=True)
-    qm = qm / qm.sum(axis=1, keepdims=True)
-    return np.maximum((pm * np.log(pm / qm)).sum(axis=1), 0.0)  # >= 0; rounding can leave -1e-18
+def _terms(metric: str, pm, qm, n_p=1, n_q=1, bins=1, span=1.0, centers=None, order=slice(None)) -> np.ndarray:
+    """Each cell's term in int64 units of ``UNITS[metric]``, the cells on the last axis.  KL:
+    ``p * log(p / q)`` of masses smoothed to ``(m + 1/(2n)) / (1 + bins/(2n))``, n each side's
+    sample count; the masses sum to 1 within MASS_TOLERANCE, so that divisor is the smoothed sum's
+    and each empty bin has one same term.  Terms sum above -1/e, a row below ln(2 n_q + bins) < 64.
+    JS: ``0.5*tA + 0.5*tB``, the sides' ``p * log(p / mid)`` (0 where p = 0), clamped at 0 against
+    rounding (it is >= 0 by the log-sum inequality).  TV: half of ``|p - q|``.  W1: the CDF gap,
+    cells in bin ``order``, times the distance to the next of ``centers`` (the cells', then the
+    last bin's) over the edges' ``span``.  JS, TV and W1 rows sum to at most 1."""
+    if metric == "kl":
+        pm, qm = ((m + 1.0 / (2.0 * n)) / (1.0 + bins / (2.0 * n)) for m, n in ((pm, n_p), (qm, n_q)))
+        cells = pm * np.log(pm / qm)
+    elif metric == "js":
+        both, mid = np.stack([pm, qm]), (pm + qm) / 2.0
+        sides = both * np.log(np.divide(both, mid, out=np.ones_like(both), where=both > 0))
+        cells = np.maximum(0.5 * sides[0] + 0.5 * sides[1], 0.0)
+    elif metric == "tv":
+        cells = 0.5 * np.abs(pm - qm)
+    else:
+        cells = np.abs(np.cumsum((pm - qm)[..., order], axis=-1)) * (np.diff(centers) / span)
+    return np.rint(cells / UNITS[metric]).astype(np.int64)
 
 
-def _js_terms(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """Each cell's ``0.5*tA + 0.5*tB``, the sides' ``p * log(p / mid)`` (0 where p = 0), clamped
-    at 0 (it is >= 0 by the log-sum inequality; rounding can leave about -1e-18) and rounded once
-    to an int64 multiple of 2**-60.  A row of k cells sums below ln 2 * 2**60 + k < 2**63."""
-    both = np.stack([pm, qm])
-    mid = (pm + qm) / 2.0
-    terms = both * np.log(np.divide(both, mid, out=np.ones_like(both), where=both > 0))
-    return np.rint(np.maximum(0.5 * terms[0] + 0.5 * terms[1], 0.0) * 2.0**60).astype(np.int64)
+def _total(metric: str, sums, kept=0, n_p=1, n_q=1, bins=1, span=1.0, **_):
+    """Row sums of ``_terms`` over ``kept`` cells, finished: KL's ``bins - kept`` empty terms, the
+    unit (and W1's span), and a clamp at 0 against KL's rounding."""
+    if metric == "kl":
+        sums = sums + (bins - kept) * _terms("kl", np.zeros(1), np.zeros(1), n_p, n_q, bins)[0]
+    return np.maximum(sums * UNITS[metric] * (span if metric == "w1" else 1.0), 0.0)
 
 
 def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """JS per row: one exact integer sum of its k cells' terms, so no value depends on the
-    batch, the bin order or the empty bins; rounding the terms moves it by at most k * 2**-61."""
-    return _js_terms(pm, qm).sum(axis=1) * 2.0**-60
+    """JS per row of two (rows, bins) mass matrices, the SCOA adversary's batch."""
+    return _total("js", _terms("js", pm, qm).sum(axis=1))
 
 
-def _tv(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(pm - qm).sum(axis=1)
-
-
-def _w1(pm: np.ndarray, qm: np.ndarray, center_gaps: np.ndarray) -> np.ndarray:
-    cdf_gap = np.cumsum(pm - qm, axis=1)[:, :-1]
-    return (np.abs(cdf_gap) * center_gaps).sum(axis=1)
-
-
-def _one_row(
-    kernel: Callable[..., np.ndarray], p: EmpiricalDistribution, q: EmpiricalDistribution, *args
-) -> float:
-    """``kernel`` on the masses of two distributions over the same bins."""
+def _one_row(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
+    """``metric`` on two distributions over the same bins, from the bins non-empty on either side."""
     shared = p.edges is q.edges  # byte histograms all share one edges array
     if not shared and (p.bins != q.bins or not np.array_equal(p.edges, q.edges)):
         raise BinMismatch("distributions use different bins")
-    return float(kernel(p.masses[None], q.masses[None], *args)[0])
+    kept = np.flatnonzero((p.masses > 0) | (q.masses > 0))
+    frame = {"n_p": p.n_samples, "n_q": q.n_samples, "bins": p.bins, "span": p.edges[-1] - p.edges[0],
+             "centers": p.centers[np.append(kept, -1)] if metric == "w1" else None}
+    return float(_total(metric, _terms(metric, p.masses[kept], q.masses[kept], **frame).sum(), kept.size, **frame))
 
 
 def kl(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """KL divergence (natural log) with additive smoothing.
 
     Each side gets 1/(2 * its own sample count) pseudo-mass per bin, then is
-    renormalized; empirical zeros would otherwise make the value infinite.
+    divided by its smoothed sum, 1 + bins/(2 * that count); empirical zeros
+    would otherwise make the value infinite.
     """
-    return _one_row(_kl, p, q, p.n_samples, q.n_samples)
+    return _one_row("kl", p, q)
 
 
 def js(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Jensen-Shannon divergence, natural log, bounded by ln 2."""
-    return _one_row(_js, p, q)
+    return _one_row("js", p, q)
 
 
 def tv(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """Total variation distance, in [0, 1]."""
-    return _one_row(_tv, p, q)
+    return _one_row("tv", p, q)
 
 
 def w1(p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """1-Wasserstein distance over the bin-center metric."""
-    return _one_row(_w1, p, q, np.diff(p.centers))
+    return _one_row("w1", p, q)
 
 
 METRICS: dict[str, Callable[..., float]] = {f.__name__: f for f in (kl, js, tv, w1)}
@@ -287,12 +289,10 @@ def calibrate_epsilon(
     counter=s << 128)``, row after row, so no value depends on ``CHUNK_CELLS``
     or on how many threads draw: the calling thread draws the even streams and,
     from two streams on, one more thread the odd ones, each lane half a block at
-    a time.  KL, TV and W1 score full-width rows.  JS sums, per run, its k
-    non-empty bins' terms from a per-block table of ``_js_terms`` at the counts
-    drawn there: each cell's ``0.5*tA + 0.5*tB`` rounded once to an int64
-    multiple of 2**-60, as ``_js`` rounds it on the full row, so the exact
-    integer sums make each value ``_js``'s bit for bit, within k * 2**-61 of
-    the float sum.  Memory is O(block + runs); more than ``MAX_RUNS`` is refused.
+    a time.  Each value is the public kernel's on the full-width row, bit for
+    bit: KL, JS and TV sum a run's k terms from a per-block table of each bin's
+    terms at its drawn counts, and W1 scores the counts in bin order.  Memory
+    is O(block + runs); more than ``MAX_RUNS`` runs is refused.
     """
     check_int("runs", runs, 1, high=MAX_RUNS)
     check_real("percentile", percentile, 0, 100)
@@ -304,11 +304,13 @@ def calibrate_epsilon(
     # the non-empty bins, largest first and ties in bin order
     filled = np.argsort(-pooled_counts, kind="stable")[: np.count_nonzero(pooled_counts)]
     colours = pooled_counts[filled]
-    kernel = {"kl": partial(_kl, n_p=n_a, n_q=n_b), "tv": _tv,
-              "w1": partial(_w1, center_gaps=np.diff(pooled_dist.centers))}.get(metric)  # JS: tables
+    frame = {"n_p": n_a, "n_q": n_b, "bins": bins, "span": edges[-1] - edges[0]}
+    if metric == "w1":  # its gaps run over the drawn columns in bin order, each to the next centre
+        order = np.argsort(filled)
+        frame.update(order=order, centers=pooled_dist.centers[np.append(filled[order], -1)])
     streams = -(-runs // STREAM_RUNS)
     # with two lanes, two blocks are in flight, so each holds half of what one would
-    block = max(1, CHUNK_CELLS // (filled.size if metric == "js" else bins) // min(streams, 2))
+    block = max(1, CHUNK_CELLS // filled.size // min(streams, 2))
     values, faults = np.empty(runs), []
 
     def lane(first: int) -> None:  # streams first, first + 2, ..., each a block at a time
@@ -319,17 +321,15 @@ def calibrate_epsilon(
                 for start in range(stream * STREAM_RUNS, end, block):
                     stop = min(start + block, end)
                     counts = gen.multivariate_hypergeometric(colours, n_a, size=stop - start, method="marginals")
-                    if metric == "js":  # a table of each bin's terms at its drawn counts lo..hi
+                    if metric == "w1":
+                        sums = _terms(metric, counts / n_a, (colours - counts) / n_b, **frame).sum(axis=1)
+                    else:  # a table of each bin's terms at its drawn counts lo..hi
                         lo, hi = counts.min(axis=0), counts.max(axis=0)
                         offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
                         cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
                         cell_b = np.repeat(colours, hi - lo + 1) - cell_a
-                        table = _js_terms(cell_a / n_a, cell_b / n_b)
-                        values[start:stop] = table[counts + offsets].sum(axis=1) * 2.0**-60
-                    else:
-                        full = np.zeros((len(counts), bins), dtype=counts.dtype)
-                        full[:, filled] = counts
-                        values[start:stop] = kernel(full / n_a, (pooled_counts - full) / n_b)
+                        sums = _terms(metric, cell_a / n_a, cell_b / n_b, **frame)[counts + offsets].sum(axis=1)
+                    values[start:stop] = _total(metric, sums, filled.size, **frame)
         except BaseException as exc:  # raised again in the caller, after the join
             faults.append(exc)
 

@@ -8,9 +8,10 @@ coverage reports from one full pass over the integer numerators,
 and permutation nulls from a shuffle of the pooled samples' bins in every
 resplit (the law), or from one hypergeometric row per draw over the
 non-empty bins (the exact values), both scored on full-width rows by 1-D
-kernels: the metrics' earlier float kernels, and for JS the fixed-point rule
-applied one cell at a time (``js_fixed_1d``), beside its float sum
-(``js_1d``).
+kernels: each metric's fixed-point rule applied one cell at a time in Python
+ints (``kl_fixed_1d``, ``js_fixed_1d``, ``tv_fixed_1d``, ``w1_fixed_1d``),
+beside the metrics' earlier float kernels (``kl_1d``, ``js_1d``, ``tv_1d``,
+``w1_1d``).
 The embed/extract oracle is the earlier string path, composed
 from the public bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
@@ -135,7 +136,8 @@ def unseen_law_reference(x: int, N: int, T: int) -> dict[int, Fraction]:
     return law
 
 
-# The metrics' earlier kernels, one pair of 1-D mass vectors per call.
+# The metrics' 1-D kernels, one pair of mass vectors per call: the earlier
+# float sums, and the fixed-point rule, whose terms are added as Python ints.
 
 
 def kl_1d(pm, qm, n_p, n_q) -> float:
@@ -144,6 +146,18 @@ def kl_1d(pm, qm, n_p, n_q) -> float:
     pm = pm / pm.sum()
     qm = qm / qm.sum()
     return max(0.0, float((pm * np.log(pm / qm)).sum()))
+
+
+def kl_fixed_1d(pm, qm, n_p, n_q) -> float:
+    """KL by the fixed-point rule: each side smoothed by 1/(2n) a bin and
+    divided by 1 + bins/(2n), each bin's ``p * log(p / q)``, empty or not,
+    rounded half to even to a whole number of 2**-57 and added as a Python
+    int; the total times 2**-57, clamped at 0."""
+    bins = len(pm)
+    pm = (pm + 1.0 / (2.0 * n_p)) / (1.0 + bins / (2.0 * n_p))
+    qm = (qm + 1.0 / (2.0 * n_q)) / (1.0 + bins / (2.0 * n_q))
+    cells = (pm * np.log(pm / qm)).tolist()
+    return max(0.0, sum(round(cell * 2**57) for cell in cells) * 2.0**-57)
 
 
 def _rel_entropy_to_mid_1d(a, mid) -> float:
@@ -176,36 +190,60 @@ def tv_1d(pm, qm) -> float:
     return float(0.5 * np.abs(pm - qm).sum())
 
 
+def tv_fixed_1d(pm, qm) -> float:
+    """TV by the fixed-point rule: each bin's ``0.5 * |p - q|`` rounded half
+    to even to a whole number of 2**-60 and added as a Python int; the total
+    times 2**-60."""
+    return sum(round(cell * 2**60) for cell in (0.5 * np.abs(pm - qm)).tolist()) * 2.0**-60
+
+
 def w1_1d(pm, qm, center_gaps) -> float:
     cdf_gap = np.cumsum(pm - qm)[:-1]
     return float((np.abs(cdf_gap) * center_gaps).sum())
 
 
+def w1_fixed_1d(pm, qm, edges) -> float:
+    """W1 by the fixed-point rule: the CDF gap added up bin by bin in floats;
+    at each bin that is non-empty on either side, its |gap| times the distance
+    from the bin's centre to the next such bin's (the last such bin's to the
+    last centre) over the edges' span, rounded half to even to a whole number
+    of 2**-60 and added as a Python int; the total times 2**-60 and the span."""
+    centers = ((edges[:-1] + edges[1:]) / 2.0).tolist()
+    span = float(edges[-1] - edges[0])
+    kept = [i for i in range(len(pm)) if pm[i] > 0 or qm[i] > 0]
+    gap, gaps = 0.0, []
+    for p, q in zip(pm.tolist(), qm.tolist()):
+        gap += p - q
+        gaps.append(gap)
+    total = sum(round(abs(gaps[i]) * ((centers[j] - centers[i]) / span) * 2**60)
+                for i, j in zip(kept, kept[1:] + [len(pm) - 1]))
+    return max(0.0, total * 2.0**-60 * span)
+
+
 def metric_1d(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
-    """``METRICS[metric](p, q)`` through the 1-D kernels."""
+    """``METRICS[metric](p, q)`` through the fixed-point 1-D kernels."""
     return {
-        "kl": lambda: kl_1d(p.masses, q.masses, p.n_samples, q.n_samples),
+        "kl": lambda: kl_fixed_1d(p.masses, q.masses, p.n_samples, q.n_samples),
         "js": lambda: js_fixed_1d(p.masses, q.masses),
-        "tv": lambda: tv_1d(p.masses, q.masses),
-        "w1": lambda: w1_1d(p.masses, q.masses, np.diff(p.centers)),
+        "tv": lambda: tv_fixed_1d(p.masses, q.masses),
+        "w1": lambda: w1_fixed_1d(p.masses, q.masses, p.edges),
     }[metric]()
 
 
 def _null_setup(samples_a, samples_b, metric, bins):
     """Each pooled sample's bin by ``np.histogram``'s rule (edges[i] <= v <
     edges[i+1], the top edge in the last bin), the two sides' sizes and the
-    metric's 1-D kernel over those bins."""
+    metric's fixed-point 1-D kernel over those bins."""
     a = np.asarray(samples_a, dtype=float)
     pooled = np.concatenate([a, np.asarray(samples_b, dtype=float)])
     edges = np.histogram_bin_edges(pooled, bins, range=(float(pooled.min()), float(pooled.max())))
     index = np.minimum(np.searchsorted(edges, pooled, side="right") - 1, bins - 1)
     n_a, n_b = a.size, pooled.size - a.size
-    center_gaps = np.diff((edges[:-1] + edges[1:]) / 2.0)
     kernel = {
-        "kl": lambda pm, qm: kl_1d(pm, qm, n_a, n_b),
+        "kl": lambda pm, qm: kl_fixed_1d(pm, qm, n_a, n_b),
         "js": js_fixed_1d,
-        "tv": tv_1d,
-        "w1": lambda pm, qm: w1_1d(pm, qm, center_gaps),
+        "tv": tv_fixed_1d,
+        "w1": lambda pm, qm: w1_fixed_1d(pm, qm, edges),
     }[metric]
     return index, n_a, n_b, kernel
 

@@ -539,22 +539,22 @@ GOLDEN_DIVERGENCE = {
         '"value":0.05736797916196188,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "kl", "--epsilon", "auto", "--seed", "11"): (
-        '{"bins":64,"epsilon":0.28931501977379415,"epsilon_mode":"auto","metric":"kl",'
+        '{"bins":64,"epsilon":0.28931501977379426,"epsilon_mode":"auto","metric":"kl",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"kl"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
-        '"value":0.15774813093162576,"verdict":"indistinguishable-at-epsilon"}\n'
+        '"value":0.1577481309316257,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "tv", "--epsilon", "auto", "--seed", "11"): (
         '{"bins":64,"epsilon":0.31335,"epsilon_mode":"auto","metric":"tv",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"tv"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
-        '"value":0.2333333333333333,"verdict":"indistinguishable-at-epsilon"}\n'
+        '"value":0.23333333333333334,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "w1", "--epsilon", "auto", "--seed", "11"): (
         '{"bins":64,"epsilon":0.25538644262952764,"epsilon_mode":"auto","metric":"w1",'
         '"n_a":300,"n_b":200,"params":{"a":"a.txt","b":"b.txt","bins":64,"epsilon":"auto",'
         '"metric":"w1"},"seed":11,"subcommand":"divergence","tool_version":"0.1.0",'
-        '"value":0.07317018015127302,"verdict":"indistinguishable-at-epsilon"}\n'
+        '"value":0.07317018015127298,"verdict":"indistinguishable-at-epsilon"}\n'
     ),
     ("--metric", "js", "--epsilon", "0.05", "--bins", "32"): (
         '{"bins":32,"epsilon":0.05,"epsilon_mode":"fixed","metric":"js",'

@@ -37,9 +37,14 @@ from helpers import (
     calibrate_epsilon_reference,
     js_1d,
     js_fixed_1d,
+    kl_1d,
+    kl_fixed_1d,
     metric_1d,
     null_values_reference,
     permutation_null_reference,
+    tv_1d,
+    tv_fixed_1d,
+    w1_1d,
 )
 
 LN2 = math.log(2)
@@ -156,6 +161,15 @@ class TestEstimator:
                 EmpiricalDistribution(edges=[0, 1, 2], masses=bad, n_samples=3)
         with pytest.raises(InvalidParams):  # w1 would read nan on these
             EmpiricalDistribution(edges=[-math.inf, 0, math.inf], masses=[0.5, 0.5], n_samples=2)
+
+    def test_n_samples_at_most_2_to_62(self):
+        """KL's fixed-point total stays below ln(2 n_q + bins) < 64 units of
+        2**57 only for bounded sample counts: 2**62 is the most a
+        distribution may count, and KL there is still ln(2n) = ln 2**63."""
+        p, q = (EmpiricalDistribution([0.0, 1.0, 2.0], masses, 2**62) for masses in ([1.0, 0.0], [0.0, 1.0]))
+        assert kl(p, q) == pytest.approx(63 * LN2, rel=1e-12)
+        with pytest.raises(InvalidParams, match=f"n_samples must be at most {2**62}, got {2**62 + 1}"):
+            EmpiricalDistribution([0.0, 1.0], [1.0], 2**62 + 1)
 
     def test_byte_distribution(self):
         d = normalize_byte_counts(byte_counts(bytes([0, 0, 255, 1])))
@@ -369,12 +383,45 @@ def js_bound(k):
     return k * 2.0**-61 + 4 * k * 2.0**-53
 
 
+def float_bound(metric, p, q, value):
+    """How far ``METRICS[metric]`` over ``bins`` bins may lie from the earlier
+    float kernel, ``value`` being the fixed-point one:
+
+    - KL: each bin's term rounded to 2**-57, the empty bins' one term
+      ``bins - k`` times, so at most bins * 2**-58; and the divisor
+      ``1 + bins/(2n)`` in place of the smoothed masses' float sum, which
+      differs from it by about bins * 2**-53, each side moving the value by
+      that times at most 2 + the terms' absolute sum, below ln(2 n_q + bins);
+    - TV: k * 2**-61 of rounding, plus the float sum's order error, at most
+      bins * 2**-53 times the value;
+    - W1: k * 2**-61 of rounding in units of the edges' span; and, relative
+      to the value, the float sum's order error, bins * 2**-53, plus the
+      centre gaps summed across empty bins and the span taken out and put
+      back, a few 2**-53 more.
+    The worst over 2,000 random pairs of 1 to 5,000 bins was about 0.65 of it."""
+    bins, span = p.bins, float(p.edges[-1] - p.edges[0])
+    return {
+        "kl": bins * (2.0**-58 + 2.0**-53 * (4 + 2 * math.log(2 * q.n_samples + bins))),
+        "tv": bins * (2.0**-61 + 2.0**-53 * value),
+        "w1": bins * (2.0**-61 * span + 2.0**-52 * value),
+    }[metric]
+
+
+def float_1d(metric, p, q):
+    """The earlier float kernel of KL, TV or W1."""
+    return {
+        "kl": lambda: kl_1d(p.masses, q.masses, p.n_samples, q.n_samples),
+        "tv": lambda: tv_1d(p.masses, q.masses),
+        "w1": lambda: w1_1d(p.masses, q.masses, np.diff(p.centers)),
+    }[metric]()
+
+
 class TestRowBatchedKernels:
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, 5000])
     def test_public_metrics_equal_1d_kernels(self, metric, bins):
-        """Each metric equals its 1-D kernel bit for bit; for JS that is the
-        fixed-point rule applied cell by cell, within ``js_bound`` of the float sum."""
+        """Each metric equals its fixed-point rule applied cell by cell bit for
+        bit, and lies within ``js_bound`` or ``float_bound`` of its float kernel."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         edges = np.cumsum(gen.random(bins + 1) + 0.01)
         for case in range(6):
@@ -383,9 +430,44 @@ class TestRowBatchedKernels:
                 raw = gen.random(bins) * (gen.random(bins) < 0.3 * case)  # empty bins
                 raw[gen.integers(bins)] += 1.0
                 pair.append(EmpiricalDistribution(edges, raw / raw.sum(), int(gen.integers(1, 900))))
-            assert METRICS[metric](*pair) == metric_1d(metric, *pair), case
+            value = METRICS[metric](*pair)
+            assert value == metric_1d(metric, *pair), case
             if metric == "js":
-                assert abs(js(*pair) - js_1d(pair[0].masses, pair[1].masses)) <= js_bound(bins), case
+                assert abs(value - js_1d(pair[0].masses, pair[1].masses)) <= js_bound(bins), case
+            else:
+                assert abs(value - float_1d(metric, *pair)) <= float_bound(metric, *pair, value), case
+
+    @pytest.mark.parametrize("metric", ["kl", "tv"])
+    @pytest.mark.parametrize("bins", [1, 7, 8, 9, 127, 128, 129, 300])
+    def test_kl_and_tv_of_every_kept_count(self, metric, bins):
+        """Pairs that keep every count of cells from 1 to bins on each side,
+        as ``test_js_rows_of_every_kept_count`` draws them: each value is the
+        same bit for bit with its bins permuted and, for TV, with empty bins
+        inserted among them (KL's smoothing depends on the bin count), and
+        equals the cell-by-cell fixed-point reference."""
+        gen = np.random.Generator(np.random.Philox(key=bins))
+        sides = []
+        for _ in range(2):
+            masses = gen.random((bins, bins)) + 0.01
+            for row, kept in zip(masses, gen.permutation(np.arange(1, bins + 1))):
+                row[gen.permutation(bins)[kept:]] = 0.0
+            sides.append(masses / masses.sum(axis=1, keepdims=True))
+        edges, wide = np.arange(bins + 1.0), np.arange(3 * bins + 1.0)
+        fixed = kl_fixed_1d if metric == "kl" else lambda pm, qm, n_p, n_q: tv_fixed_1d(pm, qm)
+
+        def value(edges, pm, qm, n_p, n_q):
+            return METRICS[metric](EmpiricalDistribution(edges, pm, n_p), EmpiricalDistribution(edges, qm, n_q))
+
+        for pm, qm in zip(*sides):
+            n_p, n_q = (int(n) for n in gen.integers(1, 900, size=2))
+            got = value(edges, pm, qm, n_p, n_q)
+            assert got == fixed(pm, qm, n_p, n_q)
+            cells = gen.permutation(bins)
+            assert value(edges, pm[cells], qm[cells], n_p, n_q) == got
+            if metric == "tv":
+                padded = np.zeros((2, 3 * bins))
+                padded[:, np.sort(gen.choice(3 * bins, bins, replace=False))] = pm, qm
+                assert value(wide, *padded, n_p, n_q) == got
 
     @pytest.mark.parametrize("bins", [1, 7, 8, 9, 127, 128, 129, 300])
     def test_js_rows_of_every_kept_count(self, bins):
@@ -476,9 +558,11 @@ class TestRowBatchedKernels:
 def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percentile=50):
     """What calibrate_epsilon draws and scores: ``counts``, the first side's
     counts of every run, put back in their bins of a full-width row;
-    ``values``, the null distances it takes the percentile of (for JS,
-    checked to equal ``_js`` on the full-width rows bit for bit);
-    ``blocks``, how many draws it made; and ``epsilon``, its threshold.
+    ``values``, the null distances it takes the percentile of (checked to
+    equal the public kernel on the full-width rows bit for bit: every row
+    for JS through ``_js``, and up to 64 rows spread over the runs through
+    ``METRICS``); ``blocks``, how many draws it made; and ``epsilon``, its
+    threshold.
     Its draws cover the non-empty bins, the largest pooled count first and
     ties in bin order, each run once; given full-width ``rows``, it scores
     those instead of its draws.  Each draw is filed under the run it starts
@@ -524,6 +608,12 @@ def recorded_null(monkeypatch, metric, a, b, bins, runs, seed, rows=None, percen
     assert len(null.counts) == runs
     if metric == "js":  # the tabled sums are the row kernel's on full-width rows
         assert np.array_equal(null.values, divergence._js(null.counts / len(a), (colours - null.counts) / len(b)))
+    if rows is None:  # drawn rows sum to each side's size, so they are distributions
+        edges = np.histogram_bin_edges(pooled, bins, range=(pooled.min(), pooled.max()))
+        for run in np.unique(np.linspace(0, runs - 1, 64).astype(int)).tolist():
+            p = EmpiricalDistribution(edges, null.counts[run] / len(a), len(a))
+            q = EmpiricalDistribution(edges, (colours - null.counts[run]) / len(b), len(b))
+            assert null.values[run] == METRICS[metric](p, q), run
     return null
 
 
@@ -547,15 +637,14 @@ class TestPermutationNull:
         block, one run past it, and many blocks; unequal sides, with empty
         bins between two clusters.  The reference draws one row per call.
         Blocks of 4,096 count cells keep the boundaries within reach of the
-        reference; a block holds that many non-empty bins' cells for JS and
-        bins' cells for the others."""
+        reference; a block holds that many non-empty bins' cells."""
         gen = np.random.Generator(np.random.Philox(key=bins))
         a = np.concatenate([gen.normal(0.0, 0.1, 20), gen.normal(5.0, 0.1, 17)])
         b = np.concatenate([gen.normal(0.0, 0.1, 9), gen.normal(5.0, 0.1, 14)])
         pooled = np.concatenate([a, b])
         filled = int(np.count_nonzero(np.histogram(pooled, bins, range=(pooled.min(), pooled.max()))[0]))
         monkeypatch.setattr(divergence, "CHUNK_CELLS", 4096)
-        chunk = max(1, 4096 // (filled if metric == "js" else bins))
+        chunk = max(1, 4096 // filled)
         for runs in sorted({1, chunk - 1, chunk, chunk + 1, 777} - {0}):
             values = null_values_reference(a, b, metric, bins, runs, 5)
             for percentile in (0, 50, 99, 100):
@@ -599,19 +688,47 @@ class TestPermutationNull:
         args = (pooled[:45], pooled[45:], "js", 7, 20_000, 50, 5)
         assert calibrate_epsilon(*args) == calibrate_epsilon_reference(*args)
 
-    def test_js_null_at_max_bins_stays_small(self):
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_null_at_max_bins_stays_small(self, metric):
         """400 + 400 normals in MAX_BINS bins, about 790 of them non-empty:
-        the JS null works over the non-empty bins only, so its traced peak
-        stays far below one full-width (runs, bins) float matrix (105 MB)."""
+        every null works over the non-empty bins only, so its traced peak
+        (2.5-2.9 MiB, mostly np.histogram's and the centres' bins-long
+        arrays) stays below one block scattered to full width (4.5-5.5 MiB
+        when KL, TV and W1 scored such rows) and far below one full-width
+        (runs, bins) float matrix (105 MB)."""
         gen = np.random.Generator(np.random.Philox(key=3))
         a, b = gen.normal(size=400), gen.normal(size=400)
         tracemalloc.start()
         try:
-            calibrate_epsilon(a, b, "js", MAX_BINS, runs=200, seed=3)
+            calibrate_epsilon(a, b, metric, MAX_BINS, runs=200, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("bins", [64, 5000, MAX_BINS])
+    def test_every_null_value_is_the_public_kernels(self, monkeypatch, metric, bins):
+        """Each of 64 null values equals the public kernel on its run's
+        full-width rows bit for bit, as ``recorded_null`` checks every row of
+        a null this short, for bins below and above ``CHUNK_CELLS``, on
+        400 + 400 normals (52 to 791 non-empty bins: one block at 64 bins,
+        several above)."""
+        a, b = sample_pair(43, 400, 400, clustered=False)
+        recorded_null(monkeypatch, metric, a, b, bins, 64, seed=6)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_blocks_follow_the_non_empty_bins(self, monkeypatch, metric):
+        """With 4,096-cell blocks and 5,000 bins, 58 of them non-empty, every
+        metric's null draws 4,096 // 58 = 70 runs per call, not the one run
+        per call that a block of 5,000-bin rows would hold."""
+        a, b = sample_pair(44, 37, 23, clustered=True)
+        pooled = np.concatenate([a, b])
+        filled = np.count_nonzero(np.histogram(pooled, 5000, range=(pooled.min(), pooled.max()))[0])
+        monkeypatch.setattr(divergence, "CHUNK_CELLS", 4096)
+        null = recorded_null(monkeypatch, metric, a, b, 5000, 500, seed=7)
+        assert 1 < 4096 // filled < 500
+        assert null.blocks == -(-500 // (4096 // filled))
 
     # calibrate_epsilon(...).hex() at security-eval's shape, 500 + 500 normals
     # in 64 bins and 4,000 runs: two streams, each about 16 half blocks of JS
