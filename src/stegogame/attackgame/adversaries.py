@@ -35,13 +35,11 @@ def _learn_ids(self, knowledge: Knowledge, state: object | None = None):
     known: set[CoverId] = set(state["known"]) if isinstance(state, dict) else set()
     known.update(knowledge.leaked_ids)
     if self.replays:
-        for seq in knowledge.observed:
-            known.update(seq.ids)
+        known.update(*(seq.ids for seq in knowledge.observed))
         oracle = knowledge.embed_oracle
         if oracle is not None:
             budget = min(self.oracle_calls, getattr(oracle, "remaining", self.oracle_calls))
-            for payload in _random_values(knowledge.rng, knowledge.payload_bits, budget):
-                known.update(oracle(payload).ids)
+            known.update(*(oracle(p).ids for p in _random_values(knowledge.rng, knowledge.payload_bits, budget)))
     return {"known": known, "knowledge": knowledge}
 
 
@@ -134,14 +132,12 @@ class SCOAHistogram:
 
     @staticmethod
     def _null_picks(rng: np.random.Generator, W: int, N: int, draws: int) -> np.ndarray:
-        """``draws`` uniform N-subsets of range(W), one per row, by Floyd's
-        algorithm (Bentley & Floyd, 1987), each step taken for every row.
-        One call draws the steps in turn, as one call per step does."""
-        steps = rng.integers(0, np.arange(W - N + 1, W + 1)[:, None], size=(N, draws))
-        picks = np.empty((draws, N), dtype=np.intp)
-        for c, t in enumerate(steps):
-            picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), W - N + c, t)
-        return picks
+        """``draws`` uniform N-subsets of range(W), one per row, by Floyd's algorithm (Bentley &
+        Floyd, 1987): step c, for every row at once, is row c of one draw, as one call per step."""
+        picks = rng.integers(0, np.arange(W - N + 1, W + 1)[:, None], size=(N, draws))
+        for c in range(1, N):
+            np.copyto(picks[c], W - N + c, where=(picks[:c] == picks[c]).any(axis=0))
+        return np.ascontiguousarray(picks.T)  # C order: mean(axis=1) then sums as before
 
     @staticmethod
     def _world_scores(rows, memo: dict) -> None:

@@ -2,12 +2,12 @@
 
 Each trial runs a learning phase (level-scoped knowledge, budgeted oracle
 handles that close when it ends) and a challenge phase (fair coin: fresh
-stego sequence or natural draw from the world pool).  The ">50% success"
-criterion is judged with a one-sided exact binomial test, never a raw rate
-comparison.
+stego sequence or natural draw from the world pool, read from raw Philox
+words).  The ">50% success" criterion is judged with a one-sided exact
+binomial test, never a raw rate comparison.
 
 All three games run on one serial trial engine over integer payloads, which
-``stego._codec`` pads and ranks as it does the CLI's.  Every draw flows from
+``stego._encode`` pads and ranks as it does the CLI's.  Every draw flows from
 a Philox generator keyed by sha256 over (seed, labelled path), and a trial's
 streams are addressed by the Philox counter, so results are byte-identical
 across runs and platforms.  Observations open a learning phase's stream: the
@@ -35,7 +35,7 @@ from ..library import CoverId
 from ..permcodec import capacity
 # embed, extract and keygen are not called here; perfbench/tracer.py looks
 # them up in this module by name.
-from ..stego import StegoSequence, _Codec, _codec, _record, embed, extract, keygen  # noqa: F401
+from ..stego import StegoSequence, _Codec, _codec, embed, extract, keygen  # noqa: F401
 from .scenario import Scenario
 
 MIN_TRIALS = 100
@@ -136,10 +136,7 @@ class Adversary(Protocol):
 # deterministic streams and payloads
 
 _KEY_PREFIX = hashlib.sha256(b"stegogame.attackgame")
-_WORD = (1 << 64) - 1
-# A fresh Philox's state but for its counter and key: no buffered words, no spare half-word.
-_FRESH = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-          "has_uint32": 0, "uinteger": 0}
+_WORD, _HALF = (1 << 64) - 1, (1 << 32) - 1
 
 
 def _derive_key(seed: int, *path: object) -> int:
@@ -148,20 +145,23 @@ def _derive_key(seed: int, *path: object) -> int:
     return int.from_bytes(h.digest()[:16], "big")
 
 
-def _rekey(gen: np.random.Generator, key: int, trial: int = 0, skip: int = 0) -> np.random.Generator:
-    """``gen`` set in place to the stream of ``Philox(key=key, counter=trial
-    << 128)`` (Salmon et al., SC 2011), ``skip`` raw words in: several times
-    cheaper than a new ``Philox``, which pulls OS entropy before it takes the
-    key.  A counter step gives 4 words, so only ``skip & 3`` words are drawn."""
-    counter = (skip >> 2, 0, trial & _WORD, trial >> 64)
-    gen.bit_generator.state = {**_FRESH, "state": {"counter": counter, "key": (key & _WORD, key >> 64)}}
-    if skip & 3:
-        gen.bit_generator.random_raw(skip & 3)
-    return gen
+def _stream(key: int, skip: int = 0) -> Callable[[int], np.random.Generator]:
+    """``at(trial)``: this stream's one generator, set in place to ``Philox(key=key, counter=trial
+    << 128)`` (Salmon et al., SC 2011) ``skip`` raw words in, by writing the counter into one state
+    dict; a new ``Philox`` costs several times more, as it pulls OS entropy first."""
+    counter = [skip >> 2, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": (key & _WORD, key >> 64)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    gen = np.random.Generator(np.random.Philox(key=0))
 
+    def at(trial: int) -> np.random.Generator:
+        counter[2:] = trial & _WORD, trial >> 64
+        gen.bit_generator.state = state
+        if skip & 3:  # a counter step gives 4 words
+            gen.bit_generator.random_raw(skip & 3)
+        return gen
 
-def _generator(seed: int, *path: object) -> np.random.Generator:
-    return _rekey(np.random.Generator(np.random.Philox(key=0)), _derive_key(seed, *path))
+    return at
 
 
 def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
@@ -176,6 +176,46 @@ def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
     for j in range(1, w):  # each later word of a payload is less significant
         values = [v << 64 | word for v, word in zip(values, words[j::w])]
     return [v >> 64 * w - l for v in values]
+
+
+def _challenge(harness: np.random.Generator, l: int, W: int, N: int) -> tuple[bool, int | list[int]]:
+    """(stego, payload or picks) of one detection challenge, read from raw words as numpy 2.4's
+    ``integers(0, 2)``, then ``_random_values(harness, l, 1)`` or ``choice(W, N, replace=False)``
+    read them: the coin is bit 31 of the first word; the picks' bounded draws (Lemire, ACM TOMACS
+    2019) take 32-bit halves from its high half on, past 64 draws in one array step unless one is
+    rejected.  W < 2**32 (no larger pool fits in memory), so numpy's 64-bit draws never run."""
+    raw = harness.bit_generator.random_raw
+    first = raw()
+    if first >> 31 & 1:
+        return True, _random_values(harness, l, 1)[0]
+    floyd = W <= 10000 or N <= W // 50  # Floyd's N picks, shuffled; else numpy shuffles arange(W)'s tail
+    steps = range(max(W - N, 1), W) if floyd else range(0)  # Floyd's step at a bound of 0 (W = N) draws nothing
+    shuffle = range(N - 1, 0, -1) if floyd else range(W - 1, max(W - N, 1) - 1, -1)
+    n = len(steps) + len(shuffle)
+    words, draws = raw(n // 2 + 1).astype("<u8", copy=False).view("<u4"), None
+    if n > 64:
+        span = np.concatenate([np.arange(r.start, r.stop, r.step, np.uint64) for r in (steps, shuffle)]) + 1
+        m = np.append(np.uint64(first >> 32), words[:n - 1]) * span
+        draws = None if np.count_nonzero(m & _HALF < (1 << 32) % span) else (m >> 32).tolist()
+    if draws is None:
+        halves, draws = [first >> 32, *words.tolist()], []
+        half = iter(halves).__next__
+        for rng in (*steps, *shuffle):
+            while (m := half() * (rng + 1)) & _HALF <= rng and m & _HALF < (_HALF - rng) % (rng + 1):
+                halves += divmod(raw(), 1 << 32)[::-1]  # rejected: draw again, a word's low half first
+            draws.append(m >> 32)
+    if floyd:
+        picks = dict.fromkeys(range(W == N))  # Floyd's algorithm, on an ordered set
+        for j, v in zip(steps, draws):
+            picks[j if v in picks else v] = None
+        picks = list(picks)
+        for i, j in zip(shuffle, draws[len(steps):]):
+            picks[i], picks[j] = picks[j], picks[i]
+        return False, picks
+    moved = {}  # the places of arange(W) the shuffle moves
+    for i, j in zip(shuffle, draws):
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return False, [moved.get(i, i) for i in range(W - N, W)]
 
 
 class _BudgetedOracle:
@@ -217,7 +257,7 @@ def _leak_ids(scenario: Scenario, seed: int, level: AttackLevel, round_index: in
     size = scenario.leak_size(round_index) if level >= AttackLevel.KCA else 0
     if size == 0:
         return ()
-    order = _generator(seed, "leak").permutation(scenario.library.T)
+    order = _stream(_derive_key(seed, "leak"))(0).permutation(scenario.library.T)
     all_ids = scenario.library.ids()
     return tuple(all_ids[i] for i in order[:size])
 
@@ -245,16 +285,24 @@ def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
     return call
 
 
+def _record(cls: type, fields: dict):
+    """``cls(**fields)`` for a frozen record or dataclass whose fields the
+    caller built valid, without its ``__init__``'s checks and conversions
+    (a dataclass's ``object.__setattr__`` per field)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _knowledge(scenario: Scenario, level: AttackLevel, codec: _Codec, leaked: tuple[CoverId, ...],
                faults: list[Exception]) -> Callable[[int, int, np.random.Generator], Knowledge]:
-    """A block's learning phases: ``knowledge(key, trial, rng)`` is one, whose
-    observations open the stream ``(key, trial)`` and are drawn, on the
-    block's own generator, and embedded when ``observed`` is first read."""
+    """A block's learning phases: ``knowledge(key, trial, rng)`` is one; its observations open
+    the stream ``(key, trial)`` and are drawn and embedded when ``observed`` is first read."""
     l, count = codec.l, scenario.observations
-    observer = cache(lambda: np.random.Generator(np.random.Philox(key=0)))
+    streams = cache(_stream)  # one per key
 
     def observe(key: int, trial: int) -> tuple[StegoSequence, ...]:
-        return tuple(map(codec.embed, _random_values(_rekey(observer(), key, trial), l, count))) if count else ()
+        return tuple(map(codec.embed, _random_values(streams(key)(trial), l, count))) if count else ()
 
     observe = _harness_call(observe, faults)
     block = {
@@ -284,12 +332,9 @@ def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, b
     stego sequence or N distinct covers of the world pool.  The challenge is
     drawn even after a failed learn, so it still counts towards the stego
     challenges."""
-    is_stego = bool(harness.integers(0, 2))
-    if is_stego:
-        ids = codec.embed(*_random_values(harness, codec.l, 1)).ids
-    else:
-        world = scenario.world.ids()
-        ids = tuple(world[i] for i in harness.choice(len(world), size=scenario.N, replace=False))
+    world = scenario.world.ids()
+    is_stego, drawn = _challenge(harness, codec.l, len(world), scenario.N)
+    ids = codec.embed(drawn).ids if is_stego else tuple(map(world.__getitem__, drawn))
     if state is _UNLEARNED:
         return 0, is_stego
     try:
@@ -318,21 +363,16 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
           state: object | None = None) -> tuple[int, int, object | None]:
     """The trial engine: a block of trials against one session key and one leak.
 
-    The block's path, ("game",) or ("round", r), keys its session key and
-    codec, and one stream per role ("harness", "adversary"): trial t runs on
-    each at Philox counter t << 128, in two generators moved in place, so
-    the adversary's ``Knowledge.rng`` is valid for its own trial only.
-    Without ``round_index`` each trial learns afresh on both streams: its
-    observations open its harness stream, which skips their words and then
-    draws the challenge.  With it, one learning phase on the block's
-    "observe" and "adversary" streams serves the whole block, and each trial
-    draws on its harness stream.  ``state`` carries the adversary state in
-    and out, and a failed learn keeps the old state but scores the block's
-    trials as unlearned.  The oracle
-    handles close once ``learn`` returns.  Any adversary exception, a budget
-    overrun or a call to a closed oracle included, scores as a miss; a fault
-    of the harness itself raises, by the end of its trial even when it
-    happens inside an adversary call.
+    The block's path, ("game",) or ("round", r), keys its session key, codec
+    and one ``_stream`` per role ("harness", "adversary"), on which trial t
+    runs at Philox counter t << 128.  Without ``round_index`` each trial
+    learns afresh, and the harness skips its observations' words.  With it,
+    one learning phase on the block's "observe" and "adversary" streams
+    serves the block; ``state`` carries the adversary state in and out, and a
+    failed learn keeps the old state but scores the block as unlearned.
+    Oracles close once ``learn`` returns.  An adversary exception (a budget
+    overrun or a closed oracle's call too) scores as a miss; a harness fault
+    raises by the end of its trial, even from inside an adversary call.
 
     ``score(scenario, codec, adversary, harness, state)`` gives a trial's
     (points, stego).  Returns (points, stego challenges, adversary state).
@@ -357,21 +397,18 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
                 knowledge.embed_oracle.close()
                 knowledge.extract_oracle.close()
 
-    # one generator per role, moved to each trial's counter as it starts
-    harness, adversary_gen = (np.random.Generator(np.random.Philox(key=0)) for _ in range(2))
+    harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
+    skip = scenario.observations * -(-l // 64) if round_index is None else 0  # a trial's observations
+    harness, adversary_gen = _stream(harness_key, skip), _stream(adversary_key)
     if round_index is not None:  # no trial moves adversary_gen, so it serves the whole block
-        _rekey(adversary_gen, _derive_key(seed, *path, "adversary"))
-        learned = learn(_derive_key(seed, *path, "observe"), 0, adversary_gen, state)
+        learned = learn(_derive_key(seed, *path, "observe"), 0, adversary_gen(0), state)
         if learned is not _UNLEARNED:
             state = learned
-    skip = scenario.observations * -(-l // 64) if round_index is None else 0  # a trial's observations
-    harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
     points = stego = 0
     for t in range(trials):
-        _rekey(harness, harness_key, t, skip)
         if round_index is None:
-            learned = learn(harness_key, t, _rekey(adversary_gen, adversary_key, t), None)
-        p, is_stego = score(scenario, codec, adversary, harness, learned)
+            learned = learn(harness_key, t, adversary_gen(t), None)
+        p, is_stego = score(scenario, codec, adversary, harness(t), learned)
         if faults:
             raise faults[0]
         points += p

@@ -12,7 +12,7 @@ rather than a silent truncation.
 Ranks and payloads are plain Python integers, so capacities beyond 64 bits
 are exact.  :func:`capacity` (r and l) and ``_places`` run once per (T, N).
 ``_unrank``, one walk over any T items (``range(T)``, or a library's ids for
-``stego._codec``, the one codec), and :func:`rank` are the int core;
+``stego._encode``, the one codec), and :func:`rank` are the int core;
 ``'0'/'1'`` strings are validated only in :func:`bits_to_arrangement`.
 """
 

@@ -4,7 +4,7 @@ Embedding never touches cover bytes.  The payload is XORed with an equally
 long uniform key, the result is read as an arrangement rank, and the
 arrangement's indices are resolved to cover ids through the library's
 canonical order.  The transmitted object is just the ordered list of ids.
-``_codec`` and ``_decode`` hold that pad and rank, on ints, for every caller.
+``_encode`` and ``_decode`` hold that pad and rank, on ints, for every caller.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .bits import hex_to_int, int_to_hex
@@ -78,13 +79,11 @@ def keygen(l: int, entropy: random.Random | None = None) -> StegoKey:
         raise EntropyUnavailable(f"entropy source: {exc}") from exc
 
 
-def _record(cls: type, fields: dict):
-    """``cls(**fields)`` for a frozen record or dataclass whose fields the
-    caller built valid, without its ``__init__``'s checks and conversions
-    (a dataclass's ``object.__setattr__`` per field)."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def _encode(l: int, key: int, ids: tuple, places: tuple[int, ...], value: int) -> StegoSequence:
+    """``ids`` arranged at rank ``value ^ key``; ``check_width`` refuses a value not of l bits."""
+    if type(value) is not int or value < 0 or value >> l:
+        check_width("payload", value, l, InvalidConfig)
+    return StegoSequence(_unrank(value ^ key, ids, places))
 
 
 def _decode(seq: StegoSequence, lookup: Callable[[CoverId], int], T: int, key: int) -> tuple[int, int]:
@@ -100,17 +99,9 @@ _Codec = namedtuple("_Codec", "l key embed extract")
 
 def _codec(lib: CoverLibrary, N: int, key: int) -> _Codec:
     """``embed`` and ``extract`` of ``lib`` at N under ``key``, with the ids,
-    the place values and l hoisted: ``v -> unrank(v ^ key)``, walked over the
-    ids, and :func:`_decode`.  ``embed`` refuses a value that is not an l-bit
-    int, by ``check_width`` after its own fast test."""
+    the place values and l bound: :func:`_encode` and :func:`_decode`."""
     l, ids, places = capacity(lib.T, N).l, lib.ids(), _places(lib.T, N)
-
-    def embed_value(value: int) -> StegoSequence:
-        if type(value) is not int or value < 0 or value >> l:
-            check_width("payload", value, l, InvalidConfig)
-        return _record(StegoSequence, {"ids": tuple(_unrank(value ^ key, ids, places))})
-
-    return _Codec(l, key, embed_value, lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
+    return _Codec(l, key, partial(_encode, l, key, ids, places), lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
 
 
 def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
@@ -119,12 +110,10 @@ def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
     Deterministic given (m, k, lib, N); reads only the library manifest,
     never cover file contents.
     """
-    codec = _codec(lib, N, k.value)
-    if m.l != codec.l or k.l != codec.l:
-        raise LengthMismatch(
-            f"message has {show(m.l)} bits, key {show(k.l)}; capacity(T={lib.T}, N={N}) needs {codec.l}"
-        )
-    return codec.embed(m.value)
+    l = capacity(lib.T, N).l
+    if m.l != l or k.l != l:
+        raise LengthMismatch(f"message has {show(m.l)} bits, key {show(k.l)}; capacity(T={lib.T}, N={N}) needs {l}")
+    return _encode(l, k.value, lib.ids(), _places(lib.T, N), m.value)
 
 
 def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:

@@ -743,7 +743,7 @@ def test_observed_matches_eager_oracle():
     session_key = keygen(capacity(8, 3).l, random.Random(11))
     codec = game._codec(sc.library, sc.N, session_key.value)
     # the harness stream of trial 3 after its learning phase: the observations' words skipped
-    lazy = game._rekey(np.random.Generator(np.random.Philox(key=0)), 5, 3, skip=5)
+    lazy = game._stream(5, skip=5)(3)
     eager = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
     knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(5, 3, np.random.default_rng(0))
     expected = observations_reference(sc, session_key, eager)
@@ -769,7 +769,7 @@ def test_skip_stands_where_the_observations_draw_leaves(count, l):
     where drawing them leaves it, one raw word per payload at l = 15 and two
     at l = 127, and draws what it would next."""
     key, trial = game._derive_key(3, "game", "harness"), 7
-    skipped = game._rekey(np.random.Generator(np.random.Philox(key=0)), key, trial, count * -(-l // 64))
+    skipped = game._stream(key, count * -(-l // 64))(trial)
     drawn = np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
     game._random_values(drawn, l, count)
     assert _live_state(skipped) == _live_state(drawn)
@@ -816,19 +816,21 @@ def test_harness_built_records_behave_as_public_ones():
 
 @pytest.mark.parametrize("trial", [0, 1, 17, 2**64 + 3])
 def test_rekey_gives_a_fresh_philox(trial):
-    """A generator rekeyed after arbitrary draws, with half of a 64-bit word
-    left in its 32-bit buffer, is in the state a new Philox with that key at
-    counter ``trial << 128`` starts in, and draws the same next 1,000 values."""
-    gen = np.random.Generator(np.random.Philox(key=5))
+    """A stream's generator moved to a trial after arbitrary draws on an
+    earlier one, with half of a 64-bit word left in its 32-bit buffer, is in
+    the state a new Philox with that key at counter ``trial << 128`` starts
+    in, and draws the same next 1,000 values."""
+    key = game._derive_key(9, "game", "harness")
+    at = game._stream(key)
+    gen = at(trial + 5)
     gen.integers(0, 2, size=7)
     gen.random(3)
     gen.choice(11, size=4, replace=False)
     gen.integers(0, 2, size=1)
     state = gen.bit_generator.state
     assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
-    key = game._derive_key(9, "game", "harness")
     fresh = np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
-    assert game._rekey(gen, key, trial) is gen
+    assert at(trial) is gen
     assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
     for draw in (
         lambda g: g.integers(0, 2, size=333),
@@ -838,11 +840,42 @@ def test_rekey_gives_a_fresh_philox(trial):
         assert draw(gen).tolist() == draw(fresh).tolist()
 
 
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 17])
+def test_stream_template_gives_a_fresh_philox_skip_included(skip):
+    """Moved to a trial, after draws that left half a word buffered at an
+    earlier one, a stream stands where a new Philox at counter ``trial <<
+    128`` stands after ``skip`` raw words, and draws what it draws next."""
+    key = game._derive_key(9, "game", "harness")
+    at = game._stream(key, skip)
+    for trial in (3, 0, 2**64 + 1, 3):
+        gen = at(trial)
+        fresh = np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
+        fresh.bit_generator.random_raw(skip)
+        assert _live_state(gen) == _live_state(fresh)
+        assert gen.integers(0, 2**40, size=5).tolist() == fresh.integers(0, 2**40, size=5).tolist()
+        gen.integers(0, 2, size=3)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
+def test_alternated_streams_keep_their_own_counters():
+    """Two streams, one with a skip, moved in turn to different trials: each
+    then draws its own key's stream at its own counter, so moving one never
+    moves the other."""
+    keys, skips = (game._derive_key(9, "game", "harness"), game._derive_key(9, "game", "adversary")), (6, 0)
+    streams = [game._stream(key, skip) for key, skip in zip(keys, skips)]
+    for trial in (0, 5, 1, 2**70):
+        gens = [at(trial + i) for i, at in enumerate(streams)]
+        for i, gen in enumerate(gens):
+            fresh = np.random.Philox(key=keys[i], counter=(trial + i) << 128)
+            fresh.random_raw(skips[i])
+            assert gen.bit_generator.random_raw(5).tolist() == fresh.random_raw(5).tolist()
+
+
 @pytest.mark.parametrize("path", [("leak",), ("round", 3, "observe")])
 def test_generator_is_a_fresh_philox(path):
-    """A path's own generator is a new Philox on its derived key, at counter 0."""
+    """A path's own stream at trial 0 is a new Philox on its derived key, at counter 0."""
     fresh = np.random.Philox(key=game._derive_key(9, *path))
-    assert repr(game._generator(9, *path).bit_generator.state) == repr(fresh.state)
+    assert repr(game._stream(game._derive_key(9, *path))(0).bit_generator.state) == repr(fresh.state)
 
 
 @pytest.mark.parametrize(
@@ -850,13 +883,14 @@ def test_generator_is_a_fresh_philox(path):
     [
         (lambda sc: run_game(sc, RandomGuesser(), AttackLevel.KCA, trials=300, seed=1), 4),
         (lambda sc: message_recovery_game(sc, CCAReplay(), AttackLevel.CCA, 300, 1), 4),
-        (lambda sc: acca_loop(sc, KCAMembership(), trials_per_round=150, seed=1), 3 * 6),
+        (lambda sc: acca_loop(sc, KCAMembership(), trials_per_round=150, seed=1), 3 * 5),
     ],
     ids=["detection", "recovery", "acca"],
 )
 def test_stream_keys_derived_once_per_block(monkeypatch, play, keys):
     """One hash per key: the session key, the leak and each role's stream,
-    per game or per ACCA round, however many trials it plays."""
+    per game or per ACCA round (whose learning phase adds its "observe"
+    stream), however many trials it plays."""
     derived = []
     real = game._derive_key
     monkeypatch.setattr(game, "_derive_key", lambda *args: derived.append(args) or real(*args))
@@ -1230,6 +1264,25 @@ class TestSCOAHistogram:
                 picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), j, t)
             assert np.array_equal(SCOAHistogram._null_picks(one, W, N, draws), picks)
             assert repr(one.bit_generator.state) == repr(per_step.bit_generator.state)
+
+    @pytest.mark.parametrize("N", range(1, 10))
+    def test_null_picks_match_the_column_loop(self, N):
+        """The Floyd steps taken in the draw's own (N, draws) rows give the
+        picks, the C layout and the mean null scores, to the byte, of the
+        column loop they replaced, for every W from N to 64.  From N = 8
+        numpy's mean sums in 8 accumulators, so the layout decides the sum."""
+        scores = np.random.default_rng(N).random(64)
+        for W in range(N, 65):
+            for seed in range(2):
+                reference, gen = (np.random.default_rng(seed) for _ in range(2))
+                steps = reference.integers(0, np.arange(W - N + 1, W + 1)[:, None], size=(N, 64))
+                expected = np.empty((64, N), dtype=np.intp)
+                for c, t in enumerate(steps):
+                    expected[:, c] = np.where((expected[:, :c] == t[:, None]).any(axis=1), W - N + c, t)
+                picks = SCOAHistogram._null_picks(gen, W, N, 64)
+                assert picks.dtype == expected.dtype and picks.flags.c_contiguous
+                assert np.array_equal(picks, expected)
+                assert scores[picks].mean(axis=1).tobytes() == scores[expected].mean(axis=1).tobytes()
 
     def test_percentile_is_numpys_bit_for_bit(self):
         """The threshold's percentile equals ``np.percentile`` to the last

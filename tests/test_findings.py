@@ -9,6 +9,8 @@ change made the break worse, or fixed it by accident.
 
 from __future__ import annotations
 
+import json
+
 from stegogame.attackgame import (
     VERDICT_BROKEN,
     VERDICT_RESISTS,
@@ -19,6 +21,8 @@ from stegogame.attackgame import (
     synthetic_scenario,
 )
 from stegogame.attackgame.game import LABEL_NATURAL, LABEL_STEGO
+from stegogame.cli import dispatch
+from stegogame.library import build_library, save_manifest
 
 
 def full_leak_kca():
@@ -84,3 +88,22 @@ def test_cca_replay_breaks_scoa():
     result = run_game(scenario, CCAReplay(), AttackLevel.SCOA, trials=1000, seed=201)
     assert (result.success_rate, result.verdict) == (0.961, VERDICT_BROKEN)
     assert result.p_value < 1e-200
+
+
+def test_equal_blocks_embed_to_equal_sequence_files(tmp_path, make_covers, capsys):
+    """ROADMAP item 13 (a fresh pad per block): ``embed`` pads every block of
+    a message with the one key, a many-time pad, so equal blocks become equal
+    sequences.  At (16, 4), l = 15, the message below splits into six blocks,
+    four of them zero padding and two equal: ``seq.000`` to ``seq.003`` are
+    byte-identical, and so are ``seq.004`` and ``seq.005``.  A natural draw
+    repeats one ordered 4-tuple of 16 covers with probability 1/43,680, so
+    a warden who sees the channel alone flags the message."""
+    save_manifest(build_library(make_covers(16, size=200)), tmp_path / "lib.json")
+    assert dispatch(["keygen", "-T", "16", "-N", "4", "--seed", "1", "-o", str(tmp_path / "key.txt")]) == 0
+    assert dispatch(["embed", "-m", "000000000000000012341234", "-k", str(tmp_path / "key.txt"),
+                     "-x", str(tmp_path / "lib.json"), "-N", "4", "-o", str(tmp_path / "seq.json")]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["blocks"], report["l"]) == (6, 15)
+    files = [(tmp_path / f"seq.{i:03d}.json").read_bytes() for i in range(6)]
+    assert len(set(files[:4])) == len(set(files[4:])) == 1
+    assert files[3] != files[4]

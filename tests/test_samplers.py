@@ -11,6 +11,11 @@ goldens that depend on it.  It explains such a failure and skips nothing.
 Each draw has the shape of a call in ``src/``, at a fixed Philox key, and is
 pinned by the first 16 hex digits of the SHA-256 of its dtype, shape and
 bytes.
+
+A detection challenge does not call numpy's samplers: ``game._challenge``
+reads the coin and the natural picks from raw Philox words as numpy's
+``integers(0, 2)`` and ``choice(W, N, replace=False)`` would.  The tests at
+the end hold it to numpy's own draws, the referee, at many trial counters.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from stegogame.attackgame import game
+
 NUMPY_OF_THE_GOLDENS = "2.4.6"
 
 # sampler -> (Philox key, its draws, the digest of their bytes, the goldens that depend on it)
@@ -27,7 +34,7 @@ SAMPLERS = {
     "integers": (
         101,
         lambda gen: [
-            gen.integers(0, 2),  # the game's fair coin (game._score_detection)
+            gen.integers(0, 2),  # the game's fair coin, read from raw words by game._challenge
             gen.integers(0, 256, size=24, dtype=np.uint8),  # synthetic cover bytes (scenario)
             gen.integers(0, np.arange(45, 49)[:, None], size=(4, 6)),  # Floyd steps (SCOAHistogram)
             gen.integers(0, 16, size=12),  # criterion 5's key values
@@ -38,6 +45,7 @@ SAMPLERS = {
     ),
     "choice": (
         102,
+        # the natural challenges (read from raw words by game._challenge) and the SCOA world model
         lambda gen: [gen.choice(48, size=4, replace=False), gen.choice(200, size=64, replace=False)],
         "c55aa3951220ec7f",
         "the natural challenges and SCOAHistogram's world model: the golden game rows "
@@ -117,3 +125,79 @@ def test_a_changed_sampler_is_named(monkeypatch, sampler):
     assert SAMPLERS[sampler][3] in str(failure.value)
     for other in set(SAMPLERS) - {sampler}:
         check(other)
+
+
+# (W, N) pairs: W = N, W = 1, the game's own shapes, and both of numpy's
+# branches around its switch to a tail shuffle (W > 10000 and N > W // 50)
+CHALLENGE_SHAPES = [(1, 1), (4, 4), (16, 4), (64, 4), (10000, 300), (10001, 200), (20000, 400), (20000, 401)]
+CHALLENGE_KEY = 2024
+
+
+def numpy_challenge(gen: np.random.Generator, l: int, W: int, N: int):
+    """The challenge as numpy draws it: the coin by ``integers(0, 2)``, then
+    the payload's raw words or ``choice(W, N, replace=False)``."""
+    if gen.integers(0, 2):
+        return True, game._random_values(gen, l, 1)[0]
+    return False, gen.choice(W, size=N, replace=False).tolist()
+
+
+def at_counter(trial: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=CHALLENGE_KEY, counter=trial << 128))
+
+
+@pytest.mark.parametrize("W, N", CHALLENGE_SHAPES)
+def test_challenge_draws_as_numpy(W, N):
+    """At 1,000 trial counters the raw-word challenge is numpy's, coin,
+    payload and picks alike; the picks are plain ints, distinct and below W."""
+    sides = set()
+    for trial in range(1000):
+        l = (15, 0, 130)[trial % 3]  # one raw word per payload, none, and three
+        got = game._challenge(at_counter(trial), l, W, N)
+        assert got == numpy_challenge(at_counter(trial), l, W, N), (W, N, trial)
+        sides.add(got[0])
+        if not got[0]:
+            assert all(type(i) is int for i in got[1]) and len(set(got[1])) == N and max(got[1]) < W
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("W, N, trials", [(64, 64, 1000), (10001, 10001, 20)])
+def test_challenge_draws_as_numpy_where_w_equals_n(W, N, trials):
+    """A pool of exactly N covers: Floyd's first step has a bound of 0 and
+    draws no half, here in the one array step of more than 64 draws; and
+    past W = 10000 numpy takes the tail shuffle even though N is the whole
+    pool."""
+    for trial in range(trials):
+        assert game._challenge(at_counter(trial), 15, W, N) == numpy_challenge(at_counter(trial), 15, W, N)
+
+
+@pytest.mark.parametrize("W, N", [(2**31 + 1, 4), (2**32 - 1, 3)])
+def test_challenge_draws_as_numpy_at_32_bit_bounds(W, N):
+    """Bounds near 2**31, where Lemire's method rejects about half of its
+    draws, and up to 2**32 - 2, the largest a 32-bit draw serves."""
+    for trial in range(200):
+        assert game._challenge(at_counter(trial), 15, W, N) == numpy_challenge(at_counter(trial), 15, W, N)
+
+
+def halves_drawn(gen: np.random.Generator, trial: int) -> int:
+    """The 32-bit halves numpy has drawn from trial ``trial``'s stream: twice
+    the raw words read, less a buffered half."""
+    state, probe, words = gen.bit_generator.state, at_counter(trial).bit_generator, 0
+    while repr(probe.state["state"]) != repr(state["state"]) or probe.state["buffer_pos"] != state["buffer_pos"]:
+        probe.random_raw()
+        words += 1
+    return 2 * words - state["has_uint32"]
+
+
+@pytest.mark.parametrize("W, N, trial", [(10000, 300, 1408), (20000, 401, 3475)])
+def test_challenge_follows_lemires_rejections(W, N, trial):
+    """Pinned counters, found offline, on which one of numpy's bounded draws
+    is rejected and drawn again: Floyd's branch at (10000, 300), the tail
+    shuffle at (20000, 401).  numpy reads more halves there than one per
+    draw (one for the coin, 2N - 1 for Floyd and its shuffle, N for the tail
+    shuffle), and the raw-word challenge still equals its picks."""
+    gen = at_counter(trial)
+    expected = numpy_challenge(gen, 15, W, N)
+    assert expected[0] is False
+    draws = 2 * N - 1 if W <= 10000 or N <= W // 50 else N
+    assert halves_drawn(gen, trial) > 1 + draws
+    assert game._challenge(at_counter(trial), 15, W, N) == expected

@@ -471,8 +471,8 @@ def test_library_lookups_after_construction():
 
 
 def test_codec_built_sequence_is_a_public_one():
-    """The int codec's sequences, built without ``__init__``, are the ones
-    the public constructor builds from the same ids, in every respect."""
+    """The int codec's sequences are the ones the public constructor builds
+    from the same ids, in every respect."""
     lib = mem_library(6, tag="records")
     seq = _codec(lib, 3, 5).embed(17)
     public = StegoSequence(ids=list(seq.ids))
