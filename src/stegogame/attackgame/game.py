@@ -137,6 +137,7 @@ class Adversary(Protocol):
 
 _KEY_PREFIX = hashlib.sha256(b"stegogame.attackgame")
 _WORD, _HALF = (1 << 64) - 1, (1 << 32) - 1
+_FLOYD_N = 14  # the most picks read from raw words: from about 15, numpy's choice, handoff included, is as fast
 
 
 def _derive_key(seed: int, *path: object) -> int:
@@ -179,43 +180,33 @@ def _random_values(gen: np.random.Generator, l: int, count: int) -> list[int]:
 
 
 def _challenge(harness: np.random.Generator, l: int, W: int, N: int) -> tuple[bool, int | list[int]]:
-    """(stego, payload or picks) of one detection challenge, read from raw words as numpy 2.4's
-    ``integers(0, 2)``, then ``_random_values(harness, l, 1)`` or ``choice(W, N, replace=False)``
-    read them: the coin is bit 31 of the first word; the picks' bounded draws (Lemire, ACM TOMACS
-    2019) take 32-bit halves from its high half on, past 64 draws in one array step unless one is
-    rejected.  W < 2**32 (no larger pool fits in memory), so numpy's 64-bit draws never run."""
+    """(stego, payload or picks) of one detection challenge, drawn as numpy 2.4's ``integers(0, 2)``,
+    then ``_random_values(harness, l, 1)`` or ``choice(W, N, replace=False)`` draw them.  The coin is
+    bit 31 of the first raw word.  Up to ``_FLOYD_N`` picks, numpy's Floyd steps and shuffle of the
+    picks take bounded draws (Lemire, ACM TOMACS 2019) from raw 32-bit halves, that word's high half
+    first; W < 2**32 (no larger pool fits in memory) keeps them 32-bit.  Past it ``choice`` draws them."""
     raw = harness.bit_generator.random_raw
     first = raw()
     if first >> 31 & 1:
         return True, _random_values(harness, l, 1)[0]
-    floyd = W <= 10000 or N <= W // 50  # Floyd's N picks, shuffled; else numpy shuffles arange(W)'s tail
-    steps = range(max(W - N, 1), W) if floyd else range(0)  # Floyd's step at a bound of 0 (W = N) draws nothing
-    shuffle = range(N - 1, 0, -1) if floyd else range(W - 1, max(W - N, 1) - 1, -1)
-    n = len(steps) + len(shuffle)
-    words, draws = raw(n // 2 + 1).astype("<u8", copy=False).view("<u4"), None
-    if n > 64:
-        span = np.concatenate([np.arange(r.start, r.stop, r.step, np.uint64) for r in (steps, shuffle)]) + 1
-        m = np.append(np.uint64(first >> 32), words[:n - 1]) * span
-        draws = None if np.count_nonzero(m & _HALF < (1 << 32) % span) else (m >> 32).tolist()
-    if draws is None:
-        halves, draws = [first >> 32, *words.tolist()], []
-        half = iter(halves).__next__
-        for rng in (*steps, *shuffle):
-            while (m := half() * (rng + 1)) & _HALF <= rng and m & _HALF < (_HALF - rng) % (rng + 1):
-                halves += divmod(raw(), 1 << 32)[::-1]  # rejected: draw again, a word's low half first
-            draws.append(m >> 32)
-    if floyd:
-        picks = dict.fromkeys(range(W == N))  # Floyd's algorithm, on an ordered set
-        for j, v in zip(steps, draws):
-            picks[j if v in picks else v] = None
-        picks = list(picks)
-        for i, j in zip(shuffle, draws[len(steps):]):
-            picks[i], picks[j] = picks[j], picks[i]
-        return False, picks
-    moved = {}  # the places of arange(W) the shuffle moves
-    for i, j in zip(shuffle, draws):
-        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-    return False, [moved.get(i, i) for i in range(W - N, W)]
+    if N > _FLOYD_N:  # numpy's own choice, handed the unread high half
+        harness.bit_generator.state = {**harness.bit_generator.state, "has_uint32": 1, "uinteger": first >> 32}
+        return False, harness.choice(W, N, replace=False).tolist()
+    steps = range(max(W - N, 1), W)  # Floyd's step at a bound of 0 (W = N) draws nothing
+    shuffle = range(N - 1, 0, -1)
+    halves, draws = [first >> 32, *raw(N).astype("<u8", copy=False).view("<u4").tolist()], []  # 2N + 1 halves
+    half = iter(halves).__next__
+    for rng in (*steps, *shuffle):
+        while (m := half() * (rng + 1)) & _HALF <= rng and m & _HALF < (_HALF - rng) % (rng + 1):
+            halves += divmod(raw(), 1 << 32)[::-1]  # rejected: draw again, a word's low half first
+        draws.append(m >> 32)
+    picks = dict.fromkeys(range(W == N))  # Floyd's algorithm, on an ordered set
+    for j, v in zip(steps, draws):
+        picks[j if v in picks else v] = None
+    picks = list(picks)
+    for i, j in zip(shuffle, draws[len(steps):]):
+        picks[i], picks[j] = picks[j], picks[i]
+    return False, picks
 
 
 class _BudgetedOracle:
@@ -247,6 +238,8 @@ def _validate(level: AttackLevel, trials: int, seed: int, alpha: float) -> None:
         raise InvalidConfig(f"level must be an AttackLevel, got {show(level)}")
     check_int("trials", trials, MIN_TRIALS, InvalidConfig)
     check_int("seed", seed, 0, InvalidConfig)
+    if show(seed)[0] == "<":  # past the str limit, so _derive_key cannot key the game's streams with it
+        raise InvalidConfig(f"seed must fit Python's int-to-str digit limit, got {show(seed)}")
     check_real("alpha", alpha, 0, 1, InvalidConfig, closed=False)
 
 

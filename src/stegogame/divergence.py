@@ -180,10 +180,9 @@ def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
 
 def _one_row(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """``metric`` on two distributions over the same bins, from the bins non-empty on either side."""
-    shared = p.edges is q.edges  # byte histograms all share one edges array
-    if not shared and (p.bins != q.bins or not np.array_equal(p.edges, q.edges)):
+    if p.edges is not q.edges and not np.array_equal(p.edges, q.edges):  # byte histograms share one edges array
         raise BinMismatch("distributions use different bins")
-    kept = np.flatnonzero((p.masses > 0) | (q.masses > 0))
+    kept = np.flatnonzero(p.masses + q.masses)  # the masses are non-negative
     frame = {"n_p": p.n_samples, "n_q": q.n_samples, "bins": p.bins, "span": p.edges[-1] - p.edges[0],
              "centers": p.centers[np.append(kept, -1)] if metric == "w1" else None}
     return float(_total(metric, _terms(metric, p.masses[kept], q.masses[kept], **frame).sum(), kept.size, **frame))

@@ -20,11 +20,14 @@ one binary string, and game observations are embedded at once.
 Monte-Carlo blocks mark each draw's N smallest cells through
 ``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
 law of the covers still unseen comes from stepping its chain in rationals.
+The best detector's exact rate is 1/2 + TV/2 between the two laws of what it
+sees, each law counted over every arrangement from itertools enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -134,6 +137,33 @@ def unseen_law_reference(x: int, N: int, T: int) -> dict[int, Fraction]:
                 )
         law = step
     return law
+
+
+def best_detection_rate(stego: Counter, natural: Counter) -> Fraction:
+    """The exact success rate of the best detector of a stego view against a
+    natural one under a fair coin, each law given as counts of its views:
+    1/2 + TV/2, TV the total variation between the two laws (Neyman-Pearson,
+    in Cachin's 1998 frame)."""
+    s, n = sum(stego.values()), sum(natural.values())
+    gap = sum(abs(stego[v] * n - natural[v] * s) for v in stego.keys() | natural.keys())
+    return Fraction(1, 2) + Fraction(gap, 4 * s * n)
+
+
+def challenge_laws(T: int, N: int, view=tuple) -> tuple[Counter, Counter]:
+    """The laws of ``view`` of a detection challenge's indices into the
+    library's public order, when the world pool is the library: a uniform
+    payload XOR the key is a uniform rank below 2**l, so a stego challenge
+    is one of the first 2**l arrangements in lexicographic order, uniformly;
+    a natural one is any of the r arrangements, uniformly."""
+    arrangements = lex_arrangements(T, N)
+    l = len(arrangements).bit_length() - 1
+    return Counter(map(view, arrangements[: 2**l])), Counter(map(view, arrangements))
+
+
+def order_pattern(arrangement: tuple[int, ...]) -> tuple[int, ...]:
+    """The relative order of an arrangement's indices, all a warden who sees
+    ids alone can compare: their places in it, sorted by index."""
+    return tuple(sorted(range(len(arrangement)), key=arrangement.__getitem__))
 
 
 # The metrics' 1-D kernels, one pair of mass vectors per call: the earlier

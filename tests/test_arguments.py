@@ -114,12 +114,14 @@ CALLS = [
                        "observations"), "int"),
       "leak_fraction": "real", "leak_growth": "real"}),
 ]
-# more values that one argument must refuse: a huge int above its upper bound,
-# a Fraction on one outside zeta's interval, and runs past MAX_RUNS
+# more values that one argument must refuse: a huge int above its upper bound or,
+# as a game's seed, past the str limit its streams are keyed by, a Fraction on one
+# outside zeta's interval, and runs past MAX_RUNS
 PAST_UPPER_BOUND = {
     **dict.fromkeys(("capacity-N", "Scenario-observations", "estimate_distribution-bins",
                      "calibrate_epsilon-bins", "distinguishability_test-bins", "pr_coverage_mc-trials",
-                     "pr_coverage_mc-T", "coverage_report-mc_trials", "coverage_report-T"), (HUGE,)),
+                     "pr_coverage_mc-T", "coverage_report-mc_trials", "coverage_report-T",
+                     "run_game-seed", "message_recovery_game-seed", "acca_loop-seed"), (HUGE,)),
     "max_safe_uses-zeta": (Fraction(HUGE, 3),),
     # numpy's _ArrayMemoryError at 10**12 runs and its ValueError at 2**63, without MAX_RUNS
     "calibrate_epsilon-runs": (MAX_RUNS + 1, 10**12, 2**63, HUGE),
@@ -153,6 +155,15 @@ def test_every_argument_refuses_the_wrong_kind_with_a_typed_error(call, valid, a
 def test_a_huge_int_where_another_kind_belongs_prints_its_size(call):
     with pytest.raises(StegogameError, match=f"<int of {HUGE.bit_length()} bits>"):
         call()
+
+
+@pytest.mark.parametrize("name", ["run_game", "message_recovery_game", "acca_loop"])
+def test_a_game_seed_past_the_str_limit_is_refused_with_its_size(name):
+    """A game keys its streams by the seed's decimal digits, so a seed that
+    cannot print is refused before any stream is keyed, not by a ValueError."""
+    _, call, valid, _ = next(c for c in CALLS if c[0] == name)
+    with pytest.raises(InvalidConfig, match=f"^seed .*, got <int of {HUGE.bit_length()} bits>$"):
+        call(**{**valid, "seed": HUGE})
 
 
 @pytest.mark.parametrize("call, error", [

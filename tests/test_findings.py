@@ -10,7 +10,12 @@ change made the break worse, or fixed it by accident.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import sqrt
 
+import pytest
+
+from helpers import best_detection_rate, challenge_laws, order_pattern
 from stegogame.attackgame import (
     VERDICT_BROKEN,
     VERDICT_RESISTS,
@@ -23,6 +28,7 @@ from stegogame.attackgame import (
 from stegogame.attackgame.game import LABEL_NATURAL, LABEL_STEGO
 from stegogame.cli import dispatch
 from stegogame.library import build_library, save_manifest
+from stegogame.permcodec import Arrangement, capacity, rank
 
 
 def full_leak_kca():
@@ -50,6 +56,25 @@ class RaisingMembership(KCAMembership):
 
     def guess(self, challenge, state):
         raise RuntimeError("guess fails")
+
+
+class KCARank:
+    """A scratch ``kca-rank``: with the whole library leaked, it ranks a
+    challenge's ids in the library's public order, the sorted ids, and says
+    stego iff every id is leaked and the rank is below 2**l."""
+
+    name = "kca-rank"
+
+    def learn(self, knowledge, state=None):
+        index = {cid: i for i, cid in enumerate(sorted(knowledge.leaked_ids))}
+        return {"index": index, "l": knowledge.payload_bits}
+
+    def guess(self, challenge, state):
+        index = state["index"]
+        if not all(cid in index for cid in challenge.ids):
+            return LABEL_NATURAL
+        value = rank(Arrangement(tuple(map(index.__getitem__, challenge.ids)), len(index)))
+        return LABEL_STEGO if value < 2 ** state["l"] else LABEL_NATURAL
 
 
 def test_full_leak_kca_membership_is_broken():
@@ -107,3 +132,43 @@ def test_equal_blocks_embed_to_equal_sequence_files(tmp_path, make_covers, capsy
     files = [(tmp_path / f"seq.{i:03d}.json").read_bytes() for i in range(6)]
     assert len(set(files[:4])) == len(set(files[4:])) == 1
     assert files[3] != files[4]
+
+
+def test_the_rank_rule_wins_its_exact_rate():
+    """ROADMAP item 12 (the rank leak at KCA): with the whole library leaked
+    and the world pool the library itself, a stego rank is always below 2**l
+    and a natural one falls there with probability 2**l/r.  So the best
+    detector of the ids, by enumeration, wins exactly 0.5 + (1 - 2**l/r)/2:
+    0.6249 at (16, 4).  Item 13's Z_r pad with a per-message key flips this
+    to 0.5."""
+    cap = capacity(16, 4)
+    rate = best_detection_rate(*challenge_laws(16, 4))
+    assert rate == Fraction(1, 2) + (1 - Fraction(2**cap.l, cap.r)) / 2
+    assert round(float(rate), 4) == 0.6249
+
+
+def test_kca_rank_breaks_kca_at_the_exact_rate():
+    """ROADMAP item 12: on that scenario, where ``kca-membership`` is blind
+    (every id is leaked, stego or natural), the scratch ``kca-rank`` reads
+    ``broken`` over 2,000 trials, within 2.576 sigma of the exact rate.  Item
+    13's Z_r pad with a per-message key flips this to ``resists``."""
+    scenario = synthetic_scenario(
+        T=16, N=4, world_size=16, seed=5, leak_fraction=1.0, observations=0, cover_size=64,
+    )
+    result = run_game(scenario, KCARank(), AttackLevel.KCA, trials=2000, seed=3)
+    p = float(best_detection_rate(*challenge_laws(16, 4)))
+    assert result.verdict == VERDICT_BROKEN and result.p_value < 1e-6
+    assert abs(result.success_rate - p) <= 2.576 * sqrt(p * (1 - p) / 2000)
+
+
+@pytest.mark.parametrize("T, N, tv", [(12, 3, 0.142), (16, 4, 0.159)])
+def test_the_order_pattern_leaks(T, N, tv):
+    """ROADMAP item 2 (uniform cover order): a stego challenge's ranks lie
+    below 2**l, so the relative order of its ids in the public hash order,
+    which a warden with no library, leak or oracle can compare, is not the
+    uniform order of a natural draw.  By enumeration the total variation
+    between the two is 0.142 at (12, 3) and 0.159 at (16, 4), and the best
+    order-only detector wins 0.5 + TV/2.  Item 13's Z_r pad with a
+    per-message key flips this to 0."""
+    rate = best_detection_rate(*challenge_laws(T, N, order_pattern))
+    assert round(float(2 * rate - 1), 3) == tv

@@ -12,10 +12,12 @@ Each draw has the shape of a call in ``src/``, at a fixed Philox key, and is
 pinned by the first 16 hex digits of the SHA-256 of its dtype, shape and
 bytes.
 
-A detection challenge does not call numpy's samplers: ``game._challenge``
-reads the coin and the natural picks from raw Philox words as numpy's
-``integers(0, 2)`` and ``choice(W, N, replace=False)`` would.  The tests at
-the end hold it to numpy's own draws, the referee, at many trial counters.
+A detection challenge reads its coin from a raw Philox word as numpy's
+``integers(0, 2)`` would.  Up to ``game._FLOYD_N`` natural picks,
+``game._challenge`` reads them from raw words too, as numpy's
+``choice(W, N, replace=False)`` would; past it, numpy's own ``choice``
+draws them, handed the coin word's unread high half.  The tests at the end
+hold both paths to numpy's own draws, the referee, at many trial counters.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ SAMPLERS = {
     ),
     "choice": (
         102,
-        # the natural challenges (read from raw words by game._challenge) and the SCOA world model
+        # the SCOA world model, and the natural challenges of more than game._FLOYD_N picks
+        # (game._challenge reads smaller ones from raw words)
         lambda gen: [gen.choice(48, size=4, replace=False), gen.choice(200, size=64, replace=False)],
         "c55aa3951220ec7f",
-        "the natural challenges and SCOAHistogram's world model: the golden game rows "
-        "(tests/test_attackgame.py GOLDEN), GOLDEN_ATTACK and ACCEPTANCE 6",
+        "SCOAHistogram's world model: the golden game rows (tests/test_attackgame.py GOLDEN), "
+        "GOLDEN_ATTACK and ACCEPTANCE 6; and every natural challenge of more than "
+        f"{game._FLOYD_N} picks, which no golden plays",
     ),
     "permutation": (
         103,
@@ -127,9 +131,12 @@ def test_a_changed_sampler_is_named(monkeypatch, sampler):
         check(other)
 
 
-# (W, N) pairs: W = N, W = 1, the game's own shapes, and both of numpy's
+# (W, N) pairs: W = N, W = 1 and the game's own shapes, read from raw words;
+# the last shape read from raw words and the first that numpy's choice draws,
+# at _FLOYD_N and _FLOYD_N + 1 picks; and, in numpy's choice, both of its
 # branches around its switch to a tail shuffle (W > 10000 and N > W // 50)
-CHALLENGE_SHAPES = [(1, 1), (4, 4), (16, 4), (64, 4), (10000, 300), (10001, 200), (20000, 400), (20000, 401)]
+CHALLENGE_SHAPES = [(1, 1), (4, 4), (16, 4), (64, 4), (64, game._FLOYD_N), (64, game._FLOYD_N + 1),
+                    (10000, 300), (10001, 200), (20000, 400), (20000, 401)]
 CHALLENGE_KEY = 2024
 
 
@@ -160,20 +167,22 @@ def test_challenge_draws_as_numpy(W, N):
     assert sides == {True, False}
 
 
-@pytest.mark.parametrize("W, N, trials", [(64, 64, 1000), (10001, 10001, 20)])
+@pytest.mark.parametrize("W, N, trials", [(game._FLOYD_N, game._FLOYD_N, 1000), (64, 64, 1000),
+                                           (10001, 10001, 20)])
 def test_challenge_draws_as_numpy_where_w_equals_n(W, N, trials):
-    """A pool of exactly N covers: Floyd's first step has a bound of 0 and
-    draws no half, here in the one array step of more than 64 draws; and
-    past W = 10000 numpy takes the tail shuffle even though N is the whole
-    pool."""
+    """A pool of exactly N covers: on the raw-word path, Floyd's first step
+    has a bound of 0 and draws no half; numpy's choice, handed the coin
+    word's high half, draws the larger pools, and past W = 10000 takes the
+    tail shuffle even though N is the whole pool."""
     for trial in range(trials):
         assert game._challenge(at_counter(trial), 15, W, N) == numpy_challenge(at_counter(trial), 15, W, N)
 
 
-@pytest.mark.parametrize("W, N", [(2**31 + 1, 4), (2**32 - 1, 3)])
+@pytest.mark.parametrize("W, N", [(2**31 + 1, 4), (2**31 + 1, game._FLOYD_N), (2**32 - 1, 3)])
 def test_challenge_draws_as_numpy_at_32_bit_bounds(W, N):
-    """Bounds near 2**31, where Lemire's method rejects about half of its
-    draws, and up to 2**32 - 2, the largest a 32-bit draw serves."""
+    """The raw-word path's rejections: bounds near 2**31, where Lemire's
+    method rejects about half of its draws, up to the most picks that path
+    reads, and bounds up to 2**32 - 2, the largest a 32-bit draw serves."""
     for trial in range(200):
         assert game._challenge(at_counter(trial), 15, W, N) == numpy_challenge(at_counter(trial), 15, W, N)
 
@@ -194,7 +203,10 @@ def test_challenge_follows_lemires_rejections(W, N, trial):
     is rejected and drawn again: Floyd's branch at (10000, 300), the tail
     shuffle at (20000, 401).  numpy reads more halves there than one per
     draw (one for the coin, 2N - 1 for Floyd and its shuffle, N for the tail
-    shuffle), and the raw-word challenge still equals its picks."""
+    shuffle).  Both shapes lie past ``_FLOYD_N``, so numpy's own choice draws
+    them from the coin word's high half on, and the challenge still equals
+    numpy's picks.  The raw-word path's rejections are covered by the
+    32-bit-bound cases above."""
     gen = at_counter(trial)
     expected = numpy_challenge(gen, 15, W, N)
     assert expected[0] is False
