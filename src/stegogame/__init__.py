@@ -15,7 +15,7 @@ import importlib
 
 # submodule -> the public names it defines
 _PUBLIC = {
-    "bits": ("bits_to_hex", "hex_to_bits"),
+    "bits": (),
     "budget": ("CoverageReport", "coverage_report", "max_safe_uses", "pr_coverage_mc"),
     "divergence": (
         "DistanceReport", "EmpiricalDistribution", "calibrate_epsilon",

@@ -330,11 +330,11 @@ def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, b
     ids = codec.embed(drawn).ids if is_stego else tuple(map(world.__getitem__, drawn))
     if state is _UNLEARNED:
         return 0, is_stego
-    try:
-        answer = adversary.guess(_record(Challenge, {"ids": ids}), state)
+    label = LABEL_STEGO if is_stego else LABEL_NATURAL
+    try:  # str's own ==, which refuses a non-str answer: the answer's == could match any label
+        return int(str.__eq__(adversary.guess(_record(Challenge, {"ids": ids}), state), label)), is_stego
     except Exception:
         return 0, is_stego
-    return int(answer == (LABEL_STEGO if is_stego else LABEL_NATURAL)), is_stego
 
 
 def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bool]:

@@ -1,8 +1,8 @@
-"""Helpers for fixed-length bitstrings rendered as '0'/'1' text.
+"""Fixed-width payloads as hex digits, and as MSB-first '0'/'1' bitstrings.
 
-Bitstrings are MSB-first throughout: ``"0110"`` is the integer 6.  Hex
-renderings of an l-bit value are zero-padded to ceil(l/4) digits so l
-survives the round trip through hex; the file formats use the int forms.
+``src/`` uses the int and hex helpers: the files and the CLI write an l-bit value
+as ceil(l/4) zero-padded hex digits, so l survives the round trip.  The bitstring
+ones (``"0110"`` is 6) stay only for the benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ _BITSET = frozenset("01")
 HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def validate_bits(bits: str) -> str:
+def bits_to_int(bits: str) -> int:
     if not isinstance(bits, str) or not _BITSET.issuperset(bits):
         raise InvalidParams(f"not a bitstring: {show(bits)}")
-    return bits
-
-
-def bits_to_int(bits: str) -> int:
-    validate_bits(bits)
     return int(bits, 2) if bits else 0
 
 

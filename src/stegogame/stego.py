@@ -38,11 +38,6 @@ class _Block(Record):
     def __init__(self, value: int, l: int):
         self.__dict__.update(value=check_width("block value", value, l, l_name="block length"), l=l)
 
-    @property
-    def bits(self) -> str:
-        """The value as l '0'/'1' digits, MSB first; "" when l = 0."""
-        return format(self.value, f"0{self.l}b") if self.l else ""
-
 
 class StegoKey(_Block):
     """Uniformly random l-bit key; the key space has size 2**l."""

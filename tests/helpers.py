@@ -13,7 +13,7 @@ ints (``kl_fixed_1d``, ``js_fixed_1d``, ``tv_fixed_1d``, ``w1_fixed_1d``),
 beside the metrics' earlier float kernels (``kl_1d``, ``js_1d``, ``tv_1d``,
 ``w1_1d``).
 The embed/extract oracle is the earlier string path, composed
-from the public bitstring functions: ``xor_bits``, then
+from the bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
 Game payloads are the top l bits of their own raw Philox words, read as
 one binary string, and game observations are embedded at once.
@@ -21,7 +21,9 @@ Monte-Carlo blocks mark each draw's N smallest cells through
 ``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
 law of the covers still unseen comes from stepping its chain in rationals.
 The best detector's exact rate is 1/2 + TV/2 between the two laws of what it
-sees, each law counted over every arrangement from itertools enumeration.
+sees, each law counted over every arrangement from itertools enumeration, or,
+for the count of a challenge's ids seen in earlier uses, summed by
+inclusion-exclusion in rationals.
 """
 
 from __future__ import annotations
@@ -158,6 +160,26 @@ def challenge_laws(T: int, N: int, view=tuple) -> tuple[Counter, Counter]:
     arrangements = lex_arrangements(T, N)
     l = len(arrangements).bit_length() - 1
     return Counter(map(view, arrangements[: 2**l])), Counter(map(view, arrangements))
+
+
+def seen_count_law(x: int, N: int, T: int, m: int) -> Counter:
+    """The law of K, how many of a challenge's m library ids are among the
+    covers of x uniform N-subsets of the library, by inclusion-exclusion over
+    the unseen covers: C(m, k) * sum_i (-1)^i C(k, i) (C(T-m+k-i, N)/C(T, N))^x."""
+    unseen = [Fraction(comb(T - j, N), comb(T, N)) ** x for j in range(m + 1)]
+    return Counter({k: comb(m, k) * sum((-1) ** i * comb(k, i) * unseen[m - k + i] for i in range(k + 1))
+                    for k in range(m + 1)})
+
+
+def seen_count_rate(x: int, N: int, T: int, W: int) -> Fraction:
+    """The best rate of a warden who counts a challenge's ids seen in x
+    earlier uses, 1/2 + TV/2: a stego challenge has m = N library ids, a
+    natural one m ~ hypergeometric(W, T, N)."""
+    natural = Counter()
+    for m in range(max(0, N - (W - T)), min(N, T) + 1):
+        weight = Fraction(comb(T, m) * comb(W - T, N - m), comb(W, N))
+        natural.update({k: weight * p for k, p in seen_count_law(x, N, T, m).items()})
+    return best_detection_rate(seen_count_law(x, N, T, N), natural)
 
 
 def order_pattern(arrangement: tuple[int, ...]) -> tuple[int, ...]:
@@ -340,7 +362,7 @@ def bits_of(value: int, length: int) -> str:
 
 
 def message_of(bits: str) -> Message:
-    """The message whose ``.bits`` are ``bits``."""
+    """The message whose MSB-first binary digits are ``bits``."""
     return Message(int(bits or "0", 2), len(bits))
 
 
@@ -366,7 +388,7 @@ def embed_reference(m, k, lib, N: int) -> StegoSequence:
     cap = capacity(lib.T, N)
     if m.l != cap.l or k.l != cap.l:
         raise LengthMismatch(f"message has {m.l} bits, key {k.l}; needs {cap.l}")
-    arr = bits_to_arrangement(xor_bits(m.bits, k.bits), lib.T, N)
+    arr = bits_to_arrangement(xor_bits(bits_of(m.value, m.l), bits_of(k.value, k.l)), lib.T, N)
     return StegoSequence(ids=tuple(lib.ids()[i] for i in arr.indices))
 
 
@@ -376,7 +398,7 @@ def extract_reference(seq, k, lib) -> Message:
     payload = arrangement_to_bits(arr)
     if k.l != len(payload):
         raise LengthMismatch(f"key has {k.l} bits, sequence decodes to {len(payload)}")
-    return message_of(xor_bits(payload, k.bits))
+    return message_of(xor_bits(payload, bits_of(k.value, k.l)))
 
 
 def payload_bits_reference(gen, l: int) -> str:

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,6 +135,30 @@ class ScriptedRecovery:
 
     def recover(self, sequence, state):
         return self.guess
+
+
+class ScriptedDetection:
+    """Answers every detection challenge with one fixed answer."""
+
+    name = "scripted-detection"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def learn(self, knowledge, state=None):
+        return None
+
+    def guess(self, challenge, state):
+        return self.answer
+
+
+class Incomparable:
+    """An answer whose comparison with a label raises."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        raise ValueError("cannot compare")
 
 
 # Not an int in [0, 2**15): what the embed oracle refuses and a recovery scores 0 for.
@@ -465,6 +490,19 @@ class TestDetectionGame:
         res = run_game(sc, FailingAdversary(), AttackLevel.SCOA, trials=120, seed=1)
         assert res.successes == 0
         assert res.verdict == VERDICT_RESISTS
+
+    @pytest.mark.parametrize("answer", [np.array(["stego", "natural"]), Incomparable(), mock.ANY],
+                             ids=["array", "raising-eq", "equal-to-all"])
+    def test_malformed_guess_scores_zero(self, answer):
+        """An answer that is not a str scores 0, as a guess that raises does,
+        in both detection games, also one whose == claims every label;
+        answering "stego" scores every stego challenge."""
+        sc = synthetic_scenario(T=6, N=2, world_size=12, seed=0)
+        assert run_game(sc, ScriptedDetection(answer), AttackLevel.SCOA, trials=120, seed=1).successes == 0
+        results = acca_loop(sc, ScriptedDetection(answer), trials_per_round=120, seed=1, rounds=2)
+        assert [r.successes for r in results] == [0, 0]
+        res = run_game(sc, ScriptedDetection("stego"), AttackLevel.SCOA, trials=120, seed=1)
+        assert res.successes == res.stego_challenges > 0
 
     def test_oracle_budget_starves_replay(self):
         # with zero oracle budget and no observations or leak, the replay

@@ -9,7 +9,6 @@ from stegogame.bits import (
     hex_to_int,
     int_to_bits,
     int_to_hex,
-    validate_bits,
     xor_bits,
 )
 from stegogame.errors import InvalidParams, StegogameError, WrongPayloadLength
@@ -24,10 +23,10 @@ def test_empty_bits_round_trip():
     assert int_to_hex(0, 0) == "" and hex_to_int("", 0) == 0
 
 
-def test_validate_rejects_non_bits():
-    for bad in ["2", "0b1", "01 ", "abc"]:
-        with pytest.raises(InvalidParams):
-            validate_bits(bad)
+def test_bits_to_int_rejects_non_bits():
+    for bad in ["2", "0b1", "01 ", "abc", "012", 5, None]:
+        with pytest.raises(InvalidParams, match="^not a bitstring: "):
+            bits_to_int(bad)
 
 
 @given(bitstrings)

@@ -9,19 +9,22 @@ change made the break worse, or fixed it by accident.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import sqrt
 
 import pytest
 
-from helpers import best_detection_rate, challenge_laws, order_pattern
+from helpers import best_detection_rate, challenge_laws, order_pattern, seen_count_rate
 from stegogame.attackgame import (
     VERDICT_BROKEN,
     VERDICT_RESISTS,
     AttackLevel,
     CCAReplay,
     KCAMembership,
+    message_recovery_game,
     run_game,
     synthetic_scenario,
 )
@@ -29,6 +32,7 @@ from stegogame.attackgame.game import LABEL_NATURAL, LABEL_STEGO
 from stegogame.cli import dispatch
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import Arrangement, capacity, rank
+from stegogame.stego import _decode
 
 
 def full_leak_kca():
@@ -75,6 +79,28 @@ class KCARank:
             return LABEL_NATURAL
         value = rank(Arrangement(tuple(map(index.__getitem__, challenge.ids)), len(index)))
         return LABEL_STEGO if value < 2 ** state["l"] else LABEL_NATURAL
+
+
+class CCAKeyRecovery:
+    """A scratch key-recovery warden: it collects the library ids that the
+    leak, the observations and the embed oracle's answers show, asks the
+    oracle for payload 0, whose answer sits at rank ``key``, and decodes
+    every later sequence over the sorted known ids, the library's public
+    order once they cover it."""
+
+    name = "cca-key-recovery"
+
+    def learn(self, knowledge, state=None):
+        oracle, l = knowledge.embed_oracle, knowledge.payload_bits
+        zero = oracle(0)
+        known = {*knowledge.leaked_ids, *zero.ids}
+        known.update(*(seq.ids for seq in knowledge.observed))
+        known.update(*(oracle(p).ids for p in knowledge.rng.integers(1 << l, size=oracle.remaining).tolist()))
+        index = {cid: i for i, cid in enumerate(sorted(known))}.__getitem__
+        return index, len(known), _decode(zero, index, len(known), 0)[0]
+
+    def recover(self, sequence, state):
+        return _decode(sequence, *state)[0]
 
 
 def test_full_leak_kca_membership_is_broken():
@@ -172,3 +198,54 @@ def test_the_order_pattern_leaks(T, N, tv):
     per-message key flips this to 0."""
     rate = best_detection_rate(*challenge_laws(T, N, order_pattern))
     assert round(float(2 * rate - 1), 3) == tv
+
+
+def test_a_chosen_payload_recovers_the_key():
+    """ROADMAP item 1 (key recovery at CCA): one session key pads every
+    message, so the embed oracle's answer to payload 0 sits at rank ``key``.
+    The scratch ``cca-key-recovery`` reads that rank over the sorted ids it
+    has seen and decodes every challenge: per-bit 1.0, ``broken``, at
+    (16, 4) with an embed budget of 64, where the shipped ``cca-replay``
+    stays near 1/2.  Item 13's fresh pad per block flips this to ``resists``:
+    the oracle's answer then shows only that message's pad."""
+    scenario = synthetic_scenario(16, 4, seed=7, world_size=64, cover_size=64, oracle_embed_budget=64)
+    result = message_recovery_game(scenario, CCAKeyRecovery(), AttackLevel.CCA, trials=200, seed=3)
+    assert (result.success_rate, result.verdict) == (1.0, VERDICT_BROKEN)
+    assert result.p_value < 1e-6
+
+
+@pytest.mark.parametrize("x", [0, 1, 2])
+def test_seen_count_referee_matches_enumeration(x):
+    """The exact seen-count rate of ROADMAP item 15, against every use
+    sequence at (T, N, W) = (5, 2, 8): x uses of N-subsets of the library
+    range(5), then a challenge that is an N-subset of the library (stego) or
+    of the world pool range(8) (natural), each K counted over every case."""
+    T, N, W = 5, 2, 8
+    uses = list(itertools.combinations(range(T), N))
+    stego, natural = Counter(), Counter()
+    for draw in itertools.product(uses, repeat=x):
+        seen = set(itertools.chain.from_iterable(draw))
+        stego.update(len(seen.intersection(c)) for c in uses)
+        natural.update(len(seen.intersection(c)) for c in itertools.combinations(range(W), N))
+    assert seen_count_rate(x, N, T, W) == best_detection_rate(stego, natural)
+
+
+@pytest.mark.parametrize("T, N, W, x, rate", [
+    (16, 4, 64, 1, 0.74775), (16, 4, 64, 2, 0.77423), (16, 4, 64, 4, 0.89404),
+    (16, 4, 64, 8, 0.96042), (64, 8, 256, 1, 0.72599),
+])
+def test_counting_seen_covers_wins_after_one_use(T, N, W, x, rate):
+    """ROADMAP item 15 (a detection budget): a warden who counts how many of
+    a challenge's ids it saw in x earlier uses wins, at best, 0.74775 at
+    (16, 4, 64) after one use, and 0.96042 after eight, where
+    ``max_safe_uses`` at zeta = 0.4 allows ten; 0.72599 at (64, 8, 256).
+    Item 15's detection budget bounds x by this rate, not by coverage."""
+    assert round(float(seen_count_rate(x, N, T, W)), 5) == rate
+
+
+@pytest.mark.parametrize("x", [1, 2, 8])
+def test_a_library_that_is_the_world_hides_its_uses(x):
+    """ROADMAP item 15: with the library the whole world pool (T = W), every
+    challenge's ids are library ids, stego or natural, and the seen-count
+    warden wins exactly 1/2 at every x."""
+    assert seen_count_rate(x, 4, 16, 16) == Fraction(1, 2)

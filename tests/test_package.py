@@ -9,7 +9,9 @@ standard-library modules that the codec subcommands load only where they
 compute with them.
 """
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -128,6 +130,12 @@ def test_lazy_names_import():
 
     assert js is divergence.js and max_safe_uses is budget.max_safe_uses
     assert stegogame.budget is budget and stegogame.divergence is divergence
+    # the string helpers left __all__ but stay in their module and as stego aliases
+    from stegogame import stego
+    from stegogame.bits import bits_to_hex, hex_to_bits
+
+    assert stegogame.bits.bits_to_hex is bits_to_hex is stego.bits_to_hex
+    assert hex_to_bits is stego.hex_to_bits and "bits_to_hex" not in dir(stegogame)
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -148,10 +156,36 @@ def test_public_names_are_listed_once_and_sorted():
     assert stegogame.__all__ == [
         "Arrangement", "Capacity", "CoverEntry", "CoverLibrary", "CoverageReport",
         "DistanceReport", "EmpiricalDistribution", "Message", "StegoKey",
-        "StegoSequence", "StegogameError", "bits_to_hex", "build_library",
+        "StegoSequence", "StegogameError", "build_library",
         "calibrate_epsilon", "capacity", "coverage_report", "distinguishability_test", "embed",
-        "estimate_distribution", "extract", "hash_bytes", "hash_file", "hex_to_bits", "js",
+        "estimate_distribution", "extract", "hash_bytes", "hash_file", "js",
         "keygen", "kl", "load_key", "load_manifest", "load_sequence", "max_safe_uses",
         "pr_coverage_mc", "rank", "save_key", "save_manifest", "save_sequence", "tv", "unrank",
         "w1",
     ]
+
+
+# The '0'/'1' string helpers: src/ reaches them only from one another, and
+# holds them otherwise only by import, where perfbench/tracer.py binds them.
+STRING_PATH = {
+    "bits_to_int", "int_to_bits", "xor_bits", "bits_to_hex", "hex_to_bits",
+    "bits_to_arrangement", "arrangement_to_bits",
+}
+
+
+def test_string_path_is_used_only_by_itself():
+    """No code in src/ outside the string helpers names one of them, so
+    removing them all is a plain deletion.  An import names them in alias
+    nodes, not in names or attributes, so imports pass."""
+    src = pathlib.Path(stegogame.__file__).parent
+    uses = []
+    for path in sorted(src.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name in STRING_PATH:
+                continue
+            uses += [
+                f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id in STRING_PATH
+                or isinstance(node, ast.Attribute) and node.attr in STRING_PATH
+            ]
+    assert uses == []
