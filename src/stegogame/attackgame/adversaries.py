@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# xor_bits and arrangement_to_bits are not called here; perfbench/tracer.py
+# xor_bits, js and arrangement_to_bits are not called here; perfbench/tracer.py
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
-from ..divergence import _js, _percentile, byte_counts, js, normalize_byte_counts
+from ..divergence import _js, _percentile, js  # noqa: F401
 from ..errors import EmptySamples, InvalidConfig, check_choice, check_int, check_real
 from ..library import CoverId
 from ..permcodec import arrangement_to_bits  # noqa: F401
@@ -94,9 +94,10 @@ class SCOAHistogram:
     selection-based hiding the challenge covers are themselves natural, so
     this stays at chance level by design.
 
-    World covers are read once into a W x 256 count matrix.  Distances are
-    memoised by the last sample's membership and computed in batched kernel
-    calls that round as ``js`` does; the null's Floyd steps are one draw and
+    Each cover is read once into its byte counts, the world's into a W x 256
+    matrix.  Every distance, to a world cover or any other, is one row of the
+    batch kernel ``_js``, which rounds as ``js`` does; distances are memoised
+    by the last sample's membership, the null's Floyd steps are one draw and
     its percentile is numpy's without ``np.percentile``: none changes an answer.
     """
 
@@ -115,19 +116,19 @@ class SCOAHistogram:
 
     def _byte_counts(self, cid: CoverId, knowledge: Knowledge) -> np.ndarray:
         if cid not in self._counts:
-            self._counts[cid] = byte_counts(knowledge.content(cid))
+            counts = np.bincount(np.frombuffer(knowledge.content(cid), dtype=np.uint8), minlength=256)
+            if not counts.any():
+                raise EmptySamples(f"cover {cid} holds no bytes")
+            self._counts[cid] = counts
         return self._counts[cid]
 
     def _world_matrix(self, knowledge: Knowledge) -> dict:
         ids = knowledge.world_ids
         if self._world.get("ids") != ids:
             counts = np.array([self._byte_counts(cid, knowledge) for cid in ids])
-            totals = counts.sum(axis=1)
-            if not totals.all():
-                raise EmptySamples("a world-pool cover holds no bytes")
             self._counts.update(zip(ids, counts))  # rows of the matrix, not copies of them
             row_of = {cid: i for i, cid in enumerate(ids)}
-            self._world = {"ids": ids, "row_of": row_of, "counts": counts, "totals": totals}
+            self._world = {"ids": ids, "row_of": row_of, "counts": counts, "totals": counts.sum(axis=1)}
         return self._world
 
     @staticmethod
@@ -161,7 +162,7 @@ class SCOAHistogram:
             model_counts = world["counts"][member].sum(axis=0)
             self._memo = {
                 **world, "key": key, "member": member, "model_counts": model_counts,
-                "model": normalize_byte_counts(model_counts),
+                "model": model_counts / model_counts.sum(),  # masses of the whole sample
                 "scores": np.full(W, np.nan),  # each world cover's distance, once computed
                 "missing": W,  # how many of them are not
                 "outside": {},  # distances of covers outside the world pool
@@ -176,8 +177,8 @@ class SCOAHistogram:
         """Distance of a cover outside the world pool to the whole model."""
         outside = state["memo"]["outside"]
         if cid not in outside:
-            hist = normalize_byte_counts(self._byte_counts(cid, state["knowledge"]))
-            outside[cid] = js(hist, state["memo"]["model"])
+            counts = self._byte_counts(cid, state["knowledge"])
+            outside[cid] = _js((counts / counts.sum())[None], state["memo"]["model"][None])[0]
         return outside[cid]
 
     def guess(self, challenge: Challenge, state) -> str:

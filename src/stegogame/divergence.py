@@ -119,24 +119,6 @@ def estimate_distribution(
     return EmpiricalDistribution(edges=edges, masses=counts / total, n_samples=total)
 
 
-_BYTE_EDGES = np.arange(257, dtype=float) - 0.5
-_BYTE_EDGES.flags.writeable = False  # shared by every byte histogram
-
-
-def byte_counts(blob: bytes) -> np.ndarray:
-    """Byte-value counts (256 categories), the default observable for opaque
-    cover content before normalizing; sums of counts pool several blobs."""
-    return np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256)
-
-
-def normalize_byte_counts(counts: np.ndarray) -> EmpiricalDistribution:
-    """Byte-value histogram of (possibly pooled) byte counts."""
-    total = int(counts.sum())
-    if total == 0:
-        raise EmptySamples("no bytes supplied")
-    return EmpiricalDistribution(edges=_BYTE_EDGES, masses=counts / total, n_samples=total)
-
-
 # Each metric is an int64 sum of per-cell terms in whole units, over the bins non-empty on either side:
 # exact in any order or batch (the pre-rounding of reproducible summation, Demmel & Nguyen, ARITH 2013).
 UNITS = {"kl": 2.0**-57, "js": 2.0**-60, "tv": 2.0**-60, "w1": 2.0**-60}
@@ -180,7 +162,7 @@ def _js(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
 
 def _one_row(metric: str, p: EmpiricalDistribution, q: EmpiricalDistribution) -> float:
     """``metric`` on two distributions over the same bins, from the bins non-empty on either side."""
-    if p.edges is not q.edges and not np.array_equal(p.edges, q.edges):  # byte histograms share one edges array
+    if not np.array_equal(p.edges, q.edges):
         raise BinMismatch("distributions use different bins")
     kept = np.flatnonzero(p.masses + q.masses)  # the masses are non-negative
     frame = {"n_p": p.n_samples, "n_q": q.n_samples, "bins": p.bins, "span": p.edges[-1] - p.edges[0],

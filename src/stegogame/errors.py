@@ -35,11 +35,10 @@ class LibraryTooSmall(StegogameError):
 class DuplicateCover(StegogameError):
     code = "DuplicateCover"
 
-    def __init__(self, digest: str, paths: tuple[str, str] | None = None):
+    def __init__(self, digest: str, paths: tuple[str, str]):
         self.digest = digest
         self.paths = paths
-        detail = f" ({paths[0]!r} and {paths[1]!r})" if paths else ""
-        super().__init__(f"duplicate cover content with digest {digest}{detail}")
+        super().__init__(f"duplicate cover content with digest {digest} ({paths[0]!r} and {paths[1]!r})")
 
 
 class CoverReadError(StegogameError):

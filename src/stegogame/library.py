@@ -71,10 +71,10 @@ class CoverLibrary(Record):
         self.__dict__.update(covers=covers, _ids=ids)
         if len(ids) < 2:
             raise LibraryTooSmall(f"need at least 2 covers, got {len(ids)}")
-        for a, b in zip(ids, ids[1:]):
-            if a == b:
-                raise DuplicateCover(a)
-            if a > b:
+        for a, b in zip(covers, covers[1:]):
+            if a.id == b.id:
+                raise DuplicateCover(a.id, (a.path, b.path))
+            if a.id > b.id:
                 raise MalformedFile("covers are not in ascending digest order")
 
     @property
@@ -113,9 +113,6 @@ def build_library(paths: list[str | os.PathLike]) -> CoverLibrary:
         (CoverEntry(id=digest, path=path, nbytes=size) for path, digest, size in hashed),
         key=lambda e: e.id,
     )
-    for a, b in zip(entries, entries[1:]):
-        if a.id == b.id:
-            raise DuplicateCover(a.id, paths=(a.path, b.path))
     return CoverLibrary(covers=tuple(entries))
 
 

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import traceback
-import warnings
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -43,9 +42,10 @@ from stegogame.attackgame import (
 from stegogame.attackgame import adversaries, game
 from stegogame.attackgame.game import Challenge, _BudgetedOracle
 from stegogame.attackgame.scenario import MAX_OBSERVATIONS, Scenario
-from stegogame.divergence import EmpiricalDistribution
+from stegogame.divergence import EmpiricalDistribution, js
 from stegogame.errors import (
     CoverReadError,
+    EmptySamples,
     InvalidConfig,
     MalformedFile,
     NotInLibrary,
@@ -1139,9 +1139,7 @@ def test_empty_world_cover_fails_the_histogram_learn(tmp_path, make_covers):
     paths = make_covers(12)
     paths[-1].write_bytes(b"")
     sc = _file_scenario(tmp_path, paths)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=1)
+    res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=100, seed=1)
     assert res.successes == 0 and res.verdict == VERDICT_RESISTS
 
 
@@ -1196,10 +1194,9 @@ class TestSCOAHistogram:
         assert res.verdict == VERDICT_RESISTS
 
     def test_each_cover_read_and_normalized_once(self, monkeypatch):
-        """Over 100 trials one instance reads each cover once.  It builds a
-        histogram only for a cover outside the world pool, once, and for at
-        most one pooled model per learn; world covers are scored in batches
-        straight from their byte counts."""
+        """Over 100 trials one instance reads each cover once and builds no
+        histogram object: every cover, in the world pool or not, and every
+        pooled model is scored straight from its byte counts."""
         reads: Counter = Counter()
         built = 0
         read, check = Scenario.content_for, EmpiricalDistribution.__post_init__
@@ -1223,29 +1220,23 @@ class TestSCOAHistogram:
             assert res.successes > 0  # every learn got as far as scoring
             assert max(reads.values()) == 1
             assert set(sc.world.ids()) <= set(reads)
-            assert built <= len(set(reads) - set(sc.world.ids())) + 100
+            assert built == 0
 
     def test_each_cover_scored_once_per_model(self, monkeypatch):
         """No cover's distance to one model is computed twice in a game, over
-        the null draws and the challenges of every trial, counted per kernel
-        row for world covers and per ``js`` call for the others.  On a world
-        pool no larger than ``model_sample`` every trial samples the whole
-        pool, so the game computes at most one distance per world and
-        library cover."""
+        the null draws and the challenges of every trial, counted per row of
+        the kernel that scores every cover.  On a world pool no larger than
+        ``model_sample`` every trial samples the whole pool, so the game
+        computes at most one distance per world and library cover."""
         pairs: Counter = Counter()
-        kernel, one = adversaries._js, adversaries.js
+        kernel = adversaries._js
 
         def counting_kernel(pm, qm):
             for p_row, q_row in zip(pm, qm):  # a (cover, model) pair is its two mass rows
                 pairs[p_row.tobytes(), q_row.tobytes()] += 1
             return kernel(pm, qm)
 
-        def counting_js(p, q):
-            pairs[p.masses.tobytes(), q.masses.tobytes()] += 1
-            return one(p, q)
-
         monkeypatch.setattr(adversaries, "_js", counting_kernel)
-        monkeypatch.setattr(adversaries, "js", counting_js)
         for world_size, disjoint in ((64, False), (64, True), (200, True)):
             pairs.clear()
             sc = synthetic_scenario(T=16, N=4, world_size=world_size, seed=3, disjoint_world=disjoint)
@@ -1255,6 +1246,78 @@ class TestSCOAHistogram:
             assert max(pairs.values()) == 1
             if sc.world.T <= adversary.model_sample:
                 assert 0 < sum(pairs.values()) <= sc.world.T + sc.library.T
+
+    def test_byte_distribution(self):
+        """A cover's byte counts, 256 categories; a zero-byte cover has none."""
+        knowledge = SimpleNamespace(content={"a": bytes([0, 0, 255, 1]), "e": b""}.__getitem__)
+        adversary = SCOAHistogram()
+        counts = adversary._byte_counts("a", knowledge)
+        assert counts.shape == (256,) and counts.sum() == 4
+        assert counts[[0, 1, 255]].tolist() == [2, 1, 1]
+        with pytest.raises(EmptySamples):
+            adversary._byte_counts("e", knowledge)
+
+    def test_byte_counts_pool_before_normalizing(self):
+        """The model pools its sample's byte counts and normalizes once: on a
+        world no larger than ``model_sample`` its masses are those of every
+        world cover's bytes joined."""
+        sc = synthetic_scenario(T=6, N=2, world_size=12, seed=4)
+        codec = game._codec(sc.library, sc.N, 1)
+        knowledge = game._knowledge(sc, AttackLevel.SCOA, codec, (), [])(0, 0, np.random.default_rng(0))
+        memo = SCOAHistogram(model_sample=12).learn(knowledge)["memo"]
+        joined = b"".join(map(sc.content_for, sc.world.ids()))
+        counts = np.bincount(np.frombuffer(joined, dtype=np.uint8), minlength=256)
+        assert np.array_equal(memo["model_counts"], counts)
+        assert memo["model"].tobytes() == (counts / len(joined)).tobytes()
+
+    def test_outside_cover_score_is_public_js(self):
+        """A cover outside the world pool scores, bit for bit, what public
+        ``js`` gives on its byte histogram against the model's."""
+        sc = synthetic_scenario(T=10, N=4, world_size=30, disjoint_world=True, seed=2)
+        codec = game._codec(sc.library, sc.N, 1)
+        edges = np.arange(257) - 0.5
+        for seed in range(3):
+            knowledge = game._knowledge(sc, AttackLevel.SCOA, codec, (), [])(0, 0, np.random.default_rng(seed))
+            adversary = SCOAHistogram(model_sample=8)
+            state = adversary.learn(knowledge)
+            model = state["memo"]["model_counts"]
+            model_dist = EmpiricalDistribution(edges, model / model.sum(), int(model.sum()))
+            for cid in sc.library.ids():
+                counts = np.bincount(np.frombuffer(sc.content_for(cid), dtype=np.uint8), minlength=256)
+                total = int(counts.sum())
+                expected = js(EmpiricalDistribution(edges, counts / total, total), model_dist)
+                assert adversary._outside_score(cid, state).hex() == expected.hex(), (seed, cid)
+
+    def test_empty_library_cover_fails_the_guess(self, tmp_path, make_covers):
+        """On a world pool disjoint from the library, a zero-byte library
+        cover has no byte histogram: a guess on a challenge that holds it
+        raises ``EmptySamples``, and the trial scores a miss, as a natural
+        label on that (always stego) challenge would."""
+        paths = make_covers(12)
+        paths[0].write_bytes(b"")
+        sc = _file_scenario(tmp_path, paths)
+        (empty,) = [cid for cid in sc.library.ids() if not sc.content_for(cid)]
+        raised = []
+
+        def play(on_empty):
+            adversary = SCOAHistogram()
+
+            def guess(challenge, state):
+                try:
+                    return SCOAHistogram.guess(adversary, challenge, state)
+                except EmptySamples:
+                    raised.append(challenge.ids)
+                    return on_empty()
+
+            adversary.guess = guess
+            return asdict(run_game(sc, adversary, AttackLevel.SCOA, trials=100, seed=1))
+
+        def reraise():
+            raise EmptySamples("no bytes")
+
+        missed = play(reraise)
+        assert raised and all(empty in ids for ids in raised)
+        assert play(lambda: game.LABEL_NATURAL) == missed
 
     @pytest.mark.parametrize("world_size", [48, 200])
     def test_memo_never_changes_an_answer(self, world_size):
@@ -1368,6 +1431,9 @@ GOLDEN = {
     'detection/histogram-scoa': [
         ('SCOA', 'detection', 100, 38, 0.38, 0.9939835121373183, 0.01, 'resists', 9, 62, None, None),
     ],
+    'detection/histogram-disjoint': [
+        ('SCOA', 'detection', 100, 55, 0.55, 0.18410080866334813, 0.01, 'resists', 9, 47, None, None),
+    ],
     'detection/replay-cca': [
         ('CCA', 'detection', 100, 95, 0.95, 6.26162256269268e-23, 0.01, 'broken', 4, 51, None, None),
     ],
@@ -1466,6 +1532,7 @@ def _golden_cases():
         ("membership-kca", small, KCAMembership(), K, 7),
         ("membership-acca-level", small, KCAMembership(), A, 8),
         ("histogram-scoa", small, hist(), S, 9),
+        ("histogram-disjoint", disjoint, hist(), S, 9),
         ("replay-cca", disjoint, CCAReplay(oracle_calls=3), C, 4),
         ("keyed-kca", keyed, KeyedRecovery(), K, 5),
         ("flaky-cca", disjoint, FlakyAdversary(), C, 6),
@@ -1518,6 +1585,7 @@ def test_golden_rows_keep_their_meaning():
     for name in ("random-scoa", "histogram-scoa"):
         for kind in ("detection", "recovery"):
             assert row[f"{kind}/{name}"][0]["verdict"] == VERDICT_RESISTS, (kind, name)
+    assert row["detection/histogram-disjoint"][0]["verdict"] == VERDICT_RESISTS
     assert {r["verdict"] for r in row["acca/random"]} == {VERDICT_RESISTS}
     assert row["detection/keyed-kca"][0]["verdict"] == VERDICT_BROKEN
     assert row["acca/membership-growing"][-1]["verdict"] == VERDICT_BROKEN

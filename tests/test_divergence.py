@@ -21,13 +21,11 @@ from stegogame.divergence import (
     EmpiricalDistribution,
     VERDICT_DISTINGUISHABLE,
     VERDICT_INDISTINGUISHABLE,
-    byte_counts,
     calibrate_epsilon,
     distinguishability_test,
     estimate_distribution,
     js,
     kl,
-    normalize_byte_counts,
     tv,
     w1,
 )
@@ -171,22 +169,6 @@ class TestEstimator:
         with pytest.raises(InvalidParams, match=f"n_samples must be at most {2**62}, got {2**62 + 1}"):
             EmpiricalDistribution([0.0, 1.0], [1.0], 2**62 + 1)
 
-    def test_byte_distribution(self):
-        d = normalize_byte_counts(byte_counts(bytes([0, 0, 255, 1])))
-        assert d.masses[0] == 0.5
-        assert d.masses[1] == 0.25
-        assert d.masses[255] == 0.25
-        assert d.n_samples == 4
-        with pytest.raises(EmptySamples):
-            normalize_byte_counts(byte_counts(b""))
-
-    def test_byte_counts_pool_before_normalizing(self):
-        a, b = bytes([0, 0, 255]), bytes([1, 255, 255, 255])
-        counts = byte_counts(a) + byte_counts(b)
-        assert np.array_equal(counts, byte_counts(a + b))
-        pooled = normalize_byte_counts(counts)
-        assert pooled.n_samples == 7 and pooled.masses[255] == 4 / 7
-        assert pooled.edges is normalize_byte_counts(byte_counts(a)).edges
 
 
 class TestMetricIdentities:

@@ -127,6 +127,16 @@ class TestManifest:
         with pytest.raises(MalformedFile):
             library_from_manifest(doc)
 
+    def test_duplicate_id_names_both_paths(self, file_library):
+        doc = library_to_manifest(file_library)
+        doc["covers"][1]["id"] = doc["covers"][0]["id"]
+        doc["covers"][1]["path"] = "twin.bin"
+        first = doc["covers"][0]["path"]
+        with pytest.raises(DuplicateCover) as exc:
+            library_from_manifest(doc)
+        assert exc.value.paths == (first, "twin.bin")
+        assert str(exc.value).endswith(f"({first!r} and 'twin.bin')")
+
     def test_rejects_bad_id(self, file_library):
         doc = library_to_manifest(file_library)
         doc["covers"][0]["id"] = "not-a-digest"

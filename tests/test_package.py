@@ -189,3 +189,34 @@ def test_string_path_is_used_only_by_itself():
                 or isinstance(node, ast.Attribute) and node.attr in STRING_PATH
             ]
     assert uses == []
+
+
+def _tracer_bindings() -> set[tuple[str, str]]:
+    """The (module, name) pairs of ``perfbench/tracer.py``'s BINDINGS, read from its source."""
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (rows,) = [
+        node.value.elts for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["BINDINGS"]
+    ]
+    return {(row.elts[0].value, row.elts[1].value) for row in rows}
+
+
+def test_unread_imports_are_tracer_bindings():
+    """A name that src/ imports under ``# noqa: F401`` and its module never
+    reads is there for perfbench/tracer.py to look up by name: each is a
+    (module, name) row of its BINDINGS, so dropping those rows makes the
+    imports a plain deletion."""
+    src = pathlib.Path(stegogame.__file__).parent
+    unread = set()
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        module = ".".join(("stegogame", *path.relative_to(src).with_suffix("").parts)).removesuffix(".__init__")
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                unread |= {(module, a.asname or a.name) for a in node.names} - {(module, r) for r in read}
+    assert ("stegogame.attackgame.adversaries", "js") in unread
+    assert sorted(unread - _tracer_bindings()) == []

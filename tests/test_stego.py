@@ -442,7 +442,7 @@ def test_value_types_compare_by_class():
     (lambda: StegoKey(0, -1), InvalidParams, "block length must be >= 0, got -1"),
     (lambda: StegoKey(0, 4.0), InvalidParams, "block length must be an integer, got 4.0"),
     (lambda: CoverLibrary((_E1,)), LibraryTooSmall, "need at least 2 covers, got 1"),
-    (lambda: CoverLibrary((_E1, _E1)), DuplicateCover, f"digest {'1' * 64}$"),
+    (lambda: CoverLibrary((_E1, _E1)), DuplicateCover, f"digest {'1' * 64} \\('a.bin' and 'a.bin'\\)$"),
     (lambda: CoverLibrary((_E2, _E1)), MalformedFile, "not in ascending digest order"),
 ])
 def test_value_types_validate_on_construction(build, error, text):
