@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import (
-    CoverReadError, InvalidConfig, MalformedFile, NotInLibrary, check_choice, check_int, check_real,
+    InvalidConfig, MalformedFile, NotInLibrary, check_choice, check_int, check_real,
     check_seed, check_shape,
 )
 from ..library import (
@@ -75,7 +75,7 @@ class Scenario:
             entry = self.library.lookup_entry(cover_id)
         except NotInLibrary:
             entry = self.world.lookup_entry(cover_id)  # NotInLibrary when in neither
-        return read_bytes(entry.path, "cover file", unreadable=CoverReadError)
+        return read_bytes(entry.path, "cover file")
 
 
 # the file names the world pool "world_pool"; content is read from the manifests

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout (compact, key-sorted, so seeded runs
-are byte-identical); human warnings go to stderr.  Exit codes: 0 success,
-1 domain error (JSON error object on stdout), 2 usage error.
+Handlers return their results, and :func:`dispatch` alone writes stdout and
+picks the exit code.  Machine-readable JSON goes to stdout (compact, key-sorted,
+so seeded runs are byte-identical); human warnings go to stderr.  Exit codes:
+0 success, 1 domain error (JSON error object on stdout), 2 usage error.
 
 The budget, divergence and attack handlers import their modules when they
 run, so the codec subcommands start without numpy.  Nothing loads scipy.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .bits import hex_digits_for, hex_to_int, int_to_hex
-from .errors import InvalidParams, MalformedFile, StegogameError
+from .errors import InvalidParams, MalformedFile, StegogameError, check_int
 from .library import build_library, load_manifest, read_text, save_manifest
 from .permcodec import capacity
 from .stego import Message, embed, extract, keygen, load_key, load_sequence, save_key, save_sequence
@@ -29,15 +30,6 @@ from .stego import Message, embed, extract, keygen, load_key, load_sequence, sav
 
 # parsed arguments that are not echoed in "params"; --seed is reported beside it
 _UNECHOED = ("subcommand", "handler", "seed", "timing")
-
-
-def _emit(args, result: dict, seed: int | None = None) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
-    report: dict = {"subcommand": args.subcommand, "tool_version": __version__, "params": params}
-    if seed is not None:
-        report["seed"] = seed
-    report.update(result)
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def _fields(report) -> dict:
@@ -48,37 +40,36 @@ def _fields(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its result for dispatch, "seed" None when unseeded
 
-def _cmd_build_library(args) -> int:
+def _cmd_build_library(args) -> dict:
     lib = build_library(args.paths)
     save_manifest(lib, args.output)
-    _emit(args, {"T": lib.T, "manifest": args.output})
-    return 0
+    return {"T": lib.T, "manifest": args.output}
 
 
-def _cmd_capacity(args) -> int:
+def _cmd_capacity(args) -> dict:
     from decimal import Decimal
 
     cap = capacity(args.T, args.N)
     # via Decimal: str(int) refuses more than sys.get_int_max_str_digits() digits
-    _emit(args, {"r": str(Decimal(cap.r)), "l": cap.l})
-    return 0
+    return {"r": str(Decimal(cap.r)), "l": cap.l}
 
 
-def _cmd_keygen(args) -> int:
+def _cmd_keygen(args) -> dict:
     if args.bits is not None:
         l = args.bits
     elif args.T is not None and args.N is not None:
         l = capacity(args.T, args.N).l
     else:
         raise InvalidParams("keygen needs either --bits or both -T and -N")
+    if args.seed is not None:  # random.Random(-s) draws what random.Random(s) does
+        check_int("seed", args.seed, 0)
     import random  # here, not at the top: only keygen draws, and secrets loads it too
 
     key = keygen(l, entropy=random.Random(args.seed) if args.seed is not None else None)
     save_key(key, args.output)
-    _emit(args, {"l": key.l, "key_file": args.output}, seed=args.seed)
-    return 0
+    return {"l": key.l, "key_file": args.output, "seed": args.seed}
 
 
 def _message_blocks(hexstr: str, l: int) -> list[int]:
@@ -96,7 +87,7 @@ def _block_path(base: str, index: int, total: int) -> Path:
     return p if total == 1 else p.with_name(f"{p.stem}.{index:03d}{p.suffix}")
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     lib = load_manifest(args.library)
     key = load_key(args.key)
     l = capacity(lib.T, args.N).l
@@ -104,20 +95,18 @@ def _cmd_embed(args) -> int:
     paths = [str(_block_path(args.output, i, len(blocks))) for i in range(len(blocks))]
     for value, path in zip(blocks, paths):
         save_sequence(embed(Message(value, l), key, lib, args.N), path)
-    _emit(args, {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l})
-    return 0
+    return {"sequences": paths, "blocks": len(blocks), "N": args.N, "l": l}
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> dict:
     lib = load_manifest(args.library)
     key = load_key(args.key)
     blocks = [extract(load_sequence(p), key, lib) for p in args.sequence]
     message = "".join(int_to_hex(m.value, m.l) for m in blocks)
-    _emit(args, {"message": message, "blocks": len(args.sequence), "l": key.l})
-    return 0
+    return {"message": message, "blocks": len(args.sequence), "l": key.l}
 
 
-def _cmd_budget(args) -> int:
+def _cmd_budget(args) -> dict:
     from .budget import coverage_report, max_safe_uses
 
     x_max = max_safe_uses(args.N, args.T, args.zeta)
@@ -126,10 +115,8 @@ def _cmd_budget(args) -> int:
     if not report.published_in_range:
         print(f"warning: closed-form coverage value {report.p_published} lies outside [0,1]; "
               "trust p_exact", file=sys.stderr)
-    result = _fields(report)
-    result.update({"zeta": args.zeta, "x_max": x_max})
-    _emit(args, result, seed=args.seed if args.mc_trials is not None else None)
-    return 0
+    return {**_fields(report), "zeta": args.zeta, "x_max": x_max,
+            "seed": args.seed if args.mc_trials is not None else None}
 
 
 def _read_samples(path: str) -> list[float]:
@@ -145,7 +132,7 @@ def _read_samples(path: str) -> list[float]:
     return samples
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args) -> dict:
     from .divergence import calibrate_epsilon, distinguishability_test
 
     a = _read_samples(args.a)
@@ -164,12 +151,11 @@ def _cmd_divergence(args) -> int:
     if not args.timing:
         # wall-clock noise would break byte-identical reruns
         del result["elapsed"]
-    result["epsilon_mode"] = mode
-    _emit(args, result, seed=args.seed if mode == "auto" else None)
-    return 0
+    result.update(epsilon_mode=mode, seed=args.seed if mode == "auto" else None)
+    return result
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> dict:
     from .attackgame import AttackLevel, acca_loop, make_adversary, message_recovery_game, run_game
     from .attackgame.scenario import load_scenario
 
@@ -190,8 +176,7 @@ def _cmd_attack(args) -> int:
     else:
         game = message_recovery_game if args.game == "recovery" else run_game
         result = _fields(game(scenario, adversary, level, args.trials, args.seed, alpha=args.alpha))
-    _emit(args, result, seed=args.seed)
-    return 0
+    return {**result, "seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +264,14 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except StegogameError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True, separators=(",", ":")))
         return 1
+    params = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+    report = {"subcommand": args.subcommand, "tool_version": __version__, "params": params, **result}
+    print(json.dumps({k: v for k, v in report.items() if v is not None}, sort_keys=True, separators=(",", ":")))
+    return 0
 
 
 def main() -> None:

@@ -42,7 +42,7 @@ class DuplicateCover(StegogameError):
 
 
 class CoverReadError(StegogameError):
-    """A cover file, or the manifest that lists covers, could not be read."""
+    """Any input file (cover, manifest, key, sequence, scenario or samples) could not be read."""
 
     code = "IoError"
 

@@ -13,12 +13,11 @@ import json
 import os
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError, DuplicateCover, FileWriteError, LibraryTooSmall, MalformedFile, NotInLibrary,
-    Record, StegogameError, show,
+    Record, show,
 )
 
 # CoverId is the lowercase-hex SHA-256 of the cover's bytes (32 bytes, 64 hex chars).
@@ -105,9 +104,6 @@ def build_library(paths: list[str | os.PathLike]) -> CoverLibrary:
     library whatever order the paths come in.  Hashing runs serially: for
     covers of a few KiB a thread pool costs more to start than it saves.
     """
-    paths = list(paths)
-    if len(paths) < 2:
-        raise LibraryTooSmall(f"need at least 2 cover files, got {len(paths)}")
     hashed = ((str(path), *hash_file(path)) for path in paths)
     entries = sorted(
         (CoverEntry(id=digest, path=path, nbytes=size) for path, digest, size in hashed),
@@ -151,29 +147,24 @@ def save_manifest(lib: CoverLibrary, path: str | os.PathLike) -> None:
 
 
 def load_manifest(path: str | os.PathLike) -> CoverLibrary:
-    return library_from_manifest(read_json(path, "manifest", unreadable=CoverReadError))
+    return library_from_manifest(read_json(path, "manifest"))
 
 
 # ---------------------------------------------------------------------------
 # input and output files
 
-_Unreadable = Callable[[str, str, str], StegogameError]  # (path, reason, what) -> error
-
-
-def read_bytes(path: str | os.PathLike, what: str, unreadable: _Unreadable | None = None) -> bytes:
-    """The bytes of the ``what`` file at ``path``.  One that cannot be read, a
-    NUL byte in its path included, raises ``unreadable`` or MalformedFile."""
+def read_bytes(path: str | os.PathLike, what: str) -> bytes:
+    """The bytes of any input file, the ``what`` file at ``path``.  One that
+    cannot be read, a NUL byte in its path included, raises CoverReadError."""
     try:
         return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        if unreadable is not None:
-            raise unreadable(str(path), str(exc), what) from exc
-        raise MalformedFile(f"cannot read {what} {path}: {exc}") from exc
+        raise CoverReadError(str(path), str(exc), what) from exc
 
 
 def read_text(path: str | os.PathLike, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``; MalformedFile when it
-    cannot be read or is not UTF-8."""
+    """The UTF-8 text of the ``what`` file at ``path``; unreadable as in
+    :func:`read_bytes`, and MalformedFile when it is not UTF-8."""
     data = read_bytes(path, what)
     try:
         return data.decode("utf-8")
@@ -181,12 +172,11 @@ def read_text(path: str | os.PathLike, what: str) -> str:
         raise MalformedFile(f"{what} {path} is not UTF-8 text ({exc})") from exc
 
 
-def read_json(path: str | os.PathLike, what: str, unreadable: _Unreadable | None = None):
-    """The JSON document in the ``what`` file at ``path``; unreadable as in
-    :func:`read_bytes`, and MalformedFile when it is not UTF-8 JSON."""
-    data = read_bytes(path, what, unreadable)
-    try:
-        return json.loads(data.decode("utf-8"))
+def read_json(path: str | os.PathLike, what: str):
+    """The JSON document in the ``what`` file at ``path``; as :func:`read_text`,
+    and MalformedFile when it is not JSON."""
+    try:  # read_text raises no ValueError: a non-UTF-8 file is MalformedFile already
+        return json.loads(read_text(path, what))
     except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
         raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
 

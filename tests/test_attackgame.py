@@ -309,7 +309,7 @@ class TestScenario:
 
     def test_undecodable_scenario_refused(self, tmp_path):
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
-        with pytest.raises(MalformedFile, match="not valid JSON"):
+        with pytest.raises(MalformedFile, match="not UTF-8 text"):
             load_scenario(tmp_path / "scen.json")
 
 

@@ -171,13 +171,33 @@ class TestFileRoundTrip:
         run_cli(capsys, "keygen", "--bits", "16", "--seed", "3", "-o", str(p2))
         assert p1.read_text() == p2.read_text()
 
+    def test_keygen_negative_seed_refused(self, tmp_path, capsys):
+        """random.Random(-5) draws what random.Random(5) does, so a negative
+        seed would alias a positive one's key; it is refused, and no key file
+        is written.  A seed past 2**128 still keys a draw."""
+        key = tmp_path / "neg.txt"
+        code, out, err = run_cli(capsys, "keygen", "--bits", "16", "--seed", "-5", "-o", str(key))
+        assert (code, err) == (1, "")
+        assert parse(out) == {"error": "InvalidParams", "detail": "seed must be >= 0, got -5"}
+        assert not key.exists()
+        big = str(2**200 + 5)
+        code, out, _ = run_cli(capsys, "keygen", "--bits", "16", "--seed", big, "-o", str(key))
+        assert code == 0 and parse(out)["seed"] == 2**200 + 5
+        assert key.read_text().startswith("l=16\n")
 
-# The codec's seeded bytes over six "golden" covers: keygen's stdout and key
-# file, embed's stdout and the SHA-256 of each sequence file it writes, and
-# extract's stdout.  The four-block embed repeats "2f", which gives seq.json's
-# bytes each time.  At T = 6, N = 5 and N = 6 both give l = 9, so one key
-# decodes a sequence of each length in one extract.
+
+# The codec's seeded bytes over six "golden" covers: build-library's stdout and
+# the SHA-256 of its manifest, keygen's stdout and key file, embed's stdout and
+# the SHA-256 of each sequence file it writes, and extract's stdout.  The
+# four-block embed repeats "2f", which gives seq.json's bytes each time.  At
+# T = 6, N = 5 and N = 6 both give l = 9, so one key decodes a sequence of each
+# length in one extract.  An unseeded keygen reports no seed at all.
 GOLDEN_CODEC = [
+    (("build-library", *(f"golden{i}.bin" for i in range(6)), "-o", "lib.json"),
+     '{"T":6,"manifest":"lib.json","params":{"output":"lib.json","paths":["golden0.bin",'
+     '"golden1.bin","golden2.bin","golden3.bin","golden4.bin","golden5.bin"]},'
+     '"subcommand":"build-library","tool_version":"0.1.0"}\n',
+     {"lib.json": "a4197ef2857bbbca48b3122e731db7e946843c172455057da7bed764f1b8e655"}),
     (("keygen", "-T", "6", "-N", "3", "--seed", "42", "-o", "key.txt"),
      '{"key_file":"key.txt","l":6,"params":{"N":3,"T":6,"bits":null,"output":"key.txt"},'
      '"seed":42,"subcommand":"keygen","tool_version":"0.1.0"}\n',
@@ -220,18 +240,36 @@ GOLDEN_CODEC = [
     (("extract", "-s", "n5.json", "-s", "n6.json", "-k", "key9.txt", "-x", "lib.json"),
      '{"blocks":2,"l":9,"message":"1a50c3","params":{"key":"key9.txt","library":"lib.json",'
      '"sequence":["n5.json","n6.json"]},"subcommand":"extract","tool_version":"0.1.0"}\n', {}),
+    (("keygen", "--bits", "8", "-o", "k8.txt"),
+     '{"key_file":"k8.txt","l":8,"params":{"N":null,"T":null,"bits":8,"output":"k8.txt"},'
+     '"subcommand":"keygen","tool_version":"0.1.0"}\n', {}),
 ]
 
 
 def test_golden_codec_bytes(tmp_path, monkeypatch, make_covers, capsys):
     """Each step's stdout and the files it writes, run in order."""
     monkeypatch.chdir(tmp_path)
-    assert run_cli(capsys, "build-library", *map(str, make_covers(6, tag="golden")), "-o", "lib.json")[0] == 0
+    make_covers(6, tag="golden")
     for argv, stdout, files in GOLDEN_CODEC:
         assert run_cli(capsys, *argv) == (0, stdout, ""), argv
         for name, expected in files.items():
             data = Path(name).read_bytes()
             assert (data.decode() if name.startswith("key") else hashlib.sha256(data).hexdigest()) == expected
+
+
+# capacity's stdout, in full or, past the 4,300-digit str limit, by SHA-256
+GOLDEN_CAPACITY = {
+    ("-T", "6", "-N", "3"):
+        '{"l":6,"params":{"N":3,"T":6},"r":"120","subcommand":"capacity","tool_version":"0.1.0"}\n',
+    ("-T", "3000", "-N", "2000"): "84f15e11b43cc5b904c10b7659af06ce36f170ef44dda412e3f3037ac57c69c7",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CAPACITY))
+def test_golden_capacity_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, "capacity", *argv)
+    assert (code, err) == (0, "")
+    assert GOLDEN_CAPACITY[argv] in (out, hashlib.sha256(out.encode()).hexdigest())
 
 
 @pytest.mark.parametrize("message, N, golden", [
@@ -608,6 +646,16 @@ GOLDEN_ATTACK = {
         '"rounds":null,"scenario":"scen.json","scheme":"coverless","trials":100},"seed":4,'
         '"sequences":100,"subcommand":"attack","success_rate":0.013333333333333334,'
         '"successes":8,"tool_version":"0.1.0","trials":600,"verdict":"resists"}\n',
+    ),
+    # the first round breaks the scheme, so the second of two never runs
+    ("--level", "acca", "--adversary", "cca-replay", "--trials", "100"): (
+        {"observations": 1, "oracle_embed_budget": 1, "rounds": 2},
+        '{"broken":true,"params":{"adversary":"cca-replay","alpha":0.01,"game":"detection",'
+        '"level":"acca","rounds":null,"scenario":"scen.json","scheme":"coverless","trials":100},'
+        '"rounds":[{"alpha":0.01,"kind":"detection","level":"ACCA","p_value":1.3513812610243944e-10,'
+        '"round_index":0,"seed":4,"stego_challenges":52,"success_rate":0.81,"successes":81,'
+        '"trials":100,"verdict":"broken"}],"rounds_run":1,"seed":4,"subcommand":"attack",'
+        '"tool_version":"0.1.0"}\n',
     ),
 }
 

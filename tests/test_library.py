@@ -165,26 +165,25 @@ class TestManifest:
 
 
 # every reader of an input file (``_read_samples`` reads ``divergence -a`` and
-# ``-b``), and the error it raises for a file it cannot open; one that is not
-# UTF-8 is MalformedFile for all of them
+# ``-b``); one rule for all of them: CoverReadError (IoError) for a file that
+# cannot be opened, MalformedFile for one that is not UTF-8
 READERS = {
-    "load_key": (load_key, MalformedFile),
-    "load_sequence": (load_sequence, MalformedFile),
-    "load_manifest": (load_manifest, CoverReadError),
-    "load_scenario": (load_scenario, MalformedFile),
-    "divergence -a": (_read_samples, MalformedFile),
+    "load_key": load_key,
+    "load_sequence": load_sequence,
+    "load_manifest": load_manifest,
+    "load_scenario": load_scenario,
+    "divergence -a": _read_samples,
 }
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "nul"])
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_reader_raises_its_typed_error(tmp_path, reader, case):
-    load, unreadable = READERS[reader]
     (tmp_path / "noise.bin").write_bytes(b"\xff\xfe\x80{}")
     name = {"missing": "ghost.json", "directory": "", "non-utf8": "noise.bin", "nul": "a\x00b"}
     with pytest.raises(StegogameError) as exc:
-        load(str(tmp_path / name[case]))
-    assert type(exc.value) is (MalformedFile if case == "non-utf8" else unreadable)
+        READERS[reader](str(tmp_path / name[case]))
+    assert type(exc.value) is (MalformedFile if case == "non-utf8" else CoverReadError)
 
 
 

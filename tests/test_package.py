@@ -12,6 +12,7 @@ compute with them.
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -173,18 +174,23 @@ STRING_PATH = {
 }
 
 
+def _src_trees():
+    """(path relative to the package, parsed module) for every file in src/."""
+    src = pathlib.Path(stegogame.__file__).parent
+    return [(path.relative_to(src), ast.parse(path.read_text())) for path in sorted(src.rglob("*.py"))]
+
+
 def test_string_path_is_used_only_by_itself():
     """No code in src/ outside the string helpers names one of them, so
     removing them all is a plain deletion.  An import names them in alias
     nodes, not in names or attributes, so imports pass."""
-    src = pathlib.Path(stegogame.__file__).parent
     uses = []
-    for path in sorted(src.rglob("*.py")):
-        for top in ast.parse(path.read_text()).body:
+    for path, tree in _src_trees():
+        for top in tree.body:
             if isinstance(top, ast.FunctionDef) and top.name in STRING_PATH:
                 continue
             uses += [
-                f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
+                f"{path}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(top)
                 if isinstance(node, ast.Name) and node.id in STRING_PATH
                 or isinstance(node, ast.Attribute) and node.attr in STRING_PATH
             ]
@@ -220,3 +226,42 @@ def test_unread_imports_are_tracer_bindings():
                 unread |= {(module, a.asname or a.name) for a in node.names} - {(module, r) for r in read}
     assert ("stegogame.attackgame.adversaries", "js") in unread
     assert sorted(unread - _tracer_bindings()) == []
+
+
+def test_bound_and_choice_refusals_said_once():
+    """check_int's ``high`` and check_choice word every upper-bound and choice
+    refusal; a raise elsewhere in src/ that words its own fails here."""
+    bad = [
+        f"{path}:{node.lineno}: {ast.unparse(node)}"
+        for path, tree in _src_trees() if path != pathlib.Path("errors.py")
+        for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        and re.search("must be at most|choose from|must be one of", ast.unparse(node))
+    ]
+    assert bad == []
+
+
+def test_dispatch_alone_writes_stdout():
+    """Every ``print`` in src/ that has no ``file=`` lies inside
+    ``cli.dispatch``, and every ``_cmd_*`` handler returns its result as a
+    dict for dispatch to report."""
+    trees = _src_trees()
+    (dispatch,) = [
+        node for path, tree in trees if path == pathlib.Path("cli.py") for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "dispatch"
+    ]
+    allowed = set(map(id, ast.walk(dispatch)))
+    writers = [
+        f"{path}:{node.lineno}: {ast.unparse(node)}" for path, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+        and not any(k.arg == "file" for k in node.keywords) and id(node) not in allowed
+    ]
+    assert writers == []
+    handlers = [
+        node for _, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 8
+    for fn in handlers:
+        returns = [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert ast.unparse(fn.returns) == "dict" and returns, fn.name
+        assert all(isinstance(r.value, (ast.Dict, ast.Name)) for r in returns), fn.name

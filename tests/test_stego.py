@@ -11,6 +11,7 @@ from helpers import (
     mem_library,
 )
 from stegogame.errors import (
+    CoverReadError,
     DuplicateCover,
     EntropyUnavailable,
     InvalidArrangement,
@@ -348,7 +349,7 @@ class TestKeyFile:
             load_key(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MalformedFile):
+        with pytest.raises(CoverReadError, match="cannot read key file"):
             load_key(tmp_path / "ghost.txt")
 
 
