@@ -54,7 +54,7 @@ def hash_file(path: str | os.PathLike) -> tuple[CoverId, int]:
                 digest.update(chunk)
             return digest.hexdigest(), fh.tell()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise CoverReadError(str(path), reason=str(exc)) from exc
+        raise CoverReadError(str(path), reason=_reason(exc)) from exc
 
 
 class CoverEntry(Record):
@@ -153,13 +153,18 @@ def load_manifest(path: str | os.PathLike) -> CoverLibrary:
 # ---------------------------------------------------------------------------
 # input and output files
 
+def _reason(exc: OSError | ValueError) -> str:
+    """Why a file could not be opened, without its path: an OSError's strerror."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def read_bytes(path: str | os.PathLike, what: str) -> bytes:
     """The bytes of any input file, the ``what`` file at ``path``.  One that
     cannot be read, a NUL byte in its path included, raises CoverReadError."""
     try:
         return Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise CoverReadError(str(path), str(exc), what) from exc
+        raise CoverReadError(str(path), _reason(exc), what) from exc
 
 
 def read_text(path: str | os.PathLike, what: str) -> str:
@@ -178,7 +183,7 @@ def read_json(path: str | os.PathLike, what: str):
     try:  # read_text raises no ValueError: a non-UTF-8 file is MalformedFile already
         return json.loads(read_text(path, what))
     except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
-        raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+        raise MalformedFile(f"{what} {path} is not valid JSON ({exc})") from exc
 
 
 def write_text(text: str, path: str | os.PathLike, what: str) -> None:
@@ -187,7 +192,7 @@ def write_text(text: str, path: str | os.PathLike, what: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise FileWriteError(str(path), what, str(exc)) from exc
+        raise FileWriteError(str(path), what, _reason(exc)) from exc
 
 
 def write_json(doc, path: str | os.PathLike, what: str) -> None:

@@ -19,7 +19,9 @@ Game payloads are the top l bits of their own raw Philox words, read as
 one binary string, and game observations are embedded at once.
 Monte-Carlo blocks mark each draw's N smallest cells through
 ``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
-law of the covers still unseen comes from stepping its chain in rationals.
+law of the covers still unseen comes from stepping its chain in rationals;
+the occupancy chain's reference draws every use's single trials in one
+array call to ``Generator.hypergeometric``.
 The best detector's exact rate is 1/2 + TV/2 between the two laws of what it
 sees, each law counted over every arrangement from itertools enumeration, or,
 for the count of a challenge's ids seen in earlier uses, summed by
@@ -36,6 +38,7 @@ from math import comb
 import numpy as np
 
 from stegogame.bits import xor_bits
+from stegogame.budget import _hit_row
 from stegogame.divergence import STREAM_RUNS, EmpiricalDistribution
 from stegogame.errors import LengthMismatch, NotInLibrary
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
@@ -139,6 +142,29 @@ def unseen_law_reference(x: int, N: int, T: int) -> dict[int, Fraction]:
                 )
         law = step
     return law
+
+
+def occupancy_reference(x: int, N: int, T: int, trials: int, seed: int):
+    """``budget._occupancy`` with each use's single trials, those at a state
+    with no more trials than its hit row has cells, drawn in one array call."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    states, counts = np.array([T], dtype=np.int64), np.array([trials], dtype=np.int64)
+    for _ in range(x):
+        if states[0] == 0 and counts[0] == trials:
+            break
+        pooled = counts > np.minimum(N, states) - np.maximum(0, N - T + states) + 1
+        next_states, next_counts = [], []
+        for u, c in zip(states[pooled].tolist(), counts[pooled].tolist()):
+            k, p = _hit_row(u, N, T)
+            next_states.append(u - k)
+            next_counts.append(gen.multinomial(c, p))
+        single = np.repeat(states[~pooled], counts[~pooled])
+        next_states.append(single - gen.hypergeometric(single, T - single, N))
+        next_counts.append(np.ones_like(single))
+        states, where = np.unique(np.concatenate(next_states), return_inverse=True)
+        counts = np.zeros_like(states)
+        np.add.at(counts, where, np.concatenate(next_counts))
+    return states, counts
 
 
 def best_detection_rate(stego: Counter, natural: Counter) -> Fraction:

@@ -13,6 +13,7 @@ from helpers import (
     coverage_report_reference,
     max_safe_uses_reference,
     mc_block_reference,
+    occupancy_reference,
     smallest_mask_reference,
     unseen_law_reference,
 )
@@ -339,6 +340,65 @@ class TestMonteCarlo:
         assert int(states @ counts) == unseen
         p = covered / trials
         assert pr_coverage_mc(x, N, T, trials, seed) == (p, sqrt(p * (1 - p) / trials))
+
+    # (x, N, T, trials): no single state, then few single states a use, drawn one
+    # call each, then more than budget._SCALAR_SINGLES in some uses, drawn in one call
+    REFERENCE_GRID = [
+        (3, 2, 5, 30000), (4, 3, 6, 100000), (10, 5, 5, 100), (5, 19, 20, 2**62),
+        (6, 3, 10, 20000), (8, 2, 16, 777), (14, 4, 20, 10**15), (40, 8, 64, 512), (40, 8, 64, 8192),
+        (30, 20, 200, 600), (12, 5000, 10000, 4096), (12, 5000, 10000, 150000), (6, 5000, 10000, 10**15),
+    ]
+
+    @staticmethod
+    def _counting_hypergeometric(monkeypatch):
+        """Patch numpy's Generator so that each ``hypergeometric`` call is
+        recorded: "scalar" for one state's call, else the array's length."""
+        calls, real = [], np.random.Generator
+
+        def hypergeometric(self, ngood, nbad, nsample, size=None):
+            calls.append("scalar" if np.ndim(ngood) == 0 else len(ngood))
+            return real.hypergeometric(self, ngood, nbad, nsample, size)
+
+        monkeypatch.setattr(np.random, "Generator", type("Counting", (real,), {"hypergeometric": hypergeometric}))
+        return calls
+
+    def test_occupancy_matches_the_array_call_reference(self, monkeypatch):
+        """State for state and count for count, the chain draws as the reference
+        that draws every use's single trials in one array call, on a grid whose
+        uses draw them by no call, by one call per state, and by one array call."""
+        calls = self._counting_hypergeometric(monkeypatch)
+        drawn = {}
+        for x, N, T, trials in self.REFERENCE_GRID:
+            for seed in (0, 7) if T < 1000 else (3,):  # the wide points take about 0.5 s a run
+                calls.clear()
+                states, counts = budget._occupancy(x, N, T, trials, seed)
+                drawn[x, N, T, trials, seed] = list(calls)
+                expected = occupancy_reference(x, N, T, trials, seed)
+                assert (states.tolist(), counts.tolist()) == (expected[0].tolist(), expected[1].tolist()), (x, N, T)
+                assert states.dtype == counts.dtype == np.int64
+        assert drawn[3, 2, 5, 30000, 0] == drawn[5, 19, 20, 2**62, 7] == []
+        assert set(drawn[40, 8, 64, 8192, 0]) == {"scalar"}
+        assert any(c != "scalar" for c in drawn[30, 20, 200, 600, 0])
+        for run in drawn.values():  # an array call draws for more states than the crossover
+            assert all(c == "scalar" or c > budget._SCALAR_SINGLES for c in run)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_calls_draw_as_one_array_call(self, data):
+        """numpy's ``hypergeometric(u, T - u, N, size=c)`` per state, in
+        ascending u, draws the values of one call over the states repeated c
+        times, and leaves Philox at the same word."""
+        T = data.draw(st.integers(1, 10**9 - 1))
+        N = data.draw(st.integers(1, T))
+        us = sorted(data.draw(st.sets(st.integers(0, T), min_size=1, max_size=16)))
+        cs = data.draw(st.lists(st.integers(1, 6), min_size=len(us), max_size=len(us)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        one, each = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+        single = np.repeat(np.array(us, dtype=np.int64), cs)
+        expected = one.hypergeometric(single, T - single, N)
+        got = np.concatenate([each.hypergeometric(u, T - u, N, size=c) for u, c in zip(us, cs)])
+        assert got.tolist() == expected.tolist()
+        assert each.bit_generator.random_raw() == one.bit_generator.random_raw()
 
     @pytest.mark.parametrize("levels", [2, 3, 8])
     @pytest.mark.parametrize("N", [1, 2, 4, 7, 8])

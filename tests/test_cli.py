@@ -122,6 +122,15 @@ class TestFileRoundTrip:
         # l=6 needs two hex digits per block
         assert code == 1
 
+    def test_missing_key_file_names_its_path_once(self, workspace, capsys, monkeypatch):
+        tmp_path, lib_path, _ = workspace
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "embed", "-m", "2f", "-k", "ghost.txt", "-x", str(lib_path),
+                                 "-N", "3", "-o", "out.json")
+        assert code == 1
+        assert parse(out) == {"error": "IoError", "detail": "cannot read key file 'ghost.txt': No such file or directory"}
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("reader", ["embed -k", "extract -s", "divergence -a"])
     def test_non_utf8_file_refused(self, workspace, capsys, reader):
         tmp_path, lib_path, key_path = workspace
@@ -728,6 +737,9 @@ class TestAttackCommand:
         )
         assert code == 1
         assert parse(out)["error"] == "IoError"
+        paths = {repr(cover["path"]) for cover in world["covers"]}
+        detail = parse(out)["detail"].removeprefix("cannot read cover file ")
+        assert detail.removesuffix(": No such file or directory") in paths
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -52,14 +52,18 @@ def test_hash_file_past_its_read_chunks(tmp_path):
 
 
 def test_hash_file_missing(tmp_path):
+    # the path once, then the OS's reason without it
     with pytest.raises(CoverReadError) as exc:
         hash_file(tmp_path / "nope.bin")
     assert exc.value.code == "IoError"
+    assert str(exc.value) == f"cannot read cover file {str(tmp_path / 'nope.bin')!r}: No such file or directory"
 
 
 def test_hash_file_nul_in_path(tmp_path):
-    with pytest.raises(CoverReadError):
-        hash_file(tmp_path / "nul\x00.bin")
+    path = tmp_path / "nul\x00.bin"
+    with pytest.raises(CoverReadError) as exc:
+        hash_file(path)
+    assert str(exc.value) == f"cannot read cover file {str(path)!r}: embedded null byte"
 
 
 class TestBuildLibrary:
@@ -166,7 +170,13 @@ class TestManifest:
 
 # every reader of an input file (``_read_samples`` reads ``divergence -a`` and
 # ``-b``); one rule for all of them: CoverReadError (IoError) for a file that
-# cannot be opened, MalformedFile for one that is not UTF-8
+# cannot be opened, MalformedFile for one that is not UTF-8 or, read as JSON,
+# not JSON; each detail names the kind of file and its path once
+WHAT = {"load_key": "key file", "load_sequence": "sequence file", "load_manifest": "manifest",
+        "load_scenario": "scenario", "divergence -a": "samples file"}
+# the OS's reason for each file that cannot be opened or written
+REASON = {"missing": "No such file or directory", "missing directory": "No such file or directory",
+          "directory": "Is a directory", "nul": "embedded null byte"}
 READERS = {
     "load_key": load_key,
     "load_sequence": load_sequence,
@@ -181,9 +191,23 @@ READERS = {
 def test_reader_raises_its_typed_error(tmp_path, reader, case):
     (tmp_path / "noise.bin").write_bytes(b"\xff\xfe\x80{}")
     name = {"missing": "ghost.json", "directory": "", "non-utf8": "noise.bin", "nul": "a\x00b"}
+    path = str(tmp_path / name[case])
     with pytest.raises(StegogameError) as exc:
-        READERS[reader](str(tmp_path / name[case]))
+        READERS[reader](path)
     assert type(exc.value) is (MalformedFile if case == "non-utf8" else CoverReadError)
+    if case == "non-utf8":
+        assert str(exc.value).startswith(f"{WHAT[reader]} {path} is not UTF-8 text (")
+    else:
+        assert str(exc.value) == f"cannot read {WHAT[reader]} {path!r}: {REASON[case]}"
+
+
+@pytest.mark.parametrize("reader", ["load_manifest", "load_scenario", "load_sequence"])
+def test_json_reader_names_its_file(tmp_path, reader):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(MalformedFile) as exc:
+        READERS[reader](str(path))
+    assert str(exc.value).startswith(f"{WHAT[reader]} {path} is not valid JSON (Expecting property name")
 
 
 
@@ -203,3 +227,4 @@ def test_writer_raises_file_write_error(tmp_path, writer, case):
         WRITERS[writer](str(tmp_path / name))
     assert exc.value.code == "IoError"
     assert str(exc.value).startswith("cannot write ")
+    assert str(exc.value).endswith(f" {str(tmp_path / name)!r}: {REASON[case]}")
