@@ -152,16 +152,13 @@ def _hit_row(u: int, N: int, T: int):
     return np.arange(lo, hi + 1), row / fsum(row.tolist())
 
 
-_SCALAR_SINGLES = 12  # the most single states drawn one call each: past it one array call, checked ~30 us, is faster
-
-
 def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
     """Sorted distinct unseen counts after x uses, and the trials at each (some
     may be 0): the c trials at a state move by one multinomial over its hit
     row if the row has fewer than c cells, else by one hypergeometric draw each,
-    after the multinomials and in ascending u: one ``hypergeometric(u, T - u, N,
-    size=c)`` call a state up to ``_SCALAR_SINGLES`` such states, else one array
-    call for all of them, which draws the same values but costs numpy's checks."""
+    after the multinomials and in ascending u, one scalar ``hypergeometric(u,
+    T - u, N, size=c)`` call a state: it draws what one array call over the
+    repeated states would, without numpy's ~30 us of array checks."""
     import numpy as np  # deferred: only the Monte-Carlo route computes with numpy
 
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -177,14 +174,9 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
             next_states.append(u - k)
             next_counts.append(gen.multinomial(c, p))
         live = ~pooled & (counts > 0)
-        if np.count_nonzero(live) > _SCALAR_SINGLES:
-            single = np.repeat(states[live], counts[live])
-            next_states.append(single - gen.hypergeometric(single, T - single, N))
-            next_counts.append(np.ones_like(single))
-        else:
-            times = counts[live].tolist()
-            next_states += [u - gen.hypergeometric(u, T - u, N, size=c) for u, c in zip(states[live].tolist(), times)]
-            next_counts.append(np.ones(sum(times), dtype=np.int64))
+        times = counts[live].tolist()
+        next_states += [u - gen.hypergeometric(u, T - u, N, size=c) for u, c in zip(states[live].tolist(), times)]
+        next_counts.append(np.ones(sum(times), dtype=np.int64))
         states, where = np.unique(np.concatenate(next_states), return_inverse=True)
         counts = np.zeros_like(states)
         np.add.at(counts, where, np.concatenate(next_counts))

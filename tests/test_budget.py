@@ -341,8 +341,8 @@ class TestMonteCarlo:
         p = covered / trials
         assert pr_coverage_mc(x, N, T, trials, seed) == (p, sqrt(p * (1 - p) / trials))
 
-    # (x, N, T, trials): no single state, then few single states a use, drawn one
-    # call each, then more than budget._SCALAR_SINGLES in some uses, drawn in one call
+    # (x, N, T, trials): no single state, then single states drawn one call each,
+    # from a few a run to hundreds in the wide rows at T = 10000
     REFERENCE_GRID = [
         (3, 2, 5, 30000), (4, 3, 6, 100000), (10, 5, 5, 100), (5, 19, 20, 2**62),
         (6, 3, 10, 20000), (8, 2, 16, 777), (14, 4, 20, 10**15), (40, 8, 64, 512), (40, 8, 64, 8192),
@@ -351,12 +351,12 @@ class TestMonteCarlo:
 
     @staticmethod
     def _counting_hypergeometric(monkeypatch):
-        """Patch numpy's Generator so that each ``hypergeometric`` call is
-        recorded: "scalar" for one state's call, else the array's length."""
+        """Patch numpy's Generator so that each ``hypergeometric`` call records
+        whether its parameters were scalars."""
         calls, real = [], np.random.Generator
 
         def hypergeometric(self, ngood, nbad, nsample, size=None):
-            calls.append("scalar" if np.ndim(ngood) == 0 else len(ngood))
+            calls.append(np.ndim(ngood) == np.ndim(nbad) == np.ndim(nsample) == 0)
             return real.hypergeometric(self, ngood, nbad, nsample, size)
 
         monkeypatch.setattr(np.random, "Generator", type("Counting", (real,), {"hypergeometric": hypergeometric}))
@@ -365,7 +365,8 @@ class TestMonteCarlo:
     def test_occupancy_matches_the_array_call_reference(self, monkeypatch):
         """State for state and count for count, the chain draws as the reference
         that draws every use's single trials in one array call, on a grid whose
-        uses draw them by no call, by one call per state, and by one array call."""
+        runs draw no single state, a few, and hundreds; every call it makes
+        has scalar parameters."""
         calls = self._counting_hypergeometric(monkeypatch)
         drawn = {}
         for x, N, T, trials in self.REFERENCE_GRID:
@@ -377,10 +378,8 @@ class TestMonteCarlo:
                 assert (states.tolist(), counts.tolist()) == (expected[0].tolist(), expected[1].tolist()), (x, N, T)
                 assert states.dtype == counts.dtype == np.int64
         assert drawn[3, 2, 5, 30000, 0] == drawn[5, 19, 20, 2**62, 7] == []
-        assert set(drawn[40, 8, 64, 8192, 0]) == {"scalar"}
-        assert any(c != "scalar" for c in drawn[30, 20, 200, 600, 0])
-        for run in drawn.values():  # an array call draws for more states than the crossover
-            assert all(c == "scalar" or c > budget._SCALAR_SINGLES for c in run)
+        assert len(drawn[12, 5000, 10000, 4096, 3]) > 500
+        assert all(all(run) for run in drawn.values())
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -10,9 +10,7 @@ goldens that depend on it.  It explains such a failure and skips nothing.
 
 Each draw has the shape of a call in ``src/``, at a fixed Philox key, and is
 pinned by the first 16 hex digits of the SHA-256 of its dtype, shape and
-bytes.  ``hypergeometric`` is pinned in both forms that ``budget._occupancy``
-calls: array parameters, and scalar ones with a ``size``, which numpy
-checks and loops over apart from the array form.
+bytes.
 
 A detection challenge reads its coin from a raw Philox word as numpy's
 ``integers(0, 2)`` would.  Up to ``game._FLOYD_N`` natural picks,
@@ -73,19 +71,14 @@ SAMPLERS = {
     ),
     "hypergeometric": (
         105,
-        lambda gen: [gen.hypergeometric(np.array([20, 17, 9, 3]), np.array([0, 3, 11, 17]), 4)],
-        "3a6c8f9264cfb26d",
+        # one state's single trials, as budget._occupancy draws them, then the
+        # array form of the tests' reference chain (tests/helpers.py occupancy_reference)
+        lambda gen: [gen.hypergeometric(13, 7, 4, size=5), gen.hypergeometric(0, 20, 4, size=1),
+                     gen.hypergeometric(5000, 5000, 5000, size=3),
+                     gen.hypergeometric(np.array([20, 17, 9, 3]), np.array([0, 3, 11, 17]), 4)],
+        "04a43a1cc7193b91",
         "the Monte-Carlo budget route: GOLDEN_BUDGET's p_mc and mc_se, the budget MC tests "
         "and ACCEPTANCE 3",
-    ),
-    "hypergeometric_scalar": (
-        107,
-        # one state's single trials, as budget._occupancy draws them in a use of few such states
-        lambda gen: [gen.hypergeometric(13, 7, 4, size=5), gen.hypergeometric(0, 20, 4, size=1),
-                     gen.hypergeometric(5000, 5000, 5000, size=3)],
-        "212f449fd29a5e3e",
-        "the Monte-Carlo budget route's uses of at most budget._SCALAR_SINGLES single states: "
-        "GOLDEN_BUDGET's p_mc and mc_se, the budget MC tests and ACCEPTANCE 3",
     ),
     "multivariate_hypergeometric": (
         106,
@@ -95,10 +88,6 @@ SAMPLERS = {
         "(tests/test_cli.py), GOLDEN_4000_RUNS (tests/test_divergence.py) and ACCEPTANCE 4",
     ),
 }
-
-
-# samplers named for the form of their call, and the Generator method that draws them
-METHOD = {"hypergeometric_scalar": "hypergeometric"}
 
 
 def digest(sampler: str) -> str:
@@ -116,9 +105,9 @@ def check(sampler: str) -> None:
     _, _, pinned, goldens = SAMPLERS[sampler]
     got = digest(sampler)
     assert got == pinned, (
-        f"numpy {np.__version__}'s Generator.{METHOD.get(sampler, sampler)} draws differently from numpy "
-        f"{NUMPY_OF_THE_GOLDENS}, where the goldens were taken (sampler {sampler}, digest {got}, "
-        f"pinned {pinned}); these goldens depend on it: {goldens}"
+        f"numpy {np.__version__}'s Generator.{sampler} draws differently from numpy "
+        f"{NUMPY_OF_THE_GOLDENS}, where the goldens were taken (digest {got}, pinned {pinned}); "
+        f"these goldens depend on it: {goldens}"
     )
 
 
@@ -131,20 +120,19 @@ def test_sampler_draws_as_when_the_goldens_were_taken(sampler):
 def test_a_changed_sampler_is_named(monkeypatch, sampler):
     """A sampler that draws differently, here one that skips a Philox word
     first, fails the canary with a message that names it and its goldens,
-    and no check of a sampler another method draws."""
-    real, method = np.random.Generator, METHOD.get(sampler, sampler)
+    and no other sampler's check."""
+    real = np.random.Generator
 
     def skipping(self, *args, **kwargs):
         self.bit_generator.advance(1)
-        return getattr(real, method)(self, *args, **kwargs)
+        return getattr(real, sampler)(self, *args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Generator", type("Changed", (real,), {method: skipping}))
-    with pytest.raises(AssertionError, match=f"Generator.{method} draws differently") as failure:
+    monkeypatch.setattr(np.random, "Generator", type("Changed", (real,), {sampler: skipping}))
+    with pytest.raises(AssertionError, match=f"Generator.{sampler} draws differently") as failure:
         check(sampler)
-    assert f"sampler {sampler}," in str(failure.value) and SAMPLERS[sampler][3] in str(failure.value)
-    for other in SAMPLERS:
-        if METHOD.get(other, other) != method:
-            check(other)
+    assert SAMPLERS[sampler][3] in str(failure.value)
+    for other in set(SAMPLERS) - {sampler}:
+        check(other)
 
 
 # (W, N) pairs: W = N, W = 1 and the game's own shapes, read from raw words;
