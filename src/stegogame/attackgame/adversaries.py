@@ -17,7 +17,7 @@ import numpy as np
 # looks them up in this module by name.
 from ..bits import xor_bits  # noqa: F401
 from ..divergence import _js, _percentile, js  # noqa: F401
-from ..errors import EmptySamples, InvalidConfig, check_choice, check_int, check_real
+from ..errors import EmptySamples, InvalidConfig, check_choice
 from ..library import CoverId
 from ..permcodec import arrangement_to_bits  # noqa: F401
 from ..stego import StegoSequence, _decode
@@ -25,8 +25,8 @@ from .game import Challenge, Knowledge, LABEL_NATURAL, LABEL_STEGO, _random_valu
 
 # The rules several adversaries share are plain functions assigned as class
 # attributes, never inherited: perfbench/tracer.py wraps learn, guess and
-# recover in each class's own __dict__.  An id preset is a class that assigns
-# them and says in class attributes what it reads.
+# recover in each class's own __dict__.  Every preset constructs with no arguments
+# and says in class attributes what it reads, so a variant is one more class.
 
 
 def _learn_ids(self, knowledge: Knowledge, state: object | None = None):
@@ -102,14 +102,11 @@ class SCOAHistogram:
     """
 
     name = "scoa-histogram"
+    model_sample = 64  # at least 2: leave-one-out needs two
+    null_draws = 64
+    percentile = 99.0
 
-    def __init__(self, model_sample: int = 64, null_draws: int = 64, percentile: float = 99.0):
-        check_int("model_sample", model_sample, 2, InvalidConfig)  # leave-one-out needs two
-        check_int("null_draws", null_draws, 1, InvalidConfig)
-        check_real("percentile", percentile, 0, 100, InvalidConfig)
-        self.model_sample = model_sample
-        self.null_draws = null_draws
-        self.percentile = percentile
+    def __init__(self):
         self._counts: dict[CoverId, np.ndarray] = {}  # each cover's byte counts, read once
         self._world: dict = {}  # the last world pool's ids, row of each id, counts and totals
         self._memo: dict = {}  # that pool, the last model on it and distances to that model
@@ -199,10 +196,7 @@ class CCAReplay:
 
     name = "cca-replay"
     replays = True
-
-    def __init__(self, oracle_calls: int = 32):
-        check_int("oracle_calls", oracle_calls, 0, InvalidConfig)
-        self.oracle_calls = oracle_calls
+    oracle_calls = 32
 
     learn, guess, recover = _learn_ids, _membership_guess, _keyless_recover
 

@@ -136,9 +136,9 @@ def check_int(name: str, value, low: int | None = None, error=InvalidParams, hig
     if type(value) is not int:
         raise error(f"{name} must be an integer, got {show(value)}")
     if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {show(value)}")
+        raise error(f"{name} must be >= {show(low)}, got {show(value)}")
     if high is not None and value > high:
-        raise error(f"{name} must be at most {high}, got {show(value)}")
+        raise error(f"{name} must be at most {show(high)}, got {show(value)}")
 
 
 def check_choice(name: str, value, choices, error=InvalidParams) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .bits import HEX_DIGITS
 from .errors import (
     CoverReadError, DuplicateCover, FileWriteError, LibraryTooSmall, MalformedFile, NotInLibrary,
-    Record, show,
+    Record, check_int, show,
 )
 
 # CoverId is the lowercase-hex SHA-256 of the cover's bytes (32 bytes, 64 hex chars).
@@ -122,20 +122,21 @@ def library_to_manifest(lib: CoverLibrary) -> dict:
 
 def library_from_manifest(doc: dict) -> CoverLibrary:
     try:
-        if doc["version"] != MANIFEST_VERSION:
-            raise MalformedFile(f"unsupported manifest version {show(doc['version'])}")
-        covers = tuple(
-            CoverEntry(id=c["id"], path=c["path"], nbytes=c["bytes"]) for c in doc["covers"]
-        )
-        declared_t = doc["T"]
+        version, declared_t, entries = doc["version"], doc["T"], doc["covers"]
+        check_int("manifest version", version, error=MalformedFile)
+        if version != MANIFEST_VERSION:
+            raise MalformedFile(f"unsupported manifest version {show(version)}")
+        if type(entries) is not list:
+            raise MalformedFile(f"manifest covers must be a JSON array, got {type(entries).__name__}")
+        covers = tuple(CoverEntry(id=c["id"], path=c["path"], nbytes=c["bytes"]) for c in entries)
     except (KeyError, TypeError) as exc:
         raise MalformedFile(f"manifest missing field: {exc}") from exc
+    check_int("manifest T", declared_t, error=MalformedFile)
     for c in covers:
         check_cover_id(c.id)
         if not isinstance(c.path, str) or "\x00" in c.path:
             raise MalformedFile(f"bad cover path {show(c.path)}")
-        if type(c.nbytes) is not int or c.nbytes < 0:
-            raise MalformedFile(f"bad cover size {show(c.nbytes)}")
+        check_int("cover size", c.nbytes, 0, MalformedFile)
     lib = CoverLibrary(covers=covers)
     if lib.T != declared_t:
         raise MalformedFile(f"manifest T={declared_t} but {lib.T} covers listed")

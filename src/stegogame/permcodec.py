@@ -25,7 +25,7 @@ from math import perm
 from .bits import bits_to_int, int_to_bits
 from .errors import (
     InvalidArrangement, RankOutOfRange, Record, UnreachableArrangement, WrongPayloadLength,
-    check_shape, show,
+    check_int, check_shape, show,
 )
 
 
@@ -34,13 +34,10 @@ class Arrangement(Record):
 
     def __init__(self, indices: tuple[int, ...], T: int):
         self.__dict__.update(indices=tuple(indices), T=T)
-        n = len(self.indices)
-        if type(self.T) is not int or not 1 <= n <= self.T:
-            raise InvalidArrangement(f"length {n} not in [1, T={show(self.T)}]")
+        check_shape(T, len(self.indices), InvalidArrangement)
         seen = set()
         for idx in self.indices:
-            if type(idx) is not int or not 0 <= idx < self.T:
-                raise InvalidArrangement(f"index {show(idx)} out of range [0, {show(self.T)})")
+            check_int("index", idx, 0, InvalidArrangement, T - 1)
             if idx in seen:
                 raise InvalidArrangement(f"duplicate index {show(idx)}")
             seen.add(idx)
@@ -90,9 +87,7 @@ def _unrank(value: int, items: tuple | range, places: tuple[int, ...]) -> list:
 
 def unrank(rank: int, T: int, N: int) -> Arrangement:
     """The rank-th arrangement in lexicographic order of index tuples."""
-    cap = capacity(T, N)
-    if type(rank) is not int or not 0 <= rank < cap.r:
-        raise RankOutOfRange(f"rank {show(rank)} not in [0, {show(cap.r)})")
+    check_int("rank", rank, 0, RankOutOfRange, capacity(T, N).r - 1)
     return Arrangement(indices=_unrank(rank, range(T), _places(T, N)), T=T)
 
 

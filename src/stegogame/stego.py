@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     import random
 
 SEQUENCE_VERSION = 1
+MAX_KEY_BITS = 10**9 - 1  # the most a key file's one-to-nine-digit ``l=`` line holds
 
 
 class _Block(Record):
@@ -59,9 +60,9 @@ class StegoSequence(Record):
 
 
 def keygen(l: int, entropy: random.Random | None = None) -> StegoKey:
-    """Sample an l-bit key as ``entropy.getrandbits(l)``; OS entropy
-    (``secrets.SystemRandom``) by default."""
-    check_int("key length", l, low=1)
+    """Sample an l-bit key, 1 <= l <= MAX_KEY_BITS, as ``entropy.getrandbits(l)``;
+    OS entropy (``secrets.SystemRandom``) by default."""
+    check_int("key length", l, 1, high=MAX_KEY_BITS)
     if entropy is None:
         import secrets  # here, not at the top: a seeded keygen does not load it
 
@@ -143,6 +144,7 @@ def load_key(path: str | os.PathLike) -> StegoKey:
     if not m:
         raise MalformedFile(f"key file {path}: first line must be 'l=<int>'")
     l = int(m.group(1))
+    check_int(f"key file {path}: key length", l, 1, MalformedFile, MAX_KEY_BITS)
     try:
         value = hex_to_int(lines[1].strip().lower(), l)
     except StegogameError as exc:
@@ -156,12 +158,15 @@ def sequence_to_json(seq: StegoSequence) -> dict:
 
 def sequence_from_json(doc: dict) -> StegoSequence:
     try:
-        if doc["version"] != SEQUENCE_VERSION:
-            raise MalformedFile(f"unsupported sequence version {show(doc['version'])}")
-        ids = tuple(doc["ids"])
-        declared_n = doc["N"]
+        version, ids, declared_n = doc["version"], doc["ids"], doc["N"]
     except (KeyError, TypeError) as exc:
         raise MalformedFile(f"sequence missing field: {exc}") from exc
+    check_int("sequence version", version, error=MalformedFile)
+    if version != SEQUENCE_VERSION:
+        raise MalformedFile(f"unsupported sequence version {show(version)}")
+    check_int("sequence N", declared_n, error=MalformedFile)
+    if type(ids) is not list:
+        raise MalformedFile(f"sequence ids must be a JSON array, got {type(ids).__name__}")
     if declared_n != len(ids):
         raise MalformedFile(f"sequence declares N={declared_n} but lists {len(ids)} ids")
     for cid in ids:

@@ -194,6 +194,18 @@ class TestFileRoundTrip:
         assert code == 0 and parse(out)["seed"] == 2**200 + 5
         assert key.read_text().startswith("l=16\n")
 
+    @pytest.mark.parametrize("bits", ["0", "1000000000", "100000000000"])
+    def test_keygen_length_past_the_key_file_refused(self, tmp_path, capsys, bits):
+        """A key file's ``l=`` line holds one to nine digits, so keygen refuses
+        a length it could not write, before it draws: 10**11 bits used to die in
+        a MemoryError, and 10**9 to write a key that load_key refuses."""
+        key = tmp_path / "big.txt"
+        code, out, err = run_cli(capsys, "keygen", "--bits", bits, "--seed", "1", "-o", str(key))
+        assert (code, err) == (1, "")
+        detail = "must be >= 1, got 0" if bits == "0" else f"must be at most 999999999, got {bits}"
+        assert parse(out) == {"error": "InvalidParams", "detail": f"key length {detail}"}
+        assert not key.exists()
+
 
 # The codec's seeded bytes over six "golden" covers: build-library's stdout and
 # the SHA-256 of its manifest, keygen's stdout and key file, embed's stdout and

@@ -2,8 +2,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stegogame.attackgame.scenario import load_scenario
+from stegogame.bits import hex_digits_for
 from stegogame.cli import _read_samples
 from stegogame.errors import (
     CoverReadError,
@@ -24,7 +26,10 @@ from stegogame.library import (
     load_manifest,
     save_manifest,
 )
-from stegogame.stego import StegoKey, StegoSequence, load_key, load_sequence, save_key, save_sequence
+from stegogame.stego import (
+    MAX_KEY_BITS, StegoKey, StegoSequence, load_key, load_sequence, save_key, save_sequence,
+    sequence_from_json, sequence_to_json,
+)
 
 from helpers import mem_library
 
@@ -125,6 +130,20 @@ class TestManifest:
         with pytest.raises(MalformedFile):
             library_from_manifest(doc)
 
+    @pytest.mark.parametrize(
+        "field, make",
+        [("version", lambda doc: True), ("version", lambda doc: 1.0), ("T", lambda doc: float(doc["T"])),
+         ("T", lambda doc: str(doc["T"])), ("covers", lambda doc: {c["id"]: c for c in doc["covers"]})],
+        ids=["version-true", "version-float", "T-float", "T-string", "covers-object"],
+    )
+    def test_rejects_inexact_fields(self, file_library, field, make):
+        """``version`` and ``T`` are exact ints, not values equal to one, and
+        ``covers`` is a JSON array."""
+        doc = library_to_manifest(file_library)
+        doc[field] = make(doc)
+        with pytest.raises(MalformedFile, match=f"manifest {field} must be"):
+            library_from_manifest(json.loads(json.dumps(doc)))
+
     def test_rejects_unsorted_ids(self, file_library):
         doc = library_to_manifest(file_library)
         doc["covers"].reverse()
@@ -155,7 +174,7 @@ class TestManifest:
     def test_rejects_bad_entry(self, file_library, field, value):
         doc = library_to_manifest(file_library)
         doc["covers"][1][field] = value
-        with pytest.raises(MalformedFile, match="bad cover"):
+        with pytest.raises(MalformedFile, match="bad cover path|cover size must be"):
             library_from_manifest(doc)
 
     def test_rejects_garbage_file(self, tmp_path):
@@ -228,3 +247,100 @@ def test_writer_raises_file_write_error(tmp_path, writer, case):
     assert exc.value.code == "IoError"
     assert str(exc.value).startswith("cannot write ")
     assert str(exc.value).endswith(f" {str(tmp_path / name)!r}: {REASON[case]}")
+
+
+# Reader fuzzing: any JSON value (or any two lines of text, for a key file)
+# either loads or raises a StegogameError, and what loads writes back the same
+# document, so no value that merely equals an int (true, 1.0) gets through.
+# A document is any JSON value, or a valid one with up to three of its fields
+# replaced, deleted or turned from an array into an object; the mutations keep
+# to a reader's own fields, since a reader ignores fields it does not know.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NEAR = st.one_of(st.sampled_from([True, False, 1.0, 0.0, -1, 0, 1, 2, "1", None, []]), _JSON)
+_IDS = mem_library(5).ids()
+_SEQUENCES = st.lists(st.sampled_from(_IDS), max_size=5).map(
+    lambda ids: {"version": 1, "N": len(ids), "ids": ids}
+)
+_MANIFESTS = st.lists(
+    st.tuples(st.sampled_from(_IDS), st.text(max_size=6), st.integers(0, 2**70)), unique_by=lambda c: c[0], max_size=5
+).map(lambda covers: {
+    "version": 1, "T": len(covers),
+    "covers": [{"id": cid, "path": path, "bytes": size} for cid, path, size in sorted(covers)],
+})
+
+
+@st.composite
+def _mutated(draw, valid):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_JSON)
+    doc = draw(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        fields = [(doc, key) for key in doc]
+        covers = doc.get("covers") if type(doc.get("covers")) is list else []
+        fields += [(entry, key) for entry in covers if type(entry) is dict for key in entry]
+        if not fields:
+            break
+        holder, key = draw(st.sampled_from(fields))
+        how = draw(st.sampled_from(["replace", "delete", "object"]))
+        if how == "delete":
+            del holder[key]
+        elif how == "object" and type(holder[key]) is list:
+            holder[key] = {json.dumps(item): item for item in holder[key]}
+        else:
+            holder[key] = draw(_NEAR)
+    return doc
+
+
+def _loads_back(load, dump, doc) -> None:
+    try:
+        loaded = load(doc)
+    except StegogameError:
+        return
+    assert json.dumps(dump(loaded), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+@given(_mutated(_SEQUENCES))
+@settings(max_examples=400, deadline=None)
+def test_sequence_reader_fuzzed(doc):
+    _loads_back(sequence_from_json, sequence_to_json, doc)
+
+
+@given(_mutated(_MANIFESTS))
+@settings(max_examples=400, deadline=None)
+def test_manifest_reader_fuzzed(doc):
+    _loads_back(library_from_manifest, library_to_manifest, doc)
+
+
+_LINE = st.text(st.characters(exclude_categories=["Cs"]), max_size=10)
+
+
+@st.composite
+def _key_texts(draw):
+    """Two lines near a key file's: a length, often small, then as many hex digits as it needs."""
+    l = draw(st.one_of(st.integers(0, 24), st.integers(0, 10**10)))
+    digits = hex_digits_for(l) if l <= 24 else draw(st.integers(0, 6))
+    hexstr = "".join(draw(st.lists(st.sampled_from("0123456789abcdefABCDEF"), min_size=digits, max_size=digits)))
+    first = draw(st.one_of(st.just(f"l={l}"), st.just(f" l={l}\t"), _LINE))
+    second = draw(st.one_of(st.just(hexstr), st.just(f" {hexstr} "), _LINE))
+    return f"{first}\n{second}" + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+@given(st.one_of(_key_texts(), _LINE))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_key_reader_fuzzed(tmp_path, text):
+    """A key loads only at a length keygen draws, 1 <= l <= MAX_KEY_BITS, and
+    saves as its two lines stripped, the hex digits lower-cased."""
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_bytes(text.encode("utf-8"))
+    try:
+        key = load_key(src)
+    except StegogameError:
+        return
+    assert 1 <= key.l <= MAX_KEY_BITS
+    save_key(key, out)
+    lines = text.splitlines()
+    assert out.read_text(encoding="utf-8") == f"{lines[0].strip()}\n{lines[1].strip().lower()}\n"

@@ -229,13 +229,14 @@ def test_unread_imports_are_tracer_bindings():
 
 
 def test_bound_and_choice_refusals_said_once():
-    """check_int's ``high`` and check_choice word every upper-bound and choice
-    refusal; a raise elsewhere in src/ that words its own fails here."""
+    """check_int's bounds, check_shape and check_choice word every bound,
+    interval and choice refusal; a raise elsewhere in src/ that words its own
+    (``must be at most``, ``out of range``, ``not in [``) fails here."""
     bad = [
         f"{path}:{node.lineno}: {ast.unparse(node)}"
         for path, tree in _src_trees() if path != pathlib.Path("errors.py")
         for node in ast.walk(tree) if isinstance(node, ast.Raise)
-        and re.search("must be at most|choose from|must be one of", ast.unparse(node))
+        and re.search(r"must be at most|choose from|must be one of|out of range|not in \[", ast.unparse(node))
     ]
     assert bad == []
 
