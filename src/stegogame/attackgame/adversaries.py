@@ -184,7 +184,8 @@ class SCOAHistogram:
         if memo["missing"]:
             self._world_scores([row_of[c] for c in ids if c in row_of], memo)
         per_cover = [scores[row_of[c]] if c in row_of else self._outside_score(c, state) for c in ids]
-        return LABEL_STEGO if float(np.mean(per_cover)) > state["threshold"] else LABEL_NATURAL
+        mean = float(np.add.reduce(per_cover)) / len(per_cover)  # np.mean's sum and division, bit for bit
+        return LABEL_STEGO if mean > state["threshold"] else LABEL_NATURAL
 
     recover = _keyless_recover
 

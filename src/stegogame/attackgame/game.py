@@ -7,7 +7,7 @@ words).  The ">50% success" criterion is judged with a one-sided exact
 binomial test, never a raw rate comparison.
 
 All three games run on one serial trial engine over integer payloads, which
-``stego._encode`` pads and ranks as it does the CLI's.  Every draw flows from
+``stego._codec`` pads and ranks as it does the CLI's.  Every draw flows from
 a Philox generator keyed by sha256 over (seed, labelled path), and a trial's
 streams are addressed by the Philox counter, so results are byte-identical
 across runs and platforms.  Observations open a learning phase's stream: the
@@ -154,12 +154,13 @@ def _stream(key: int, skip: int = 0) -> Callable[[int], np.random.Generator]:
     state = {"bit_generator": "Philox", "state": {"counter": counter, "key": (key & _WORD, key >> 64)},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     gen = np.random.Generator(np.random.Philox(key=0))
+    bit_generator = gen.bit_generator
 
     def at(trial: int) -> np.random.Generator:
         counter[2:] = trial & _WORD, trial >> 64
-        gen.bit_generator.state = state
+        bit_generator.state = state
         if skip & 3:  # a counter step gives 4 words
-            gen.bit_generator.random_raw(skip & 3)
+            bit_generator.random_raw(skip & 3)
         return gen
 
     return at
@@ -278,20 +279,17 @@ def _harness_call(fn: Callable, faults: list[Exception]) -> Callable:
     return call
 
 
-def _record(cls: type, fields: dict):
-    """``cls(**fields)`` for a frozen record or dataclass whose fields the
-    caller built valid, without its ``__init__``'s checks and conversions
-    (a dataclass's ``object.__setattr__`` per field)."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+# The state a trial scores with when its learning phase raised.
+_UNLEARNED = object()
 
 
-def _knowledge(scenario: Scenario, level: AttackLevel, codec: _Codec, leaked: tuple[CoverId, ...],
-               faults: list[Exception]) -> Callable[[int, int, np.random.Generator], Knowledge]:
-    """A block's learning phases: ``knowledge(key, trial, rng)`` is one; its observations open
-    the stream ``(key, trial)`` and are drawn and embedded when ``observed`` is first read."""
-    l, count = codec.l, scenario.observations
+def _learning(scenario: Scenario, level: AttackLevel, codec: _Codec, leaked: tuple[CoverId, ...],
+              faults: list[Exception], adversary: Adversary) -> Callable[..., object]:
+    """A block's learning phase, per trial or per round: ``learn(key, trial, rng, prior)`` hands
+    ``adversary.learn`` a Knowledge whose observations open the stream ``(key, trial)`` and are drawn
+    and embedded when ``observed`` is first read.  It returns the state, or ``_UNLEARNED`` if learn
+    raised; the oracles close when it ends, as they answer the learning phase only."""
+    l, count, oracles = codec.l, scenario.observations, level >= AttackLevel.CCA
     streams = cache(_stream)  # one per key
 
     def observe(key: int, trial: int) -> tuple[StegoSequence, ...]:
@@ -306,18 +304,24 @@ def _knowledge(scenario: Scenario, level: AttackLevel, codec: _Codec, leaked: tu
         "content": _harness_call(scenario.content_for, faults),
     }
 
-    def knowledge(key: int, trial: int, rng: np.random.Generator) -> Knowledge:
-        fields = {**block, "rng": rng, "_observe": partial(observe, key, trial)}
-        if level >= AttackLevel.CCA:
+    def learn(key: int, trial: int, rng: np.random.Generator, prior: object | None) -> object:
+        knowledge = object.__new__(Knowledge)  # built valid: no __init__, no setattr per field
+        fields = knowledge.__dict__
+        fields.update(block)
+        fields["rng"], fields["_observe"] = rng, partial(observe, key, trial)
+        if oracles:
             fields["embed_oracle"] = _BudgetedOracle(codec.embed, scenario.oracle_embed_budget, "embed")
             fields["extract_oracle"] = _BudgetedOracle(codec.extract, scenario.oracle_extract_budget, "extract")
-        return _record(Knowledge, fields)
+        try:
+            return adversary.learn(knowledge, prior)
+        except Exception:
+            return _UNLEARNED
+        finally:
+            if oracles:
+                fields["embed_oracle"].close()
+                fields["extract_oracle"].close()
 
-    return knowledge
-
-
-# The state a trial scores with when its learning phase raised.
-_UNLEARNED = object()
+    return learn
 
 
 def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, bool]:
@@ -331,8 +335,10 @@ def _score_detection(scenario, codec, adversary, harness, state) -> tuple[int, b
     if state is _UNLEARNED:
         return 0, is_stego
     label = LABEL_STEGO if is_stego else LABEL_NATURAL
+    challenge = object.__new__(Challenge)  # built valid, as a Knowledge is
+    challenge.__dict__["ids"] = ids
     try:  # str's own ==, which refuses a non-str answer: the answer's == could match any label
-        return int(str.__eq__(adversary.guess(_record(Challenge, {"ids": ids}), state), label)), is_stego
+        return int(str.__eq__(adversary.guess(challenge, state), label)), is_stego
     except Exception:
         return 0, is_stego
 
@@ -342,13 +348,16 @@ def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bo
     in [0, 2**l) scores 0."""
     if state is _UNLEARNED:
         return 0, False
-    (m,) = _random_values(harness, codec.l, 1)
+    l = codec.l
+    (m,) = _random_values(harness, l, 1)
     seq = codec.embed(m)
     try:
-        guess = check_width("payload", adversary.recover(seq, state), codec.l, InvalidConfig)
+        guess = adversary.recover(seq, state)
+        if type(guess) is not int or guess < 0 or guess >> l:
+            check_width("payload", guess, l, InvalidConfig)
     except Exception:
         return 0, True
-    return codec.l - (guess ^ m).bit_count(), True
+    return l - (guess ^ m).bit_count(), True
 
 
 def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: int, trials: int,
@@ -377,19 +386,7 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
     codec = _codec(scenario.library, scenario.N, session_key)
     leaked = _leak_ids(scenario, seed, level, round_index or 0)
     faults: list[Exception] = []  # harness faults raised inside adversary calls
-    knowledge_at = _knowledge(scenario, level, codec, leaked, faults)
-
-    def learn(key, trial, adversary_gen, prior):
-        knowledge = knowledge_at(key, trial, adversary_gen)
-        try:
-            return adversary.learn(knowledge, prior)
-        except Exception:
-            return _UNLEARNED
-        finally:  # the oracles answer the learning phase only, never a challenge
-            if knowledge.embed_oracle is not None:
-                knowledge.embed_oracle.close()
-                knowledge.extract_oracle.close()
-
+    learn = _learning(scenario, level, codec, leaked, faults, adversary)
     harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
     skip = scenario.observations * -(-l // 64) if round_index is None else 0  # a trial's observations
     harness, adversary_gen = _stream(harness_key, skip), _stream(adversary_key)

@@ -271,9 +271,11 @@ def calibrate_epsilon(
     or on how many threads draw: the calling thread draws the even streams and,
     from two streams on, one more thread the odd ones, each lane half a block at
     a time.  Each value is the public kernel's on the full-width row, bit for
-    bit: KL, JS and TV sum a run's k terms from a per-block table of each bin's
-    terms at its drawn counts, and W1 scores the counts in bin order.  Memory
-    is O(block + runs); more than ``MAX_RUNS`` runs is refused.
+    bit: KL, JS and TV sum a run's k terms from a per-lane table of each bin's
+    terms, over the counts drawn so far widened by a block's spread each side
+    (in [0, c]), rebuilt only when a block's counts leave it, and W1 scores the
+    counts in bin order.  Memory is O(block + runs), the table O(drawn spread),
+    never O(samples); more than ``MAX_RUNS`` runs is refused.
     """
     check_int("runs", runs, 1, high=MAX_RUNS)
     check_real("percentile", percentile, 0, 100)
@@ -295,6 +297,7 @@ def calibrate_epsilon(
     values, faults = np.empty(runs), []
 
     def lane(first: int) -> None:  # streams first, first + 2, ..., each a block at a time
+        lo, hi = colours, np.zeros_like(colours)  # this lane's table: each bin's terms at counts lo..hi, none yet
         try:
             for stream in range(first, streams, 2):
                 gen = np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))
@@ -304,12 +307,16 @@ def calibrate_epsilon(
                     counts = gen.multivariate_hypergeometric(colours, n_a, size=stop - start, method="marginals")
                     if metric == "w1":
                         sums = _terms(metric, counts / n_a, (colours - counts) / n_b, **frame).sum(axis=1)
-                    else:  # a table of each bin's terms at its drawn counts lo..hi
-                        lo, hi = counts.min(axis=0), counts.max(axis=0)
-                        offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
-                        cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
-                        cell_b = np.repeat(colours, hi - lo + 1) - cell_a
-                        sums = _terms(metric, cell_a / n_a, cell_b / n_b, **frame)[counts + offsets].sum(axis=1)
+                    else:
+                        low, high = counts.min(axis=0), counts.max(axis=0)
+                        if (low < lo).any() or (high > hi).any():  # rebuilt over this block too, widened by its spread
+                            lo = np.minimum(lo, np.maximum(2 * low - high, 0))
+                            hi = np.maximum(hi, np.minimum(2 * high - low, colours))
+                            offsets = np.cumsum(hi - lo + 1) - hi - 1  # count a of bin i is cell offsets[i] + a
+                            cell_a = np.arange(offsets[-1] + hi[-1] + 1) - np.repeat(offsets, hi - lo + 1)
+                            cell_b = np.repeat(colours, hi - lo + 1) - cell_a
+                            table = _terms(metric, cell_a / n_a, cell_b / n_b, **frame)
+                        sums = table[counts + offsets].sum(axis=1)
                     values[start:stop] = _total(metric, sums, filled.size, **frame)
         except BaseException as exc:  # raised again in the caller, after the join
             faults.append(exc)

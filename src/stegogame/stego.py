@@ -4,7 +4,8 @@ Embedding never touches cover bytes.  The payload is XORed with an equally
 long uniform key, the result is read as an arrangement rank, and the
 arrangement's indices are resolved to cover ids through the library's
 canonical order.  The transmitted object is just the ordered list of ids.
-``_encode`` and ``_decode`` hold that pad and rank, on ints, for every caller.
+``_codec`` (and :func:`embed`, on checked blocks) and ``_decode`` hold that
+pad and rank, on ints, for every caller; ``permcodec._unrank`` is the one walk.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .bits import hex_to_int, int_to_hex
@@ -75,13 +75,6 @@ def keygen(l: int, entropy: random.Random | None = None) -> StegoKey:
         raise EntropyUnavailable(f"entropy source: {exc}") from exc
 
 
-def _encode(l: int, key: int, ids: tuple, places: tuple[int, ...], value: int) -> StegoSequence:
-    """``ids`` arranged at rank ``value ^ key``; ``check_width`` refuses a value not of l bits."""
-    if type(value) is not int or value < 0 or value >> l:
-        check_width("payload", value, l, InvalidConfig)
-    return StegoSequence(_unrank(value ^ key, ids, places))
-
-
 def _decode(seq: StegoSequence, lookup: Callable[[CoverId], int], T: int, key: int) -> tuple[int, int]:
     """(value, l) of the payload ``seq`` carries under ``key``, its ids
     ``lookup``-ed to indices into ``range(T)``: its rank, below 2**l, XOR key."""
@@ -94,10 +87,19 @@ _Codec = namedtuple("_Codec", "l key embed extract")
 
 
 def _codec(lib: CoverLibrary, N: int, key: int) -> _Codec:
-    """``embed`` and ``extract`` of ``lib`` at N under ``key``, with the ids,
-    the place values and l bound: :func:`_encode` and :func:`_decode`."""
+    """``embed`` and ``extract`` of ``lib`` at N under ``key``, with the ids, the place values
+    and l bound.  ``embed`` arranges the ids at rank ``value ^ key``; ``check_width`` refuses a
+    value not of l bits.  ``extract`` is :func:`_decode`."""
     l, ids, places = capacity(lib.T, N).l, lib.ids(), _places(lib.T, N)
-    return _Codec(l, key, partial(_encode, l, key, ids, places), lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
+
+    def embed(value: int) -> StegoSequence:
+        if type(value) is not int or value < 0 or value >> l:
+            check_width("payload", value, l, InvalidConfig)
+        seq = object.__new__(StegoSequence)  # what its __init__ stores
+        seq.__dict__["ids"] = tuple(_unrank(value ^ key, ids, places))
+        return seq
+
+    return _Codec(l, key, embed, lambda seq: _decode(seq, lib.lookup, lib.T, key)[0])
 
 
 def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
@@ -109,7 +111,7 @@ def embed(m: Message, k: StegoKey, lib: CoverLibrary, N: int) -> StegoSequence:
     l = capacity(lib.T, N).l
     if m.l != l or k.l != l:
         raise LengthMismatch(f"message has {show(m.l)} bits, key {show(k.l)}; capacity(T={lib.T}, N={N}) needs {l}")
-    return _encode(l, k.value, lib.ids(), _places(lib.T, N), m.value)
+    return StegoSequence(_unrank(m.value ^ k.value, lib.ids(), _places(lib.T, N)))  # both of l bits, as checked
 
 
 def extract(seq: StegoSequence, k: StegoKey, lib: CoverLibrary) -> Message:
@@ -140,6 +142,8 @@ def load_key(path: str | os.PathLike) -> StegoKey:
     lines = read_text(path, "key file").splitlines()
     if len(lines) < 2:
         raise MalformedFile(f"key file {path} needs two lines, got {len(lines)}")
+    if any(line.strip() for line in lines[2:]):
+        raise MalformedFile(f"key file {path} has text after its second line")
     m = _KEY_LINE1.match(lines[0].strip())
     if not m:
         raise MalformedFile(f"key file {path}: first line must be 'l=<int>'")
@@ -164,7 +168,7 @@ def sequence_from_json(doc: dict) -> StegoSequence:
     check_int("sequence version", version, error=MalformedFile)
     if version != SEQUENCE_VERSION:
         raise MalformedFile(f"unsupported sequence version {show(version)}")
-    check_int("sequence N", declared_n, error=MalformedFile)
+    check_int("sequence N", declared_n, 1, MalformedFile)
     if type(ids) is not list:
         raise MalformedFile(f"sequence ids must be a JSON array, got {type(ids).__name__}")
     if declared_n != len(ids):

@@ -638,6 +638,24 @@ class TestRecoveryGame:
         assert game._score_recovery(sc, codec, ScriptedRecovery(truth), harness, None) == (15, True)
 
 
+class _Keep:
+    """Learns the Knowledge it is handed, so that a test can read one learning phase."""
+
+    def learn(self, knowledge, state=None):
+        return knowledge
+
+
+def knowledge_of(sc, level, codec, rng, key=0, trial=0, leaked=()):
+    """The Knowledge that ``game._learning`` hands an adversary in the learning phase
+    of ``(key, trial)``, its oracles opened again for the test's own calls."""
+    knowledge = game._learning(sc, level, codec, leaked, [], _Keep())(key, trial, rng, None)
+    for oracle in (knowledge.embed_oracle, knowledge.extract_oracle):
+        if oracle is not None:
+            assert oracle.closed  # the phase is over
+            oracle.closed = False
+    return knowledge
+
+
 def _wrapping_embed(make_codec, before):
     """``game._codec`` whose embed direction calls ``before()`` first."""
 
@@ -660,7 +678,7 @@ def test_embed_oracle_refuses_a_payload_outside_the_codec(payload):
     sc = synthetic_scenario(T=16, N=4, seed=3)
     codec = game._codec(sc.library, sc.N, 12345)
     gen = np.random.default_rng(0)
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
+    knowledge = knowledge_of(sc, AttackLevel.CCA, codec, gen)
     with pytest.raises(StegogameError, match="payload must be an int"):
         knowledge.embed_oracle(payload)
     assert knowledge.embed_oracle((1 << 15) - 1) == codec.embed((1 << 15) - 1)
@@ -720,7 +738,7 @@ def test_zero_bit_games():
         sc = _one_cover_scenario(key_leak=leak, leak_fraction=1.0)
         codec = game._codec(sc.library, sc.N, 0)
         gen = np.random.default_rng(0)
-        knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, gen)
+        knowledge = knowledge_of(sc, AttackLevel.CCA, codec, gen)
         assert knowledge.leaked_key == 0 and knowledge.payload_bits == 0
         assert knowledge.embed_oracle(0).ids == (OneCoverLibrary.cid,)
         assert knowledge.extract_oracle(StegoSequence(ids=(OneCoverLibrary.cid,))) == 0
@@ -798,7 +816,7 @@ def test_observed_matches_eager_oracle():
     # the harness stream of trial 3 after its learning phase: the observations' words skipped
     lazy = game._stream(5, skip=5)(3)
     eager = np.random.Generator(np.random.Philox(key=5, counter=3 << 128))
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(5, 3, np.random.default_rng(0))
+    knowledge = knowledge_of(sc, AttackLevel.CCA, codec, np.random.default_rng(0), key=5, trial=3)
     expected = observations_reference(sc, session_key, eager)
     assert repr(lazy.bit_generator.state) == repr(eager.bit_generator.state)
     observed = knowledge.observed
@@ -856,7 +874,7 @@ def test_harness_built_records_behave_as_public_ones():
     public = StegoSequence(ids=list(seq.ids))
     assert type(seq.ids) is tuple and seq == public and hash(seq) == hash(public)
     assert repr(seq) == repr(public) and seq != StegoSequence(ids=seq.ids[::-1])
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, np.random.default_rng(0))
+    knowledge = knowledge_of(sc, AttackLevel.CCA, codec, np.random.default_rng(0))
     twin = game.Knowledge(**{f.name: getattr(knowledge, f.name) for f in fields(game.Knowledge)})
     assert repr(knowledge) == repr(twin)
     assert knowledge == knowledge and knowledge != twin  # eq=False: identity, as for a public one
@@ -985,7 +1003,7 @@ def test_cca_replay_asks_the_drawn_payloads():
     batched, single = (np.random.Generator(np.random.Philox(key=21)) for _ in range(2))
     batched.integers(0, 2, size=5)
     single.integers(0, 2, size=5)
-    knowledge = game._knowledge(sc, AttackLevel.CCA, codec, (), [])(0, 0, batched)
+    knowledge = knowledge_of(sc, AttackLevel.CCA, codec, batched)
     asked = []
 
     def oracle(value):
@@ -1021,8 +1039,8 @@ def test_only_cca_replay_reads_traffic_and_the_oracle(make, replays, level, budg
             raise AssertionError("the observations were read")
         return tuple(map(codec.embed, range(3)))
 
-    learning = game._knowledge(sc, level, codec, sc.library.ids()[:5], [])
-    knowledge = replace(learning(0, 0, np.random.default_rng(0)), _observe=observe)
+    knowledge = knowledge_of(sc, level, codec, np.random.default_rng(0), leaked=sc.library.ids()[:5])
+    knowledge = replace(knowledge, _observe=observe)
     known = make().learn(knowledge)["known"]
     assert len(reads) == replays
     assert budget - knowledge.embed_oracle.remaining == (min(32, budget) if replays else 0)
@@ -1216,6 +1234,20 @@ class TestRegistry:
 
 
 class TestSCOAHistogram:
+    @pytest.mark.parametrize("N", [4, 7, 8, 9, 64])
+    def test_guess_mean_is_numpys(self, N):
+        """A challenge's mean per-cover distance is ``np.mean``'s bit for bit: at a
+        threshold equal to that mean the guess is natural, one ulp below it stego.
+        From 8 values on numpy sums in pairwise blocks, not left to right."""
+        gen = np.random.Generator(np.random.Philox(key=N))
+        ids = tuple(f"cover{i}" for i in range(N))
+        for _ in range(300):
+            scores = gen.random(N) * 10.0 ** gen.integers(-3, 4, size=N)
+            memo = {"row_of": {cid: i for i, cid in enumerate(ids)}, "scores": scores, "missing": 0}
+            mean = float(np.mean(list(scores)))
+            for threshold, label in ((mean, "natural"), (np.nextafter(mean, -1.0), "stego")):
+                assert SCOAHistogram().guess(Challenge(ids), {"memo": memo, "threshold": threshold}) == label
+
     def test_matched_world_stays_at_chance(self):
         sc = synthetic_scenario(T=8, N=3, world_size=40, seed=11, observations=4)
         res = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=120, seed=13)
@@ -1293,7 +1325,7 @@ class TestSCOAHistogram:
         world cover's bytes joined."""
         sc = synthetic_scenario(T=6, N=2, world_size=12, seed=4)
         codec = game._codec(sc.library, sc.N, 1)
-        knowledge = game._knowledge(sc, AttackLevel.SCOA, codec, (), [])(0, 0, np.random.default_rng(0))
+        knowledge = knowledge_of(sc, AttackLevel.SCOA, codec, np.random.default_rng(0))
         memo = SCOAHistogram().learn(knowledge)["memo"]
         joined = b"".join(map(sc.content_for, sc.world.ids()))
         counts = np.bincount(np.frombuffer(joined, dtype=np.uint8), minlength=256)
@@ -1307,7 +1339,7 @@ class TestSCOAHistogram:
         codec = game._codec(sc.library, sc.N, 1)
         edges = np.arange(257) - 0.5
         for seed in range(3):
-            knowledge = game._knowledge(sc, AttackLevel.SCOA, codec, (), [])(0, 0, np.random.default_rng(seed))
+            knowledge = knowledge_of(sc, AttackLevel.SCOA, codec, np.random.default_rng(seed))
             adversary = _Hist8()
             state = adversary.learn(knowledge)
             model = state["memo"]["model_counts"]

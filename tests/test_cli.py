@@ -113,6 +113,17 @@ class TestFileRoundTrip:
         assert code == 1
         assert parse(out)["error"] == "NotInLibrary"
 
+    def test_extract_empty_sequence_is_malformed(self, workspace, capsys):
+        tmp_path, lib_path, key_path = workspace
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"version":1,"N":0,"ids":[]}')
+        code, out, err = run_cli(
+            capsys, "extract", "-s", str(empty), "-k", str(key_path), "-x", str(lib_path)
+        )
+        assert code == 1
+        assert parse(out) == {"error": "MalformedFile", "detail": "sequence N must be >= 1, got 0"}
+        assert "Traceback" not in err
+
     def test_oversized_message_digit_rejected(self, workspace, capsys):
         tmp_path, lib_path, key_path = workspace
         code, out, _ = run_cli(

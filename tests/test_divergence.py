@@ -488,9 +488,10 @@ class TestRowBatchedKernels:
         ones (one bin among six empty ones at filled = 1).  The scored rows
         replace its draws: side A keeps each count of cells from 1 to
         ``filled`` while side B keeps them all, the same with the sides
-        swapped, and random rows, all shuffled.  Each block's table covers the
-        counts drawn in it, bin by bin; from 127 non-empty bins on, the rows
-        span several blocks."""
+        swapped, and random rows, all shuffled.  Each lane's table covers the
+        counts drawn so far, bin by bin, widened by a block's spread each side,
+        and is rebuilt when a block's counts leave it; from 127 non-empty bins
+        on, the rows span several blocks."""
         gen = np.random.Generator(np.random.Philox(key=filled))
         bins = 7 if filled == 1 else 2 * filled - 1
         where = [3]
@@ -687,6 +688,49 @@ class TestPermutationNull:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("metric", ["kl", "js", "tv"])
+    def test_lane_table_regrows_to_the_reference(self, monkeypatch, metric):
+        """Each lane keeps one table of each bin's terms, over the counts it has
+        drawn widened by a block's spread each side, and rebuilds it when a
+        block's counts leave it.  Two clusters in 64 bins (about 16 of them
+        non-empty) and blocks of one run (1 cell) or two (64 cells) make both
+        lanes' later blocks leave the first block's table; every value is
+        still the reference's, bit for bit."""
+        a, b = sample_pair(45, 120, 90, clustered=True)
+        runs = STREAM_RUNS + 300
+        reference = null_values_reference(a, b, metric, 64, runs, 4)
+        pooled = np.concatenate([a, b])
+        colours = np.histogram(pooled, 64, range=(pooled.min(), pooled.max()))[0]
+        filled = np.flatnonzero(colours)
+        colours = colours[filled]
+        for cells in (1, 64):
+            monkeypatch.setattr(divergence, "CHUNK_CELLS", cells)
+            null = recorded_null(monkeypatch, metric, a, b, 64, runs, 4)
+            assert null.values.tobytes() == reference.tobytes(), cells
+            counts, block = null.counts[:, filled], max(1, cells // filled.size // 2)
+            for first in (0, STREAM_RUNS):  # each lane's first block: the counts its first table holds
+                low, high = counts[first : first + block].min(axis=0), counts[first : first + block].max(axis=0)
+                lo, hi = np.maximum(2 * low - high, 0), np.minimum(2 * high - low, colours)
+                later = counts[first + block : first + STREAM_RUNS]
+                assert ((later < lo) | (later > hi)).any(), (cells, first)
+
+    def test_lane_table_is_o_of_the_drawn_spread(self):
+        """10**6 + 10**6 normals in 64 bins, 200 runs: each bin's table spans the
+        counts drawn and a block's spread, a few hundred of its tens of
+        thousands, so the traced peak (about 17-21 MiB, mostly the pooled
+        samples' 16 MB) stays below 24 MiB for JS and KL.  A table over every
+        count 0..c of each bin read 183 MiB."""
+        gen = np.random.Generator(np.random.Philox(key=46))
+        a, b = gen.normal(size=10**6), gen.normal(size=10**6)
+        for metric in ("js", "kl"):
+            tracemalloc.start()
+            try:
+                calibrate_epsilon(a, b, metric, 64, runs=200, seed=8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20, (metric, peak)
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("bins", [64, 5000, MAX_BINS])

@@ -320,20 +320,23 @@ _LINE = st.text(st.characters(exclude_categories=["Cs"]), max_size=10)
 
 @st.composite
 def _key_texts(draw):
-    """Two lines near a key file's: a length, often small, then as many hex digits as it needs."""
+    """Two lines near a key file's: a length, often small, then as many hex digits as it needs;
+    then a line end, blank lines or a third line of any text."""
     l = draw(st.one_of(st.integers(0, 24), st.integers(0, 10**10)))
     digits = hex_digits_for(l) if l <= 24 else draw(st.integers(0, 6))
     hexstr = "".join(draw(st.lists(st.sampled_from("0123456789abcdefABCDEF"), min_size=digits, max_size=digits)))
     first = draw(st.one_of(st.just(f"l={l}"), st.just(f" l={l}\t"), _LINE))
     second = draw(st.one_of(st.just(hexstr), st.just(f" {hexstr} "), _LINE))
-    return f"{first}\n{second}" + draw(st.sampled_from(["\n", "\r\n", ""]))
+    tail = draw(st.one_of(st.sampled_from(["\n", "\r\n", "", "\n \n\t"]), _LINE.map("\n".__add__)))
+    return f"{first}\n{second}" + tail
 
 
 @given(st.one_of(_key_texts(), _LINE))
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_key_reader_fuzzed(tmp_path, text):
-    """A key loads only at a length keygen draws, 1 <= l <= MAX_KEY_BITS, and
-    saves as its two lines stripped, the hex digits lower-cased."""
+    """A key loads only at a length keygen draws, 1 <= l <= MAX_KEY_BITS, and with
+    no text after its two lines, and saves as those lines stripped, the hex digits
+    lower-cased."""
     src, out = tmp_path / "in.txt", tmp_path / "out.txt"
     src.write_bytes(text.encode("utf-8"))
     try:
@@ -343,4 +346,5 @@ def test_key_reader_fuzzed(tmp_path, text):
     assert 1 <= key.l <= MAX_KEY_BITS
     save_key(key, out)
     lines = text.splitlines()
+    assert not any(line.strip() for line in lines[2:])
     assert out.read_text(encoding="utf-8") == f"{lines[0].strip()}\n{lines[1].strip().lower()}\n"

@@ -15,6 +15,7 @@ from stegogame.errors import (
     DuplicateCover,
     EntropyUnavailable,
     InvalidArrangement,
+    InvalidConfig,
     InvalidParams,
     LengthMismatch,
     LibraryTooSmall,
@@ -267,6 +268,15 @@ def test_codec_walks_agree(T, N, count):
         assert extract(seq, stego_key, lib).value == v
 
 
+@pytest.mark.parametrize("value", [True, False, -1, 1 << 15], ids=["true", "false", "negative", "2**l"])
+def test_codec_refuses_a_value_not_of_l_bits(value):
+    """The int codec's embed takes an int in [0, 2**l) only: a bool, a negative
+    value and 2**l are InvalidConfig, their text ``check_width``'s."""
+    with pytest.raises(InvalidConfig) as caught:
+        _codec(_library(16), 4, 5).embed(value)
+    assert str(caught.value) == f"payload must be an int in [0, 2**15), got {value!r}"
+
+
 class TestMatchesStringPath:
     """embed and extract agree with the earlier string path, which XORs and
     codes '0'/'1' strings, on outputs and on the type of every error."""
@@ -348,6 +358,18 @@ class TestKeyFile:
         with pytest.raises(MalformedFile, match="first line"):
             load_key(p)
 
+    def test_text_after_the_second_line_refused(self, tmp_path):
+        """A key file is its two lines: blank lines may follow them, text may not,
+        so a concatenated or overwritten key file is not read as its first key."""
+        p = tmp_path / "key.txt"
+        for tail in ["anything here\n", "\n\nl=8\n5a\n", " 0\n", "\t-"]:
+            p.write_text("l=8\n5a\n" + tail)
+            with pytest.raises(MalformedFile, match="text after its second line"):
+                load_key(p)
+        for tail in ["", "\n", " \t\n\r\n", "\n\n", "\x0c\n"]:
+            p.write_text("l=8\n5a\n" + tail)
+            assert load_key(p) == StegoKey(0x5A, 8), repr(tail)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CoverReadError, match="cannot read key file"):
             load_key(tmp_path / "ghost.txt")
@@ -381,6 +403,14 @@ class TestSequenceFile:
             p.write_text(text)
             with pytest.raises(MalformedFile):
                 load_sequence(p)
+
+    def test_empty_sequence_refused(self, tmp_path):
+        """N = 0 arranges nothing that any codec decodes: the file is refused as
+        malformed, not left for extract's arrangement check."""
+        p = tmp_path / "seq.json"
+        p.write_text('{"version":1,"N":0,"ids":[]}')
+        with pytest.raises(MalformedFile, match="sequence N must be >= 1, got 0"):
+            load_sequence(p)
 
 
 # The codec's eight value types: (class, field names, field values, repr).
