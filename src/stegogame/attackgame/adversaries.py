@@ -52,9 +52,7 @@ def _keyless_recover(self, sequence: StegoSequence, state) -> int:
 def _membership_guess(self, challenge: Challenge, state) -> str:
     """Stego when every id of the challenge is a known library id."""
     known = state["known"]
-    if known and all(cid in known for cid in challenge.ids):
-        return LABEL_STEGO
-    return LABEL_NATURAL
+    return LABEL_STEGO if known and known.issuperset(challenge.ids) else LABEL_NATURAL
 
 
 class RandomGuesser:
@@ -134,8 +132,8 @@ class SCOAHistogram:
         Floyd, 1987): step c, for every row at once, is row c of one draw, as one call per step."""
         picks = rng.integers(0, np.arange(W - N + 1, W + 1)[:, None], size=(N, draws))
         for c in range(1, N):
-            np.copyto(picks[c], W - N + c, where=(picks[:c] == picks[c]).any(axis=0))
-        return np.ascontiguousarray(picks.T)  # C order: mean(axis=1) then sums as before
+            np.copyto(picks[c], W - N + c, where=np.logical_or.reduce(picks[:c] == picks[c], axis=0))
+        return np.ascontiguousarray(picks.T)  # C order: each row's sum then adds as before
 
     @staticmethod
     def _world_scores(rows, memo: dict) -> None:
@@ -167,7 +165,8 @@ class SCOAHistogram:
         picks = self._null_picks(rng, W, knowledge.N, self.null_draws)
         if self._memo["missing"]:
             self._world_scores(picks, self._memo)
-        threshold = _percentile(self._memo["scores"][picks].mean(axis=1), self.percentile)
+        means = np.add.reduce(self._memo["scores"][picks], axis=1) / knowledge.N  # mean(axis=1), bit for bit
+        threshold = _percentile(means, self.percentile)
         return {"memo": self._memo, "threshold": threshold, "knowledge": knowledge}
 
     def _outside_score(self, cid: CoverId, state) -> float:

@@ -185,7 +185,9 @@ def _challenge(harness: np.random.Generator, l: int, W: int, N: int) -> tuple[bo
     then ``_random_values(harness, l, 1)`` or ``choice(W, N, replace=False)`` draw them.  The coin is
     bit 31 of the first raw word.  Up to ``_FLOYD_N`` picks, numpy's Floyd steps and shuffle of the
     picks take bounded draws (Lemire, ACM TOMACS 2019) from raw 32-bit halves, that word's high half
-    first; W < 2**32 (no larger pool fits in memory) keeps them 32-bit.  Past it ``choice`` draws them."""
+    first; W < 2**32 (no larger pool fits in memory) keeps them 32-bit.  One pass over the bounds
+    plays both: Floyd's step j appends its draw, or j, which is above every earlier pick, if the draw
+    is picked already; a shuffle step swaps two picks in place.  Past it ``choice`` draws them."""
     raw = harness.bit_generator.random_raw
     first = raw()
     if first >> 31 & 1:
@@ -193,20 +195,17 @@ def _challenge(harness: np.random.Generator, l: int, W: int, N: int) -> tuple[bo
     if N > _FLOYD_N:  # numpy's own choice, handed the unread high half
         harness.bit_generator.state = {**harness.bit_generator.state, "has_uint32": 1, "uinteger": first >> 32}
         return False, harness.choice(W, N, replace=False).tolist()
-    steps = range(max(W - N, 1), W)  # Floyd's step at a bound of 0 (W = N) draws nothing
-    shuffle = range(N - 1, 0, -1)
-    halves, draws = [first >> 32, *raw(N).astype("<u8", copy=False).view("<u4").tolist()], []  # 2N + 1 halves
+    halves = [first >> 32, *raw(N).astype("<u8", copy=False).view("<u4").tolist()]  # 2N + 1 halves
     half = iter(halves).__next__
-    for rng in (*steps, *shuffle):
+    picks = list(range(W == N))  # Floyd's step at a bound of 0 (W = N) draws nothing and picks 0
+    for rng in (*range(max(W - N, 1), W), *range(N - 1, 0, -1)):  # Floyd's steps, then the shuffle's
         while (m := half() * (rng + 1)) & _HALF <= rng and m & _HALF < (_HALF - rng) % (rng + 1):
             halves += divmod(raw(), 1 << 32)[::-1]  # rejected: draw again, a word's low half first
-        draws.append(m >> 32)
-    picks = dict.fromkeys(range(W == N))  # Floyd's algorithm, on an ordered set
-    for j, v in zip(steps, draws):
-        picks[j if v in picks else v] = None
-    picks = list(picks)
-    for i, j in zip(shuffle, draws[len(steps):]):
-        picks[i], picks[j] = picks[j], picks[i]
+        v = m >> 32
+        if len(picks) < N:
+            picks.append(rng if v in picks else v)
+        else:
+            picks[rng], picks[v] = picks[v], picks[rng]
     return False, picks
 
 
@@ -244,16 +243,10 @@ def _validate(level: AttackLevel, trials: int, seed: int, alpha: float) -> None:
     check_real("alpha", alpha, 0, 1, InvalidConfig, closed=False)
 
 
-def _leak_ids(scenario: Scenario, seed: int, level: AttackLevel, round_index: int) -> tuple[CoverId, ...]:
-    """Fixed shuffled prefix of the library: what has leaked so far.  The
-    shuffle depends only on the game seed, so later rounds extend earlier
-    leaks instead of replacing them."""
-    size = scenario.leak_size(round_index) if level >= AttackLevel.KCA else 0
-    if size == 0:
-        return ()
-    order = _stream(_derive_key(seed, "leak"))(0).permutation(scenario.library.T)
-    all_ids = scenario.library.ids()
-    return tuple(all_ids[i] for i in order[:size])
+def _leak_order(scenario: Scenario, seed: int) -> np.ndarray:
+    """The library's indices in leak order: one shuffle that depends only on
+    the game seed, so each round's leak, its prefix, extends the last."""
+    return _stream(_derive_key(seed, "leak"))(0).permutation(scenario.library.T)
 
 
 def _leaked_key(scenario: Scenario, codec: _Codec) -> int | None:
@@ -362,19 +355,21 @@ def _score_recovery(scenario, codec, adversary, harness, state) -> tuple[int, bo
 
 def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: int, trials: int,
           score: Callable[..., tuple[int, bool]], round_index: int | None = None,
-          state: object | None = None) -> tuple[int, int, object | None]:
+          state: object | None = None, order: np.ndarray | None = None) -> tuple[int, int, object | None]:
     """The trial engine: a block of trials against one session key and one leak.
 
     The block's path, ("game",) or ("round", r), keys its session key, codec
     and one ``_stream`` per role ("harness", "adversary"), on which trial t
-    runs at Philox counter t << 128.  Without ``round_index`` each trial
-    learns afresh, and the harness skips its observations' words.  With it,
-    one learning phase on the block's "observe" and "adversary" streams
-    serves the block; ``state`` carries the adversary state in and out, and a
-    failed learn keeps the old state but scores the block as unlearned.
-    Oracles close once ``learn`` returns.  An adversary exception (a budget
-    overrun or a closed oracle's call too) scores as a miss; a harness fault
-    raises by the end of its trial, even from inside an adversary call.
+    runs at Philox counter t << 128.  From KCA up, the leak is the first
+    ``leak_size(r)`` covers in ``order``, drawn by ``_leak_order`` if not
+    given.  Without ``round_index`` each trial learns afresh, and the harness
+    skips its observations' words.  With it, one learning phase on the
+    block's "observe" and "adversary" streams serves the block; ``state``
+    carries the adversary state in and out, and a failed learn keeps the old
+    state but scores the block as unlearned.  Oracles close once ``learn``
+    returns.  An adversary exception (a budget overrun or a closed oracle's
+    call too) scores as a miss; a harness fault raises by the end of its
+    trial, even from inside an adversary call.
 
     ``score(scenario, codec, adversary, harness, state)`` gives a trial's
     (points, stego).  Returns (points, stego challenges, adversary state).
@@ -384,7 +379,10 @@ def _play(scenario: Scenario, adversary: Adversary, level: AttackLevel, seed: in
     # the draw keygen makes from random.Random(seed); getrandbits also serves l = 0
     session_key = random.Random(_derive_key(seed, *path, "session-key")).getrandbits(l)
     codec = _codec(scenario.library, scenario.N, session_key)
-    leaked = _leak_ids(scenario, seed, level, round_index or 0)
+    size = scenario.leak_size(round_index or 0) if level >= AttackLevel.KCA else 0
+    if size and order is None:
+        order = _leak_order(scenario, seed)
+    leaked = tuple(map(scenario.library.ids().__getitem__, order[:size].tolist())) if size else ()
     faults: list[Exception] = []  # harness faults raised inside adversary calls
     learn = _learning(scenario, level, codec, leaked, faults, adversary)
     harness_key, adversary_key = (_derive_key(seed, *path, r) for r in ("harness", "adversary"))
@@ -519,8 +517,10 @@ def acca_loop(scenario: Scenario, adversary: Adversary, trials_per_round: int, s
 
     Adversary state persists across rounds and each round gets a fresh
     oracle budget, a fresh session key, and a leak grown per the scenario
-    schedule.  Stops early once a round's verdict is broken.  Rounds run
-    sequentially; adversary state makes them order-dependent by design.
+    schedule: the loop draws one leak order, and round r leaks its first
+    ``leak_size(r)`` covers.  Stops early once a round's verdict is broken.
+    Rounds run sequentially; adversary state makes them order-dependent by
+    design.
 
     ``alpha`` is the family-wise level over all rounds: each round is tested
     at ``alpha / rounds`` (Bonferroni) and reports the family ``alpha``.
@@ -530,10 +530,11 @@ def acca_loop(scenario: Scenario, adversary: Adversary, trials_per_round: int, s
     check_int("rounds", n_rounds, 1, InvalidConfig)
     results: list[GameResult] = []
     state: object | None = None
+    order = _leak_order(scenario, seed)
     for r in range(n_rounds):
         successes, stego, state = _play(
             scenario, adversary, AttackLevel.ACCA, seed, trials_per_round, _score_detection,
-            round_index=r, state=state,
+            round_index=r, state=state, order=order,
         )
         result = _result(
             AttackLevel.ACCA, "detection", successes, trials_per_round, alpha / n_rounds, seed,

@@ -158,11 +158,19 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
     row if the row has fewer than c cells, else by one hypergeometric draw each,
     after the multinomials and in ascending u, one scalar ``hypergeometric(u,
     T - u, N, size=c)`` call a state: it draws what one array call over the
-    repeated states would, without numpy's ~30 us of array checks."""
+    repeated states would, without numpy's ~30 us of array checks.  Each
+    distinct u's next states u - k are kept beside its row for the call.  A use
+    merges its next states by one argsort: each run of equal states is summed
+    by ``np.add.reduceat`` at the run starts, exact in int64, as ``np.unique``
+    and ``np.add.at`` would."""
     import numpy as np  # deferred: only the Monte-Carlo route computes with numpy
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    hit = cache(lambda u: _hit_row(u, N, T))
+
+    @cache
+    def hit(u: int):  # the next states beside the row
+        k, p = _hit_row(u, N, T)
+        return u - k, p
     states, counts = np.array([T], dtype=np.int64), np.array([trials], dtype=np.int64)
     for _ in range(x):
         if states[0] == 0 and counts[0] == trials:  # u = 0 is absorbing
@@ -170,16 +178,18 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
         pooled = counts > np.minimum(N, states) - np.maximum(0, N - T + states) + 1
         next_states, next_counts = [], []
         for u, c in zip(states[pooled].tolist(), counts[pooled].tolist()):
-            k, p = hit(u)
-            next_states.append(u - k)
+            after, p = hit(u)
+            next_states.append(after)
             next_counts.append(gen.multinomial(c, p))
         live = ~pooled & (counts > 0)
         times = counts[live].tolist()
         next_states += [u - gen.hypergeometric(u, T - u, N, size=c) for u, c in zip(states[live].tolist(), times)]
         next_counts.append(np.ones(sum(times), dtype=np.int64))
-        states, where = np.unique(np.concatenate(next_states), return_inverse=True)
-        counts = np.zeros_like(states)
-        np.add.at(counts, where, np.concatenate(next_counts))
+        merged = np.concatenate(next_states)
+        order = merged.argsort()
+        merged = merged[order]
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        states, counts = merged[starts], np.add.reduceat(np.concatenate(next_counts)[order], starts)
     return states, counts
 
 

@@ -254,7 +254,8 @@ def _percentile(values: np.ndarray, q: float) -> float:
     between the order statistics next to numpy's virtual index, or the maximum."""
     at = (len(values) - 1) * (q / 100)
     lo, hi = (int(at), int(at) + 1) if at < len(values) - 1 else (-1, -1)
-    part = np.partition(values, (0, lo, hi, -1))  # numpy's own partition points
+    part = values.copy()
+    part.partition((0, lo, hi, -1))  # numpy's own partition points
     a, b, t = float(part[lo]), float(part[hi]), at - lo
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 

@@ -12,6 +12,7 @@ kernels: each metric's fixed-point rule applied one cell at a time in Python
 ints (``kl_fixed_1d``, ``js_fixed_1d``, ``tv_fixed_1d``, ``w1_fixed_1d``),
 beside the metrics' earlier float kernels (``kl_1d``, ``js_1d``, ``tv_1d``,
 ``w1_1d``).
+An ACCA round's leak is a fresh permutation of the library each round.
 The embed/extract oracle is the earlier string path, composed
 from the bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
@@ -21,7 +22,8 @@ Monte-Carlo blocks mark each draw's N smallest cells through
 ``argpartition`` and ``put_along_axis``, one fresh array per draw, and the
 law of the covers still unseen comes from stepping its chain in rationals;
 the occupancy chain's reference draws every use's single trials in one
-array call to ``Generator.hypergeometric``.
+array call to ``Generator.hypergeometric`` and merges each use's states
+with ``np.unique`` and ``np.add.at``.
 The best detector's exact rate is 1/2 + TV/2 between the two laws of what it
 sees, each law counted over every arrangement from itertools enumeration, or,
 for the count of a challenge's ids seen in earlier uses, summed by
@@ -37,6 +39,7 @@ from math import comb
 
 import numpy as np
 
+from stegogame.attackgame.game import _derive_key
 from stegogame.bits import xor_bits
 from stegogame.budget import _hit_row
 from stegogame.divergence import STREAM_RUNS, EmpiricalDistribution
@@ -432,6 +435,15 @@ def payload_bits_reference(gen, l: int) -> str:
     digits of its ceil(l / 64) raw words on ``gen``, each written in 64."""
     words = gen.bit_generator.random_raw(-(-l // 64)).tolist()
     return "".join(format(word, "064b") for word in words)[:l]
+
+
+def leak_reference(scenario, seed: int, round_index: int) -> tuple[str, ...]:
+    """What has leaked by ACCA round ``round_index``, drawn afresh for that
+    round: the first ``leak_size(round_index)`` ids in the order of a
+    permutation of the library on the leak key's Philox at counter 0."""
+    gen = np.random.Generator(np.random.Philox(key=_derive_key(seed, "leak")))
+    order = gen.permutation(scenario.library.T)[: scenario.leak_size(round_index)]
+    return tuple(scenario.library.ids()[i] for i in order)
 
 
 def observations_reference(scenario, session_key, gen) -> tuple[StegoSequence, ...]:

@@ -19,6 +19,7 @@ from helpers import (
     bits_of,
     cca_replay_reference,
     kca_membership_reference,
+    leak_reference,
     observations_reference,
     payload_bits_reference,
 )
@@ -954,20 +955,45 @@ def test_generator_is_a_fresh_philox(path):
     [
         (lambda sc: run_game(sc, RandomGuesser(), AttackLevel.KCA, trials=300, seed=1), 4),
         (lambda sc: message_recovery_game(sc, CCAReplay(), AttackLevel.CCA, 300, 1), 4),
-        (lambda sc: acca_loop(sc, KCAMembership(), trials_per_round=150, seed=1), 3 * 5),
+        (lambda sc: acca_loop(sc, KCAMembership(), trials_per_round=150, seed=1), 1 + 3 * 4),
     ],
     ids=["detection", "recovery", "acca"],
 )
 def test_stream_keys_derived_once_per_block(monkeypatch, play, keys):
     """One hash per key: the session key, the leak and each role's stream,
     per game or per ACCA round (whose learning phase adds its "observe"
-    stream), however many trials it plays."""
+    stream), however many trials it plays; an ACCA loop hashes its leak key
+    once, for the one leak order all its rounds share."""
     derived = []
     real = game._derive_key
     monkeypatch.setattr(game, "_derive_key", lambda *args: derived.append(args) or real(*args))
     sc = synthetic_scenario(T=8, N=3, world_size=16, seed=5, rounds=3, leak_fraction=0.25)
     play(sc)
     assert len(derived) == keys
+
+
+def test_acca_rounds_leak_prefixes_of_one_order():
+    """Each ACCA round hands the adversary the leak a fresh per-round draw of
+    the leak permutation gives: the loop's one order serves every round."""
+    leaks = []
+
+    class Recorder:
+        name = "recorder"
+
+        def learn(self, knowledge, state=None):
+            leaks.append(knowledge.leaked_ids)
+            return {}
+
+        def guess(self, challenge, state):
+            return "natural"
+
+    sc = synthetic_scenario(T=12, N=3, world_size=24, seed=5, rounds=4, leak_fraction=0.25, leak_growth=0.25)
+    for seed in (1, 9):
+        leaks.clear()
+        results = acca_loop(sc, Recorder(), trials_per_round=100, seed=seed)
+        assert len(results) == len(leaks) == 4
+        assert [len(leak) for leak in leaks] == [3, 6, 9, 12]
+        assert leaks == [leak_reference(sc, seed, r) for r in range(4)]
 
 
 def test_trial_streams_follow_the_counter():

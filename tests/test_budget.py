@@ -381,6 +381,23 @@ class TestMonteCarlo:
         assert len(drawn[12, 5000, 10000, 4096, 3]) > 500
         assert all(all(run) for run in drawn.values())
 
+    @pytest.mark.parametrize("x, N, T, trials, seed", [
+        (5, 19, 20, 2**62, 7), (14, 4, 20, 2**62, 0), (14, 4, 20, (1 << 63) - 1, 0),
+        (40, 8, 64, (1 << 63) - 1, 7), (12, 5000, 10000, 4096, 3),
+    ])
+    def test_merge_by_sort_matches_unique_and_add_at(self, x, N, T, trials, seed):
+        """Each use's merge by one argsort and ``np.add.reduceat`` gives the
+        states and counts of the reference's ``np.unique`` and ``np.add.at``:
+        exact in int64 up to (1 << 63) - 1 trials, and in the wide rows at
+        T = 10000.  The same call twice in a row gives them again, so the
+        cached next-state arrays are read and never written."""
+        expected = occupancy_reference(x, N, T, trials, seed)
+        for _ in range(2):
+            states, counts = budget._occupancy(x, N, T, trials, seed)
+            assert (states.tolist(), counts.tolist()) == (expected[0].tolist(), expected[1].tolist())
+            assert sum(counts.tolist()) == trials
+        assert len(states) > 1
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_scalar_calls_draw_as_one_array_call(self, data):

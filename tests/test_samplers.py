@@ -135,12 +135,13 @@ def test_a_changed_sampler_is_named(monkeypatch, sampler):
         check(other)
 
 
-# (W, N) pairs: W = N, W = 1 and the game's own shapes, read from raw words;
+# (W, N) pairs: W = N, W = 1, W = N + 1 (a single pick at W = 2, up to
+# _FLOYD_N picks at W = 15) and the game's own shapes, read from raw words;
 # the last shape read from raw words and the first that numpy's choice draws,
 # at _FLOYD_N and _FLOYD_N + 1 picks; and, in numpy's choice, both of its
 # branches around its switch to a tail shuffle (W > 10000 and N > W // 50)
-CHALLENGE_SHAPES = [(1, 1), (4, 4), (16, 4), (64, 4), (64, game._FLOYD_N), (64, game._FLOYD_N + 1),
-                    (10000, 300), (10001, 200), (20000, 400), (20000, 401)]
+CHALLENGE_SHAPES = [(1, 1), (4, 4), (2, 1), (5, 4), (15, 14), (16, 4), (64, 4), (64, game._FLOYD_N),
+                    (64, game._FLOYD_N + 1), (10000, 300), (10001, 200), (20000, 400), (20000, 401)]
 CHALLENGE_KEY = 2024
 
 
