@@ -11,7 +11,8 @@
    should sit at one half.
 
 Each experiment prints a single JSON object, so the output is easy to diff
-or collect.  Defaults reproduce the acceptance run exactly.
+or collect.  Acceptance criterion 6 (``tests/test_acceptance.py``) checks
+:func:`experiments` at its defaults, so those are the acceptance run.
 """
 
 from __future__ import annotations
@@ -21,22 +22,29 @@ import dataclasses
 import json
 import sys
 
-sys.path.insert(0, "src")  # allow running from a fresh checkout
 
-from stegogame.attackgame import (
-    AttackLevel,
-    KCAMembership,
-    RandomGuesser,
-    SCOAHistogram,
-    message_recovery_game,
-    run_game,
-    synthetic_scenario,
-)
+def experiments(trials: int = 1000, offset: int = 0) -> list[tuple[str, object]]:
+    """The three experiments' (tag, result) pairs, in order; ``offset`` shifts
+    every scenario and game seed."""
+    from stegogame.attackgame import (
+        AttackLevel, KCAMembership, RandomGuesser, SCOAHistogram, message_recovery_game, run_game,
+        synthetic_scenario,
+    )
 
-
-def emit(tag: str, result) -> None:
-    doc = {"experiment": tag, **dataclasses.asdict(result)}
-    print(json.dumps(doc, sort_keys=True))
+    sc = synthetic_scenario(T=16, N=4, world_size=64, seed=101 + offset)
+    detection = run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=trials, seed=201 + offset)
+    sc = synthetic_scenario(
+        T=16, N=4, world_size=48, disjoint_world=True,
+        seed=102 + offset, leak_fraction=1.0, observations=0,
+    )
+    leak = run_game(sc, KCAMembership(), AttackLevel.KCA, trials=trials, seed=202 + offset)
+    sc = synthetic_scenario(T=6, N=4, world_size=18, seed=103 + offset, observations=0)
+    recovery = message_recovery_game(sc, RandomGuesser(), AttackLevel.SCOA, trials=trials, seed=203 + offset)
+    return [
+        ("channel-statistics-detection", detection),
+        ("full-library-leak-detection", leak),
+        ("keyless-recovery", recovery),
+    ]
 
 
 def main() -> int:
@@ -44,33 +52,11 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0, help="offsets the per-experiment seeds")
     args = ap.parse_args()
-
-    off = args.seed
-
-    sc = synthetic_scenario(T=16, N=4, world_size=64, seed=101 + off)
-    emit(
-        "channel-statistics-detection",
-        run_game(sc, SCOAHistogram(), AttackLevel.SCOA, trials=args.trials, seed=201 + off),
-    )
-
-    sc = synthetic_scenario(
-        T=16, N=4, world_size=48, disjoint_world=True,
-        seed=102 + off, leak_fraction=1.0, observations=0,
-    )
-    emit(
-        "full-library-leak-detection",
-        run_game(sc, KCAMembership(), AttackLevel.KCA, trials=args.trials, seed=202 + off),
-    )
-
-    sc = synthetic_scenario(T=6, N=4, world_size=18, seed=103 + off, observations=0)
-    emit(
-        "keyless-recovery",
-        message_recovery_game(
-            sc, RandomGuesser(), AttackLevel.SCOA, trials=args.trials, seed=203 + off
-        ),
-    )
+    for tag, result in experiments(args.trials, args.seed):
+        print(json.dumps({"experiment": tag, **dataclasses.asdict(result)}, sort_keys=True))
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, "src")  # run from a fresh checkout; a module that loads this one keeps its sys.path
     raise SystemExit(main())

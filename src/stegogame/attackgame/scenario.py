@@ -17,8 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import (
-    InvalidConfig, MalformedFile, NotInLibrary, check_choice, check_int, check_real,
-    check_seed, check_shape,
+    MAX_SEED, InvalidConfig, MalformedFile, NotInLibrary, check_choice, check_int, check_real, check_shape, show,
 )
 from ..library import (
     CoverEntry, CoverId, CoverLibrary, hash_bytes, load_manifest, read_bytes, read_json,
@@ -115,7 +114,9 @@ def synthetic_corpus(count: int, size: int = 2048, seed: int = 0) -> dict[CoverI
     """Deterministic corpus of random-byte covers, keyed by content digest."""
     check_int("count", count, low=1, error=InvalidConfig)
     check_int("size", size, low=1, error=InvalidConfig)
-    check_seed(seed, error=InvalidConfig)
+    check_int("seed", seed, 0, InvalidConfig, MAX_SEED)
+    if (count - 1).bit_length() > 8 * size:  # count > 256**size, without building it: the draws never end
+        raise InvalidConfig(f"count={show(count)} distinct covers need more than size={size} bytes each")
     gen = np.random.Generator(np.random.Philox(key=seed))
     corpus: dict[CoverId, bytes] = {}
     while len(corpus) < count:

@@ -23,13 +23,14 @@ walk over them, each stopping once its answer is settled (the oracle
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, floor, fsum, log, log1p, sqrt
 
-from .errors import InvalidParams, check_int, check_real, check_seed, check_shape
+from .errors import MAX_SEED, InvalidParams, check_int, check_real, check_shape
 
 
 def _check_txn(x: int, N: int, T: int) -> None:
@@ -111,8 +112,6 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     _check_txn(0, N, T)
     check_real("zeta", zeta, 0, 1, closed=False)
     zn, zd = Fraction(zeta).as_integer_ratio()
-    if N == T:
-        return 0
     try:
         guess = max(0, floor(log(-log(zeta) / T) / log1p(-N / T)))
     except (ArithmeticError, ValueError):  # a zeta or T past the float range
@@ -125,13 +124,8 @@ def max_safe_uses(N: int, T: int, zeta: float) -> int:
     else:  # ... or down, to x = 0 at most, whose coverage is 0
         while not _coverage_below(lo, N, T, zn, zd):
             lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
-    while lo + 1 < hi:  # coverage(lo) < zeta <= coverage(hi)
-        mid = (lo + hi) // 2
-        if _coverage_below(mid, N, T, zn, zd):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # coverage(lo) < zeta <= coverage(hi): bisect for the first x in (lo, hi) at or above zeta
+    return lo + bisect_left(range(lo + 1, hi), True, key=lambda x: not _coverage_below(x, N, T, zn, zd))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def _occupancy(x: int, N: int, T: int, trials: int, seed: int):
 
 def _check_mc(T: int, trials: int, seed: int, max_workers: int | None = None) -> None:
     check_int("trials", trials, 1, high=(1 << 63) - 1)  # the occupancy counts trials in int64
-    check_seed(seed)
+    check_int("seed", seed, 0, InvalidParams, MAX_SEED)
     if max_workers is not None:
         check_int("max_workers", max_workers, low=1)
     check_int("T", T, high=10**9 - 1)  # numpy's hypergeometric refuses 10**9 or more good or bad items

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BinMismatch, EmptySamples, InvalidParams, check_choice, check_int, check_real, check_seed, show
+from .errors import MAX_SEED, BinMismatch, EmptySamples, InvalidParams, check_choice, check_int, check_real, show
 
 MASS_TOLERANCE = 1e-12
 # calibrate_epsilon's block of resplits, in count cells: rows of the non-empty bins' counts
@@ -280,7 +280,7 @@ def calibrate_epsilon(
     """
     check_int("runs", runs, 1, high=MAX_RUNS)
     check_real("percentile", percentile, 0, 100)
-    check_seed(seed)
+    check_int("seed", seed, 0, InvalidParams, MAX_SEED)
     a, _, pooled, support = _pooled_support(samples_a, samples_b, metric)
     pooled_counts, edges = _histogram(pooled, bins, support)
     pooled_dist = EmpiricalDistribution(edges, pooled_counts / pooled.size, pooled.size)  # checks edges

@@ -3,19 +3,21 @@
 Every error carries a short machine-readable ``code`` that the CLI uses for
 its JSON error objects, e.g. ``{"error": "NotInLibrary", ...}``.
 
-Integer, real and seed arguments are checked by :func:`check_int` (between
-optional bounds), :func:`check_real` (in an interval, closed by default) and
-:func:`check_seed`, l-bit values by :func:`check_width`, (T, N) by
-:func:`check_shape` and names from a fixed set by :func:`check_choice`, each
-raising the caller's error class.  An integer is exactly an ``int``, not a bool
-or a numpy int, which would wrap around in the exact integer math.  :func:`show`
-prints a refused value: past the 4,300-digit ``str`` limit as ``<int of 14729 bits>``.
+Integer and seed arguments are checked by :func:`check_int` (between optional
+bounds; a seed in [0, ``MAX_SEED``] where it keys a Philox generator), real
+ones by :func:`check_real` (in an interval, closed by default), l-bit values by
+:func:`check_width`, (T, N) by :func:`check_shape` and names from a fixed set
+by :func:`check_choice`, each raising the caller's error class.  An integer is
+exactly an ``int``, not a bool or a numpy int, which would wrap around in the
+exact integer math.  :func:`show` prints a refused value: past the 4,300-digit ``str`` limit as ``<int of 14729 bits>``.
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Real
+
+MAX_SEED = (1 << 128) - 1  # a Philox key's largest value, so the largest seed that keys one
 
 
 class StegogameError(Exception):
@@ -170,12 +172,6 @@ def check_shape(T, N, error=InvalidParams) -> None:
     """Raise ``error`` unless T and N are ints with 1 <= N <= T."""
     if type(T) is not int or type(N) is not int or not 1 <= N <= T:
         raise error(f"need 1 <= N <= T, got T={show(T)}, N={show(N)}")
-
-
-def check_seed(seed, error=InvalidParams) -> None:
-    """Raise ``error`` unless ``seed`` can key a Philox generator."""
-    if type(seed) is not int or not 0 <= seed < 1 << 128:
-        raise error("seed must be an integer in [0, 2**128)")
 
 
 class Record:

@@ -93,12 +93,12 @@ def unrank(rank: int, T: int, N: int) -> Arrangement:
 
 def rank(arr: Arrangement) -> int:
     """Lexicographic rank of an arrangement; inverse of :func:`unrank`."""
-    available = list(range(arr.T))
+    used: list[int] = []  # the indices placed so far, sorted: O(N**2) work at most, none per T
     value = 0
     for idx, place in zip(arr.indices, _places(arr.T, arr.N)):
-        pos = bisect_left(available, idx)
-        value += pos * place
-        available.pop(pos)
+        pos = bisect_left(used, idx)
+        value += (idx - pos) * place  # the digit: how many indices below idx are not yet placed
+        used.insert(pos, idx)
     return value
 
 

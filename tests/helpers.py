@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and synthetic libraries.
 
 The oracles here deliberately avoid the package's own algorithms: rank
-order comes from itertools enumeration, coverage probabilities from
+order comes from itertools enumeration, ranks themselves from the earlier walk
+that pops each index from a list of all T, coverage probabilities from
 exhaustive counting with exact rationals, safe-use counts from a search
 whose every probe sums the whole inclusion-exclusion series in rationals,
 coverage reports from one full pass over the integer numerators,
@@ -12,7 +13,9 @@ kernels: each metric's fixed-point rule applied one cell at a time in Python
 ints (``kl_fixed_1d``, ``js_fixed_1d``, ``tv_fixed_1d``, ``w1_fixed_1d``),
 beside the metrics' earlier float kernels (``kl_1d``, ``js_1d``, ``tv_1d``,
 ``w1_1d``).
-An ACCA round's leak is a fresh permutation of the library each round.
+An ACCA round's leak is a fresh permutation of the library each round, and
+a channel-statistics warden's positive control is a library of covers whose
+bytes below 128 are drawn more often than the world pool's.
 The embed/extract oracle is the earlier string path, composed
 from the bitstring functions: ``xor_bits``, then
 ``bits_to_arrangement`` or ``arrangement_to_bits``, then ``xor_bits``.
@@ -33,6 +36,7 @@ inclusion-exclusion in rationals.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -40,18 +44,31 @@ from math import comb
 import numpy as np
 
 from stegogame.attackgame.game import _derive_key
+from stegogame.attackgame.scenario import Scenario, _library_of
 from stegogame.bits import xor_bits
 from stegogame.budget import _hit_row
 from stegogame.divergence import STREAM_RUNS, EmpiricalDistribution
 from stegogame.errors import LengthMismatch, NotInLibrary
 from stegogame.library import CoverEntry, CoverLibrary, hash_bytes
-from stegogame.permcodec import Arrangement, arrangement_to_bits, bits_to_arrangement, capacity
+from stegogame.permcodec import Arrangement, _places, arrangement_to_bits, bits_to_arrangement, capacity
 from stegogame.stego import Message, StegoSequence
 
 
 def lex_arrangements(T: int, N: int) -> list[tuple[int, ...]]:
     """All N-arrangements of range(T) in lexicographic order."""
     return list(itertools.permutations(range(T), N))
+
+
+def rank_reference(arr: Arrangement) -> int:
+    """Lexicographic rank by the earlier walk: each index's digit is its
+    position among the indices not yet placed, kept in a list of all T."""
+    available = list(range(arr.T))
+    value = 0
+    for idx, place in zip(arr.indices, _places(arr.T, arr.N)):
+        pos = bisect_left(available, idx)
+        value += pos * place
+        available.pop(pos)
+    return value
 
 
 def coverage_enumeration(x: int, N: int, T: int) -> Fraction:
@@ -374,6 +391,23 @@ def calibrate_epsilon_reference(
     """Permutation-null threshold from :func:`null_values_reference`."""
     values = null_values_reference(samples_a, samples_b, metric, bins, runs, seed)
     return float(np.percentile(values, percentile))
+
+
+def biased_scenario(bias: float, seed: int = 0) -> Scenario:
+    """A positive control for a channel-statistics warden: 16 library covers
+    of 2,048 bytes whose byte values below 128 are drawn with weight
+    ``1 + bias`` (the others 1), and a world pool of those 16 plus 48 covers
+    of uniform bytes; N = 4 and no observations, so a warden learns the world
+    pool alone."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    weights = np.where(np.arange(256) < 128, 1.0 + bias, 1.0)
+    library = [gen.choice(256, size=2048, p=weights / weights.sum()).astype(np.uint8).tobytes() for _ in range(16)]
+    uniform = [gen.integers(0, 256, size=2048, dtype=np.uint8).tobytes() for _ in range(48)]
+    corpus = {hash_bytes(blob): blob for blob in library + uniform}
+    return Scenario(
+        library=_library_of(list(map(hash_bytes, library)), corpus), world=_library_of(list(corpus), corpus),
+        N=4, observations=0, content_map=corpus,
+    )
 
 
 def mem_library(T: int, tag: str = "lib") -> CoverLibrary:

@@ -8,6 +8,7 @@ every number here reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
@@ -21,15 +22,6 @@ from scipy.stats import chisquare
 
 import stegogame
 from helpers import coverage_enumeration, lex_arrangements, mem_library
-from stegogame.attackgame import (
-    AttackLevel,
-    KCAMembership,
-    RandomGuesser,
-    SCOAHistogram,
-    message_recovery_game,
-    run_game,
-    synthetic_scenario,
-)
 from stegogame.budget import (
     coverage_exact_fraction,
     coverage_report,
@@ -49,6 +41,9 @@ from stegogame.divergence import (
 from stegogame.library import build_library, save_manifest
 from stegogame.permcodec import Arrangement, capacity, rank, unrank
 from stegogame.stego import Message, StegoKey, embed, extract
+
+# criterion 6 runs the experiments that this script prints
+SECURITY_CLAIMS = Path(__file__).resolve().parents[1] / "scripts" / "run_security_claims.py"
 
 
 def _report(capfd, index: int, ok: bool, summary: str) -> None:
@@ -199,25 +194,22 @@ def test_criterion_5_output_uniformity(capfd):
 
 def test_criterion_6_security_claims(capfd):
     """Channel-statistics attacker stays at chance; full library leak breaks
-    detection; keyless recovery stays at chance per bit."""
-    sc_a = synthetic_scenario(T=16, N=4, world_size=64, seed=101)
-    res_a = run_game(sc_a, SCOAHistogram(), AttackLevel.SCOA, trials=1000, seed=201)
+    detection; keyless recovery stays at chance per bit.  The experiments are
+    ``scripts/run_security_claims.py``'s, at its defaults."""
+    spec = importlib.util.spec_from_file_location("run_security_claims", SECURITY_CLAIMS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    results = dict(script.experiments())
+    res_a = results["channel-statistics-detection"]
     hw = 2.576 * math.sqrt(res_a.success_rate * (1 - res_a.success_rate) / res_a.trials)
     a_ok = (
         res_a.verdict == "resists"
         and res_a.success_rate - hw <= 0.5 <= res_a.success_rate + hw
     )
-
-    sc_b = synthetic_scenario(
-        T=16, N=4, world_size=48, disjoint_world=True, seed=102,
-        leak_fraction=1.0, observations=0,
-    )
-    res_b = run_game(sc_b, KCAMembership(), AttackLevel.KCA, trials=1000, seed=202)
+    res_b = results["full-library-leak-detection"]
     b_ok = res_b.success_rate >= 0.99 and res_b.verdict == "broken"
-
-    sc_c = synthetic_scenario(T=6, N=4, world_size=18, seed=103, observations=0)
-    assert capacity(6, 4).l == 8
-    res_c = message_recovery_game(sc_c, RandomGuesser(), AttackLevel.SCOA, trials=1000, seed=203)
+    assert capacity(6, 4).l == 8  # the keyless game's T = 6, N = 4
+    res_c = results["keyless-recovery"]
     c_ok = 0.47 <= res_c.success_rate <= 0.53
 
     _report(

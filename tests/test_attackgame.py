@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
     OneCoverLibrary,
+    biased_scenario,
     bits_of,
     cca_replay_reference,
     kca_membership_reference,
@@ -43,7 +44,7 @@ from stegogame.attackgame import (
 )
 from stegogame.attackgame import adversaries, game
 from stegogame.attackgame.game import Challenge, _BudgetedOracle
-from stegogame.attackgame.scenario import MAX_OBSERVATIONS, Scenario
+from stegogame.attackgame.scenario import MAX_OBSERVATIONS, Scenario, synthetic_corpus
 from stegogame.divergence import EmpiricalDistribution, js
 from stegogame.errors import (
     CoverReadError,
@@ -194,6 +195,16 @@ class TestScenario:
     def test_disjoint_world(self):
         sc = synthetic_scenario(T=8, N=3, world_size=24, disjoint_world=True, seed=1)
         assert not set(sc.library.ids()) & set(sc.world.ids())
+
+    def test_more_covers_than_their_size_holds_refused(self):
+        """size bytes make 256**size distinct covers: one more is refused before
+        any draw, not drawn for ever, and a scenario's covers by the same rule."""
+        assert len(synthetic_corpus(256, size=1)) == 256
+        for count, size in ((257, 1), (2**16 + 1, 2), (2**10_000, 1)):
+            with pytest.raises(InvalidConfig, match=f"more than size={size} bytes"):
+                synthetic_corpus(count, size=size)
+        with pytest.raises(InvalidConfig, match="count=257 "):
+            synthetic_scenario(T=4, N=2, world_size=253, disjoint_world=True, cover_size=1)
 
     def test_content_resolves_and_hashes_back(self):
         import hashlib
@@ -1497,6 +1508,19 @@ class TestSCOAHistogram:
         assert results[0].verdict == VERDICT_RESISTS
         rate = sum(r.successes for r in results) / (8 * 400)
         assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / (8 * 400))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("bias, verdict, rates", [
+        (0.0, VERDICT_RESISTS, {3: 0.5375, 4: 0.4825}),
+        (0.5, VERDICT_BROKEN, {3: 0.72, 4: 0.665}),
+    ])
+    def test_positive_control_detects_a_biased_library(self, seed, bias, verdict, rates):
+        """The warden has power: library covers whose bytes below 128 are
+        drawn with weight 1.5 (60% of bytes, against the world's 50%) read
+        broken; unbiased ones, at b = 0, stay at chance."""
+        res = run_game(biased_scenario(bias), SCOAHistogram(), AttackLevel.SCOA, trials=400, seed=seed)
+        assert res.verdict == verdict
+        assert res.success_rate == rates[seed]
 
 
 GOLDEN_FIELDS = (

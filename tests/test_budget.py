@@ -187,20 +187,36 @@ class TestMaxSafeUses:
         below = coverage_exact_fraction(x_max, N, T)
         assert below < Fraction(0.4) <= coverage_exact_fraction(x_max + 1, N, T)
 
-    @pytest.mark.parametrize("T, N", [(256, 16), (512, 24)])
-    def test_probes_start_at_the_estimate(self, monkeypatch, T, N):
-        # an exponential then binary search from x = 1 made 14 and 16 probes here
-        probes = []
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """The x values ``max_safe_uses`` probes, in order."""
+        seen = []
         below = budget._coverage_below
+        monkeypatch.setattr(budget, "_coverage_below", lambda x, *args: seen.append(x) or below(x, *args))
+        return seen
 
-        def counted(x, *args):
-            probes.append(x)
-            return below(x, *args)
-
-        monkeypatch.setattr(budget, "_coverage_below", counted)
+    @pytest.mark.parametrize("T, N", [(256, 16), (512, 24)])
+    def test_probes_start_at_the_estimate(self, probes, T, N):
+        # an exponential then binary search from x = 1 made 14 and 16 probes here
         x_max = max_safe_uses(N, T, 0.4)
         assert len(probes) <= 3, probes
         assert {x_max, x_max + 1} <= set(probes)
+
+    @pytest.mark.parametrize("T, N, zeta, expected", [
+        (64, 1, 1e-12, [54, 55, 57, 61, 69, 85, 117, 101, 93, 89, 87, 88]),
+        (200, 1, 1e-12, [395, 396, 398, 402, 410, 426, 458, 442, 434, 438, 440, 441]),
+    ])
+    def test_probe_order_pinned(self, probes, T, N, zeta, expected):
+        # the estimate, a gallop up in doubling steps, then a bisection of the
+        # last step: the lists the earlier hand-written bisection loop probed
+        assert max_safe_uses(N, T, zeta) == expected[-1] - 1
+        assert probes == expected
+
+    @pytest.mark.parametrize("T", [1, 2, 40, 4096])
+    def test_all_covers_each_use_costs_two_probes(self, probes, T):
+        # N = T: coverage(1) = 1 >= zeta, so the search stops at x = 0, whose coverage is 0
+        assert max_safe_uses(T, T, 0.4) == 0
+        assert len(probes) <= 2, probes
 
     @pytest.mark.parametrize("T, N, zeta", [
         (64, 1, 1e-12), (200, 1, 1e-12), (100, 2, 1e-12), (64, 1, 0.999999), (200, 100, 1e-12),

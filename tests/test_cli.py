@@ -545,17 +545,19 @@ class TestDivergenceCommand:
         assert parse(out)["error"] == "InvalidParams"
         assert "finite" in parse(out)["detail"] and "Traceback" not in err
 
-    @pytest.mark.parametrize("seed", [-1, 2**128])
-    def test_auto_epsilon_seed_out_of_range(self, sample_files, capsys, seed):
+    @pytest.mark.parametrize("seed, detail", [
+        (-1, "seed must be >= 0, got -1"),
+        (2**128, "seed must be at most 340282366920938463463374607431768211455, "
+                 "got 340282366920938463463374607431768211456"),
+    ])
+    def test_auto_epsilon_seed_out_of_range(self, sample_files, capsys, seed, detail):
         a, b = sample_files
         code, out, err = run_cli(
             capsys, "divergence", "-a", str(a), "-b", str(b), "--epsilon", "auto",
             "--seed", str(seed),
         )
         assert code == 1
-        assert parse(out) == {
-            "error": "InvalidParams", "detail": "seed must be an integer in [0, 2**128)"
-        }
+        assert parse(out) == {"error": "InvalidParams", "detail": detail}
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("epsilon", ["0.1", "auto"])
@@ -690,6 +692,32 @@ GOLDEN_ATTACK = {
         '"tool_version":"0.1.0"}\n',
     ),
 }
+
+
+def test_negative_seed_refused_in_one_wording(tmp_path, make_covers, capsys):
+    """Every seeded subcommand refuses --seed -1 by the one seed rule, so all
+    four say it alike; the error class stays each module's own."""
+    save_manifest(build_library(make_covers(6)), tmp_path / "lib.json")
+    (tmp_path / "scen.json").write_text(json.dumps({"library": "lib.json", "world_pool": "lib.json", "N": 3}))
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("0.0\n1.0\n2.0\n")
+    refusals = {}
+    for argv in (
+        ["keygen", "--bits", "8", "-o", tmp_path / "key.txt"],
+        ["budget", "-T", "8", "-N", "3", "--zeta", "0.4", "--mc-trials", "1000"],
+        ["divergence", "-a", tmp_path / "a.txt", "-b", tmp_path / "b.txt", "--epsilon", "auto"],
+        ["attack", "--level", "scoa", "--adversary", "random", "--trials", "100",
+         "--scenario", tmp_path / "scen.json"],
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv), "--seed", "-1")
+        assert code == 1 and "Traceback" not in err
+        refusals[argv[0]] = parse(out)
+    assert {doc["detail"] for doc in refusals.values()} == {"seed must be >= 0, got -1"}
+    assert {name: doc["error"] for name, doc in refusals.items()} == {
+        "keygen": "InvalidParams", "budget": "InvalidParams", "divergence": "InvalidParams",
+        "attack": "InvalidConfig",
+    }
+    assert not (tmp_path / "key.txt").exists()
 
 
 class TestAttackCommand:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bits_of, lex_arrangements
+from helpers import bits_of, lex_arrangements, rank_reference
 from stegogame.errors import (
     InvalidArrangement,
     InvalidParams,
@@ -87,6 +87,20 @@ class TestRankUnrank:
         r = capacity(T, N).r
         i = data.draw(st.integers(min_value=0, max_value=r - 1))
         assert rank(unrank(i, T, N)) == i
+
+    @given(st.data())
+    @settings(max_examples=100)  # _places takes up to 0.2 s at a new (T, N) near T = N = 2000
+    def test_rank_matches_reference_walk(self, data):
+        T = data.draw(st.integers(min_value=1, max_value=2000))
+        N = data.draw(st.integers(min_value=1, max_value=T))
+        indices = data.draw(st.randoms(use_true_random=False)).sample(range(T), N)
+        arr = Arrangement(indices=tuple(indices), T=T)
+        assert rank(arr) == rank_reference(arr)
+
+    def test_rank_of_a_million_covers(self):
+        arr = Arrangement(indices=(999_999, 0, 500_000, 3, 999_998, 1, 2, 7), T=10**6)
+        assert rank(arr) == rank_reference(arr)
+        assert unrank(rank(arr), 10**6, 8) == arr
 
 
 class TestArrangement:
